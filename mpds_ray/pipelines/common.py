@@ -37,19 +37,22 @@ def shard_list(sf_dir: str, name: str) -> list[str]:
     return [path]
 
 
+def exchange_buckets(sf_dir: str, tables: tuple[str, ...], num_buckets: int | None) -> int:
+    """``num_buckets`` when given, else ``auto_num_buckets`` over the shards
+    of every table the query exchanges — so every hop of a multi-hop join is
+    sized from the same inputs."""
+    if num_buckets is not None:
+        return num_buckets
+    from ..stages.exchange import auto_num_buckets
+
+    return auto_num_buckets([p for t in tables for p in shard_list(sf_dir, t)])
+
+
 def table_num_rows(sf_dir: str, name: str) -> int:
     """Row count from parquet METADATA only (no scan) — sums over shard files
     when the table is a directory (``pq.read_metadata`` on a directory raises
     OSError — ADVICE r2)."""
     return sum(pq.read_metadata(p).num_rows for p in shard_list(sf_dir, name))
-
-
-def table_num_bytes(sf_dir: str, name: str) -> int:
-    """On-disk (compressed) byte size of a table's shards — the input-size
-    signal bucket-count derivation uses."""
-    import os
-
-    return sum(os.path.getsize(p) for p in shard_list(sf_dir, name))
 
 
 def read(sf_dir: str, name: str, columns: list[str] | None = None, filter_expr=None):

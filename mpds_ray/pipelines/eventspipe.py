@@ -3,7 +3,7 @@ driver testdata): sessionize, lag/lead, LOCF, as-of with tolerance, debounce,
 tumbling windows, prefix scans — each with a DuckDB window-function oracle.
 
 All pipelines establish the (user_id, ts)-sorted entity-complete invariant
-via ONE hash-bucket shuffle (stages.partition.partition_sort), then run the
+via ONE user-hash exchange (stages.exchange.hash_exchange), then run the
 vectorized scans of mpds_ray.stages per bucket. Ties in ts are broken by
 event_id (both sides), making every output deterministic.
 """
@@ -24,40 +24,6 @@ from ..stages.sessionize import sessionize_gap
 from .common import partial_groupby_sum, read, round_columns
 
 SESSION_GAP = 1800.0  # 30 min
-NUM_BUCKETS = 32
-
-
-def _events_sorted(sf_dir: str, columns: list[str]):
-    """events with ts as epoch seconds, bucketed by user and sorted by
-    (user_id, ts, event_id) inside each entity-complete group."""
-    ds = read(sf_dir, "events", columns=list(dict.fromkeys(columns + ["user_id", "ts", "event_id"])))
-
-    def to_epoch(b: pd.DataFrame) -> pd.DataFrame:
-        b["ts"] = b["ts"].astype("int64") / 1e6
-        return b
-
-    return ds.map_batches(to_epoch, batch_format="pandas")
-
-
-def _per_bucket(ds, fn, num_buckets: int = NUM_BUCKETS):
-    """Dataset-native bucket scan (general path for arbitrary Dataset
-    inputs): hash-bucket by user, sort each bucket (user_id, ts, event_id),
-    apply ``fn`` per entity-complete bucket."""
-
-    def sorted_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
-        return fn(g)
-
-    # partition_sort's (entity, ts) mergesort is refined to include event_id
-    # by pre-sorting here; the outer sort is stable so the refinement holds.
-    from ..stages.partition import add_bucket_column
-
-    bucketed = ds.map_batches(
-        lambda t: add_bucket_column(t, "user_id", num_buckets), batch_format="pyarrow"
-    )
-    return bucketed.groupby("_bucket").map_groups(
-        lambda g: sorted_fn(g.drop(columns=["_bucket"])), batch_format="pandas"
-    )
 
 
 def _per_bucket_events(
@@ -65,21 +31,15 @@ def _per_bucket_events(
 ):
     """The events-table bucket scan over the explicit hash exchange: map
     tasks read pruned shard columns and convert ts to epoch seconds; reduce
-    tasks sort their bucket (user_id, ts, event_id) and run the scan. Same
-    semantics as ``_per_bucket(_events_sorted(...), fn)`` (tested) without
-    the Dataset sort-shuffle's fixed ~2-3 s driver barrier per query."""
+    tasks sort their bucket (user_id, ts, event_id) and run ``fn`` on it.
+    Every user lands wholly in one bucket, so ``fn`` sees entity-complete,
+    (user_id, ts, event_id)-sorted rows at any bucket count."""
     import pyarrow as pa
 
     from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
-    if num_buckets is None:
-        # derive B from input bytes (bucket ~ task-memory budget); floor at
-        # the r2 constant so small-scale plans are unchanged
-        from ..stages.exchange import auto_num_buckets
-
-        num_buckets = auto_num_buckets(shards, min_buckets=NUM_BUCKETS)
     cols = list(dict.fromkeys(columns + ["user_id", "ts", "event_id"]))
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -100,7 +60,7 @@ def _per_bucket_events(
 # --- T2/T9: gap sessionize + per-session aggregate (A2) ---
 
 
-def sessionize_user_events(sf_dir: str):
+def sessionize_user_events(sf_dir: str, num_buckets: int | None = None):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         sid = sessionize_gap(g["user_id"].to_numpy(), g["ts"].to_numpy(), SESSION_GAP)
         g["_sid"] = sid
@@ -117,7 +77,7 @@ def sessionize_user_events(sf_dir: str):
         out["t_end"] = out["t_end"].round(6)
         return out[["user_id", "session_seq", "n_events", "t_start", "t_end", "duration", "sum_value"]]
 
-    return _per_bucket_events(sf_dir, ["value"], fn)
+    return _per_bucket_events(sf_dir, ["value"], fn, num_buckets)
 
 
 SESSIONIZE_SQL = f"""
@@ -266,7 +226,7 @@ def user_mode_event_type(sf_dir: str):
     |users|×|types| rows per shard regardless of row count — and each
     reduce bucket folds partials and takes one deterministic argmax row
     per user."""
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
@@ -308,9 +268,7 @@ def user_mode_event_type(sf_dir: str):
         )
 
     out = hash_exchange(
-        shards, map_fn, "user_id",
-        auto_num_buckets(shards, min_buckets=NUM_BUCKETS),
-        reduce_fn, columns=["user_id", "event_type"],
+        shards, map_fn, "user_id", None, reduce_fn, columns=["user_id", "event_type"]
     )
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -1588,7 +1546,7 @@ def latest_event_per_user_type(sf_dir: str):
     re-compacts each user bucket. Driver root is bounded by the compacted
     key domain (|users| × |event types|) — at real scale this is a
     write_parquet sink, not a collect."""
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
@@ -1621,11 +1579,7 @@ def latest_event_per_user_type(sf_dir: str):
             }
         )
 
-    out = hash_exchange(
-        shards, map_fn, "user_id",
-        auto_num_buckets(shards, min_buckets=NUM_BUCKETS),
-        reduce_fn, columns=cols,
-    )
+    out = hash_exchange(shards, map_fn, "user_id", None, reduce_fn, columns=cols)
     return out.sort_values(["user_id", "event_type"]).reset_index(drop=True)
 
 
@@ -1947,13 +1901,21 @@ def rolling_distinct_types(sf_dir: str):
     gather with a -1 sentinel for pre-segment slots, and the distinct
     count is the number of FIRST OCCURRENCES in each window — K(K-1)/2
     pairwise equality masks for K = 5, fully vectorized, exact integers
-    (no rounding surface at all)."""
+    (no rounding surface at all). A type outside EVENT_TYPES raises
+    ``ValueError`` naming it."""
+    domain = np.asarray(EVENT_TYPES)
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         n = len(g)
-        codes = np.searchsorted(np.asarray(EVENT_TYPES), et).astype(np.int64)
+        codes = np.searchsorted(domain, et).astype(np.int64)
+        unknown = domain[np.minimum(codes, len(domain) - 1)] != et
+        if unknown.any():
+            raise ValueError(
+                f"rolling_distinct_types: unknown event_type {et[unknown][0]!r}; "
+                f"expected one of {EVENT_TYPES}"
+            )
         idx = np.arange(n)
         seg_starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
         seg_of_row = np.repeat(seg_starts, np.diff(np.r_[seg_starts, n]))
@@ -2097,7 +2059,7 @@ GROUP BY p.event_id, p.user_id
 """
 
 
-def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int = 8):
+def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None):
     """Grouped top-k WITH TIES (RANK() <= k semantics — every user tied at
     the k-th event count is kept, unlike the row-limited variant). Counts
     per (type, user) ride the user-hash exchange (bucket-complete), and the
@@ -2161,7 +2123,7 @@ ORDER BY event_type, n DESC, user_id
 """
 
 
-def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int = 8):
+def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = None):
     """Grouped top-k: per event type, the k users with the largest total
     value. Two-level distributed shape: map tasks pre-aggregate
     (event_type, user_id) partial sums per shard (the user domain is
@@ -2302,7 +2264,7 @@ def user_event_pivot(sf_dir: str):
     one-hot partials (types are a FIXED small domain -> columns, not rows);
     partials exchange on user_id and fold per bucket — the same combiner
     shape as top_users_per_event_type, output bounded by distinct users."""
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
@@ -2329,7 +2291,7 @@ def user_event_pivot(sf_dir: str):
         return g
 
     out = hash_exchange(
-        shards, map_fn, "user_id", auto_num_buckets(shards), reduce_fn,
+        shards, map_fn, "user_id", None, reduce_fn,
         columns=["user_id", "event_type", "value"],
     )
     return out.sort_values("user_id").reset_index(drop=True)

@@ -471,18 +471,13 @@ def run_flagship_exchange(
     import pyarrow.parquet as pq
     import ray
 
-    from ..stages.exchange import hash_exchange
+    from ..stages.exchange import auto_num_buckets, hash_exchange
 
     shards = sorted(glob.glob(f"{tokens_dir}/*.parquet"))
     if not shards:
         shards = [tokens_dir]
     if num_buckets is None:
-        # bucket count derived from input bytes: per-reduce bucket targets a
-        # task-memory budget instead of a constant B (VERDICT r2 top item);
-        # floor 64 keeps the small/bench plans identical to the r2 protocol
-        from ..stages.exchange import auto_num_buckets
-
-        num_buckets = auto_num_buckets(shards, min_buckets=64)
+        num_buckets = auto_num_buckets(shards)
     scores_df = pq.read_table(scores_path).to_pandas()
     scores_df[_SIDE] = 1
     scores_ref = ray.put(scores_df)

@@ -88,7 +88,7 @@ GROUP BY l_returnflag, l_linestatus
 # --- Q3-style: broadcast semi-join + hash join + top-k (J2 + O3) ---
 
 
-def q3_top_orders(sf_dir: str, num_buckets: int = 16):
+def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
     """Distributed hash-partition join (J2 + O3), no fact-scale broadcast:
     the only broadcast side is the BUILDING customer key set (a DIMENSION,
     bounded by segment selectivity). Both fact sides are hash-exchanged on
@@ -105,9 +105,9 @@ def q3_top_orders(sf_dir: str, num_buckets: int = 16):
 
     from ..stages.exchange import exchange_map
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import bounded_to_pandas, exchange_buckets, shard_list
 
-    from .common import bounded_to_pandas
+    num_buckets = exchange_buckets(sf_dir, ("orders", "lineitem"), num_buckets)
 
     cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     # bound: customer DIMENSION x segment selectivity (broadcast side)
@@ -513,7 +513,7 @@ FROM events GROUP BY event_type ORDER BY event_type
 ANTI_JOIN_CUTOFF = "2000-01-01"
 
 
-def customers_without_orders(sf_dir: str, num_buckets: int = 16):
+def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     """Anti-join at fact scale: customers with NO order since a cutoff date,
     counted per nation. Both sides are hash-exchanged on custkey (no
     broadcast of either key set): customer map tasks emit
@@ -528,7 +528,9 @@ def customers_without_orders(sf_dir: str, num_buckets: int = 16):
 
     from ..stages.exchange import exchange_map
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     def cust_map(t: pa.Table) -> pa.Table:
         return t.select(["c_custkey", "c_nationkey"])
@@ -693,7 +695,7 @@ FROM customer GROUP BY 1 ORDER BY fold
 # --- general two-sided exchange join (stages/hashjoin.py) as a query ---
 
 
-def monthly_order_revenue(sf_dir: str, num_buckets: int = 16):
+def monthly_order_revenue(sf_dir: str, num_buckets: int | None = None):
     """lineitem JOIN orders on orderkey -> revenue per order month. Both
     sides pre-aggregate map-side (lineitem to per-orderkey revenue partials,
     orders to (orderkey, yyyymm)), exchange on the SAME key buckets, and each
@@ -765,7 +767,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def monthly_revenue_cumshare(sf_dir: str, num_buckets: int = 16):
+def monthly_revenue_cumshare(sf_dir: str, num_buckets: int | None = None):
     """Window-over-aggregate shape: monthly revenue plus each month's
     CUMULATIVE share of total revenue (the running-mix report). The join +
     per-month fold is the monthly_order_revenue exchange with exact integer
@@ -851,7 +853,7 @@ FROM m ORDER BY month
 """
 
 
-def urgent_order_month_revenue(sf_dir: str, num_buckets: int = 16):
+def urgent_order_month_revenue(sf_dir: str, num_buckets: int | None = None):
     """monthly_order_revenue restricted to 1-URGENT orders (~20% of the
     dimension side) — the selective-join shape where the bloom prefilter
     pays: the priority predicate pushes into the orders scan, a bloom over
@@ -937,7 +939,7 @@ GROUP BY 1 ORDER BY 1
 def q5_region_nation_revenue(
     sf_dir: str,
     region: str = "ASIA",
-    num_buckets: int = 16,
+    num_buckets: int | None = None,
 ):
     """TPC-H Q5-shaped multi-way CHAIN join — the join key changes at every
     hop, so each hop's output is re-exchanged on the next key while staying
@@ -969,7 +971,11 @@ def q5_region_nation_revenue(
         rebucket_refs,
     )
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(
+        sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
+    )
 
     nat = read_small(sf_dir, "nation")
     reg = read_small(sf_dir, "region")
@@ -1087,7 +1093,7 @@ def q5_region_nation_revenue(
     )
 
 
-def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int = 16):
+def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | None = None):
     """TPC-H Q7-shaped nation-pair trade flow: revenue shipped 1996-1997
     between DISTINCT nations drawn from a small nation set, grouped by
     (supplier nation, customer nation, ship year). Same three-hop chain as
@@ -1109,7 +1115,11 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int = 16
         rebucket_refs,
     )
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(
+        sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
+    )
 
     nat = read_small(sf_dir, "nation")
     nsel = nat[nat.n_nationkey < max_nationkey]
@@ -1270,7 +1280,7 @@ GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
 """
 
 
-def part_type_revenue_share(sf_dir: str, num_buckets: int = 16):
+def part_type_revenue_share(sf_dir: str, num_buckets: int | None = None):
     """TPC-H Q14-shaped big×big join: one ship-month of lineitem ⨝ part on
     partkey, revenue share per p_type. The month filter pushes into the
     lineitem scan AND seeds a bloom over the qualifying partkeys, so part
@@ -1350,7 +1360,7 @@ FROM m ORDER BY p_type
 """
 
 
-def small_quantity_revenue(sf_dir: str, num_buckets: int = 16,
+def small_quantity_revenue(sf_dir: str, num_buckets: int | None = None,
                            brand: str = "Brand#4"):
     """TPC-H Q17 shape: revenue of below-avg-quantity lineitems for one
     brand's parts — an aggregate-self-join. The brand predicate pushes into
@@ -1418,7 +1428,7 @@ WHERE p_brand = 'Brand#4'
 """
 
 
-def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int = 16):
+def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int | None = None):
     """TPC-H Q12-shaped conditional aggregation over a join: per order
     priority, how many lineitems shipped more than ``late_days`` after the
     order date, the total, and the late share. The lateness predicate needs
@@ -1488,7 +1498,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: int = 16):
+def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: int | None = None):
     """TPC-H Q4-shaped EXISTS semi-join aggregate: per order priority, how
     many ORDERS have at least one lineitem shipped more than ``late_days``
     after the order date (vs Q12, which counts LINES). The existence test
@@ -1563,7 +1573,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def segment_urgent_coverage(sf_dir: str, num_buckets: int = 16):
+def segment_urgent_coverage(sf_dir: str, num_buckets: int | None = None):
     """Distributed LEFT OUTER join over the co-partitioned exchange
     (``exchange_join(how='left')``): customers joined to their URGENT-order
     spend, per market segment — customers with NO urgent orders survive the
@@ -1660,7 +1670,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def rich_customers_without_orders(sf_dir: str, num_buckets: int = 16):
+def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     """TPC-H Q22-shaped composite: LAPSED rich customers — balance above the
     GLOBAL average positive balance and no orders since 1999 — counted per
     market segment with their average balance. Three reusable pieces
@@ -1673,7 +1683,9 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int = 16):
 
     from ..stages.exchange import exchange_map
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     # pass 1: global mean positive balance — distributed (sum, count) fold
     @ray.remote
@@ -1798,7 +1810,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def customer_order_distribution(sf_dir: str, num_buckets: int = 16):
+def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
     """TPC-H Q13-shaped LEFT-join count distribution: how many customers
     placed exactly k orders, INCLUDING k = 0 (the LEFT semantics that a
     plain orders-side groupby would silently drop). Orders pre-reduce to
@@ -1808,7 +1820,9 @@ def customer_order_distribution(sf_dir: str, num_buckets: int = 16):
     |distinct k| × num_buckets tiny rows."""
     from ..stages.exchange import exchange_map
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     def c_map(t: pa.Table) -> pa.Table:
         return pa.table({"c_custkey": t["c_custkey"]})
@@ -2091,7 +2105,7 @@ GROUP BY n_name ORDER BY revenue DESC, n_name
 """
 
 
-def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int = 16):
+def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int | None = None):
     """TPC-H Q18-shaped aggregate-HAVING-join: orders whose total lineitem
     quantity exceeds ``min_qty``, joined back to the order header and its
     customer, top-100 by (o_totalprice DESC, o_orderkey). ONE exchange on
@@ -2188,7 +2202,7 @@ ORDER BY o_totalprice DESC, o_orderkey LIMIT 100
 """
 
 
-def returned_item_revenue(sf_dir: str, num_buckets: int = 16):
+def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     """TPC-H Q10-shaped: revenue from RETURNED (l_returnflag='R') items per
     customer inside a 6-month order window, top-20 customers. Hop 1
     exchanges on o_orderkey — the returnflag predicate pushes into the
@@ -2211,7 +2225,9 @@ def returned_item_revenue(sf_dir: str, num_buckets: int = 16):
         rebucket_refs,
     )
     from ..stages.partition import stable_bucket
-    from .common import shard_list
+    from .common import exchange_buckets, shard_list
+
+    num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"), num_buckets)
 
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1996-07-01")

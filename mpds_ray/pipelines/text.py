@@ -28,12 +28,10 @@ def dedup_exact(sf_dir: str, num_buckets: int | None = None):
     payload), reduce tasks take per-hash (min doc_id, count). The r1 Dataset
     ``groupby`` version paid the sort-shuffle's fixed ~3-4 s twice (groupby +
     trailing global sort) to produce 500 rows — VERDICT 'Next round' #5."""
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(shards)
 
     def map_fn(t: pa.Table) -> pa.Table:
         h = pd.util.hash_pandas_object(t["text"].to_pandas(), index=False).astype("uint64")
@@ -80,12 +78,10 @@ def repeated_ngram_stats(sf_dir: str, k: int = REPEAT_K, num_buckets: int | None
     (doc_id, n_occ, n_rep), bounded by docs-per-bucket; the driver fold is
     O(result rows). Gram-hash keys are near-uniform, so no salting needed.
     """
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import hash_exchange
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(shards)
     kk = int(k)
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -876,6 +872,9 @@ def _unique_per_segment(
     return v[first], s[first], np.bincount(s[first], minlength=offs.size - 1)
 
 
+PAIRWISE_CHUNK_VALUES = 1 << 22  # gathered set elements per _pairwise_inter pass
+
+
 def _pairwise_inter(
     flat: np.ndarray,
     offs: np.ndarray,
@@ -888,9 +887,24 @@ def _pairwise_inter(
     pair's two sets are gathered into one (pair_id, value) stream; after a
     lexsort, adjacent equal values within a pair are exactly the
     intersection elements (each side is duplicate-free). No per-pair
-    Python loop. Returns (inter, len_a, len_b)."""
+    Python loop. Pairs run in consecutive chunks of about
+    PAIRWISE_CHUNK_VALUES gathered elements, so the gather and sort
+    allocations stay bounded however many pairs one call gets. Returns
+    (inter, len_a, len_b)."""
     lens = np.diff(offs)
     la, lb = lens[pos_a], lens[pos_b]
+    inter = np.zeros(pos_a.size, dtype=np.int64)
+    ends = np.cumsum(la + lb)
+    lo = 0
+    while lo < pos_a.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIRWISE_CHUNK_VALUES, "right")))
+        inter[lo:hi] = _inter_chunk(flat, offs, pos_a[lo:hi], pos_b[lo:hi], la[lo:hi], lb[lo:hi])
+        lo = hi
+    return inter, la, lb
+
+
+def _inter_chunk(flat, offs, pos_a, pos_b, la, lb) -> np.ndarray:
     n_pairs = pos_a.size
 
     def gather(pos, ln):
@@ -906,8 +920,7 @@ def _pairwise_inter(
     order = np.lexsort((vals, pids))
     vals, pids = vals[order], pids[order]
     dup = (pids[1:] == pids[:-1]) & (vals[1:] == vals[:-1])
-    inter = np.bincount(pids[1:][dup], minlength=n_pairs)
-    return inter, la, lb
+    return np.bincount(pids[1:][dup], minlength=n_pairs)
 
 
 def _pairwise_jaccard(
@@ -998,15 +1011,11 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     # empty-result early exit).
     import ray
 
-    from ..stages.exchange import exchange_map
+    from ..stages.exchange import auto_num_buckets, exchange_map
     from ..stages.hashjoin import rebucket_refs
     from ..stages.partition import stable_bucket
 
-    # fan-out DERIVED from input bytes like every other exchange (VERDICT r4
-    # 'What's wrong' #3); min_buckets=8 keeps test-scale plans unchanged
-    from ..stages.exchange import auto_num_buckets
-
-    n_bb = auto_num_buckets(shards, min_buckets=8)  # band-hash buckets
+    n_bb = auto_num_buckets(shards)  # band-hash buckets
 
     def sig_bucket_fn(t: pa.Table) -> np.ndarray:
         return stable_bucket(t["band_hash"].to_numpy(zero_copy_only=False), n_bb)
@@ -1055,10 +1064,9 @@ def _verify_pairs_exact(
     from ..stages.hashjoin import rebucket_refs
 
     if n_vb is None:
-        # bytes-derived like every other exchange: per-bucket state (pairs +
-        # their shingle sets) tracks corpus size, so a FIXED verify fan-out
-        # would grow task memory linearly with the input (VERDICT r4 #3)
-        n_vb = auto_num_buckets(shards, min_buckets=8)
+        # per-bucket state (pairs + their shingle sets) tracks corpus size,
+        # so a FIXED verify fan-out would grow task memory with the input
+        n_vb = auto_num_buckets(shards)
     _EMPTY_PAIRS = EMPTY_PAIR_TABLE
     n_pb = len(pair_refs)
     vb_grid = rebucket_refs(pair_refs, "doc_a", n_vb)
@@ -1103,9 +1111,9 @@ def _verify_pairs_exact(
     # verify: EXCHANGE-ROUTED exact Jaccard — each candidate doc's shingle
     # set is computed DISTRIBUTED (per documents shard) and emitted once per
     # verify bucket referencing it; each bucket runs the vectorized
-    # ``_pairwise_jaccard`` kernel. Reduce memory is bounded by (candidate
-    # pairs + their shingles) / n_vb — never by the corpus — and there is no
-    # per-pair (or per-doc) Python loop anywhere. Map tasks fetch the need
+    # ``_pairwise_inter`` kernel. Reduce memory is (candidate pairs + their
+    # shingles) / n_vb plus the kernel's bounded chunk — never the corpus —
+    # and there is no per-pair (or per-doc) Python loop anywhere. Map tasks fetch the need
     # tables from plasma (one shared copy per node), not a driver broadcast.
     def shingle_map(batch: pa.Table) -> pa.Table:
         needs = [t for t in ray.get(list(need_refs)) if t.num_rows]
@@ -1252,11 +1260,9 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
-    # prefix-shingle buckets, DERIVED from input bytes like every other
-    # exchange (VERDICT r4 'What's wrong' #3: a fixed fan-out makes each
-    # reduce task hold 1/8 of ALL prefix entries — task memory growing
-    # linearly with the corpus); min_buckets=8 keeps test-scale plans as-is
-    n_tb = auto_num_buckets(shards, min_buckets=8)
+    # prefix-shingle buckets from input bytes: a fixed fan-out would make
+    # each reduce task's share of ALL prefix entries grow with the corpus
+    n_tb = auto_num_buckets(shards)
     DF_BUCKETS = 1 << 20
     # The committed contract is round(J, 6) >= threshold, so a pair with
     # true J as low as threshold - 5e-7 can round UP into the result.
@@ -1437,7 +1443,7 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
-    n_cb = auto_num_buckets(shards, min_buckets=8)
+    n_cb = auto_num_buckets(shards)
     DF_BUCKETS = 1 << 20
     tq_prune = max(int(threshold * 1_000_000) - 1, 0)
 
@@ -1667,7 +1673,7 @@ def _term_topk(out: pd.DataFrame, k: int) -> pd.DataFrame:
     return out.head(k).reset_index(drop=True)
 
 
-def _vocab_exchange(sf_dir: str, term_fn, k: int, num_buckets: int = 8) -> pd.DataFrame:
+def _vocab_exchange(sf_dir: str, term_fn, k: int) -> pd.DataFrame:
     """Shared corpus-term-frequency shape: map tasks count terms PER SHARD
     (``value_counts`` — the shuffle carries the shard's distinct-term domain,
     not one row per token), terms hash-exchange so each term sums in exactly
@@ -1689,7 +1695,7 @@ def _vocab_exchange(sf_dir: str, term_fn, k: int, num_buckets: int = 8) -> pd.Da
         return _term_topk(g, k)
 
     out = hash_exchange(
-        shard_list(sf_dir, "documents"), map_fn, "term", num_buckets, reduce_fn,
+        shard_list(sf_dir, "documents"), map_fn, "term", None, reduce_fn,
         columns=["text"],
     )
     return _term_topk(out, k)

@@ -555,7 +555,7 @@ def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
         return pd.concat(frames, ignore_index=True)
 
     edge_df = hash_exchange(
-        shards, map_fn, "source", 8, reduce_fn,
+        shards, map_fn, "source", None, reduce_fn,
         columns=["doc_id", "text", "source"],
     )
     return _cluster_pairs(edge_df, cc)
@@ -673,7 +673,9 @@ FROM n
 """
 
 
-def dedup_passages(sf_dir: str, chunk_words: int = CHUNK_WORDS, num_buckets: int = 8):
+def dedup_passages(
+    sf_dir: str, chunk_words: int = CHUNK_WORDS, num_buckets: int | None = None
+):
     """Passage-grain exact dedup across the WHOLE corpus (the sub-document
     dedup pass a pretraining pipeline runs after doc-level dedup): every doc
     splits into the ``doc_chunks`` fixed-size token windows, and a chunk is
@@ -771,7 +773,7 @@ FROM rk GROUP BY doc_id
 CURATE_MIN_WORDS = 20
 
 
-def curate_corpus(sf_dir: str, num_buckets: int = 8):
+def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     """The canonical end-to-end corpus-curation pipeline as ONE scale-safe
     composition — keep a doc iff it survives ALL of: exact dedup (first
     doc_id per identical text), length quality (>= CURATE_MIN_WORDS words),
@@ -790,12 +792,14 @@ def curate_corpus(sf_dir: str, num_buckets: int = 8):
     import pyarrow.dataset as pds
     import ray
 
-    from ..stages.exchange import exchange_map
+    from ..stages.exchange import auto_num_buckets, exchange_map
     from ..stages.hashjoin import exchange_join_refs, rebucket_refs
     from ..stages.partition import stable_bucket
     from .common import shard_list, tpath
 
     shards = shard_list(sf_dir, "documents")
+    if num_buckets is None:
+        num_buckets = auto_num_buckets(shards)
 
     # --- blocklist shingle union (bounded driver read, broadcast once;
     # pyarrow.dataset handles the single-file AND sharded-dir layouts) -----

@@ -28,6 +28,8 @@ map side with a per-key stitch in reduce (SURVEY §4.2).
 
 from __future__ import annotations
 
+import math
+import os
 from collections.abc import Callable
 
 import numpy as np
@@ -85,26 +87,23 @@ def _split_by_bucket(
 
 
 def auto_num_buckets(
-    shard_paths: list[str],
+    inputs: list[str] | int,
     target_task_bytes: int = 512 << 20,
-    min_buckets: int = 8,
     max_buckets: int = 4096,
     expansion: float = 4.0,
 ) -> int:
-    """Bucket count DERIVED from input size (VERDICT r2 top item, option b):
-    ``ceil(compressed_bytes * expansion / target_task_bytes)`` clamped to
-    [min, max], so a flat reduce task's bucket targets ~``target_task_bytes``
-    in memory (``expansion`` ~= parquet decompression + pandas overhead)
-    instead of a constant B silently growing per-bucket size with the input.
-    Beyond ``max_buckets`` (where per-map object counts would explode) the
-    chunked reduce protocol (``chunk_rows``) bounds task memory instead."""
-    import math
-    import os
+    """The one bucket-count rule of every exchange whose count is not given:
+    ``clamp(ceil(bytes * expansion / target_task_bytes), 1, max_buckets)``.
 
-    total = sum(os.path.getsize(p) for p in shard_paths)
-    return int(
-        min(max_buckets, max(min_buckets, math.ceil(total * expansion / target_task_bytes)))
-    )
+    ``inputs`` is a list of file paths (their on-disk sizes are summed) or a
+    byte count. ``expansion`` covers parquet decompression plus pandas
+    overhead, so each reduce task holds about ``target_task_bytes`` in
+    memory, and the fan-out grows with the data instead of a constant: a
+    tiny input runs as one reduce task. Past ``max_buckets`` (where per-map
+    object counts explode) the chunked reduce protocol (``chunk_rows``)
+    bounds task memory instead."""
+    total = inputs if isinstance(inputs, int) else sum(os.path.getsize(p) for p in inputs)
+    return int(min(max_buckets, max(1, math.ceil(total * expansion / target_task_bytes))))
 
 
 def exchange_map(
@@ -160,7 +159,7 @@ def hash_exchange(
     shard_paths: list[str],
     map_fn: Callable[[pa.Table], pa.Table],
     entity_col: str,
-    num_buckets: int,
+    num_buckets: int | None,
     reduce_fn: Callable[[int, pa.Table], pd.DataFrame],
     map_num_cpus: float = 1.0,
     reduce_num_cpus: float = 1.0,
@@ -168,13 +167,14 @@ def hash_exchange(
 ) -> pd.DataFrame:
     """Run the exchange; returns the concatenated reduce outputs (small).
     ``columns`` prunes the shard read (only those columns leave storage).
+    ``num_buckets=None`` takes ``auto_num_buckets(shard_paths)``.
 
     Lineage: a ``reduce_fn`` accepting a third parameter receives the list of
     input-fragment basenames whose map slices actually contributed rows to its
     bucket — the per-partition lineage a resumable sink records in its
     manifest (SURVEY §4.2)."""
-    import os
-
+    if num_buckets is None:
+        num_buckets = auto_num_buckets(shard_paths)
     reduce_takes_frags = accepts_n_positional(reduce_fn, 3)
     frag_names = [os.path.basename(p) for p in shard_paths]
 

@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from .exchange import exchange_map
+from .exchange import auto_num_buckets, exchange_map
 from .partition import stable_bucket
 
 # --- bloom-filter join prefilter -------------------------------------------
@@ -108,7 +108,7 @@ def exchange_join(
     right_shards: list[str],
     key: str,
     reduce_fn: Callable[[int, pa.Table, pa.Table], pd.DataFrame],
-    num_buckets: int,
+    num_buckets: int | None,
     left_map: Callable[[pa.Table], pa.Table] | None = None,
     right_map: Callable[[pa.Table], pa.Table] | None = None,
     columns_left: list[str] | None = None,
@@ -124,7 +124,8 @@ def exchange_join(
     """Co-partition both sides on ``hash(key) % num_buckets`` and run
     ``reduce_fn(bucket, left_tbl, right_tbl)`` per bucket. ``left_map`` /
     ``right_map`` default to identity — pass combiners to pre-aggregate
-    map-side so the exchange moves partials, not rows.
+    map-side so the exchange moves partials, not rows. ``num_buckets=None``
+    takes ``auto_num_buckets`` of both sides' shards.
 
     ``bloom_from='right'`` (or ``'left'``) builds a bloom filter over that
     side's post-map keys and prefilters the OTHER side's rows map-side,
@@ -138,6 +139,8 @@ def exchange_join(
     wrong for LEFT/anti semantics). ``bloom_from='right'`` is rejected for
     'left' — it prefilters the preserved side, dropping its unmatched rows;
     ``bloom_from='left'`` (filtering the nullable side) remains valid."""
+    if num_buckets is None:
+        num_buckets = auto_num_buckets(left_shards + right_shards)
 
     def bucket_fn(t: pa.Table) -> np.ndarray:
         return stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)

@@ -30,6 +30,8 @@ import numpy as np
 import pandas as pd
 import ray
 
+from .exchange import auto_num_buckets
+
 
 def _bucket(x: np.ndarray, num_buckets: int) -> np.ndarray:
     # splitmix-free stable bucket: same contract as stages.partition for ints
@@ -89,13 +91,16 @@ def _shortcut_answer(labels: pd.DataFrame, num_buckets: int, *reqs: pd.DataFrame
 
 
 def connected_components_labelprop(
-    pairs: pd.DataFrame, num_buckets: int = 8, max_iters: int = 64
+    pairs: pd.DataFrame, num_buckets: int | None = None, max_iters: int = 64
 ) -> pd.DataFrame:
     """(doc_a, doc_b) edge list -> (doc_id, cluster_id=min node id of its
     component), for nodes appearing in at least one edge. Semantics identical
     to the driver union-find; structure is bucketed exchanges only. Raises
     ``RuntimeError`` if not converged within ``max_iters`` (each iteration
-    halves the remaining label-tree depth, so 64 covers any real graph)."""
+    halves the remaining label-tree depth, so 64 covers any real graph).
+    ``num_buckets=None`` sizes the exchanges from the pairs frame's bytes."""
+    if num_buckets is None:
+        num_buckets = auto_num_buckets(int(pairs.memory_usage(deep=True).sum()))
     a = pairs["doc_a"].to_numpy(dtype=np.int64)
     b = pairs["doc_b"].to_numpy(dtype=np.int64)
     # undirected: propagate both ways

@@ -55,20 +55,27 @@ class TestAutoNumBuckets:
 
         p = tmp_path / "x.parquet"
         pq.write_table(pa.table({"a": list(range(1000))}), p)
-        small = auto_num_buckets([str(p)], target_task_bytes=1 << 30, min_buckets=8)
-        assert small == 8  # tiny input -> floor
-        big = auto_num_buckets(
-            [str(p)] * 50, target_task_bytes=1024, min_buckets=8, max_buckets=64
-        )
+        small = auto_num_buckets([str(p)], target_task_bytes=1 << 30)
+        assert small == 1  # tiny input -> one reduce task, no floor
+        big = auto_num_buckets([str(p)] * 50, target_task_bytes=1024, max_buckets=64)
         assert big == 64  # would exceed -> ceiling
         mid = auto_num_buckets(
-            [str(p)] * 10, target_task_bytes=20_000, min_buckets=2, max_buckets=10_000,
-            expansion=1.0,
+            [str(p)] * 10, target_task_bytes=20_000, max_buckets=10_000, expansion=1.0,
         )
         import os
 
         want = -(-os.path.getsize(p) * 10 // 20_000)
+        assert want > 1
         assert mid == want
+
+    def test_byte_count_input(self):
+        from mpds_ray.stages.exchange import auto_num_buckets
+
+        assert auto_num_buckets(0) == 1
+        assert auto_num_buckets(1000, target_task_bytes=1 << 20) == 1
+        # ceil(10_001 * 4 / 1_000) = 41: the same rule as for paths
+        assert auto_num_buckets(10_001, target_task_bytes=1_000) == 41
+        assert auto_num_buckets(10**12, target_task_bytes=1_000, max_buckets=100) == 100
 
 
 class TestExchangeFlagship:

@@ -113,3 +113,29 @@ def test_rolling_distinct_types_matches_pandas(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_rolling_distinct_types_rejects_unknown_type(ray_session, tmp_path):
+    """An event type outside EVENT_TYPES must raise and name the value, not
+    silently share a neighbour's code ('login' sorts between 'error' and
+    'purchase', so it would count as a purchase)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    from mpds_ray.pipelines.eventspipe import rolling_distinct_types
+
+    pq.write_table(
+        pa.table(
+            {
+                "event_id": pa.array([0, 1], type=pa.int64()),
+                "user_id": pa.array([1, 1], type=pa.int64()),
+                "ts": pa.array(pd.to_datetime([1, 2], unit="s"), type=pa.timestamp("us")),
+                "event_type": pa.array(["purchase", "login"]),
+                "value": pa.array([1.0, 2.0]),
+            }
+        ),
+        str(tmp_path / "events.parquet"),
+    )
+    with pytest.raises(ValueError, match="'login'"):
+        rolling_distinct_types(str(tmp_path))

@@ -82,6 +82,28 @@ class TestMinHash:
         want = np.array([jaccard(sets[i], sets[j]) for i, j in zip(pa_idx, pb_idx)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_pairwise_inter_chunks_match_one_pass(self, monkeypatch):
+        """Chunking the verify kernel (bounded gather/sort allocations) must
+        give exactly the one-pass counts, including a pair larger than a
+        whole chunk."""
+        from mpds_ray.pipelines import text
+
+        sets = [
+            np.unique(rng.integers(0, 300, rng.integers(1, 80)).astype(np.uint64))
+            for _ in range(40)
+        ]
+        flat = np.concatenate(sets)
+        offs = np.r_[0, np.cumsum([s.size for s in sets])]
+        pa_idx = rng.integers(0, 40, 500)
+        pb_idx = rng.integers(0, 40, 500)
+        whole = text._pairwise_inter(flat, offs, pa_idx, pb_idx)
+        monkeypatch.setattr(text, "PAIRWISE_CHUNK_VALUES", 50)
+        chunked = text._pairwise_inter(flat, offs, pa_idx, pb_idx)
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a, b)
+        want = [np.intersect1d(sets[i], sets[j]).size for i, j in zip(pa_idx, pb_idx)]
+        np.testing.assert_array_equal(chunked[0], want)
+
 
 class TestSimHash:
     def test_deterministic(self):
