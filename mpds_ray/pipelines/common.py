@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 TABLES = (
@@ -70,12 +69,6 @@ def read(sf_dir: str, name: str, columns: list[str] | None = None, filter_expr=N
 def read_small(sf_dir: str, name: str, columns: list[str] | None = None) -> pd.DataFrame:
     """Driver-side read of a SMALL table for broadcast (dimension tables)."""
     return pq.read_table(tpath(sf_dir, name), columns=columns).to_pandas()
-
-
-def epoch_seconds(col: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """timestamp[us] -> float64 epoch seconds (matches DuckDB ``epoch(ts)``)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return pa.array(arr.cast(pa.int64()).to_numpy(zero_copy_only=False) / 1e6)
 
 
 # every driver-side combiner root must be BOUNDED by construction (key

@@ -21,7 +21,7 @@ from ..stages.scans import (
     time_since_to_event,
 )
 from ..stages.sessionize import sessionize_gap
-from .common import partial_groupby_sum, read, round_columns
+from .common import partial_groupby_sum, read, round_columns, round_half_away
 
 SESSION_GAP = 1800.0  # 30 min
 
@@ -1875,7 +1875,7 @@ def rolling_value_median(sf_dir: str):
             {
                 "event_id": g["event_id"].to_numpy(),
                 "user_id": uid,
-                "rolling_median_5": np.round((a + b) / 2.0, 6),
+                "rolling_median_5": round_half_away((a + b) / 2.0),
             }
         )
 
@@ -2277,15 +2277,13 @@ def user_event_pivot(sf_dir: str):
             b[f"n_{et}"] = (b["event_type"] == et).astype(np.int64)
         # exact int-cents accumulation: float partial sums are order-
         # sensitive and driver-red at a 6-dp rounding boundary (X88 lesson)
-        b["cents"] = np.rint(b.pop("value").to_numpy() * 100).astype(np.int64)
+        b["cents"] = round_half_away(b.pop("value").to_numpy() * 100, 0).astype(np.int64)
         g = b.groupby("user_id", as_index=False, sort=False)[
             [f"n_{et}" for et in EVENT_TYPES] + ["cents"]
         ].sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def reduce_fn(bkt: int, tbl) -> pd.DataFrame:
-        from .common import round_half_away
-
         g = tbl.to_pandas().groupby("user_id", as_index=False, sort=False).sum()
         g["total_value"] = round_half_away(g.pop("cents") / 100.0)
         return g
@@ -2333,11 +2331,9 @@ def user_feature_matrix(sf_dir: str):
         # of two exact integers = one correctly-rounded double, identical to
         # the oracle's BIGINT-cents formulation — then DuckDB's half-away
         # rounding is replicated by round_half_away.
-        from .common import round_half_away
-
         df = g.assign(is_purchase=g["event_type"].to_numpy() == "purchase",
                       new_sess=new_sess,
-                      cents=np.rint(g["value"].to_numpy() * 100).astype(np.int64))
+                      cents=round_half_away(g["value"].to_numpy() * 100, 0).astype(np.int64))
         out = df.groupby("user_id", sort=False).agg(
             n_events=("ts", "size"),
             n_sessions=("new_sess", "sum"),

@@ -1,26 +1,34 @@
 """Flagship pipeline (BASELINE.md workload):
 
-    read tokens parquet
-      -> map_batches(TokenWindowStats, pyarrow, zero-copy)   [stateless]
-      -> narrow projection (doc_id, ts, source, stats)       [tokens stay Arrow]
-      -> ONE co-partitioning shuffle with the scores table
-         groupby(stable_bucket(doc_id) % B).map_groups:
-            per-partition (entity, ts) sort                  [establish invariant]
+    read tokens parquet shards
+      -> TokenWindowStats (pyarrow, zero-copy)             [map side]
+      -> narrow projection (doc_id, ts, source, stats)     [tokens stay Arrow]
+      -> ONE hash exchange by stable_bucket(entity) % B    [stages/exchange.py]
+      -> one reduce task per bucket: the bucket's rows as a chunk stream,
+         each chunk run through ``process_bucket``:
+            (entity, ts) sort                              [establish invariant]
             sessionize (gap threshold, per-entity ordinals)
             per-entity lag/lead + prefix features
             galloping as-of merge of scores (backward, tolerance)
             LOCF-with-expiration backfill of the joined score
-      -> resumable partitioned sink + lineage manifest
+         with the boundary entity's scan state carried from chunk to chunk
+      -> resumable partitioned sink + lineage manifest     [ChunkPartitionSink]
 
-Two physical engines produce byte-identical output (tests/test_exchange.py):
+``run_flagship_exchange`` is the engine, with one reduce protocol
+(``scan_chunks_with_carry`` into ``ChunkPartitionSink``):
 
-1. ``flagship_features`` / ``run_flagship`` — Dataset-native: tagged union of
-   (narrow features, scores) -> ``groupby(bucket).map_groups`` (Ray's
-   sort-based shuffle). The general path; handles arbitrary inputs.
-2. ``run_flagship_exchange`` — the explicit two-stage hash exchange
-   (stages/exchange.py): map tasks fuse read + stats + bucket-split, reduce
-   tasks fuse sort + scans + as-of + sink; the small scores side is
-   broadcast. The bench headline; avoids the sort-shuffle's fixed overhead.
+- a bucket is one chunk (its concatenated map slices) by default;
+- with ``chunk_rows`` it is a k-way merge of sorted sub-chunk runs
+  (stages/chunked.py), so reduce memory is bounded by chunks, not buckets;
+- a hot entity is range-salted into extra partitions: phase-1 tasks scan
+  its ts ranges in parallel, the driver folds their carries, and fix tasks
+  apply them and commit through the same sink.
+
+Output is byte-identical across bucket counts, chunking and salting.
+
+``flagship_features`` / ``run_flagship`` are the Dataset-native reference
+(a tagged union and Ray's sort-based ``groupby``) that perfbench checks the
+engine against; they share ``process_bucket`` and the sink.
 
 Design notes for 10^12-row scale:
 - The wide ``tokens`` column never enters the shuffle: stats are computed
@@ -28,23 +36,29 @@ Design notes for 10^12-row scale:
   (SURVEY §7.5.7). The enriched wide table is written map-side, partitioned
   by input fragment, preserving the token arrays byte-identical.
 - Exactly ONE all-to-all exchange: hash-bucketed by entity; B =
-  ``num_buckets`` bounds per-task memory.
-- Scans are entity-complete by construction -> no cross-batch carry state,
-  retries are pure re-executions of a bucket (idempotent, manifest-gated).
+  ``num_buckets`` and ``chunk_rows`` bound per-task memory.
+- Every partition is a pure function of its bucket, so a retry re-executes
+  it; the manifest record is the commit point of a resumable rerun.
 """
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..stages.asof import asof_join_arrays
+from ..stages.chunked import ray_run_iter, sorted_run_merge
 from ..stages.partition import stable_bucket
+from ..stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
 from ..stages.scans import locf_with_expiration, prefix_features, time_since_to_event
 from ..stages.sessionize import sessionize_gap
-from ..stages.window_stats import CHEAP_STATS, TokenWindowStats
-from ..state.manifest import Manifest, frame_checksum, write_partition_atomic
+from ..stages.window_stats import TokenWindowStats
+from ..state.manifest import Manifest, frame_checksum
 
 _BUCKET = "_bucket"
 _SIDE = "_side"
@@ -223,7 +237,6 @@ def run_flagship(
     # per shard: letting Ray sub-split files multiplies the block count and
     # the driver's per-block scheduling overhead becomes the bottleneck.
     import glob
-    import os
 
     if os.path.isdir(tokens_path):
         n_files = len(glob.glob(f"{tokens_path}/*.parquet"))
@@ -235,20 +248,14 @@ def run_flagship(
         return flagship_features(tokens, scores, num_buckets=num_buckets, heavy=heavy, **kw)
 
     manifest_path = manifest_path or f"{out_dir}/manifest.jsonl"
-    done = Manifest(manifest_path).completed("flagship")
+    done = ChunkPartitionSink.committed(out_dir, manifest_path)
 
     def _sink(body: pd.DataFrame, pid: int) -> pd.DataFrame:
-        import time as _time
-
         if pid in done:
-            return pd.DataFrame({"partition_id": [pid], "rows": [0], "skipped": [True]})
-        t0 = _time.perf_counter()
-        body = body.drop(columns=[_BUCKET])
-        write_partition_atomic(body, out_dir, pid)
-        Manifest(manifest_path).append(
-            "flagship", pid, len(body), frame_checksum(body), _time.perf_counter() - t0
+            return _summary(pid, 0, skipped=True)
+        return commit_partition(
+            ChunkPartitionSink(out_dir, pid), manifest_path, lambda emit: emit(body)
         )
-        return pd.DataFrame({"partition_id": [pid], "rows": [len(body)], "skipped": [False]})
 
     return flagship_features(
         tokens, scores, num_buckets=num_buckets, heavy=heavy, sink=_sink, **kw
@@ -266,19 +273,18 @@ def scan_chunks_with_carry(
     bucket_id: int,
     emit,
 ) -> None:
-    """Streaming per-bucket scan: consume (entity, ts)-sorted bounded chunks
-    (stages/chunked.sorted_run_merge) SEQUENTIALLY, running ``process_bucket``
-    per chunk and threading the O(1) boundary state with the salted carry/fix
-    kernels — generalized from the single-hot-entity salted path to arbitrary
-    chunk boundaries: only the entity straddling a boundary needs fixing, and
-    it is by construction the chunk's first (prefix) / last (suffix) entity.
+    """The per-bucket scan of the flagship's one reduce protocol: consume
+    (entity, ts)-ordered chunks (the whole bucket as one chunk, or
+    stages/chunked.sorted_run_merge) SEQUENTIALLY, running ``process_bucket``
+    per chunk and threading the O(1) boundary state with the carry kernels
+    of stages/salted.py: only the entity straddling a boundary needs fixing,
+    and it is by construction the chunk's first (prefix) / last (suffix)
+    entity.
     Peak memory is TWO chunks (current + the pending one held back so its
     last row's ``secs_to_next`` can see the next chunk), never the bucket.
-    Output is byte-identical to the flat whole-bucket ``process_bucket``
+    Output is byte-identical to one ``process_bucket`` over the whole bucket
     (tests/test_chunked.py). ``emit(df)`` receives finished frames in order.
     """
-    from ..stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
-
     carry_e, carry = None, None  # boundary entity + its folded scan state
     pending: pd.DataFrame | None = None
     pending_last_e = None
@@ -326,41 +332,87 @@ def scan_chunks_with_carry(
 
 
 class ChunkPartitionSink:
-    """Incremental per-bucket sink: streams chunk frames into ONE parquet
+    """The flagship's one partition sink: streams frames into ONE parquet
     partition via ParquetWriter (tmp + atomic rename at close), folding the
-    manifest checksum chunk-by-chunk (the XOR row-hash checksum is
-    order/merge-insensitive, so the folded value equals the whole-frame
-    checksum the flat path records)."""
+    manifest checksum frame by frame (the XOR row-hash checksum is
+    order/merge-insensitive, so the folded value equals the checksum of the
+    whole partition)."""
 
     def __init__(self, out_dir: str, bucket_id: int):
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
-        self.final = os.path.join(out_dir, f"part-{bucket_id}.parquet")
+        self.bucket_id = bucket_id
+        self.final = self.path(out_dir, bucket_id)
         self.tmp = self.final + f".tmp.{os.getpid()}"
         self.writer = None
         self.rows = 0
         self.checksum = 0
 
-    def emit(self, df: pd.DataFrame) -> None:
-        import pyarrow.parquet as _pq
+    @staticmethod
+    def path(out_dir: str, bucket_id: int) -> str:
+        return os.path.join(out_dir, f"part-{bucket_id}.parquet")
 
+    @classmethod
+    def committed(cls, out_dir: str, manifest_file: str) -> set:
+        """The skip check of a rerun: the partitions whose last manifest
+        record names a file holding the recorded rows. Every other record
+        (its file missing or truncated, or superseded by a later record of
+        the same partition) is dropped from the manifest, so a recomputed
+        partition ends with one record and the XOR of the manifest's
+        checksums still equals the XOR of what is on disk."""
+        manifest = Manifest(manifest_file)
+        recs = manifest.records()
+        last = {r["partition_id"]: i for i, r in enumerate(recs) if r["stage"] == "flagship"}
+
+        def intact(rec: dict) -> bool:
+            try:
+                meta = pq.read_metadata(cls.path(out_dir, rec["partition_id"]))
+            except (OSError, ValueError):  # missing, or not a whole parquet file
+                return False
+            return meta.num_rows == rec["row_count"]
+
+        keep = [
+            r for i, r in enumerate(recs)
+            if r["stage"] != "flagship" or (last[r["partition_id"]] == i and intact(r))
+        ]
+        if len(keep) < len(recs):
+            manifest.rewrite(keep)
+        return {r["partition_id"] for r in keep if r["stage"] == "flagship"}
+
+    def emit(self, df: pd.DataFrame) -> None:
         body = df.drop(columns=[_BUCKET], errors="ignore")
         tbl = pa.Table.from_pandas(body, preserve_index=False)
         if self.writer is None:
-            self.writer = _pq.ParquetWriter(self.tmp, tbl.schema)
+            self.writer = pq.ParquetWriter(self.tmp, tbl.schema)
         self.writer.write_table(tbl)
         self.rows += len(body)
         self.checksum ^= frame_checksum(body)
 
     def close(self) -> bool:
-        import os
-
         if self.writer is None:
             return False
         self.writer.close()
         os.replace(self.tmp, self.final)
         return True
+
+
+def _summary(pid: int, rows: int, skipped: bool) -> pd.DataFrame:
+    return pd.DataFrame({"partition_id": [pid], "rows": [rows], "skipped": [skipped]})
+
+
+def commit_partition(sink: ChunkPartitionSink, manifest_file: str, scan,
+                     input_fragments=None) -> pd.DataFrame:
+    """Stream ``scan(emit)``'s frames into ``sink``, then commit the
+    partition: the atomic rename, then its manifest record (the commit point
+    a rerun checks). Returns the partition's summary row."""
+    t0 = time.perf_counter()
+    scan(sink.emit)
+    if not sink.close():
+        return pd.DataFrame()
+    Manifest(manifest_file).append(
+        "flagship", sink.bucket_id, sink.rows, sink.checksum, time.perf_counter() - t0,
+        input_fragments=input_fragments,
+    )
+    return _summary(sink.bucket_id, sink.rows, skipped=False)
 
 
 def detect_salt_spec(
@@ -378,7 +430,6 @@ def detect_salt_spec(
     sample per hot key to place S-1 range boundaries at ts quantiles.
     Returns ({entity_value: (offset, boundaries)}, total_extra_buckets).
     Deterministic: counts and strided samples depend only on the data."""
-    import pyarrow.parquet as _pq
     import ray
 
     @ray.remote
@@ -388,7 +439,7 @@ def detect_salt_spec(
         ALL rows) is in virtually every shard's local top-8, so no second
         pass is needed (a per-key fallback below covers the pathological
         miss)."""
-        t = _pq.read_table(path, columns=[entity, ts])
+        t = pq.read_table(path, columns=[entity, ts])
         ent = t[entity].to_numpy(zero_copy_only=False)
         tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
         vc = pd.Series(ent).value_counts()
@@ -420,7 +471,7 @@ def detect_salt_spec(
 
             @ray.remote
             def key_ts(path: str, key=k):
-                t = _pq.read_table(path, columns=[entity, ts])
+                t = pq.read_table(path, columns=[entity, ts])
                 v = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)[
                     t[entity].to_numpy(zero_copy_only=False) == key
                 ]
@@ -453,34 +504,41 @@ def run_flagship_exchange(
     chunk_rows: int | None = None,
 ) -> pd.DataFrame:
     """Flagship on the explicit two-stage hash exchange (stages.exchange):
-    map tasks fuse read + windowed stats + bucket split; reduce tasks fuse
-    sort + sessionize + lag + as-of + backfill + resumable sink. The (small)
-    scores table is broadcast via ``ray.put`` — it never enters the exchange.
+    map tasks fuse read + windowed stats + bucket split; one reduce task per
+    hash bucket streams the bucket's chunks through ``scan_chunks_with_carry``
+    into ``ChunkPartitionSink`` and commits the partition. The scores table
+    is split by bucket (and by hot entity) once on the driver; each task
+    receives only its slice.
+
+    ``chunk_rows`` bounds reduce memory: map slices arrive as sorted
+    sub-chunk objects and each reduce streams a k-way merge of ~chunk_rows
+    chunks, so the reduce heap holds two chunks, not the bucket. Without it
+    a bucket is one chunk.
+
+    ``salt`` range-salts every entity holding more than ``salt_threshold``
+    of all rows (and more than ``salt_min_rows``) into extra partitions
+    ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
+    ranges in parallel, the driver folds their O(1) carries in order, and
+    fix tasks apply them and commit through the same sink.
+
+    A rerun into the same ``out_dir`` skips the partitions whose manifest
+    record names a file holding the recorded rows
+    (``ChunkPartitionSink.committed``) and recomputes the others.
 
     Returns per-partition summary rows (or the features when out_dir=None).
-    Produces byte-identical partitions to ``run_flagship`` (tested).
-
-    ``chunk_rows`` enables the BOUNDED-MEMORY reduce (VERDICT r2 top item):
-    map slices arrive as sorted sub-chunk objects, each reduce streams a
-    k-way merge in ~chunk_rows chunks, scans with carry state
-    (``scan_chunks_with_carry``) and sinks incrementally — peak reduce heap
-    is two chunks, not the bucket, with byte-identical output (tested).
+    Output is byte-identical across bucket counts, chunking and salting, and
+    equals ``run_flagship``'s (tested).
     """
     import glob
 
-    import pyarrow.parquet as pq
     import ray
 
-    from ..stages.exchange import auto_num_buckets, hash_exchange
+    from ..stages.exchange import auto_num_buckets, exchange_map
 
-    shards = sorted(glob.glob(f"{tokens_dir}/*.parquet"))
-    if not shards:
-        shards = [tokens_dir]
+    shards = sorted(glob.glob(f"{tokens_dir}/*.parquet")) or [tokens_dir]
     if num_buckets is None:
         num_buckets = auto_num_buckets(shards)
-    scores_df = pq.read_table(scores_path).to_pandas()
-    scores_df[_SIDE] = 1
-    scores_ref = ray.put(scores_df)
+    frag_names = [os.path.basename(p) for p in shards]
 
     if heavy:
         stats = tuple(stats) + ("dfa", "dfc", "dfc_amp")
@@ -488,9 +546,7 @@ def run_flagship_exchange(
     narrow_cols = list(dict.fromkeys([entity, ts, "source", "n_tok"])) + stat_cols
     tw = TokenWindowStats(stats=stats)
     if wide_out_dir is not None:
-        import os as _os
-
-        _os.makedirs(wide_out_dir, exist_ok=True)
+        os.makedirs(wide_out_dir, exist_ok=True)
 
     def map_fn(t: pa.Table, shard_path: str) -> pa.Table:
         enriched = tw(t)
@@ -499,94 +555,17 @@ def run_flagship_exchange(
             # columns) is persisted MAP-SIDE, partitioned by input fragment —
             # it never enters the exchange (SURVEY §7.5.7); atomic + named by
             # the input fragment so reruns overwrite identically
-            import os as _os
-
-            import pyarrow.parquet as _pq
-
-            frag = _os.path.splitext(_os.path.basename(shard_path))[0]
-            tmp = f"{wide_out_dir}/wide-{frag}.parquet.tmp.{_os.getpid()}"
-            _pq.write_table(enriched, tmp)
-            _os.replace(tmp, f"{wide_out_dir}/wide-{frag}.parquet")
+            frag = os.path.splitext(os.path.basename(shard_path))[0]
+            tmp = f"{wide_out_dir}/wide-{frag}.parquet.tmp.{os.getpid()}"
+            pq.write_table(enriched, tmp)
+            os.replace(tmp, f"{wide_out_dir}/wide-{frag}.parquet")
         return enriched.select(narrow_cols)
 
     done: set = set()
     manifest_file = None
     if out_dir is not None:
         manifest_file = manifest_path or f"{out_dir}/manifest.jsonl"
-        done = Manifest(manifest_file).completed("flagship")
-
-    from os import path as _osp
-
-    frag_names = [_osp.basename(p) for p in shards]
-
-    def sink_partition(feats: pd.DataFrame, b: int, frags=None) -> pd.DataFrame:
-        import time as _time
-
-        if out_dir is None:
-            return feats
-        if b in done:
-            return pd.DataFrame({"partition_id": [b], "rows": [0], "skipped": [True]})
-        t0 = _time.perf_counter()
-        body = feats.drop(columns=[_BUCKET])
-        write_partition_atomic(body, out_dir, b)
-        Manifest(manifest_file).append(
-            "flagship", b, len(body), frame_checksum(body), _time.perf_counter() - t0,
-            input_fragments=frags,
-        )
-        return pd.DataFrame({"partition_id": [b], "rows": [len(body)], "skipped": [False]})
-
-    def reduce_fn(b: int, tbl: pa.Table, frags=None) -> pd.DataFrame:
-        left = tbl.to_pandas()
-        scores = ray.get(scores_ref)
-        sbuck = stable_bucket(scores[entity].to_numpy(), num_buckets)
-        right = scores[sbuck == b]
-        feats = process_bucket(
-            left, right, entity, ts, session_gap, tolerance, stat_cols, bucket_id=b
-        )
-        return sink_partition(feats, b, frags)
-
-    @ray.remote
-    def reduce_chunked(b: int, *parts) -> pd.DataFrame:
-        """Bounded-memory reduce: stream-merge the sorted runs and scan with
-        carry; sink incrementally. Heap = O(chunk), not O(bucket)."""
-        import time as _time
-
-        from ..stages.chunked import ray_run_iter, sorted_run_merge
-
-        # chunked protocol: parts[s] is shard s's list of sub-chunk refs —
-        # a non-empty list means fragment s contributed rows to this bucket
-        frags = [frag_names[s] for s, p in enumerate(parts) if len(p)]
-        runs = [ray_run_iter(p) for p in parts]
-        chunks = sorted_run_merge(runs, entity, ts, chunk_rows)
-        scores = ray.get(scores_ref)
-        sbuck = stable_bucket(scores[entity].to_numpy(), num_buckets)
-        right = scores[sbuck == b]
-        if out_dir is None:
-            acc: list = []
-            scan_chunks_with_carry(
-                chunks, right, entity, ts, session_gap, tolerance, stat_cols, b,
-                acc.append,
-            )
-            return pd.concat(acc, ignore_index=True) if acc else pd.DataFrame()
-        if b in done:
-            for _ in chunks:  # noqa: B007 — drop the stream, partition done
-                break
-            return pd.DataFrame({"partition_id": [b], "rows": [0], "skipped": [True]})
-        t0 = _time.perf_counter()
-        csink = ChunkPartitionSink(out_dir, b)
-        scan_chunks_with_carry(
-            chunks, right, entity, ts, session_gap, tolerance, stat_cols, b,
-            csink.emit,
-        )
-        if not csink.close():
-            return pd.DataFrame()  # empty bucket, same as the flat path
-        Manifest(manifest_file).append(
-            "flagship", b, csink.rows, csink.checksum, _time.perf_counter() - t0,
-            input_fragments=frags,
-        )
-        return pd.DataFrame(
-            {"partition_id": [b], "rows": [csink.rows], "skipped": [False]}
-        )
+        done = ChunkPartitionSink.committed(out_dir, manifest_file)
 
     spec: dict = {}
     n_extra = 0
@@ -595,179 +574,106 @@ def run_flagship_exchange(
             shards, entity, ts, num_buckets, threshold=salt_threshold,
             min_rows=salt_min_rows,
         )
-    if not spec and chunk_rows is None:
-        return hash_exchange(shards, map_fn, entity, num_buckets, reduce_fn)
-    if not spec:
-        from ..stages.exchange import exchange_map
-
-        def bucket_fn(t: pa.Table) -> np.ndarray:
-            return stable_bucket(t[entity].to_numpy(zero_copy_only=False), num_buckets)
-
-        refs = exchange_map(
-            shards, map_fn, bucket_fn, num_buckets,
-            sort_keys=[entity, ts], chunk_rows=chunk_rows,
-        )
-        out = ray.get(
-            [
-                reduce_chunked.remote(b, *[refs[s][b] for s in range(len(shards))])
-                for b in range(num_buckets)
-            ]
-        )
-        frames = [f for f in out if len(f)]
-        return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
-    return _run_salted_exchange(
-        shards, map_fn, reduce_fn, sink_partition, scores_ref, spec, n_extra,
-        entity, ts, session_gap, tolerance, stat_cols, num_buckets,
-        chunk_rows=chunk_rows, reduce_chunked=reduce_chunked,
-    )
-
-
-def _gather_parts(parts) -> list[pa.Table]:
-    """Materialize one bucket's map outputs: flat tables pass through; lists
-    of sub-chunk refs (chunked map protocol) are fetched. Used only by the
-    salted hot-entity phase, whose per-bucket size is already bounded by the
-    salt range split."""
-    import ray
-
-    tables: list[pa.Table] = []
-    for p in parts:
-        if isinstance(p, list):
-            tables.extend(t for t in ray.get(p) if t.num_rows)
-        elif p.num_rows:
-            tables.append(p)
-    return tables
-
-
-def _run_salted_exchange(
-    shards: list[str],
-    map_fn,
-    reduce_fn,
-    sink_partition,
-    scores_ref,
-    spec: dict,
-    n_extra: int,
-    entity: str,
-    ts: str,
-    session_gap: float,
-    tolerance: float | None,
-    stat_cols: list[str],
-    num_buckets: int,
-    chunk_rows: int | None = None,
-    reduce_chunked=None,
-) -> pd.DataFrame:
-    """The salted exchange (SURVEY §4.2, VERDICT 'What's missing' #2):
-
-    - map side: hot-entity rows route to ``num_buckets + offset + ts_chunk``
-      (contiguous ts ranges from the pre-pass boundaries); everything else
-      hashes as usual. Ties in ts cannot straddle chunks (value-based
-      searchsorted), so per-chunk stable sorts reproduce the unsalted order.
-    - salted reduce: phase 1 runs ``process_bucket`` per chunk in PARALLEL
-      (the expensive scans); a sequential chain of cheap carry tasks threads
-      exact O(1) boundary state (session offsets, lag/cummax/locf carries,
-      and the bit-exact sequential cum-area for twmean); parallel fix tasks
-      apply the carries and sink. Output is byte-identical to the unsalted
-      path (tests/test_salted.py), while no task scans more than ~1/S of the
-      hot entity.
-    """
-    import ray
-
-    from ..stages.exchange import exchange_map
-    from ..stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
-
-    total_buckets = num_buckets + n_extra
 
     def bucket_fn(t: pa.Table) -> np.ndarray:
+        """Hash bucket per row; a hot entity's rows go to its ts ranges
+        ``num_buckets + offset + k`` instead. Ties in ts cannot straddle
+        ranges (value-based searchsorted), so per-range stable sorts
+        reproduce the unsalted order."""
         vals = t[entity].to_numpy(zero_copy_only=False)
         bucket = stable_bucket(vals, num_buckets)
-        tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
-        for e, (off, bounds) in spec.items():
-            m = vals == e
-            if m.any():
-                bucket[m] = (
-                    num_buckets + off + np.searchsorted(bounds, tsv[m], side="right")
-                ).astype(bucket.dtype)
+        if spec:
+            tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
+            for e, (off, bounds) in spec.items():
+                m = vals == e
+                if m.any():
+                    bucket[m] = (
+                        num_buckets + off + np.searchsorted(bounds, tsv[m], side="right")
+                    ).astype(bucket.dtype)
         return bucket
 
     refs = exchange_map(
-        shards, map_fn, bucket_fn, total_buckets,
+        shards, map_fn, bucket_fn, num_buckets + n_extra,
         sort_keys=[entity, ts] if chunk_rows is not None else None,
         chunk_rows=chunk_rows,
     )
 
-    from os import path as _osp
+    scores = pq.read_table(scores_path).to_pandas()
+    score_ids = scores[entity].to_numpy()
+    by_bucket = dict(tuple(scores.groupby(stable_bucket(score_ids, num_buckets), sort=False)))
+    bucket_scores = [by_bucket.get(b, scores.iloc[:0]) for b in range(num_buckets)]
 
-    frag_names = [_osp.basename(p) for p in shards]
+    def contributors(parts) -> list[str]:
+        """Lineage: the input fragments whose map slices hold rows of a
+        bucket (a slice is a table, or a list of sub-chunk refs)."""
+        return [frag_names[s] for s, p in enumerate(parts) if len(p)]
 
-    def _contrib_frags(parts) -> list[str]:
-        return [
-            frag_names[s]
-            for s, p in enumerate(parts)
-            if (len(p) if isinstance(p, list) else p.num_rows)
-        ]
+    def one_chunk(parts) -> pd.DataFrame:
+        return pa.concat_tables([t for p in parts for t in ray_run_iter(p)]).to_pandas()
+
+    def commit(b: int, frags: list[str], scan) -> pd.DataFrame:
+        if not frags:
+            return pd.DataFrame()  # empty bucket: no partition
+        if out_dir is None:
+            frames: list = []
+            scan(frames.append)
+            return pd.concat(frames, ignore_index=True)
+        if b in done:
+            return _summary(b, 0, skipped=True)
+        return commit_partition(ChunkPartitionSink(out_dir, b), manifest_file, scan, frags)
 
     @ray.remote
-    def reduce_unsalted(b: int, *parts: pa.Table):
-        nonempty = _gather_parts(parts)
-        if not nonempty:
-            return pd.DataFrame()
-        return reduce_fn(b, pa.concat_tables(nonempty), _contrib_frags(parts))
+    def reduce_bucket(b: int, right: pd.DataFrame, *parts) -> pd.DataFrame:
+        def scan(emit) -> None:
+            if chunk_rows is None:
+                chunks = [one_chunk(parts)]
+            else:
+                chunks = sorted_run_merge([ray_run_iter(p) for p in parts], entity, ts, chunk_rows)
+            scan_chunks_with_carry(
+                chunks, right, entity, ts, session_gap, tolerance, stat_cols, b, emit
+            )
+
+        return commit(b, contributors(parts), scan)
 
     @ray.remote(num_returns=3)
-    def phase1_chunk(b: int, e, *parts: pa.Table):
-        nonempty = _gather_parts(parts)
-        if not nonempty:
+    def scan_range(b: int, right: pd.DataFrame, *parts):
+        """Phase 1 of a salted range: scan it alone. Its compact carry
+        summary rides back separately, so the driver's fold never fetches
+        the features frame."""
+        frags = contributors(parts)
+        if not frags:
             return pd.DataFrame(), None, []
-        left = pa.concat_tables(nonempty).to_pandas()
-        scores = ray.get(scores_ref)
-        right = scores[scores[entity].to_numpy() == e]
         feats = process_bucket(
-            left, right, entity, ts, session_gap, tolerance, stat_cols, bucket_id=b
+            one_chunk(parts), right, entity, ts, session_gap, tolerance, stat_cols,
+            bucket_id=b,
         )
-        # compact summary rides back separately so the carry fold never
-        # refetches the features frame (the r1-draft sequential carry-task
-        # chain serialized 30+ scheduling round trips — a straggler of its own)
-        return feats, chunk_carry_info(feats, ts, stat_cols[0]), _contrib_frags(parts)
+        return feats, chunk_carry_info(feats, ts, stat_cols[0]), frags
 
     @ray.remote
-    def fix_task(feats: pd.DataFrame, carry, next_first_ts, b: int, frags):
-        fixed = flagship_apply_carry(
+    def fix_range(feats: pd.DataFrame, carry, next_first_ts, b: int, frags) -> pd.DataFrame:
+        return commit(b, frags, lambda emit: emit(flagship_apply_carry(
             feats, carry, next_first_ts, ts, stat_cols[0], session_gap
-        )
-        if fixed is None or not len(fixed):
-            return pd.DataFrame()
-        return sink_partition(fixed, b, frags)
+        )))
 
-    normal_reduce = reduce_chunked if chunk_rows is not None else reduce_unsalted
-    out_refs = [
-        normal_reduce.remote(b, *[refs[s][b] for s in range(len(shards))])
-        for b in range(num_buckets)
-    ]
+    def slices(b: int) -> list:
+        return [refs[s][b] for s in range(len(shards))]
+
+    out = [reduce_bucket.remote(b, bucket_scores[b], *slices(b)) for b in range(num_buckets)]
     for e, (off, bounds) in spec.items():
-        chunk_buckets = [num_buckets + off + c for c in range(bounds.size + 1)]
-        feats, info_refs, frag_refs = [], [], []
-        for b in chunk_buckets:
-            f, i, fr = phase1_chunk.remote(b, e, *[refs[s][b] for s in range(len(shards))])
-            feats.append(f)
-            info_refs.append(i)
-            frag_refs.append(fr)
-        infos = ray.get(info_refs)  # compact: scalars + one area array each
-        # driver-side sequential fold (microseconds per chunk) -> carry-ins;
-        # all fix tasks then launch in parallel immediately
-        carry = None
-        carries = [None] * len(feats)
-        for k, info in enumerate(infos):
-            carries[k] = carry  # carry-IN for chunk k
+        ranges = range(num_buckets + off, num_buckets + off + bounds.size + 1)
+        right = ray.put(scores[score_ids == e])
+        phase1 = [scan_range.remote(b, right, *slices(b)) for b in ranges]
+        infos = ray.get([p[1] for p in phase1])
+        # driver-side sequential fold (microseconds per range) -> carry-ins;
+        # all fix tasks then launch in parallel
+        carry, carries = None, []
+        for info in infos:
+            carries.append(carry)
             carry = fold_carry(carry, info, session_gap)
-        next_first = [
-            next((infos[j]["first_ts"] for j in range(k + 1, len(infos)) if infos[j]), None)
-            for k in range(len(infos))
-        ]
-        out_refs += [
-            fix_task.remote(feats[k], carries[k], next_first[k], chunk_buckets[k],
-                            frag_refs[k])
-            for k in range(len(feats))
-        ]
-    frames = [f for f in ray.get(out_refs) if len(f)]
+        for k, (b, (feats, _, frags)) in enumerate(zip(ranges, phase1)):
+            next_first = next((i["first_ts"] for i in infos[k + 1:] if i), None)
+            out.append(fix_range.remote(feats, carries[k], next_first, b, frags))
+    frames = [f for f in ray.get(out) if len(f)]
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
 

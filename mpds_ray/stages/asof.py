@@ -199,9 +199,3 @@ def asof_join_pandas(
         suffixes=("", suffix),
         **kwargs,
     )
-
-
-def stable_bucket_series(ids: pd.Series, num_buckets: int) -> np.ndarray:
-    """Vectorized stable bucketing via pandas string hashing."""
-    key = pd.util.hash_pandas_object(pd.Series(np.asarray(ids)), index=False)
-    return (key % np.uint64(num_buckets)).to_numpy().astype(np.int32)

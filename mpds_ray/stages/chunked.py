@@ -1,8 +1,10 @@
-"""Bounded-memory chunked reduce for the hash exchange (VERDICT r2 top item).
+"""Chunk streams for the flagship exchange's one reduce protocol.
 
-The flat exchange reduce materializes its whole bucket as one frame — at
-10^12 rows a bucket (~1/B of the table) is far beyond one task's RAM. This
-module provides the streaming alternative:
+Every flagship reduce task scans its bucket as a stream of (entity, ts)
+chunks, carrying boundary state from chunk to chunk
+(``pipelines.flagship.scan_chunks_with_carry``). Without ``chunk_rows`` the
+stream is the concatenated bucket as one chunk. With it, the stream is
+bounded, for buckets far beyond one task's RAM:
 
 - map side (stages/exchange.py ``sort_keys``/``chunk_rows``): each per-bucket
   slice is SORTED by the scan key and cut into chunk-sized sub-objects
@@ -13,13 +15,14 @@ module provides the streaming alternative:
   per-run lookahead) are ever materialized on the task heap; consumed chunk
   objects are released as the iterators advance.
 
-Merge guarantee (byte-identity with the flat path): the flat reduce concats
-parts in SHARD order and runs ONE stable (entity, ts) mergesort, so ties keep
-(shard, within-shard) order. Here each run is pre-sorted stably per shard,
-slices are taken in shard order, every tie group ≤ the cut key K is consumed
-in full (across a run's own chunk boundary if needed), and each merged chunk
-gets one stable lexsort — reproducing the exact flat row order, chunk by
-chunk (property-tested in tests/test_chunked.py).
+Merge guarantee (byte-identity with the one-chunk stream): that stream
+concats parts in SHARD order and ``process_bucket`` runs ONE stable
+(entity, ts) mergesort, so ties keep (shard, within-shard) order. Here each
+run is pre-sorted stably per shard, slices are taken in shard order, every
+tie group <= the cut key K is consumed in full (across a run's own chunk
+boundary if needed), and each merged chunk gets one stable lexsort —
+reproducing the exact one-chunk row order, chunk by chunk (property-tested
+in tests/test_chunked.py).
 
 Scale note: this bounds reduce-task HEAP and object-store pinning by chunk
 size. The number of in-flight sub-chunk objects is bucket_bytes/chunk_bytes;
@@ -141,10 +144,6 @@ def ray_run_iter(part) -> Iterator[pa.Table]:
 
 
 def split_chunks(table: pa.Table, chunk_rows: int) -> list[pa.Table]:
-    """Cut a sorted slice into contiguous chunks of <= chunk_rows."""
-    if table.num_rows <= chunk_rows:
-        return [table]
-    return [
-        table.slice(i, min(chunk_rows, table.num_rows - i))
-        for i in range(0, table.num_rows, chunk_rows)
-    ]
+    """Cut a sorted slice into contiguous chunks of <= chunk_rows (none for
+    an empty slice, so a run's chunk count says whether it has rows)."""
+    return [table.slice(i, chunk_rows) for i in range(0, table.num_rows, chunk_rows)]

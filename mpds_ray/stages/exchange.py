@@ -21,9 +21,10 @@ Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
 per bucket, never assumed from the exchange.
 
-Skew note: bucket granularity bounds reduce-task size; heavy ENTITIES cannot
-be split (scans need whole entities) but heavy SOURCES can be salted on the
-map side with a per-key stitch in reduce (SURVEY §4.2).
+Skew note: bucket granularity bounds reduce-task size. A heavy entity cannot
+be split by hashing (scans need whole entities); the flagship range-salts it
+on the map side through its own ``bucket_fn`` and stitches the ranges with
+carry kernels in reduce (SURVEY §4.2, stages/salted.py).
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ from .partition import stable_bucket
 def accepts_n_positional(fn, n: int) -> bool:
     """True when ``fn`` can be CALLED with ``n`` positional args: counts only
     POSITIONAL_ONLY/POSITIONAL_OR_KEYWORD parameters and treats *args as
-    accepting any arity; keyword-only/**kwargs never count (ADVICE r3 — a
-    ``def f(b, tbl, *, opt=None)`` used to be mis-sniffed as lineage-aware
-    and called with 3 positionals). Unintrospectable callables (C extensions
-    raise ValueError from ``inspect.signature``) fall back to False — the
-    minimal-arity call."""
+    accepting any arity; keyword-only/**kwargs never count, so a
+    ``def f(t, *, opt=None)`` is not mistaken for a two-argument map.
+    Unintrospectable callables (C extensions raise ValueError from
+    ``inspect.signature``) fall back to False — the minimal-arity call."""
     import inspect
 
     try:
@@ -120,8 +120,8 @@ def exchange_map(
     """Map phase only: one task per shard, ``bucket_fn`` assigns each row a
     bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of shard s
     destined for bucket b (each its own object — fetched only by its
-    consumer). Callers drive the reduce side (the flagship's salted path
-    needs a carry/fix protocol rather than a flat reduce).
+    consumer). Callers drive the reduce side (the flagship streams each
+    bucket through a carry scan into a resumable sink).
 
     ``columns`` prunes the shard read; ``filters`` (a pyarrow dataset
     expression) pushes a row predicate into the scan — row-group pruning at
@@ -130,8 +130,8 @@ def exchange_map(
     ``sort_keys`` + ``chunk_rows`` enable the BOUNDED-MEMORY reduce protocol
     (stages/chunked.py): each bucket slice is sorted by the keys and cut into
     <= chunk_rows sub-objects (``ray.put`` each), so ``refs[s][b]`` becomes a
-    LIST of sub-chunk refs a reduce task can fetch and release one at a time
-    instead of pinning the whole run."""
+    LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
+    and release one at a time instead of pinning the whole run."""
 
     map_takes_path = accepts_n_positional(map_fn, 2)
 
@@ -169,14 +169,13 @@ def hash_exchange(
     ``columns`` prunes the shard read (only those columns leave storage).
     ``num_buckets=None`` takes ``auto_num_buckets(shard_paths)``.
 
-    Lineage: a ``reduce_fn`` accepting a third parameter receives the list of
-    input-fragment basenames whose map slices actually contributed rows to its
-    bucket — the per-partition lineage a resumable sink records in its
-    manifest (SURVEY §4.2)."""
+    ``reduce_fn(b, table)`` sees the concatenation of bucket ``b``'s
+    non-empty map slices and is not called for an empty bucket. A reduce
+    that needs lineage or a streaming protocol (the flagship's resumable
+    sink records which input fragments fed each partition) drives
+    ``exchange_map`` itself."""
     if num_buckets is None:
         num_buckets = auto_num_buckets(shard_paths)
-    reduce_takes_frags = accepts_n_positional(reduce_fn, 3)
-    frag_names = [os.path.basename(p) for p in shard_paths]
 
     def bucket_fn(t: pa.Table) -> np.ndarray:
         return stable_bucket(t[entity_col].to_numpy(zero_copy_only=False), num_buckets)
@@ -185,13 +184,10 @@ def hash_exchange(
 
     @ray.remote(num_cpus=reduce_num_cpus)
     def reduce_bucket(b: int, *parts: pa.Table):
-        contrib = [s for s, p in enumerate(parts) if p.num_rows]
-        if not contrib:
+        nonempty = [p for p in parts if p.num_rows]
+        if not nonempty:
             return pd.DataFrame()
-        tbl = pa.concat_tables([parts[s] for s in contrib])
-        if reduce_takes_frags:
-            return reduce_fn(b, tbl, [frag_names[s] for s in contrib])
-        return reduce_fn(b, tbl)
+        return reduce_fn(b, pa.concat_tables(nonempty))
 
     out = [
         reduce_bucket.remote(b, *[refs[s][b] for s in range(len(shard_paths))])

@@ -1,80 +1,20 @@
-"""Entity-complete partitioning — the engine's one big shuffle (SURVEY §4.3).
+"""Stable entity bucketing — the key of every hash exchange (SURVEY §4.3).
 
 The reference's load-bearing physical property is (id, ht)-sorted data
-(mimicUsefulFunction.R:293). Ray Data equivalent: hash-bucket rows by entity
-(``bucket = stable_hash(entity) % B``), shuffle ONCE via ``groupby(bucket)``,
-and sort each bucket by (entity, ts) inside ``map_groups``. Every block
-downstream is then entity-complete and sorted, so scans need no cross-batch
-carry state and "late data" is fixed here, never at scan time.
-
-Skew: the bucket count B bounds per-task memory; heavy-hitter ENTITIES can't
-be split (scans need the whole entity), but heavy SOURCES can (documented
-salting path in stages/asof.py). Bucketing is stable across runs/processes
-(FNV-1a via pandas hash), so resumes and oracle comparisons agree.
+(mimicUsefulFunction.R:293). The engine establishes it per bucket: rows are
+hash-bucketed by entity (``bucket = stable_hash(entity) % B``), exchanged
+once (stages/exchange.py) and sorted by (entity, ts) in each reduce task, so
+every bucket is entity-complete. Bucketing is stable across runs and
+processes (pandas' uint64 hash), so resumes and oracle comparisons agree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-
-try:  # Dataset is only needed at runtime, keep import-light for unit tests
-    import ray.data as rd
-except Exception:  # pragma: no cover
-    rd = None
 
 
 def stable_bucket(values: np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic, process-stable bucket per value (uint64 hash mod B)."""
     h = pd.util.hash_pandas_object(pd.Series(np.asarray(values)), index=False)
     return (h % np.uint64(num_buckets)).to_numpy().astype(np.int32)
-
-
-def add_bucket_column(
-    batch: pa.Table, entity: str, num_buckets: int, col: str = "_bucket"
-) -> pa.Table:
-    b = stable_bucket(batch[entity].to_numpy(zero_copy_only=False), num_buckets)
-    return batch.append_column(col, pa.array(b, type=pa.int32()))
-
-
-def partition_sort(
-    ds,
-    entity: str = "doc_id",
-    ts: str = "ts",
-    num_buckets: int = 64,
-    map_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    drop_bucket: bool = True,
-):
-    """Hash-partition by entity + per-partition (entity, ts) sort; optionally
-    apply ``map_fn`` to each sorted entity-complete partition (fused into the
-    same shuffle consumer so the sorted frame is produced exactly once)."""
-
-    def _sort_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([entity, ts], kind="mergesort")
-        if drop_bucket:
-            g = g.drop(columns=["_bucket"])
-        if map_fn is not None:
-            g = map_fn(g)
-        return g
-
-    bucketed = ds.map_batches(
-        lambda t: add_bucket_column(t, entity, num_buckets),
-        batch_format="pyarrow",
-    )
-    return bucketed.groupby("_bucket").map_groups(_sort_group, batch_format="pandas")
-
-
-def sorted_scan(
-    ds,
-    scan_fn: Callable[[pd.DataFrame], pd.DataFrame],
-    entity: str = "doc_id",
-    ts: str = "ts",
-    num_buckets: int = 64,
-):
-    """Establish the (entity, ts) invariant, then run a vectorized scan
-    (mpds_ray.stages.scans signature: sorted frame in, frame out) on each
-    entity-complete partition."""
-    return partition_sort(ds, entity, ts, num_buckets, map_fn=scan_fn)

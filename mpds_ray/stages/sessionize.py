@@ -10,7 +10,6 @@ exceeds ``gap``. Session ids are monotone over the sorted input.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 
 def sessionize_gap(id_arr, ts, gap) -> np.ndarray:
@@ -24,20 +23,3 @@ def sessionize_gap(id_arr, ts, gap) -> np.ndarray:
     dt = np.r_[np.inf, t[1:] - t[:-1]]
     new_session = id_change | (dt > gap)
     return np.cumsum(new_session) - 1
-
-
-def session_bounds(session_id, ts, value=None) -> pd.DataFrame:
-    """Per-session aggregate frame: n_events, t_start, t_end, duration
-    (+ sum/mean of ``value``). Runs on one sorted block; the engine composes
-    map-side partials with a final groupby when sessions straddle blocks."""
-    df = pd.DataFrame({"session_id": np.asarray(session_id), "ts": np.asarray(ts)})
-    aggs = {"ts": ["count", "min", "max"]}
-    if value is not None:
-        df["value"] = np.asarray(value, dtype=np.float64)
-        aggs["value"] = ["sum", "mean"]
-    out = df.groupby("session_id", sort=True).agg(aggs)
-    out.columns = ["n_events", "t_start", "t_end"] + (
-        ["value_sum", "value_mean"] if value is not None else []
-    )
-    out["duration"] = out["t_end"] - out["t_start"]
-    return out.reset_index()

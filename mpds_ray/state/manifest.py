@@ -4,7 +4,8 @@ The reference's only recovery mechanism is ad-hoc ``save()`` checkpoints per
 hyper-param combo (dssFunctionLibrary.R:431-434,767-771). The engine
 generalizes: every partitioned sink appends one JSON line per completed
 partition — ``(stage, partition_id, row_count, checksum, wall_time_s,
-input_fragments)`` — and a restart skips partitions already present. Writes
+input_fragments)`` — and a restart skips partitions already present (the
+flagship sink first checks that each listed file holds its rows). Writes
 are atomic (tmp file + rename), so a killed run never leaves a partition
 half-written AND listed.
 
@@ -70,6 +71,13 @@ class Manifest:
             return []
         with open(self.path) as f:
             return [json.loads(line) for line in f]
+
+    def rewrite(self, records: list[dict]) -> None:
+        """Replace the manifest by ``records`` atomically (tmp file + rename)."""
+        tmp = f"{self.path}.tmp.{os.getpid()}"
+        with open(tmp, "w") as f:
+            f.writelines(json.dumps(rec) + "\n" for rec in records)
+        os.replace(tmp, self.path)
 
 
 def write_partition_atomic(df: pd.DataFrame, out_dir: str, partition_id) -> str:

@@ -1,5 +1,5 @@
-"""Ray Data integration: partitioning invariant, distributed as-of join,
-flagship pipeline, token passthrough, resumable sink (FIXTURES.md F6)."""
+"""Ray Data integration: the Dataset-native flagship pipeline, token
+passthrough, resumable sink (FIXTURES.md F6)."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from mpds_ray.oracle.scans import asof_backward
 from mpds_ray.pipelines.flagship import flagship_features, run_flagship
-from mpds_ray.stages.partition import partition_sort
-from mpds_ray.stages.ray_asof import BroadcastAsof, asof_join
-from mpds_ray.synth import cached_fixture_dir, synth_scores_table, synth_tokens_table
+from mpds_ray.synth import cached_fixture_dir
 
 
 @pytest.fixture(scope="module")
@@ -27,92 +24,6 @@ def fixture_dir(ray_session):
 @pytest.fixture(scope="module")
 def tiny_dir(ray_session):
     return cached_fixture_dir("tiny")
-
-
-class TestPartitionSort:
-    def test_entity_complete_sorted_blocks(self, fixture_dir):
-        import ray.data as rd
-
-        ds = rd.read_parquet(f"{fixture_dir}/tokens.parquet").select_columns(
-            ["doc_id", "ts", "n_tok"]
-        )
-        parts = partition_sort(ds, "doc_id", "ts", num_buckets=8, drop_bucket=False)
-        df = parts.to_pandas()
-        # each bucket (= the frame each scan fn sees) is (doc_id, ts)-sorted
-        for _, g in df.groupby("_bucket"):
-            ids = g["doc_id"].to_numpy()
-            ts = g["ts"].to_numpy()
-            order = np.lexsort((ts, ids))
-            assert np.array_equal(order, np.arange(len(ids)))
-        # entity-complete: every entity lives in exactly one bucket
-        assert (df.groupby("doc_id")["_bucket"].nunique() == 1).all()
-
-    def test_row_preservation(self, fixture_dir):
-        import ray.data as rd
-
-        ds = rd.read_parquet(f"{fixture_dir}/tokens.parquet").select_columns(["doc_id", "ts"])
-        assert partition_sort(ds, num_buckets=8).count() == ds.count()
-
-
-class TestDistributedAsof:
-    def test_matches_oracle(self, fixture_dir):
-        import ray.data as rd
-
-        left = rd.read_parquet(f"{fixture_dir}/tokens.parquet").select_columns(
-            ["doc_id", "ts", "n_tok"]
-        )
-        right = rd.read_parquet(f"{fixture_dir}/scores.parquet")
-        out = (
-            asof_join(left, right, tolerance=3600.0, num_buckets=8)
-            .to_pandas()
-            .sort_values(["doc_id", "ts"])
-            .reset_index(drop=True)
-        )
-        lt = pq.read_table(f"{fixture_dir}/tokens.parquet").to_pandas()
-        rt = pq.read_table(f"{fixture_dir}/scores.parquet").to_pandas()
-        lt = lt.sort_values(["doc_id", "ts"]).reset_index(drop=True)
-        rt = rt.sort_values(["doc_id", "ts"]).reset_index(drop=True)
-        want, _ = asof_backward(
-            lt["doc_id"].to_numpy(),
-            lt["ts"].to_numpy().astype(float),
-            rt["doc_id"].to_numpy(),
-            rt["ts"].to_numpy().astype(float),
-            rt["score"].to_numpy(),
-            tolerance=3600.0,
-        )
-        assert len(out) == len(lt)
-        np.testing.assert_allclose(out["score"].to_numpy(), want, equal_nan=True)
-
-    def test_broadcast_variant_matches(self, fixture_dir):
-        import ray
-        import ray.data as rd
-
-        left = rd.read_parquet(f"{fixture_dir}/tokens.parquet").select_columns(
-            ["doc_id", "ts", "n_tok"]
-        )
-        right_df = pq.read_table(f"{fixture_dir}/scores.parquet").to_pandas()
-        ref = ray.put(right_df)
-        out = (
-            left.map_batches(
-                BroadcastAsof,
-                fn_constructor_kwargs={"right_ref": ref, "tolerance": 3600.0},
-                batch_format="pandas",
-                concurrency=2,
-            )
-            .to_pandas()
-            .sort_values(["doc_id", "ts"])
-            .reset_index(drop=True)
-        )
-        shuffled = (
-            asof_join(left, rd.read_parquet(f"{fixture_dir}/scores.parquet"),
-                      tolerance=3600.0, num_buckets=8)
-            .to_pandas()
-            .sort_values(["doc_id", "ts"])
-            .reset_index(drop=True)
-        )
-        np.testing.assert_allclose(
-            out["score"].to_numpy(), shuffled["score"].to_numpy(), equal_nan=True
-        )
 
 
 class TestFlagship:

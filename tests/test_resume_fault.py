@@ -1,6 +1,9 @@
 """F6 resume equivalence: a run killed mid-way resumes from the manifest and
-produces byte-identical output to a never-interrupted run; plus batch-size
-invariance of the stats stage through the Ray surface."""
+produces byte-identical output to a never-interrupted run, on every shape
+of the flagship's reduce protocol; a rerun recomputes parts that are missing
+or truncated on disk; lineage and output agree across protocols and bucket
+counts; plus batch-size invariance of the stats stage through the Ray
+surface."""
 
 from __future__ import annotations
 
@@ -23,60 +26,133 @@ def _load_parts(out_dir: str) -> pd.DataFrame:
     return df.sort_values(["doc_id", "ts"]).reset_index(drop=True)
 
 
+# the three shapes of the one reduce protocol: one chunk per bucket, a
+# bounded chunk stream, and a chunk stream plus salted ranges of the hot
+# entity (d00000 holds 26% of the small fixture's rows)
+CONFIGS = {
+    "flat": dict(salt=False),
+    "chunked": dict(salt=False, chunk_rows=1_000),
+    "salted_chunked": dict(salt=True, salt_threshold=0.2, salt_min_rows=1_000,
+                           chunk_rows=1_000),
+}
+B = 6
+
+
+def _manifest_fold(out_dir: str) -> tuple[int, int, int]:
+    """(records, rows, XOR of checksums) over every manifest record."""
+    from mpds_ray.state.manifest import Manifest
+
+    recs = Manifest(f"{out_dir}/manifest.jsonl").records()
+    xor = 0
+    for r in recs:
+        xor ^= r["checksum"]
+    return len(recs), sum(r["row_count"] for r in recs), xor
+
+
+def _read_back_xor(out_dir: str) -> int:
+    from mpds_ray.state.manifest import frame_checksum
+
+    xor = 0
+    for p in glob.glob(f"{out_dir}/part-*.parquet"):
+        xor ^= frame_checksum(pq.read_table(p).to_pandas())
+    return xor
+
+
 class TestKillAndResume:
-    def test_mid_run_failure_then_resume_is_byte_identical(self, ray_session, tmp_path):
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_mid_run_failure_then_resume_is_byte_identical(
+        self, ray_session, tmp_path, monkeypatch, config
+    ):
+        import mpds_ray.pipelines.flagship as fl
+
         d = cached_fixture_dir("small")
+        kw = CONFIGS[config]
         clean_dir = str(tmp_path / "clean")
         crash_dir = str(tmp_path / "crash")
 
         # reference: uninterrupted run
-        run_flagship_exchange(
-            f"{d}/tokens.parquet", f"{d}/scores.parquet", out_dir=clean_dir, num_buckets=6
+        clean = run_flagship_exchange(
+            f"{d}/tokens.parquet", f"{d}/scores.parquet", out_dir=clean_dir,
+            num_buckets=B, **kw,
         )
+        salted = clean[clean["partition_id"] >= B]
+        assert salted.empty == (config != "salted_chunked"), "salting did not engage"
+        # the salted run dies in a fix task (a salted range), the others in
+        # a hash bucket's reduce
+        victim = B if config == "salted_chunked" else 3
 
-        # interrupted run: monkeypatch the atomic writer to blow up on one
-        # bucket the first time through (simulates a task/node death AFTER
-        # some partitions committed)
-        import mpds_ray.pipelines.flagship as fl
-
-        orig_write = fl.write_partition_atomic
+        # interrupted run: the partition sink blows up at the commit of one
+        # partition the first time through (simulates a task/node death
+        # AFTER some partitions committed). The reduce tasks build their
+        # sink from the module's ``ChunkPartitionSink`` when they are
+        # shipped, so replacing the class reaches the workers.
         poison = str(tmp_path / "poison_armed")
         open(poison, "w").write("armed")
 
-        def flaky_write(df, out_dir, pid):
-            if pid == 3 and os.path.exists(poison):
-                os.remove(poison)  # fail exactly once
-                raise RuntimeError("injected fault: partition 3 died mid-write")
-            return orig_write(df, out_dir, pid)
+        class FlakySink(fl.ChunkPartitionSink):
+            def close(self):
+                if self.bucket_id == victim and os.path.exists(poison):
+                    os.remove(poison)  # fail exactly once
+                    raise RuntimeError(f"injected fault: partition {victim} died at commit")
+                return super().close()
 
-        fl.write_partition_atomic = flaky_write
-        try:
-            with pytest.raises(Exception, match="injected fault"):
-                run_flagship_exchange(
-                    f"{d}/tokens.parquet", f"{d}/scores.parquet",
-                    out_dir=crash_dir, num_buckets=6,
-                )
-        finally:
-            fl.write_partition_atomic = orig_write
+        monkeypatch.setattr(fl, "ChunkPartitionSink", FlakySink)
+        with pytest.raises(Exception, match="injected fault"):
+            run_flagship_exchange(
+                f"{d}/tokens.parquet", f"{d}/scores.parquet",
+                out_dir=crash_dir, num_buckets=B, **kw,
+            )
+        monkeypatch.undo()
+        assert not os.path.exists(poison)
 
         # NB: sibling reduce tasks may still be committing when ray.get
         # raises, so the exact number of completed partitions at this point
         # is racy — the invariant under test is that RESUME always converges
         # to the complete, byte-identical output, skipping whatever already
-        # committed (manifest dedup + atomic per-partition writes make
-        # concurrent stragglers harmless: same deterministic content).
+        # committed (atomic per-partition writes make concurrent stragglers
+        # harmless: same deterministic content).
         manifest = f"{crash_dir}/manifest.jsonl"
         n_done = sum(1 for _ in open(manifest)) if os.path.exists(manifest) else 0
 
         res = run_flagship_exchange(
             f"{d}/tokens.parquet", f"{d}/scores.parquet",
-            out_dir=crash_dir, num_buckets=6,
+            out_dir=crash_dir, num_buckets=B, **kw,
         )
-        # >= 6: if auto-salting engages (share + min-rows gates), range-salted
-        # partitions appear beyond the 6 hash buckets
-        assert len(res) >= 6 and n_done < len(res)
+        assert len(res) == len(clean) and n_done < len(res)
         assert res["skipped"].sum() >= n_done
+        assert not res.loc[res["partition_id"] == victim, "skipped"].any()
         pd.testing.assert_frame_equal(_load_parts(clean_dir), _load_parts(crash_dir))
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_rerun_rewrites_missing_and_truncated_parts(self, ray_session, tmp_path, config):
+        """A rerun trusts a manifest record only when its file holds the
+        recorded rows: a deleted part, a part cut to a valid file with fewer
+        rows and a part cut mid-file are all recomputed, each ends with one
+        manifest record, and the manifest's fold still equals what is on
+        disk."""
+        d = cached_fixture_dir("small")
+        kw = CONFIGS[config]
+        out = str(tmp_path / "out")
+        args = (f"{d}/tokens.parquet", f"{d}/scores.parquet")
+        first = run_flagship_exchange(*args, out_dir=out, num_buckets=B, **kw)
+        want = _load_parts(out)
+        want_fold = _manifest_fold(out)
+        assert want_fold == (len(first), len(want), _read_back_xor(out))
+
+        os.remove(f"{out}/part-1.parquet")
+        short = pq.read_table(f"{out}/part-2.parquet")
+        pq.write_table(short.slice(0, short.num_rows // 2), f"{out}/part-2.parquet")
+        raw = open(f"{out}/part-4.parquet", "rb").read()
+        open(f"{out}/part-4.parquet", "wb").write(raw[: len(raw) // 2])
+
+        res = run_flagship_exchange(*args, out_dir=out, num_buckets=B, **kw)
+        redone = set(res.loc[~res["skipped"], "partition_id"])
+        assert redone == {1, 2, 4}
+        pd.testing.assert_frame_equal(_load_parts(out), want)
+        assert _manifest_fold(out) == want_fold
+
+        # a third run finds every partition intact
+        assert run_flagship_exchange(*args, out_dir=out, num_buckets=B, **kw)["skipped"].all()
 
 
 class TestBatchSizeInvariance:
@@ -106,8 +182,9 @@ class TestBatchSizeInvariance:
 
 class TestManifestLineage:
     """North-rule lineage: every committed partition's manifest record names
-    the input fragments (shard basenames) whose rows it contains — across all
-    three reduce engines (flat, chunked, salted+chunked)."""
+    the input fragments (shard basenames) whose rows it contains — on every
+    shape of the reduce protocol (one chunk, chunked, salted+chunked) — and
+    all of them write the same content, at every bucket count."""
 
     def _fixture(self, tmp_path):
         import pyarrow.parquet as _pq
@@ -138,16 +215,10 @@ class TestManifestLineage:
         tok_dir, scores = self._fixture(tmp_path)
         shard_paths = sorted(glob.glob(f"{tok_dir}/*.parquet"))
         shard_names = [os.path.basename(p) for p in shard_paths]
-        B = 4
-
-        # ground truth: which shards hold rows of each hash bucket
-        expect: dict[int, set] = {b: set() for b in range(B)}
-        for p, name in zip(shard_paths, shard_names):
-            ids = pq.read_table(p, columns=["doc_id"])["doc_id"].to_numpy(
-                zero_copy_only=False
-            )
-            for b in np.unique(stable_bucket(ids, B)):
-                expect[int(b)].add(name)
+        shard_ids = [
+            pq.read_table(p, columns=["doc_id"])["doc_id"].to_numpy(zero_copy_only=False)
+            for p in shard_paths
+        ]
 
         configs = {
             "flat": dict(salt=False),
@@ -155,18 +226,33 @@ class TestManifestLineage:
             "salted": dict(salt=True, salt_threshold=0.2, salt_min_rows=1_000,
                            chunk_rows=1_500),
         }
-        totals = {}
-        for label, kw in configs.items():
-            out = str(tmp_path / f"out_{label}")
-            run_flagship_exchange(tok_dir, scores, out_dir=out, num_buckets=B, **kw)
-            recs = self._manifest(out)
-            assert recs, label
-            for r in recs:
-                frags = r["input_fragments"]
-                assert frags, (label, r["partition_id"])
-                assert set(frags) <= set(shard_names), (label, frags)
-                if r["partition_id"] < B and label == "flat":
-                    # flat hash buckets: exact contributing-shard set
-                    assert set(frags) == expect[r["partition_id"]], r
-            totals[label] = sum(r["row_count"] for r in recs)
-        assert len(set(totals.values())) == 1, totals
+        content, folds = {}, {}
+        for B in (1, 4):
+            # ground truth: which shards hold rows of each hash bucket
+            expect: dict[int, set] = {b: set() for b in range(B)}
+            for ids, name in zip(shard_ids, shard_names):
+                for b in np.unique(stable_bucket(ids, B)):
+                    expect[int(b)].add(name)
+            for label, kw in configs.items():
+                out = str(tmp_path / f"out_{label}_{B}")
+                run_flagship_exchange(tok_dir, scores, out_dir=out, num_buckets=B, **kw)
+                recs = self._manifest(out)
+                assert recs, label
+                if label == "salted":
+                    assert any(r["partition_id"] >= B for r in recs), "salting did not engage"
+                for r in recs:
+                    frags = r["input_fragments"]
+                    assert frags, (label, r["partition_id"])
+                    assert set(frags) <= set(shard_names), (label, frags)
+                    if r["partition_id"] < B and label != "salted":
+                        # hash buckets: exact contributing-shard set
+                        assert set(frags) == expect[r["partition_id"]], (label, r)
+                _, rows, xor = _manifest_fold(out)
+                assert xor == _read_back_xor(out), (label, B)
+                folds[label, B] = (rows, xor)
+                df = _load_parts(out)  # ties in (doc_id, ts): order every column
+                content[label, B] = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+        first = next(iter(content))
+        for key, df in content.items():
+            pd.testing.assert_frame_equal(df, content[first], check_exact=True, obj=str(key))
+        assert len(set(folds.values())) == 1, folds

@@ -1,4 +1,5 @@
-"""Salt invariance (FIXTURES.md F6): salted scans == unsalted scans for every
+"""Salt invariance (FIXTURES.md F6): the salted flagship exchange equals the
+unsalted one, and the carry chain reproduces the unsplit scan for every
 chunking of a heavy key."""
 
 from __future__ import annotations
@@ -8,56 +9,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-
-from mpds_ray.stages.salted import (
-    carry_locf_boundary,
-    detect_heavy_keys,
-    salted_sessionize,
-)
-from mpds_ray.stages.sessionize import sessionize_gap
-
-rng = np.random.default_rng(42)
-
-
-def heavy_ts(n=5000):
-    # irregular gaps with real session structure (some gaps >> threshold)
-    gaps = np.where(rng.random(n) < 0.05, rng.uniform(400, 2000, n), rng.exponential(30, n))
-    return np.cumsum(gaps)
-
-
-class TestSaltedSessionize:
-    @pytest.mark.parametrize("num_salts", [1, 2, 3, 7, 16, 64])
-    def test_salt_invariance(self, num_salts):
-        ts = heavy_ts()
-        want = sessionize_gap(np.zeros(ts.size), ts, gap=300.0)
-        got = salted_sessionize(ts, gap=300.0, num_salts=num_salts)
-        np.testing.assert_array_equal(got, want)
-
-    def test_boundary_exactly_at_gap(self):
-        # a boundary falling exactly on the gap threshold must merge (<=)
-        ts = np.array([0.0, 100.0, 400.0, 500.0])  # gap 300 at index 2
-        want = sessionize_gap(np.zeros(4), ts, gap=300.0)
-        for s in (2, 4):
-            np.testing.assert_array_equal(salted_sessionize(ts, 300.0, s), want)
-
-    def test_empty_chunks_tolerated(self):
-        ts = heavy_ts(10)
-        got = salted_sessionize(ts, gap=300.0, num_salts=64)  # many empty chunks
-        want = sessionize_gap(np.zeros(10), ts, gap=300.0)
-        np.testing.assert_array_equal(got, want)
-
-
-class TestLocfCarry:
-    def test_carry_propagates_across_gaps(self):
-        carries = carry_locf_boundary([1.0, None, np.nan, 4.0, None])
-        assert carries == [None, 1.0, 1.0, 1.0, 4.0]
-
-
-class TestHeavyDetection:
-    def test_threshold(self):
-        counts = {"voice": 600, "gait": 100, "tap": 100, "react": 100, "balance": 100}
-        assert detect_heavy_keys(counts, 1000, threshold=0.25) == ["voice"]
-        assert detect_heavy_keys(counts, 1000, threshold=0.7) == []
 
 
 class TestDistributedSalting:
