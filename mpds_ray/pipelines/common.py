@@ -14,6 +14,8 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
+from ..stages.exchange import DRIVER_ROOT_ROW_CAP
+
 TABLES = (
     "region", "nation", "customer", "supplier", "part",
     "orders", "lineitem", "events", "documents", "embeddings",
@@ -71,21 +73,14 @@ def read_small(sf_dir: str, name: str, columns: list[str] | None = None) -> pd.D
     return pq.read_table(tpath(sf_dir, name), columns=columns).to_pandas()
 
 
-# every driver-side combiner root must be BOUNDED by construction (key
-# domain x batches, k x batches, candidate set, ...). The cap turns a silent
-# unbounded collect (a future fact-table key riding the driver combiner)
-# into a loud error naming the fix (VERDICT r2 'Next round' #7).
-DRIVER_ROOT_ROW_CAP = 5_000_000
-
-
 def bounded_to_pandas(ds, what: str, cap: int = DRIVER_ROOT_ROW_CAP) -> pd.DataFrame:
     """Collect a SMALL Dataset at a driver root, enforcing the stated bound."""
     parts = ds.to_pandas()
     if len(parts) > cap:
         raise RuntimeError(
             f"driver root '{what}' collected {len(parts):,} rows (> cap {cap:,}): "
-            "the key domain is not driver-bounded — use final='dataset' / a "
-            "distributed reduction, or raise the cap deliberately"
+            "the key domain is not driver-bounded — use a distributed "
+            "reduction (an exchange), or raise the cap deliberately"
         )
     return parts
 
@@ -95,25 +90,22 @@ def partial_groupby_sum(
     keys: list[str],
     sums: dict[str, str],
     count_as: str | None = None,
-    final: str = "driver",
 ):
     """Map-side partial aggregation (SURVEY A2/A4 scale shape): each batch is
-    pre-reduced to one row per key with pandas, then the partials are
-    combined. Returns a Dataset with ``keys + list(sums.values())
-    (+ count_as)``.
-
-    ``final="driver"`` (default): the partial rows — bounded by
-    (distinct keys x batches), NOT by input rows — are collected and folded
-    in one pandas groupby, skipping Ray's sort-based shuffle and its fixed
-    multi-second barrier. Correct whenever the key domain is bounded
-    (aggregation state must fit one node regardless of engine — this is the
-    standard combiner-tree root). Use ``final="dataset"`` for unbounded key
-    domains (e.g. fact-table keys like o_orderkey): a distributed
-    ``groupby().aggregate(Sum)`` combines the partials instead.
+    pre-reduced to one row per key with pandas, then the partial rows —
+    bounded by (distinct keys x batches), NOT by input rows — are collected
+    and folded in one pandas groupby, skipping Ray's sort-based shuffle and
+    its fixed multi-second barrier. Returns a Dataset with ``keys +
+    list(sums.values()) (+ count_as)``. Correct whenever the key domain is
+    bounded (aggregation state must fit one node regardless of engine — the
+    standard combiner-tree root); an unbounded key domain belongs on an
+    exchange (stages/exchange.py).
 
     At 10^12-row scale the map-side partial is the difference between
     shuffling every row and shuffling ~(keys x batches) partial rows.
     """
+    import ray.data as rd
+
     sum_cols = list(sums)
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -125,22 +117,11 @@ def partial_groupby_sum(
         return g
 
     partial = ds.map_batches(_partial, batch_format="pandas", batch_size=65536)
-    if final == "driver":
-        import ray.data as rd
-
-        # bound: (distinct keys x batches) — valid only for bounded key
-        # domains; unbounded (fact-table) keys must pass final="dataset"
-        parts = bounded_to_pandas(partial, f"partial_groupby_sum{keys}")
-        agg_cols = sum_cols + ([count_as] if count_as else [])
-        out = parts.groupby(keys, as_index=False, sort=False)[agg_cols].sum()
-        out = out.rename(columns=sums)
-        return rd.from_pandas(out)
-    from ray.data.aggregate import Sum
-
-    aggs = [Sum(c, alias_name=out) for c, out in sums.items()]
-    if count_as:
-        aggs.append(Sum(count_as, alias_name=count_as))
-    return partial.groupby(keys).aggregate(*aggs)
+    # bound: (distinct keys x batches) — valid only for bounded key domains
+    parts = bounded_to_pandas(partial, f"partial_groupby_sum{keys}")
+    agg_cols = sum_cols + ([count_as] if count_as else [])
+    out = parts.groupby(keys, as_index=False, sort=False)[agg_cols].sum()
+    return rd.from_pandas(out.rename(columns=sums))
 
 
 def shard_groupby_sum(
@@ -155,7 +136,7 @@ def shard_groupby_sum(
     prep=None,
 ) -> pd.DataFrame:
     """Combiner tree over RAW per-shard tasks for bounded-key grouped sums —
-    the same semantics as ``partial_groupby_sum(final='driver')`` without the
+    the same semantics as ``partial_groupby_sum`` without the
     Dataset plan's fixed multi-second setup (measured ~3 s on q1 at sf0.1;
     the events scans saw the same win when routed over the explicit exchange).
 

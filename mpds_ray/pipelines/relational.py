@@ -103,8 +103,7 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pads
     import ray
 
-    from ..stages.exchange import exchange_map
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import exchange_join
     from .common import bounded_to_pandas, exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("orders", "lineitem"), num_buckets)
@@ -146,30 +145,10 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["o_orderkey"].to_numpy(zero_copy_only=False), num_buckets)
-
-    o_refs = exchange_map(
-        shard_list(sf_dir, "orders"), orders_map, bucket_fn, num_buckets,
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filters=(pads.field("o_orderdate") < pd.Timestamp("1998-03-15")),
-    )
-    l_refs = exchange_map(
-        shard_list(sf_dir, "lineitem"), li_map, bucket_fn, num_buckets,
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        filters=(pads.field("l_shipdate") > pd.Timestamp("1996-03-15")),
-    )
-
-    @ray.remote
-    def join_bucket(n_orders: int, *parts: pa.Table) -> pd.DataFrame:
-        o_parts = [p for p in parts[:n_orders] if p.num_rows]
-        l_parts = [p for p in parts[n_orders:] if p.num_rows]
-        if not o_parts or not l_parts:
-            return pd.DataFrame()
-        orders = pa.concat_tables(o_parts).to_pandas()
+    def join_bucket(b: int, o: pa.Table, li: pa.Table) -> pd.DataFrame:
+        orders = o.to_pandas()
         rev = (
-            pa.concat_tables(l_parts)
-            .to_pandas()
+            li.to_pandas()
             .groupby("o_orderkey", as_index=False, sort=False)["revenue"]
             .sum()
         )
@@ -181,23 +160,20 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
             ["revenue", "o_orderkey"], ascending=[False, True], kind="mergesort"
         ).head(10)
 
-    n_o = len(o_refs)
-    out = ray.get(
-        [
-            join_bucket.remote(
-                n_o,
-                *[o_refs[s][b] for s in range(n_o)],
-                *[l_refs[s][b] for s in range(len(l_refs))],
-            )
-            for b in range(num_buckets)
-        ]
+    parts = exchange_join(
+        shard_list(sf_dir, "orders"), shard_list(sf_dir, "lineitem"), "o_orderkey",
+        join_bucket, num_buckets, left_map=orders_map, right_map=li_map,
+        columns_left=["o_orderkey", "o_custkey", "o_orderdate"],
+        columns_right=["l_orderkey", "l_extendedprice", "l_discount"],
+        filters_left=(pads.field("o_orderdate") < pd.Timestamp("1998-03-15")),
+        filters_right=(pads.field("l_shipdate") > pd.Timestamp("1996-03-15")),
     )
-    frames = [f for f in out if len(f)]
-    parts = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        {"o_orderkey": pd.Series([], dtype="int64"),
-         "revenue": pd.Series([], dtype="float64"),
-         "o_orderdate_days": pd.Series([], dtype="int64")}
-    )
+    if not len(parts):
+        parts = pd.DataFrame(
+            {"o_orderkey": pd.Series([], dtype="int64"),
+             "revenue": pd.Series([], dtype="float64"),
+             "o_orderdate_days": pd.Series([], dtype="int64")}
+        )
     return (
         parts.sort_values(["revenue", "o_orderkey"], ascending=[False, True], kind="mergesort")
         .head(10)
@@ -518,52 +494,27 @@ def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     counted per nation. Both sides are hash-exchanged on custkey (no
     broadcast of either key set): customer map tasks emit
     (c_custkey, c_nationkey); orders map tasks scan with the date predicate
-    PUSHED INTO the parquet read and emit per-shard DISTINCT o_custkey
-    (combiner — bounded by distinct keys per shard, not order rows); each
-    reduce bucket holds every occurrence of its custkeys on both sides, so
-    the anti membership test is local, and emits nation-partial counts. The
+    PUSHED INTO the parquet read and emit per-shard DISTINCT o_custkey as
+    ``c_custkey`` (combiner — bounded by distinct keys per shard, not order
+    rows); each reduce bucket holds every occurrence of its custkeys on both
+    sides, so the anti membership test is local (a LEFT join: a bucket with
+    no orders keeps all its customers), and emits nation-partial counts. The
     driver folds nations x buckets rows."""
     import pyarrow.dataset as pads
-    import ray
 
-    from ..stages.exchange import exchange_map
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import exchange_join
     from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
-    def cust_map(t: pa.Table) -> pa.Table:
-        return t.select(["c_custkey", "c_nationkey"])
-
     def orders_map(t: pa.Table) -> pa.Table:
         keys = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False))
-        return pa.table({"o_custkey": keys})
+        return pa.table({"c_custkey": keys})
 
-    c_refs = exchange_map(
-        shard_list(sf_dir, "customer"), cust_map,
-        lambda t: stable_bucket(t["c_custkey"].to_numpy(zero_copy_only=False), num_buckets),
-        num_buckets, columns=["c_custkey", "c_nationkey"],
-    )
-    o_refs = exchange_map(
-        shard_list(sf_dir, "orders"), orders_map,
-        lambda t: stable_bucket(t["o_custkey"].to_numpy(zero_copy_only=False), num_buckets),
-        num_buckets, columns=["o_custkey"],
-        filters=(pads.field("o_orderdate") >= pd.Timestamp(ANTI_JOIN_CUTOFF)),
-    )
-
-    @ray.remote
-    def anti_bucket(n_cust: int, *parts: pa.Table) -> pd.DataFrame:
-        c_parts = [p for p in parts[:n_cust] if p.num_rows]
-        if not c_parts:
-            return pd.DataFrame()
-        cust = pa.concat_tables(c_parts)
+    def anti_bucket(b: int, cust: pa.Table, orders) -> pd.DataFrame:
         ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
-        o_parts = [p for p in parts[n_cust:] if p.num_rows]
-        if o_parts:
-            okeys = np.unique(
-                np.concatenate([p["o_custkey"].to_numpy(zero_copy_only=False)
-                                for p in o_parts])
-            )
+        if orders is not None:
+            okeys = np.unique(orders["c_custkey"].to_numpy(zero_copy_only=False))
             keep = ~np.isin(ck, okeys)
         else:
             keep = np.ones(ck.size, dtype=bool)
@@ -574,26 +525,17 @@ def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
         return pd.DataFrame({"c_nationkey": nk.astype(np.int64),
                              "n_customers": cnt.astype(np.int64)})
 
-    n_c = len(c_refs)
-    out = ray.get(
-        [
-            anti_bucket.remote(
-                n_c,
-                *[c_refs[s][b] for s in range(n_c)],
-                *[o_refs[s][b] for s in range(len(o_refs))],
-            )
-            for b in range(num_buckets)
-        ]
+    out = exchange_join(
+        shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
+        anti_bucket, num_buckets, right_map=orders_map,
+        columns_left=["c_custkey", "c_nationkey"], columns_right=["o_custkey"],
+        filters_right=(pads.field("o_orderdate") >= pd.Timestamp(ANTI_JOIN_CUTOFF)),
+        how="left",
     )
-    frames = [f for f in out if len(f)]
-    if not frames:
+    if not len(out):
         return pd.DataFrame({"c_nationkey": pd.Series([], dtype="int64"),
                              "n_customers": pd.Series([], dtype="int64")})
-    return (
-        pd.concat(frames, ignore_index=True)
-        .groupby("c_nationkey", as_index=False, sort=True)["n_customers"]
-        .sum()
-    )
+    return out.groupby("c_nationkey", as_index=False, sort=True)["n_customers"].sum()
 
 
 ANTI_JOIN_SQL = f"""
@@ -944,7 +886,7 @@ def q5_region_nation_revenue(
     """TPC-H Q5-shaped multi-way CHAIN join — the join key changes at every
     hop, so each hop's output is re-exchanged on the next key while staying
     in the object store as per-bucket Arrow tables (stages/hashjoin.py
-    rebucket_refs / exchange_join_refs); the driver holds only ObjectRefs
+    rebucket_refs, exchange.reduce_grid); the driver holds only ObjectRefs
     until the final nation-level partials.
 
         hop 1 (key=custkey):  orders(1996)      ⨝ customer(region nations)
@@ -963,13 +905,8 @@ def q5_region_nation_revenue(
     region/nation are spec-bounded tiny (25 rows) driver lookups."""
     import pyarrow.dataset as pds
 
-    from ..stages.exchange import exchange_map
-    from ..stages.hashjoin import (
-        bloom_probe,
-        build_key_bloom_refs,
-        exchange_join_refs,
-        rebucket_refs,
-    )
+    from ..stages.exchange import exchange_map, reduce_grid
+    from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
     from ..stages.partition import stable_bucket
     from .common import exchange_buckets, shard_list
 
@@ -1014,7 +951,7 @@ def q5_region_nation_revenue(
             j[["o_orderkey", "c_nationkey"]], preserve_index=False
         )
 
-    hop1 = exchange_join_refs(o_grid, c_grid, join1, num_buckets, emit="refs")
+    hop1 = reduce_grid(join1, num_buckets, o_grid, c_grid, emit="refs")
 
     # --- hop 2: hop1 x lineitem on orderkey ---------------------------------
     bits = ray.put(build_key_bloom_refs(hop1, "o_orderkey"))
@@ -1055,7 +992,7 @@ def q5_region_nation_revenue(
         ].sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    hop2 = exchange_join_refs(hop1_grid, li_grid, join2, num_buckets, emit="refs")
+    hop2 = reduce_grid(join2, num_buckets, hop1_grid, li_grid, emit="refs")
 
     # --- hop 3: hop2 x supplier on suppkey, same-nation filter --------------
     def s_map(t: pa.Table) -> pa.Table:
@@ -1078,7 +1015,7 @@ def q5_region_nation_revenue(
         j = j[j.c_nationkey == j.s_nationkey]
         return j.groupby("s_nationkey", as_index=False)["rev_i"].sum()
 
-    parts = exchange_join_refs(hop2_grid, s_grid, join3, num_buckets)
+    parts = reduce_grid(join3, num_buckets, hop2_grid, s_grid)
     if not len(parts):
         return pd.DataFrame({"n_name": pd.Series(dtype=object),
                              "revenue": pd.Series(dtype=float)})
@@ -1107,13 +1044,8 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     nation names are a spec-bounded (25-row) driver lookup."""
     import pyarrow.dataset as pds
 
-    from ..stages.exchange import exchange_map
-    from ..stages.hashjoin import (
-        bloom_probe,
-        build_key_bloom_refs,
-        exchange_join_refs,
-        rebucket_refs,
-    )
+    from ..stages.exchange import exchange_map, reduce_grid
+    from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
     from ..stages.partition import stable_bucket
     from .common import exchange_buckets, shard_list
 
@@ -1155,7 +1087,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
             j[["o_orderkey", "c_nationkey"]], preserve_index=False
         )
 
-    hop1 = exchange_join_refs(o_grid, c_grid, join1, num_buckets, emit="refs")
+    hop1 = reduce_grid(join1, num_buckets, o_grid, c_grid, emit="refs")
 
     # --- hop 2: hop1 x lineitem(ship window) on orderkey ---------------------
     bits = ray.put(build_key_bloom_refs(hop1, "o_orderkey"))
@@ -1209,7 +1141,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
         )["rev_i"].sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    hop2 = exchange_join_refs(hop1_grid, li_grid, join2, num_buckets, emit="refs")
+    hop2 = reduce_grid(join2, num_buckets, hop1_grid, li_grid, emit="refs")
 
     # --- hop 3: hop2 x supplier(nation set) on suppkey, nation INEQUALITY ---
     def s_map(t: pa.Table) -> pa.Table:
@@ -1236,7 +1168,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
             ["s_nationkey", "c_nationkey", "l_year"], as_index=False
         )["rev_i"].sum()
 
-    parts = exchange_join_refs(hop2_grid, s_grid, join3, num_buckets)
+    parts = reduce_grid(join3, num_buckets, hop2_grid, s_grid)
     empty = pd.DataFrame(
         {
             "supp_nation": pd.Series(dtype=object),
@@ -1681,8 +1613,7 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     integer cents so the Ray/SQL sums agree bit-for-bit."""
     import pyarrow.dataset as pds
 
-    from ..stages.exchange import exchange_map
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import exchange_join
     from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
@@ -1724,55 +1655,24 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
             ))}
         )
 
-    def bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["c_custkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
-
-    c_grid = exchange_map(
-        shard_list(sf_dir, "customer"), c_map, bucket_fn, num_buckets,
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
-        filters=pds.field("c_acctbal") > 0,
-    )
-    o_grid = exchange_map(
-        shard_list(sf_dir, "orders"), o_map, bucket_fn, num_buckets,
-        columns=["o_custkey"],
-        filters=pds.field("o_orderdate") >= pd.Timestamp("1999-01-01"),
-    )
-
-    # NOT exchange_join_refs: that helper skips a bucket when either side is
-    # empty, but anti-join semantics must KEEP a bucket's customers when the
-    # orders side is empty there — so the per-bucket task handles the empty
-    # right side explicitly
-    n_c = len(c_grid)
-
-    @ray.remote
-    def anti_agg(*parts) -> pd.DataFrame:
-        cp = [p for p in parts[:n_c] if p is not None and p.num_rows]
-        op = [p for p in parts[n_c:] if p is not None and p.num_rows]
-        if not cp:
-            return pd.DataFrame()
-        cdf = pa.concat_tables(cp).to_pandas()
-        if op:
-            have = np.unique(
-                pa.concat_tables(op)["c_custkey"].to_numpy(zero_copy_only=False)
-            )
+    def anti_agg(b: int, c: pa.Table, o) -> pd.DataFrame:
+        cdf = c.to_pandas()
+        if o is not None:
+            have = np.unique(o["c_custkey"].to_numpy(zero_copy_only=False))
             cdf = cdf[~np.isin(cdf["c_custkey"].to_numpy(), have)]
         return cdf.groupby("c_mktsegment", as_index=False).agg(
             n_custs=("c_custkey", "size"), bal_cents=("bal_cents", "sum")
         )
 
-    frames = ray.get(
-        [
-            anti_agg.remote(
-                *[c_grid[i][b] for i in range(n_c)],
-                *[o_grid[i][b] for i in range(len(o_grid))],
-            )
-            for b in range(num_buckets)
-        ]
+    out = exchange_join(
+        shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
+        anti_agg, num_buckets, left_map=c_map, right_map=o_map,
+        columns_left=["c_custkey", "c_mktsegment", "c_acctbal"],
+        columns_right=["o_custkey"],
+        filters_left=pds.field("c_acctbal") > 0,
+        filters_right=pds.field("o_orderdate") >= pd.Timestamp("1999-01-01"),
+        how="left",
     )
-    frames = [f for f in frames if len(f)]
-    out = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
     empty = pd.DataFrame(
         {
             "c_mktsegment": pd.Series(dtype=object),
@@ -1818,8 +1718,7 @@ def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
     each bucket holds every customer with ALL its order partials and can
     emit its own (k -> n_customers) histogram — the driver folds
     |distinct k| × num_buckets tiny rows."""
-    from ..stages.exchange import exchange_map
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import exchange_join
     from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
@@ -1838,35 +1737,10 @@ def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["c_custkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
-
-    c_grid = exchange_map(
-        shard_list(sf_dir, "customer"), c_map, bucket_fn, num_buckets,
-        columns=["c_custkey"],
-    )
-    o_grid = exchange_map(
-        shard_list(sf_dir, "orders"), o_map, bucket_fn, num_buckets,
-        columns=["o_custkey"],
-    )
-    n_c = len(c_grid)
-
-    @ray.remote
-    def hist_bucket(*parts) -> pd.DataFrame:
-        cp = [p for p in parts[:n_c] if p is not None and p.num_rows]
-        op = [p for p in parts[n_c:] if p is not None and p.num_rows]
-        if not cp:
-            return pd.DataFrame()
-        cust = pa.concat_tables(cp).to_pandas()
-        if op:
-            counts = (
-                pa.concat_tables(op)
-                .to_pandas()
-                .groupby("c_custkey", as_index=False)["n"]
-                .sum()
-            )
+    def hist_bucket(b: int, c: pa.Table, o) -> pd.DataFrame:
+        cust = c.to_pandas()
+        if o is not None:
+            counts = o.to_pandas().groupby("c_custkey", as_index=False)["n"].sum()
             cust = cust.merge(counts, on="c_custkey", how="left")
             cust["n"] = cust["n"].fillna(0).astype(np.int64)
         else:
@@ -1874,28 +1748,19 @@ def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
         g = cust.groupby("n", as_index=False).size()
         return g.rename(columns={"n": "c_count", "size": "n_custs"})
 
-    frames = ray.get(
-        [
-            hist_bucket.remote(
-                *[c_grid[i][b] for i in range(n_c)],
-                *[o_grid[i][b] for i in range(len(o_grid))],
-            )
-            for b in range(num_buckets)
-        ]
+    out = exchange_join(
+        shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
+        hist_bucket, num_buckets, left_map=c_map, right_map=o_map,
+        columns_left=["c_custkey"], columns_right=["o_custkey"], how="left",
     )
-    frames = [f for f in frames if len(f)]
-    if not frames:
+    if not len(out):
         return pd.DataFrame(
             {
                 "c_count": pd.Series(dtype=np.int64),
                 "n_custs": pd.Series(dtype=np.int64),
             }
         )
-    out = (
-        pd.concat(frames, ignore_index=True)
-        .groupby("c_count", as_index=False)["n_custs"]
-        .sum()
-    )
+    out = out.groupby("c_count", as_index=False)["n_custs"].sum()
     out["n_custs"] = out["n_custs"].astype(np.int64)
     return out.sort_values("c_count").reset_index(drop=True)
 
@@ -2217,13 +2082,8 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     urgent_order_month_revenue) so partial sums are order-independent."""
     import pyarrow.dataset as pds
 
-    from ..stages.exchange import exchange_map
-    from ..stages.hashjoin import (
-        bloom_probe,
-        build_key_bloom,
-        exchange_join_refs,
-        rebucket_refs,
-    )
+    from ..stages.exchange import exchange_map, reduce_grid
+    from ..stages.hashjoin import bloom_probe, build_key_bloom, rebucket_refs
     from ..stages.partition import stable_bucket
     from .common import exchange_buckets, shard_list
 
@@ -2285,33 +2145,18 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
         g = j.groupby("o_custkey", as_index=False, sort=False)["rev_i"].sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    hop1 = exchange_join_refs(li_grid, o_grid, join1, num_buckets, emit="refs")
+    hop1 = reduce_grid(join1, num_buckets, li_grid, o_grid, emit="refs")
     grid2 = rebucket_refs(hop1, "o_custkey", num_buckets)
 
-    @ray.remote
-    def topk_bucket(*parts) -> pd.DataFrame:
-        ps = [p for p in parts if p is not None and p.num_rows]
-        if not ps:
-            return pd.DataFrame()
-        g = (
-            pa.concat_tables(ps)
-            .to_pandas()
-            .groupby("o_custkey", as_index=False)["rev_i"]
-            .sum()
-        )
+    def topk_bucket(b: int, t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().groupby("o_custkey", as_index=False)["rev_i"].sum()
         # custkey-complete bucket -> tie-aware partial top-20 is exact
         return g.sort_values(
             ["rev_i", "o_custkey"], ascending=[False, True]
         ).head(20)
 
-    frames = ray.get(
-        [
-            topk_bucket.remote(*[grid2[i][b] for i in range(len(grid2))])
-            for b in range(num_buckets)
-        ]
-    )
-    frames = [f for f in frames if len(f)]
-    if not frames:
+    out = reduce_grid(topk_bucket, num_buckets, grid2)
+    if not len(out):
         return pd.DataFrame(
             {
                 "c_name": pd.Series(dtype=object),
@@ -2320,11 +2165,7 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
                 "revenue": pd.Series(dtype=float),
             }
         )
-    out = (
-        pd.concat(frames, ignore_index=True)
-        .sort_values(["rev_i", "o_custkey"], ascending=[False, True])
-        .head(20)
-    )
+    out = out.sort_values(["rev_i", "o_custkey"], ascending=[False, True]).head(20)
     cust = read_small(
         sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
     )

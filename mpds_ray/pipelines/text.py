@@ -982,9 +982,7 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     def sig_map(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(sig_batch(t), preserve_index=False)
 
-    _EMPTY_PAIRS = EMPTY_PAIR_TABLE
-
-    def bucket_pairs_reduce(tbl: pa.Table) -> pa.Table:
+    def bucket_pairs_reduce(b: int, tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas().drop_duplicates()
         frames = []
         for _, g in df.groupby(["band", "band_hash"], sort=False):
@@ -994,7 +992,7 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
             ii, jj = np.triu_indices(ids.size, k=1)
             frames.append(pd.DataFrame({"doc_a": ids[ii], "doc_b": ids[jj]}))
         if not frames:
-            return _EMPTY_PAIRS
+            return EMPTY_PAIR_TABLE
         return pa.Table.from_pandas(
             pd.concat(frames, ignore_index=True), preserve_index=False
         )
@@ -1009,10 +1007,7 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     # emits its own (doc_id, vb) need table map-side. The driver only ever
     # holds object refs plus one int per bucket (the pair count for the
     # empty-result early exit).
-    import ray
-
-    from ..stages.exchange import auto_num_buckets, exchange_map
-    from ..stages.hashjoin import rebucket_refs
+    from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from ..stages.partition import stable_bucket
 
     n_bb = auto_num_buckets(shards)  # band-hash buckets
@@ -1024,17 +1019,7 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
         shards, sig_map, sig_bucket_fn, n_bb, columns=["doc_id", "text", "source"],
     )
 
-    @ray.remote
-    def pairs_bucket(*parts: pa.Table) -> pa.Table:
-        nonempty = [p for p in parts if p.num_rows]
-        if not nonempty:
-            return _EMPTY_PAIRS
-        return bucket_pairs_reduce(pa.concat_tables(nonempty))
-
-    pair_refs = [
-        pairs_bucket.remote(*[sig_refs[s][b] for s in range(len(shards))])
-        for b in range(n_bb)
-    ]
+    pair_refs = reduce_grid(bucket_pairs_reduce, n_bb, sig_refs, emit="refs")
     return _verify_pairs_exact(shards, pair_refs, threshold)
 
 
@@ -1060,14 +1045,13 @@ def _verify_pairs_exact(
     DuckDB-round convention) before the ``>= threshold`` filter."""
     import ray
 
-    from ..stages.exchange import auto_num_buckets, exchange_map
+    from ..stages.exchange import auto_num_buckets, exchange_map, gather_slices, reduce_grid
     from ..stages.hashjoin import rebucket_refs
 
     if n_vb is None:
         # per-bucket state (pairs + their shingle sets) tracks corpus size,
         # so a FIXED verify fan-out would grow task memory with the input
         n_vb = auto_num_buckets(shards)
-    _EMPTY_PAIRS = EMPTY_PAIR_TABLE
     n_pb = len(pair_refs)
     vb_grid = rebucket_refs(pair_refs, "doc_a", n_vb)
 
@@ -1077,16 +1061,16 @@ def _verify_pairs_exact(
         pair from different bands co-locate by hash(doc_a)) and emit the
         bucket's need relation — the sorted unique doc_ids whose shingles
         this bucket requires. Returns (pairs, need, n_pairs)."""
-        nonempty = [p for p in parts if p.num_rows]
+        pairs = gather_slices(parts)
         empty_need = pa.table(
             {"doc_id": pa.array([], type=pa.int64()),
              "_vb": pa.array([], type=pa.int32())}
         )
-        if not nonempty:
-            return _EMPTY_PAIRS, empty_need, 0
-        df = pa.concat_tables(nonempty).to_pandas().drop_duplicates()
+        if pairs is None:
+            return EMPTY_PAIR_TABLE, empty_need, 0
+        df = pairs.to_pandas().drop_duplicates()
         if not len(df):
-            return _EMPTY_PAIRS, empty_need, 0
+            return EMPTY_PAIR_TABLE, empty_need, 0
         docs = np.unique(np.concatenate(
             [df["doc_a"].to_numpy(), df["doc_b"].to_numpy()]
         ))
@@ -1116,7 +1100,7 @@ def _verify_pairs_exact(
     # and there is no per-pair (or per-doc) Python loop anywhere. Map tasks fetch the need
     # tables from plasma (one shared copy per node), not a driver broadcast.
     def shingle_map(batch: pa.Table) -> pa.Table:
-        needs = [t for t in ray.get(list(need_refs)) if t.num_rows]
+        need_tbl = gather_slices(ray.get(list(need_refs)))
         empty = pa.table(
             {
                 "doc_id": pa.array([], type=pa.int64()),
@@ -1124,9 +1108,8 @@ def _verify_pairs_exact(
                 "shingles": pa.array([], type=pa.list_(pa.uint64())),
             }
         )
-        if not needs:
+        if need_tbl is None:
             return empty
-        need_tbl = pa.concat_tables(needs)
         need_ids = need_tbl["doc_id"].to_numpy(zero_copy_only=False)
         need_vb = need_tbl["_vb"].to_numpy(zero_copy_only=False)
         order = np.argsort(need_ids, kind="stable")
@@ -1176,13 +1159,8 @@ def _verify_pairs_exact(
         columns=["doc_id", "text", "source"],
     )
 
-    @ray.remote
-    def verify_bucket(pairs_tbl: pa.Table, *parts: pa.Table) -> pd.DataFrame:
-        nonempty = [p for p in parts if p.num_rows]
-        if not nonempty or not pairs_tbl.num_rows:
-            return pd.DataFrame()
+    def verify_bucket(b: int, pairs_tbl: pa.Table, tbl: pa.Table) -> pd.DataFrame:
         pairs = pairs_tbl.to_pandas()
-        tbl = pa.concat_tables(nonempty)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         arr = tbl["shingles"].combine_chunks()
         flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1206,20 +1184,123 @@ def _verify_pairs_exact(
         out = pairs.assign(**{metric: round_half_away(score)})
         return out[out[metric] >= threshold]
 
-    out_refs = [
-        verify_bucket.remote(vb_pair_refs[b], *[sh_refs[s][b] for s in range(len(shards))])
-        for b in range(n_vb)
-    ]
-    frames = [f for f in ray.get(out_refs) if len(f)]
-    if not frames:
+    # the pairs refs are a one-source grid: bucket b's pairs lead, and a
+    # bucket without pairs (or without shingles) is skipped
+    out = reduce_grid(verify_bucket, n_vb, [vb_pair_refs], sh_refs)
+    if not len(out):
         return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                              "doc_b": pd.Series([], dtype="int64"),
                              metric: pd.Series([], dtype="float64")})
-    return (
-        pd.concat(frames, ignore_index=True)
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
+# --- shared pieces of the prefix-filter joins --------------------------------
+
+DF_BUCKETS = 1 << 20  # hashed document-frequency counters (4 MB of uint32)
+
+
+def _shingle_df_ref(shards: list[str]):
+    """Global document frequency of every shingle, approximated by a BOUNDED
+    hashed count array (``DF_BUCKETS`` counters): one uint32 bincount per
+    shard task, summed on the driver and broadcast once via ray.put — 4 MB
+    regardless of corpus size. Hash collisions only inflate a counter, which
+    is a perf heuristic: the (df_bucket, hash) key is still a fixed total
+    order, so prefix-filter completeness is unaffected."""
+    import ray
+
+    @ray.remote
+    def shard_df(path: str) -> np.ndarray:
+        import pyarrow.parquet as pq
+
+        t = pq.read_table(path, columns=["doc_id", "text", "source"])
+        tok = tokenize_batch(t)
+        flat, offs = _flat_tokens(tok)
+        sh, sh_offs = _shingles_flat(flat, offs)
+        u, _seg, _n = _unique_per_segment(sh, sh_offs)
+        return np.bincount(
+            (u % np.uint64(DF_BUCKETS)).astype(np.int64), minlength=DF_BUCKETS
+        ).astype(np.uint32)
+
+    # incremental ray.wait fold: driver holds TWO 4 MB arrays at any moment
+    # (the running sum + one arriving partial), not n_shards of them
+    df_counts = np.zeros(DF_BUCKETS, dtype=np.uint64)
+    pending = [shard_df.remote(p) for p in shards]
+    while pending:
+        done, pending = ray.wait(pending, num_returns=1)
+        df_counts += ray.get(done[0])
+    return ray.put(df_counts.astype(np.uint32))
+
+
+def _rarest_first(batch: pa.Table, df_ref, tq_prune: int):
+    """Every doc's distinct shingles in the shared total order — rarest
+    (bucketed df, from ``_shingle_df_ref``) first, hash tiebreak, the fixed
+    order the prefix theorem requires — with the doc's set size and whether
+    the shingle is in the doc's prefix of p = s - ceil(t'·s) + 1 elements
+    at the prune threshold t' = tq_prune / 1e6. Returns (shingle as int64,
+    doc_id, size, in_prefix), one entry per distinct (doc, shingle)."""
+    import ray
+
+    tok = tokenize_batch(batch)
+    flat, offs = _flat_tokens(tok)
+    sh, sh_offs = _shingles_flat(flat, offs)
+    u, seg, n_uniq = _unique_per_segment(sh, sh_offs)
+    doc_ids = tok["doc_id"].to_numpy(zero_copy_only=False)
+    # exact integer ceil((tq_prune/1e6)*s): float np.ceil(0.07*100) == 8,
+    # one too high, which would SHORTEN the prefix and break completeness
+    ceil_ts = -(-(tq_prune * n_uniq.astype(np.int64)) // 1_000_000)
+    p = np.minimum(np.maximum(n_uniq - ceil_ts + 1, 1), n_uniq)
+    dfs = ray.get(df_ref)
+    dfv = dfs[(u % np.uint64(DF_BUCKETS)).astype(np.int64)]
+    order = np.lexsort((u, dfv, seg))
+    u_s, seg_s = u[order], seg[order]
+    # rank within each (contiguous) segment, then keep rank < p
+    doffs = np.r_[0, np.cumsum(n_uniq)]
+    rank = np.arange(u.size, dtype=np.int64) - np.repeat(doffs[:-1], n_uniq)
+    in_prefix = rank < np.repeat(p, n_uniq)
+    return u_s.view(np.int64), doc_ids[seg_s], n_uniq[seg_s], in_prefix
+
+
+def _probe_pairs(probes: np.ndarray, group_start: np.ndarray, group_len: np.ndarray):
+    """Row-index pairs (ii, jj) pairing probe row ``probes[k]`` with every
+    row of its group ``[group_start[k], group_start[k] + group_len[k])``, in
+    probe order, yielded in ranges of at most PAIRWISE_CHUNK_VALUES pairs —
+    a probe whose group is larger than a range spans several."""
+    ends = np.cumsum(group_len)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, PAIRWISE_CHUNK_VALUES):
+        k = np.arange(lo, min(lo + PAIRWISE_CHUNK_VALUES, total), dtype=np.int64)
+        p = np.searchsorted(ends, k, side="right")
+        yield probes[p], group_start[p] + k - (ends[p] - group_len[p])
+
+
+def _containment_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
+    """One containment bucket's candidate (doc_a, doc_b) pairs from its
+    (shingle, doc_id, size, is_probe) rows: each probe row pairs with every
+    row of its shingle group, minus self-pairs and pairs failing the
+    lossless size filter |Sb| >= t'·|Sa| (exact integer-rational compare at
+    t' = tq_prune / 1e6). Fully vectorized — no per-shingle Python loop; the
+    probe x posting expansion runs through ``_probe_pairs`` in bounded
+    ranges, so a hot shingle cannot blow up one task's allocations."""
+    sh = tbl["shingle"].to_numpy(zero_copy_only=False)
+    did = tbl["doc_id"].to_numpy(zero_copy_only=False)
+    sz = tbl["size"].to_numpy(zero_copy_only=False)
+    probe = tbl["is_probe"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((did, sh))
+    sh, did, sz, probe = sh[order], did[order], sz[order], probe[order]
+    starts = np.r_[0, np.flatnonzero(sh[1:] != sh[:-1]) + 1]
+    counts = np.diff(np.r_[starts, sh.size])
+    seg_id = np.repeat(np.arange(starts.size), counts)
+    probes = np.flatnonzero(probe)
+    g_of_p = seg_id[probes]
+    doc_a, doc_b = [did[:0]], [did[:0]]
+    for ii, jj in _probe_pairs(probes, starts[g_of_p], counts[g_of_p]):
+        keep = (did[ii] != did[jj]) & (sz[jj] * 1_000_000 >= tq_prune * sz[ii])
+        doc_a.append(did[ii[keep]])
+        doc_b.append(did[jj[keep]])
+    out = pd.DataFrame({"doc_a": np.concatenate(doc_a), "doc_b": np.concatenate(doc_b)})
+    if not len(out):
+        return EMPTY_PAIR_TABLE
+    return pa.Table.from_pandas(out.drop_duplicates(), preserve_index=False)
 
 
 # --- exact set-similarity join (prefix filter, Vernica et al. SIGMOD'10) ---
@@ -1247,15 +1328,9 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     Prefix ORDER is frequency-ascending (the Vernica et al. heuristic):
     without it, common shingles land in prefixes and per-shingle candidate
     groups explode quadratically (measured 10.4 s at sf0.1 under plain hash
-    order vs rare-first). Global document frequency is approximated by a
-    BOUNDED hashed count array (2^20 buckets, one uint32 bincount per shard
-    summed on the driver and broadcast once via ray.put — 4 MB regardless
-    of corpus size; hash collisions only inflate a bucket's df, which is a
-    perf heuristic: the (df_bucket, hash) key is still a fixed total order,
-    so completeness is unaffected)."""
-    import ray
-
-    from ..stages.exchange import auto_num_buckets, exchange_map
+    order vs rare-first); document frequency is the bounded hashed count of
+    ``_shingle_df_ref`` and the order is ``_rarest_first``'s."""
+    from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from ..stages.partition import stable_bucket
     from .common import shard_list
 
@@ -1263,7 +1338,6 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     # prefix-shingle buckets from input bytes: a fixed fan-out would make
     # each reduce task's share of ALL prefix entries grow with the corpus
     n_tb = auto_num_buckets(shards)
-    DF_BUCKETS = 1 << 20
     # The committed contract is round(J, 6) >= threshold, so a pair with
     # true J as low as threshold - 5e-7 can round UP into the result.
     # Candidate pruning therefore uses tq_prune = floor(t*1e6) - 1, i.e. a
@@ -1274,54 +1348,15 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     # filter is the verify tail's exact 6-dp-rounded Jaccard >= threshold.
     tq_prune = max(int(threshold * 1_000_000) - 1, 0)
 
-    @ray.remote
-    def shard_df(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "text", "source"])
-        tok = tokenize_batch(t)
-        flat, offs = _flat_tokens(tok)
-        sh, sh_offs = _shingles_flat(flat, offs)
-        u, _seg, _n = _unique_per_segment(sh, sh_offs)
-        return np.bincount(
-            (u % np.uint64(DF_BUCKETS)).astype(np.int64), minlength=DF_BUCKETS
-        ).astype(np.uint32)
-
-    # incremental ray.wait fold: driver holds TWO 4 MB arrays at any moment
-    # (the running sum + one arriving partial), not n_shards of them
-    df_counts = np.zeros(DF_BUCKETS, dtype=np.uint64)
-    pending = [shard_df.remote(p) for p in shards]
-    while pending:
-        done, pending = ray.wait(pending, num_returns=1)
-        df_counts += ray.get(done[0])
-    df_ref = ray.put(df_counts.astype(np.uint32))
+    df_ref = _shingle_df_ref(shards)
 
     def prefix_map(batch: pa.Table) -> pa.Table:
-        tok = tokenize_batch(batch)
-        flat, offs = _flat_tokens(tok)
-        sh, sh_offs = _shingles_flat(flat, offs)
-        u, seg, n_uniq = _unique_per_segment(sh, sh_offs)
-        doc_ids = tok["doc_id"].to_numpy(zero_copy_only=False)
-        # exact integer ceil((tq_prune/1e6)*s): float np.ceil(0.07*100) == 8,
-        # one too high, which would SHORTEN the prefix and break completeness
-        ceil_ts = -(-(tq_prune * n_uniq.astype(np.int64)) // 1_000_000)
-        p = n_uniq - ceil_ts + 1
-        p = np.minimum(np.maximum(p, 1), n_uniq)
-        # per-doc order: rarest (bucketed-df) first, hash tiebreak — a fixed
-        # total order shared by every doc, required by the prefix theorem
-        dfs = ray.get(df_ref)
-        dfv = dfs[(u % np.uint64(DF_BUCKETS)).astype(np.int64)]
-        order = np.lexsort((u, dfv, seg))
-        u_s, seg_s = u[order], seg[order]
-        # rank within each (contiguous) segment, then keep rank < p
-        doffs = np.r_[0, np.cumsum(n_uniq)]
-        rank = np.arange(u.size, dtype=np.int64) - np.repeat(doffs[:-1], n_uniq)
-        take = rank < np.repeat(p, n_uniq)
+        sh, did, size, in_prefix = _rarest_first(batch, df_ref, tq_prune)
         return pa.table(
             {
-                "shingle": pa.array(u_s[take].view(np.int64)),
-                "doc_id": pa.array(doc_ids[seg_s[take]], type=pa.int64()),
-                "size": pa.array(n_uniq[seg_s[take]], type=pa.int64()),
+                "shingle": pa.array(sh[in_prefix]),
+                "doc_id": pa.array(did[in_prefix], type=pa.int64()),
+                "size": pa.array(size[in_prefix], type=pa.int64()),
             }
         )
 
@@ -1332,14 +1367,7 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
         shards, prefix_map, tb_bucket_fn, n_tb, columns=["doc_id", "text", "source"],
     )
 
-    _EMPTY = EMPTY_PAIR_TABLE
-
-    @ray.remote
-    def candidates_bucket(*parts: pa.Table) -> pa.Table:
-        nonempty = [q for q in parts if q.num_rows]
-        if not nonempty:
-            return _EMPTY
-        tbl = pa.concat_tables(nonempty)
+    def candidates_bucket(b: int, tbl: pa.Table) -> pa.Table:
         sh = tbl["shingle"].to_numpy(zero_copy_only=False)
         did = tbl["doc_id"].to_numpy(zero_copy_only=False)
         sz = tbl["size"].to_numpy(zero_copy_only=False)
@@ -1352,7 +1380,7 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
         counts = np.diff(np.r_[starts, sh.size])
         multi = counts >= 2
         if not multi.any():
-            return _EMPTY
+            return EMPTY_PAIR_TABLE
         frames = []
         for s0, c in zip(starts[multi], counts[multi]):
             ids = did[s0 : s0 + c]
@@ -1370,14 +1398,11 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
                     pd.DataFrame({"doc_a": ids[ii[ok]], "doc_b": ids[jj[ok]]})
                 )
         if not frames:
-            return _EMPTY
+            return EMPTY_PAIR_TABLE
         out = pd.concat(frames, ignore_index=True).drop_duplicates()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pair_refs = [
-        candidates_bucket.remote(*[tok_refs[s][b] for s in range(len(shards))])
-        for b in range(n_tb)
-    ]
+    pair_refs = reduce_grid(candidates_bucket, n_tb, tok_refs, emit="refs")
     return _verify_pairs_exact(shards, pair_refs, threshold)
 
 
@@ -1436,57 +1461,24 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
 
     Verification runs through the shared exchange-routed exact tail with
     ``metric='containment'``."""
-    import ray
-
-    from ..stages.exchange import auto_num_buckets, exchange_map
+    from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from ..stages.partition import stable_bucket
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
     n_cb = auto_num_buckets(shards)
-    DF_BUCKETS = 1 << 20
     tq_prune = max(int(threshold * 1_000_000) - 1, 0)
 
-    @ray.remote
-    def shard_df(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "text", "source"])
-        tok = tokenize_batch(t)
-        flat, offs = _flat_tokens(tok)
-        sh, sh_offs = _shingles_flat(flat, offs)
-        u, _seg, _n = _unique_per_segment(sh, sh_offs)
-        return np.bincount(
-            (u % np.uint64(DF_BUCKETS)).astype(np.int64), minlength=DF_BUCKETS
-        ).astype(np.uint32)
-
-    df_counts = np.zeros(DF_BUCKETS, dtype=np.uint64)
-    pending = [shard_df.remote(p) for p in shards]
-    while pending:
-        done, pending = ray.wait(pending, num_returns=1)
-        df_counts += ray.get(done[0])
-    df_ref = ray.put(df_counts.astype(np.uint32))
+    df_ref = _shingle_df_ref(shards)
 
     def posting_map(batch: pa.Table) -> pa.Table:
-        tok = tokenize_batch(batch)
-        flat, offs = _flat_tokens(tok)
-        sh, sh_offs = _shingles_flat(flat, offs)
-        u, seg, n_uniq = _unique_per_segment(sh, sh_offs)
-        doc_ids = tok["doc_id"].to_numpy(zero_copy_only=False)
-        ceil_ts = -(-(tq_prune * n_uniq.astype(np.int64)) // 1_000_000)
-        p = np.minimum(np.maximum(n_uniq - ceil_ts + 1, 1), n_uniq)
-        dfs = ray.get(df_ref)
-        dfv = dfs[(u % np.uint64(DF_BUCKETS)).astype(np.int64)]
-        order = np.lexsort((u, dfv, seg))
-        u_s, seg_s = u[order], seg[order]
-        doffs = np.r_[0, np.cumsum(n_uniq)]
-        rank = np.arange(u.size, dtype=np.int64) - np.repeat(doffs[:-1], n_uniq)
+        sh, did, size, in_prefix = _rarest_first(batch, df_ref, tq_prune)
         return pa.table(
             {
-                "shingle": pa.array(u_s.view(np.int64)),
-                "doc_id": pa.array(doc_ids[seg_s], type=pa.int64()),
-                "size": pa.array(np.repeat(n_uniq, n_uniq), type=pa.int64()),
-                "is_probe": pa.array(rank < np.repeat(p, n_uniq)),
+                "shingle": pa.array(sh),
+                "doc_id": pa.array(did, type=pa.int64()),
+                "size": pa.array(size, type=pa.int64()),
+                "is_probe": pa.array(in_prefix),
             }
         )
 
@@ -1497,52 +1489,10 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
         shards, posting_map, cb_bucket_fn, n_cb, columns=["doc_id", "text", "source"],
     )
 
-    _EMPTY = EMPTY_PAIR_TABLE
+    def candidates_bucket(b: int, tbl: pa.Table) -> pa.Table:
+        return _containment_candidates(tbl, tq_prune)
 
-    @ray.remote
-    def candidates_bucket(*parts: pa.Table) -> pa.Table:
-        nonempty = [q for q in parts if q.num_rows]
-        if not nonempty:
-            return _EMPTY
-        tbl = pa.concat_tables(nonempty)
-        sh = tbl["shingle"].to_numpy(zero_copy_only=False)
-        did = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        sz = tbl["size"].to_numpy(zero_copy_only=False)
-        probe = tbl["is_probe"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, sh))
-        sh, did, sz, probe = sh[order], did[order], sz[order], probe[order]
-        starts = np.r_[0, np.flatnonzero(sh[1:] != sh[:-1]) + 1]
-        counts = np.diff(np.r_[starts, sh.size])
-        # fully vectorized probe x posting expansion — NO per-shingle
-        # Python loop: each probe row pairs with every row of its shingle
-        # group via one segment-arange; singleton groups and self-pairs
-        # vanish in the a != b mask
-        seg_id = np.repeat(np.arange(starts.size), counts)
-        probes = np.flatnonzero(probe)
-        if not probes.size:
-            return _EMPTY
-        g_of_p = seg_id[probes]
-        reps = counts[g_of_p]
-        total = int(reps.sum())
-        ii = np.repeat(probes, reps)
-        out_start = np.r_[0, np.cumsum(reps)[:-1]]
-        jj = np.repeat(starts[g_of_p] - out_start, reps) + np.arange(
-            total, dtype=np.int64
-        )
-        keep = did[ii] != did[jj]
-        # lossless size filter: |Sb| >= t' * |Sa| at the prune rational
-        keep &= sz[jj] * 1_000_000 >= tq_prune * sz[ii]
-        if not keep.any():
-            return _EMPTY
-        out = pd.DataFrame(
-            {"doc_a": did[ii[keep]], "doc_b": did[jj[keep]]}
-        ).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    pair_refs = [
-        candidates_bucket.remote(*[post_refs[s][b] for s in range(len(shards))])
-        for b in range(n_cb)
-    ]
+    pair_refs = reduce_grid(candidates_bucket, n_cb, post_refs, emit="refs")
     return _verify_pairs_exact(shards, pair_refs, threshold, metric="containment")
 
 

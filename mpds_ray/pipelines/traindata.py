@@ -345,7 +345,7 @@ PACK_CTX = 512
 def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = None):
     import ray
 
-    from ..stages.exchange import auto_num_buckets, exchange_map
+    from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
@@ -386,31 +386,21 @@ def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = N
     # pass 2: range exchange + per-bucket ordered cumsum
     refs = exchange_map(shards, map_fn, bucket_fn, num_buckets, columns=["doc_id", "text"])
 
-    @ray.remote
-    def reduce_bucket(b: int, offset: int, *parts: pa.Table) -> pd.DataFrame:
-        nonempty = [p for p in parts if p.num_rows]
-        if not nonempty:
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "tok_start": pd.Series([], dtype="int64"),
-                 "chunk_id": pd.Series([], dtype="int64")}
-            )
-        df = pa.concat_tables(nonempty).to_pandas().sort_values("doc_id", kind="mergesort")
+    def reduce_bucket(b: int, t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values("doc_id", kind="mergesort")
         n = df["n_tok"].to_numpy()
-        start = offset + np.r_[0, np.cumsum(n)[:-1]]
+        start = int(offsets[b]) + np.r_[0, np.cumsum(n)[:-1]]
         return pd.DataFrame(
             {"doc_id": df["doc_id"].to_numpy(),
              "tok_start": start,
              "chunk_id": start // ctx}
         )
 
-    out = ray.get(
-        [
-            reduce_bucket.remote(b, int(offsets[b]), *[refs[s][b] for s in range(len(shards))])
-            for b in range(num_buckets)
-        ]
-    )
-    return pd.concat(out, ignore_index=True).sort_values("doc_id").reset_index(drop=True)
+    out = reduce_grid(reduce_bucket, num_buckets, refs)
+    if not len(out):
+        cols = ("doc_id", "tok_start", "chunk_id")
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
+    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 PACK_SQL = f"""
@@ -792,8 +782,8 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
     import ray
 
-    from ..stages.exchange import auto_num_buckets, exchange_map
-    from ..stages.hashjoin import exchange_join_refs, rebucket_refs
+    from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
+    from ..stages.hashjoin import rebucket_refs
     from ..stages.partition import stable_bucket
     from .common import shard_list, tpath
 
@@ -828,23 +818,11 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
         shards, hash_map, bucket_hash, num_buckets, columns=["doc_id", "text"]
     )
 
-    @ray.remote
-    def keep_bucket(*parts) -> pa.Table:
-        ps = [p for p in parts if p is not None and p.num_rows]
-        if not ps:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        g = (
-            pa.concat_tables(ps)
-            .to_pandas()
-            .groupby("text_hash", sort=False)["doc_id"]
-            .min()
-        )
+    def keep_bucket(b: int, t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby("text_hash", sort=False)["doc_id"].min()
         return pa.table({"doc_id": pa.array(g.to_numpy(), pa.int64())})
 
-    keep_refs = [
-        keep_bucket.remote(*[h_grid[s][b] for s in range(len(shards))])
-        for b in range(num_buckets)
-    ]
+    keep_refs = reduce_grid(keep_bucket, num_buckets, h_grid, emit="refs")
     keep_grid = rebucket_refs(keep_refs, "doc_id", num_buckets)
 
     # --- exchange 2: per-doc flag rows on doc_id ----------------------------
@@ -901,7 +879,7 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
             n_docs=("doc_id", "size"), n_words_kept=("n_words", "sum")
         )
 
-    parts = exchange_join_refs(keep_grid, f_grid, join_flags, num_buckets)
+    parts = reduce_grid(join_flags, num_buckets, keep_grid, f_grid)
     empty = pd.DataFrame(
         {
             "source": pd.Series(dtype=object),

@@ -8,14 +8,23 @@ integer in [0, P), so the engine provides the classic MR-style alternative,
 built from raw Ray tasks exactly as SURVEY §2 licenses for operators the
 Dataset API cannot express efficiently:
 
-    map task (one per input shard, fully parallel):
-        read shard -> map_fn -> bucket = stable_hash(entity) % P
+    map task (``exchange_map``, one per input shard, fully parallel):
+        read shard -> map_fn -> bucket = bucket_fn(rows) in [0, P)
         -> ONE stable argsort by bucket -> P zero-copy table slices
         (``num_returns=P``: each slice is its own object, fetched only by
         its reduce task — the all-to-all moves through the object store
         with no driver barrier)
-    reduce task (one per bucket, fully parallel):
-        concat its P_in slices -> reduce_fn(bucket_table)
+    reduce task (``reduce_grid``, one per bucket, fully parallel):
+        per source grid, concat bucket b's non-empty slices (``None`` when
+        the grid has no rows there) -> reduce_fn(b, *tables)
+
+``reduce_grid`` is the one reducer of every exchange: a one-grid reduce
+(``hash_exchange``), a two-sided join (``hashjoin.exchange_join``) and each
+hop of a chained join. Its empty-side rule: a bucket whose FIRST grid has no
+rows is skipped; with ``how='inner'`` so is a bucket where any other grid is
+empty, while ``how='left'`` calls ``reduce_fn`` with ``None`` for the empty
+side. ``emit='pandas'`` concatenates the reduce outputs on the driver under
+``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` leaves them in the object store.
 
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
@@ -32,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
+from itertools import accumulate
 
 import numpy as np
 import pandas as pd
@@ -39,6 +49,12 @@ import pyarrow as pa
 import ray
 
 from .partition import stable_bucket
+
+# every driver-side combiner root must be BOUNDED by construction (key
+# domain x batches, k x batches, candidate set, ...). The cap turns a silent
+# unbounded collect (a future fact-table key riding the driver combiner)
+# into a loud error naming the fix (VERDICT r2 'Next round' #7).
+DRIVER_ROOT_ROW_CAP = 5_000_000
 
 
 def accepts_n_positional(fn, n: int) -> bool:
@@ -111,7 +127,6 @@ def exchange_map(
     map_fn: Callable[[pa.Table], pa.Table],
     bucket_fn: Callable[[pa.Table], np.ndarray],
     num_buckets: int,
-    map_num_cpus: float = 1.0,
     columns: list[str] | None = None,
     filters=None,
     sort_keys: list[str] | None = None,
@@ -120,8 +135,9 @@ def exchange_map(
     """Map phase only: one task per shard, ``bucket_fn`` assigns each row a
     bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of shard s
     destined for bucket b (each its own object — fetched only by its
-    consumer). Callers drive the reduce side (the flagship streams each
-    bucket through a carry scan into a resumable sink).
+    consumer). ``reduce_grid`` drives the reduce side; the flagship drives
+    its own (it streams each bucket through a carry scan into a resumable
+    sink).
 
     ``columns`` prunes the shard read; ``filters`` (a pyarrow dataset
     expression) pushes a row predicate into the scan — row-group pruning at
@@ -135,7 +151,7 @@ def exchange_map(
 
     map_takes_path = accepts_n_positional(map_fn, 2)
 
-    @ray.remote(num_cpus=map_num_cpus, num_returns=num_buckets)
+    @ray.remote(num_returns=num_buckets)
     def map_shard(path: str):
         import pyarrow.parquet as pq
 
@@ -155,17 +171,72 @@ def exchange_map(
     return refs
 
 
+def gather_slices(parts) -> pa.Table | None:
+    """One bucket's slices from one grid, concatenated: empty and ``None``
+    slices dropped, ``None`` when no slice holds rows."""
+    nonempty = [p for p in parts if p is not None and p.num_rows]
+    return pa.concat_tables(nonempty) if nonempty else None
+
+
+def reduce_grid(
+    reduce_fn: Callable[..., object],
+    num_buckets: int,
+    *grids: list[list["ray.ObjectRef"]],
+    how: str = "inner",
+    emit: str = "pandas",
+):
+    """One reduce task per bucket over ``refs[s][b]`` grids (from
+    ``exchange_map`` or ``hashjoin.rebucket_refs``): bucket ``b`` calls
+    ``reduce_fn(b, *tables)`` with one table per grid, the concatenation of
+    that grid's non-empty slices, or ``None`` when it has none.
+
+    The bucket is skipped when the first grid has no rows there; with
+    ``how='inner'`` also when any other grid has none, while ``how='left'``
+    passes ``None`` and ``reduce_fn`` must read it as zero matches.
+
+    ``emit='pandas'`` ray.gets the (small) outputs and concatenates the
+    non-empty ones under ``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` returns one
+    ref per bucket (resolving to ``None`` for a skipped bucket) and leaves
+    the outputs in the object store for the next hop."""
+    if how not in ("inner", "left"):
+        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
+    ends = list(accumulate(len(g) for g in grids))
+    spans = list(zip([0] + ends[:-1], ends))  # each grid's run of task args
+
+    @ray.remote
+    def reduce_bucket(b: int, *parts):
+        tables = [gather_slices(parts[lo:hi]) for lo, hi in spans]
+        if tables[0] is None or (how == "inner" and any(t is None for t in tables)):
+            return None
+        return reduce_fn(b, *tables)
+
+    out = [
+        reduce_bucket.remote(b, *[row[b] for g in grids for row in g])
+        for b in range(num_buckets)
+    ]
+    if emit == "refs":
+        return out
+    frames = [f for f in ray.get(out) if f is not None and len(f)]
+    res = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    if len(res) > DRIVER_ROOT_ROW_CAP:
+        raise RuntimeError(
+            f"reduce_grid driver root collected {len(res):,} rows "
+            f"(> cap {DRIVER_ROOT_ROW_CAP:,}): make reduce_fn emit aggregated "
+            "partials / top-k, or keep emit='refs' and write per bucket"
+        )
+    return res
+
+
 def hash_exchange(
     shard_paths: list[str],
     map_fn: Callable[[pa.Table], pa.Table],
     entity_col: str,
     num_buckets: int | None,
     reduce_fn: Callable[[int, pa.Table], pd.DataFrame],
-    map_num_cpus: float = 1.0,
-    reduce_num_cpus: float = 1.0,
     columns: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Run the exchange; returns the concatenated reduce outputs (small).
+    """Exchange on ``hash(entity_col) % num_buckets`` and return the
+    concatenated reduce outputs (small, under the driver-root cap).
     ``columns`` prunes the shard read (only those columns leave storage).
     ``num_buckets=None`` takes ``auto_num_buckets(shard_paths)``.
 
@@ -180,18 +251,5 @@ def hash_exchange(
     def bucket_fn(t: pa.Table) -> np.ndarray:
         return stable_bucket(t[entity_col].to_numpy(zero_copy_only=False), num_buckets)
 
-    refs = exchange_map(shard_paths, map_fn, bucket_fn, num_buckets, map_num_cpus, columns)
-
-    @ray.remote(num_cpus=reduce_num_cpus)
-    def reduce_bucket(b: int, *parts: pa.Table):
-        nonempty = [p for p in parts if p.num_rows]
-        if not nonempty:
-            return pd.DataFrame()
-        return reduce_fn(b, pa.concat_tables(nonempty))
-
-    out = [
-        reduce_bucket.remote(b, *[refs[s][b] for s in range(len(shard_paths))])
-        for b in range(num_buckets)
-    ]
-    frames = [f for f in ray.get(out) if len(f)]
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    refs = exchange_map(shard_paths, map_fn, bucket_fn, num_buckets, columns=columns)
+    return reduce_grid(reduce_fn, num_buckets, refs)

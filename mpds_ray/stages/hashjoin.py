@@ -1,8 +1,7 @@
 """General two-sided distributed hash equi-join over the explicit exchange.
 
-The join shape q3 (pipelines/relational.py:q3_top_orders) builds inline,
-extracted as a reusable operator: both inputs exchange on the SAME key with
-the SAME bucket function, and each reduce task joins its co-partitioned
+Both inputs exchange on the SAME key with the SAME bucket function
+(``exchange_map``), and ``exchange.reduce_grid`` joins each co-partitioned
 bucket pair. Map fns can pre-aggregate (combiner) so only partials shuffle;
 filters push into the parquet scans so filtered rows never leave storage.
 
@@ -12,7 +11,9 @@ filters push into the parquet scans so filtered rows never leave storage.
 
 Returns the concatenated per-bucket reduce outputs (callers make the reduce
 output SMALL — aggregated partials or top-k — or write it out per bucket;
-the concat is a driver root and is bound-checked)."""
+the concat is a driver root and is bound-checked). A chained join keeps its
+hops in the object store instead: ``rebucket_refs`` re-keys a hop's outputs
+and ``reduce_grid(..., emit='refs')`` joins the next hop."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from .exchange import auto_num_buckets, exchange_map
+from .exchange import _split_by_bucket, auto_num_buckets, exchange_map, reduce_grid
 from .partition import stable_bucket
 
 # --- bloom-filter join prefilter -------------------------------------------
@@ -115,7 +116,6 @@ def exchange_join(
     columns_right: list[str] | None = None,
     filters_left=None,
     filters_right=None,
-    driver_row_cap: int = 5_000_000,
     bloom_from: str | None = None,
     bloom_bits: int = 1 << 23,
     bloom_hashes: int = 4,
@@ -134,9 +134,9 @@ def exchange_join(
 
     ``how='left'`` preserves LEFT rows in buckets where the right side is
     empty: ``reduce_fn`` is then called as ``reduce_fn(b, left_tbl,
-    right_tbl_or_None)`` and must treat ``None`` as zero matches (the
-    documented footgun of the inner path, which SKIPS one-sided buckets —
-    wrong for LEFT/anti semantics). ``bloom_from='right'`` is rejected for
+    right_tbl_or_None)`` and must treat ``None`` as zero matches (the inner
+    path SKIPS one-sided buckets — wrong for LEFT/anti semantics; see
+    ``reduce_grid``). ``bloom_from='right'`` is rejected for
     'left' — it prefilters the preserved side, dropping its unmatched rows;
     ``bloom_from='left'`` (filtering the nullable side) remains valid."""
     if num_buckets is None:
@@ -145,8 +145,6 @@ def exchange_join(
     def bucket_fn(t: pa.Table) -> np.ndarray:
         return stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
 
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     if how == "left" and bloom_from == "right":
         raise ValueError(
             "bloom_from='right' with how='left' would prefilter the "
@@ -194,36 +192,7 @@ def exchange_join(
         columns=columns_right, filters=filters_right,
     )
 
-    @ray.remote
-    def join_bucket(b: int, n_left: int, *parts: pa.Table) -> pd.DataFrame:
-        lp = [p for p in parts[:n_left] if p.num_rows]
-        rp = [p for p in parts[n_left:] if p.num_rows]
-        if not lp:
-            return pd.DataFrame()
-        if not rp:
-            if how == "left":
-                return reduce_fn(b, pa.concat_tables(lp), None)
-            return pd.DataFrame()
-        return reduce_fn(b, pa.concat_tables(lp), pa.concat_tables(rp))
-
-    out = [
-        join_bucket.remote(
-            b,
-            len(left_shards),
-            *[l_refs[s][b] for s in range(len(left_shards))],
-            *[r_refs[s][b] for s in range(len(right_shards))],
-        )
-        for b in range(num_buckets)
-    ]
-    frames = [f for f in ray.get(out) if len(f)]
-    res = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
-    if len(res) > driver_row_cap:
-        raise RuntimeError(
-            f"exchange_join driver root collected {len(res):,} rows "
-            f"(> cap {driver_row_cap:,}): make reduce_fn emit aggregated "
-            "partials / top-k, or write per-bucket output instead"
-        )
-    return res
+    return reduce_grid(reduce_fn, num_buckets, l_refs, r_refs, how=how)
 
 
 # --- chained (multi-way) exchange joins -------------------------------------
@@ -236,10 +205,10 @@ def exchange_join(
 # through the driver zero times. Compose:
 #
 #   grid_l = exchange_map(paths, ..., bucket_fn(key1), B1)    # from storage
-#   refs1  = exchange_join_refs(grid_l, grid_r, reduce1, B1, emit="refs")
+#   refs1  = reduce_grid(reduce1, B1, grid_l, grid_r, emit="refs")
 #   grid2  = rebucket_refs(refs1, key2, B2)                   # re-key hop
-#   refs2  = exchange_join_refs(grid2, grid_fact2, reduce2, B2, emit="refs")
-#   final  = exchange_join_refs(..., emit="pandas")           # small root
+#   refs2  = reduce_grid(reduce2, B2, grid2, grid_fact2, emit="refs")
+#   final  = reduce_grid(reduce3, B3, ...)                    # small root
 #
 # reduce_fn for emit="refs" must return a pyarrow Table (pre-aggregate /
 # project so hops shrink); for emit="pandas" a small pandas DataFrame.
@@ -256,7 +225,6 @@ def rebucket_refs(
     ``refs[i][b]`` grid shape ``exchange_map`` produces, so the two exchange
     sources compose interchangeably. Empty/None upstream outputs yield
     zero-row slices that the bucket join skips."""
-    from .exchange import _split_by_bucket
 
     @ray.remote(num_returns=num_buckets)
     def split(t):
@@ -297,48 +265,3 @@ def build_key_bloom_refs(
     for p in parts:
         out |= p
     return out
-
-
-def exchange_join_refs(
-    left_refs: list[list["ray.ObjectRef"]],
-    right_refs: list[list["ray.ObjectRef"]],
-    reduce_fn: Callable[[int, pa.Table, pa.Table], object],
-    num_buckets: int,
-    emit: str = "pandas",
-    driver_row_cap: int = 5_000_000,
-):
-    """Per-bucket join over two ``refs[i][b]`` grids (from ``exchange_map``
-    or ``rebucket_refs``). ``emit='pandas'`` ray.gets the (small) reduce
-    outputs and concatenates under the driver-root cap; ``emit='refs'``
-    leaves each bucket's output pyarrow Table in the object store and
-    returns the list of refs for the next hop."""
-
-    n_left = len(left_refs)
-
-    @ray.remote
-    def join_bucket(b: int, *parts):
-        lp = [p for p in parts[:n_left] if p is not None and p.num_rows]
-        rp = [p for p in parts[n_left:] if p is not None and p.num_rows]
-        if not lp or not rp:
-            return None if emit == "refs" else pd.DataFrame()
-        return reduce_fn(b, pa.concat_tables(lp), pa.concat_tables(rp))
-
-    out = [
-        join_bucket.remote(
-            b,
-            *[left_refs[i][b] for i in range(n_left)],
-            *[right_refs[i][b] for i in range(len(right_refs))],
-        )
-        for b in range(num_buckets)
-    ]
-    if emit == "refs":
-        return out
-    frames = [f for f in ray.get(out) if f is not None and len(f)]
-    res = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
-    if len(res) > driver_row_cap:
-        raise RuntimeError(
-            f"exchange_join_refs driver root collected {len(res):,} rows "
-            f"(> cap {driver_row_cap:,}): aggregate in reduce_fn or keep "
-            "emit='refs' and write per bucket"
-        )
-    return res

@@ -1,5 +1,5 @@
-"""partial_groupby_sum: driver-final (bounded-key combiner root) and
-dataset-final (distributed) must agree exactly."""
+"""partial_groupby_sum (map-side partials folded at a bounded driver root)
+must equal a pandas groupby of the same rows."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 
 
-def test_driver_and_dataset_final_agree(ray_session):
+def test_driver_fold_matches_pandas(ray_session):
     import ray.data as rd
 
     from mpds_ray.pipelines.common import partial_groupby_sum
@@ -23,27 +23,18 @@ def test_driver_and_dataset_final_agree(ray_session):
     )
     ds = rd.from_pandas(df).repartition(6)
 
-    def canon(res):
-        out = res if isinstance(res, pd.DataFrame) else res.to_pandas()
-        out = out[sorted(out.columns)].sort_values(["k", "k2"]).reset_index(drop=True)
-        return out
+    def canon(out):
+        return out[sorted(out.columns)].sort_values(["k", "k2"]).reset_index(drop=True)
 
     a = canon(
         partial_groupby_sum(ds, ["k", "k2"], {"v": "sum_v", "w": "sum_w"},
-                            count_as="n", final="driver").to_pandas()
-    )
-    b = canon(
-        partial_groupby_sum(ds, ["k", "k2"], {"v": "sum_v", "w": "sum_w"},
-                            count_as="n", final="dataset").to_pandas()
+                            count_as="n").to_pandas()
     )
     assert a["n"].sum() == len(df)
-    pd.testing.assert_series_equal(a["n"], b["n"])
-    np.testing.assert_allclose(a["sum_v"], b["sum_v"], rtol=1e-12)
-    np.testing.assert_allclose(a["sum_w"], b["sum_w"], rtol=1e-12)
     # pandas ground truth
-    want = df.groupby(["k", "k2"], as_index=False).agg(
+    want = canon(df.groupby(["k", "k2"], as_index=False).agg(
         sum_v=("v", "sum"), sum_w=("w", "sum"), n=("v", "size")
-    )
-    want = want[sorted(want.columns)].sort_values(["k", "k2"]).reset_index(drop=True)
+    ))
     np.testing.assert_allclose(a["sum_v"], want["sum_v"], rtol=1e-12)
+    np.testing.assert_allclose(a["sum_w"], want["sum_w"], rtol=1e-12)
     assert (a["n"].to_numpy() == want["n"].to_numpy()).all()

@@ -1,4 +1,4 @@
-"""Chained (multi-way) exchange joins: rebucket_refs + exchange_join_refs.
+"""Chained (multi-way) exchange joins: rebucket_refs + reduce_grid.
 
 - a two-hop chain (fact ⨝ dimA on k1, result ⨝ dimB on k2) matches a single
   driver-side pandas merge exactly, across bucket counts (including hops
@@ -16,13 +16,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from mpds_ray.stages.exchange import exchange_map
-from mpds_ray.stages.hashjoin import (
-    bloom_probe,
-    build_key_bloom_refs,
-    exchange_join_refs,
-    rebucket_refs,
-)
+from mpds_ray.stages.exchange import exchange_map, reduce_grid
+from mpds_ray.stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
 from mpds_ray.stages.partition import stable_bucket
 
 
@@ -80,7 +75,7 @@ def _chain(fact_paths, a_paths, b_paths, b1, b2):
         j = f.to_pandas().merge(a.to_pandas(), on="k1")
         return pa.Table.from_pandas(j[["k2", "a", "v"]], preserve_index=False)
 
-    hop1 = exchange_join_refs(f_grid, a_grid, join1, b1, emit="refs")
+    hop1 = reduce_grid(join1, b1, f_grid, a_grid, emit="refs")
     h1_grid = rebucket_refs(hop1, "k2", b2)
     b_grid = exchange_map(b_paths, ident, bucket_k2, b2)
 
@@ -88,7 +83,7 @@ def _chain(fact_paths, a_paths, b_paths, b1, b2):
         j = h1.to_pandas().merge(dimb.to_pandas(), on="k2")
         return j.groupby(["a", "b"], as_index=False)["v"].sum()
 
-    parts = exchange_join_refs(h1_grid, b_grid, join2, b2)
+    parts = reduce_grid(join2, b2, h1_grid, b_grid)
     if not len(parts):  # columns unknowable from an all-empty chain
         return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ("a", "b", "v")})
     out = parts.groupby(["a", "b"], as_index=False)["v"].sum()
@@ -118,7 +113,7 @@ def test_bloom_refs_admits_all_hop_keys(ray_session, chain_dirs):
         j = f.to_pandas().merge(a.to_pandas(), on="k1")
         return pa.Table.from_pandas(j[["k2", "v"]], preserve_index=False)
 
-    hop1 = exchange_join_refs(f_grid, a_grid, join1, 4, emit="refs")
+    hop1 = reduce_grid(join1, 4, f_grid, a_grid, emit="refs")
     bits = build_key_bloom_refs(hop1, "k2", num_bits=1 << 16)
     surviving = fact.merge(dim_a, on="k1")["k2"].unique()
     assert bloom_probe(surviving, bits, 1 << 16, 4).all()

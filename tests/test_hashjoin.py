@@ -99,7 +99,10 @@ class TestExchangeJoin:
                 how="left", bloom_from="right",
             )
 
-    def test_driver_root_bound_enforced(self, ray_session, tmp_path):
+    def test_driver_root_bound_enforced(self, ray_session, tmp_path, monkeypatch):
+        from mpds_ray.stages import exchange
+
+        monkeypatch.setattr(exchange, "DRIVER_ROOT_ROW_CAP", 1000)
         df = pd.DataFrame({"k": np.zeros(200, dtype=np.int64),
                            "x": np.arange(200, dtype=np.float64)})
         lp = _write_shards(tmp_path, "l2", df, 2)
@@ -109,4 +112,4 @@ class TestExchangeJoin:
             return l.to_pandas().merge(r.to_pandas(), on="k")  # 200x200 rows
 
         with pytest.raises(RuntimeError, match="driver root"):
-            exchange_join(lp, rp, "k", reduce_fn, 2, driver_row_cap=1000)
+            exchange_join(lp, rp, "k", reduce_fn, 2)

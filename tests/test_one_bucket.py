@@ -1,7 +1,9 @@
 """Bucket counts derived from input bytes: at sf0.001 every exchange below
 derives ONE bucket (the ``num_buckets == 1`` paths of ``exchange_map``,
-``rebucket_refs``, ``exchange_join_refs`` and ``labelprop._propose``), and
-its output must equal the same query's output at 16 buckets."""
+``rebucket_refs``, ``reduce_grid`` and ``labelprop._propose``), and its
+output must equal the same query's output at 16 buckets. At 16 buckets the
+LEFT joins (``customers_without_orders``, ``rich_customers_without_orders``,
+``customer_order_distribution``) see customer buckets with no orders."""
 
 from __future__ import annotations
 
@@ -18,6 +20,24 @@ TPCH = ("orders", "customer", "lineitem", "supplier")
 
 # name -> (run(sf_dir, num_buckets), tables whose bytes size the exchange)
 CASES = {
+    "q3_top_orders": (
+        lambda sf, nb: relational.q3_top_orders(sf, num_buckets=nb), ("orders", "lineitem"),
+    ),
+    "customers_without_orders": (
+        lambda sf, nb: relational.customers_without_orders(sf, num_buckets=nb),
+        ("customer", "orders"),
+    ),
+    "rich_customers_without_orders": (
+        lambda sf, nb: relational.rich_customers_without_orders(sf, num_buckets=nb),
+        ("customer", "orders"),
+    ),
+    "customer_order_distribution": (
+        lambda sf, nb: relational.customer_order_distribution(sf, num_buckets=nb),
+        ("customer", "orders"),
+    ),
+    "pack_sequences": (
+        lambda sf, nb: traindata.pack_sequences(sf, num_buckets=nb), ("documents",),
+    ),
     "q5_region_nation_revenue": (
         lambda sf, nb: relational.q5_region_nation_revenue(sf, num_buckets=nb), TPCH,
     ),
@@ -81,3 +101,41 @@ def test_dup_clusters_labelprop_one_bucket_matches_sixteen(ray_session, sf_dir, 
     )
     at_16 = canonical(traindata.dup_clusters(sf_dir, cc="labelprop"))
     pd.testing.assert_frame_equal(derived, at_16)
+
+
+@pytest.fixture(scope="module")
+def orderless_dir(sf_dir, tmp_path_factory):
+    """sf0.001's customer table plus its orders minus those of every
+    customer hashed to buckets 0-3 of 16: at 16 buckets those four customer
+    buckets have no orders at all (in sf0.001 every customer has one)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from mpds_ray.stages.partition import stable_bucket
+
+    out = tmp_path_factory.mktemp("orderless")
+    pq.write_table(pq.read_table(f"{sf_dir}/customer.parquet"), out / "customer.parquet")
+    orders = pq.read_table(f"{sf_dir}/orders.parquet")
+    bucket = stable_bucket(orders["o_custkey"].to_numpy(), 16)
+    pq.write_table(orders.filter(pc.greater_equal(bucket, 4)), out / "orders.parquet")
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["customers_without_orders", "rich_customers_without_orders", "customer_order_distribution"],
+)
+def test_left_join_orderless_buckets_match_oracle(ray_session, orderless_dir, name):
+    """The LEFT rule of ``exchange_join(how='left')``: a customer bucket with
+    no orders still reaches ``reduce_fn`` (with ``None``), at 16 buckets as at
+    one, and the result equals the DuckDB oracle on the same files."""
+    import duckdb
+
+    con = duckdb.connect()
+    for t in ("customer", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{orderless_dir}/{t}.parquet'")
+    want = canonical(con.execute(relational.ORACLE[name]).df())
+    run, _tables = CASES[name]
+    at_16 = canonical(run(orderless_dir, 16))
+    pd.testing.assert_frame_equal(canonical(run(orderless_dir, None)), at_16)
+    pd.testing.assert_frame_equal(at_16, want, check_dtype=False)

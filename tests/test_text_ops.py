@@ -104,6 +104,47 @@ class TestMinHash:
         want = [np.intersect1d(sets[i], sets[j]).size for i, j in zip(pa_idx, pb_idx)]
         np.testing.assert_array_equal(chunked[0], want)
 
+    def test_containment_candidates_chunks_match_one_pass(self, monkeypatch):
+        """The containment candidate kernel expands probe x posting rows in
+        ranges of at most PAIRWISE_CHUNK_VALUES pairs (a hot shingle spans
+        several ranges): the chunked output equals the one-pass output and a
+        brute-force reference, and no index array exceeds the bound."""
+        from mpds_ray.pipelines import text
+
+        rows = []
+        for doc in range(80):
+            sh = np.unique(np.r_[0, rng.integers(1, 40, rng.integers(1, 12))])
+            probe = rng.random(sh.size) < 0.5
+            rows += [(int(s), doc, sh.size, bool(p)) for s, p in zip(sh, probe)]
+        sh, did, size, probe = (np.array(c) for c in zip(*rows))
+        tbl = pa.table({"shingle": sh.astype(np.int64), "doc_id": did.astype(np.int64),
+                        "size": size.astype(np.int64), "is_probe": probe})
+        tq = 499_999
+        whole = text._containment_candidates(tbl, tq)
+
+        spans = []
+        orig = text._probe_pairs
+
+        def spy(*args):
+            for ii, jj in orig(*args):
+                spans.append((ii.size, jj.size))
+                yield ii, jj
+
+        monkeypatch.setattr(text, "PAIRWISE_CHUNK_VALUES", 50)
+        monkeypatch.setattr(text, "_probe_pairs", spy)
+        chunked = text._containment_candidates(tbl, tq)
+        assert chunked.equals(whole)
+        # shingle 0 is in all 80 docs: its probes' groups exceed one range
+        assert len(spans) > 1 and max(max(s) for s in spans) <= 50
+        want = {
+            (a, b)
+            for s_a, a, z_a, p_a in rows if p_a
+            for s_b, b, z_b, _ in rows
+            if s_a == s_b and a != b and z_b * 1_000_000 >= tq * z_a
+        }
+        got = set(zip(chunked["doc_a"].to_pylist(), chunked["doc_b"].to_pylist()))
+        assert got == want and chunked.num_rows == len(want)
+
 
 class TestSimHash:
     def test_deterministic(self):
