@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
+import ray
 
 from .metrics import auc
 
@@ -137,8 +138,6 @@ def grid_sweep_ray(
     import json
     import os
 
-    import ray
-
     done: dict[str, dict] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as f:
@@ -146,15 +145,9 @@ def grid_sweep_ray(
                 rec = json.loads(line)
                 done[rec["config_key"]] = rec
 
-    @ray.remote
-    def run(cfg: dict) -> dict:
-        out = train_fn(cfg)
-        out["config"] = cfg
-        return out
-
     keys = [json.dumps(c, sort_keys=True) for c in configs]
     pending = {
-        k: run.remote(c) for k, c in zip(keys, configs) if k not in done
+        k: _run_config.remote(c, train_fn) for k, c in zip(keys, configs) if k not in done
     }
     results = []
     for k in keys:
@@ -168,6 +161,14 @@ def grid_sweep_ray(
                 f.write(json.dumps(rec) + "\n")
         results.append(rec)
     return results
+
+
+@ray.remote
+def _run_config(cfg: dict, train_fn: Callable[[dict], dict]) -> dict:
+    """``grid_sweep_ray``'s task: train one config."""
+    out = train_fn(cfg)
+    out["config"] = cfg
+    return out
 
 
 def _jsonable(v) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
+import ray
 
 from ..stages.exchange import DRIVER_ROOT_ROW_CAP
 
@@ -146,40 +147,20 @@ def shard_groupby_sum(
     driver folds partials bounded by key-domain x tasks (enforced via
     bounded collect). At the 100-TB sharded-directory layout parallelism =
     shards x row-group runs; filtered columns never reach pandas."""
-    import ray
-
     sum_cols = list(sums)
     read_cols = (
         list(dict.fromkeys(list(columns) + list(filter_cols))) if columns else None
     )
-
-    @ray.remote
-    def shard_task(path: str, rgs: list[int] | None) -> pd.DataFrame:
-        import pyarrow.parquet as pq_
-
-        if rgs is None:
-            t = pq_.read_table(path, columns=read_cols, filters=filter_expr)
-        else:
-            t = pq_.ParquetFile(path).read_row_groups(rgs, columns=read_cols)
-            if filter_expr is not None:
-                t = t.filter(filter_expr)
-        b = t.to_pandas()
-        if prep is not None:
-            b = prep(b)
-        g = b.groupby(keys, as_index=False, sort=False)[sum_cols].sum()
-        if count_as:
-            cnt = b.groupby(keys, as_index=False, sort=False).size()
-            g = g.merge(cnt, on=keys).rename(columns={"size": count_as})
-        return g
+    spec = (read_cols, filter_expr, prep, keys, sum_cols, count_as)
 
     # task list: whole file when it has one row group, per-row-group otherwise
     tasks = []
     for p in shard_list(sf_dir, table):
         n_rg = pq.read_metadata(p).num_row_groups
         if n_rg <= 1:
-            tasks.append(shard_task.remote(p, None))
+            tasks.append(_shard_sum_task.remote(p, None, *spec))
         else:
-            tasks.extend(shard_task.remote(p, [i]) for i in range(n_rg))
+            tasks.extend(_shard_sum_task.remote(p, [i], *spec) for i in range(n_rg))
     parts = [f for f in ray.get(tasks) if len(f)]
     out = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
         columns=keys + sum_cols + ([count_as] if count_as else [])
@@ -194,6 +175,28 @@ def shard_groupby_sum(
     return (
         out.groupby(keys, as_index=False, sort=False)[agg_cols].sum().rename(columns=sums)
     )
+
+
+@ray.remote
+def _shard_sum_task(
+    path, rgs, read_cols, filter_expr, prep, keys, sum_cols, count_as
+) -> pd.DataFrame:
+    """``shard_groupby_sum``'s task: one shard (or row-group run) read,
+    filtered, prepared and pre-reduced to one row per key."""
+    if rgs is None:
+        t = pq.read_table(path, columns=read_cols, filters=filter_expr)
+    else:
+        t = pq.ParquetFile(path).read_row_groups(rgs, columns=read_cols)
+        if filter_expr is not None:
+            t = t.filter(filter_expr)
+    b = t.to_pandas()
+    if prep is not None:
+        b = prep(b)
+    g = b.groupby(keys, as_index=False, sort=False)[sum_cols].sum()
+    if count_as:
+        cnt = b.groupby(keys, as_index=False, sort=False).size()
+        g = g.merge(cnt, on=keys).rename(columns={"size": count_as})
+    return g
 
 
 def topk_driver(ds, k: int, by: list[str], ascending: list[bool]) -> pd.DataFrame:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray
 
 from .common import read, read_small, topk_driver
 from .text import _splitmix64
@@ -229,7 +230,6 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     cosine ~0.6) so the DuckDB brute-force oracle is non-vacuous.
     """
     import pyarrow.parquet as pq
-    import ray
 
     from .common import shard_list
 
@@ -253,23 +253,8 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     blocks = emb.map_batches(norm, batch_format="pyarrow", batch_size=4096).materialize()
     refs = [r for bundle in blocks.iter_internal_ref_bundles() for r in bundle.block_refs]
 
-    def _ids_matrix(t):
-        # blocks may be pa.Table or pd.DataFrame depending on the map format
-        if isinstance(t, pd.DataFrame):
-            return t["vec_id"].to_numpy(), _emb_matrix(t["nvec"])
-        return (
-            t["vec_id"].to_numpy(zero_copy_only=False),
-            _emb_matrix(t["nvec"]),
-        )
-
-    @ray.remote
-    def pair_task(ta, tb, same: bool) -> pd.DataFrame:
-        ia, ma = _ids_matrix(ta)
-        ib, mb = (ia, ma) if same else _ids_matrix(tb)
-        return _pairs_from_sims(ia, ib, ma @ mb.T, threshold, same)
-
     out = [
-        pair_task.remote(refs[i], refs[j], i == j)
+        _pair_task.remote(refs[i], refs[j], i == j, threshold)
         for i in range(len(refs))
         for j in range(i, len(refs))
     ]
@@ -281,6 +266,25 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
         .sort_values(["vec_a", "vec_b"])
         .reset_index(drop=True)
     )
+
+
+def _ids_matrix(t):
+    # blocks may be pa.Table or pd.DataFrame depending on the map format
+    if isinstance(t, pd.DataFrame):
+        return t["vec_id"].to_numpy(), _emb_matrix(t["nvec"])
+    return (
+        t["vec_id"].to_numpy(zero_copy_only=False),
+        _emb_matrix(t["nvec"]),
+    )
+
+
+@ray.remote
+def _pair_task(ta, tb, same: bool, threshold: float) -> pd.DataFrame:
+    """``embedding_near_dups``' task: the pairs of one block pair whose
+    cosine similarity clears ``threshold``."""
+    ia, ma = _ids_matrix(ta)
+    ib, mb = (ia, ma) if same else _ids_matrix(tb)
+    return _pairs_from_sims(ia, ib, ma @ mb.T, threshold, same)
 
 
 NEAR_DUP_SQL = """

@@ -340,20 +340,7 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
 
     shards = shard_list(sf_dir, "events")
     nbins = 65536
-
-    @ray.remote
-    def stats_shard(path: str) -> tuple[float, float, int]:
-        import pyarrow.parquet as pq
-
-        v = pq.read_table(path, columns=["value"])["value"].to_numpy(
-            zero_copy_only=False
-        )
-        v = v[~np.isnan(v)]
-        if v.size == 0:
-            return np.inf, -np.inf, 0
-        return float(v.min()), float(v.max()), int(v.size)
-
-    parts = ray.get([stats_shard.remote(p) for p in shards])
+    parts = ray.get([_median_stats_shard.remote(p) for p in shards])
     lo = min(p[0] for p in parts)
     hi = max(p[1] for p in parts)
     n = sum(p[2] for p in parts)
@@ -361,26 +348,6 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
         return pd.DataFrame({"median_value": [np.nan]})
     # ranks of the two middle order statistics (1-based)
     k1, k2 = (n + 1) // 2, (n + 2) // 2
-
-    @ray.remote
-    def hist_shard(path: str, lo: float, hi: float) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        v = pq.read_table(path, columns=["value"])["value"].to_numpy(
-            zero_copy_only=False
-        )
-        v = v[~np.isnan(v)]
-        below = int((v < lo).sum())
-        inside = v[(v >= lo) & (v <= hi)]
-        if hi > lo:
-            idx = np.minimum(
-                ((inside - lo) / (hi - lo) * nbins).astype(np.int64), nbins - 1
-            )
-            h = np.bincount(idx, minlength=nbins)
-        else:
-            h = np.zeros(nbins, dtype=np.int64)
-            h[0] = inside.size
-        return np.r_[below, h]
 
     # Narrow [lo, hi] until the median's candidate window is collect-sized.
     # Bin edges are EXPANDED one bin each way so float edge-rounding in the
@@ -392,7 +359,7 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     for _ in range(8):  # 65536x narrowing per round; 8 is unreachable depth
         if in_range <= driver_cap or hi <= lo:
             break
-        hs = ray.get([hist_shard.remote(p, lo, hi) for p in shards])
+        hs = ray.get([_median_hist_shard.remote(p, lo, hi, nbins) for p in shards])
         total = np.sum(hs, axis=0)
         below, h = int(total[0]), total[1:]
         cum = np.cumsum(h)
@@ -411,25 +378,13 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
         # unbounded) duplicate run would be pointless
         return pd.DataFrame({"median_value": [lo]})
 
-    @ray.remote
-    def collect_shard(path: str, lo: float, hi: float):
-        import pyarrow.parquet as pq
-
-        v = pq.read_table(path, columns=["value"])["value"].to_numpy(
-            zero_copy_only=False
-        )
-        v = v[~np.isnan(v)]
-        inside = v[(v >= lo) & (v <= hi)]
-        u, c = np.unique(inside, return_counts=True)
-        return int((v < lo).sum()), u, c.astype(np.int64)
-
     # bounded final collect with exact predicate partitioning: every value
     # is counted below lo, weighted-collected in [lo, hi], or above hi.
     # Shards return (unique value, count) pairs, NOT raw rows — a huge
     # duplicate mass straddling a multi-ulp window (ADVICE r3: the raw
     # collect was unbounded exactly then) collapses to a handful of floats;
     # selection over the merged weighted values is identical arithmetic.
-    parts = ray.get([collect_shard.remote(p, lo, hi) for p in shards])
+    parts = ray.get([_median_collect_shard.remote(p, lo, hi) for p in shards])
     rank_below = sum(p[0] for p in parts)
     allu = np.concatenate([p[1] for p in parts])
     if allu.size > driver_cap:
@@ -445,6 +400,48 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     a = uu[np.searchsorted(cum, k1, side="left")]
     b = uu[np.searchsorted(cum, k2, side="left")]
     return pd.DataFrame({"median_value": [(a + b) / 2.0]})
+
+
+def _shard_values(path: str) -> np.ndarray:
+    import pyarrow.parquet as pq
+
+    v = pq.read_table(path, columns=["value"])["value"].to_numpy(zero_copy_only=False)
+    return v[~np.isnan(v)]
+
+
+@ray.remote
+def _median_stats_shard(path: str) -> tuple[float, float, int]:
+    """``value_median_exact``'s first pass: one shard's (min, max, count)."""
+    v = _shard_values(path)
+    if v.size == 0:
+        return np.inf, -np.inf, 0
+    return float(v.min()), float(v.max()), int(v.size)
+
+
+@ray.remote
+def _median_hist_shard(path: str, lo: float, hi: float, nbins: int) -> np.ndarray:
+    """``value_median_exact``'s narrowing pass: one shard's count below
+    ``lo`` followed by its ``nbins``-bin histogram over [lo, hi]."""
+    v = _shard_values(path)
+    below = int((v < lo).sum())
+    inside = v[(v >= lo) & (v <= hi)]
+    if hi > lo:
+        idx = np.minimum(((inside - lo) / (hi - lo) * nbins).astype(np.int64), nbins - 1)
+        h = np.bincount(idx, minlength=nbins)
+    else:
+        h = np.zeros(nbins, dtype=np.int64)
+        h[0] = inside.size
+    return np.r_[below, h]
+
+
+@ray.remote
+def _median_collect_shard(path: str, lo: float, hi: float):
+    """``value_median_exact``'s final collect: one shard's count below
+    ``lo`` and its (unique value, count) pairs inside [lo, hi]."""
+    v = _shard_values(path)
+    inside = v[(v >= lo) & (v <= hi)]
+    u, c = np.unique(inside, return_counts=True)
+    return int((v < lo).sum()), u, c.astype(np.int64)
 
 
 MEDIAN_EXACT_SQL = "SELECT median(value) AS median_value FROM events"
@@ -1619,18 +1616,7 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     # pass 1: global mean positive balance — distributed (sum, count) fold
-    @ray.remote
-    def bal_partial(path: str) -> tuple[int, int]:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["c_acctbal"])
-        cents = np.rint(t["c_acctbal"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        pos = cents[cents > 0]
-        return int(pos.sum()), int(pos.size)
-
-    parts = ray.get([bal_partial.remote(p) for p in shard_list(sf_dir, "customer")])
+    parts = ray.get([_bal_partial.remote(p) for p in shard_list(sf_dir, "customer")])
     tot = sum(p[0] for p in parts)
     cnt = max(sum(p[1] for p in parts), 1)
     avg_cents = tot / cnt  # double; both sides compare cents > this
@@ -1691,6 +1677,18 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
         .sort_values("c_mktsegment")
         .reset_index(drop=True)
     )
+
+
+@ray.remote
+def _bal_partial(path: str) -> tuple[int, int]:
+    """``rich_customers_without_orders``' pass 1: one shard's (sum, count)
+    of positive balances in integer cents."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["c_acctbal"])
+    cents = np.rint(t["c_acctbal"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+    pos = cents[cents > 0]
+    return int(pos.sum()), int(pos.size)
 
 
 Q22_SQL = """

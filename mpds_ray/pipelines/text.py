@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from ..stages.window_stats import token_stats_arrays
-from ..tokenize import TOKENS_SQL_EXPR, tokenize_batch
+from ..tokenize import TOKENS_SQL_EXPR, VOCAB, tokenize_batch
 from .common import read
 
 STOPWORDS = ("the", "a", "of", "and", "to")
@@ -299,8 +300,6 @@ def doc_repetition_ratio(sf_dir: str):
     (t1·V + t2)·V + t3 (int64, no hash-collision caveat — identical to the
     SQL identity), distinct counts come from one per-segment sorted-unique
     pass. The int/int division is bit-identical on both sides."""
-    from ..tokenize import VOCAB
-
     docs = read(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -359,22 +358,11 @@ def unigram_logprob(sf_dir: str):
     log-prob table broadcasts ONCE via ray.put and the scoring pass is
     map-only (one fancy-index gather + one segment mean per batch). 6-dp
     round pins the Ray/SQL mean-order and libm-ln ulps."""
-    import ray
-
-    from ..tokenize import VOCAB
     from .common import shard_list
-
-    @ray.remote
-    def shard_counts(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "text", "source"])
-        flat, _ = _flat_tokens(tokenize_batch(t))
-        return np.bincount(flat.astype(np.int64), minlength=VOCAB)
 
     counts = np.zeros(VOCAB, dtype=np.int64)
     for part in ray.get(
-        [shard_counts.remote(p) for p in shard_list(sf_dir, "documents")]
+        [_shard_counts.remote(p) for p in shard_list(sf_dir, "documents")]
     ):
         counts += part
     total = int(counts.sum())
@@ -401,6 +389,16 @@ def unigram_logprob(sf_dir: str):
         )
 
     return docs.map_batches(fn, batch_format="pyarrow")
+
+
+@ray.remote
+def _shard_counts(path: str) -> np.ndarray:
+    """``unigram_logprob``'s pass-1 task: one shard's token bincount."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["doc_id", "text", "source"])
+    flat, _ = _flat_tokens(tokenize_batch(t))
+    return np.bincount(flat.astype(np.int64), minlength=VOCAB)
 
 
 UNIGRAM_SQL = f"""
@@ -450,26 +448,14 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20, capacity: int = 4096):
     k-th exact candidate count fails to clear the N/(capacity+1) undercount
     bound the function emits a RuntimeWarning naming the violated condition
     — callers learn when the result is only approximate."""
-    import ray
-
     from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
-
-    @ray.remote
-    def shard_summary(path: str):
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["text"])
-        flat, _ = _split_flat_offsets(t["text"])
-        v = np.asarray(flat.to_pandas())
-        terms, counts = np.unique(v, return_counts=True)
-        mg_t, mg_c = _mg_summary(terms, counts.astype(np.int64), capacity)
-        return mg_t, mg_c, int(v.size)
-
     merged: dict[str, int] = {}
     n_total = 0
-    for terms, counts, n_shard in ray.get([shard_summary.remote(p) for p in shards]):
+    for terms, counts, n_shard in ray.get(
+        [_shard_summary.remote(p, capacity) for p in shards]
+    ):
         n_total += n_shard
         for t, c in zip(terms, counts):
             merged[t] = merged.get(t, 0) + int(c)
@@ -477,21 +463,8 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20, capacity: int = 4096):
     mc = np.array(list(merged.values()), dtype=np.int64)
     cand, _ = _mg_summary(mt, mc, capacity)
     cand_ref = ray.put(np.sort(cand))
-
-    @ray.remote
-    def shard_exact(path: str):
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["text"])
-        flat, _ = _split_flat_offsets(t["text"])
-        v = np.asarray(flat.to_pandas())
-        c = ray.get(cand_ref)
-        v = v[np.isin(v, c)]
-        terms, counts = np.unique(v, return_counts=True)
-        return terms, counts.astype(np.int64)
-
     exact: dict[str, int] = {}
-    for terms, counts in ray.get([shard_exact.remote(p) for p in shards]):
+    for terms, counts in ray.get([_shard_exact.remote(p, cand_ref) for p in shards]):
         for t, c in zip(terms, counts):
             exact[t] = exact.get(t, 0) + int(c)
     out = pd.DataFrame({"term": list(exact.keys()),
@@ -517,6 +490,33 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20, capacity: int = 4096):
             stacklevel=2,
         )
     return out
+
+
+def _shard_terms(path: str) -> np.ndarray:
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["text"])
+    flat, _ = _split_flat_offsets(t["text"])
+    return np.asarray(flat.to_pandas())
+
+
+@ray.remote
+def _shard_summary(path: str, capacity: int):
+    """``heavy_hitter_terms``' pass-1 task: one shard's Misra–Gries summary
+    and its token count."""
+    v = _shard_terms(path)
+    terms, counts = np.unique(v, return_counts=True)
+    mg_t, mg_c = _mg_summary(terms, counts.astype(np.int64), capacity)
+    return mg_t, mg_c, int(v.size)
+
+
+@ray.remote
+def _shard_exact(path: str, cand: np.ndarray):
+    """``heavy_hitter_terms``' pass-2 task: exact counts of the candidate
+    terms in one shard."""
+    v = _shard_terms(path)
+    terms, counts = np.unique(v[np.isin(v, cand)], return_counts=True)
+    return terms, counts.astype(np.int64)
 
 
 HEAVY_HITTER_SQL = """
@@ -940,6 +940,29 @@ EMPTY_PAIR_TABLE = pa.table(
 )  # shared empty candidate-pair schema (banding, ssjoin, verify tail)
 
 
+def _dedupe_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """The distinct (doc_a, doc_b) pairs of ``a``/``b``, sorted by (doc_a,
+    doc_b): one lexsort and an adjacent-row compare."""
+    if not a.size:
+        return EMPTY_PAIR_TABLE
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+    return pa.table(
+        {"doc_a": pa.array(a[first], type=pa.int64()),
+         "doc_b": pa.array(b[first], type=pa.int64())}
+    )
+
+
+def _band_pairs(tbl: pa.Table) -> pa.Table:
+    """One band-hash bucket's candidate pairs from its (band, band_hash,
+    doc_id) rows: every pair of docs sharing a (band, band_hash)."""
+    band, band_hash, did = (
+        tbl[c].to_numpy(zero_copy_only=False) for c in ("band", "band_hash", "doc_id")
+    )
+    return _group_pairs((band, band_hash), did)
+
+
 def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     """Banded-LSH candidate pairs + exact shingle-Jaccard verification —
     fully scale-safe end to end: signatures are segment-vectorized per batch,
@@ -982,21 +1005,6 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     def sig_map(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(sig_batch(t), preserve_index=False)
 
-    def bucket_pairs_reduce(b: int, tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas().drop_duplicates()
-        frames = []
-        for _, g in df.groupby(["band", "band_hash"], sort=False):
-            ids = np.unique(g["doc_id"].to_numpy())
-            if ids.size < 2:
-                continue
-            ii, jj = np.triu_indices(ids.size, k=1)
-            frames.append(pd.DataFrame({"doc_a": ids[ii], "doc_b": ids[jj]}))
-        if not frames:
-            return EMPTY_PAIR_TABLE
-        return pa.Table.from_pandas(
-            pd.concat(frames, ignore_index=True), preserve_index=False
-        )
-
     # candidate ROOT is fully distributed (VERDICT r3 'Next round' #2 — the
     # r3 root collected the banding output as a driver DataFrame and built
     # the doc->verify-bucket map as a driver dict; on a dup-heavy corpus
@@ -1019,7 +1027,7 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
         shards, sig_map, sig_bucket_fn, n_bb, columns=["doc_id", "text", "source"],
     )
 
-    pair_refs = reduce_grid(bucket_pairs_reduce, n_bb, sig_refs, emit="refs")
+    pair_refs = reduce_grid(lambda b, t: _band_pairs(t), n_bb, sig_refs, emit="refs")
     return _verify_pairs_exact(shards, pair_refs, threshold)
 
 
@@ -1043,8 +1051,6 @@ def _verify_pairs_exact(
     (ORDERED, |A∩B|/|A| — doc_a is the contained side); the output score
     column is named after the metric and rounded half-away (the family's
     DuckDB-round convention) before the ``>= threshold`` filter."""
-    import ray
-
     from ..stages.exchange import auto_num_buckets, exchange_map, gather_slices, reduce_grid
     from ..stages.hashjoin import rebucket_refs
 
@@ -1055,34 +1061,9 @@ def _verify_pairs_exact(
     n_pb = len(pair_refs)
     vb_grid = rebucket_refs(pair_refs, "doc_a", n_vb)
 
-    @ray.remote(num_returns=3)
-    def vb_pairs_and_need(b: int, *parts: pa.Table):
-        """Per verify bucket: dedupe the pairs routed here (copies of one
-        pair from different bands co-locate by hash(doc_a)) and emit the
-        bucket's need relation — the sorted unique doc_ids whose shingles
-        this bucket requires. Returns (pairs, need, n_pairs)."""
-        pairs = gather_slices(parts)
-        empty_need = pa.table(
-            {"doc_id": pa.array([], type=pa.int64()),
-             "_vb": pa.array([], type=pa.int32())}
-        )
-        if pairs is None:
-            return EMPTY_PAIR_TABLE, empty_need, 0
-        df = pairs.to_pandas().drop_duplicates()
-        if not len(df):
-            return EMPTY_PAIR_TABLE, empty_need, 0
-        docs = np.unique(np.concatenate(
-            [df["doc_a"].to_numpy(), df["doc_b"].to_numpy()]
-        ))
-        need = pa.table(
-            {"doc_id": pa.array(docs, type=pa.int64()),
-             "_vb": pa.array(np.full(docs.size, b, dtype=np.int32))}
-        )
-        return pa.Table.from_pandas(df, preserve_index=False), need, int(len(df))
-
     vb_pair_refs, need_refs, count_refs = [], [], []
     for b in range(n_vb):
-        pr, nr, cr = vb_pairs_and_need.remote(b, *[vb_grid[i][b] for i in range(n_pb)])
+        pr, nr, cr = _vb_pairs_and_need.remote(b, *[vb_grid[i][b] for i in range(n_pb)])
         vb_pair_refs.append(pr)
         need_refs.append(nr)
         count_refs.append(cr)
@@ -1160,17 +1141,20 @@ def _verify_pairs_exact(
     )
 
     def verify_bucket(b: int, pairs_tbl: pa.Table, tbl: pa.Table) -> pd.DataFrame:
-        pairs = pairs_tbl.to_pandas()
+        doc_a = pairs_tbl["doc_a"].to_numpy(zero_copy_only=False)
+        doc_b = pairs_tbl["doc_b"].to_numpy(zero_copy_only=False)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         arr = tbl["shingles"].combine_chunks()
         flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.uint64)
         offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         offs = offs - offs[0]
-        pos = pd.Series(np.arange(ids.size), index=ids)
+        # each needed doc has one shingle row per verify bucket: locate by id
+        by_id = np.argsort(ids)
+        sorted_ids = ids[by_id]
         inter, la, _lb = _pairwise_inter(
             flat, offs,
-            pos[pairs["doc_a"].to_numpy()].to_numpy(),
-            pos[pairs["doc_b"].to_numpy()].to_numpy(),
+            by_id[np.searchsorted(sorted_ids, doc_a)],
+            by_id[np.searchsorted(sorted_ids, doc_b)],
         )
         if metric == "containment":
             score = np.where(inter > 0, inter / np.where(la > 0, la, 1), 0.0)
@@ -1181,7 +1165,7 @@ def _verify_pairs_exact(
         # small ints and can sit exactly on a 6-dp half boundary
         from .common import round_half_away
 
-        out = pairs.assign(**{metric: round_half_away(score)})
+        out = pd.DataFrame({"doc_a": doc_a, "doc_b": doc_b, metric: round_half_away(score)})
         return out[out[metric] >= threshold]
 
     # the pairs refs are a one-source grid: bucket b's pairs lead, and a
@@ -1192,6 +1176,31 @@ def _verify_pairs_exact(
                              "doc_b": pd.Series([], dtype="int64"),
                              metric: pd.Series([], dtype="float64")})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
+@ray.remote(num_returns=3)
+def _vb_pairs_and_need(b: int, *parts: pa.Table):
+    """Per verify bucket: dedupe the pairs routed here (copies of one pair
+    from different bands co-locate by hash(doc_a)) and emit the bucket's
+    need relation — the sorted unique doc_ids whose shingles this bucket
+    requires. Returns (pairs, need, n_pairs)."""
+    from ..stages.exchange import gather_slices
+
+    pairs = gather_slices(parts)
+    if pairs is None:
+        pairs = EMPTY_PAIR_TABLE
+    pairs = _dedupe_pairs(
+        pairs["doc_a"].to_numpy(zero_copy_only=False),
+        pairs["doc_b"].to_numpy(zero_copy_only=False),
+    )
+    docs = np.unique(np.concatenate(
+        [pairs["doc_a"].to_numpy(), pairs["doc_b"].to_numpy()]
+    ))
+    need = pa.table(
+        {"doc_id": pa.array(docs, type=pa.int64()),
+         "_vb": pa.array(np.full(docs.size, b, dtype=np.int32))}
+    )
+    return pairs, need, pairs.num_rows
 
 
 # --- shared pieces of the prefix-filter joins --------------------------------
@@ -1206,29 +1215,29 @@ def _shingle_df_ref(shards: list[str]):
     regardless of corpus size. Hash collisions only inflate a counter, which
     is a perf heuristic: the (df_bucket, hash) key is still a fixed total
     order, so prefix-filter completeness is unaffected."""
-    import ray
-
-    @ray.remote
-    def shard_df(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "text", "source"])
-        tok = tokenize_batch(t)
-        flat, offs = _flat_tokens(tok)
-        sh, sh_offs = _shingles_flat(flat, offs)
-        u, _seg, _n = _unique_per_segment(sh, sh_offs)
-        return np.bincount(
-            (u % np.uint64(DF_BUCKETS)).astype(np.int64), minlength=DF_BUCKETS
-        ).astype(np.uint32)
-
     # incremental ray.wait fold: driver holds TWO 4 MB arrays at any moment
     # (the running sum + one arriving partial), not n_shards of them
     df_counts = np.zeros(DF_BUCKETS, dtype=np.uint64)
-    pending = [shard_df.remote(p) for p in shards]
+    pending = [_shard_df.remote(p) for p in shards]
     while pending:
         done, pending = ray.wait(pending, num_returns=1)
         df_counts += ray.get(done[0])
     return ray.put(df_counts.astype(np.uint32))
+
+
+@ray.remote
+def _shard_df(path: str) -> np.ndarray:
+    """``_shingle_df_ref``'s task: one shard's hashed shingle-df counts."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["doc_id", "text", "source"])
+    tok = tokenize_batch(t)
+    flat, offs = _flat_tokens(tok)
+    sh, sh_offs = _shingles_flat(flat, offs)
+    u, _seg, _n = _unique_per_segment(sh, sh_offs)
+    return np.bincount(
+        (u % np.uint64(DF_BUCKETS)).astype(np.int64), minlength=DF_BUCKETS
+    ).astype(np.uint32)
 
 
 def _rarest_first(batch: pa.Table, df_ref, tq_prune: int):
@@ -1238,8 +1247,6 @@ def _rarest_first(batch: pa.Table, df_ref, tq_prune: int):
     the shingle is in the doc's prefix of p = s - ceil(t'·s) + 1 elements
     at the prune threshold t' = tq_prune / 1e6. Returns (shingle as int64,
     doc_id, size, in_prefix), one entry per distinct (doc, shingle)."""
-    import ray
-
     tok = tokenize_batch(batch)
     flat, offs = _flat_tokens(tok)
     sh, sh_offs = _shingles_flat(flat, offs)
@@ -1273,6 +1280,40 @@ def _probe_pairs(probes: np.ndarray, group_start: np.ndarray, group_len: np.ndar
         yield probes[p], group_start[p] + k - (ends[p] - group_len[p])
 
 
+def _group_pairs(keys: tuple[np.ndarray, ...], did: np.ndarray, keep=None) -> pa.Table:
+    """The candidate pairs of the band and prefix kernels: every pair of
+    distinct docs sharing a group key (one array per key column), doc_a <
+    doc_b, deduplicated; with ``keep``, only the pairs whose input row
+    indices (ra, rb) pass ``keep(ra, rb)``. One lexsort by (*keys, doc_id)
+    with duplicate (key, doc) rows dropped; every row is a probe paired with
+    the rows after it in its group through ``_probe_pairs``, so no range
+    exceeds PAIRWISE_CHUNK_VALUES pairs however hot a group is, and no
+    Python runs per group."""
+    order = np.lexsort((did, *reversed(keys)))
+    new_key = np.zeros(did.size, dtype=bool)
+    new_key[:1] = True
+    for k in keys:
+        ks = k[order]
+        new_key[1:] |= ks[1:] != ks[:-1]
+    ds = did[order]
+    first = new_key.copy()
+    first[1:] |= ds[1:] != ds[:-1]
+    rows, new_key = order[first], new_key[first]
+    starts = np.flatnonzero(new_key)
+    counts = np.diff(np.r_[starts, rows.size])
+    group_end = np.repeat(starts + counts, counts)
+    probes = np.flatnonzero(group_end - np.arange(rows.size) > 1)
+    doc_a, doc_b = [did[:0]], [did[:0]]
+    for ii, jj in _probe_pairs(probes, probes + 1, group_end[probes] - probes - 1):
+        ra, rb = rows[ii], rows[jj]
+        if keep is not None:
+            ok = keep(ra, rb)
+            ra, rb = ra[ok], rb[ok]
+        doc_a.append(did[ra])
+        doc_b.append(did[rb])
+    return _dedupe_pairs(np.concatenate(doc_a), np.concatenate(doc_b))
+
+
 def _containment_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
     """One containment bucket's candidate (doc_a, doc_b) pairs from its
     (shingle, doc_id, size, is_probe) rows: each probe row pairs with every
@@ -1297,10 +1338,27 @@ def _containment_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
         keep = (did[ii] != did[jj]) & (sz[jj] * 1_000_000 >= tq_prune * sz[ii])
         doc_a.append(did[ii[keep]])
         doc_b.append(did[jj[keep]])
-    out = pd.DataFrame({"doc_a": np.concatenate(doc_a), "doc_b": np.concatenate(doc_b)})
-    if not len(out):
-        return EMPTY_PAIR_TABLE
-    return pa.Table.from_pandas(out.drop_duplicates(), preserve_index=False)
+    return _dedupe_pairs(np.concatenate(doc_a), np.concatenate(doc_b))
+
+
+def _prefix_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
+    """One prefix-shingle bucket's candidate pairs from its (shingle, doc_id,
+    size) rows: every pair of docs sharing a prefix shingle that passes the
+    size filter. J >= t' requires min(|a|,|b|) >= t' * max(|a|,|b|) at the
+    PRUNE threshold t' = tq_prune/1e6 (covers the rounded contract's
+    slack); exact integer-rational compare — a float product t*max can
+    exceed the true bound by an ulp and reject a legitimate candidate."""
+    sz = tbl["size"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    def size_ok(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+        sa, sb = sz[ra], sz[rb]
+        return np.minimum(sa, sb) * 1_000_000 >= tq_prune * np.maximum(sa, sb)
+
+    return _group_pairs(
+        (tbl["shingle"].to_numpy(zero_copy_only=False),),
+        tbl["doc_id"].to_numpy(zero_copy_only=False),
+        size_ok,
+    )
 
 
 # --- exact set-similarity join (prefix filter, Vernica et al. SIGMOD'10) ---
@@ -1367,42 +1425,9 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
         shards, prefix_map, tb_bucket_fn, n_tb, columns=["doc_id", "text", "source"],
     )
 
-    def candidates_bucket(b: int, tbl: pa.Table) -> pa.Table:
-        sh = tbl["shingle"].to_numpy(zero_copy_only=False)
-        did = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        sz = tbl["size"].to_numpy(zero_copy_only=False)
-        # sort by (shingle, doc_id); keep only shingles shared by >= 2 docs
-        # BEFORE any per-group work — the vast majority of prefix shingles
-        # are unshared and must cost O(1), not a Python group visit
-        order = np.lexsort((did, sh))
-        sh, did, sz = sh[order], did[order], sz[order]
-        starts = np.r_[0, np.flatnonzero(sh[1:] != sh[:-1]) + 1]
-        counts = np.diff(np.r_[starts, sh.size])
-        multi = counts >= 2
-        if not multi.any():
-            return EMPTY_PAIR_TABLE
-        frames = []
-        for s0, c in zip(starts[multi], counts[multi]):
-            ids = did[s0 : s0 + c]
-            sizes = sz[s0 : s0 + c]
-            ii, jj = np.triu_indices(int(c), k=1)
-            # size filter: J >= t' requires min(|a|,|b|) >= t' * max(|a|,|b|)
-            # at the PRUNE threshold t' = tq_prune/1e6 (covers the rounded
-            # contract's slack); exact integer-rational compare — a float
-            # product t*max can exceed the true bound by an ulp and reject a
-            # legitimate candidate
-            sa, sb = sizes[ii].astype(np.int64), sizes[jj].astype(np.int64)
-            ok = np.minimum(sa, sb) * 1_000_000 >= tq_prune * np.maximum(sa, sb)
-            if ok.any():
-                frames.append(
-                    pd.DataFrame({"doc_a": ids[ii[ok]], "doc_b": ids[jj[ok]]})
-                )
-        if not frames:
-            return EMPTY_PAIR_TABLE
-        out = pd.concat(frames, ignore_index=True).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    pair_refs = reduce_grid(candidates_bucket, n_tb, tok_refs, emit="refs")
+    pair_refs = reduce_grid(
+        lambda b, t: _prefix_candidates(t, tq_prune), n_tb, tok_refs, emit="refs"
+    )
     return _verify_pairs_exact(shards, pair_refs, threshold)
 
 
@@ -1489,10 +1514,9 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
         shards, posting_map, cb_bucket_fn, n_cb, columns=["doc_id", "text", "source"],
     )
 
-    def candidates_bucket(b: int, tbl: pa.Table) -> pa.Table:
-        return _containment_candidates(tbl, tq_prune)
-
-    pair_refs = reduce_grid(candidates_bucket, n_cb, post_refs, emit="refs")
+    pair_refs = reduce_grid(
+        lambda b, t: _containment_candidates(t, tq_prune), n_cb, post_refs, emit="refs"
+    )
     return _verify_pairs_exact(shards, pair_refs, threshold, metric="containment")
 
 
@@ -1711,8 +1735,6 @@ def tfidf_top_term(sf_dir: str, vocab_k: int = 10_000):
     DuckDB oracle (uncapped) matches exactly; at corpus scale out-of-vocab
     terms drop from scoring by design (standard vocabulary pruning)."""
     import math
-
-    import ray
 
     from .common import table_num_rows
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from ..tokenize import TOKENS_SQL_EXPR, tokenize_batch
 from .common import read, table_num_rows
@@ -68,7 +69,6 @@ def decontaminate(sf_dir: str):
     to the parquet read and a fully segment-vectorized membership count."""
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
-    import ray
 
     block = pq.read_table(
         f"{sf_dir}/documents.parquet",
@@ -172,32 +172,12 @@ def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     (mergeable partial top-k), so the driver folds <= k x sources x shards
     tiny rows; the multiplier is odd, hence a bijection mod 2^64 — no hash
     ties, identical selection at any parallelism."""
-    import ray
-
     from .common import shard_list
 
     kk = int(k)
-
-    @ray.remote
-    def shard_partial(path: str) -> pd.DataFrame:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "source"])
-        df = pd.DataFrame(
-            {
-                "doc_id": t["doc_id"].to_numpy(zero_copy_only=False),
-                "source": t["source"].to_numpy(zero_copy_only=False),
-            }
-        )
-        df["h"] = df["doc_id"].to_numpy().astype(np.uint64) * np.uint64(2654435761)
-        return (
-            df.sort_values("h")
-            .groupby("source", sort=False)
-            .head(kk)
-            .reset_index(drop=True)
-        )
-
-    parts = ray.get([shard_partial.remote(p) for p in shard_list(sf_dir, "documents")])
+    parts = ray.get(
+        [_uniform_partial.remote(p, kk) for p in shard_list(sf_dir, "documents")]
+    )
     merged = pd.concat(parts, ignore_index=True)
     out = (
         merged.sort_values("h")
@@ -207,6 +187,23 @@ def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
         .reset_index(drop=True)
     )
     return out
+
+
+@ray.remote
+def _uniform_partial(path: str, kk: int) -> pd.DataFrame:
+    """``group_uniform_sample``'s task: one shard's per-source ``kk``
+    smallest hash ranks."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["doc_id", "source"])
+    df = pd.DataFrame(
+        {
+            "doc_id": t["doc_id"].to_numpy(zero_copy_only=False),
+            "source": t["source"].to_numpy(zero_copy_only=False),
+        }
+    )
+    df["h"] = df["doc_id"].to_numpy().astype(np.uint64) * np.uint64(2654435761)
+    return df.sort_values("h").groupby("source", sort=False).head(kk).reset_index(drop=True)
 
 
 GROUP_SAMPLE_SQL = f"""
@@ -237,41 +234,43 @@ def group_weighted_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     top-k). xi is ONE IEEE division of the nearest-rounded uint64 hash by
     an exact small int on both engine and oracle, so the doubles (and the
     ranking) agree bit-for-bit; ties broken by doc_id on both sides."""
-    import ray
-
     from .common import shard_list
 
     kk = int(k)
-
-    @ray.remote
-    def shard_partial(path: str) -> pd.DataFrame:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["doc_id", "source", "n_chars"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        w = np.maximum(t["n_chars"].to_numpy(zero_copy_only=False), 1)
-        h = ids.astype(np.uint64) * np.uint64(2654435761)
-        df = pd.DataFrame(
-            {
-                "doc_id": ids,
-                "source": t["source"].to_numpy(zero_copy_only=False),
-                "xi": h.astype(np.float64) / w.astype(np.float64),
-            }
-        )
-        return (
-            df.sort_values(["xi", "doc_id"])
-            .groupby("source", sort=False)
-            .head(kk)
-            .reset_index(drop=True)
-        )
-
-    parts = ray.get([shard_partial.remote(p) for p in shard_list(sf_dir, "documents")])
+    parts = ray.get(
+        [_weighted_partial.remote(p, kk) for p in shard_list(sf_dir, "documents")]
+    )
     merged = pd.concat(parts, ignore_index=True)
     return (
         merged.sort_values(["xi", "doc_id"])
         .groupby("source", sort=False)
         .head(kk)[["doc_id", "source"]]
         .sort_values(["source", "doc_id"])
+        .reset_index(drop=True)
+    )
+
+
+@ray.remote
+def _weighted_partial(path: str, kk: int) -> pd.DataFrame:
+    """``group_weighted_sample``'s task: one shard's per-source ``kk``
+    smallest order variables xi = hash / weight."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=["doc_id", "source", "n_chars"])
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    w = np.maximum(t["n_chars"].to_numpy(zero_copy_only=False), 1)
+    h = ids.astype(np.uint64) * np.uint64(2654435761)
+    df = pd.DataFrame(
+        {
+            "doc_id": ids,
+            "source": t["source"].to_numpy(zero_copy_only=False),
+            "xi": h.astype(np.float64) / w.astype(np.float64),
+        }
+    )
+    return (
+        df.sort_values(["xi", "doc_id"])
+        .groupby("source", sort=False)
+        .head(kk)
         .reset_index(drop=True)
     )
 
@@ -343,8 +342,6 @@ PACK_CTX = 512
 
 
 def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = None):
-    import ray
-
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from .common import shard_list
 
@@ -370,17 +367,9 @@ def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = N
         return bucket_of(t["doc_id"].to_numpy(zero_copy_only=False))
 
     # pass 1: per-shard per-bucket token sums (num_buckets rows per task)
-    @ray.remote
-    def shard_totals(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = map_fn(pq.read_table(path, columns=["doc_id", "text"]))
-        b = bucket_fn(t)
-        return np.bincount(
-            b, weights=t["n_tok"].to_numpy(zero_copy_only=False), minlength=num_buckets
-        ).astype(np.int64)
-
-    totals = sum(ray.get([shard_totals.remote(p) for p in shards]))
+    totals = sum(ray.get(
+        [_shard_totals.remote(p, map_fn, bucket_fn, num_buckets) for p in shards]
+    ))
     offsets = np.r_[0, np.cumsum(totals)[:-1]]  # exclusive per-bucket offsets
 
     # pass 2: range exchange + per-bucket ordered cumsum
@@ -401,6 +390,17 @@ def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = N
         cols = ("doc_id", "tok_start", "chunk_id")
         return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
     return out.sort_values("doc_id").reset_index(drop=True)
+
+
+@ray.remote
+def _shard_totals(path: str, map_fn, bucket_fn, num_buckets: int) -> np.ndarray:
+    """``pack_sequences``' pass 1: one shard's token sum per bucket."""
+    import pyarrow.parquet as pq
+
+    t = map_fn(pq.read_table(path, columns=["doc_id", "text"]))
+    return np.bincount(
+        bucket_fn(t), weights=t["n_tok"].to_numpy(zero_copy_only=False), minlength=num_buckets
+    ).astype(np.int64)
 
 
 PACK_SQL = f"""
@@ -780,7 +780,6 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     |sources| × buckets rows. Blocklist shingles broadcast once (bounded
     by BLOCKLIST_DOCS)."""
     import pyarrow.dataset as pds
-    import ray
 
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from ..stages.hashjoin import rebucket_refs

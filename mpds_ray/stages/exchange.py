@@ -26,6 +26,11 @@ empty, while ``how='left'`` calls ``reduce_fn`` with ``None`` for the empty
 side. ``emit='pandas'`` concatenates the reduce outputs on the driver under
 ``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` leaves them in the object store.
 
+Both task kinds (``_map_shard``, ``_reduce_bucket``) are module-level remote
+functions, exported once per process. The per-call callables and parameters
+travel as task arguments (``reduce_fn`` is ``ray.put`` once per call), so a
+call costs no function export and no worker re-import of a fresh function.
+
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
 per bucket, never assumed from the exchange.
@@ -148,27 +153,37 @@ def exchange_map(
     <= chunk_rows sub-objects (``ray.put`` each), so ``refs[s][b]`` becomes a
     LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
     and release one at a time instead of pinning the whole run."""
-
     map_takes_path = accepts_n_positional(map_fn, 2)
-
-    @ray.remote(num_returns=num_buckets)
-    def map_shard(path: str):
-        import pyarrow.parquet as pq
-
-        raw = pq.read_table(path, columns=columns, filters=filters)
-        t = map_fn(raw, path) if map_takes_path else map_fn(raw)
-        bucket = bucket_fn(t)
-        parts = _split_by_bucket(t, bucket, num_buckets, sort_keys=sort_keys)
-        if chunk_rows is not None:
-            from .chunked import split_chunks
-
-            parts = [[ray.put(c) for c in split_chunks(p, chunk_rows)] for p in parts]
-        return tuple(parts) if num_buckets > 1 else parts[0]
-
-    refs = [map_shard.remote(p) for p in shard_paths]
+    task = _map_shard.options(num_returns=num_buckets)
+    refs = [
+        task.remote(
+            p, map_fn, map_takes_path, bucket_fn, num_buckets,
+            columns, filters, sort_keys, chunk_rows,
+        )
+        for p in shard_paths
+    ]
     if num_buckets == 1:
         refs = [[r] for r in refs]
     return refs
+
+
+@ray.remote
+def _map_shard(
+    path, map_fn, map_takes_path, bucket_fn, num_buckets,
+    columns, filters, sort_keys, chunk_rows,
+):
+    """``exchange_map``'s task: read one shard, map it, split it by bucket."""
+    import pyarrow.parquet as pq
+
+    raw = pq.read_table(path, columns=columns, filters=filters)
+    t = map_fn(raw, path) if map_takes_path else map_fn(raw)
+    bucket = bucket_fn(t)
+    parts = _split_by_bucket(t, bucket, num_buckets, sort_keys=sort_keys)
+    if chunk_rows is not None:
+        from .chunked import split_chunks
+
+        parts = [[ray.put(c) for c in split_chunks(p, chunk_rows)] for p in parts]
+    return tuple(parts) if num_buckets > 1 else parts[0]
 
 
 def gather_slices(parts) -> pa.Table | None:
@@ -203,15 +218,9 @@ def reduce_grid(
     ends = list(accumulate(len(g) for g in grids))
     spans = list(zip([0] + ends[:-1], ends))  # each grid's run of task args
 
-    @ray.remote
-    def reduce_bucket(b: int, *parts):
-        tables = [gather_slices(parts[lo:hi]) for lo, hi in spans]
-        if tables[0] is None or (how == "inner" and any(t is None for t in tables)):
-            return None
-        return reduce_fn(b, *tables)
-
+    fn_ref = ray.put(reduce_fn)
     out = [
-        reduce_bucket.remote(b, *[row[b] for g in grids for row in g])
+        _reduce_bucket.remote(fn_ref, spans, how, b, *[row[b] for g in grids for row in g])
         for b in range(num_buckets)
     ]
     if emit == "refs":
@@ -225,6 +234,17 @@ def reduce_grid(
             "partials / top-k, or keep emit='refs' and write per bucket"
         )
     return res
+
+
+@ray.remote
+def _reduce_bucket(reduce_fn, spans, how: str, b: int, *parts):
+    """``reduce_grid``'s task: gather each grid's slices of bucket ``b``
+    (``spans`` are the grids' runs of ``parts``) and apply the empty-side
+    rule before calling ``reduce_fn``."""
+    tables = [gather_slices(parts[lo:hi]) for lo, hi in spans]
+    if tables[0] is None or (how == "inner" and any(t is None for t in tables)):
+        return None
+    return reduce_fn(b, *tables)
 
 
 def hash_exchange(

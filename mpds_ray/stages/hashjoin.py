@@ -85,23 +85,25 @@ def build_key_bloom(
     whatever ``map_fn`` needs), inserts its post-map keys, and the driver ORs
     the packed arrays — num_bits/8 bytes per shard (1 MiB at the 2^23
     default), independent of row count."""
-
-    @ray.remote
-    def shard_bloom(path: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=columns or [key], filters=filters)
-        if map_fn is not None:
-            t = map_fn(t)
-        return bloom_insert(
-            t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes
-        )
-
-    parts = ray.get([shard_bloom.remote(p) for p in shard_paths])
+    parts = ray.get([
+        _shard_bloom.remote(p, key, num_bits, num_hashes, map_fn, columns, filters)
+        for p in shard_paths
+    ])
     out = np.zeros(num_bits // 8, dtype=np.uint8)
     for p in parts:
         out |= p
     return out
+
+
+@ray.remote
+def _shard_bloom(path, key, num_bits, num_hashes, map_fn, columns, filters) -> np.ndarray:
+    """``build_key_bloom``'s task: one shard's packed bloom bits."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=columns or [key], filters=filters)
+    if map_fn is not None:
+        t = map_fn(t)
+    return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
 
 
 def exchange_join(
@@ -225,22 +227,24 @@ def rebucket_refs(
     ``refs[i][b]`` grid shape ``exchange_map`` produces, so the two exchange
     sources compose interchangeably. Empty/None upstream outputs yield
     zero-row slices that the bucket join skips."""
-
-    @ray.remote(num_returns=num_buckets)
-    def split(t):
-        if t is None or t.num_rows == 0:
-            empty = pa.table({})
-            return tuple([empty] * num_buckets) if num_buckets > 1 else empty
-        if map_fn is not None:
-            t = map_fn(t)
-        bucket = stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
-        parts = _split_by_bucket(t, bucket, num_buckets)
-        return tuple(parts) if num_buckets > 1 else parts[0]
-
-    out = [split.remote(r) for r in table_refs]
+    task = _split.options(num_returns=num_buckets)
+    out = [task.remote(r, key, num_buckets, map_fn) for r in table_refs]
     if num_buckets == 1:
         out = [[r] for r in out]
     return out
+
+
+@ray.remote
+def _split(t, key, num_buckets, map_fn):
+    """``rebucket_refs``' task: split one upstream output by bucket."""
+    if t is None or t.num_rows == 0:
+        empty = pa.table({})
+        return tuple([empty] * num_buckets) if num_buckets > 1 else empty
+    if map_fn is not None:
+        t = map_fn(t)
+    bucket = stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
+    parts = _split_by_bucket(t, bucket, num_buckets)
+    return tuple(parts) if num_buckets > 1 else parts[0]
 
 
 def build_key_bloom_refs(
@@ -253,15 +257,16 @@ def build_key_bloom_refs(
     hop's outputs) — lets a later hop prefilter its BIG storage side by the
     keys that actually survived the earlier joins. num_bits/8 bytes per
     upstream bucket cross the driver, independent of row count."""
-
-    @ray.remote
-    def part_bloom(t) -> np.ndarray:
-        if t is None or t.num_rows == 0:
-            return np.zeros(num_bits // 8, dtype=np.uint8)
-        return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
-
-    parts = ray.get([part_bloom.remote(r) for r in table_refs])
+    parts = ray.get([_part_bloom.remote(r, key, num_bits, num_hashes) for r in table_refs])
     out = np.zeros(num_bits // 8, dtype=np.uint8)
     for p in parts:
         out |= p
     return out
+
+
+@ray.remote
+def _part_bloom(t, key, num_bits, num_hashes) -> np.ndarray:
+    """``build_key_bloom_refs``' task: one upstream output's bloom bits."""
+    if t is None or t.num_rows == 0:
+        return np.zeros(num_bits // 8, dtype=np.uint8)
+    return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)

@@ -146,6 +146,129 @@ class TestMinHash:
         assert got == want and chunked.num_rows == len(want)
 
 
+def _band_pairs_loop(tbl: pa.Table) -> set:
+    """The per-group loop ``_band_pairs`` replaced, kept as its oracle."""
+    df = tbl.to_pandas().drop_duplicates()
+    out = set()
+    for _, g in df.groupby(["band", "band_hash"], sort=False):
+        ids = np.unique(g["doc_id"].to_numpy())
+        if ids.size < 2:
+            continue
+        ii, jj = np.triu_indices(ids.size, k=1)
+        out |= set(zip(ids[ii].tolist(), ids[jj].tolist()))
+    return out
+
+
+def _prefix_candidates_loop(tbl: pa.Table, tq_prune: int) -> set:
+    """The per-group loop ``_prefix_candidates`` replaced, kept as its
+    oracle. It paired a duplicated (shingle, doc) row with itself; real
+    prefix rows are distinct per (doc, shingle), so self-pairs are dropped."""
+    sh = tbl["shingle"].to_numpy()
+    did = tbl["doc_id"].to_numpy()
+    sz = tbl["size"].to_numpy()
+    order = np.lexsort((did, sh))
+    sh, did, sz = sh[order], did[order], sz[order]
+    starts = np.r_[0, np.flatnonzero(sh[1:] != sh[:-1]) + 1]
+    counts = np.diff(np.r_[starts, sh.size])
+    multi = counts >= 2
+    out = set()
+    for s0, c in zip(starts[multi], counts[multi]):
+        ids = did[s0 : s0 + c]
+        sizes = sz[s0 : s0 + c]
+        ii, jj = np.triu_indices(int(c), k=1)
+        sa, sb = sizes[ii].astype(np.int64), sizes[jj].astype(np.int64)
+        ok = np.minimum(sa, sb) * 1_000_000 >= tq_prune * np.maximum(sa, sb)
+        out |= set(zip(ids[ii[ok]].tolist(), ids[jj[ok]].tolist()))
+    return {(a, b) for a, b in out if a != b}
+
+
+def _keyed_rows(gen, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """(key, doc_id) rows: random shared keys, singleton keys, duplicated
+    (key, doc) rows and one hot key held by 300 docs, in shuffled order."""
+    key = np.r_[
+        gen.integers(0, n_keys, 600),  # shared keys
+        np.arange(10_000, 10_200),  # singletons
+        np.full(300, 99_999),  # the hot key
+    ]
+    doc = np.r_[gen.integers(0, 400, 600), gen.integers(0, 400, 200), gen.permutation(300)]
+    dup = gen.integers(0, key.size, 150)
+    key, doc = np.r_[key, key[dup]], np.r_[doc, doc[dup]]
+    perm = gen.permutation(key.size)
+    return key[perm].astype(np.int64), doc[perm].astype(np.int64)
+
+
+class TestCandidateKernels:
+    """The vectorized candidate reduces equal the per-group loops they
+    replaced, as sets of pairs, and stay equal when the pair expansion runs
+    in ranges of at most PAIRWISE_CHUNK_VALUES pairs."""
+
+    @staticmethod
+    def _spy_ranges(monkeypatch, text):
+        spans = []
+        orig = text._probe_pairs
+
+        def spy(*args):
+            for ii, jj in orig(*args):
+                spans.append(ii.size)
+                yield ii, jj
+
+        monkeypatch.setattr(text, "PAIRWISE_CHUNK_VALUES", 50)
+        monkeypatch.setattr(text, "_probe_pairs", spy)
+        return spans
+
+    @staticmethod
+    def _pairs(tbl: pa.Table) -> list:
+        return list(zip(tbl["doc_a"].to_pylist(), tbl["doc_b"].to_pylist()))
+
+    def _check(self, got: pa.Table, want: set) -> None:
+        pairs = self._pairs(got)
+        assert set(pairs) == want and len(pairs) == len(want)
+        assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_band_pairs_match_group_loop(self, monkeypatch, seed):
+        from mpds_ray.pipelines import text
+
+        gen = np.random.default_rng(seed)
+        key, doc = _keyed_rows(gen, 120)
+        tbl = pa.table({"band": key % 4, "band_hash": key // 4, "doc_id": doc})
+        want = _band_pairs_loop(tbl)
+        whole = text._band_pairs(tbl)
+        self._check(whole, want)
+        spans = self._spy_ranges(monkeypatch, text)
+        chunked = text._band_pairs(tbl)
+        assert chunked.equals(whole)
+        assert len(spans) > 1 and max(spans) <= 50
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prefix_candidates_match_group_loop(self, monkeypatch, seed):
+        from mpds_ray.pipelines import text
+
+        gen = np.random.default_rng(seed)
+        key, doc = _keyed_rows(gen, 120)
+        doc_size = gen.integers(1, 40, 400)
+        tbl = pa.table({"shingle": key, "doc_id": doc, "size": doc_size[doc]})
+        tq = 499_999
+        want = _prefix_candidates_loop(tbl, tq)
+        whole = text._prefix_candidates(tbl, tq)
+        self._check(whole, want)
+        # the size filter rejects some of the hot key's pairs
+        assert 0 < sum(1 for a, b in want if a < 300 and b < 300) < 300 * 299 // 2
+        spans = self._spy_ranges(monkeypatch, text)
+        chunked = text._prefix_candidates(tbl, tq)
+        assert chunked.equals(whole)
+        assert len(spans) > 1 and max(spans) <= 50
+
+    def test_empty_and_singleton_tables(self):
+        from mpds_ray.pipelines import text
+
+        empty = np.zeros(0, dtype=np.int64)
+        band = pa.table({"band": empty, "band_hash": empty, "doc_id": empty})
+        assert text._band_pairs(band).equals(text.EMPTY_PAIR_TABLE)
+        one = pa.table({"shingle": [7, 7, 8], "doc_id": [3, 3, 4], "size": [5, 5, 5]})
+        assert text._prefix_candidates(one, 499_999).equals(text.EMPTY_PAIR_TABLE)
+
+
 class TestSimHash:
     def test_deterministic(self):
         toks = [rng.integers(0, 50257, 50) for _ in range(5)]
