@@ -119,7 +119,7 @@ def train_and_score(sf_dir: str, creg1: float = 10.0, creg2: float = 1.0) -> dic
     w = train_dssl_linear(diff_o, diff_s, dt_s, mu_o=1.0, h=0.5, creg1=creg1, creg2=creg2)
 
     scores = x @ w  # M11 linear scoring (distributed form: broadcast w,
-    # map_batches mat-vec — exercised in tests; collected here for eval)
+    # per-shard mat-vec — exercised in tests; collected here for eval)
     df["score"] = scores
     train_acc = sign_agreement_accuracy(diff_o @ w)
     per_user_max = df.groupby("user_id")["score"].max()  # A1

@@ -20,8 +20,10 @@ from ..stages.scans import (
     remove_short_on_intervals,
     time_since_to_event,
 )
+from ..stages.exchange import hash_exchange, shard_map
 from ..stages.sessionize import sessionize_gap
-from .common import partial_groupby_sum, read, round_columns, round_half_away
+from ..stages.sketch import kmv_merge_count, kmv_partial, shard_quantiles
+from .common import round_half_away, shard_groupby_sum, shard_list
 
 SESSION_GAP = 1800.0  # 30 min
 
@@ -35,9 +37,6 @@ def _per_bucket_events(
     Every user lands wholly in one bucket, so ``fn`` sees entity-complete,
     (user_id, ts, event_id)-sorted rows at any bucket count."""
     import pyarrow as pa
-
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
     cols = list(dict.fromkeys(columns + ["user_id", "ts", "event_id"]))
@@ -226,8 +225,6 @@ def user_mode_event_type(sf_dir: str):
     |users|×|types| rows per shard regardless of row count — and each
     reduce bucket folds partials and takes one deterministic argmax row
     per user."""
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
 
@@ -884,8 +881,9 @@ def write_events_partitioned(sf_dir: str, out_root: str = "/tmp/mpds_sink_gate")
     (S2 + S3), then answer FROM THE MANIFEST — per-type row counts as the
     lineage recorded them. The DuckDB oracle recounts from the raw table,
     so a green row proves the written lineage matches the source exactly.
-    Each run writes to a fresh scratch dir (the resume-skip path is
-    pytest-covered in test_ray_pipeline); partition files are one per type,
+    Each run writes to a fresh scratch dir (the resume path — a rerun
+    rewrites exactly the partitions whose file is missing or truncated — is
+    pytest-covered in test_resume_fault); partition files are one per type,
     atomic-rename committed."""
     import shutil
     import uuid
@@ -894,18 +892,11 @@ def write_events_partitioned(sf_dir: str, out_root: str = "/tmp/mpds_sink_gate")
 
     out_dir = f"{out_root}/{uuid.uuid4().hex}"
     manifest_path = f"{out_dir}/manifest.jsonl"
-    ev = read(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(_bucket=b["event_type"])
-
-    recs = write_partitioned_resumable(
-        ev.map_batches(tag, batch_format="pandas"),
-        out_dir,
-        "sink_gate",
-        manifest_path,
+    # the result itself comes from the lineage, not the returned summary
+    write_partitioned_resumable(
+        shard_list(sf_dir, "events"), out_dir, "sink_gate", manifest_path,
+        "event_type", columns=["event_id", "event_type", "value"],
     )
-    recs.materialize()  # drive the write; result itself comes from lineage
     rows = Manifest(manifest_path).records()
     out = pd.DataFrame(
         {
@@ -1364,20 +1355,17 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING
 
 
 def hourly_event_stats(sf_dir: str):
-    ev = read(sf_dir, "events", columns=["ts", "event_type", "value"])
-
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         epoch = b["ts"].astype("int64") // 1_000_000
         b = b.assign(hour_epoch=(epoch // 3600 * 3600).astype(np.int64))
         return b[["hour_epoch", "event_type", "value"]]
 
-    agg = partial_groupby_sum(
-        ev.map_batches(prep, batch_format="pandas"),
-        ["hour_epoch", "event_type"],
-        {"value": "sum_value"},
-        count_as="n",
+    agg = shard_groupby_sum(
+        sf_dir, "events", ["hour_epoch", "event_type"], {"value": "sum_value"},
+        count_as="n", columns=["ts", "event_type", "value"], prep=prep,
     )
-    return round_columns(agg, {"sum_value": 2})
+    agg["sum_value"] = agg["sum_value"].round(2)
+    return agg
 
 
 HOURLY_SQL = """
@@ -1390,11 +1378,10 @@ def hopping_window_stats(sf_dir: str, size_s: int = 1800, hop_s: int = 900):
     """HOPPING (overlapping) event-time windows — the streaming aggregate
     shape tumbling windows can't express: size 1800 s sliding by 900 s, so
     every event belongs to size/hop = 2 windows. The expansion is a
-    vectorized repeat inside map_batches (each event emits its size/hop
-    window_starts), then the same partial-groupby-sum fold as the tumbling
-    query — window-domain-bounded, no shuffle of raw rows."""
+    vectorized repeat inside each shard task (each event emits its size/hop
+    window_starts), then the same grouped-sum fold as the tumbling query —
+    window-domain-bounded, no shuffle of raw rows."""
     k = size_s // hop_s
-    ev = read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         epoch = (b["ts"].astype("int64") // 1_000_000).to_numpy()
@@ -1410,13 +1397,12 @@ def hopping_window_stats(sf_dir: str, size_s: int = 1800, hop_s: int = 900):
             }
         )
 
-    agg = partial_groupby_sum(
-        ev.map_batches(prep, batch_format="pandas"),
-        ["window_start", "event_type"],
-        {"value": "sum_value"},
-        count_as="n",
+    agg = shard_groupby_sum(
+        sf_dir, "events", ["window_start", "event_type"], {"value": "sum_value"},
+        count_as="n", columns=["ts", "event_type", "value"], prep=prep,
     )
-    return round_columns(agg, {"sum_value": 2})
+    agg["sum_value"] = agg["sum_value"].round(2)
+    return agg
 
 
 HOPPING_SQL = """
@@ -1546,8 +1532,6 @@ def latest_event_per_user_type(sf_dir: str):
     re-compacts each user bucket. Driver root is bounded by the compacted
     key domain (|users| × |event types|) — at real scale this is a
     write_parquet sink, not a collect."""
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
     cols = ["user_id", "event_type", "ts", "event_id", "value"]
@@ -1611,55 +1595,42 @@ FROM r WHERE rn = 1
 
 
 def user_set_ops(sf_dir: str):
-    ev = read(sf_dir, "events", columns=["user_id", "event_type"])
+    """Set ops over per-user event-type flags: a hash exchange on user_id
+    (map tasks pre-reduce to one flag row per user and shard), each bucket
+    folds its users' flags and emits the three set counts; the driver sums
+    one row per bucket."""
+    import pyarrow as pa
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def map_fn(t: pa.Table) -> pa.Table:
         # vectorized flag columns, one grouped max (no per-group lambdas)
-        et = b["event_type"].to_numpy()
+        et = t["event_type"].to_numpy(zero_copy_only=False)
         f = pd.DataFrame(
             {
-                "user_id": b["user_id"],
+                "user_id": t["user_id"].to_numpy(zero_copy_only=False),
                 "has_purchase": (et == "purchase").astype(np.int64),
                 "has_error": (et == "error").astype(np.int64),
                 "has_signup": (et == "signup").astype(np.int64),
             }
         )
-        return f.groupby("user_id", as_index=False, sort=False).max()
+        g = f.groupby("user_id", as_index=False, sort=False).max()
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Max
-
-    flags = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby("user_id")
-        .aggregate(
-            Max("has_purchase", alias_name="has_purchase"),
-            Max("has_error", alias_name="has_error"),
-            Max("has_signup", alias_name="has_signup"),
+    def count_bucket(b: int, t: pa.Table) -> pd.DataFrame:
+        f = t.to_pandas().groupby("user_id", sort=False).max()
+        pur, err, sig = (
+            f[c].to_numpy() == 1 for c in ("has_purchase", "has_error", "has_signup")
         )
-    )
-
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "n_union_purchase_error": [
-                    int(((b["has_purchase"] == 1) | (b["has_error"] == 1)).sum())
-                ],
-                "n_intersect_purchase_error": [
-                    int(((b["has_purchase"] == 1) & (b["has_error"] == 1)).sum())
-                ],
-                "n_purchase_minus_signup": [
-                    int(((b["has_purchase"] == 1) & (b["has_signup"] == 0)).sum())
-                ],
+                "n_union_purchase_error": [int((pur | err).sum())],
+                "n_intersect_purchase_error": [int((pur & err).sum())],
+                "n_purchase_minus_signup": [int((pur & ~sig).sum())],
             }
         )
 
-    # the r2 version collected the PER-USER flag table (user-domain rows —
-    # unbounded at corpus scale); counts are now summed map-side so the
-    # driver folds one row per block
-    from .common import bounded_to_pandas
-
-    parts = bounded_to_pandas(
-        flags.map_batches(count_partial, batch_format="pandas"), "user_set_ops"
+    parts = hash_exchange(
+        shard_list(sf_dir, "events"), map_fn, "user_id", None, count_bucket,
+        columns=["user_id", "event_type"],
     )
     return parts.sum().astype(np.int64).to_frame().T
 
@@ -1687,8 +1658,6 @@ def props_json_stats(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    ds = read(sf_dir, "events", columns=["event_type", "props"])
-
     def fn(b: pa.Table) -> pd.DataFrame:
         props = b["props"].combine_chunks()
         m = pc.extract_regex(props, r'"k":\s*(?P<k>-?\d+)')
@@ -1701,10 +1670,11 @@ def props_json_stats(sf_dir: str):
             k_sum=("k", "sum"), n=("k", "size"), k_max=("k", "max")
         )
 
-    from .common import bounded_to_pandas
-
-    # bound: event-type domain x batches
-    parts = bounded_to_pandas(ds.map_batches(fn, batch_format="pyarrow"), "props_json")
+    # bound: event-type domain x tasks
+    parts = shard_map(
+        shard_list(sf_dir, "events"), fn, columns=["event_type", "props"],
+        collect="props_json_stats",
+    )
     out = parts.groupby("event_type", as_index=False).agg(
         k_sum=("k_sum", "sum"), n=("n", "sum"), k_max=("k_max", "max")
     )
@@ -1731,26 +1701,19 @@ GROUP BY event_type ORDER BY event_type
 
 def approx_distinct_users(sf_dir: str):
     """Global distinct-user count via the mergeable KMV sketch
-    (stages/sketch.py): each map batch ships its KMV_K smallest distinct
+    (stages/sketch.py): each shard task ships its KMV_K smallest distinct
     user-id hashes (k uint64s — never the id column), the driver folds the
     partials. Exact (bijective-hash set fold) whenever the true distinct
     count is strictly < KMV_K — the sf0.01/sf0.1 oracle gate — with a
     ~1/sqrt(KMV_K) relative-error estimate beyond, so driver memory is k x
-    batches no matter how many distinct users the corpus has."""
-    from ..stages.sketch import kmv_merge_count, kmv_partial
-    from .common import bounded_to_pandas
-
-    ds = read(sf_dir, "events", columns=["user_id"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        h = kmv_partial(b["user_id"].to_numpy().astype(np.uint64))
-        return pd.DataFrame({"h": h.astype(np.int64)})  # arrow-friendly dtype
-
-    # bound: KMV_K hashes x batches by construction
-    parts = bounded_to_pandas(
-        ds.map_batches(partial, batch_format="pandas"), "kmv_partials"
+    tasks no matter how many distinct users the corpus has."""
+    # bound: KMV_K hashes x tasks by construction
+    parts = shard_map(
+        shard_list(sf_dir, "events"),
+        lambda t: kmv_partial(t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)),
+        columns=["user_id"],
     )
-    n = kmv_merge_count([parts["h"].to_numpy().astype(np.uint64)])
+    n = kmv_merge_count(parts)
     return pd.DataFrame({"n_distinct_users": np.array([n], dtype=np.int64)})
 
 
@@ -1760,31 +1723,29 @@ SELECT count(DISTINCT user_id) AS n_distinct_users FROM events
 
 
 def approx_distinct_users_by_type(sf_dir: str):
-    """GROUPED mergeable-sketch distinct: one KMV summary per (batch,
+    """GROUPED mergeable-sketch distinct: one KMV summary per (shard task,
     event_type), folded per type on the driver — the grouped companion to
     ``approx_distinct_users``. Driver state is bounded by KMV_K x types x
-    batches (the type domain is fixed); the user-id column itself never
+    tasks (the type domain is fixed); the user-id column itself never
     leaves the map tasks. Exact while each type's distinct count is
     STRICTLY < KMV_K (``kmv_merge_count`` switches to the estimator when
     the folded union reaches k — at exactly k distinct a partial may have
     truncated; ADVICE r4 #2). The oracle gate holds at every test SF with
     wide margin (<= 1500 distinct users vs K = 8192); ~1/sqrt(K) relative
     error beyond."""
-    from ..stages.sketch import kmv_merge_count, kmv_partial
-    from .common import bounded_to_pandas
-
-    ds = read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def partial(t) -> pd.DataFrame:
+        b = t.to_pandas()
         frames = [pd.DataFrame({"event_type": pd.Series([], dtype=object),
                                 "h": pd.Series([], dtype=np.int64)})]
         for et, g in b.groupby("event_type", sort=False):
             h = kmv_partial(g["user_id"].to_numpy().astype(np.uint64))
             frames.append(pd.DataFrame({"event_type": et, "h": h.astype(np.int64)}))
-        return pd.concat(frames, ignore_index=True)  # zero-row batch safe
+        return pd.concat(frames, ignore_index=True)  # zero-row shard safe
 
-    parts = bounded_to_pandas(
-        ds.map_batches(partial, batch_format="pandas"), "kmv_grouped_partials"
+    # bound: KMV_K hashes x types x tasks by construction
+    parts = shard_map(
+        shard_list(sf_dir, "events"), partial, columns=["user_id", "event_type"],
+        collect="approx_distinct_users_by_type",
     )
     out = (
         parts.groupby("event_type", sort=True)["h"]
@@ -1953,38 +1914,39 @@ def event_value_zscore(sf_dir: str):
     (bounded by the type domain), pass 2 folds per-type sum((v-mean)^2)
     partials for a numerically stable sample variance, then a map-only
     transform attaches z = (v - mean) / std. Neither pass collects rows."""
-    from .common import bounded_to_pandas
+    shards = shard_list(sf_dir, "events")
+    cols = ["event_id", "event_type", "value"]
 
-    ev = read(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def p1(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("event_type", as_index=False, sort=False)["value"].agg(
+    def p1(t) -> pd.DataFrame:
+        g = t.to_pandas().groupby("event_type", as_index=False, sort=False)["value"].agg(
             ["sum", "count"]
         )
         return g.reset_index() if "event_type" not in g.columns else g
 
-    # bound: event_type domain x batches
-    m1 = bounded_to_pandas(
-        ev.map_batches(p1, batch_format="pandas"), "zscore_pass1"
-    ).groupby("event_type", as_index=False)[["sum", "count"]].sum()
+    # bound: event_type domain x tasks
+    m1 = shard_map(shards, p1, columns=cols, collect="event_value_zscore pass 1").groupby(
+        "event_type", as_index=False
+    )[["sum", "count"]].sum()
     means = dict(zip(m1["event_type"], m1["sum"] / m1["count"]))
     ns = dict(zip(m1["event_type"], m1["count"]))
 
-    def p2(b: pd.DataFrame) -> pd.DataFrame:
+    def p2(t) -> pd.DataFrame:
+        b = t.to_pandas()
         mu = b["event_type"].map(means).to_numpy(dtype=np.float64)
         d = b["value"].to_numpy(dtype=np.float64) - mu
         return pd.DataFrame({"event_type": b["event_type"], "ss": d * d}).groupby(
             "event_type", as_index=False, sort=False
         )["ss"].sum()
 
-    m2 = bounded_to_pandas(
-        ev.map_batches(p2, batch_format="pandas"), "zscore_pass2"
-    ).groupby("event_type", as_index=False)["ss"].sum()
+    m2 = shard_map(shards, p2, columns=cols, collect="event_value_zscore pass 2").groupby(
+        "event_type", as_index=False
+    )["ss"].sum()
     stds = {
         t: float(np.sqrt(ss / (ns[t] - 1))) for t, ss in zip(m2["event_type"], m2["ss"])
     }
 
-    def z(b: pd.DataFrame) -> pd.DataFrame:
+    def z(t) -> pd.DataFrame:
+        b = t.to_pandas()
         mu = b["event_type"].map(means).to_numpy(dtype=np.float64)
         sd = b["event_type"].map(stds).to_numpy(dtype=np.float64)
         return pd.DataFrame(
@@ -1994,7 +1956,7 @@ def event_value_zscore(sf_dir: str):
             }
         )
 
-    return ev.map_batches(z, batch_format="pandas")
+    return shard_map(shards, z, columns=cols, collect="event_value_zscore")
 
 
 ZSCORE_SQL = """
@@ -2069,9 +2031,6 @@ def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None)
     re-ranks k-plus-ties × types × buckets rows, never the user domain."""
     import pyarrow as pa
 
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
-
     shards = shard_list(sf_dir, "events")
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -2133,9 +2092,6 @@ def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = 
     folds k x types x buckets rows regardless of user count."""
     import pyarrow as pa
 
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
-
     shards = shard_list(sf_dir, "events")
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -2195,21 +2151,19 @@ HIST_BIN_WIDTH = 25.0
 
 
 def value_histogram(sf_dir: str):
-    """Fixed-width histogram of events.value: map batches pre-reduce to
+    """Fixed-width histogram of events.value: shard tasks pre-reduce to
     per-bin counts (bin domain is value_range/width — bounded), the driver
     folds partials. The distributed shape of functions/metrics.py:hist —
     counts ride the combiner tree, rows never leave the map tasks."""
-    ev = read(sf_dir, "events", columns=["value"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {"bin": (np.floor(b["value"].to_numpy() / HIST_BIN_WIDTH)).astype(np.int64)}
         )
 
-    agg = partial_groupby_sum(
-        ev.map_batches(prep, batch_format="pandas"), ["bin"], {}, count_as="n"
+    return shard_groupby_sum(
+        sf_dir, "events", ["bin"], {}, count_as="n", columns=["value"], prep=prep
     )
-    return agg
 
 
 HIST_SQL = f"""
@@ -2225,19 +2179,16 @@ def value_quartile_label(sf_dir: str):
     computes q25/q50/q75 via the mergeable summary (exact at test scale,
     bounded-error sketch at 100 TB), pass 2 bucketizes map-side against the
     three broadcast thresholds — the standard feature-discretization op."""
-    from ..stages.sketch import column_quantiles
+    shards = shard_list(sf_dir, "events")
+    q25, q50, q75 = shard_quantiles(shards, ["value"], [0.25, 0.5, 0.75])["value"]
 
-    vals = read(sf_dir, "events", columns=["value"])
-    q25, q50, q75 = column_quantiles(vals, ["value"], [0.25, 0.5, 0.75])["value"]
-
-    ev = read(sf_dir, "events", columns=["event_id", "value"])
-
-    def fn(b: pd.DataFrame) -> pd.DataFrame:
+    def fn(t) -> pd.DataFrame:
+        b = t.to_pandas()
         v = b["value"].to_numpy()
         quartile = 1 + (v > q25).astype(np.int64) + (v > q50) + (v > q75)
         return pd.DataFrame({"event_id": b["event_id"], "quartile": quartile})
 
-    return ev.map_batches(fn, batch_format="pandas")
+    return shard_map(shards, fn, columns=["event_id", "value"], collect="value_quartile_label")
 
 
 QUARTILE_SQL = """
@@ -2264,8 +2215,6 @@ def user_event_pivot(sf_dir: str):
     one-hot partials (types are a FIXED small domain -> columns, not rows);
     partials exchange on user_id and fold per bucket — the same combiner
     shape as top_users_per_event_type, output bounded by distinct users."""
-    from ..stages.exchange import hash_exchange
-    from .common import shard_list
 
     shards = shard_list(sf_dir, "events")
 

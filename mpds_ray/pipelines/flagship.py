@@ -58,7 +58,7 @@ from ..stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
 from ..stages.scans import locf_with_expiration, prefix_features, time_since_to_event
 from ..stages.sessionize import sessionize_gap
 from ..stages.window_stats import TokenWindowStats
-from ..state.manifest import Manifest, frame_checksum
+from ..state.manifest import Manifest, frame_checksum, partition_path
 
 _BUCKET = "_bucket"
 _SIDE = "_side"
@@ -248,7 +248,7 @@ def run_flagship(
         return flagship_features(tokens, scores, num_buckets=num_buckets, heavy=heavy, **kw)
 
     manifest_path = manifest_path or f"{out_dir}/manifest.jsonl"
-    done = ChunkPartitionSink.committed(out_dir, manifest_path)
+    done = Manifest(manifest_path).committed("flagship", out_dir)
 
     def _sink(body: pd.DataFrame, pid: int) -> pd.DataFrame:
         if pid in done:
@@ -341,42 +341,11 @@ class ChunkPartitionSink:
     def __init__(self, out_dir: str, bucket_id: int):
         os.makedirs(out_dir, exist_ok=True)
         self.bucket_id = bucket_id
-        self.final = self.path(out_dir, bucket_id)
+        self.final = partition_path(out_dir, bucket_id)
         self.tmp = self.final + f".tmp.{os.getpid()}"
         self.writer = None
         self.rows = 0
         self.checksum = 0
-
-    @staticmethod
-    def path(out_dir: str, bucket_id: int) -> str:
-        return os.path.join(out_dir, f"part-{bucket_id}.parquet")
-
-    @classmethod
-    def committed(cls, out_dir: str, manifest_file: str) -> set:
-        """The skip check of a rerun: the partitions whose last manifest
-        record names a file holding the recorded rows. Every other record
-        (its file missing or truncated, or superseded by a later record of
-        the same partition) is dropped from the manifest, so a recomputed
-        partition ends with one record and the XOR of the manifest's
-        checksums still equals the XOR of what is on disk."""
-        manifest = Manifest(manifest_file)
-        recs = manifest.records()
-        last = {r["partition_id"]: i for i, r in enumerate(recs) if r["stage"] == "flagship"}
-
-        def intact(rec: dict) -> bool:
-            try:
-                meta = pq.read_metadata(cls.path(out_dir, rec["partition_id"]))
-            except (OSError, ValueError):  # missing, or not a whole parquet file
-                return False
-            return meta.num_rows == rec["row_count"]
-
-        keep = [
-            r for i, r in enumerate(recs)
-            if r["stage"] != "flagship" or (last[r["partition_id"]] == i and intact(r))
-        ]
-        if len(keep) < len(recs):
-            manifest.rewrite(keep)
-        return {r["partition_id"] for r in keep if r["stage"] == "flagship"}
 
     def emit(self, df: pd.DataFrame) -> None:
         body = df.drop(columns=[_BUCKET], errors="ignore")
@@ -523,7 +492,7 @@ def run_flagship_exchange(
 
     A rerun into the same ``out_dir`` skips the partitions whose manifest
     record names a file holding the recorded rows
-    (``ChunkPartitionSink.committed``) and recomputes the others.
+    (``Manifest.committed``) and recomputes the others.
 
     Returns per-partition summary rows (or the features when out_dir=None).
     Output is byte-identical across bucket counts, chunking and salting, and
@@ -565,7 +534,7 @@ def run_flagship_exchange(
     manifest_file = None
     if out_dir is not None:
         manifest_file = manifest_path or f"{out_dir}/manifest.jsonl"
-        done = ChunkPartitionSink.committed(out_dir, manifest_file)
+        done = Manifest(manifest_file).committed("flagship", out_dir)
 
     spec: dict = {}
     n_extra = 0
@@ -701,8 +670,13 @@ def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
     checks zero-leakage as-of), sum_score_asof (checks WHICH score each row
     matched, not just that one matched).
     """
+    import ray.data as rd
+
+    from ..stages.exchange import DRIVER_ROOT_ROW_CAP
     from ..tokenize import tokenize_batch
-    from .common import bounded_to_pandas, read
+    from .common import tpath
+
+    docs = tpath(sf_dir, "documents")
 
     def to_tokens(batch: pa.Table) -> pa.Table:
         t = tokenize_batch(batch)
@@ -719,7 +693,7 @@ def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
         ts = (ids * 9973) % 1_000_000
         return t.append_column("ts", pa.array(ts, type=pa.int64()))
 
-    tokens = read(sf_dir, "documents", columns=["doc_id", "text", "source"]).map_batches(
+    tokens = rd.read_parquet(docs, columns=["doc_id", "text", "source"]).map_batches(
         to_tokens, batch_format="pyarrow"
     )
 
@@ -734,7 +708,7 @@ def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
             "score": pa.array((ids % 1000) * 0.5, type=pa.float64()),
         })
 
-    scores = read(sf_dir, "documents", columns=["doc_id", "source"]).map_batches(
+    scores = rd.read_parquet(docs, columns=["doc_id", "source"]).map_batches(
         to_scores, batch_format="pyarrow"
     )
 
@@ -753,9 +727,8 @@ def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
             sum_score_asof=("score_asof", "sum"),
         )
 
-    parts = bounded_to_pandas(
-        feats.map_batches(summarize, batch_format="pandas"),
-        "flagship_session_summary",
+    parts = feats.map_batches(summarize, batch_format="pandas").to_pandas(
+        limit=DRIVER_ROOT_ROW_CAP
     )
     out = parts.groupby("source", as_index=False).agg(
         n_rows=("n_rows", "sum"), max_seq=("max_seq", "max"),

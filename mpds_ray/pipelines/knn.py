@@ -1,35 +1,42 @@
 """Similarity search over the embeddings table.
 
-Brute-force cosine top-k (baseline): the query matrix is broadcast once
-(``ray.put``), each batch does one float64 matmul against it, partial top-k
-per batch, global top-k via sort+limit. The IVF variant (scale path) buckets
-vectors by nearest coarse centroid so a query probes only a few buckets.
+Brute-force cosine top-k (baseline): the query vector travels once with
+the map function, each shard task does one float64 matmul against it and
+keeps a tie-aware partial top-k, and the driver picks the global top-k from
+k rows per task. The IVF variant (scale path) buckets vectors by nearest
+coarse centroid so a query probes only a few buckets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.dataset as pads
 import ray
 
-from .common import read, read_small, topk_driver
-from .text import _splitmix64
+from ..stages.exchange import exchange_map, hash_exchange, shard_map
+from .common import read_small, shard_list, table_num_rows
+from .text import _group_pairs, _splitmix64
 
 K = 10
 
 
-def _emb_matrix(col) -> np.ndarray:
-    """embedding column -> (n, d) float64 matrix WITHOUT a per-row Python
-    loop: Arrow list columns flatten + reshape (vectors are fixed-dim);
-    pandas object columns (small driver-side frames only) fall back to
-    np.stack."""
-    import pyarrow as pa
+def _emb_matrix(col: pa.ChunkedArray) -> np.ndarray:
+    """Arrow embedding column -> (n, d) float64 matrix WITHOUT a per-row
+    Python loop: flatten + reshape (vectors are fixed-dim)."""
+    arr = col.combine_chunks()
+    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    return flat.reshape(len(arr), -1)
 
-    if isinstance(col, (pa.ChunkedArray, pa.Array)):
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        return flat.reshape(len(arr), -1)
-    return np.stack([np.asarray(v, dtype=np.float64) for v in col])
+
+def _top_k(parts: pd.DataFrame) -> pd.DataFrame:
+    """The global top-K (cos_sim DESC, vec_id ASC) of the partial top-Ks."""
+    return (
+        parts.sort_values(["cos_sim", "vec_id"], ascending=[False, True], kind="mergesort")
+        .head(K)
+        .reset_index(drop=True)
+    )
 
 
 def _query_vector(sf_dir: str) -> np.ndarray:
@@ -43,7 +50,6 @@ def knn_cosine_top10(sf_dir: str):
     """Top-10 vec_ids by cosine similarity to vec 0 (self excluded)."""
     q = _query_vector(sf_dir)
     qn = q / np.linalg.norm(q)
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def score(b) -> pd.DataFrame:
         m = _emb_matrix(b["embedding"])
@@ -51,16 +57,14 @@ def knn_cosine_top10(sf_dir: str):
         out = pd.DataFrame({"vec_id": b["vec_id"].to_numpy(zero_copy_only=False),
                             "cos_sim": np.round(sims, 6)})
         out = out[out["vec_id"] != 0]
-        # tie-aware partial top-k per batch (full final key — a rank-10
+        # tie-aware partial top-k per task (full final key — a rank-10
         # cos_sim tie must keep the lower vec_id, like the driver root)
-        return out.sort_values(
-            ["cos_sim", "vec_id"], ascending=[False, True], kind="mergesort"
-        ).head(K)
+        return _top_k(out)
 
-    return topk_driver(
-        emb.map_batches(score, batch_format="pyarrow"),
-        K, ["cos_sim", "vec_id"], [False, True],
-    )
+    return _top_k(shard_map(
+        shard_list(sf_dir, "embeddings"), score, columns=["vec_id", "embedding"],
+        collect="knn_cosine_top10",
+    ))
 
 
 KNN_SQL = f"""
@@ -80,22 +84,19 @@ def _embedding_sample(sf_dir: str, target: int = 2048) -> np.ndarray:
     mod is sized from parquet metadata so ~``target`` rows survive. The full
     table is never collected (the r1 driver-side collect was a scale-killer,
     VERDICT 'What's wrong' #3)."""
-    from .common import table_num_rows
-
     n = table_num_rows(sf_dir, "embeddings")
     mod = max(1, n // target)
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def pick(b: pd.DataFrame) -> pd.DataFrame:
-        keep = _splitmix64(b["vec_id"].to_numpy().astype(np.uint64)) % np.uint64(mod) == 0
-        return b[keep]
-
-    from .common import bounded_to_pandas
+    def pick(t: pa.Table) -> pa.Table:
+        ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return t.filter(pa.array(_splitmix64(ids) % np.uint64(mod) == 0))
 
     # bound: ~target rows by the hash-slice construction
-    df = bounded_to_pandas(emb.map_batches(pick, batch_format="pandas"), "embedding_sample")
-    df = df.sort_values("vec_id")  # block order is not deterministic; sort is
-    return _emb_matrix(df["embedding"])
+    sample = shard_map(
+        shard_list(sf_dir, "embeddings"), pick, columns=["vec_id", "embedding"],
+        collect="embedding_sample",
+    )
+    return _emb_matrix(sample.sort_by("vec_id")["embedding"])
 
 
 def knn_ivf_top10(sf_dir: str, n_cells: int = 8, n_probe: int = 2):
@@ -117,7 +118,6 @@ def knn_ivf_top10(sf_dir: str, n_cells: int = 8, n_probe: int = 2):
     q = _query_vector(sf_dir)
     qn = q / np.linalg.norm(q)
     probe = np.argsort(-(cent @ qn))[:n_probe]
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def score(b) -> pd.DataFrame:
         mm = _emb_matrix(b["embedding"])
@@ -128,20 +128,17 @@ def knn_ivf_top10(sf_dir: str, n_cells: int = 8, n_probe: int = 2):
         sims = mm_n[keep] @ qn
         out = pd.DataFrame({"vec_id": ids[keep], "cos_sim": np.round(sims, 6)})
         # tie-aware partial top-k (full final key, see knn_cosine_top10)
-        return out.sort_values(
-            ["cos_sim", "vec_id"], ascending=[False, True], kind="mergesort"
-        ).head(K)
+        return _top_k(out)
 
-    return topk_driver(
-        emb.map_batches(score, batch_format="pyarrow"),
-        K, ["cos_sim", "vec_id"], [False, True],
-    )
+    return _top_k(shard_map(
+        shard_list(sf_dir, "embeddings"), score, columns=["vec_id", "embedding"],
+        collect="knn_ivf_top10",
+    ))
 
 
 def label_centroid_sims(sf_dir: str):
     """Per-label mean embedding (partial-sum pattern) + its cosine to the
     global mean — grouped vector aggregation with a SQL oracle."""
-    emb = read(sf_dir, "embeddings", columns=["label", "embedding"])
 
     def partial(b) -> pd.DataFrame:
         m = _emb_matrix(b["embedding"])
@@ -155,11 +152,10 @@ def label_centroid_sims(sf_dir: str):
             {"label": ls[starts], "n": counts, "vsum": list(sums)}
         )
 
-    from .common import bounded_to_pandas
-
-    # bound: label domain x blocks (vector partial sums, not rows)
-    parts = bounded_to_pandas(
-        emb.map_batches(partial, batch_format="pyarrow"), "label_centroid_partials"
+    # bound: label domain x tasks (vector partial sums, not rows)
+    parts = shard_map(
+        shard_list(sf_dir, "embeddings"), partial, columns=["label", "embedding"],
+        collect="label_centroid_sims",
     )
     agg = parts.groupby("label").apply(
         lambda g: pd.Series({"n": g["n"].sum(), "vsum": np.sum(np.stack(g["vsum"].to_numpy()), axis=0)}),
@@ -212,11 +208,12 @@ def _pairs_from_sims(ids_a, ids_b, sims: np.ndarray, threshold: float, same: boo
 
 def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     """EXACT embedding-cosine pair mining (the verification baseline the LSH
-    sketch is measured against): normalize map-side, materialize the
-    normalized blocks in the object store, then one Ray task per block pair
-    (i <= j) does a single float64 matmul and emits thresholded pairs. The
-    Dataset API cannot express a self-cross-join, so this drops to raw tasks
-    over the Dataset's own block refs (no driver collect of the table).
+    sketch is measured against): one ``exchange_map`` task per shard
+    normalizes its vectors and returns them as blocks of at most
+    ``PAIR_BLOCK_ROWS`` rows (task returns, so the driver owns them and
+    lineage can rebuild them), then one Ray task per block pair (i <= j)
+    does a single float64 matmul and emits thresholded pairs (no driver
+    collect of the table).
 
     O(n^2/2) compute split over B(B+1)/2 independent tasks; per-task memory
     is two blocks. This is BASELINE-ONLY by construction: block-pair count
@@ -231,28 +228,30 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     """
     import pyarrow.parquet as pq
 
-    from .common import shard_list
-
-    n_vecs = sum(pq.read_metadata(p).num_rows for p in shard_list(sf_dir, "embeddings"))
-    if n_vecs > 250_000:
+    shards = shard_list(sf_dir, "embeddings")
+    rows = [pq.read_metadata(p).num_rows for p in shards]
+    if sum(rows) > 250_000:
         raise ValueError(
             f"embedding_near_dups is the exact all-pairs BASELINE (O(n^2)); "
-            f"{n_vecs} vectors exceeds its 250k bound — use "
+            f"{sum(rows)} vectors exceeds its 250k bound — use "
             "embedding_near_dups_lsh, the scale path (recall property-tested "
             "at 1.0 against this baseline)"
         )
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def norm(b) -> pd.DataFrame:
-        m = _emb_matrix(b["embedding"])
+    def norm(t: pa.Table) -> pa.Table:
+        m = _emb_matrix(t["embedding"])
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
-        return pd.DataFrame(
-            {"vec_id": b["vec_id"].to_numpy(zero_copy_only=False), "nvec": list(m)}
-        )
+        nvec = pa.FixedSizeListArray.from_arrays(pa.array(m.ravel()), m.shape[1])
+        return pa.table({"vec_id": t["vec_id"], "nvec": nvec})
 
-    blocks = emb.map_batches(norm, batch_format="pyarrow", batch_size=4096).materialize()
-    refs = [r for bundle in blocks.iter_internal_ref_bundles() for r in bundle.block_refs]
+    def block_of(t: pa.Table) -> np.ndarray:
+        return np.arange(t.num_rows) // PAIR_BLOCK_ROWS
 
+    blocks = [-(-n // PAIR_BLOCK_ROWS) for n in rows]  # non-empty blocks per shard
+    grid = exchange_map(
+        shards, norm, block_of, max(max(blocks), 1), columns=["vec_id", "embedding"]
+    )
+    refs = [r for rs, b in zip(grid, blocks) for r in rs[:b]]
     out = [
         _pair_task.remote(refs[i], refs[j], i == j, threshold)
         for i in range(len(refs))
@@ -268,22 +267,16 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     )
 
 
-def _ids_matrix(t):
-    # blocks may be pa.Table or pd.DataFrame depending on the map format
-    if isinstance(t, pd.DataFrame):
-        return t["vec_id"].to_numpy(), _emb_matrix(t["nvec"])
-    return (
-        t["vec_id"].to_numpy(zero_copy_only=False),
-        _emb_matrix(t["nvec"]),
-    )
+PAIR_BLOCK_ROWS = 4096  # vectors per block of embedding_near_dups' pair tasks
 
 
 @ray.remote
-def _pair_task(ta, tb, same: bool, threshold: float) -> pd.DataFrame:
-    """``embedding_near_dups``' task: the pairs of one block pair whose
-    cosine similarity clears ``threshold``."""
-    ia, ma = _ids_matrix(ta)
-    ib, mb = (ia, ma) if same else _ids_matrix(tb)
+def _pair_task(block_a, block_b, same: bool, threshold: float) -> pd.DataFrame:
+    """``embedding_near_dups``' task: the pairs of one block pair (each a
+    ``(vec_id, nvec)`` table of normalized vectors) whose cosine similarity
+    clears ``threshold``."""
+    ia, ma = block_a["vec_id"].to_numpy(), _emb_matrix(block_a["nvec"])
+    ib, mb = (ia, ma) if same else (block_b["vec_id"].to_numpy(), _emb_matrix(block_b["nvec"]))
     return _pairs_from_sims(ia, ib, ma @ mb.T, threshold, same)
 
 
@@ -318,56 +311,50 @@ def embedding_near_dups_lsh(
     chosen so the sf0.01 golden is NON-empty (VERDICT r3 'What's wrong' #3 —
     the 0.95 golden was a vacuous 0-row hash match) and the golden replays
     the same deterministic planes independently."""
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    shards = shard_list(sf_dir, "embeddings")
     dim = len(_query_vector(sf_dir))
     rng = np.random.default_rng(42)
     planes = np.stack([rng.normal(size=(dim, n_bits)) for _ in range(n_tables)])
     weights = (1 << np.arange(n_bits)).astype(np.int64)
 
-    def codes(b) -> pd.DataFrame:
-        m = _emb_matrix(b["embedding"])
+    def codes(t: pa.Table) -> pa.Table:
+        m = _emb_matrix(t["embedding"])
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
         # (n, n_tables) codes in one shot: n x (T*bits) matmul, sign, pack
         bits = (np.einsum("nd,tdb->ntb", m, planes) > 0) @ weights
         n = len(m)
-        rows = {
-            "table": np.repeat(np.arange(n_tables, dtype=np.int64), n),
-            "code": bits.T.reshape(-1),
-            "vec_id": np.tile(b["vec_id"].to_numpy(zero_copy_only=False), n_tables),
-        }
-        return pd.DataFrame(rows)
+        table = np.repeat(np.arange(n_tables, dtype=np.int64), n)
+        return pa.table({
+            "lsh_key": (table << n_bits) | bits.T.reshape(-1),  # (table, code)
+            "vec_id": np.tile(t["vec_id"].to_numpy(zero_copy_only=False), n_tables),
+        })
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2 or len(g) > max_bucket:
-            return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
-                                 "vec_b": pd.Series([], dtype="int64")})
-        ids = np.sort(g["vec_id"].to_numpy())
-        ii, jj = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"vec_a": ids[ii], "vec_b": ids[jj]})
+    def bucket_pairs(b: int, t: pa.Table) -> pd.DataFrame:
+        key = t["lsh_key"].to_numpy(zero_copy_only=False)
+        _, inv, size = np.unique(key, return_inverse=True, return_counts=True)
+        ok = size[inv] <= max_bucket
+        pairs = _group_pairs((key[ok],), t["vec_id"].to_numpy(zero_copy_only=False)[ok])
+        return pairs.to_pandas().rename(columns={"doc_a": "vec_a", "doc_b": "vec_b"})
 
-    from .common import bounded_to_pandas
-
-    cand = bounded_to_pandas(
-        emb.map_batches(codes, batch_format="pyarrow")
-        .groupby(["table", "code"])
-        .map_groups(bucket_pairs, batch_format="pandas"),
-        "lsh_candidate_pairs",  # bound: output-scale (max_bucket caps blowup)
+    # bound: output-scale (max_bucket caps blowup)
+    cand = hash_exchange(
+        shards, codes, "lsh_key", None, bucket_pairs, columns=["vec_id", "embedding"]
     ).drop_duplicates()
     if len(cand) == 0:
         return _empty_pairs()
     cand_ids = np.unique(np.concatenate([cand["vec_a"].to_numpy(), cand["vec_b"].to_numpy()]))
 
-    def fetch(b: pd.DataFrame) -> pd.DataFrame:
-        keep = np.isin(b["vec_id"].to_numpy(), cand_ids)
-        b = b[keep]
-        if not len(b):
-            return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"), "nvec": []})
-        m = np.stack([np.asarray(v, dtype=np.float64) for v in b["embedding"]])
+    def fetch(t: pa.Table) -> pd.DataFrame:
+        m = _emb_matrix(t["embedding"])
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
-        return pd.DataFrame({"vec_id": b["vec_id"].to_numpy(), "nvec": list(m)})
+        ids = t["vec_id"].to_numpy(zero_copy_only=False)
+        return pd.DataFrame({"vec_id": ids, "nvec": list(m)})
 
-    # bound: candidate-id set (broadcast semi-join), never the corpus
-    vecs = bounded_to_pandas(emb.map_batches(fetch, batch_format="pandas"), "cand_vectors")
+    # bound: candidate-id set (semi-join pushed into the read), never the corpus
+    vecs = shard_map(
+        shards, fetch, columns=["vec_id", "embedding"],
+        filters=pads.field("vec_id").isin(cand_ids), collect="embedding_near_dups_lsh",
+    )
     lut = {int(v): i for i, v in enumerate(vecs["vec_id"])}
     m = np.stack(vecs["nvec"].to_numpy())
     ia = np.array([lut[int(v)] for v in cand["vec_a"]])
@@ -389,13 +376,10 @@ def knn_label_vote(sf_dir: str):
     sanity-check a space). Reuses the distributed partial-top-k scorer;
     labels for the 10 winners come from ONE pruned, predicate-pushed scan —
     never a full label collect."""
-    import pyarrow.dataset as pds
-
     top = knn_cosine_top10(sf_dir)
-    ids = top["vec_id"].to_numpy()
-    lab = read(
-        sf_dir, "embeddings", columns=["vec_id", "label"],
-        filter_expr=pds.field("vec_id").isin(ids),
+    lab = shard_map(
+        shard_list(sf_dir, "embeddings"), lambda t: t, columns=["vec_id", "label"],
+        filters=pads.field("vec_id").isin(top["vec_id"].to_numpy()), collect="knn_label_vote",
     ).to_pandas()
     j = top.merge(lab, on="vec_id")
     out = j.groupby("label", as_index=False).size().rename(
@@ -432,11 +416,7 @@ def embedding_quant_error(sf_dir: str):
     (error exactly 0)."""
     from .text import _segment_reduceat
 
-    emb = read(sf_dir, "embeddings", columns=["vec_id", "label", "embedding"])
-
     def fn(b) -> pd.DataFrame:
-        import pyarrow as pa
-
         arr = b["embedding"].combine_chunks()
         flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -459,7 +439,10 @@ def embedding_quant_error(sf_dir: str):
         )
         return g
 
-    parts = emb.map_batches(fn, batch_format="pyarrow").to_pandas()
+    parts = shard_map(
+        shard_list(sf_dir, "embeddings"), fn, columns=["label", "embedding"],
+        collect="embedding_quant_error",
+    )
     out = parts.groupby("label", as_index=False)[["sum_err", "n_vecs"]].sum()
     out["label"] = out["label"].astype(np.int32)
     out["n_vecs"] = out["n_vecs"].astype(np.int64)

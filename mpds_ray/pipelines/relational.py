@@ -1,33 +1,38 @@
 """Relational operator surface over the TPC-H-ish testdata (SURVEY §2.5-2.8).
 
-Each query has a Ray-Data-first implementation (map-side partial aggregation
-before any shuffle; broadcast semi/hash joins for small sides; sort+limit for
-top-k) and an ANSI-SQL oracle in ``ORACLE`` executed by the driver via DuckDB.
-Column names and float rounding match exactly on both sides.
+Each query runs on plain Ray tasks over the table shards (per-shard passes
+on ``shard_map``, map-side partial aggregation before any exchange, hash
+joins with bloom prefilters, tie-aware partial top-k) and has an ANSI-SQL
+oracle in ``ORACLE`` executed by the driver via DuckDB. Column names and
+float rounding match exactly on both sides.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 import ray
 
-from .common import partial_groupby_sum, read, read_small, round_columns, topk_driver
+from ..stages.exchange import hash_exchange, shard_map
+from ..stages.sketch import grouped_quantile_summary, shard_quantiles, weighted_quantiles
+from .common import (
+    exchange_buckets,
+    read_small,
+    round_half_away,
+    shard_groupby_sum,
+    shard_list,
+)
 
 # --- Q1-style pricing summary (filter M10 + grouped agg A2, partial+final) ---
 
 
 def q1_pricing_summary(sf_dir: str):
     """Pruned scan (M10 predicate pushed into the parquet read) -> per-shard
-    combiner -> driver fold, all over raw shard tasks (shard_groupby_sum):
-    the Dataset version paid ~3 s of fixed plan overhead at sf0.1 for a
-    map-only + bounded-key combiner query."""
-    import pyarrow.dataset as pads
-
-    from .common import shard_groupby_sum
-
-    from .common import round_half_away
+    combiner -> driver fold (shard_groupby_sum)."""
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         # exact integer units (the X88 lesson, found again here by the
@@ -49,8 +54,7 @@ def q1_pricing_summary(sf_dir: str):
         count_as="count_order",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"],
-        filter_expr=(pads.field("l_shipdate") <= pd.Timestamp("1998-09-02")),
-        filter_cols=("l_shipdate",),
+        filters=(pads.field("l_shipdate") <= pd.Timestamp("1998-09-02")),
         prep=prep,
     )
     n = agg["count_order"].to_numpy()
@@ -100,24 +104,16 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
     qualifying (o_orderkey -> date) dict on the driver and re-broadcast it to
     every lineitem task — ~30M resident entries per worker at 100x SF
     (VERDICT 'What's wrong' #2)."""
-    import pyarrow.dataset as pads
-    import ray
-
     from ..stages.hashjoin import exchange_join
-    from .common import bounded_to_pandas, exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("orders", "lineitem"), num_buckets)
 
-    cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     # bound: customer DIMENSION x segment selectivity (broadcast side)
     building = set(
-        bounded_to_pandas(
-            cust.map_batches(
-                lambda b: b.loc[b["c_mktsegment"] == "BUILDING", ["c_custkey"]],
-                batch_format="pandas",
-            ),
-            "building_custkeys",
-        )["c_custkey"]
+        shard_map(
+            shard_list(sf_dir, "customer"), lambda t: t, columns=["c_custkey"],
+            filters=pads.field("c_mktsegment") == "BUILDING", collect="building_custkeys",
+        )["c_custkey"].to_numpy()
     )
     building_ref = ray.put(building)
 
@@ -204,20 +200,17 @@ def customers_per_region(sf_dir: str):
     nation = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
     nk_to_region = dict(zip(nation["n_nationkey"], nation["r_name"]))
 
-    cust = read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
     def attach(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {"r_name": b["c_nationkey"].map(nk_to_region), "c_acctbal": b["c_acctbal"]}
         )
 
-    agg = partial_groupby_sum(
-        cust.map_batches(attach, batch_format="pandas"),
-        ["r_name"],
-        {"c_acctbal": "sum_acctbal"},
-        count_as="n_customers",
+    agg = shard_groupby_sum(
+        sf_dir, "customer", ["r_name"], {"c_acctbal": "sum_acctbal"},
+        count_as="n_customers", columns=["c_nationkey", "c_acctbal"], prep=attach,
     )
-    return round_columns(agg, {"sum_acctbal": 2})
+    agg["sum_acctbal"] = agg["sum_acctbal"].round(2)
+    return agg
 
 
 REGION_SQL = """
@@ -233,27 +226,31 @@ GROUP BY r_name
 
 
 def top_customers_by_max_order(sf_dir: str):
-    from ray.data.aggregate import Max
+    """Per-customer max order price, top 10: a hash exchange on o_custkey
+    (map tasks pre-reduce to one max per customer and shard) whose buckets
+    each emit a tie-aware partial top-10; the driver folds B x 10 rows and
+    attaches names to the final 10."""
+    by = ["max_order_price", "o_custkey"]
 
-    orders = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    per_cust = orders.groupby("o_custkey").aggregate(
-        Max("o_totalprice", alias_name="max_order_price")
-    )
-    names = read_small(sf_dir, "customer", ["c_custkey", "c_name"])
-    nmap = dict(zip(names["c_custkey"], names["c_name"]))
+    def map_fn(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby("o_custkey", as_index=False, sort=False).max()
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def attach(b: pd.DataFrame) -> pd.DataFrame:
-        b["c_name"] = b["o_custkey"].map(nmap)
-        b["max_order_price"] = b["max_order_price"].round(2)
+    def top_bucket(b: int, t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().groupby("o_custkey", as_index=False, sort=False).max()
+        g = g.rename(columns={"o_totalprice": "max_order_price"})
+        g["max_order_price"] = g["max_order_price"].round(2)
         # tie-aware partial top-k (full final key, see q3 — ADVICE r2)
-        return b.sort_values(
-            ["max_order_price", "o_custkey"], ascending=[False, True], kind="mergesort"
-        ).head(10)
+        return g.sort_values(by, ascending=[False, True], kind="mergesort").head(10)
 
-    return topk_driver(
-        per_cust.map_batches(attach, batch_format="pandas"),
-        10, ["max_order_price", "o_custkey"], [False, True],
+    parts = hash_exchange(
+        shard_list(sf_dir, "orders"), map_fn, "o_custkey", None, top_bucket,
+        columns=["o_custkey", "o_totalprice"],
     )
+    top = parts.sort_values(by, ascending=[False, True], kind="mergesort").head(10)
+    names = read_small(sf_dir, "customer", ["c_custkey", "c_name"])
+    top["c_name"] = top["o_custkey"].map(dict(zip(names["c_custkey"], names["c_name"])))
+    return top.reset_index(drop=True)
 
 
 TOP_CUST_SQL = """
@@ -268,14 +265,11 @@ LIMIT 10
 
 
 def distinct_segments(sf_dir: str):
-    from .common import bounded_to_pandas
-
-    ds = read(sf_dir, "customer", columns=["c_mktsegment"])
-    # map-side distinct (bounded by domain x batches), driver union — the
-    # combiner-root shape; a Dataset groupby would sort-shuffle to dedupe
-    parts = bounded_to_pandas(
-        ds.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
-        "distinct_segments",
+    # map-side distinct (bounded by domain x tasks), driver union — the
+    # combiner-root shape
+    parts = shard_map(
+        shard_list(sf_dir, "customer"), lambda t: t.to_pandas().drop_duplicates(),
+        columns=["c_mktsegment"], collect="distinct_segments",
     )
     return parts.drop_duplicates().sort_values("c_mktsegment").reset_index(drop=True)
 
@@ -286,15 +280,13 @@ DISTINCT_SQL = "SELECT DISTINCT c_mktsegment FROM customer ORDER BY c_mktsegment
 
 
 def event_type_counts(sf_dir: str):
-    ev = read(sf_dir, "events", columns=["event_type", "value"])
-    agg = partial_groupby_sum(ev, ["event_type"], {"value": "sum_value"}, count_as="n")
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["avg_value"] = (b["sum_value"] / b["n"]).round(6)
-        b["sum_value"] = b["sum_value"].round(2)
-        return b
-
-    return agg.map_batches(finish, batch_format="pandas")
+    b = shard_groupby_sum(
+        sf_dir, "events", ["event_type"], {"value": "sum_value"}, count_as="n",
+        columns=["event_type", "value"],
+    )
+    b["avg_value"] = (b["sum_value"] / b["n"]).round(6)
+    b["sum_value"] = b["sum_value"].round(2)
+    return b
 
 
 EVENT_COUNTS_SQL = """
@@ -307,13 +299,10 @@ FROM events GROUP BY event_type
 
 
 def value_quantiles(sf_dir: str):
-    from ..stages.sketch import column_quantiles
-
-    ev = read(sf_dir, "events", columns=["value"])
     # mergeable quantile summary (stages/sketch.py): exact linear-interp
-    # quantiles (== DuckDB quantile_cont) while batches fit RAW_LIMIT,
+    # quantiles (== DuckDB quantile_cont) while shards fit RAW_LIMIT,
     # bounded-error weighted sketch beyond — never a driver column collect.
-    q = column_quantiles(ev, ["value"], [0.5, 0.9])["value"]
+    q = shard_quantiles(shard_list(sf_dir, "events"), ["value"], [0.5, 0.9])["value"]
     return pd.DataFrame({"median_value": [round(q[0], 6)], "p90_value": [round(q[1], 6)]})
 
 
@@ -336,11 +325,9 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     need two histogram passes; every exchange is a (65537,) int64 vector per
     shard. Median for even n is (a+b)/2 — the same arithmetic DuckDB's
     median() runs, so the result is bit-identical with NO rounding."""
-    from .common import shard_list
-
     shards = shard_list(sf_dir, "events")
     nbins = 65536
-    parts = ray.get([_median_stats_shard.remote(p) for p in shards])
+    parts = shard_map(shards, _median_stats, columns=["value"])
     lo = min(p[0] for p in parts)
     hi = max(p[1] for p in parts)
     n = sum(p[2] for p in parts)
@@ -359,8 +346,10 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     for _ in range(8):  # 65536x narrowing per round; 8 is unreachable depth
         if in_range <= driver_cap or hi <= lo:
             break
-        hs = ray.get([_median_hist_shard.remote(p, lo, hi, nbins) for p in shards])
-        total = np.sum(hs, axis=0)
+        total = shard_map(
+            shards, partial(_median_hist, lo=lo, hi=hi, nbins=nbins), columns=["value"],
+            fold=np.add,
+        )
         below, h = int(total[0]), total[1:]
         cum = np.cumsum(h)
         b1 = int(np.searchsorted(cum, k1 - below, side="left"))
@@ -384,7 +373,7 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     # duplicate mass straddling a multi-ulp window (ADVICE r3: the raw
     # collect was unbounded exactly then) collapses to a handful of floats;
     # selection over the merged weighted values is identical arithmetic.
-    parts = ray.get([_median_collect_shard.remote(p, lo, hi) for p in shards])
+    parts = shard_map(shards, partial(_median_collect, lo=lo, hi=hi), columns=["value"])
     rank_below = sum(p[0] for p in parts)
     allu = np.concatenate([p[1] for p in parts])
     if allu.size > driver_cap:
@@ -402,27 +391,23 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     return pd.DataFrame({"median_value": [(a + b) / 2.0]})
 
 
-def _shard_values(path: str) -> np.ndarray:
-    import pyarrow.parquet as pq
-
-    v = pq.read_table(path, columns=["value"])["value"].to_numpy(zero_copy_only=False)
+def _values(t: pa.Table) -> np.ndarray:
+    v = t["value"].to_numpy(zero_copy_only=False)
     return v[~np.isnan(v)]
 
 
-@ray.remote
-def _median_stats_shard(path: str) -> tuple[float, float, int]:
+def _median_stats(t: pa.Table) -> tuple[float, float, int]:
     """``value_median_exact``'s first pass: one shard's (min, max, count)."""
-    v = _shard_values(path)
+    v = _values(t)
     if v.size == 0:
         return np.inf, -np.inf, 0
     return float(v.min()), float(v.max()), int(v.size)
 
 
-@ray.remote
-def _median_hist_shard(path: str, lo: float, hi: float, nbins: int) -> np.ndarray:
+def _median_hist(t: pa.Table, lo: float, hi: float, nbins: int) -> np.ndarray:
     """``value_median_exact``'s narrowing pass: one shard's count below
     ``lo`` followed by its ``nbins``-bin histogram over [lo, hi]."""
-    v = _shard_values(path)
+    v = _values(t)
     below = int((v < lo).sum())
     inside = v[(v >= lo) & (v <= hi)]
     if hi > lo:
@@ -434,11 +419,10 @@ def _median_hist_shard(path: str, lo: float, hi: float, nbins: int) -> np.ndarra
     return np.r_[below, h]
 
 
-@ray.remote
-def _median_collect_shard(path: str, lo: float, hi: float):
+def _median_collect(t: pa.Table, lo: float, hi: float):
     """``value_median_exact``'s final collect: one shard's count below
     ``lo`` and its (unique value, count) pairs inside [lo, hi]."""
-    v = _shard_values(path)
+    v = _values(t)
     inside = v[(v >= lo) & (v <= hi)]
     u, c = np.unique(inside, return_counts=True)
     return int((v < lo).sum()), u, c.astype(np.int64)
@@ -449,18 +433,15 @@ MEDIAN_EXACT_SQL = "SELECT median(value) AS median_value FROM events"
 
 def grouped_value_quantiles(sf_dir: str):
     """Per-event-type median/p90 of value via the KEYED mergeable quantile
-    summary (stages/sketch.py): map batches emit per-(type) weighted order
-    statistics, the driver folds summaries bounded by types x batches x K —
+    summary (stages/sketch.py): shard tasks emit per-(type) weighted order
+    statistics, the driver folds summaries bounded by types x tasks x K —
     the column itself never rides to the driver. Exact (== DuckDB
-    quantile_cont) while per-batch group slices fit RAW_LIMIT."""
-    from ..stages.sketch import grouped_quantile_summary_stage, weighted_quantiles
-    from .common import bounded_to_pandas
-
-    ev = read(sf_dir, "events", columns=["event_type", "value"])
-    # bound: event_type domain x batches x K summary points
-    parts = bounded_to_pandas(
-        grouped_quantile_summary_stage(ev, "event_type", "value"),
-        "grouped_value_quantiles",
+    quantile_cont) while per-shard group slices fit RAW_LIMIT."""
+    # bound: event_type domain x tasks x K summary points
+    parts = shard_map(
+        shard_list(sf_dir, "events"),
+        lambda t: grouped_quantile_summary(t.to_pandas(), "event_type", "value"),
+        columns=["event_type", "value"], collect="grouped_value_quantiles",
     )
     rows = []
     for kv, sub in parts.groupby("event_type", sort=True):
@@ -500,7 +481,6 @@ def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pads
 
     from ..stages.hashjoin import exchange_join
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
@@ -549,24 +529,17 @@ GROUP BY c_nationkey ORDER BY c_nationkey
 def building_order_stats(sf_dir: str):
     cust = read_small(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     keys = set(cust.loc[cust["c_mktsegment"] == "BUILDING", "c_custkey"])
-    orders = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["o_custkey"].isin(keys)]
         return pd.DataFrame({"one": np.ones(len(b)), "o_totalprice": b["o_totalprice"]})
 
-    agg = partial_groupby_sum(
-        orders.map_batches(prep, batch_format="pandas"),
-        ["one"],
-        {"o_totalprice": "sum_totalprice"},
-        count_as="n_orders",
+    agg = shard_groupby_sum(
+        sf_dir, "orders", ["one"], {"o_totalprice": "sum_totalprice"},
+        count_as="n_orders", columns=["o_custkey", "o_totalprice"], prep=prep,
     )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["sum_totalprice"] = b["sum_totalprice"].round(2)
-        return b.drop(columns=["one"])
-
-    return agg.map_batches(finish, batch_format="pandas")
+    agg["sum_totalprice"] = agg["sum_totalprice"].round(2)
+    return agg.drop(columns=["one"])
 
 
 BUILDING_SQL = """
@@ -580,21 +553,22 @@ FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegmen
 def mpds_scaled_orders(sf_dir: str):
     """RobustScaler(15,85) -> mPDS = clamp(50*z + 50, 0, 100) on o_totalprice
     (notebook cell 28 semantics; sklearn/np linear-interp quantiles)."""
-    from ..stages.sketch import column_quantiles
-
-    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    med, q15, q85 = column_quantiles(orders, ["o_totalprice"], [0.5, 0.15, 0.85])[
+    shards = shard_list(sf_dir, "orders")
+    med, q15, q85 = shard_quantiles(shards, ["o_totalprice"], [0.5, 0.15, 0.85])[
         "o_totalprice"
     ]
     med = float(med)
     scale = float(q85 - q15)
 
-    def score(b: pd.DataFrame) -> pd.DataFrame:
+    def score(t: pa.Table) -> pd.DataFrame:
+        b = t.to_pandas()
         z = (b["o_totalprice"] - med) / scale
         b["mpds"] = np.clip(50.0 * z + 50.0, 0.0, 100.0).round(6)
         return b[["o_orderkey", "mpds"]]
 
-    return orders.map_batches(score, batch_format="pandas")
+    return shard_map(
+        shards, score, columns=["o_orderkey", "o_totalprice"], collect="mpds_scaled_orders"
+    )
 
 
 MPDS_SQL = """
@@ -612,17 +586,16 @@ FROM orders, s
 
 
 def kfold_counts(sf_dir: str, k: int = 10):
-    cust = read(sf_dir, "customer", columns=["c_custkey"])
-
     def fold(b: pd.DataFrame) -> pd.DataFrame:
         h = (b["c_custkey"].to_numpy().astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
             1 << 32
         )
         return pd.DataFrame({"fold": (h % np.uint64(k)).astype(np.int64)})
 
-    return partial_groupby_sum(
-        cust.map_batches(fold, batch_format="pandas"), ["fold"], {}, count_as="n"
-    ).sort("fold")
+    out = shard_groupby_sum(
+        sf_dir, "customer", ["fold"], {}, count_as="n", columns=["c_custkey"], prep=fold
+    )
+    return out.sort_values("fold").reset_index(drop=True)
 
 
 KFOLD_SQL = """
@@ -642,7 +615,6 @@ def monthly_order_revenue(sf_dir: str, num_buckets: int | None = None):
     reusable fact-to-fact equi-join shape (stages/hashjoin.py:exchange_join)
     with combiner pushdown on both inputs."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     def li_map(t: pa.Table) -> pa.Table:
         # EXACT integer ten-thousandths (see urgent_order_month_revenue):
@@ -714,7 +686,6 @@ def monthly_revenue_cumshare(sf_dir: str, num_buckets: int | None = None):
     over exact int64, so the share is the same int/int double division in
     Ray and SQL (rounded 6 dp only to pin the final display value)."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     def li_map(t: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -811,7 +782,6 @@ def urgent_order_month_revenue(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
 
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     def li_map(t: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -905,7 +875,6 @@ def q5_region_nation_revenue(
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
     from ..stages.partition import stable_bucket
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(
         sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
@@ -1044,7 +1013,6 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
     from ..stages.partition import stable_bucket
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(
         sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
@@ -1220,7 +1188,6 @@ def part_type_revenue_share(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
 
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     lo = pd.Timestamp("1997-03-01")
     hi = pd.Timestamp("1997-04-01")
@@ -1304,7 +1271,6 @@ def small_quantity_revenue(sf_dir: str, num_buckets: int | None = None,
     import pyarrow.dataset as pds
 
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     def li_map(t: pa.Table) -> pa.Table:
         cents = np.rint(
@@ -1369,7 +1335,6 @@ def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int 
     arithmetic on both sides (no calendar semantics to diverge on), and the
     share is the same int/int double division in Ray and SQL."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     late_us = late_days * 86_400 * 1_000_000
 
@@ -1437,7 +1402,6 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: in
     one comparison, and each bucket emits |priority| counts. Exact integer
     epoch-µs arithmetic on both sides."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     late_us = late_days * 86_400 * 1_000_000
 
@@ -1512,7 +1476,6 @@ def segment_urgent_coverage(sf_dir: str, num_buckets: int | None = None):
     (count, cents) partials map-side so only partials shuffle; money rides
     exact int64 cents. Driver fold is |segments| x num_buckets tiny rows."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     def c_map(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1611,12 +1574,11 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
 
     from ..stages.hashjoin import exchange_join
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     # pass 1: global mean positive balance — distributed (sum, count) fold
-    parts = ray.get([_bal_partial.remote(p) for p in shard_list(sf_dir, "customer")])
+    parts = shard_map(shard_list(sf_dir, "customer"), _bal_partial, columns=["c_acctbal"])
     tot = sum(p[0] for p in parts)
     cnt = max(sum(p[1] for p in parts), 1)
     avg_cents = tot / cnt  # double; both sides compare cents > this
@@ -1679,13 +1641,9 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     )
 
 
-@ray.remote
-def _bal_partial(path: str) -> tuple[int, int]:
+def _bal_partial(t: pa.Table) -> tuple[int, int]:
     """``rich_customers_without_orders``' pass 1: one shard's (sum, count)
     of positive balances in integer cents."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=["c_acctbal"])
     cents = np.rint(t["c_acctbal"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
     pos = cents[cents > 0]
     return int(pos.sum()), int(pos.size)
@@ -1717,7 +1675,6 @@ def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
     emit its own (k -> n_customers) histogram — the driver folds
     |distinct k| × num_buckets tiny rows."""
     from ..stages.hashjoin import exchange_join
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
@@ -1794,8 +1751,6 @@ def lineitem_corr_by_flag(sf_dir: str):
             }
         )
 
-    from .common import shard_groupby_sum
-
     g = shard_groupby_sum(
         sf_dir, "lineitem", ["l_returnflag"],
         {c: c for c in ("sx", "sy", "sxx", "syy", "sxy")},
@@ -1855,8 +1810,6 @@ def rollup_sales_by_flag_status(sf_dir: str):
             }
         )
 
-    from .common import shard_groupby_sum
-
     g = shard_groupby_sum(
         sf_dir, "lineitem", ["l_returnflag", "l_linestatus"],
         {"rev_i": "rev_i"},
@@ -1912,8 +1865,6 @@ def cube_sales_by_flag_status(sf_dir: str):
                 "rev_i": cents * (100 - disc),
             }
         )
-
-    from .common import shard_groupby_sum
 
     g = shard_groupby_sum(
         sf_dir, "lineitem", ["l_returnflag", "l_linestatus"],
@@ -1981,7 +1932,6 @@ def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int 
     order-independent and the HAVING threshold can never flip on a float
     ulp; c_name attaches to the FINAL 100 rows only (dimension lookup)."""
     from ..stages.hashjoin import exchange_join
-    from .common import shard_list
 
     qty_i_min = int(round(min_qty * 100))
 
@@ -2083,7 +2033,6 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import bloom_probe, build_key_bloom, rebucket_refs
     from ..stages.partition import stable_bucket
-    from .common import exchange_buckets, shard_list
 
     num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"), num_buckets)
 

@@ -5,21 +5,27 @@ connected-component clustering.
 
 These extend the text/dedup surface (pipelines/text.py) with the remaining
 ops a 100-TB pretraining pipeline runs between "raw corpus" and "training
-shards". Every op is a Ray Data batch transform or an explicit hash/range
-exchange; every op carries a DuckDB oracle with identical column names and
-arithmetic.
+shards". Every op is a per-shard pass (``shard_map``) or an explicit
+hash/range exchange; every op carries a DuckDB oracle with identical column
+names and arithmetic.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 import ray
 
+from ..stages.exchange import shard_map
+from ..stages.sketch import shard_quantiles
 from ..tokenize import TOKENS_SQL_EXPR, tokenize_batch
-from .common import read, table_num_rows
+from .common import shard_list, table_num_rows
 from .text import (
+    DOC_COLS,
     _flat_tokens,
     _shingles_flat,
     _splitmix64,
@@ -30,7 +36,7 @@ from .text import (
 # --- benchmark decontamination (n-gram blocklist filter) --------------------
 #
 # The canonical "remove eval-set contamination" op: hash every doc's token
-# trigrams, broadcast the blocklist's (small) shingle set once via ray.put,
+# trigrams, broadcast the blocklist's (small) shingle set once with the map fn,
 # and mark any doc sharing >= 1 distinct shingle. The blocklist is the "held
 # out benchmark": here, docs with doc_id < BLOCKLIST_DOCS.
 
@@ -67,7 +73,6 @@ def decontaminate(sf_dir: str):
     FILTERED read (bounded by BLOCKLIST_DOCS, not the corpus), broadcast
     once; the corpus side is one pruned scan with the doc_id predicate pushed
     to the parquet read and a fully segment-vectorized membership count."""
-    import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
     block = pq.read_table(
@@ -76,18 +81,9 @@ def decontaminate(sf_dir: str):
         filters=[("doc_id", "<", BLOCKLIST_DOCS)],
     )
     u, offs, _ids = _doc_shingle_sets(block)
-    block_set = np.unique(u)  # sorted union over blocklist docs
-    block_ref = ray.put(block_set)
-
-    docs = read(
-        sf_dir,
-        "documents",
-        columns=["doc_id", "text", "source"],
-        filter_expr=pds.field("doc_id") >= BLOCKLIST_DOCS,
-    )
+    bset = np.unique(u)  # sorted union over blocklist docs, travels inside fn
 
     def fn(batch: pa.Table) -> pa.Table:
-        bset = ray.get(block_ref)
         u, offs, doc_ids = _doc_shingle_sets(batch)
         seg = np.repeat(np.arange(doc_ids.size, dtype=np.int64), np.diff(offs))
         n_shared = np.bincount(seg[np.isin(u, bset)], minlength=doc_ids.size)
@@ -99,7 +95,10 @@ def decontaminate(sf_dir: str):
             }
         )
 
-    return docs.map_batches(fn, batch_format="pyarrow")
+    return shard_map(
+        shard_list(sf_dir, "documents"), fn, columns=DOC_COLS,
+        filters=pads.field("doc_id") >= BLOCKLIST_DOCS, collect="decontaminate",
+    )
 
 
 DECONTAMINATE_SQL = f"""
@@ -134,7 +133,6 @@ def stratified_sample(sf_dir: str):
     """Keep ``doc`` iff ((doc_id * 2654435761) mod 2^64) mod 100 < pct(source) — 50% for
     the two heavy strata, 10% elsewhere. Pure map-side filter: no shuffle,
     no RNG state, identical selection at any parallelism."""
-    docs = read(sf_dir, "documents", columns=["doc_id", "source"])
 
     def fn(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -151,7 +149,10 @@ def stratified_sample(sf_dir: str):
         keep = (ids * np.uint64(2654435761)) % np.uint64(100) < pct
         return batch.filter(pa.array(keep))
 
-    return docs.map_batches(fn, batch_format="pyarrow")
+    return shard_map(
+        shard_list(sf_dir, "documents"), fn, columns=["doc_id", "source"],
+        collect="stratified_sample",
+    )
 
 
 STRATIFIED_SAMPLE_SQL = f"""
@@ -172,13 +173,11 @@ def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     (mergeable partial top-k), so the driver folds <= k x sources x shards
     tiny rows; the multiplier is odd, hence a bijection mod 2^64 — no hash
     ties, identical selection at any parallelism."""
-    from .common import shard_list
-
     kk = int(k)
-    parts = ray.get(
-        [_uniform_partial.remote(p, kk) for p in shard_list(sf_dir, "documents")]
+    merged = shard_map(
+        shard_list(sf_dir, "documents"), partial(_uniform_partial, kk=kk),
+        columns=["doc_id", "source"], collect="group_uniform_sample",
     )
-    merged = pd.concat(parts, ignore_index=True)
     out = (
         merged.sort_values("h")
         .groupby("source", sort=False)
@@ -189,13 +188,9 @@ def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     return out
 
 
-@ray.remote
-def _uniform_partial(path: str, kk: int) -> pd.DataFrame:
-    """``group_uniform_sample``'s task: one shard's per-source ``kk``
+def _uniform_partial(t: pa.Table, kk: int) -> pd.DataFrame:
+    """``group_uniform_sample``'s partial: one shard's per-source ``kk``
     smallest hash ranks."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=["doc_id", "source"])
     df = pd.DataFrame(
         {
             "doc_id": t["doc_id"].to_numpy(zero_copy_only=False),
@@ -234,13 +229,11 @@ def group_weighted_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     top-k). xi is ONE IEEE division of the nearest-rounded uint64 hash by
     an exact small int on both engine and oracle, so the doubles (and the
     ranking) agree bit-for-bit; ties broken by doc_id on both sides."""
-    from .common import shard_list
-
     kk = int(k)
-    parts = ray.get(
-        [_weighted_partial.remote(p, kk) for p in shard_list(sf_dir, "documents")]
+    merged = shard_map(
+        shard_list(sf_dir, "documents"), partial(_weighted_partial, kk=kk),
+        columns=["doc_id", "source", "n_chars"], collect="group_weighted_sample",
     )
-    merged = pd.concat(parts, ignore_index=True)
     return (
         merged.sort_values(["xi", "doc_id"])
         .groupby("source", sort=False)
@@ -250,13 +243,9 @@ def group_weighted_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     )
 
 
-@ray.remote
-def _weighted_partial(path: str, kk: int) -> pd.DataFrame:
-    """``group_weighted_sample``'s task: one shard's per-source ``kk``
+def _weighted_partial(t: pa.Table, kk: int) -> pd.DataFrame:
+    """``group_weighted_sample``'s partial: one shard's per-source ``kk``
     smallest order variables xi = hash / weight."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=["doc_id", "source", "n_chars"])
     ids = t["doc_id"].to_numpy(zero_copy_only=False)
     w = np.maximum(t["n_chars"].to_numpy(zero_copy_only=False), 1)
     h = ids.astype(np.uint64) * np.uint64(2654435761)
@@ -300,20 +289,13 @@ def mid_quality_docs(sf_dir: str):
     bounded-error sketch beyond), then a second PRUNED read with the band
     predicate pushed into the parquet scan — filtered rows never leave
     storage. The composition a quality-filter stage runs at 100 TB."""
-    import pyarrow.dataset as pds
-
-    from ..stages.sketch import column_quantiles
-
-    nchars = read(sf_dir, "documents", columns=["n_chars"])
-    lo, hi = column_quantiles(nchars, ["n_chars"], [0.25, 0.75])["n_chars"]
-    docs = read(
-        sf_dir,
-        "documents",
-        columns=["doc_id", "n_chars"],
-        filter_expr=(pds.field("n_chars") >= float(lo))
-        & (pds.field("n_chars") <= float(hi)),
+    shards = shard_list(sf_dir, "documents")
+    lo, hi = shard_quantiles(shards, ["n_chars"], [0.25, 0.75])["n_chars"]
+    return shard_map(
+        shards, lambda t: t, columns=["doc_id", "n_chars"],
+        filters=(pads.field("n_chars") >= float(lo)) & (pads.field("n_chars") <= float(hi)),
+        collect="mid_quality_docs",
     )
-    return docs
 
 
 MID_QUALITY_SQL = """
@@ -343,7 +325,6 @@ PACK_CTX = 512
 
 def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = None):
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
-    from .common import shard_list
 
     shards = shard_list(sf_dir, "documents")
     if num_buckets is None:
@@ -366,10 +347,13 @@ def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = N
     def bucket_fn(t: pa.Table) -> np.ndarray:
         return bucket_of(t["doc_id"].to_numpy(zero_copy_only=False))
 
+    def bucket_totals(t: pa.Table) -> np.ndarray:
+        t = map_fn(t)
+        n_tok = t["n_tok"].to_numpy(zero_copy_only=False)
+        return np.bincount(bucket_fn(t), weights=n_tok, minlength=num_buckets).astype(np.int64)
+
     # pass 1: per-shard per-bucket token sums (num_buckets rows per task)
-    totals = sum(ray.get(
-        [_shard_totals.remote(p, map_fn, bucket_fn, num_buckets) for p in shards]
-    ))
+    totals = shard_map(shards, bucket_totals, columns=["doc_id", "text"], fold=np.add)
     offsets = np.r_[0, np.cumsum(totals)[:-1]]  # exclusive per-bucket offsets
 
     # pass 2: range exchange + per-bucket ordered cumsum
@@ -390,17 +374,6 @@ def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = N
         cols = ("doc_id", "tok_start", "chunk_id")
         return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
     return out.sort_values("doc_id").reset_index(drop=True)
-
-
-@ray.remote
-def _shard_totals(path: str, map_fn, bucket_fn, num_buckets: int) -> np.ndarray:
-    """``pack_sequences``' pass 1: one shard's token sum per bucket."""
-    import pyarrow.parquet as pq
-
-    t = map_fn(pq.read_table(path, columns=["doc_id", "text"]))
-    return np.bincount(
-        bucket_fn(t), weights=t["n_tok"].to_numpy(zero_copy_only=False), minlength=num_buckets
-    ).astype(np.int64)
 
 
 PACK_SQL = f"""
@@ -496,7 +469,6 @@ def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
         cand = minhash_dup_candidates(sf_dir, threshold=threshold)
         return _cluster_pairs(cand[["doc_a", "doc_b"]], cc)
     from ..stages.exchange import hash_exchange
-    from .common import bounded_to_pandas, shard_list  # noqa: F401  (bound doc)
 
     shards = shard_list(sf_dir, "documents")
 
@@ -620,12 +592,10 @@ CHUNK_WORDS = 64
 def doc_chunks(sf_dir: str, chunk_words: int = CHUNK_WORDS):
     """Split every doc into fixed-size word chunks — one input row expands to
     ceil(n_words/chunk) output rows. The expansion is a VECTORIZED flat_map:
-    a map_batches fn emitting np.repeat-expanded arrays (Ray's per-row
-    ``flat_map`` would be a Python loop; a batch transform that returns more
-    rows than it takes is the same operator at Arrow speed)."""
+    a shard map fn emitting np.repeat-expanded arrays (a per-row flat_map
+    would be a Python loop; a batch transform that returns more rows than it
+    takes is the same operator at Arrow speed)."""
     import pyarrow.compute as pc
-
-    docs = read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def fn(batch: pa.Table) -> pa.Table:
         n = (
@@ -647,7 +617,9 @@ def doc_chunks(sf_dir: str, chunk_words: int = CHUNK_WORDS):
             }
         )
 
-    return docs.map_batches(fn, batch_format="pyarrow")
+    return shard_map(
+        shard_list(sf_dir, "documents"), fn, columns=["doc_id", "text"], collect="doc_chunks"
+    )
 
 
 DOC_CHUNKS_SQL = f"""
@@ -676,7 +648,6 @@ def dedup_passages(
     the group's min (doc_id, chunk_idx); per-doc partials fold on the driver
     (doc-grain, the standard bound for documents queries)."""
     from ..stages.exchange import hash_exchange
-    from .common import shard_list
     from .text import _segment_reduceat
 
     W = chunk_words
@@ -784,7 +755,7 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
     from ..stages.hashjoin import rebucket_refs
     from ..stages.partition import stable_bucket
-    from .common import shard_list, tpath
+    from .common import tpath
 
     shards = shard_list(sf_dir, "documents")
     if num_buckets is None:

@@ -26,10 +26,18 @@ empty, while ``how='left'`` calls ``reduce_fn`` with ``None`` for the empty
 side. ``emit='pandas'`` concatenates the reduce outputs on the driver under
 ``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` leaves them in the object store.
 
-Both task kinds (``_map_shard``, ``_reduce_bucket``) are module-level remote
-functions, exported once per process. The per-call callables and parameters
-travel as task arguments (``reduce_fn`` is ``ray.put`` once per call), so a
-call costs no function export and no worker re-import of a fresh function.
+A pass that needs no exchange (a row-level map, or a per-shard partial
+folded on the driver) runs on ``shard_map``: one task per shard, or per row
+group, that reads the pruned columns with the filter pushed into the scan
+and returns ``fn(table)``. The query surface runs on these plain tasks; Ray
+Data stays only where it is the operator (the actor-pool media decode and,
+until it is retired, the Dataset-native flagship).
+
+The three task kinds (``_map_shard``, ``_reduce_bucket``, ``_read_map``)
+are module-level remote functions, exported once per process. The per-call
+callables and parameters travel as task arguments (``reduce_fn`` and
+``fn`` are ``ray.put`` once per call), so a call costs no function export
+and no worker re-import of a fresh function.
 
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
@@ -186,6 +194,84 @@ def _map_shard(
     return tuple(parts) if num_buckets > 1 else parts[0]
 
 
+def shard_map(
+    shard_paths: list[str],
+    fn: Callable[[pa.Table], object],
+    columns: list[str] | None = None,
+    filters=None,
+    collect: str | None = None,
+    fold: Callable[[object, object], object] | None = None,
+):
+    """The per-shard pass: one task per shard, or one per row group when a
+    shard has several. Each task reads only ``columns``, with ``filters`` (a
+    pyarrow dataset expression, or ``pq.read_table``'s list form) pushed
+    into the scan, and returns ``fn(table)``; the results come back in shard
+    and row-group order.
+
+    With ``collect`` the results are frames, concatenated on the driver by
+    ``collect_frames`` under ``DRIVER_ROOT_ROW_CAP``; ``collect`` names the
+    query in the over-cap error. With ``fold`` (commutative and associative,
+    e.g. ``np.add`` on integer arrays) the results are folded in
+    arrival order as the tasks finish, so the driver holds one accumulator
+    instead of every fixed-size partial; the first result seeds it and no
+    shard at all gives ``None``."""
+    import pyarrow.parquet as pq
+
+    fn_ref = ray.put(fn)
+    tasks = []
+    for p in shard_paths:
+        n_rg = pq.read_metadata(p).num_row_groups
+        for rg in [None] if n_rg <= 1 else range(n_rg):
+            tasks.append(_read_map.remote(fn_ref, p, rg, columns, filters))
+    if fold is None:
+        out = ray.get(tasks)
+        return out if collect is None else collect_frames(out, collect)
+    acc = None
+    while tasks:
+        done, tasks = ray.wait(tasks, num_returns=1)
+        part = ray.get(done[0])
+        acc = part if acc is None else fold(acc, part)
+    return acc
+
+
+@ray.remote
+def _read_map(fn, path, row_group, columns, filters):
+    """``shard_map``'s task: read one shard, or one of its row groups, and
+    apply ``fn``."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    if filters is not None:
+        filters = pq.filters_to_expression(filters)
+    frag = next(iter(pads.dataset(path, format="parquet").get_fragments()))
+    if row_group is not None:
+        frag = frag.subset(row_group_ids=[row_group])
+    return fn(frag.to_table(columns=columns, filter=filters))
+
+
+def collect_frames(frames, what: str):
+    """Concatenate task outputs at a driver root, enforcing
+    ``DRIVER_ROOT_ROW_CAP`` (``what`` names the root in the error). ``None``
+    outputs are dropped, and empty ones too unless every output is empty (so
+    the columns survive). Arrow outputs concatenate to a ``pa.Table``, pandas
+    ones to a ``pd.DataFrame``; no output at all gives an empty
+    ``pd.DataFrame``."""
+    frames = [f for f in frames if f is not None]
+    rows = sum(len(f) for f in frames)
+    if rows > DRIVER_ROOT_ROW_CAP:
+        raise RuntimeError(
+            f"driver root '{what}' collected {rows:,} rows (> cap "
+            f"{DRIVER_ROOT_ROW_CAP:,}): the result is not driver-bounded — emit "
+            "aggregated partials or top-k per task, or keep it in the object store"
+        )
+    frames = [f for f in frames if len(f)] or frames[:1]
+    if not frames:
+        return pd.DataFrame()
+    if isinstance(frames[0], pa.Table):
+        return pa.concat_tables(frames)
+    return pd.concat(frames, ignore_index=True)
+
+
 def gather_slices(parts) -> pa.Table | None:
     """One bucket's slices from one grid, concatenated: empty and ``None``
     slices dropped, ``None`` when no slice holds rows."""
@@ -209,10 +295,10 @@ def reduce_grid(
     ``how='inner'`` also when any other grid has none, while ``how='left'``
     passes ``None`` and ``reduce_fn`` must read it as zero matches.
 
-    ``emit='pandas'`` ray.gets the (small) outputs and concatenates the
-    non-empty ones under ``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` returns one
-    ref per bucket (resolving to ``None`` for a skipped bucket) and leaves
-    the outputs in the object store for the next hop."""
+    ``emit='pandas'`` ray.gets the (small) outputs and concatenates them
+    with ``collect_frames``; ``emit='refs'`` returns one ref per bucket
+    (resolving to ``None`` for a skipped bucket) and leaves the outputs in
+    the object store for the next hop."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     ends = list(accumulate(len(g) for g in grids))
@@ -225,15 +311,7 @@ def reduce_grid(
     ]
     if emit == "refs":
         return out
-    frames = [f for f in ray.get(out) if f is not None and len(f)]
-    res = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
-    if len(res) > DRIVER_ROOT_ROW_CAP:
-        raise RuntimeError(
-            f"reduce_grid driver root collected {len(res):,} rows "
-            f"(> cap {DRIVER_ROOT_ROW_CAP:,}): make reduce_fn emit aggregated "
-            "partials / top-k, or keep emit='refs' and write per bucket"
-        )
-    return res
+    return collect_frames(ray.get(out), "reduce_grid")
 
 
 @ray.remote

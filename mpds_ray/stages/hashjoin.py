@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from .exchange import _split_by_bucket, auto_num_buckets, exchange_map, reduce_grid
+from .exchange import _split_by_bucket, auto_num_buckets, exchange_map, reduce_grid, shard_map
 from .partition import stable_bucket
 
 # --- bloom-filter join prefilter -------------------------------------------
@@ -81,29 +81,20 @@ def build_key_bloom(
     columns: list[str] | None = None,
     filters=None,
 ) -> np.ndarray:
-    """Distributed bloom build: one task per shard reads only ``key`` (plus
-    whatever ``map_fn`` needs), inserts its post-map keys, and the driver ORs
-    the packed arrays — num_bits/8 bytes per shard (1 MiB at the 2^23
-    default), independent of row count."""
-    parts = ray.get([
-        _shard_bloom.remote(p, key, num_bits, num_hashes, map_fn, columns, filters)
-        for p in shard_paths
-    ])
-    out = np.zeros(num_bits // 8, dtype=np.uint8)
-    for p in parts:
-        out |= p
-    return out
+    """Distributed bloom build: one ``shard_map`` task per shard or row
+    group reads only ``key`` (plus whatever ``map_fn`` needs), inserts its
+    post-map keys, and the driver ORs the packed arrays as they arrive —
+    num_bits/8 bytes per task (1 MiB at the 2^23 default), independent of
+    row count."""
 
+    def shard_bits(t: pa.Table) -> np.ndarray:
+        if map_fn is not None:
+            t = map_fn(t)
+        return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
 
-@ray.remote
-def _shard_bloom(path, key, num_bits, num_hashes, map_fn, columns, filters) -> np.ndarray:
-    """``build_key_bloom``'s task: one shard's packed bloom bits."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=columns or [key], filters=filters)
-    if map_fn is not None:
-        t = map_fn(t)
-    return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
+    return shard_map(
+        shard_paths, shard_bits, columns=columns or [key], filters=filters, fold=np.bitwise_or
+    )
 
 
 def exchange_join(

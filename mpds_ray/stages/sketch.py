@@ -9,12 +9,13 @@ mimicUsefulFunction.R:583-628, and the global-quantile scaler state of
 dssFunctionLibrary.R:1581 — all of which quantile a full column in one
 process in the reference:
 
-    map_batches -> per-batch summary rows (col, value, weight)
-                   * small batches pass raw values through (weight 1)
-                   * batches above RAW_LIMIT compress to K weighted order
-                     statistics (rank error <= n_batch / (2K) per batch,
-                     <= N/(2K) after merge => quantile error <= 1/(2K))
-    driver     -> concat (bounded by K x n_batches), weighted interpolation
+    map    -> per-batch summary rows (col, value, weight); a batch is a
+              shard_map task's shard or row group, or a Dataset batch
+              * small batches pass raw values through (weight 1)
+              * batches above RAW_LIMIT compress to K weighted order
+                statistics (rank error <= n_batch / (2K) per batch,
+                <= N/(2K) after merge => quantile error <= 1/(2K))
+    driver -> concat (bounded by K x n_batches), weighted interpolation
 
 The EXACT path is preserved by construction: when every batch stays under
 RAW_LIMIT the merged summary is the full multiset with unit weights, and the
@@ -24,6 +25,8 @@ requires. The sketch path's error bound is pytest-checked on a 4M-row column.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -62,32 +65,21 @@ def weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> np.ndarra
     return np.interp(targets, pos, v)
 
 
-def quantile_summary_stage(ds, cols: list[str], raw_limit: int = RAW_LIMIT, k: int = K):
-    """Dataset -> per-batch summary rows ``(col, value, weight)``."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for c in cols:
-            x = b[c].to_numpy(dtype=np.float64, na_value=np.nan)
-            x = x[~np.isnan(x)]
-            val, wt = batch_quantile_summary(x, raw_limit, k)
-            frames.append(pd.DataFrame({"col": c, "value": val, "weight": wt}))
-        return pd.concat(frames, ignore_index=True)
-
-    # batch_size must EXCEED raw_limit or the compression branch is dead code
-    # and the driver silently collects the whole column as unit-weight rows
-    # (ADVICE r2). 4x: batches above raw_limit compress 256:1 to K points;
-    # inputs small enough to fit one sub-raw_limit batch stay on the exact
-    # path the sf0.01 oracle gate requires.
-    return ds.map_batches(partial, batch_format="pandas", batch_size=4 * max(raw_limit, 1024))
+def quantile_summary(
+    b: pd.DataFrame, cols: list[str], raw_limit: int = RAW_LIMIT, k: int = K
+) -> pd.DataFrame:
+    """One batch's summary rows ``(col, value, weight)`` for ``cols``."""
+    frames = []
+    for c in cols:
+        val, wt = batch_quantile_summary(
+            b[c].to_numpy(dtype=np.float64, na_value=np.nan), raw_limit, k
+        )
+        frames.append(pd.DataFrame({"col": c, "value": val, "weight": wt}))
+    return pd.concat(frames, ignore_index=True)
 
 
-def column_quantiles(
-    ds, cols: list[str], qs, raw_limit: int = RAW_LIMIT, k: int = K
-) -> dict[str, np.ndarray]:
-    """Global per-column quantiles via the mergeable summary (exact under
-    RAW_LIMIT-sized inputs, sketch with 1/(2K) rank error beyond)."""
-    parts = quantile_summary_stage(ds, cols, raw_limit, k).to_pandas()
+def fold_quantiles(parts: pd.DataFrame, cols: list[str], qs) -> dict[str, np.ndarray]:
+    """Global per-column quantiles from the concatenated summary rows."""
     if "col" not in parts.columns:  # every batch empty after NaN drop
         parts = pd.DataFrame({"col": [], "value": [], "weight": []})
     out = {}
@@ -99,32 +91,64 @@ def column_quantiles(
     return out
 
 
-def grouped_quantile_summary_stage(
-    ds, key: str, col: str, raw_limit: int = RAW_LIMIT, k: int = K
-):
-    """Dataset -> per-batch per-GROUP summary rows ``(key, value, weight)``.
+def quantile_summary_stage(ds, cols: list[str], raw_limit: int = RAW_LIMIT, k: int = K):
+    """Dataset -> per-batch summary rows ``(col, value, weight)``."""
+    # batch_size must EXCEED raw_limit or the compression branch is dead code
+    # and the driver silently collects the whole column as unit-weight rows
+    # (ADVICE r2). 4x: batches above raw_limit compress 256:1 to K points;
+    # inputs small enough to fit one sub-raw_limit batch stay on the exact
+    # path the sf0.01 oracle gate requires.
+    return ds.map_batches(
+        partial(quantile_summary, cols=cols, raw_limit=raw_limit, k=k),
+        batch_format="pandas", batch_size=4 * max(raw_limit, 1024),
+    )
 
-    The keyed variant of ``quantile_summary_stage`` (same exact-under-limit /
+
+def column_quantiles(
+    ds, cols: list[str], qs, raw_limit: int = RAW_LIMIT, k: int = K
+) -> dict[str, np.ndarray]:
+    """Global per-column quantiles of a Dataset via the mergeable summary
+    (exact under RAW_LIMIT-sized inputs, sketch with 1/(2K) rank error
+    beyond)."""
+    return fold_quantiles(quantile_summary_stage(ds, cols, raw_limit, k).to_pandas(), cols, qs)
+
+
+def shard_quantiles(shard_paths: list[str], cols: list[str], qs) -> dict[str, np.ndarray]:
+    """``column_quantiles`` over parquet shards: one summary per
+    ``shard_map`` task (a shard or a row group), folded on the driver.
+    ``RAW_LIMIT`` and ``K`` are read when it is called."""
+    from .exchange import shard_map
+
+    summary = partial(quantile_summary, cols=cols, raw_limit=RAW_LIMIT, k=K)
+    parts = shard_map(
+        shard_paths,
+        lambda t: summary(t.to_pandas()),
+        columns=cols,
+        collect="shard_quantiles",
+    )
+    return fold_quantiles(parts, cols, qs)
+
+
+def grouped_quantile_summary(
+    b: pd.DataFrame, key: str, col: str, raw_limit: int = RAW_LIMIT, k: int = K
+) -> pd.DataFrame:
+    """One batch's per-GROUP summary rows ``(key, value, weight)``.
+
+    The keyed variant of ``quantile_summary`` (same exact-under-limit /
     compressed-beyond contract, applied per group within each batch): the
     driver fold is bounded by ``distinct keys x batches x K`` — valid for
     bounded key domains (categorical group-bys), never by input rows."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for kv, sub in b.groupby(key, sort=False):
-            x = sub[col].to_numpy(dtype=np.float64, na_value=np.nan)
-            x = x[~np.isnan(x)]
-            val, wt = batch_quantile_summary(x, raw_limit, k)
-            frames.append(pd.DataFrame({key: kv, "value": val, "weight": wt}))
-        if not frames:
-            return pd.DataFrame({key: pd.Series([], dtype=object),
-                                 "value": pd.Series([], dtype=np.float64),
-                                 "weight": pd.Series([], dtype=np.float64)})
-        return pd.concat(frames, ignore_index=True)
-
-    # batch_size > raw_limit so the compression branch is live (see
-    # quantile_summary_stage's note / ADVICE r2)
-    return ds.map_batches(partial, batch_format="pandas", batch_size=4 * max(raw_limit, 1024))
+    frames = []
+    for kv, sub in b.groupby(key, sort=False):
+        val, wt = batch_quantile_summary(
+            sub[col].to_numpy(dtype=np.float64, na_value=np.nan), raw_limit, k
+        )
+        frames.append(pd.DataFrame({key: kv, "value": val, "weight": wt}))
+    if not frames:
+        return pd.DataFrame({key: pd.Series([], dtype=object),
+                             "value": pd.Series([], dtype=np.float64),
+                             "weight": pd.Series([], dtype=np.float64)})
+    return pd.concat(frames, ignore_index=True)
 
 
 def column_moments(ds, cols: list[str]) -> dict[str, dict]:

@@ -4,10 +4,10 @@ The reference's only recovery mechanism is ad-hoc ``save()`` checkpoints per
 hyper-param combo (dssFunctionLibrary.R:431-434,767-771). The engine
 generalizes: every partitioned sink appends one JSON line per completed
 partition — ``(stage, partition_id, row_count, checksum, wall_time_s,
-input_fragments)`` — and a restart skips partitions already present (the
-flagship sink first checks that each listed file holds its rows). Writes
-are atomic (tmp file + rename), so a killed run never leaves a partition
-half-written AND listed.
+input_fragments)`` — and a restart skips the partitions ``Manifest.committed``
+finds intact: listed, with a file that holds the recorded rows. Every other
+partition is recomputed. Writes are atomic (tmp file + rename), so a killed
+run never leaves a partition half-written AND listed.
 
 The checksum is an order-insensitive uint64 XOR-fold of row hashes, so a
 resumed run can be verified equal to a fresh run without sorting output.
@@ -21,6 +21,8 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 
 def frame_checksum(df: pd.DataFrame) -> int:
@@ -42,16 +44,6 @@ class Manifest:
     def __init__(self, path: str):
         self.path = path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-
-    def completed(self, stage: str) -> set:
-        done = set()
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                for line in f:
-                    rec = json.loads(line)
-                    if rec.get("stage") == stage:
-                        done.add(rec["partition_id"])
-        return done
 
     def append(self, stage: str, partition_id, row_count: int, checksum: int,
                wall_time_s: float, input_fragments=None) -> None:
@@ -79,11 +71,42 @@ class Manifest:
             f.writelines(json.dumps(rec) + "\n" for rec in records)
         os.replace(tmp, self.path)
 
+    def committed(self, stage: str, out_dir: str) -> set:
+        """The skip check of a rerun: the partitions of ``stage`` whose last
+        record names a file in ``out_dir`` holding the recorded rows. Every
+        other record of the stage (its file missing or truncated, or
+        superseded by a later record of the same partition) is dropped from
+        the manifest, so a recomputed partition ends with one record and the
+        XOR of the manifest's checksums still equals the XOR of what is on
+        disk."""
+        recs = self.records()
+        last = {r["partition_id"]: i for i, r in enumerate(recs) if r["stage"] == stage}
+
+        def intact(rec: dict) -> bool:
+            try:
+                meta = pq.read_metadata(partition_path(out_dir, rec["partition_id"]))
+            except (OSError, ValueError):  # missing, or not a whole parquet file
+                return False
+            return meta.num_rows == rec["row_count"]
+
+        keep = [
+            r for i, r in enumerate(recs)
+            if r["stage"] != stage or (last[r["partition_id"]] == i and intact(r))
+        ]
+        if len(keep) < len(recs):
+            self.rewrite(keep)
+        return {r["partition_id"] for r in keep if r["stage"] == stage}
+
+
+def partition_path(out_dir: str, partition_id) -> str:
+    """The file of one partition of a partitioned sink."""
+    return os.path.join(out_dir, f"part-{partition_id}.parquet")
+
 
 def write_partition_atomic(df: pd.DataFrame, out_dir: str, partition_id) -> str:
     """Atomic per-partition parquet write: tmp file + rename."""
     os.makedirs(out_dir, exist_ok=True)
-    final = os.path.join(out_dir, f"part-{partition_id}.parquet")
+    final = partition_path(out_dir, partition_id)
     tmp = final + f".tmp.{os.getpid()}"
     df.to_parquet(tmp, index=False)
     os.replace(tmp, final)
@@ -91,32 +114,43 @@ def write_partition_atomic(df: pd.DataFrame, out_dir: str, partition_id) -> str:
 
 
 def write_partitioned_resumable(
-    ds,
+    shard_paths: list[str],
     out_dir: str,
     stage: str,
     manifest_path: str,
-    partition_col: str = "_bucket",
-):
-    """Resumable sink: per-partition atomic parquet + manifest line. Skips
-    partitions listed as complete. Returns the manifest records dataset.
+    partition_col: str,
+    columns: list[str] | None = None,
+) -> pd.DataFrame:
+    """Resumable sink: the rows of ``shard_paths`` (``columns`` read),
+    partitioned by ``partition_col``, one atomic parquet file plus one
+    manifest line per partition; the written body drops ``partition_col``.
+    A rerun skips the partitions ``Manifest.committed`` finds intact and
+    rewrites the rest. Returns one ``(partition_id, rows, skipped)`` row per
+    partition.
 
-    Runs as ``groupby(partition_col).map_groups`` so each partition is written
-    by exactly one task; the manifest append is the commit point.
-    """
-    manifest = Manifest(manifest_path)
-    done = manifest.completed(stage)
+    Runs on ``hash_exchange`` keyed on ``partition_col``, so each partition
+    is written by exactly one reduce task; the manifest append is the
+    commit point."""
+    from ..stages.exchange import hash_exchange
 
-    def _write_group(g: pd.DataFrame) -> pd.DataFrame:
-        pid = g[partition_col].iloc[0]
-        pid_key = int(pid) if not isinstance(pid, str) else pid
-        if pid_key in done:
-            return pd.DataFrame({"partition_id": [pid_key], "rows": [0], "skipped": [True]})
-        t0 = time.perf_counter()
-        body = g.drop(columns=[partition_col])
-        write_partition_atomic(body, out_dir, pid_key)
-        Manifest(manifest_path).append(
-            stage, pid_key, len(body), frame_checksum(body), time.perf_counter() - t0
-        )
-        return pd.DataFrame({"partition_id": [pid_key], "rows": [len(body)], "skipped": [False]})
+    done = Manifest(manifest_path).committed(stage, out_dir)
 
-    return ds.groupby(partition_col).map_groups(_write_group, batch_format="pandas")
+    def write_bucket(b: int, tbl: pa.Table) -> pd.DataFrame:
+        rows = []
+        for pid, g in tbl.to_pandas().groupby(partition_col, sort=True):
+            pid_key = int(pid) if not isinstance(pid, str) else pid
+            if pid_key in done:
+                rows.append((pid_key, 0, True))
+                continue
+            t0 = time.perf_counter()
+            body = g.drop(columns=[partition_col])
+            write_partition_atomic(body, out_dir, pid_key)
+            Manifest(manifest_path).append(
+                stage, pid_key, len(body), frame_checksum(body), time.perf_counter() - t0
+            )
+            rows.append((pid_key, len(body), False))
+        return pd.DataFrame(rows, columns=["partition_id", "rows", "skipped"])
+
+    return hash_exchange(
+        shard_paths, lambda t: t, partition_col, None, write_bucket, columns=columns
+    )

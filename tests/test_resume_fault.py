@@ -1,9 +1,9 @@
 """F6 resume equivalence: a run killed mid-way resumes from the manifest and
 produces byte-identical output to a never-interrupted run, on every shape
 of the flagship's reduce protocol; a rerun recomputes parts that are missing
-or truncated on disk; lineage and output agree across protocols and bucket
-counts; plus batch-size invariance of the stats stage through the Ray
-surface."""
+or truncated on disk, in the flagship sink and in the partitioned sink;
+lineage and output agree across protocols and bucket counts; plus
+batch-size invariance of the stats stage through the Ray surface."""
 
 from __future__ import annotations
 
@@ -153,6 +153,40 @@ class TestKillAndResume:
 
         # a third run finds every partition intact
         assert run_flagship_exchange(*args, out_dir=out, num_buckets=B, **kw)["skipped"].all()
+
+
+class TestPartitionedSinkResume:
+    def test_rerun_rewrites_missing_and_truncated_partitions(self, ray_session, tmp_path):
+        """``write_partitioned_resumable`` applies the flagship sink's resume
+        rule: a rerun skips the partitions whose file holds the recorded
+        rows and rewrites a deleted part and a part cut mid-file, each
+        ending with one manifest record."""
+        import pyarrow as pa
+
+        from mpds_ray.state.manifest import write_partitioned_resumable
+
+        rng = np.random.default_rng(5)
+        src = str(tmp_path / "src.parquet")
+        pq.write_table(pa.table({"k": rng.choice(["a", "b", "c"], 3_000),
+                                 "v": rng.integers(0, 1_000, 3_000)}), src)
+        out = str(tmp_path / "out")
+        args = ([src], out, "sink", f"{out}/manifest.jsonl", "k")
+        first = write_partitioned_resumable(*args)
+        assert sorted(first["partition_id"]) == ["a", "b", "c"] and not first["skipped"].any()
+        want = {k: pq.read_table(f"{out}/part-{k}.parquet") for k in "abc"}
+        want_fold = _manifest_fold(out)
+        assert want_fold == (3, 3_000, _read_back_xor(out))
+
+        os.remove(f"{out}/part-b.parquet")
+        raw = open(f"{out}/part-c.parquet", "rb").read()
+        open(f"{out}/part-c.parquet", "wb").write(raw[: len(raw) // 2])
+
+        res = write_partitioned_resumable(*args)
+        assert dict(zip(res["partition_id"], res["skipped"])) == {"a": True, "b": False, "c": False}
+        for k in "abc":
+            assert pq.read_table(f"{out}/part-{k}.parquet").equals(want[k])
+        assert _manifest_fold(out) == want_fold
+        assert write_partitioned_resumable(*args)["skipped"].all()
 
 
 class TestBatchSizeInvariance:

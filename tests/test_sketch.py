@@ -86,6 +86,58 @@ class TestDistributedQuantiles:
         assert m["b"]["n"] == len(df)
 
 
+class TestShardQuantiles:
+    """``shard_quantiles`` — the path the quantile queries run on — over a
+    parquet file of several row groups, one summary per row group."""
+
+    @staticmethod
+    def _write(tmp_path, v, row_group_size):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        path = str(tmp_path / "x.parquet")
+        pq.write_table(pa.table({"x": v}), path, row_group_size=row_group_size)
+        assert pq.read_metadata(path).num_row_groups > 1
+        return path
+
+    def test_exact_path_matches_percentile(self, ray_session, tmp_path):
+        from mpds_ray.stages.sketch import RAW_LIMIT, shard_quantiles
+
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=60_000)
+        path = self._write(tmp_path, v, 15_000)
+        assert 15_000 <= RAW_LIMIT
+        got = shard_quantiles([path], ["x"], [0.5, 0.9, 0.15])["x"]
+        np.testing.assert_array_equal(got, np.percentile(v, [50, 90, 15]))
+
+    def test_sketch_path_error_bound(self, ray_session, tmp_path, monkeypatch):
+        """Row groups above the raw limit compress to K points each; the
+        merged estimate stays within ~1/(2K) rank error of exact."""
+        from mpds_ray.stages import sketch
+
+        monkeypatch.setattr(sketch, "RAW_LIMIT", 10_000)
+        monkeypatch.setattr(sketch, "K", 2048)
+        folded = []
+        fold = sketch.fold_quantiles
+
+        def spy(parts, cols, qs):
+            folded.append(parts)
+            return fold(parts, cols, qs)
+
+        monkeypatch.setattr(sketch, "fold_quantiles", spy)
+        rng = np.random.default_rng(6)
+        v = rng.lognormal(sigma=2.0, size=1_000_000)
+        path = self._write(tmp_path, v, 125_000)
+        got = sketch.shard_quantiles([path], ["x"], [0.5, 0.9, 0.99])["x"]
+        (parts,) = folded
+        assert len(parts) == 8 * 2048, "each row group compresses to K points"
+        assert (parts["weight"] > 1).all()
+        sv = np.sort(v)
+        for q, est in zip((0.5, 0.9, 0.99), got):
+            rank = np.searchsorted(sv, est) / v.size
+            assert abs(rank - q) < 3.0 / 2048, (q, est, rank)
+
+
 class TestKMV:
     def test_exact_below_k(self):
         from mpds_ray.stages.sketch import kmv_merge_count, kmv_partial
