@@ -21,6 +21,7 @@ from ..stages.scans import (
     time_since_to_event,
 )
 from ..stages.exchange import hash_exchange, shard_map
+from ..stages.partition import run_bounds
 from ..stages.sessionize import sessionize_gap
 from ..stages.sketch import kmv_merge_count, kmv_partial, shard_quantiles
 from .common import round_half_away, shard_groupby_sum, shard_list
@@ -182,19 +183,13 @@ def user_value_lag_lead(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         v = g["value"].to_numpy()
         u = g["user_id"].to_numpy()
-        n = len(v)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = first[1:]
+        starts, lens = run_bounds(u)
         lag = np.empty_like(v)
         lag[1:] = v[:-1]
-        lag[first] = np.nan
+        lag[starts] = np.nan
         lead = np.empty_like(v)
         lead[:-1] = v[1:]
-        lead[last] = np.nan
+        lead[starts + lens - 1] = np.nan
         return pd.DataFrame(
             {
                 "user_id": u,
@@ -294,18 +289,8 @@ def user_value_percent_rank(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         g2 = g.sort_values(["user_id", "value", "event_id"], kind="mergesort")
         u = g2["user_id"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame(
-                {"user_id": [], "event_id": [], "value": [],
-                 "value_rank": [], "pct_rank": []}
-            )
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
-        seg_len = np.diff(np.append(starts, n))
-        idx = np.arange(n) - np.repeat(starts, seg_len)
+        starts, seg_len = run_bounds(u)
+        idx = np.arange(len(u)) - np.repeat(starts, seg_len)
         denom = np.repeat(seg_len, seg_len) - 1
         pct = np.where(denom > 0, idx / np.maximum(denom, 1), 0.0)
         return pd.DataFrame(
@@ -340,21 +325,13 @@ def user_time_weighted_value(sf_dir: str):
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
         v = g["value"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame({"user_id": [], "twa_value": []})
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = first[1:]
+        starts, lens = run_bounds(u)
+        last = starts + lens - 1
         dt = np.empty_like(ts)
         dt[:-1] = ts[1:] - ts[:-1]
         dt[last] = 0.0
-        starts = np.flatnonzero(first)
         num = np.add.reduceat(v * dt, starts)
-        span = ts[np.flatnonzero(last)] - ts[starts]
+        span = ts[last] - ts[starts]
         mask = span > 0
         return pd.DataFrame(
             {
@@ -392,15 +369,8 @@ def user_value_ewma(sf_dir: str, alpha: float = 0.3):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         v = g["value"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame({"user_id": [], "ewma": []})
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
-        seglen = np.diff(np.append(starts, n))
-        pos = np.arange(n) - np.repeat(starts, seglen)
+        starts, seglen = run_bounds(u)
+        pos = np.arange(len(u)) - np.repeat(starts, seglen)
         w = np.power(1.0 - alpha, np.repeat(seglen, seglen) - 1 - pos)
         w[pos > 0] *= alpha
         return pd.DataFrame(
@@ -460,10 +430,6 @@ def event_type_cooccurrence(sf_dir: str):
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["user_id", "event_type"])
-        if not len(d):
-            return pd.DataFrame(
-                {"type_a": [], "type_b": [], "n_users": []}
-            )
         types = np.unique(d["event_type"].to_numpy())
         u, uinv = np.unique(d["user_id"].to_numpy(), return_inverse=True)
         tinv = np.searchsorted(types, d["event_type"].to_numpy())
@@ -500,20 +466,12 @@ def user_value_dense_rank(sf_dir: str):
         v = g["value"].to_numpy()
         e = g["event_id"].to_numpy()
         n = len(u)
-        if n == 0:
-            return pd.DataFrame(
-                {"user_id": [], "event_id": [], "value": [], "dense_rank": []}
-            )
         order = np.lexsort((v, u))
         us, vs = u[order], v[order]
         inc = np.zeros(n, dtype=np.int64)
         inc[1:] = ((vs[1:] != vs[:-1]) & (us[1:] == us[:-1])).astype(np.int64)
         cs = np.cumsum(inc)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = us[1:] != us[:-1]
-        starts = np.flatnonzero(first)
-        seglen = np.diff(np.append(starts, n))
+        starts, seglen = run_bounds(us)
         rank_sorted = 1 + cs - np.repeat(cs[starts], seglen)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = rank_sorted
@@ -550,8 +508,6 @@ def user_median_gap(sf_dir: str):
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
         n = len(u)
-        if n == 0:
-            return pd.DataFrame({"user_id": [], "median_gap": []})
         same = np.zeros(n, dtype=bool)
         same[1:] = u[1:] == u[:-1]
         gaps = np.empty(n)
@@ -564,9 +520,7 @@ def user_median_gap(sf_dir: str):
         # rank(s) per segment via its offsets
         order = np.lexsort((gv, gu))
         gu, gv = gu[order], gv[order]
-        first = np.r_[True, gu[1:] != gu[:-1]]
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, gu.size))
+        starts, lens = run_bounds(gu)
         lo = starts + (lens - 1) // 2
         hi = starts + lens // 2
         return pd.DataFrame(
@@ -597,14 +551,11 @@ def session_bounce_rate(sf_dir: str):
     the session counts — one sessionize + bincount per bucket, partials
     folded on the driver (bucket-count-bounded). The rate is the same
     int/int double division in Ray and SQL."""
-    from ..stages.sessionize import sessionize_gap
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         sid = sessionize_gap(
             g["user_id"].to_numpy(), g["ts"].to_numpy(), SESSION_GAP
         )
-        if len(sid) == 0:
-            return pd.DataFrame({"n_sessions": [0], "n_bounces": [0]})
         sizes = np.bincount(sid - sid.min())
         sizes = sizes[sizes > 0]
         return pd.DataFrame(
@@ -664,17 +615,7 @@ def signup_view_purchase_funnel(sf_dir: str):
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
         et = g["event_type"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame(
-                {"n_signup": [0], "n_signup_view": [0],
-                 "n_signup_view_purchase": [0]}
-            )
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
-        seglen = np.diff(np.append(starts, n))
+        starts, seglen = run_bounds(u)
 
         def stage_min(mask: np.ndarray) -> np.ndarray:
             v = np.where(mask, ts, inf)
@@ -735,21 +676,14 @@ def hourly_user_value_grid(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
-        n = len(u)
-        empty = pd.DataFrame({"user_id": [], "grid_ts": [], "value": []})
-        if n == 0:
-            return empty
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n] - 1
+        starts, lens = run_bounds(u)
+        ends = starts + lens - 1
         g0 = np.ceil(ts[starts] / 3600.0).astype(np.int64)
         g1 = np.floor(ts[ends] / 3600.0).astype(np.int64)
         cnt = np.maximum(g1 - g0 + 1, 0)
         total = int(cnt.sum())
         if total == 0:
-            return empty
+            return pd.DataFrame({"user_id": [], "grid_ts": [], "value": []})
         cfirst = np.r_[0, np.cumsum(cnt)[:-1]]
         within = np.arange(total, dtype=np.int64) - np.repeat(cfirst, cnt)
         grid = pd.DataFrame(
@@ -808,15 +742,8 @@ def user_retention_cohorts(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame({"cohort_day": [], "day_offset": [], "n_users": []})
         day = np.floor(ts / 86400.0).astype(np.int64)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
-        seglen = np.diff(np.append(starts, n))
+        starts, seglen = run_bounds(u)
         cohort = np.repeat(day[starts], seglen)  # sorted by ts -> min day
         d = pd.DataFrame(
             {"user_id": u, "cohort_day": cohort, "day_offset": day - cohort}
@@ -855,16 +782,10 @@ def view_purchase_transitions(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame({"user_id": [], "n_transitions": []})
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        hit = np.zeros(n, dtype=np.int64)
+        starts, _ = run_bounds(u)
+        hit = np.zeros(len(u), dtype=np.int64)
         hit[1:] = (et[:-1] == "view") & (et[1:] == "purchase")
-        hit[first] = 0
-        starts = np.flatnonzero(first)
+        hit[starts] = 0
         return pd.DataFrame(
             {
                 "user_id": u[starts],
@@ -926,8 +847,6 @@ def user_activity_entropy(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
-        if len(u) == 0:
-            return pd.DataFrame({"user_id": [], "type_entropy": []})
         uu, uinv = np.unique(u, return_inverse=True)
         tt, tinv = np.unique(et, return_inverse=True)
         cnt = np.bincount(uinv * tt.size + tinv, minlength=uu.size * tt.size)
@@ -968,9 +887,6 @@ def event_transition_matrix(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
-        n = len(u)
-        if n < 2:
-            return pd.DataFrame({"cur_type": [], "next_type": [], "n": []})
         same = u[1:] == u[:-1]
         cur, nxt = et[:-1][same], et[1:][same]
         if cur.size == 0:
@@ -1220,12 +1136,7 @@ def user_value_trend(sf_dir: str):
         uid = g["user_id"].to_numpy()
         x = (g["ts"].to_numpy(dtype=np.float64) - TREND_ORIGIN_S) / 86400.0
         y = g["value"].to_numpy(dtype=np.float64)
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]]) if uid.size else np.array([], dtype=np.int64)
-        if not uid.size:
-            return pd.DataFrame(
-                {"user_id": [], "slope": [], "intercept": [], "n_events": []}
-            )
-        counts = np.diff(np.r_[starts, uid.size])
+        starts, counts = run_bounds(uid)
         mx = np.add.reduceat(x, starts) / counts
         my = np.add.reduceat(y, starts) / counts
         dx = x - np.repeat(mx, counts)
@@ -1287,15 +1198,9 @@ def session_spectral_features(sf_dir: str):
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
-        if not uid.size:
-            return pd.DataFrame(
-                {"user_id": [], "n_events": [], "dfa_alpha": [], "dfc": [],
-                 "dfc_amp": [], "pitch": []}
-            )
         ts = g["ts"].to_numpy(dtype=np.float64)
         val = g["value"].to_numpy(dtype=np.float64)
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        counts = np.diff(np.r_[starts, uid.size])
+        starts, counts = run_bounds(uid)
         alphas = np.empty(starts.size)
         dfcs = np.empty(starts.size)
         amps = np.empty(starts.size)
@@ -1475,9 +1380,8 @@ def sliding_window_mean(sf_dir: str):
         v = g["value"].to_numpy()
         out_mean = np.empty(len(g))
         out_n = np.empty(len(g), dtype=np.int64)
-        uniq, starts = np.unique(ids, return_index=True)
-        ends = np.r_[starts[1:], len(g)]
-        for s, e in zip(starts, ends):
+        starts, lens = run_bounds(ids)
+        for s, e in zip(starts, starts + lens):
             seg_t = t[s:e]
             prefix = np.r_[0.0, np.cumsum(v[s:e])]
             lo = np.searchsorted(seg_t, seg_t - SLIDE_WIN, side="left")
@@ -1777,9 +1681,8 @@ def rolling_value_mean(sf_dir: str):
         uid = g["user_id"].to_numpy()
         n = len(g)
         idx = np.arange(n)
-        seg_starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        seg_of_row = np.repeat(seg_starts, np.diff(np.r_[seg_starts, n]))
-        lo = np.maximum(idx - (ROLLING_K - 1), seg_of_row)
+        # a window starts no earlier than its row's user run
+        lo = np.maximum(idx - (ROLLING_K - 1), np.repeat(*run_bounds(uid)))
         csum = np.concatenate([[0.0], np.cumsum(v)])
         s = csum[idx + 1] - csum[lo]
         cnt = idx + 1 - lo
@@ -1820,9 +1723,7 @@ def rolling_value_median(sf_dir: str):
         uid = g["user_id"].to_numpy()
         n = len(g)
         idx = np.arange(n)
-        seg_starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        seg_of_row = np.repeat(seg_starts, np.diff(np.r_[seg_starts, n]))
-        lo = np.maximum(idx - (ROLLING_K - 1), seg_of_row)
+        lo = np.maximum(idx - (ROLLING_K - 1), np.repeat(*run_bounds(uid)))
         # trailing-window matrix: column j holds v[i - (K-1) + j]; slots
         # before the row's own segment window get +inf so one ascending
         # sort pushes them past every real value
@@ -1878,9 +1779,7 @@ def rolling_distinct_types(sf_dir: str):
                 f"expected one of {EVENT_TYPES}"
             )
         idx = np.arange(n)
-        seg_starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        seg_of_row = np.repeat(seg_starts, np.diff(np.r_[seg_starts, n]))
-        lo = np.maximum(idx - (ROLLING_K - 1), seg_of_row)
+        lo = np.maximum(idx - (ROLLING_K - 1), np.repeat(*run_bounds(uid)))
         pos = idx[:, None] - (ROLLING_K - 1) + np.arange(ROLLING_K)[None, :]
         win = np.where(pos >= lo[:, None], codes[np.clip(pos, 0, n - 1)], -1)
         # first-occurrence indicator per window slot
@@ -2267,11 +2166,8 @@ def user_feature_matrix(sf_dir: str):
     are entity-complete per bucket), so no driver re-fold."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        new_sess = np.r_[
-            True, (uid[1:] != uid[:-1]) | (ts[1:] - ts[:-1] > SESSION_GAP)
-        ]
+        sid = sessionize_gap(g["user_id"].to_numpy(), g["ts"].to_numpy(), SESSION_GAP)
+        new_sess = np.diff(sid, prepend=-1)  # 1 on each session's first row
         # assign the derived columns in place of a full-bucket copy — this
         # is the query's largest frame, held once per reduce task. value is
         # accumulated as exact int64 CENTS: a float sum is order-sensitive,

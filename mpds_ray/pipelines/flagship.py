@@ -79,10 +79,11 @@ def _fused_bucket_fn(
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g[_SIDE] == 0]
         right = g[g[_SIDE] == 1]
-        return process_bucket(
-            left, right, entity, ts, session_gap, tolerance, stat_cols,
-            bucket_id=int(g[_BUCKET].iloc[0]), sink=sink,
+        bucket_id = int(g[_BUCKET].iloc[0])
+        out = process_bucket(
+            left, right, entity, ts, session_gap, tolerance, stat_cols, bucket_id
         )
+        return out if sink is None else sink(out, bucket_id)
 
     return fn
 
@@ -96,11 +97,10 @@ def process_bucket(
     tolerance: float | None,
     stat_cols: list[str],
     bucket_id: int,
-    sink=None,
 ) -> pd.DataFrame:
     """The per-bucket scan core, shared by the Dataset groupby path and the
     explicit hash-exchange path: establish (entity, ts) sort, sessionize,
-    lag/lead, prefix features, as-of merge, LOCF backfill, optional sink."""
+    lag/lead, prefix features, as-of merge, LOCF backfill."""
     left = left.sort_values([entity, ts], kind="mergesort")
     right = right.sort_values([entity, ts], kind="mergesort")
     out = left.drop(columns=[_SIDE, _BUCKET, "score"], errors="ignore").reset_index(
@@ -152,8 +152,6 @@ def process_bucket(
     out["score_locf"] = lf["locf"]
     out["secs_since_score"] = lf["time_since_last_sample"]
     out[_BUCKET] = np.int32(bucket_id)
-    if sink is not None:
-        return sink(out, bucket_id)
     return out
 
 

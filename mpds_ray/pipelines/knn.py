@@ -16,6 +16,7 @@ import pyarrow.dataset as pads
 import ray
 
 from ..stages.exchange import exchange_map, hash_exchange, shard_map
+from ..stages.partition import run_bounds
 from .common import read_small, shard_list, table_num_rows
 from .text import _group_pairs, _splitmix64
 
@@ -145,9 +146,8 @@ def label_centroid_sims(sf_dir: str):
         lbl = b["label"].to_numpy(zero_copy_only=False)
         order = np.argsort(lbl, kind="stable")
         ls = lbl[order]
-        starts = np.r_[0, np.flatnonzero(ls[1:] != ls[:-1]) + 1]
+        starts, counts = run_bounds(ls)
         sums = np.add.reduceat(m[order], starts, axis=0)
-        counts = np.diff(np.append(starts, ls.size))
         return pd.DataFrame(
             {"label": ls[starts], "n": counts, "vsum": list(sums)}
         )

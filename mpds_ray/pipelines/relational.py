@@ -27,6 +27,17 @@ from .common import (
     shard_list,
 )
 
+
+def net_rev_i(t) -> np.ndarray:
+    """Net revenue of lineitem rows (``t`` a pyarrow table or a frame) as
+    exact int64 ten-thousandths: price cents x (100 - discount hundredths).
+    Integer partial sums are order-insensitive, and one final division
+    gives the same double as the oracles' BIGINT formulation."""
+    cents = np.rint(t["l_extendedprice"].to_numpy() * 100).astype(np.int64)
+    disc = np.rint(t["l_discount"].to_numpy() * 100).astype(np.int64)
+    return cents * (100 - disc)
+
+
 # --- Q1-style pricing summary (filter M10 + grouped agg A2, partial+final) ---
 
 
@@ -621,16 +632,10 @@ def monthly_order_revenue(sf_dir: str, num_buckets: int | None = None):
         # the original float partials landed a half-cent on the wrong side
         # of round(2) vs the oracle's single-pass sum once at sf0.001
         # (month 199502) — order-independent int64 partials can't
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         g = (
             pd.DataFrame(
                 {"o_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                 "rev_i": cents * (100 - disc)}
+                 "rev_i": net_rev_i(t)}
             )
             .groupby("o_orderkey", as_index=False, sort=False)["rev_i"]
             .sum()
@@ -688,16 +693,10 @@ def monthly_revenue_cumshare(sf_dir: str, num_buckets: int | None = None):
     from ..stages.hashjoin import exchange_join
 
     def li_map(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         g = (
             pd.DataFrame(
                 {"o_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                 "rev_i": cents * (100 - disc)}
+                 "rev_i": net_rev_i(t)}
             )
             .groupby("o_orderkey", as_index=False, sort=False)["rev_i"]
             .sum()
@@ -784,16 +783,10 @@ def urgent_order_month_revenue(sf_dir: str, num_buckets: int | None = None):
     from ..stages.hashjoin import exchange_join
 
     def li_map(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         g = (
             pd.DataFrame(
                 {"o_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                 "rev_i": cents * (100 - disc)}
+                 "rev_i": net_rev_i(t)}
             )
             .groupby("o_orderkey", as_index=False, sort=False)["rev_i"]
             .sum()
@@ -873,7 +866,9 @@ def q5_region_nation_revenue(
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
+    from ..stages.hashjoin import (
+        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom_refs, rebucket_refs,
+    )
     from ..stages.partition import stable_bucket
 
     num_buckets = exchange_buckets(
@@ -924,19 +919,13 @@ def q5_region_nation_revenue(
 
     def li_map(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        keep = bloom_probe(okey, ray.get(bits), 1 << 23, 4)
+        keep = bloom_probe(okey, ray.get(bits), BLOOM_BITS, BLOOM_HASHES)
         t = t.filter(pa.array(keep))
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         return pa.table(
             {
                 "o_orderkey": t["l_orderkey"],
                 "l_suppkey": t["l_suppkey"],
-                "rev_i": pa.array(cents * (100 - disc)),
+                "rev_i": pa.array(net_rev_i(t)),
             }
         )
 
@@ -1011,7 +1000,9 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
+    from ..stages.hashjoin import (
+        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom_refs, rebucket_refs,
+    )
     from ..stages.partition import stable_bucket
 
     num_buckets = exchange_buckets(
@@ -1059,13 +1050,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
 
     def li_map(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(bloom_probe(okey, ray.get(bits), 1 << 23, 4)))
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        t = t.filter(pa.array(bloom_probe(okey, ray.get(bits), BLOOM_BITS, BLOOM_HASHES)))
         yr = pd.DatetimeIndex(
             t["l_shipdate"].combine_chunks().to_pandas()
         ).year.to_numpy().astype(np.int64)
@@ -1075,7 +1060,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
                     "o_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
                     "l_suppkey": t["l_suppkey"].to_numpy(zero_copy_only=False),
                     "l_year": yr,
-                    "rev_i": cents * (100 - disc),
+                    "rev_i": net_rev_i(t),
                 }
             )
             .groupby(
@@ -1193,16 +1178,10 @@ def part_type_revenue_share(sf_dir: str, num_buckets: int | None = None):
     hi = pd.Timestamp("1997-04-01")
 
     def li_map(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         g = (
             pd.DataFrame(
                 {"p_partkey": t["l_partkey"].to_numpy(zero_copy_only=False),
-                 "rev_i": cents * (100 - disc)}
+                 "rev_i": net_rev_i(t)}
             )
             .groupby("p_partkey", as_index=False, sort=False)["rev_i"]
             .sum()
@@ -1800,13 +1779,11 @@ def rollup_sales_by_flag_status(sf_dir: str):
     column string-typed."""
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(b["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        disc = np.rint(b["l_discount"].to_numpy() * 100).astype(np.int64)
         return pd.DataFrame(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
-                "rev_i": cents * (100 - disc),
+                "rev_i": net_rev_i(b),
             }
         )
 
@@ -1856,13 +1833,11 @@ def cube_sales_by_flag_status(sf_dir: str):
     ``rollup_sales_by_flag_status``."""
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(b["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        disc = np.rint(b["l_discount"].to_numpy() * 100).astype(np.int64)
         return pd.DataFrame(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
-                "rev_i": cents * (100 - disc),
+                "rev_i": net_rev_i(b),
             }
         )
 
@@ -2031,7 +2006,9 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import bloom_probe, build_key_bloom, rebucket_refs
+    from ..stages.hashjoin import (
+        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom, rebucket_refs,
+    )
     from ..stages.partition import stable_bucket
 
     num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"), num_buckets)
@@ -2049,17 +2026,11 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
 
     def li_map(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(bloom_probe(okey, ray.get(bits), 1 << 23, 4)))
-        cents = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        disc = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        t = t.filter(pa.array(bloom_probe(okey, ray.get(bits), BLOOM_BITS, BLOOM_HASHES)))
         g = (
             pd.DataFrame(
                 {"o_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                 "rev_i": cents * (100 - disc)}
+                 "rev_i": net_rev_i(t)}
             )
             .groupby("o_orderkey", as_index=False, sort=False)["rev_i"]
             .sum()

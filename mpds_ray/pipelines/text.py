@@ -17,6 +17,7 @@ import pyarrow as pa
 import ray
 
 from ..stages.exchange import shard_map
+from ..stages.partition import run_bounds
 from ..stages.window_stats import token_stats_arrays
 from ..tokenize import TOKENS_SQL_EXPR, VOCAB, tokenize_batch
 from .common import round_half_away, shard_list
@@ -847,7 +848,7 @@ def _unique_per_segment(
     seg = np.repeat(np.arange(offs.size - 1, dtype=np.int64), np.diff(offs))
     order = np.lexsort((values, seg))
     v, s = values[order], seg[order]
-    first = np.r_[True, (v[1:] != v[:-1]) | (s[1:] != s[:-1])]
+    first, _ = run_bounds(v, s)
     return v[first], s[first], np.bincount(s[first], minlength=offs.size - 1)
 
 
@@ -926,7 +927,7 @@ def _dedupe_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
         return EMPTY_PAIR_TABLE
     order = np.lexsort((b, a))
     a, b = a[order], b[order]
-    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+    first, _ = run_bounds(a, b)
     return pa.table(
         {"doc_a": pa.array(a[first], type=pa.int64()),
          "doc_b": pa.array(b[first], type=pa.int64())}
@@ -1257,17 +1258,9 @@ def _group_pairs(keys: tuple[np.ndarray, ...], did: np.ndarray, keep=None) -> pa
     exceeds PAIRWISE_CHUNK_VALUES pairs however hot a group is, and no
     Python runs per group."""
     order = np.lexsort((did, *reversed(keys)))
-    new_key = np.zeros(did.size, dtype=bool)
-    new_key[:1] = True
-    for k in keys:
-        ks = k[order]
-        new_key[1:] |= ks[1:] != ks[:-1]
-    ds = did[order]
-    first = new_key.copy()
-    first[1:] |= ds[1:] != ds[:-1]
-    rows, new_key = order[first], new_key[first]
-    starts = np.flatnonzero(new_key)
-    counts = np.diff(np.r_[starts, rows.size])
+    first, _ = run_bounds(*(k[order] for k in keys), did[order])
+    rows = order[first]
+    starts, counts = run_bounds(*(k[rows] for k in keys))
     group_end = np.repeat(starts + counts, counts)
     probes = np.flatnonzero(group_end - np.arange(rows.size) > 1)
     doc_a, doc_b = [did[:0]], [did[:0]]
@@ -1295,8 +1288,7 @@ def _containment_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
     probe = tbl["is_probe"].to_numpy(zero_copy_only=False)
     order = np.lexsort((did, sh))
     sh, did, sz, probe = sh[order], did[order], sz[order], probe[order]
-    starts = np.r_[0, np.flatnonzero(sh[1:] != sh[:-1]) + 1]
-    counts = np.diff(np.r_[starts, sh.size])
+    starts, counts = run_bounds(sh)
     seg_id = np.repeat(np.arange(starts.size), counts)
     probes = np.flatnonzero(probe)
     g_of_p = seg_id[probes]

@@ -21,6 +21,7 @@ import pyarrow.dataset as pads
 import ray
 
 from ..stages.exchange import shard_map
+from ..stages.partition import run_bounds
 from ..stages.sketch import shard_quantiles
 from ..tokenize import TOKENS_SQL_EXPR, tokenize_batch
 from .common import shard_list, table_num_rows
@@ -500,9 +501,8 @@ def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
         # (tests/test_labelprop.py::test_block_matmul_matches_pair_kernel),
         # ~25x faster on 250-doc blocks
         order = np.argsort(df_src, kind="stable")
-        starts = np.r_[0, np.flatnonzero(df_src[order][1:] != df_src[order][:-1]) + 1,
-                       order.size]
-        for g0, g1 in zip(starts[:-1], starts[1:]):
+        starts, lens = run_bounds(df_src[order])
+        for g0, g1 in zip(starts, starts + lens):
             idx = order[g0:g1]
             if idx.size < 2:
                 continue
@@ -690,9 +690,9 @@ def dedup_passages(
         df = tbl.to_pandas().sort_values(
             ["chash", "doc_id", "chunk_idx"], kind="mergesort"
         )
-        ch = df["chash"].to_numpy()
-        first = np.r_[True, ch[1:] != ch[:-1]]
-        df["dup"] = (~first).astype(np.int64)
+        dup = np.ones(len(df), dtype=np.int64)
+        dup[run_bounds(df["chash"].to_numpy())[0]] = 0  # a hash's first chunk
+        df["dup"] = dup
         return df.groupby("doc_id", as_index=False).agg(
             n_chunks=("dup", "size"), n_dup_chunks=("dup", "sum")
         )

@@ -8,16 +8,17 @@ reference's LOCF-with-expiration applied across tables
 (dssFunctionLibrary.R:1419-1503). "forward"/"nearest" directions are provided
 for the pre/post variants.
 
-Physical plan (SURVEY §4.3):
+Physical plan (SURVEY §4.3): the join runs in the reduce task of the
+engine's one hash exchange on entity (stages/exchange.py). Left rows reach
+bucket ``stable_bucket(entity) % B`` through the exchange; the right side is
+bucketed by the same function (the flagship splits its small scores table
+on the driver, the events queries join two filters of one bucket). The
+reduce task sorts both sides by (entity, ts) and ``asof_join_arrays`` runs
+one vectorized searchsorted merge per left entity run
+(``partition.run_bounds``) against the same entity's right run.
 
-    both sides --map_batches--> add bucket = hash(entity) % B   (co-partition)
-    union(tagged left, tagged right)
-    groupby(bucket).map_groups(_merge_bucket)                    (the only shuffle)
-        per bucket: sort by ts, vectorized galloping merge
-        (np.searchsorted per entity segment / pd.merge_asof)
-
-At cluster scale B is chosen so one bucket's rows fit a worker's heap; heavy
-entities can be salted on the LEFT side only (right side replicated per salt)
+B is chosen so one bucket's rows fit a worker's heap; a heavy entity is
+salted on the LEFT side only (its right rows go to every salt range)
 without changing results — backward lookups never cross entities.
 
 Zero temporal leakage: no output field depends on right rows with
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from .partition import run_bounds
 
 
 def asof_merge_sorted(
@@ -81,13 +84,13 @@ def asof_join_arrays(
     rt = np.asarray(right_ts, dtype=np.float64)
 
     match = np.full(lt.size, -1, dtype=np.int64)
-    r_uniq, r_start = np.unique(right_id, return_index=True)
-    r_end = np.r_[r_start[1:], right_id.size]
-    r_pos = {k: (int(s), int(e)) for k, s, e in zip(r_uniq, r_start, r_end)}
+    r_start, r_len = run_bounds(right_id)
+    r_pos = {
+        k: (int(s), int(s + c)) for k, s, c in zip(right_id[r_start], r_start, r_len)
+    }
 
-    l_uniq, l_start = np.unique(left_id, return_index=True)
-    l_end = np.r_[l_start[1:], left_id.size]
-    for k, s, e in zip(l_uniq, l_start, l_end):
+    l_start, l_len = run_bounds(left_id)
+    for k, s, e in zip(left_id[l_start], l_start, l_start + l_len):
         seg = r_pos.get(k)
         if seg is None:
             continue
@@ -160,9 +163,8 @@ def range_join_sorted(
         re = np.searchsorted(right_ent, left_ent, side="right")
         lo = np.empty(n_l, dtype=np.int64)
         hi = np.empty(n_l, dtype=np.int64)
-        seg_starts = np.flatnonzero(np.r_[True, left_ent[1:] != left_ent[:-1]])
-        seg_ends = np.r_[seg_starts[1:], n_l]
-        for s, e in zip(seg_starts, seg_ends):
+        seg_starts, seg_lens = run_bounds(left_ent)
+        for s, e in zip(seg_starts, seg_starts + seg_lens):
             a, b = int(rs[s]), int(re[s])
             seg = rt[a:b]
             lo[s:e] = a + np.searchsorted(seg, lt[s:e] - w, side="left")
@@ -183,8 +185,7 @@ def asof_join_pandas(
     suffix: str = "_r",
 ) -> pd.DataFrame:
     """Per-bucket as-of join via ``pd.merge_asof`` (C implementation of the
-    same sorted merge). Requires both frames sorted by ``on``; used inside
-    ``groupby(bucket).map_groups``."""
+    same sorted merge). Requires both frames sorted by ``on``."""
     left_sorted = left.sort_values(on, kind="stable")
     right_sorted = right.sort_values(on, kind="stable")
     kwargs = {}

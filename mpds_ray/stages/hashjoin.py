@@ -38,6 +38,13 @@ from .partition import stable_bucket
 # byte-identical with the filter on or off (tests/test_bloom_join.py); what
 # changes is shuffle volume — at 100 TB the big fact side ships only rows
 # whose key MIGHT match instead of the whole table.
+#
+# Every engine filter has the same size: BLOOM_BITS bits (1 MiB packed, so
+# each partial that crosses the driver is 1 MiB whatever its row count) and
+# BLOOM_HASHES probes per key.
+
+BLOOM_BITS = 1 << 23
+BLOOM_HASHES = 4
 
 
 def _bloom_positions(values: np.ndarray, num_bits: int, num_hashes: int) -> np.ndarray:
@@ -75,22 +82,18 @@ def bloom_probe(
 def build_key_bloom(
     shard_paths: list[str],
     key: str,
-    num_bits: int = 1 << 23,
-    num_hashes: int = 4,
     map_fn: Callable[[pa.Table], pa.Table] | None = None,
     columns: list[str] | None = None,
     filters=None,
 ) -> np.ndarray:
     """Distributed bloom build: one ``shard_map`` task per shard or row
     group reads only ``key`` (plus whatever ``map_fn`` needs), inserts its
-    post-map keys, and the driver ORs the packed arrays as they arrive —
-    num_bits/8 bytes per task (1 MiB at the 2^23 default), independent of
-    row count."""
+    post-map keys, and the driver ORs the packed arrays as they arrive."""
 
     def shard_bits(t: pa.Table) -> np.ndarray:
         if map_fn is not None:
             t = map_fn(t)
-        return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
+        return bloom_insert(t[key].to_numpy(zero_copy_only=False), BLOOM_BITS, BLOOM_HASHES)
 
     return shard_map(
         shard_paths, shard_bits, columns=columns or [key], filters=filters, fold=np.bitwise_or
@@ -110,8 +113,6 @@ def exchange_join(
     filters_left=None,
     filters_right=None,
     bloom_from: str | None = None,
-    bloom_bits: int = 1 << 23,
-    bloom_hashes: int = 4,
     how: str = "inner",
 ) -> pd.DataFrame:
     """Co-partition both sides on ``hash(key) % num_buckets`` and run
@@ -154,8 +155,7 @@ def exchange_join(
         )[bloom_from]
         bits_ref = ray.put(
             build_key_bloom(
-                src[0], key, bloom_bits, bloom_hashes,
-                map_fn=src[1], columns=src[2], filters=src[3],
+                src[0], key, map_fn=src[1], columns=src[2], filters=src[3]
             )
         )
 
@@ -165,7 +165,7 @@ def exchange_join(
                 bits = ray.get(bits_ref)  # zero-copy plasma view
                 keep = bloom_probe(
                     t[key].to_numpy(zero_copy_only=False),
-                    bits, bloom_bits, bloom_hashes,
+                    bits, BLOOM_BITS, BLOOM_HASHES,
                 )
                 return t.filter(pa.array(keep))
 
@@ -238,26 +238,21 @@ def _split(t, key, num_buckets, map_fn):
     return tuple(parts) if num_buckets > 1 else parts[0]
 
 
-def build_key_bloom_refs(
-    table_refs: list["ray.ObjectRef"],
-    key: str,
-    num_bits: int = 1 << 23,
-    num_hashes: int = 4,
-) -> np.ndarray:
+def build_key_bloom_refs(table_refs: list["ray.ObjectRef"], key: str) -> np.ndarray:
     """Bloom bits over the keys of in-flight per-bucket tables (an upstream
     hop's outputs) — lets a later hop prefilter its BIG storage side by the
-    keys that actually survived the earlier joins. num_bits/8 bytes per
-    upstream bucket cross the driver, independent of row count."""
-    parts = ray.get([_part_bloom.remote(r, key, num_bits, num_hashes) for r in table_refs])
-    out = np.zeros(num_bits // 8, dtype=np.uint8)
+    keys that actually survived the earlier joins. One filter per upstream
+    bucket crosses the driver, independent of row count."""
+    parts = ray.get([_part_bloom.remote(r, key) for r in table_refs])
+    out = np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
     for p in parts:
         out |= p
     return out
 
 
 @ray.remote
-def _part_bloom(t, key, num_bits, num_hashes) -> np.ndarray:
+def _part_bloom(t, key) -> np.ndarray:
     """``build_key_bloom_refs``' task: one upstream output's bloom bits."""
     if t is None or t.num_rows == 0:
-        return np.zeros(num_bits // 8, dtype=np.uint8)
-    return bloom_insert(t[key].to_numpy(zero_copy_only=False), num_bits, num_hashes)
+        return np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
+    return bloom_insert(t[key].to_numpy(zero_copy_only=False), BLOOM_BITS, BLOOM_HASHES)

@@ -3,15 +3,18 @@
 Same semantics as ``mpds_ray.oracle.scans`` (the loop oracle transliterated
 from mimicUsefulFunction.R) but fully vectorized with pandas grouped
 ffill/bfill/cum* and NumPy — no Python loop over rows. Inputs are arrays
-sorted by (entity, ts); outputs are aligned arrays. These run inside
-``map_batches`` on entity-complete blocks, so no cross-batch carry state is
-needed by construction (see stages/partition.py).
+sorted by (entity, ts); outputs are aligned arrays. They run in the reduce
+task of a hash exchange on one (entity, ts)-sorted bucket, which holds every
+row of its entities, so no cross-bucket carry state is needed (see
+stages/partition.py; a salted heavy entity is stitched by stages/salted.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from .partition import run_bounds
 
 
 def _series(x) -> pd.Series:
@@ -96,13 +99,13 @@ def sample_and_hold(id_arr, vec, default) -> np.ndarray:
     return v.groupby(ids, sort=False).ffill().fillna(default).to_numpy()
 
 
-def _on_run_ids(sig: np.ndarray, ids: pd.Series) -> np.ndarray:
-    """Monotone run id per ON-run (0 for OFF rows); runs never straddle ids."""
+def _on_run_ids(sig: np.ndarray, ent_starts: np.ndarray) -> np.ndarray:
+    """Monotone run id per ON-run (0 for OFF rows); runs never straddle
+    entities (``ent_starts`` are the entity runs' first rows)."""
     on = sig == 1
     prev_on = np.r_[False, on[:-1]]
-    id_change = np.r_[True, ids.to_numpy()[1:] != ids.to_numpy()[:-1]]
-    run_start = on & (~prev_on | id_change)
-    run = np.cumsum(run_start)
+    prev_on[ent_starts] = False
+    run = np.cumsum(on & ~prev_on)
     return np.where(on, run, 0)
 
 
@@ -111,10 +114,10 @@ def remove_short_on_intervals(id_arr, ht, vec, time_th) -> np.ndarray:
     whose span (last ON ts - first ON ts) >= time_th. Reproduces the reference
     quirk that a single-row run terminating at the entity's last row is
     dropped even when time_th <= 0."""
-    ids = _series(id_arr)
     t = np.asarray(ht, dtype=np.float64)
     sig = np.nan_to_num(np.asarray(vec, dtype=np.float64), nan=0.0)
-    run = _on_run_ids(sig, ids)
+    ent_starts, ent_lens = run_bounds(id_arr)
+    run = _on_run_ids(sig, ent_starts)
     on = run > 0
     if not on.any():
         return np.zeros(sig.size)
@@ -123,7 +126,8 @@ def remove_short_on_intervals(id_arr, ht, vec, time_th) -> np.ndarray:
     keep_runs = spans.index[(spans["max"] - spans["min"]) >= time_th]
     keep = np.isin(run, keep_runs) & on
     # reference quirk: a 1-row run at the entity's LAST row never survives
-    is_last = np.r_[ids.to_numpy()[1:] != ids.to_numpy()[:-1], True]
+    is_last = np.zeros(sig.size, dtype=bool)
+    is_last[ent_starts + ent_lens - 1] = True
     singles = spans.index[spans["count"] == 1]
     keep &= ~(np.isin(run, singles) & is_last)
     return keep.astype(np.float64)
@@ -176,9 +180,8 @@ def prefix_features(id_arr, ht, score) -> dict[str, np.ndarray]:
     # reference loop oracle's `acc += area` semantics exactly.
     area_z = np.nan_to_num(area, nan=0.0)
     cum_area = np.empty_like(area_z)
-    id_vals = ids.to_numpy()
-    starts = np.flatnonzero(np.r_[True, id_vals[1:] != id_vals[:-1]])
-    for s_, e_ in zip(starts, np.r_[starts[1:], area_z.size]):
+    starts, lens = run_bounds(ids.to_numpy())
+    for s_, e_ in zip(starts, starts + lens):
         cum_area[s_:e_] = np.cumsum(area_z[s_:e_])
     t0 = tg.transform("first").to_numpy()
     s0 = g.transform("first").to_numpy()

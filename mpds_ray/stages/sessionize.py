@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .partition import run_bounds
+
 
 def sessionize_gap(id_arr, ts, gap) -> np.ndarray:
     """Monotone session ids over (entity, ts)-sorted arrays. Vectorized:
-    ``cumsum(entity_change | dt > gap) - 1``."""
-    ids = np.asarray(id_arr)
+    ``cumsum(entity_run_start | dt > gap) - 1``."""
     t = np.asarray(ts, dtype=np.float64)
-    if t.size == 0:
-        return np.empty(0, dtype=np.int64)
-    id_change = np.r_[True, ids[1:] != ids[:-1]]
-    dt = np.r_[np.inf, t[1:] - t[:-1]]
-    new_session = id_change | (dt > gap)
+    new_session = np.zeros(t.size, dtype=bool)
+    new_session[1:] = t[1:] - t[:-1] > gap
+    new_session[run_bounds(id_arr)[0]] = True
     return np.cumsum(new_session) - 1

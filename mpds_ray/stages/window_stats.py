@@ -23,6 +23,7 @@ import pyarrow as pa
 
 from ..kernels import EPS, fastdfa
 from ..kernels.lomb import dominant_frequency
+from .partition import run_bounds
 
 CHEAP_STATS = (
     "mean", "std", "q1", "q3", "iqr", "median", "mode", "range",
@@ -160,20 +161,19 @@ def token_stats_arrays(
             out["median"] = np.where(empty, np.nan, _segment_quantile(vs, starts, lengths, 50.0))
         if "mode" in stats or "En" in stats:
             # value runs within sorted segments
-            new_run = np.r_[True, (vs[1:] != vs[:-1]) | (seg_sorted[1:] != seg_sorted[:-1])]
-            run_starts = np.flatnonzero(new_run)
-            run_counts = np.diff(np.r_[run_starts, vs.size]).astype(np.float64)
+            run_starts, run_counts = run_bounds(vs, seg_sorted)
+            run_counts = run_counts.astype(np.float64)
             run_seg = seg_sorted[run_starts]
             run_val = vs[run_starts]
-            # first run index per segment (runs are segment-sorted)
-            seg_first_run = np.r_[True, run_seg[1:] != run_seg[:-1]]
+            # first run index and run count per segment (runs are
+            # segment-sorted)
+            first_idx, seg_runs = run_bounds(run_seg)
             if "mode" in stats:
                 # per segment: FIRST (= smallest value) run with the max count,
                 # fully vectorized: max count per segment via reduceat, then the
                 # min run index among count==max runs via a masked reduceat
-                first_idx = np.flatnonzero(seg_first_run)
                 maxc = np.maximum.reduceat(run_counts, first_idx)
-                maxc_per_run = np.repeat(maxc, np.diff(np.r_[first_idx, run_seg.size]))
+                maxc_per_run = np.repeat(maxc, seg_runs)
                 ridx = np.arange(run_seg.size, dtype=np.int64)
                 masked = np.where(run_counts == maxc_per_run, ridx, np.iinfo(np.int64).max)
                 winner = np.minimum.reduceat(masked, first_idx)
@@ -184,7 +184,6 @@ def token_stats_arrays(
                 p = run_counts / safe_len[run_seg]
                 contrib = -p * np.log2(p + EPS)
                 en = np.full(n, np.nan)
-                first_idx = np.flatnonzero(seg_first_run)
                 sums = np.add.reduceat(contrib, first_idx)
                 en[run_seg[first_idx]] = sums
                 out["En"] = en

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .partition import run_bounds
+
 
 def time_weighted_average(val: np.ndarray, ht: np.ndarray) -> float:
     val = np.asarray(val, dtype=np.float64)
@@ -31,12 +33,6 @@ def time_weighted_average(val: np.ndarray, ht: np.ndarray) -> float:
     dv = np.diff(val) / 2.0
     dht = np.diff(ht)
     return float(np.sum((val[:-1] + dv) * dht) / np.sum(dht))
-
-
-def _entity_segments(ids: np.ndarray):
-    uniq, start = np.unique(ids, return_index=True)
-    end = np.r_[start[1:], len(ids)]
-    return zip(uniq, start, end)
 
 
 def _trapz_prefix(val: np.ndarray, ht: np.ndarray) -> np.ndarray:
@@ -64,7 +60,8 @@ def event_window_response(
     avg_after = np.full(n_ev, np.nan)
 
     out_pos = {int(i): k for k, i in enumerate(ev_idx)}
-    for _, s, e in _entity_segments(ids):
+    starts, lens = run_bounds(ids)
+    for s, e in zip(starts, starts + lens):
         seg_ht = ht[s:e]
         seg_val = val[s:e]
         prefix = _trapz_prefix(seg_val, seg_ht)
@@ -107,7 +104,8 @@ def event_window_pre_post(
                   "avg_now", "trend_before", "trend_after")
     }
     out_pos = {int(i): k for k, i in enumerate(ev_idx)}
-    for _, s, e in _entity_segments(ids):
+    starts, lens = run_bounds(ids)
+    for s, e in zip(starts, starts + lens):
         seg_ht = ht[s:e]
         seg_val = val[s:e]
         prefix = _trapz_prefix(seg_val, seg_ht)

@@ -17,6 +17,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from mpds_ray.stages.hashjoin import (
+    BLOOM_BITS,
+    BLOOM_HASHES,
     bloom_insert,
     bloom_probe,
     build_key_bloom,
@@ -91,13 +93,13 @@ def test_bloom_join_identical_and_prunes(ray_session, join_dirs):
     left, right = join_dirs
     base = _run(left, right)
     for side in ("right", "left"):
-        got = _run(left, right, bloom_from=side, bloom_bits=BITS)
+        got = _run(left, right, bloom_from=side)
         pd.testing.assert_frame_equal(got, base)
 
     # the prefilter itself: ~12% of left keys survive a right-side bloom
-    bits = build_key_bloom(right, "k", BITS, HASHES)
+    bits = build_key_bloom(right, "k")
     lk = pq.read_table(left[0], columns=["k"])["k"].to_numpy()
-    keep = bloom_probe(lk, bits, BITS, HASHES)
+    keep = bloom_probe(lk, bits, BLOOM_BITS, BLOOM_HASHES)
     true_frac = np.isin(lk, pq.read_table(right[0]).column("k").to_numpy()).mean()
     assert keep.mean() < 0.25  # 120/1000 keys + small fp slack
     assert keep.mean() >= true_frac  # never drops a real match
@@ -113,6 +115,6 @@ def test_bloom_join_empty_side(ray_session, tmp_path):
     )
     out = exchange_join(
         [str(ldir / "a.parquet")], [str(rdir / "a.parquet")], "k", _make_reduce(),
-        num_buckets=4, bloom_from="right", bloom_bits=BITS,
+        num_buckets=4, bloom_from="right",
     )
     assert len(out) == 0

@@ -17,7 +17,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from mpds_ray.stages.exchange import exchange_map, reduce_grid
-from mpds_ray.stages.hashjoin import bloom_probe, build_key_bloom_refs, rebucket_refs
+from mpds_ray.stages.hashjoin import (
+    BLOOM_BITS,
+    BLOOM_HASHES,
+    bloom_probe,
+    build_key_bloom_refs,
+    rebucket_refs,
+)
 from mpds_ray.stages.partition import stable_bucket
 
 
@@ -114,9 +120,9 @@ def test_bloom_refs_admits_all_hop_keys(ray_session, chain_dirs):
         return pa.Table.from_pandas(j[["k2", "v"]], preserve_index=False)
 
     hop1 = reduce_grid(join1, 4, f_grid, a_grid, emit="refs")
-    bits = build_key_bloom_refs(hop1, "k2", num_bits=1 << 16)
+    bits = build_key_bloom_refs(hop1, "k2")
     surviving = fact.merge(dim_a, on="k1")["k2"].unique()
-    assert bloom_probe(surviving, bits, 1 << 16, 4).all()
+    assert bloom_probe(surviving, bits, BLOOM_BITS, BLOOM_HASHES).all()
     ray.get(hop1)  # refs remain fetchable after the bloom pass
 
 

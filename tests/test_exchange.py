@@ -136,3 +136,58 @@ class TestWideOutput:
 
         a, b = canon(orig), canon(wide)
         assert (a == b).all()
+
+
+def _recording_reduce():
+    # built in a factory so cloudpickle ships it by value (a test module is
+    # not importable on Ray workers)
+    def reduce_fn(b: int, first, other) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "b": [b],
+                "first_rows": [-1 if first is None else first.num_rows],
+                "other_rows": [-1 if other is None else other.num_rows],
+            }
+        )
+
+    return reduce_fn
+
+
+class TestReduceGridContract:
+    """The empty-bucket rule every reducer relies on: ``reduce_fn`` never
+    gets a ``None`` or zero-row first table; with ``how='left'`` it gets
+    ``None`` for an empty other grid. The bucket reducers of
+    pipelines/eventspipe.py carry no empty-frame guard because of it."""
+
+    @pytest.fixture()
+    def grids(self, ray_session):
+        import ray
+
+        def t(n: int) -> pa.Table:
+            return pa.table({"k": np.arange(n, dtype=np.int64)})
+
+        # buckets: 0 rows on both sides, 1 first side only, 2 other side
+        # only, 3 neither; empty slices come as zero-row tables and None
+        first = [[t(2), t(1), t(0), None], [t(0), t(3), None, t(0)]]
+        other = [[t(1), None, t(2), t(0)], [t(0), t(0), t(4), None]]
+        return [[ray.put(p) for p in row] for row in first], [
+            [ray.put(p) for p in row] for row in other
+        ]
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_first_grid_never_empty(self, grids, how):
+        from mpds_ray.stages.exchange import reduce_grid
+
+        out = reduce_grid(_recording_reduce(), 4, *grids, how=how).sort_values("b")
+        want = {"inner": [[0, 2, 1]], "left": [[0, 2, 1], [1, 4, -1]]}[how]
+        assert out[["b", "first_rows", "other_rows"]].to_numpy().tolist() == want
+
+    def test_skipped_buckets_resolve_to_none(self, grids):
+        import ray
+
+        from mpds_ray.stages.exchange import reduce_grid
+
+        refs = reduce_grid(_recording_reduce(), 4, *grids, how="left", emit="refs")
+        got = ray.get(refs)
+        assert got[2] is None and got[3] is None
+        assert got[1]["other_rows"].tolist() == [-1]

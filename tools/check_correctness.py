@@ -1,6 +1,14 @@
 """Local replica of the driver's correctness gate: run every queries() entry
 and its oracle_sql() on the same sf_dir, compare row count + (sorted-column)
-value content. Usage: python tools/check_correctness.py [sf_dir] [names...]
+value content. Usage:
+
+    python tools/check_correctness.py [--dump DIR | --same-as DIR] [sf_dir] [names...]
+
+``--dump DIR`` runs the queries and writes each one's canonical output
+(``canon``) to ``DIR/<name>.parquet``; nothing is compared. ``--same-as DIR``
+compares each query's canonical output with that dump instead of the oracle,
+exactly (``assert_frame_equal(check_exact=True)``): dump at a known-good
+commit, then check that a refactor left every output bit-identical.
 
 Float columns are compared BIT-EXACT AFTER a canonical round(6) by default
 (VERDICT r4 'Next round' #3: "bit compare after the committed round(6)") —
@@ -15,6 +23,7 @@ the driver gate will be green.
 
 from __future__ import annotations
 
+import os
 import sys
 import traceback
 
@@ -91,10 +100,37 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
     return problems
 
 
+def same_as(name: str, got: pd.DataFrame, dump_dir: str) -> list[str]:
+    """Problems of ``got`` against the ``--dump`` output of ``name``."""
+    path = os.path.join(dump_dir, f"{name}.parquet")
+    if not os.path.exists(path):
+        return [f"no dump at {path}"]
+    try:
+        pd.testing.assert_frame_equal(canon(got), pd.read_parquet(path), check_exact=True)
+    except AssertionError as e:
+        return [" ".join(str(e).split())]
+    return []
+
+
+def _pop_opt(argv: list[str], flag: str) -> str | None:
+    if flag not in argv:
+        return None
+    i = argv.index(flag)
+    value = argv[i + 1]
+    del argv[i : i + 2]
+    return value
+
+
 def main():
     global ALLCLOSE
     argv = [a for a in sys.argv[1:] if a != "--allclose"]
     ALLCLOSE = "--allclose" in sys.argv[1:]
+    dump_dir = _pop_opt(argv, "--dump")
+    ref_dir = _pop_opt(argv, "--same-as")
+    if dump_dir and ref_dir:
+        sys.exit("--dump and --same-as exclude each other")
+    if dump_dir:
+        os.makedirs(dump_dir, exist_ok=True)
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     only = set(argv[1:])
 
@@ -107,7 +143,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
@@ -127,6 +163,18 @@ def main():
         except Exception:
             print(f"FAIL {name}: query raised\n{traceback.format_exc()}")
             n_fail += 1
+            continue
+        if dump_dir:
+            canon(got).to_parquet(os.path.join(dump_dir, f"{name}.parquet"))
+            print(f"dump {name} ({len(got)} rows)")
+            n_pass += 1
+            continue
+        if ref_dir:
+            problems = same_as(name, got, ref_dir)
+            print(f"FAIL {name}: " + "; ".join(problems) if problems
+                  else f"SAME {name} ({len(got)} rows)")
+            n_fail += bool(problems)
+            n_pass += not problems
             continue
         if name not in oracles:
             print(f"ok   {name}: rows-only ({len(got)} rows)")
