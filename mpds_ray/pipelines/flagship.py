@@ -6,7 +6,7 @@
       -> ONE hash exchange by stable_bucket(entity) % B    [stages/exchange.py]
       -> one reduce task per bucket: the bucket's rows as a chunk stream,
          each chunk run through ``process_bucket``:
-            (entity, ts) sort                              [establish invariant]
+            (entity, ts) sort, integer entity codes        [establish invariant]
             sessionize (gap threshold, per-entity ordinals)
             per-entity lag/lead + prefix features
             galloping as-of merge of scores (backward, tolerance)
@@ -23,6 +23,12 @@
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, the driver folds their carries, and fix tasks
   apply them and commit through the same sink.
+
+The bucket stays Arrow from the exchange to the sink: map slices arrive as
+``pa.Table``s, ``process_bucket`` sorts and scans them as Arrow columns and
+NumPy entity runs (``partition.run_bounds`` over integer entity codes) and
+returns a ``pa.Table``, and the sink writes and checksums that table. No
+bucket is converted to pandas on the way.
 
 Output is byte-identical across bucket counts, chunking and salting.
 
@@ -49,12 +55,20 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..stages.asof import asof_join_arrays
 from ..stages.chunked import ray_run_iter, sorted_run_merge
-from ..stages.partition import stable_bucket
-from ..stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
+from ..stages.exchange import _split_by_bucket, auto_num_buckets, exchange_map
+from ..stages.partition import run_bounds, stable_bucket
+from ..stages.salted import (
+    chunk_carry_info,
+    flagship_apply_carry,
+    fold_carry,
+    nan_to_null,
+    with_columns,
+)
 from ..stages.scans import locf_with_expiration, prefix_features, time_since_to_event
 from ..stages.sessionize import sessionize_gap
 from ..stages.window_stats import TokenWindowStats
@@ -74,12 +88,13 @@ def _fused_bucket_fn(
     stat_cols: list[str],
     sink=None,
 ):
-    """Per-bucket: sort -> sessionize -> lag/prefix -> as-of merge -> backfill."""
+    """Per-bucket: split the tagged union into its two sides, then
+    ``process_bucket``."""
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g[_SIDE] == 0]
-        right = g[g[_SIDE] == 1]
-        bucket_id = int(g[_BUCKET].iloc[0])
+    def fn(g: pa.Table):
+        left = g.filter(pc.equal(g[_SIDE], 0))
+        right = g.filter(pc.equal(g[_SIDE], 1))
+        bucket_id = g[_BUCKET][0].as_py()
         out = process_bucket(
             left, right, entity, ts, session_gap, tolerance, stat_cols, bucket_id
         )
@@ -89,70 +104,82 @@ def _fused_bucket_fn(
 
 
 def process_bucket(
-    left: pd.DataFrame,
-    right: pd.DataFrame,
+    left: pa.Table,
+    right: pa.Table,
     entity: str,
     ts: str,
     session_gap: float,
     tolerance: float | None,
     stat_cols: list[str],
     bucket_id: int,
-) -> pd.DataFrame:
+) -> pa.Table:
     """The per-bucket scan core, shared by the Dataset groupby path and the
-    explicit hash-exchange path: establish (entity, ts) sort, sessionize,
-    lag/lead, prefix features, as-of merge, LOCF backfill."""
-    left = left.sort_values([entity, ts], kind="mergesort")
-    right = right.sort_values([entity, ts], kind="mergesort")
-    out = left.drop(columns=[_SIDE, _BUCKET, "score"], errors="ignore").reset_index(
-        drop=True
-    )
-    if "n_tok" in out.columns and out["n_tok"].dtype != np.int32:
-        # the tagged-union path upcasts n_tok via the null score rows
-        out["n_tok"] = out["n_tok"].astype(np.int32)
-    ids = out[entity].to_numpy()
+    explicit hash-exchange path: establish the (entity, ts) sort, sessionize,
+    lag/lead, prefix features, as-of merge, LOCF backfill.
+
+    Each side is sorted once, stably; one ``dictionary_encode`` over both
+    sides' entity columns gives the integer entity codes every scan runs
+    on. Returns the sorted left rows (without the union's tag and score
+    columns) with the feature columns appended, every float NaN as a null."""
+    keys = [(entity, "ascending"), (ts, "ascending")]
+    left = left.take(pc.sort_indices(left, sort_keys=keys))
+    right = right.take(pc.sort_indices(right, sort_keys=keys))
+    codes = pa.chunked_array(
+        left[entity].chunks + right[entity].chunks, type=left[entity].type
+    ).combine_chunks().dictionary_encode().indices.to_numpy()
+    ids, r_ids = codes[: left.num_rows], codes[left.num_rows :]
+    out = left.drop_columns([c for c in (_SIDE, _BUCKET, "score") if c in left.column_names])
+    # a float NaN is written as a null, the stat columns' NaNs included
+    out = with_columns(out, {
+        f.name: out[f.name].to_numpy() for f in out.schema
+        if pa.types.is_floating(f.type) and pc.any(pc.is_nan(out[f.name])).as_py()
+    })
     t = out[ts].to_numpy().astype(np.float64)
+    feats: dict[str, np.ndarray] = {}
 
     # sessionize: per-entity session ordinal (batch-size invariant)
     sid = sessionize_gap(ids, t, gap=session_gap)
-    ent_first_sid = pd.Series(sid).groupby(pd.Series(ids), sort=False).transform("min")
-    out["session_seq"] = sid - ent_first_sid.to_numpy()
+    starts, lens = run_bounds(ids)
+    feats["session_seq"] = sid - np.repeat(sid[starts], lens)
 
     # lag/lead over rows (every row is an "event" -> inter-arrival features)
-    lags = time_since_to_event(ids, t, np.ones(len(out), dtype=np.int64))
-    out["secs_since_prev"] = lags["time_since_last_event"]
-    out["secs_to_next"] = lags["time_to_next_event"]
+    lags = time_since_to_event(ids, t, np.ones(len(t), dtype=np.int64))
+    feats["secs_since_prev"] = lags["time_since_last_event"]
+    feats["secs_to_next"] = lags["time_to_next_event"]
 
     # per-entity prefix features over the first stat column
     if stat_cols:
         pf = prefix_features(ids, t, out[stat_cols[0]].to_numpy())
-        out["run_cummax"] = pf["cummax"]
-        out["run_twmean"] = pf["twmean"]
+        feats["run_cummax"] = pf["cummax"]
+        feats["run_twmean"] = pf["twmean"]
 
     # as-of merge of scores (backward + tolerance) — zero temporal leakage
-    if len(right):
+    if right.num_rows:
         joined = asof_join_arrays(
             ids,
             t,
-            right[entity].to_numpy(),
+            r_ids,
             right[ts].to_numpy().astype(np.float64),
             {"score": right["score"].to_numpy()},
             tolerance=tolerance,
             direction="backward",
         )
-        out["score_asof"] = joined["score"]
-        out["score_asof_ts"] = joined["_matched_ts"]
+        feats["score_asof"] = joined["score"]
+        feats["score_asof_ts"] = joined["_matched_ts"]
     else:
-        out["score_asof"] = np.nan
-        out["score_asof_ts"] = np.nan
+        feats["score_asof"] = feats["score_asof_ts"] = np.full(len(t), np.nan)
 
     # backfill: LOCF-with-expiration of the aligned score along the row grid
     lf = locf_with_expiration(
-        ids, t, out["score_asof"].to_numpy(), valid_time=np.inf if tolerance is None else tolerance
+        ids, t, feats["score_asof"], valid_time=np.inf if tolerance is None else tolerance
     )
-    out["score_locf"] = lf["locf"]
-    out["secs_since_score"] = lf["time_since_last_sample"]
-    out[_BUCKET] = np.int32(bucket_id)
-    return out
+    feats["score_locf"] = lf["locf"]
+    feats["secs_since_score"] = lf["time_since_last_sample"]
+    feats[_BUCKET] = np.full(len(t), bucket_id, dtype=np.int32)
+    return pa.Table.from_arrays(
+        out.columns + [nan_to_null(v) for v in feats.values()],
+        names=out.column_names + list(feats),
+    )
 
 
 def flagship_features(
@@ -169,7 +196,7 @@ def flagship_features(
 ):
     """The aligned-features Dataset (narrow). See module docstring.
 
-    ``sink(df, partition_id) -> df`` (optional) runs INSIDE the per-bucket
+    ``sink(table, partition_id) -> df`` (optional) runs INSIDE the per-bucket
     task — the resumable writer uses this so the sink adds no extra shuffle.
     """
     enriched = tokens_ds.map_batches(
@@ -212,7 +239,7 @@ def flagship_features(
     )
     return tagged.groupby(_BUCKET).map_groups(
         _fused_bucket_fn(entity, ts, session_gap, tolerance, stat_cols, sink=sink),
-        batch_format="pandas",
+        batch_format="pyarrow",
     )
 
 
@@ -248,7 +275,7 @@ def run_flagship(
     manifest_path = manifest_path or f"{out_dir}/manifest.jsonl"
     done = Manifest(manifest_path).committed("flagship", out_dir)
 
-    def _sink(body: pd.DataFrame, pid: int) -> pd.DataFrame:
+    def _sink(body: pa.Table, pid: int) -> pd.DataFrame:
         if pid in done:
             return _summary(pid, 0, skipped=True)
         return commit_partition(
@@ -262,7 +289,7 @@ def run_flagship(
 
 def scan_chunks_with_carry(
     chunks,
-    right: pd.DataFrame,
+    right: pa.Table,
     entity: str,
     ts: str,
     session_gap: float,
@@ -272,7 +299,7 @@ def scan_chunks_with_carry(
     emit,
 ) -> None:
     """The per-bucket scan of the flagship's one reduce protocol: consume
-    (entity, ts)-ordered chunks (the whole bucket as one chunk, or
+    (entity, ts)-ordered Arrow chunks (the whole bucket as one chunk, or
     stages/chunked.sorted_run_merge) SEQUENTIALLY, running ``process_bucket``
     per chunk and threading the O(1) boundary state with the carry kernels
     of stages/salted.py: only the entity straddling a boundary needs fixing,
@@ -281,42 +308,43 @@ def scan_chunks_with_carry(
     Peak memory is TWO chunks (current + the pending one held back so its
     last row's ``secs_to_next`` can see the next chunk), never the bucket.
     Output is byte-identical to one ``process_bucket`` over the whole bucket
-    (tests/test_chunked.py). ``emit(df)`` receives finished frames in order.
+    (tests/test_chunked.py). ``emit(table)`` receives finished tables in
+    order.
     """
     carry_e, carry = None, None  # boundary entity + its folded scan state
-    pending: pd.DataFrame | None = None
+    pending: pa.Table | None = None
     pending_last_e = None
     for chunk in chunks:
-        if not len(chunk):
+        if not chunk.num_rows:
             continue
         feats = process_bucket(
             chunk, right, entity, ts, session_gap, tolerance, stat_cols,
             bucket_id=bucket_id,
         )
-        ids = feats[entity].to_numpy()
-        first_e, last_e = ids[0], ids[-1]
+        ids = feats[entity]
+        first_e, last_e = ids[0].as_py(), ids[-1].as_py()
         # carry-OUT summary must reflect LOCAL (pre-fix) scan state — session
         # ids are local ordinals until the carry offset is applied (the salted
         # phase-1 computes its info pre-fix for the same reason)
-        n_suf = int((ids == last_e).sum())
-        info = chunk_carry_info(feats.iloc[len(feats) - n_suf :], ts, stat_cols[0])
-        # patch the held-back frame's tail lag and release it
+        n_suf = pc.sum(pc.equal(ids, last_e)).as_py()
+        info = chunk_carry_info(feats.slice(feats.num_rows - n_suf), ts, stat_cols[0])
+        # patch the held-back table's tail lag and release it
         if pending is not None:
             if pending_last_e == first_e:
                 stn = pending["secs_to_next"].to_numpy().astype(np.float64)
-                stn[-1] = float(feats[ts].iloc[0]) - float(pending[ts].iloc[-1])
-                pending["secs_to_next"] = stn
+                stn[-1] = float(feats[ts][0].as_py()) - float(pending[ts][-1].as_py())
+                pending = with_columns(pending, {"secs_to_next": stn})
             emit(pending)
         # apply carry-in to the prefix belonging to the boundary entity
         if carry is not None and first_e == carry_e:
-            n_pre = int((ids == first_e).sum())
+            n_pre = pc.sum(pc.equal(ids, first_e)).as_py()
             fixed = flagship_apply_carry(
-                feats.iloc[:n_pre], carry, None, ts, stat_cols[0], session_gap
+                feats.slice(0, n_pre), carry, None, ts, stat_cols[0], session_gap
             )
             feats = (
-                pd.concat([fixed, feats.iloc[n_pre:]], ignore_index=True)
-                if n_pre < len(feats)
-                else fixed.reset_index(drop=True)
+                pa.concat_tables([fixed, feats.slice(n_pre)])
+                if n_pre < feats.num_rows
+                else fixed
             )
         # fold carry-out: chain only when the WHOLE chunk continues carry_e
         if carry is not None and first_e == last_e and first_e == carry_e:
@@ -330,11 +358,11 @@ def scan_chunks_with_carry(
 
 
 class ChunkPartitionSink:
-    """The flagship's one partition sink: streams frames into ONE parquet
-    partition via ParquetWriter (tmp + atomic rename at close), folding the
-    manifest checksum frame by frame (the XOR row-hash checksum is
-    order/merge-insensitive, so the folded value equals the checksum of the
-    whole partition)."""
+    """The flagship's one partition sink: streams Arrow tables into ONE
+    parquet partition via ParquetWriter (tmp + atomic rename at close),
+    folding the manifest checksum table by table (the XOR row-hash checksum
+    is order/merge-insensitive, so the folded value equals the checksum of
+    the whole partition)."""
 
     def __init__(self, out_dir: str, bucket_id: int):
         os.makedirs(out_dir, exist_ok=True)
@@ -345,13 +373,12 @@ class ChunkPartitionSink:
         self.rows = 0
         self.checksum = 0
 
-    def emit(self, df: pd.DataFrame) -> None:
-        body = df.drop(columns=[_BUCKET], errors="ignore")
-        tbl = pa.Table.from_pandas(body, preserve_index=False)
+    def emit(self, tbl: pa.Table) -> None:
+        body = tbl.drop_columns([_BUCKET]) if _BUCKET in tbl.column_names else tbl
         if self.writer is None:
-            self.writer = pq.ParquetWriter(self.tmp, tbl.schema)
-        self.writer.write_table(tbl)
-        self.rows += len(body)
+            self.writer = pq.ParquetWriter(self.tmp, body.schema)
+        self.writer.write_table(body)
+        self.rows += body.num_rows
         self.checksum ^= frame_checksum(body)
 
     def close(self) -> bool:
@@ -368,7 +395,7 @@ def _summary(pid: int, rows: int, skipped: bool) -> pd.DataFrame:
 
 def commit_partition(sink: ChunkPartitionSink, manifest_file: str, scan,
                      input_fragments=None) -> pd.DataFrame:
-    """Stream ``scan(emit)``'s frames into ``sink``, then commit the
+    """Stream ``scan(emit)``'s tables into ``sink``, then commit the
     partition: the atomic rename, then its manifest record (the commit point
     a rerun checks). Returns the partition's summary row."""
     t0 = time.perf_counter()
@@ -396,8 +423,15 @@ def detect_salt_spec(
     ``threshold`` of all rows; a second pruned pass collects a strided ts
     sample per hot key to place S-1 range boundaries at ts quantiles.
     Returns ({entity_value: (offset, boundaries)}, total_extra_buckets).
-    Deterministic: counts and strided samples depend only on the data."""
+    Deterministic: counts and strided samples depend only on the data.
+
+    Only a key with more than ``min_rows`` rows is salted, so when the
+    shards' Parquet footers hold ``min_rows`` rows or fewer in all, no key
+    can qualify: the pass then reads no shard and starts no task."""
     import ray
+
+    if sum(pq.read_metadata(p).num_rows for p in shards) <= min_rows:
+        return {}, 0
 
     @ray.remote
     def shard_stats(path: str):
@@ -474,8 +508,8 @@ def run_flagship_exchange(
     map tasks fuse read + windowed stats + bucket split; one reduce task per
     hash bucket streams the bucket's chunks through ``scan_chunks_with_carry``
     into ``ChunkPartitionSink`` and commits the partition. The scores table
-    is split by bucket (and by hot entity) once on the driver; each task
-    receives only its slice.
+    is split by bucket (and by hot entity) once on the driver, in
+    Arrow; each task receives only its slice.
 
     ``chunk_rows`` bounds reduce memory: map slices arrive as sorted
     sub-chunk objects and each reduce streams a k-way merge of ~chunk_rows
@@ -492,15 +526,14 @@ def run_flagship_exchange(
     record names a file holding the recorded rows
     (``Manifest.committed``) and recomputes the others.
 
-    Returns per-partition summary rows (or the features when out_dir=None).
+    Returns per-partition summary rows (or the features as a DataFrame when
+    out_dir=None).
     Output is byte-identical across bucket counts, chunking and salting, and
     equals ``run_flagship``'s (tested).
     """
     import glob
 
     import ray
-
-    from ..stages.exchange import auto_num_buckets, exchange_map
 
     shards = sorted(glob.glob(f"{tokens_dir}/*.parquet")) or [tokens_dir]
     if num_buckets is None:
@@ -565,32 +598,32 @@ def run_flagship_exchange(
         chunk_rows=chunk_rows,
     )
 
-    scores = pq.read_table(scores_path).to_pandas()
-    score_ids = scores[entity].to_numpy()
-    by_bucket = dict(tuple(scores.groupby(stable_bucket(score_ids, num_buckets), sort=False)))
-    bucket_scores = [by_bucket.get(b, scores.iloc[:0]) for b in range(num_buckets)]
+    scores = pq.read_table(scores_path)
+    bucket_scores = _split_by_bucket(
+        scores, stable_bucket(scores[entity].to_numpy(), num_buckets), num_buckets
+    )
 
     def contributors(parts) -> list[str]:
         """Lineage: the input fragments whose map slices hold rows of a
         bucket (a slice is a table, or a list of sub-chunk refs)."""
         return [frag_names[s] for s, p in enumerate(parts) if len(p)]
 
-    def one_chunk(parts) -> pd.DataFrame:
-        return pa.concat_tables([t for p in parts for t in ray_run_iter(p)]).to_pandas()
+    def one_chunk(parts) -> pa.Table:
+        return pa.concat_tables([t for p in parts for t in ray_run_iter(p)])
 
-    def commit(b: int, frags: list[str], scan) -> pd.DataFrame:
+    def commit(b: int, frags: list[str], scan) -> pd.DataFrame | pa.Table | None:
         if not frags:
-            return pd.DataFrame()  # empty bucket: no partition
+            return None  # empty bucket: no partition
         if out_dir is None:
-            frames: list = []
-            scan(frames.append)
-            return pd.concat(frames, ignore_index=True)
+            tables: list = []
+            scan(tables.append)
+            return pa.concat_tables(tables)
         if b in done:
             return _summary(b, 0, skipped=True)
         return commit_partition(ChunkPartitionSink(out_dir, b), manifest_file, scan, frags)
 
     @ray.remote
-    def reduce_bucket(b: int, right: pd.DataFrame, *parts) -> pd.DataFrame:
+    def reduce_bucket(b: int, right: pa.Table, *parts):
         def scan(emit) -> None:
             if chunk_rows is None:
                 chunks = [one_chunk(parts)]
@@ -603,13 +636,13 @@ def run_flagship_exchange(
         return commit(b, contributors(parts), scan)
 
     @ray.remote(num_returns=3)
-    def scan_range(b: int, right: pd.DataFrame, *parts):
+    def scan_range(b: int, right: pa.Table, *parts):
         """Phase 1 of a salted range: scan it alone. Its compact carry
         summary rides back separately, so the driver's fold never fetches
-        the features frame."""
+        the features table."""
         frags = contributors(parts)
         if not frags:
-            return pd.DataFrame(), None, []
+            return None, None, []
         feats = process_bucket(
             one_chunk(parts), right, entity, ts, session_gap, tolerance, stat_cols,
             bucket_id=b,
@@ -617,7 +650,7 @@ def run_flagship_exchange(
         return feats, chunk_carry_info(feats, ts, stat_cols[0]), frags
 
     @ray.remote
-    def fix_range(feats: pd.DataFrame, carry, next_first_ts, b: int, frags) -> pd.DataFrame:
+    def fix_range(feats: pa.Table, carry, next_first_ts, b: int, frags):
         return commit(b, frags, lambda emit: emit(flagship_apply_carry(
             feats, carry, next_first_ts, ts, stat_cols[0], session_gap
         )))
@@ -628,7 +661,7 @@ def run_flagship_exchange(
     out = [reduce_bucket.remote(b, bucket_scores[b], *slices(b)) for b in range(num_buckets)]
     for e, (off, bounds) in spec.items():
         ranges = range(num_buckets + off, num_buckets + off + bounds.size + 1)
-        right = ray.put(scores[score_ids == e])
+        right = ray.put(scores.filter(pc.equal(scores[entity], e)))
         phase1 = [scan_range.remote(b, right, *slices(b)) for b in ranges]
         infos = ray.get([p[1] for p in phase1])
         # driver-side sequential fold (microseconds per range) -> carry-ins;
@@ -640,8 +673,12 @@ def run_flagship_exchange(
         for k, (b, (feats, _, frags)) in enumerate(zip(ranges, phase1)):
             next_first = next((i["first_ts"] for i in infos[k + 1:] if i), None)
             out.append(fix_range.remote(feats, carries[k], next_first, b, frags))
-    frames = [f for f in ray.get(out) if len(f)]
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    results = [r for r in ray.get(out) if r is not None and len(r)]
+    if not results:
+        return pd.DataFrame()
+    if out_dir is None:
+        return pa.concat_tables(results).to_pandas()
+    return pd.concat(results, ignore_index=True)
 
 
 # ---------------------------------------------------------------------------

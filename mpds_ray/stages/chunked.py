@@ -11,16 +11,16 @@ bounded, for buckets far beyond one task's RAM:
   (``ray.put`` per sub-chunk), so a reduce task can fetch runs incrementally
   instead of pinning the whole bucket;
 - reduce side (``sorted_run_merge``): a k-way merge of the sorted runs that
-  yields bounded, fully-sorted chunks. Only ~``target_rows`` rows (plus the
-  per-run lookahead) are ever materialized on the task heap; consumed chunk
-  objects are released as the iterators advance.
+  yields bounded, fully-sorted Arrow chunks. Only ~``target_rows`` rows (plus
+  the per-run lookahead) are ever materialized on the task heap; consumed
+  chunk objects are released as the iterators advance.
 
 Merge guarantee (byte-identity with the one-chunk stream): that stream
 concats parts in SHARD order and ``process_bucket`` runs ONE stable
-(entity, ts) mergesort, so ties keep (shard, within-shard) order. Here each
+(entity, ts) sort, so ties keep (shard, within-shard) order. Here each
 run is pre-sorted stably per shard, slices are taken in shard order, every
 tie group <= the cut key K is consumed in full (across a run's own chunk
-boundary if needed), and each merged chunk gets one stable lexsort —
+boundary if needed), and each merged chunk gets one stable sort —
 reproducing the exact one-chunk row order, chunk by chunk (property-tested
 in tests/test_chunked.py).
 
@@ -35,8 +35,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 class _Run:
@@ -98,8 +98,8 @@ def sorted_run_merge(
     ts: str,
     target_rows: int,
     stats: dict | None = None,
-) -> Iterator[pd.DataFrame]:
-    """Merge sorted runs into a stream of bounded, (entity, ts)-sorted pandas
+) -> Iterator[pa.Table]:
+    """Merge sorted runs into a stream of bounded, (entity, ts)-sorted Arrow
     chunks. ``runs`` must be in SHARD order (tie order contract above). Each
     yielded chunk holds ~``target_rows`` rows (+ per-run tie spill). Pass a
     ``stats`` dict to record ``max_chunk_rows`` (test instrumentation)."""
@@ -115,18 +115,14 @@ def sorted_run_merge(
             if c.active:
                 slices.extend(c.take_upto(cut))
         merged = pa.concat_tables(slices) if len(slices) != 1 else slices[0]
-        df = merged.to_pandas()
-        order = np.lexsort(
-            (
-                df[ts].to_numpy().astype(np.float64),
-                df[entity].to_numpy(),
-            )
-        )  # stable: ties keep concat (= shard, within-shard) order
-        df = df.take(order).reset_index(drop=True)
+        # stable: ties keep concat (= shard, within-shard) order
+        merged = merged.take(
+            pc.sort_indices(merged, sort_keys=[(entity, "ascending"), (ts, "ascending")])
+        )
         if stats is not None:
-            stats["max_chunk_rows"] = max(stats.get("max_chunk_rows", 0), len(df))
+            stats["max_chunk_rows"] = max(stats.get("max_chunk_rows", 0), merged.num_rows)
             stats["n_chunks"] = stats.get("n_chunks", 0) + 1
-        yield df
+        yield merged
 
 
 def ray_run_iter(part) -> Iterator[pa.Table]:

@@ -15,6 +15,10 @@ fixing:
   lag, cummax, LOCF and the exact sequential cum-area of ``twmean``);
 - ``flagship_apply_carry`` applies a carry-in to the next chunk's prefix.
 
+They read the Arrow feature tables ``process_bucket`` returns as NumPy
+columns and replace the columns they fix, writing a float NaN as a null as
+``process_bucket`` does.
+
 Every fix replicates the unsalted kernel's floating-point expression ORDER,
 so chunked and salted output is byte-identical to the one-chunk scan
 (tests/test_chunked.py, tests/test_salted.py).
@@ -23,10 +27,29 @@ so chunked and salted output is byte-identical to the one-chunk scan
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+
+
+def nan_to_null(values: np.ndarray) -> pa.Array:
+    """An Arrow column of ``values`` with every float NaN as a null."""
+    return pa.array(values, from_pandas=True)
+
+
+def with_columns(tbl: pa.Table, cols: dict[str, np.ndarray]) -> pa.Table:
+    """``tbl`` with the named columns replaced at their positions, each
+    through ``nan_to_null``."""
+    for name, values in cols.items():
+        tbl = tbl.set_column(tbl.schema.get_field_index(name), name, nan_to_null(values))
+    return tbl
+
+
+def _f64(tbl: pa.Table, name: str) -> np.ndarray:
+    """A writable float64 copy of one column (a null reads as NaN)."""
+    return tbl[name].to_numpy().astype(np.float64)
 
 
 def chunk_carry_info(
-    df,
+    tbl: pa.Table | None,
     ts_col: str,
     stat_col: str,
     score_col: str = "score_asof",
@@ -36,24 +59,24 @@ def chunk_carry_info(
     scalars plus the chunk's trapezoid-area array (needed because the exact
     sequential cum-area chain is not expressible from a per-chunk scalar —
     floating addition is non-associative). O(chunk) once, computed inside the
-    phase-1 task so no task ever refetches the features frame."""
-    if df is None or not len(df):
+    phase-1 task so no task ever refetches the features table."""
+    if tbl is None or not tbl.num_rows:
         return None
-    t = df[ts_col].to_numpy().astype(np.float64)
-    s = df[stat_col].to_numpy().astype(np.float64)
-    sa = df[score_col].to_numpy().astype(np.float64)
+    t = _f64(tbl, ts_col)
+    s = _f64(tbl, stat_col)
+    sa = _f64(tbl, score_col)
     nn = np.flatnonzero(~np.isnan(sa))
     return {
         "first_ts": float(t[0]),
         "last_ts": float(t[-1]),
         "first_s": float(s[0]),
         "last_s": float(s[-1]),
-        "sess_local_end": int(df[session_col].iloc[-1]),
+        "sess_local_end": int(tbl[session_col][-1].as_py()),
         "local_max": float(np.fmax.reduce(s)),
         "areas": np.nan_to_num(0.5 * (s[1:] + s[:-1]) * (t[1:] - t[:-1]), nan=0.0),
         "locf_val": float(sa[nn[-1]]) if nn.size else np.nan,
         "locf_ts": float(t[nn[-1]]) if nn.size else np.nan,
-        "n": int(len(df)),
+        "n": int(tbl.num_rows),
     }
 
 
@@ -99,36 +122,34 @@ def fold_carry(carry: dict | None, info: dict | None, gap: float) -> dict | None
 
 
 def flagship_apply_carry(
-    df,
+    tbl: pa.Table | None,
     carry: dict | None,
     next_first_ts: float | None,
     ts_col: str,
     stat_col: str,
     gap: float,
     score_col: str = "score_asof",
-):
+) -> pa.Table | None:
     """Apply the carry-in to one chunk's locally-computed flagship features
     (columns produced by ``pipelines.flagship.process_bucket``). Vectorized,
-    O(chunk); touches only the columns whose scan state crosses the chunk
+    O(chunk); replaces only the columns whose scan state crosses the chunk
     boundary."""
-    import pandas as pd
-
-    if df is None or not len(df):
-        return df
-    df = df.copy()
-    t = df[ts_col].to_numpy().astype(np.float64)
-    s = df[stat_col].to_numpy().astype(np.float64)
+    if tbl is None or not tbl.num_rows:
+        return tbl
+    t = _f64(tbl, ts_col)
+    s = _f64(tbl, stat_col)
+    cols: dict[str, np.ndarray] = {}
     if carry is not None:
         merge = (t[0] - carry["last_ts"]) <= gap
         offset = carry["sess_end"] + (0 if merge else 1)
-        df["session_seq"] = df["session_seq"].to_numpy() + offset
-        ssp = df["secs_since_prev"].to_numpy().astype(np.float64)
+        cols["session_seq"] = tbl["session_seq"].to_numpy() + offset
+        ssp = _f64(tbl, "secs_since_prev")
         ssp[0] = t[0] - carry["last_ts"]
-        df["secs_since_prev"] = ssp
+        cols["secs_since_prev"] = ssp
         # cummax: NaN rows stay NaN (pandas cummax semantics); fmax ignores a
         # NaN carry (all-NaN history)
-        loc = df["run_cummax"].to_numpy().astype(np.float64)
-        df["run_cummax"] = np.where(np.isnan(loc), loc, np.fmax(loc, carry["cummax"]))
+        loc = _f64(tbl, "run_cummax")
+        cols["run_cummax"] = np.where(np.isnan(loc), loc, np.fmax(loc, carry["cummax"]))
         # twmean: replay the exact sequential cum-area chain from the carry
         bridge = np.nan_to_num(
             0.5 * (s[0] + carry["last_s"]) * (t[0] - carry["last_ts"]), nan=0.0
@@ -136,20 +157,20 @@ def flagship_apply_carry(
         a = np.nan_to_num(0.5 * (s[1:] + s[:-1]) * (t[1:] - t[:-1]), nan=0.0)
         cum = np.cumsum(np.r_[carry["cum_area_end"], bridge, a])[1:]
         span = t - carry["t0"]
-        df["run_twmean"] = np.where(span > 0, cum / np.where(span > 0, span, 1.0), carry["s0"])
+        cols["run_twmean"] = np.where(span > 0, cum / np.where(span > 0, span, 1.0), carry["s0"])
         # LOCF of the as-of score: fill the leading no-sample prefix
-        sa = df[score_col].to_numpy().astype(np.float64)
+        sa = _f64(tbl, score_col)
         nn = np.flatnonzero(~np.isnan(sa))
-        upto = int(nn[0]) if nn.size else len(df)
+        upto = int(nn[0]) if nn.size else tbl.num_rows
         if upto and not np.isnan(carry["locf_val"]):
-            locf = df["score_locf"].to_numpy().astype(np.float64)
-            tsl = df["secs_since_score"].to_numpy().astype(np.float64)
+            locf = _f64(tbl, "score_locf")
+            tsl = _f64(tbl, "secs_since_score")
             locf[:upto] = carry["locf_val"]
             tsl[:upto] = t[:upto] - carry["locf_ts"]
-            df["score_locf"] = locf
-            df["secs_since_score"] = tsl
+            cols["score_locf"] = locf
+            cols["secs_since_score"] = tsl
     if next_first_ts is not None:
-        stn = df["secs_to_next"].to_numpy().astype(np.float64)
+        stn = _f64(tbl, "secs_to_next")
         stn[-1] = next_first_ts - t[-1]
-        df["secs_to_next"] = stn
-    return df
+        cols["secs_to_next"] = stn
+    return with_columns(tbl, cols)

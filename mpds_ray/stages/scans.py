@@ -1,12 +1,16 @@
 """Vectorized sequential-scan operators (engine side).
 
 Same semantics as ``mpds_ray.oracle.scans`` (the loop oracle transliterated
-from mimicUsefulFunction.R) but fully vectorized with pandas grouped
-ffill/bfill/cum* and NumPy — no Python loop over rows. Inputs are arrays
-sorted by (entity, ts); outputs are aligned arrays. They run in the reduce
-task of a hash exchange on one (entity, ts)-sorted bucket, which holds every
-row of its entities, so no cross-bucket carry state is needed (see
-stages/partition.py; a salted heavy entity is stitched by stages/salted.py).
+from mimicUsefulFunction.R) but vectorized over the entity runs of
+``partition.run_bounds``: the forward/backward scans are NumPy segment
+operations (last/next valid row within the run, then a copy and one
+subtraction), the remaining scans use pandas grouped ffill/bfill/cum* —
+no Python loop over rows. Inputs are arrays sorted by (entity, ts), where
+an entity is a run of equal ids (the flagship passes integer entity codes);
+outputs are aligned arrays. They run in the reduce task of a hash exchange
+on one (entity, ts)-sorted bucket, which holds every row of its entities,
+so no cross-bucket carry state is needed (see stages/partition.py; a salted
+heavy entity is stitched by stages/salted.py).
 """
 
 from __future__ import annotations
@@ -21,21 +25,58 @@ def _series(x) -> pd.Series:
     return pd.Series(np.asarray(x))
 
 
+def _last_valid(valid: np.ndarray, run_start: np.ndarray, strict: bool) -> np.ndarray:
+    """Per row, the index of the last ``valid`` row at or before it
+    (strictly before with ``strict``) inside its entity run; -1 if none."""
+    idx = np.where(valid, np.arange(valid.size), -1)
+    np.maximum.accumulate(idx, out=idx)
+    if strict:
+        idx[1:] = idx[:-1].copy()
+        idx[:1] = -1
+    return np.where(idx >= run_start, idx, -1)
+
+
+def _next_valid(valid: np.ndarray, run_end: np.ndarray, strict: bool) -> np.ndarray:
+    """Per row, the index of the first ``valid`` row at or after it
+    (strictly after with ``strict``) inside its entity run; -1 if none."""
+    n = valid.size
+    idx = np.where(valid, np.arange(n), n)[::-1]
+    idx = np.minimum.accumulate(idx)[::-1]
+    if strict:
+        idx[:-1] = idx[1:].copy()
+        idx[-1:] = n
+    return np.where(idx < run_end, idx, -1)
+
+
+def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``x[idx]``, NaN where ``idx`` is -1."""
+    return np.where(idx >= 0, x[np.maximum(idx, 0)], np.nan)
+
+
+def _run_rows(id_arr) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's entity-run start and end (exclusive)."""
+    starts, lens = run_bounds(id_arr)
+    return np.repeat(starts, lens), np.repeat(starts + lens, lens)
+
+
 def time_since_to_event(id_arr, ht, event) -> dict[str, np.ndarray]:
     """Vectorized T4 (mimicUsefulFunction.R:23-94): per-entity forward scan
     (time since last/first event, events strictly BEFORE the row) and backward
-    scan (time to next event), with entity-boundary resets."""
-    ids = _series(id_arr)
+    scan (time to next event), with entity-boundary resets. An event row
+    with a NaN time is no event."""
     ht = np.asarray(ht, dtype=np.float64)
-    ev_ts = pd.Series(np.where(np.asarray(event) == 1, ht, np.nan))
-    g = ev_ts.groupby(ids, sort=False)
-    prev_ev = g.shift(1).groupby(ids, sort=False).ffill()
-    first_ev = g.transform("first").where(prev_ev.notna())
-    next_ev = g.shift(-1).groupby(ids, sort=False).bfill()
+    ev_ts = np.where(np.asarray(event) == 1, ht, np.nan)
+    ev = ~np.isnan(ev_ts)
+    run_start, run_end = _run_rows(id_arr)
+    prev = _last_valid(ev, run_start, strict=True)
+    prev_ev = _gather(ev_ts, prev)
+    # the entity's first event, wherever an event precedes the row
+    first_ev = _gather(ev_ts, np.where(prev >= 0, _next_valid(ev, run_end, False)[run_start], -1))
+    next_ev = _gather(ev_ts, _next_valid(ev, run_end, strict=True))
 
-    t_since_last = (ht - prev_ev).to_numpy()
-    t_since_first = (ht - first_ev).to_numpy()
-    t_next = (next_ev - ht).to_numpy()
+    t_since_last = ht - prev_ev
+    t_since_first = ht - first_ev
+    t_next = next_ev - ht
     t_to_first = np.where(~np.isnan(t_next) & np.isnan(t_since_first), t_next, np.nan)
     return {
         "time_to_next_event": t_next,
@@ -48,15 +89,16 @@ def time_since_to_event(id_arr, ht, event) -> dict[str, np.ndarray]:
 def locf_with_expiration(id_arr, ht, vec, valid_time) -> dict[str, np.ndarray]:
     """Vectorized T5 (mimicUsefulFunction.R:301-332): grouped LOCF, time since
     last observed sample, and the LOCF value expired after ``valid_time``."""
-    ids = _series(id_arr)
     ht = np.asarray(ht, dtype=np.float64)
-    v = pd.Series(np.asarray(vec, dtype=np.float64))
-    locf = v.groupby(ids, sort=False).ffill()
-    sample_ts = pd.Series(np.where(v.notna(), ht, np.nan)).groupby(ids, sort=False).ffill()
-    tsls = ht - sample_ts.to_numpy()
-    expir = np.where(~np.isnan(tsls) & (tsls > valid_time), np.nan, locf.to_numpy())
+    v = np.asarray(vec, dtype=np.float64)
+    run_start, _ = _run_rows(id_arr)
+    locf = _gather(v, _last_valid(~np.isnan(v), run_start, strict=False))
+    sample_ts = np.where(~np.isnan(v), ht, np.nan)
+    sample_ts = _gather(sample_ts, _last_valid(~np.isnan(sample_ts), run_start, strict=False))
+    tsls = ht - sample_ts
+    expir = np.where(~np.isnan(tsls) & (tsls > valid_time), np.nan, locf)
     return {
-        "locf": locf.to_numpy(),
+        "locf": locf,
         "time_since_last_sample": tsls,
         "locf_with_expir": expir,
     }

@@ -39,9 +39,8 @@ def _segment_quantile(vs: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, 
     lo = np.floor(pos).astype(np.int64)
     hi = np.minimum(lo + 1, np.maximum(lengths - 1, 0))
     frac = pos - lo
-    cap = max(vs.size - 1, 0)  # empty segments index past the end; masked by caller
-    vlo = vs[np.minimum(offsets + lo, cap)]
-    vhi = vs[np.minimum(offsets + hi, cap)]
+    vlo = vs[offsets + lo]
+    vhi = vs[offsets + hi]
     return vlo + frac * (vhi - vlo)
 
 
@@ -75,22 +74,17 @@ def token_stats_arrays(
             full[keep] = col
             out_full[k] = full
         return out_full
-    safe_len = np.maximum(lengths, 1).astype(np.float64)
+    # every segment has >= 1 element from here on
+    safe_len = lengths.astype(np.float64)
     seg_of = np.repeat(np.arange(n), lengths)  # segment id per flat element
 
     out: dict[str, np.ndarray] = {}
 
-    has_empty = bool(empty.any())
-
     def segsum(x: np.ndarray) -> np.ndarray:
-        if x.size and not has_empty:
-            return np.add.reduceat(x, starts)
-        # cumsum fallback: exact zeros for empty segments
-        cs = np.concatenate([[0.0], np.cumsum(x)])
-        return cs[offsets[1:]] - cs[offsets[:-1]]
+        return np.add.reduceat(x, starts)
 
     total = segsum(v)
-    mean = np.where(empty, np.nan, total / safe_len)
+    mean = total / safe_len
     mu_flat = np.repeat(np.where(np.isnan(mean), 0.0, mean), lengths)
     d = v - mu_flat
     m2s = segsum(d * d)
@@ -104,28 +98,20 @@ def token_stats_arrays(
         # sample std (ddof=1); single-element window -> 0.0 (kernel pin)
         with np.errstate(invalid="ignore", divide="ignore"):
             std = np.sqrt(m2s / np.maximum(lengths - 1, 1))
-        out["std"] = np.where(empty, np.nan, np.where(lengths == 1, 0.0, std))
+        out["std"] = np.where(lengths == 1, 0.0, std)
     if "mse" in stats:
-        out["mse"] = np.where(empty, np.nan, segsum(v * v) / safe_len)
+        out["mse"] = segsum(v * v) / safe_len
     if "s" in stats or "k" in stats:
         with np.errstate(invalid="ignore", divide="ignore"):
             if "s" in stats:
                 m3 = segsum(d**3) / safe_len
-                out["s"] = np.where((m2 > 0) & ~empty, m3 / np.where(m2 > 0, m2, 1) ** 1.5, np.nan)
+                out["s"] = np.where(m2 > 0, m3 / np.where(m2 > 0, m2, 1) ** 1.5, np.nan)
             if "k" in stats:
                 m4 = segsum(d**4) / safe_len
-                out["k"] = np.where((m2 > 0) & ~empty, m4 / np.where(m2 > 0, m2, 1) ** 2, np.nan)
+                out["k"] = np.where(m2 > 0, m4 / np.where(m2 > 0, m2, 1) ** 2, np.nan)
 
-    need_minmax = {"range"} & set(stats)
-    if need_minmax:
-        vmax = np.full(n, np.nan)
-        vmin = np.full(n, np.nan)
-        if v.size:
-            mx = np.maximum.reduceat(v, np.minimum(starts, v.size - 1))
-            mn = np.minimum.reduceat(v, np.minimum(starts, v.size - 1))
-            vmax = np.where(empty, np.nan, mx)
-            vmin = np.where(empty, np.nan, mn)
-        out["range"] = vmax - vmin
+    if "range" in stats:
+        out["range"] = np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)
 
     need_sorted = {"q1", "q3", "iqr", "median", "mode", "En"} & set(stats)
     if need_sorted and v.size:
@@ -148,9 +134,9 @@ def token_stats_arrays(
             vs = v[order]
             seg_sorted = seg_of[order]
         if "q1" in stats or "iqr" in stats:
-            q1 = np.where(empty, np.nan, _segment_quantile(vs, starts, lengths, 25.0))
+            q1 = _segment_quantile(vs, starts, lengths, 25.0)
         if "q3" in stats or "iqr" in stats:
-            q3 = np.where(empty, np.nan, _segment_quantile(vs, starts, lengths, 75.0))
+            q3 = _segment_quantile(vs, starts, lengths, 75.0)
         if "q1" in stats:
             out["q1"] = q1
         if "q3" in stats:
@@ -158,7 +144,7 @@ def token_stats_arrays(
         if "iqr" in stats:
             out["iqr"] = q3 - q1
         if "median" in stats:
-            out["median"] = np.where(empty, np.nan, _segment_quantile(vs, starts, lengths, 50.0))
+            out["median"] = _segment_quantile(vs, starts, lengths, 50.0)
         if "mode" in stats or "En" in stats:
             # value runs within sorted segments
             run_starts, run_counts = run_bounds(vs, seg_sorted)
@@ -199,7 +185,7 @@ def token_stats_arrays(
         same_seg = seg_of[1:] == seg_of[:-1]
         flips = ((pos[1:] != pos[:-1]) & same_seg).astype(np.float64)
         z = np.bincount(seg_of[:-1], weights=flips, minlength=n) if flips.size else np.zeros(n)
-        out["zcr"] = np.where(empty, np.nan, z / safe_len)
+        out["zcr"] = z / safe_len
     if "meanTKEO" in stats:
         tk = np.full(n, np.nan)
         if v.size >= 3:
@@ -232,8 +218,6 @@ def token_stats_arrays(
             from ..kernels.batched import dfa_batch, lomb_batch
 
             for length in np.unique(lengths):
-                if length == 0:
-                    continue
                 rows = np.flatnonzero(lengths == length)
                 gather = starts[rows][:, None] + np.arange(length)[None, :]
                 mat = v[gather]

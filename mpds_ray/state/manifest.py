@@ -23,21 +23,53 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+from pandas.core.util.hashing import combine_hash_arrays, hash_array
 
 
-def frame_checksum(df: pd.DataFrame) -> int:
+def frame_checksum(frame: pd.DataFrame | pa.Table) -> int:
     """Order-insensitive content checksum (XOR of per-row uint64 hashes).
     Non-scalar columns (token arrays) are folded via their per-row sums so the
-    checksum still reflects their content without materializing strings."""
-    parts = {}
-    for c in df.columns:
-        col = df[c]
-        if col.dtype == object and len(col) and isinstance(col.iloc[0], (list, np.ndarray)):
-            parts[c] = col.map(lambda v: float(np.sum(v)) if v is not None else np.nan)
-        else:
-            parts[c] = col
+    checksum still reflects their content without materializing strings.
+
+    A ``pa.Table`` checksums to the value of its ``to_pandas()`` frame
+    without building it: each numeric column's NumPy values (a null reads as
+    NaN, as in pandas) are hashed with pandas' ``hash_array``, and a string
+    column is hashed through its dictionary, as pandas hashes the factorized
+    object column."""
+    if isinstance(frame, pa.Table):
+        if not frame.num_rows or not frame.num_columns:
+            return 0
+        h = combine_hash_arrays(
+            (_arrow_column_hash(frame[c]) for c in frame.column_names), frame.num_columns
+        )
+        return int(np.bitwise_xor.reduce(h))
+    parts = {c: _scalar_values(frame[c]) for c in frame.columns}
     h = pd.util.hash_pandas_object(pd.DataFrame(parts), index=False).to_numpy()
     return int(np.bitwise_xor.reduce(h)) if h.size else 0
+
+
+def _scalar_values(col: pd.Series) -> pd.Series:
+    """A column as ``frame_checksum`` hashes it: an array column becomes
+    its per-row sums."""
+    if col.dtype == object and len(col) and isinstance(col.iloc[0], (list, np.ndarray)):
+        return col.map(lambda v: float(np.sum(v)) if v is not None else np.nan)
+    return col
+
+
+def _arrow_column_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """The uint64 row hashes pandas gives the ``to_pandas()`` form of one
+    Arrow column."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        enc = col.combine_chunks().dictionary_encode()
+        words = np.asarray(enc.dictionary.to_numpy(zero_copy_only=False), dtype=object)
+        # a null row takes the extra last slot: pandas hashes a missing
+        # categorical code as the maximum uint64
+        hashed = np.append(hash_array(words, categorize=False), np.iinfo(np.uint64).max)
+        codes = enc.indices.fill_null(len(words)).to_numpy(zero_copy_only=False)
+        return hashed.take(codes)
+    if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
+        return hash_array(col.to_numpy())
+    return hash_array(_scalar_values(col.to_pandas())._values)
 
 
 class Manifest:

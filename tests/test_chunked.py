@@ -18,6 +18,7 @@ import glob
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -65,7 +66,7 @@ class TestSortedRunMerge:
         runs, flat = _make_runs(4, 1000, chunk, tie_frac=0.6)
         stats: dict = {}
         out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", 200, stats))
-        merged = pd.concat(out, ignore_index=True)
+        merged = pa.concat_tables(out).to_pandas()
         # exact row order, including tie order (row_uid tracks it)
         pd.testing.assert_frame_equal(merged, flat)
         assert stats["n_chunks"] > 5
@@ -88,13 +89,13 @@ class TestSortedRunMerge:
     def test_single_run_passthrough(self):
         runs, flat = _make_runs(1, 500, 64, tie_frac=0.2)
         out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", 100))
-        pd.testing.assert_frame_equal(pd.concat(out, ignore_index=True), flat)
+        pd.testing.assert_frame_equal(pa.concat_tables(out).to_pandas(), flat)
 
 
 def _bucket_fixture(n_rows: int = 6_000, n_entities: int = 25):
-    """One bucket's (left, right) frames in flagship narrow shape."""
+    """One bucket's (left, right) tables in flagship narrow shape."""
     ent = np.sort(rng.integers(0, n_entities, n_rows))
-    left = pd.DataFrame(
+    left = pa.table(
         {
             "doc_id": np.array([f"e{v:04d}" for v in ent]),
             "ts": np.round(rng.uniform(0, 50_000, n_rows), 0),  # int-valued: ts ties
@@ -104,7 +105,7 @@ def _bucket_fixture(n_rows: int = 6_000, n_entities: int = 25):
         }
     )
     sc_ent = rng.integers(0, n_entities, 200)
-    right = pd.DataFrame(
+    right = pa.table(
         {
             "doc_id": np.array([f"e{v:04d}" for v in sc_ent]),
             "ts": np.round(rng.uniform(-5_000, 55_000, 200), 0),
@@ -114,45 +115,48 @@ def _bucket_fixture(n_rows: int = 6_000, n_entities: int = 25):
     return left, right
 
 
+def _sorted(t: pa.Table) -> pa.Table:
+    return t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending"), ("ts", "ascending")]))
+
+
 class TestScanChunksWithCarry:
     @pytest.mark.parametrize("chunk_rows", [97, 500, 4096, 10_000_000])
     def test_byte_identical_to_flat_scan(self, chunk_rows):
         left, right = _bucket_fixture()
         flat = process_bucket(
-            left.copy(), right.copy(), "doc_id", "ts", 300.0, 3_600.0,
+            left, right, "doc_id", "ts", 300.0, 3_600.0,
             ["tok_mean"], bucket_id=0,
         )
-        srt = left.sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
-        chunks = [
-            srt.iloc[i : i + chunk_rows].reset_index(drop=True)
-            for i in range(0, len(srt), chunk_rows)
-        ]
-        got: list[pd.DataFrame] = []
+        srt = _sorted(left)
+        chunks = [srt.slice(i, chunk_rows) for i in range(0, srt.num_rows, chunk_rows)]
+        got: list[pa.Table] = []
         scan_chunks_with_carry(
-            iter(chunks), right.copy(), "doc_id", "ts", 300.0, 3_600.0,
+            iter(chunks), right, "doc_id", "ts", 300.0, 3_600.0,
             ["tok_mean"], 0, got.append,
         )
-        merged = pd.concat(got, ignore_index=True)
+        merged = pa.concat_tables(got)
         # chunk-boundary state (session offsets, lag, cummax, twmean chain,
-        # LOCF) must be BIT-identical to the whole-bucket scan
-        pd.testing.assert_frame_equal(merged, flat, check_exact=True)
+        # LOCF) must be BIT-identical to the whole-bucket scan, null masks
+        # included
+        pd.testing.assert_frame_equal(merged.to_pandas(), flat.to_pandas(), check_exact=True)
+        assert merged.equals(flat)
 
     def test_no_tolerance_and_single_entity_chunks(self):
         left, right = _bucket_fixture(n_rows=900, n_entities=3)
         flat = process_bucket(
-            left.copy(), right.copy(), "doc_id", "ts", 120.0, None,
+            left, right, "doc_id", "ts", 120.0, None,
             ["tok_mean"], bucket_id=2,
         )
-        srt = left.sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
-        chunks = [srt.iloc[i : i + 113].reset_index(drop=True) for i in range(0, 900, 113)]
-        got: list[pd.DataFrame] = []
+        srt = _sorted(left)
+        chunks = [srt.slice(i, 113) for i in range(0, 900, 113)]
+        got: list[pa.Table] = []
         scan_chunks_with_carry(
-            iter(chunks), right.copy(), "doc_id", "ts", 120.0, None,
+            iter(chunks), right, "doc_id", "ts", 120.0, None,
             ["tok_mean"], 2, got.append,
         )
-        pd.testing.assert_frame_equal(
-            pd.concat(got, ignore_index=True), flat, check_exact=True
-        )
+        merged = pa.concat_tables(got)
+        pd.testing.assert_frame_equal(merged.to_pandas(), flat.to_pandas(), check_exact=True)
+        assert merged.equals(flat)
 
 
 class TestChunkedFlagshipE2E:

@@ -109,6 +109,59 @@ class TestDistributedSalting:
         assert spec2 == {} and n2 == 0
 
 
+class TestSaltFooterSkip:
+    """``detect_salt_spec`` salts only keys with more than ``min_rows`` rows,
+    so when the shards' footers hold no more than ``min_rows`` rows in all
+    it answers from the footers alone."""
+
+    def _shards(self, tmp_path, hot_rows=600, cold=40, per_cold=10):
+        rng = np.random.default_rng(9)
+        cold_ents = [f"c{i:02d}" for i in range(cold) for _ in range(per_cold)]
+        ents = np.array(["hot"] * hot_rows + cold_ents)
+        ents = ents[rng.permutation(ents.size)]
+        ts = rng.integers(0, 100_000, ents.size)
+        paths = []
+        for s, idx in enumerate(np.array_split(np.arange(ents.size), 2)):
+            p = str(tmp_path / f"part-{s}.parquet")
+            pq.write_table(pa.table({"doc_id": pa.array(ents[idx]), "ts": pa.array(ts[idx])}), p)
+            paths.append(p)
+        return paths, ents.size
+
+    @staticmethod
+    def _corrupt_pages(path: str) -> None:
+        """Overwrite the column data after the leading magic, keeping the
+        footer intact: the footer still reads, the rows no longer do."""
+        import os
+
+        # layout: magic (4 bytes), column data, footer, footer length, magic
+        data_end = os.path.getsize(path) - 8 - pq.read_metadata(path).serialized_size
+        with open(path, "r+b") as f:
+            f.seek(4)
+            f.write(b"\xff" * (data_end - 4))
+
+    def test_no_shard_read_when_footers_rule_it_out(self, ray_session, tmp_path):
+        from mpds_ray.pipelines.flagship import detect_salt_spec
+
+        shards, total = self._shards(tmp_path)
+        for p in shards:
+            self._corrupt_pages(p)
+            with pytest.raises(Exception):
+                pq.read_table(p)
+        assert detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=total) == ({}, 0)
+        # one row more than min_rows allows a salted key: the pre-pass reads
+        with pytest.raises(Exception):
+            detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=total - 1)
+
+    def test_hot_key_found_when_min_rows_below_it(self, ray_session, tmp_path):
+        from mpds_ray.pipelines.flagship import detect_salt_spec
+
+        shards, _ = self._shards(tmp_path, hot_rows=600)
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=599)
+        assert set(spec) == {"hot"} and n_extra == spec["hot"][1].size + 1
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=600)
+        assert spec == {} and n_extra == 0
+
+
 class TestCarryChainNaNEdges:
     """Kernel-level salted-chunk replay with NaN stat values: splitting one
     entity's process_bucket output at arbitrary points and replaying via
@@ -121,22 +174,22 @@ class TestCarryChainNaNEdges:
         t = np.cumsum(rng.exponential(40.0, n))
         stat = rng.normal(10, 3, n)
         stat[rng.random(n) < nan_frac] = np.nan
-        left = pd.DataFrame(
+        left = pa.table(
             {
-                "doc_id": "e0",
+                "doc_id": pa.array(["e0"] * n),
                 "ts": t,
-                "source": "s",
-                "n_tok": np.int32(8),
+                "source": pa.array(["s"] * n),
+                "n_tok": np.full(n, 8, dtype=np.int32),
                 "tok_mean": stat,
             }
         )
         k = 6
-        right = pd.DataFrame(
+        right = pa.table(
             {
-                "doc_id": "e0",
+                "doc_id": pa.array(["e0"] * k),
                 "ts": np.sort(rng.uniform(0, t[-1], k)),
                 "score": rng.normal(50, 10, k),
-                "_side": 1,
+                "_side": np.ones(k, dtype=np.int64),
             }
         )
         return left, right
@@ -154,10 +207,12 @@ class TestCarryChainNaNEdges:
         left, right = self._entity_frame()
         want = process_bucket(
             left, right, "doc_id", "ts", gap, tol, ["tok_mean"], bucket_id=0
-        ).reset_index(drop=True)
+        )
 
-        bounds = [0] + cuts + [len(left)]
-        chunks = [left.iloc[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+        bounds = [0] + cuts + [left.num_rows]
+        chunks = [
+            left.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(bounds) - 1)
+        ]
         feats = [
             process_bucket(c, right, "doc_id", "ts", gap, tol, ["tok_mean"], bucket_id=0)
             for c in chunks
@@ -169,5 +224,6 @@ class TestCarryChainNaNEdges:
             nxt = next((infos[j]["first_ts"] for j in range(k + 1, len(infos)) if infos[j]), None)
             fixed.append(flagship_apply_carry(f, carry, nxt, "ts", "tok_mean", gap))
             carry = fold_carry(carry, info, gap)
-        got = pd.concat([f for f in fixed if f is not None and len(f)], ignore_index=True)
-        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        got = pa.concat_tables([f for f in fixed if f is not None and f.num_rows])
+        pd.testing.assert_frame_equal(got.to_pandas(), want.to_pandas(), check_exact=True)
+        assert got.equals(want)

@@ -89,6 +89,73 @@ class TestLocf:
         np.testing.assert_allclose(r["time_since_last_sample"], [np.nan, 0.0, 1.0, 49.0])
 
 
+def _edge_fixture(seed: int):
+    """Entity-sorted rows with single-row entities, entities without any
+    event, all-event entities and runs of missing values."""
+    rng = np.random.default_rng(seed)
+    ids, ts, val, ev = [], [], [], []
+    for e in range(40):
+        m = 1 if e % 4 == 0 else int(rng.integers(2, 25))
+        t = np.cumsum(rng.exponential(3.0, m))
+        v = rng.normal(size=m)
+        v[rng.random(m) < 0.4] = np.nan
+        if e % 5 == 1:
+            v[:] = np.nan  # an entity never sampled
+        mode = e % 3
+        event = (
+            np.zeros(m, dtype=np.int64) if mode == 0
+            else np.ones(m, dtype=np.int64) if mode == 1
+            else (rng.random(m) < 0.3).astype(np.int64)
+        )
+        ids.append(np.full(m, f"u{e:03d}"))
+        ts.append(t)
+        val.append(v)
+        ev.append(event)
+    return np.concatenate(ids), np.concatenate(ts), np.concatenate(val), np.concatenate(ev)
+
+
+class TestSegmentScansExact:
+    """The run-based forward/backward scans copy and subtract exactly what
+    the loop oracle does, so they equal it bit for bit (not within a
+    tolerance) on every edge: no events, only events, single-row entities,
+    NaN runs, never-sampled entities."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_time_since_to_event_exact(self, seed):
+        ids, ts, _, ev = _edge_fixture(seed)
+        got = engine.time_since_to_event(ids, ts, ev)
+        want = oracle.time_since_to_event(ids, ts, ev)
+        assert got.keys() == want.keys()
+        for k in got:
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("valid_time", [2.0, np.inf])
+    def test_locf_with_expiration_exact(self, seed, valid_time):
+        ids, ts, val, _ = _edge_fixture(seed)
+        got = engine.locf_with_expiration(ids, ts, val, valid_time)
+        want = oracle.locf_with_expiration(ids, ts, val, valid_time)
+        assert got.keys() == want.keys()
+        for k in got:
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+    def test_integer_codes_equal_string_ids(self):
+        ids, ts, val, ev = _edge_fixture(3)
+        codes = np.unique(ids, return_inverse=True)[1]
+        for fn, args in (
+            (engine.time_since_to_event, (ts, ev)),
+            (engine.locf_with_expiration, (ts, val, 5.0)),
+        ):
+            a, b = fn(ids, *args), fn(codes, *args)
+            for k in a:
+                np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+    def test_empty_input(self):
+        e = np.zeros(0)
+        assert all(v.size == 0 for v in engine.time_since_to_event(e, e, e).values())
+        assert all(v.size == 0 for v in engine.locf_with_expiration(e, e, e, 1.0).values())
+
+
 class TestInterpolation:
     def test_matches_oracle(self):
         np.testing.assert_allclose(

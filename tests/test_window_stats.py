@@ -9,7 +9,12 @@ import pytest
 
 from mpds_ray.kernels import STAT_KERNELS, fastdfa
 from mpds_ray.kernels.lomb import dominant_frequency
-from mpds_ray.stages.window_stats import CHEAP_STATS, TokenWindowStats, token_stats_arrays
+from mpds_ray.stages.window_stats import (
+    CHEAP_STATS,
+    HEAVY_STATS,
+    TokenWindowStats,
+    token_stats_arrays,
+)
 
 rng = np.random.default_rng(42)
 
@@ -89,3 +94,110 @@ class TestArrowStage:
         batch = pa.table({"tokens": toks}).slice(1, 2)
         out = TokenWindowStats(stats=("mean",))(batch)
         np.testing.assert_allclose(out["tok_mean"].to_numpy(), [4.0, 6.0])
+
+
+def _pin_inputs():
+    r = np.random.default_rng(20261018)
+    lens = np.r_[1, 2, 3, 5, r.integers(8, 90, 20)]
+    ints = [r.integers(0, 50257, m).astype(np.float64) for m in lens]
+    ints[3] = np.full(5, 7.0)
+    floats = [r.normal(size=m) for m in lens]
+    return {
+        "ints": ints,
+        "floats": floats,
+        "with_empty": ints[:4] + [np.zeros(0)] + ints[4:],
+        "zero_rows": [],
+    }
+
+
+# sha256 (first 16 hex digits) of each output's float64 bytes, recorded
+# from the implementation that still carried the empty-segment guards in
+# its main path; any change to a single bit of any stat fails the pin. The
+# heavy stats run through NumPy's matmul, so their pins hold for one NumPy
+# and BLAS build.
+_EMPTY_DIGEST = "e3b0c44298fc1c14"  # sha256 of no bytes
+PINNED = {
+    "ints": {
+        "En": "5cf7dcd552c71f42",
+        "ar1": "c356b4be7aaffb07",
+        "dfa": "c55ea7d0e5d03786",
+        "dfc": "c24d461e113bbd67",
+        "dfc_amp": "96e1d656f4494270",
+        "iqr": "bc2b06cb6610eb17",
+        "k": "d7b129937a43184a",
+        "mean": "d5635cc37c724d01",
+        "meanTKEO": "2be0997810df32b8",
+        "median": "1de76dbc8aa6cc37",
+        "mode": "74fda4f5d13f9ad5",
+        "mse": "b733d5935dab7782",
+        "n": "72d78480c5422b90",
+        "q1": "b482b258660e4e2c",
+        "q3": "829e780f2aeea703",
+        "range": "22301e74d47c4c2b",
+        "s": "4307e529acb6ee6b",
+        "std": "3ec401b2435e2580",
+        "zcr": "f441ec35c48630f6",
+    },
+    "floats": {
+        "En": "40af264450ca6ae0",
+        "ar1": "82c345316149bf12",
+        "dfa": "d2edebe22af3be3f",
+        "dfc": "4a4f3b33aeab1d49",
+        "dfc_amp": "802df8754cdf61fc",
+        "iqr": "a48c369ffabe03dd",
+        "k": "62b01eb2cedd981d",
+        "mean": "829b137b3fb4a8e6",
+        "meanTKEO": "ae92e3e9dc80135c",
+        "median": "a96d60cad4150d17",
+        "mode": "8bfae1bb622f7593",
+        "mse": "b77d80e4363d458d",
+        "n": "72d78480c5422b90",
+        "q1": "31f13d0a35c3b198",
+        "q3": "d9529d0ddfc436bf",
+        "range": "9e6d62a8aee2b8ea",
+        "s": "e64339c95c6185f3",
+        "std": "6ed474a3917f55f9",
+        "zcr": "65c7807b54795601",
+    },
+    "with_empty": {
+        "En": "e0661eacc2374393",
+        "ar1": "60d6ada4b801911b",
+        "dfa": "e43903e3a993539e",
+        "dfc": "845b12d07f04a25f",
+        "dfc_amp": "f10bdc7c8cbfe9ba",
+        "iqr": "c45b5053161507f1",
+        "k": "38848dcefb0c775b",
+        "mean": "4b5d8e84d2c317b0",
+        "meanTKEO": "0b84ce707e387f84",
+        "median": "0185a885139a72dd",
+        "mode": "04b47245dd105de8",
+        "mse": "89c18f6581958771",
+        "n": "46636c36088e236b",
+        "q1": "b6e99bfa7a1329b2",
+        "q3": "b2015caa2816a464",
+        "range": "13e259f1c02f54e8",
+        "s": "a98e3b748761748a",
+        "std": "0a757e8131f4696d",
+        "zcr": "f055766ff6656b5d",
+    },
+    "zero_rows": dict.fromkeys(CHEAP_STATS + HEAVY_STATS, _EMPTY_DIGEST),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_stats_bit_identical_to_pin(case):
+    """Fixed inputs over every cheap and heavy stat, including a batch with
+    an empty segment and a zero-row batch: outputs are pinned bit for bit."""
+    import hashlib
+
+    rows = _pin_inputs()[case]
+    flat = np.concatenate(rows) if rows else np.zeros(0)
+    offs = np.r_[0, np.cumsum([len(x) for x in rows])].astype(np.int64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = token_stats_arrays(flat, offs, CHEAP_STATS + HEAVY_STATS)
+    got = {
+        k: hashlib.sha256(np.ascontiguousarray(v, dtype=np.float64).tobytes()).hexdigest()[:16]
+        for k, v in out.items()
+    }
+    assert all(v.size == len(rows) for v in out.values())
+    assert got == PINNED[case]
