@@ -1,4 +1,4 @@
-"""Driver contract for the mpds_ray engine (Ray Data target).
+"""Driver contract for the mpds_ray engine (plain Ray tasks).
 
 ``entry()`` runs the flagship pipeline (tokenize -> windowed token stats ->
 entity-complete shuffle -> sessionize/lag/as-of/backfill) on sf0.001.
@@ -16,47 +16,36 @@ from typing import Any
 
 
 def entry() -> Any:
-    """Flagship on sf0.001: documents -> tokens table -> windowed stats ->
-    sessionize -> as-of join to synthetic score timestamps -> backfill."""
-    import pyarrow as pa
-    import ray.data as rd
+    """Flagship on sf0.001: documents -> tokens shards -> windowed stats ->
+    entity hash exchange -> sessionize -> as-of join to synthetic score
+    timestamps -> backfill. Returns the features as a DataFrame."""
+    import tempfile
 
-    from mpds_ray.pipelines.flagship import flagship_features
-    from mpds_ray.tokenize import tokenize_batch
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mpds_ray.pipelines.flagship import run_flagship_exchange, write_doc_tokens
 
     sf_dir = "/root/testdata/sf0.001"
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "source"])
-
-    def to_tokens(batch: pa.Table) -> pa.Table:
-        t = tokenize_batch(batch)
-        # deterministic irregular event-time per row (doc_id is unique here)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        import numpy as np
-
-        ts = (ids.astype(np.int64) * 9973) % 1_000_000
-        return t.append_column("ts", pa.array(ts, type=pa.int64()))
-
-    tokens = docs.map_batches(to_tokens, batch_format="pyarrow")
     # entity = source (few entities, many rows each -> exercises sessions);
     # synthesize deterministic score timestamps per source entity
-    import numpy as np
-
     rng = np.random.default_rng(7)
     srcs = [f"src{i}" for i in range(20)]
-    scores = rd.from_arrow(
-        pa.table(
-            {
-                "source": pa.array(np.repeat(srcs, 5)),
-                "ts": pa.array(rng.integers(0, 1_000_000, 100, dtype=np.int64)),
-                "score": pa.array(rng.normal(50, 15, 100)),
-            }
+    scores = pa.table(
+        {
+            "source": pa.array(np.repeat(srcs, 5)),
+            "ts": pa.array(rng.integers(0, 1_000_000, 100, dtype=np.int64)),
+            "score": pa.array(rng.normal(50, 15, 100)),
+        }
+    )
+    with tempfile.TemporaryDirectory(prefix="flagship-entry-") as tmp:
+        write_doc_tokens([f"{sf_dir}/documents.parquet"], f"{tmp}/tokens")
+        pq.write_table(scores, f"{tmp}/scores.parquet")
+        return run_flagship_exchange(
+            f"{tmp}/tokens", f"{tmp}/scores.parquet", entity="source", ts="ts",
+            session_gap=50_000.0, tolerance=None,
         )
-    )
-    return flagship_features(
-        tokens, scores, entity="source", ts="ts",
-        session_gap=50_000.0, tolerance=None, num_buckets=8,
-    )
 
 
 # Round-5 gate head (the driver truncates its CORRECTNESS gate at the first

@@ -4,8 +4,9 @@ A from-scratch reimplementation of the query & data-processing capabilities of
 the lionwarriorjr/mpds reference (MATLAB feature extraction + R DSSL library +
 mPDS notebook pipeline) as plain Ray tasks over parquet shards: per-shard
 passes (``stages.exchange.shard_map``) and explicit hash exchanges
-(``exchange_map`` -> ``reduce_grid``). Ray Data stays only where it is the
-operator — the actor-pool media decode and the Dataset-native flagship:
+(``exchange_map`` -> ``reduce_grid``). No query and no entry point runs Ray
+Data; the Dataset-native flagship (``pipelines.flagship.run_flagship``) is
+kept only as perfbench's reference engine:
 
 - windowed statistics kernels (``mpds_ray.kernels``) — the mpds per-session
   feature library (mean/std/quantiles/entropy/ZCR/TKEO/AR1/DFA/Lomb-Scargle/MI)

@@ -255,8 +255,8 @@ def golden_dssl_weights(sf_dir: str) -> pd.DataFrame:
 
 def golden_media_decode_features(sf_dir: str) -> pd.DataFrame:
     """Loop the codec functions DIRECTLY over the synthetic media table — no
-    Ray, no actor pool, no batching — to verify the distributed decode
-    pipeline end-to-end."""
+    Ray, no slicing — to verify the distributed decode pipeline
+    end-to-end."""
     from ..pipelines.media import MEDIA_N, MEDIA_SEED
     from ..stages.multimodal import decode_netpbm, decode_wav, synth_media_table
 
@@ -285,7 +285,7 @@ def golden_media_decode_features(sf_dir: str) -> pd.DataFrame:
 def golden_video_frame_features(sf_dir: str) -> pd.DataFrame:
     """Independent scalar replay of the y4m byte layout — parses header and
     frames with plain Python string ops and per-pixel loops over the luma
-    plane; never calls decode_y4m/FrameSampler."""
+    plane; never calls decode_y4m/sample_frames."""
     from ..pipelines.media import MEDIA_N, MEDIA_SEED
     from ..stages.multimodal import synth_media_table
 

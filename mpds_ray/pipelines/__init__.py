@@ -1,1 +1,1 @@
-"""Ray Data pipelines: flagship tokens engine + query library."""
+"""Ray task pipelines: flagship tokens engine + query library."""

@@ -4,8 +4,7 @@ Queries run on plain Ray tasks over the parquet shards of their tables:
 ``stages/exchange.shard_map`` for per-shard passes (row-level maps and
 per-shard partials folded on the driver, ``shard_groupby_sum`` for bounded
 grouped sums) and the hash exchanges of ``stages/exchange`` and
-``stages/hashjoin`` for everything keyed. Only the media decode and the
-Dataset-native flagship run on Ray Data.
+``stages/hashjoin`` for everything keyed. No query runs Ray Data.
 
 Conventions that make the DuckDB oracle comparison exact:
 - every float output column is rounded to a fixed number of decimals in BOTH

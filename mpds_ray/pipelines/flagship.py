@@ -32,9 +32,13 @@ bucket is converted to pandas on the way.
 
 Output is byte-identical across bucket counts, chunking and salting.
 
-``flagship_features`` / ``run_flagship`` are the Dataset-native reference
-(a tagged union and Ray's sort-based ``groupby``) that perfbench checks the
-engine against; they share ``process_bucket`` and the sink.
+Every caller runs this engine: ``__ray_entry__.entry()``, the gated query
+``flagship_session_summary`` (documents -> tokens shards via
+``write_doc_tokens``, then the engine into a temporary sink) and perfbench's
+measured operation. ``flagship_features`` / ``run_flagship`` are the
+Dataset-native reference (a tagged union and Ray's sort-based ``groupby``)
+that only perfbench's reference check still runs; they share
+``process_bucket`` and the sink.
 
 Design notes for 10^12-row scale:
 - The wide ``tokens`` column never enters the shuffle: stats are computed
@@ -49,18 +53,29 @@ Design notes for 10^12-row scale:
 
 from __future__ import annotations
 
+import glob
 import os
+import tempfile
 import time
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..stages.asof import asof_join_arrays
 from ..stages.chunked import ray_run_iter, sorted_run_merge
-from ..stages.exchange import _split_by_bucket, auto_num_buckets, exchange_map
+from ..stages.exchange import (
+    _split_by_bucket,
+    auto_num_buckets,
+    collect_frames,
+    exchange_map,
+    shard_map,
+)
 from ..stages.partition import run_bounds, stable_bucket
 from ..stages.salted import (
     chunk_carry_info,
@@ -73,6 +88,8 @@ from ..stages.scans import locf_with_expiration, prefix_features, time_since_to_
 from ..stages.sessionize import sessionize_gap
 from ..stages.window_stats import TokenWindowStats
 from ..state.manifest import Manifest, frame_checksum, partition_path
+from ..tokenize import tokenize_batch
+from .common import shard_list
 
 _BUCKET = "_bucket"
 _SIDE = "_side"
@@ -409,6 +426,33 @@ def commit_partition(sink: ChunkPartitionSink, manifest_file: str, scan,
     return _summary(sink.bucket_id, sink.rows, skipped=False)
 
 
+@ray.remote
+def shard_stats(path: str, entity: str, ts: str):
+    """``detect_salt_spec``'s ONE pruned pass per shard: entity counts +
+    strided ts samples for the shard's top-8 entities. Any globally-heavy
+    key (> threshold of ALL rows) is in virtually every shard's local top-8,
+    so no second pass is needed (``key_ts`` covers the pathological miss)."""
+    t = pq.read_table(path, columns=[entity, ts])
+    ent = t[entity].to_numpy(zero_copy_only=False)
+    tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
+    vc = pd.Series(ent).value_counts()
+    samples = {}
+    for k in vc.index[:8]:
+        v = tsv[ent == k]
+        samples[k] = v[:: max(1, v.size // 4096)]
+    return vc, samples
+
+
+@ray.remote
+def key_ts(path: str, entity: str, ts: str, key):
+    """The strided ts sample of one heavy ``key`` in one shard."""
+    t = pq.read_table(path, columns=[entity, ts])
+    v = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)[
+        t[entity].to_numpy(zero_copy_only=False) == key
+    ]
+    return v[:: max(1, v.size // 4096)]
+
+
 def detect_salt_spec(
     shards: list[str],
     entity: str,
@@ -428,29 +472,10 @@ def detect_salt_spec(
     Only a key with more than ``min_rows`` rows is salted, so when the
     shards' Parquet footers hold ``min_rows`` rows or fewer in all, no key
     can qualify: the pass then reads no shard and starts no task."""
-    import ray
-
     if sum(pq.read_metadata(p).num_rows for p in shards) <= min_rows:
         return {}, 0
 
-    @ray.remote
-    def shard_stats(path: str):
-        """ONE pruned pass per shard: entity counts + strided ts samples for
-        the shard's top-8 entities. Any globally-heavy key (> threshold of
-        ALL rows) is in virtually every shard's local top-8, so no second
-        pass is needed (a per-key fallback below covers the pathological
-        miss)."""
-        t = pq.read_table(path, columns=[entity, ts])
-        ent = t[entity].to_numpy(zero_copy_only=False)
-        tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
-        vc = pd.Series(ent).value_counts()
-        samples = {}
-        for k in vc.index[:8]:
-            v = tsv[ent == k]
-            samples[k] = v[:: max(1, v.size // 4096)]
-        return vc, samples
-
-    stats = ray.get([shard_stats.remote(p) for p in shards])
+    stats = ray.get([shard_stats.remote(p, entity, ts) for p in shards])
     tot = pd.concat([s[0] for s in stats]).groupby(level=0).sum()
     total = int(tot.sum())
     # gate on SHARE (straggler ratio) and ABSOLUTE size: under ~1M rows the
@@ -469,21 +494,98 @@ def detect_salt_spec(
         n_salts = int(max(2, min(max_salts, np.ceil(share * num_buckets))))
         parts = [s[1][k] for s in stats if k in s[1]]
         if not parts:  # pathological: heavy key outside every shard top-8
-
-            @ray.remote
-            def key_ts(path: str, key=k):
-                t = pq.read_table(path, columns=[entity, ts])
-                v = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)[
-                    t[entity].to_numpy(zero_copy_only=False) == key
-                ]
-                return v[:: max(1, v.size // 4096)]
-
-            parts = ray.get([key_ts.remote(p) for p in shards])
+            parts = ray.get([key_ts.remote(p, entity, ts, k) for p in shards])
         sample = np.sort(np.concatenate(parts))
         bounds = np.unique(np.quantile(sample, np.linspace(0, 1, n_salts + 1)[1:-1]))
         spec[k] = (off, bounds)
         off += bounds.size + 1
     return spec, off
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """The per-run values every reduce task of one ``run_flagship_exchange``
+    call shares: the scan parameters, the input fragment names (lineage) and
+    where partitions are committed (``out_dir`` None: returned as tables)."""
+
+    entity: str
+    ts: str
+    session_gap: float
+    tolerance: float | None
+    stat_cols: list[str]
+    chunk_rows: int | None
+    frag_names: list[str]
+    out_dir: str | None
+    manifest_file: str | None
+
+    def contributors(self, parts) -> list[str]:
+        """Lineage: the input fragments whose map slices hold rows of a
+        bucket (a slice is a table, or a list of sub-chunk refs)."""
+        return [self.frag_names[s] for s, p in enumerate(parts) if len(p)]
+
+    def commit(self, b: int, frags: list[str], skip: bool, scan):
+        """Run ``scan(emit)`` for bucket ``b`` into its partition, or into
+        one table when there is no ``out_dir``. No contributing fragment:
+        no partition (None); ``skip``: already committed by an earlier run."""
+        if not frags:
+            return None
+        if self.out_dir is None:
+            tables: list = []
+            scan(tables.append)
+            return pa.concat_tables(tables)
+        if skip:
+            return _summary(b, 0, skipped=True)
+        return commit_partition(
+            ChunkPartitionSink(self.out_dir, b), self.manifest_file, scan, frags
+        )
+
+
+def _one_chunk(parts) -> pa.Table:
+    return pa.concat_tables([t for p in parts for t in ray_run_iter(p)])
+
+
+@ray.remote
+def reduce_bucket(plan: ScanPlan, b: int, skip: bool, right: pa.Table, *parts):
+    """One hash bucket: its chunk stream through ``scan_chunks_with_carry``
+    into the bucket's partition."""
+
+    def scan(emit) -> None:
+        if plan.chunk_rows is None:
+            chunks = [_one_chunk(parts)]
+        else:
+            chunks = sorted_run_merge(
+                [ray_run_iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
+            )
+        scan_chunks_with_carry(
+            chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
+            plan.stat_cols, b, emit,
+        )
+
+    return plan.commit(b, plan.contributors(parts), skip, scan)
+
+
+@ray.remote(num_returns=3)
+def scan_range(plan: ScanPlan, b: int, right: pa.Table, *parts):
+    """Phase 1 of a salted range: scan it alone. Its compact carry summary
+    rides back separately, so the driver's fold never fetches the features
+    table."""
+    frags = plan.contributors(parts)
+    if not frags:
+        return None, None, []
+    feats = process_bucket(
+        _one_chunk(parts), right, plan.entity, plan.ts, plan.session_gap,
+        plan.tolerance, plan.stat_cols, bucket_id=b,
+    )
+    return feats, chunk_carry_info(feats, plan.ts, plan.stat_cols[0]), frags
+
+
+@ray.remote
+def fix_range(plan: ScanPlan, feats: pa.Table, carry, next_first_ts, b: int,
+              skip: bool, frags):
+    """Phase 2 of a salted range: apply the folded carry-in and commit."""
+    return plan.commit(b, frags, skip, lambda emit: emit(flagship_apply_carry(
+        feats, carry, next_first_ts, plan.ts, plan.stat_cols[0], plan.session_gap
+    )))
 
 
 def run_flagship_exchange(
@@ -526,19 +628,14 @@ def run_flagship_exchange(
     record names a file holding the recorded rows
     (``Manifest.committed``) and recomputes the others.
 
-    Returns per-partition summary rows (or the features as a DataFrame when
-    out_dir=None).
+    Returns per-partition summary rows, or with out_dir=None the features
+    as a DataFrame, collected under ``DRIVER_ROOT_ROW_CAP``.
     Output is byte-identical across bucket counts, chunking and salting, and
     equals ``run_flagship``'s (tested).
     """
-    import glob
-
-    import ray
-
     shards = sorted(glob.glob(f"{tokens_dir}/*.parquet")) or [tokens_dir]
     if num_buckets is None:
         num_buckets = auto_num_buckets(shards)
-    frag_names = [os.path.basename(p) for p in shards]
 
     if heavy:
         stats = tuple(stats) + ("dfa", "dfc", "dfc_amp")
@@ -566,6 +663,10 @@ def run_flagship_exchange(
     if out_dir is not None:
         manifest_file = manifest_path or f"{out_dir}/manifest.jsonl"
         done = Manifest(manifest_file).committed("flagship", out_dir)
+    plan = ScanPlan(
+        entity, ts, session_gap, tolerance, stat_cols, chunk_rows,
+        [os.path.basename(p) for p in shards], out_dir, manifest_file,
+    )
 
     spec: dict = {}
     n_extra = 0
@@ -603,66 +704,17 @@ def run_flagship_exchange(
         scores, stable_bucket(scores[entity].to_numpy(), num_buckets), num_buckets
     )
 
-    def contributors(parts) -> list[str]:
-        """Lineage: the input fragments whose map slices hold rows of a
-        bucket (a slice is a table, or a list of sub-chunk refs)."""
-        return [frag_names[s] for s, p in enumerate(parts) if len(p)]
-
-    def one_chunk(parts) -> pa.Table:
-        return pa.concat_tables([t for p in parts for t in ray_run_iter(p)])
-
-    def commit(b: int, frags: list[str], scan) -> pd.DataFrame | pa.Table | None:
-        if not frags:
-            return None  # empty bucket: no partition
-        if out_dir is None:
-            tables: list = []
-            scan(tables.append)
-            return pa.concat_tables(tables)
-        if b in done:
-            return _summary(b, 0, skipped=True)
-        return commit_partition(ChunkPartitionSink(out_dir, b), manifest_file, scan, frags)
-
-    @ray.remote
-    def reduce_bucket(b: int, right: pa.Table, *parts):
-        def scan(emit) -> None:
-            if chunk_rows is None:
-                chunks = [one_chunk(parts)]
-            else:
-                chunks = sorted_run_merge([ray_run_iter(p) for p in parts], entity, ts, chunk_rows)
-            scan_chunks_with_carry(
-                chunks, right, entity, ts, session_gap, tolerance, stat_cols, b, emit
-            )
-
-        return commit(b, contributors(parts), scan)
-
-    @ray.remote(num_returns=3)
-    def scan_range(b: int, right: pa.Table, *parts):
-        """Phase 1 of a salted range: scan it alone. Its compact carry
-        summary rides back separately, so the driver's fold never fetches
-        the features table."""
-        frags = contributors(parts)
-        if not frags:
-            return None, None, []
-        feats = process_bucket(
-            one_chunk(parts), right, entity, ts, session_gap, tolerance, stat_cols,
-            bucket_id=b,
-        )
-        return feats, chunk_carry_info(feats, ts, stat_cols[0]), frags
-
-    @ray.remote
-    def fix_range(feats: pa.Table, carry, next_first_ts, b: int, frags):
-        return commit(b, frags, lambda emit: emit(flagship_apply_carry(
-            feats, carry, next_first_ts, ts, stat_cols[0], session_gap
-        )))
-
     def slices(b: int) -> list:
         return [refs[s][b] for s in range(len(shards))]
 
-    out = [reduce_bucket.remote(b, bucket_scores[b], *slices(b)) for b in range(num_buckets)]
+    out = [
+        reduce_bucket.remote(plan, b, b in done, bucket_scores[b], *slices(b))
+        for b in range(num_buckets)
+    ]
     for e, (off, bounds) in spec.items():
         ranges = range(num_buckets + off, num_buckets + off + bounds.size + 1)
         right = ray.put(scores.filter(pc.equal(scores[entity], e)))
-        phase1 = [scan_range.remote(b, right, *slices(b)) for b in ranges]
+        phase1 = [scan_range.remote(plan, b, right, *slices(b)) for b in ranges]
         infos = ray.get([p[1] for p in phase1])
         # driver-side sequential fold (microseconds per range) -> carry-ins;
         # all fix tasks then launch in parallel
@@ -672,25 +724,77 @@ def run_flagship_exchange(
             carry = fold_carry(carry, info, session_gap)
         for k, (b, (feats, _, frags)) in enumerate(zip(ranges, phase1)):
             next_first = next((i["first_ts"] for i in infos[k + 1:] if i), None)
-            out.append(fix_range.remote(feats, carries[k], next_first, b, frags))
-    results = [r for r in ray.get(out) if r is not None and len(r)]
-    if not results:
-        return pd.DataFrame()
-    if out_dir is None:
-        return pa.concat_tables(results).to_pandas()
-    return pd.concat(results, ignore_index=True)
+            out.append(fix_range.remote(plan, feats, carries[k], next_first, b, b in done, frags))
+    results = collect_frames(ray.get(out), "run_flagship_exchange")
+    return results.to_pandas() if isinstance(results, pa.Table) else results
 
 
 # ---------------------------------------------------------------------------
 # Driver-gated end-to-end flagship query (VERDICT r3 "Next round" #7)
 # ---------------------------------------------------------------------------
 
+def _doc_tokens(docs: pa.Table, tokens_dir: str) -> None:
+    """``write_doc_tokens``' task body: one documents shard or row group ->
+    one tokens shard."""
+    t = tokenize_batch(docs)
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    if not ids.size:
+        return
+    # the synthetic axis is injective ONLY for doc_id < 1e6; beyond that, ts
+    # collisions make as-of / session tie order ambiguous and the DuckDB gate
+    # could diverge nondeterministically — fail loudly instead of flaking
+    if ids.max() >= 1_000_000:
+        raise ValueError(
+            "the flagship's ts = (doc_id*9973) % 1e6 axis requires "
+            f"doc_id < 1_000_000; got max {ids.max()}"
+        )
+    t = t.append_column("ts", pa.array((ids * 9973) % 1_000_000, type=pa.int64()))
+    # named by its smallest doc_id (a key), so the shard names are deterministic
+    pq.write_table(t, os.path.join(tokens_dir, f"tokens-{ids.min():06d}.parquet"))
+
+
+def write_doc_tokens(docs: list[str], tokens_dir: str) -> None:
+    """documents shards (doc_id, text, source) -> the flagship's tokens
+    shards (doc_id, tokens, n_tok, source, ts) in ``tokens_dir``, one
+    ``shard_map`` task per documents shard or row group: ``tokenize_batch``
+    plus the deterministic synthetic time axis ts = (doc_id * 9973) %
+    1_000_000 (injective: 9973 is prime and coprime to 1e6, for doc_id <
+    1e6 — a larger doc_id raises ``ValueError``)."""
+    os.makedirs(tokens_dir, exist_ok=True)
+    shard_map(docs, partial(_doc_tokens, tokens_dir=tokens_dir),
+              columns=["doc_id", "text", "source"])
+
+
+def _doc_scores(docs: pa.Table) -> pa.Table:
+    ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = ids % 97 == 0
+    ids = ids[keep]
+    return pa.table({
+        "source": docs["source"].filter(pa.array(keep)),
+        "ts": pa.array((ids * 9973 + 500_000) % 1_000_000, type=pa.int64()),
+        "score": pa.array((ids % 1000) * 0.5, type=pa.float64()),
+    })
+
+
+def _source_partials(feats: pa.Table) -> pd.DataFrame:
+    """One row per source of one written partition; max(session_seq) folds
+    with max, counts/sums with sum."""
+    return feats.to_pandas().groupby("source", as_index=False).agg(
+        n_rows=("ts", "size"),
+        max_seq=("session_seq", "max"),
+        n_asof=("score_asof", "count"),
+        sum_score_asof=("score_asof", "sum"),
+    )
+
+
 def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
-    """Run the REAL flagship pipeline (tokenize -> TokenWindowStats ->
-    entity-bucket shuffle -> sort/sessionize/lag -> backward as-of join ->
-    LOCF) end-to-end over the documents table, then reduce to a per-source
-    summary whose every field is ANSI-SQL-expressible — so the driver's
-    DuckDB hash gate covers the flagship itself, not just its pieces.
+    """Run the REAL flagship engine (``write_doc_tokens`` ->
+    ``run_flagship_exchange``: TokenWindowStats -> entity-bucket exchange ->
+    sort/sessionize/lag -> backward as-of join -> LOCF -> partition sink and
+    manifest) end-to-end over the documents table, then reduce the written
+    partitions to a per-source summary whose every field is
+    ANSI-SQL-expressible — so the driver's DuckDB hash gate covers the
+    flagship itself, not just its pieces.
 
     Deterministic synthetic time axis (SQL-replicable):
       token row:  ts = (doc_id * 9973) % 1_000_000        (injective: 9973
@@ -705,66 +809,22 @@ def flagship_session_summary(sf_dir: str) -> pd.DataFrame:
     checks zero-leakage as-of), sum_score_asof (checks WHICH score each row
     matched, not just that one matched).
     """
-    import ray.data as rd
-
-    from ..stages.exchange import DRIVER_ROOT_ROW_CAP
-    from ..tokenize import tokenize_batch
-    from .common import tpath
-
-    docs = tpath(sf_dir, "documents")
-
-    def to_tokens(batch: pa.Table) -> pa.Table:
-        t = tokenize_batch(batch)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # the synthetic axis is injective ONLY for doc_id < 1e6; beyond
-        # that, ts collisions make as-of / session tie order ambiguous and
-        # the DuckDB gate could diverge nondeterministically — fail loudly
-        # instead of flaking (ADVICE r4 #3)
-        if ids.size and ids.max() >= 1_000_000:
-            raise ValueError(
-                "flagship_session_summary's ts = (doc_id*9973) % 1e6 axis "
-                f"requires doc_id < 1_000_000; got max {ids.max()}"
-            )
-        ts = (ids * 9973) % 1_000_000
-        return t.append_column("ts", pa.array(ts, type=pa.int64()))
-
-    tokens = rd.read_parquet(docs, columns=["doc_id", "text", "source"]).map_batches(
-        to_tokens, batch_format="pyarrow"
-    )
-
-    def to_scores(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = ids % 97 == 0
-        ids = ids[keep]
-        src = batch["source"].to_numpy(zero_copy_only=False)[keep]
-        return pa.table({
-            "source": pa.array(src, type=pa.string()),
-            "ts": pa.array((ids * 9973 + 500_000) % 1_000_000, type=pa.int64()),
-            "score": pa.array((ids % 1000) * 0.5, type=pa.float64()),
-        })
-
-    scores = rd.read_parquet(docs, columns=["doc_id", "source"]).map_batches(
-        to_scores, batch_format="pyarrow"
-    )
-
-    feats = flagship_features(
-        tokens, scores, entity="source", ts="ts",
-        session_gap=50_000.0, tolerance=None, num_buckets=8,
-    )
-
-    # map-side partial per batch (bounded: one row per source per batch);
-    # max(session_seq) folds with max, counts/sums with sum
-    def summarize(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("source", as_index=False).agg(
-            n_rows=("ts", "size"),
-            max_seq=("session_seq", "max"),
-            n_asof=("score_asof", "count"),
-            sum_score_asof=("score_asof", "sum"),
+    docs = shard_list(sf_dir, "documents")
+    with tempfile.TemporaryDirectory(prefix="flagship-summary-") as tmp:
+        write_doc_tokens(docs, f"{tmp}/tokens")
+        scores = shard_map(docs, _doc_scores, columns=["doc_id", "source"],
+                           collect="flagship_session_summary scores")
+        pq.write_table(scores, f"{tmp}/scores.parquet")
+        out_dir = f"{tmp}/features"
+        written = run_flagship_exchange(
+            f"{tmp}/tokens", f"{tmp}/scores.parquet", out_dir=out_dir,
+            entity="source", ts="ts", session_gap=50_000.0, tolerance=None,
         )
-
-    parts = feats.map_batches(summarize, batch_format="pandas").to_pandas(
-        limit=DRIVER_ROOT_ROW_CAP
-    )
+        parts = shard_map(
+            [partition_path(out_dir, b) for b in written["partition_id"]],
+            _source_partials, columns=["source", "ts", "session_seq", "score_asof"],
+            collect="flagship_session_summary",
+        )
     out = parts.groupby("source", as_index=False).agg(
         n_rows=("n_rows", "sum"), max_seq=("max_seq", "max"),
         n_asof=("n_asof", "sum"), sum_score_asof=("sum_score_asof", "sum"),

@@ -2,41 +2,58 @@
 binary columns as first-class operators).
 
 The driver testdata ships no media table, so the query synthesizes one
-deterministically (seeded; REAL binary PPM and WAV payloads) and runs the
-REAL codec actor pools over it: netpbm images decode in pure numpy, WAV/PCM
-audio through the stdlib ``wave`` module (stages/multimodal.py). The oracle
-is an independent golden built by looping the codec functions directly —
-no Ray, no actor pool (oracle/independent.py).
+deterministically (seeded; REAL binary PPM, WAV and y4m payloads) and runs
+the REAL decoders over it: netpbm images and y4m video decode in pure numpy,
+WAV/PCM audio through the stdlib ``wave`` module (stages/multimodal.py).
+Each decoder runs as one Ray task per fixed slice of at most ``SLICE_ROWS``
+rows (payload bytes dominate, so slices stay small). The oracle is an
+independent golden built by looping the codec functions directly, with no
+Ray (oracle/independent.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+
+from ..stages.exchange import collect_frames
+from ..stages.multimodal import decode_audio, decode_image, sample_frames, synth_media_table
 
 MEDIA_N = 96
 MEDIA_SEED = 13
+SLICE_ROWS = 16
+
+
+@ray.remote
+def _decode_slice(decode, rows: pa.Table) -> pd.DataFrame:
+    return decode(rows)
+
+
+def decode_rows(decode, t: pa.Table, what: str) -> pd.DataFrame:
+    """``decode`` over ``t``, one task per slice of at most ``SLICE_ROWS``
+    rows; the frames are concatenated in row order under
+    ``DRIVER_ROOT_ROW_CAP`` (``what`` names the query in the over-cap
+    error)."""
+    tasks = [
+        _decode_slice.remote(decode, t.slice(i, SLICE_ROWS))
+        for i in range(0, t.num_rows, SLICE_ROWS)
+    ]
+    return collect_frames(ray.get(tasks), what)
 
 
 def media_decode_features(sf_dir: str) -> pd.DataFrame:
-    """Decode the synthetic media table with the REAL codecs via actor-pool
-    ``map_batches`` (small batches — payload bytes dominate): image rows get
+    """Decode the synthetic media table with the REAL codecs: image rows get
     true pixel means/dims, audio rows true duration/RMS; video rows are
-    excluded (no pure-python codec exists — the one remaining stub)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ..stages.multimodal import DecodeAudio, decode_pipeline, synth_media_table
-
+    left to ``video_frame_features``."""
     t = synth_media_table(MEDIA_N, seed=MEDIA_SEED, real=True)
-    imgs = t.filter(pc.equal(t["kind"], "image"))
-    auds = t.filter(pc.equal(t["kind"], "audio"))
-    img_out = decode_pipeline(rd.from_arrow(imgs), fake=False, batch_size=16).to_pandas()
-    aud_out = (
-        rd.from_arrow(auds)
-        .map_batches(DecodeAudio, batch_format="pandas", batch_size=16,
-                     concurrency=(1, 16))
-        .to_pandas()
+    img_out = decode_rows(
+        decode_image, t.filter(pc.equal(t["kind"], "image")), "media_decode_features"
+    )
+    aud_out = decode_rows(
+        decode_audio, t.filter(pc.equal(t["kind"], "audio")), "media_decode_features"
     )
     img_part = pd.DataFrame(
         {
@@ -64,27 +81,13 @@ def media_decode_features(sf_dir: str) -> pd.DataFrame:
 
 
 def video_frame_features(sf_dir: str) -> pd.DataFrame:
-    """REAL video decode: sample 4 evenly-spaced frames per y4m payload via
-    the ``FrameSampler`` actor pool and emit per-frame luma stats. Oracle is
-    an independent scalar replay of the y4m byte layout
-    (oracle/independent.py — never calls FrameSampler/decode_y4m)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ..stages.multimodal import FrameSampler, synth_media_table
-
+    """REAL video decode: sample 4 evenly-spaced frames per y4m payload
+    (``sample_frames``) and emit per-frame luma stats. Oracle is an
+    independent scalar replay of the y4m byte layout (oracle/independent.py
+    — never calls sample_frames/decode_y4m)."""
     t = synth_media_table(MEDIA_N, seed=MEDIA_SEED, real=True)
-    vids = t.filter(pc.equal(t["kind"], "video"))
-    out = (
-        rd.from_arrow(vids)
-        .map_batches(
-            FrameSampler,
-            fn_constructor_kwargs={"n_frames": 4, "fake": False},
-            batch_format="pandas",
-            batch_size=16,
-            concurrency=(1, 16),
-        )
-        .to_pandas()
+    out = decode_rows(
+        sample_frames, t.filter(pc.equal(t["kind"], "video")), "video_frame_features"
     )
     return (
         out.sort_values(["media_id", "frame_idx"])

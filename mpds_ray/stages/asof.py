@@ -28,7 +28,6 @@ right_ts > left_ts (property-tested in tests/test_asof.py).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from .partition import run_bounds
 
@@ -173,30 +172,3 @@ def range_join_sorted(
     csum = np.concatenate([[0.0], np.cumsum(right_val.astype(np.float64))])
     sums = csum[hi] - csum[lo]
     return counts, sums
-
-
-def asof_join_pandas(
-    left: pd.DataFrame,
-    right: pd.DataFrame,
-    on: str,
-    by: str,
-    tolerance: float | None = None,
-    direction: str = "backward",
-    suffix: str = "_r",
-) -> pd.DataFrame:
-    """Per-bucket as-of join via ``pd.merge_asof`` (C implementation of the
-    same sorted merge). Requires both frames sorted by ``on``."""
-    left_sorted = left.sort_values(on, kind="stable")
-    right_sorted = right.sort_values(on, kind="stable")
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
-    return pd.merge_asof(
-        left_sorted,
-        right_sorted,
-        on=on,
-        by=by,
-        direction=direction,
-        suffixes=("", suffix),
-        **kwargs,
-    )

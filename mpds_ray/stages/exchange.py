@@ -29,9 +29,9 @@ side. ``emit='pandas'`` concatenates the reduce outputs on the driver under
 A pass that needs no exchange (a row-level map, or a per-shard partial
 folded on the driver) runs on ``shard_map``: one task per shard, or per row
 group, that reads the pruned columns with the filter pushed into the scan
-and returns ``fn(table)``. The query surface runs on these plain tasks; Ray
-Data stays only where it is the operator (the actor-pool media decode and,
-until it is retired, the Dataset-native flagship).
+and returns ``fn(table)``. Every query and the flagship run on these plain
+tasks; no query runs Ray Data (the Dataset-native flagship is kept only as
+perfbench's reference engine).
 
 The three task kinds (``_map_shard``, ``_reduce_bucket``, ``_read_map``)
 are module-level remote functions, exported once per process. The per-call

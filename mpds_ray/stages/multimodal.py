@@ -1,25 +1,19 @@
 """Multimodal (image/audio/video) column stages.
 
-Media payloads are opaque ``binary`` columns with typed metadata, processed
-by actor-pool ``map_batches`` stages with SMALL batch sizes (payload bytes
-dominate — SURVEY §7.5.7). Codec coverage (VERDICT r2 'Next round' #8 —
-decode is real wherever the environment allows):
+Media payloads are opaque ``binary`` columns with typed metadata. Each
+decoder is a plain function from a table of rows (``media_id``,
+``payload``) to a frame of features; pipelines/media.py runs it as one Ray
+task per small fixed slice of rows (payload bytes dominate — SURVEY
+§7.5.7). Decode is real, in pure NumPy or the stdlib:
 
-- **audio**: REAL WAV/PCM decode via the stdlib ``wave`` module (8/16/32-bit
-  PCM, any channel count) — always available;
-- **image**: REAL netpbm (P5/P6 binary PGM/PPM) decode in pure numpy —
-  always available; other formats (JPEG/PNG) decode through PIL when it is
-  importable (probed once per actor in ``__init__``), else raise
-  ``NotImplementedError`` naming the missing codec;
-- **video**: REAL YUV4MPEG2 (y4m) decode in pure numpy — uncompressed
-  planar frames behind a text header, the video analogue of netpbm;
-  compressed containers (mp4/webm) decode through imageio/PyAV when one is
-  importable (probed once per actor in ``__init__``), else raise
-  ``NotImplementedError`` naming the missing codec.
+- **audio**: WAV/PCM via the stdlib ``wave`` module (8/16/32-bit PCM, any
+  channel count);
+- **image**: binary netpbm (P5/P6 PGM/PPM);
+- **video**: YUV4MPEG2 (y4m) — uncompressed planar frames behind a text
+  header, the video analogue of netpbm.
 
-``fake=True`` substitutes a deterministic payload-hash pseudo-decode so the
-pipeline shape (schema, actor signature, batch sizing, output layout) is
-testable independently of payload format.
+An image or video payload in any other format raises ``NotImplementedError``
+naming its magic bytes.
 """
 
 from __future__ import annotations
@@ -181,10 +175,10 @@ MEDIA_SCHEMA = pa.schema(
 
 
 def synth_media_table(n: int = 64, seed: int = 42, real: bool = False) -> pa.Table:
-    """Deterministic media table for plumbing tests. ``real=True`` makes the
-    image payloads actual binary PPMs and audio payloads actual WAV files, so
-    the REAL decode paths run end-to-end; ``real=False`` keeps opaque random
-    bytes for the fake-decode plumbing tests."""
+    """Deterministic media table. ``real=True`` makes the image payloads
+    actual binary PPMs, the audio payloads actual WAV files and the video
+    payloads actual y4m streams, so the real decoders run end-to-end;
+    ``real=False`` keeps opaque random bytes (undecodable payloads)."""
     rng = np.random.default_rng(seed)
     kinds = np.array(["image", "audio", "video"])[rng.integers(0, 3, n)]
     widths = rng.integers(32, 512, n).astype(np.int32)
@@ -215,207 +209,76 @@ def synth_media_table(n: int = 64, seed: int = 42, real: bool = False) -> pa.Tab
     )
 
 
-class DecodeImage:
-    """Actor-pool stage: image payload -> decoded feature columns.
-
-    REAL decode paths (probed once per actor, the actor-pool init shape):
-    binary netpbm (P5/P6) via pure numpy always; other formats via PIL when
-    importable. A payload with no available codec raises
-    ``NotImplementedError`` naming the format. ``fake=True`` keeps the
-    deterministic payload-hash pseudo-decode for format-independent plumbing
-    tests.
-
-    Batch sizing rule: batches of media rows must satisfy
-    ``batch_size * avg_payload_bytes * concurrency << worker heap``; callers
-    pass ``batch_size<=64`` for megabyte-scale payloads.
-    """
-
-    def __init__(self, fake: bool = False):
-        self.fake = fake
-        try:  # codec probe happens ONCE per actor, not per batch
-            from PIL import Image  # noqa: F401
-
-            self._pil = Image
-        except ImportError:
-            self._pil = None
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        if payload[:2] in (b"P5", b"P6"):
-            return decode_netpbm(payload)
-        if self._pil is not None:
-            import io
-
-            return np.asarray(self._pil.open(io.BytesIO(payload)))
-        raise NotImplementedError(
-            f"no codec for image payload with magic {payload[:4]!r}: netpbm "
-            "decodes natively, PIL is not importable in this environment"
-        )
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        payloads = batch["payload"]
-        n_bytes = payloads.map(len).to_numpy()
-        if self.fake:
-            h = np.array(
-                [np.frombuffer(p, dtype=np.uint8).sum() for p in payloads],
-                dtype=np.float64,
+def decode_image(batch: pa.Table) -> pd.DataFrame:
+    """Image rows -> decoded pixel mean, payload bytes and thumbnail dims
+    (the image's, capped at 64)."""
+    means, widths, heights, n_bytes = [], [], [], []
+    for p in batch["payload"].to_pylist():
+        if p[:2] not in (b"P5", b"P6"):
+            raise NotImplementedError(
+                f"no codec for image payload with magic {p[:4]!r}: only binary "
+                "netpbm (P5/P6) decodes"
             )
-            return pd.DataFrame(
-                {
-                    "media_id": batch["media_id"],
-                    "decoded_mean": np.round(h / np.maximum(n_bytes, 1), 6),
-                    "decoded_bytes": n_bytes.astype(np.int64),
-                    "thumb_width": np.minimum(batch["meta_width"].to_numpy(), 64).astype(np.int32),
-                    "thumb_height": np.minimum(batch["meta_height"].to_numpy(), 64).astype(np.int32),
-                }
+        img = decode_netpbm(p)
+        means.append(float(img.mean()))
+        heights.append(img.shape[0])
+        widths.append(img.shape[1])
+        n_bytes.append(len(p))
+    return pd.DataFrame(
+        {
+            "media_id": batch["media_id"].to_numpy(),
+            "decoded_mean": np.round(np.array(means), 6),
+            "decoded_bytes": np.array(n_bytes, dtype=np.int64),
+            "thumb_width": np.minimum(widths, 64).astype(np.int32),
+            "thumb_height": np.minimum(heights, 64).astype(np.int32),
+        }
+    )
+
+
+def decode_audio(batch: pa.Table) -> pd.DataFrame:
+    """WAV/PCM rows -> duration, RMS, peak, channel count, sample rate."""
+    rows = []
+    for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
+        x, sr = decode_wav(p)
+        rows.append(
+            (
+                mid,
+                round(x.shape[0] / sr, 6),
+                round(float(np.sqrt((x**2).mean())), 6),
+                round(float(np.abs(x).max()), 6),
+                x.shape[1],
+                sr,
             )
-        means, widths, heights = [], [], []
-        for p in payloads:  # per-payload loop is inherent to codec decode;
-            # batch sizes are small by the sizing rule above
-            img = self._decode(bytes(p))
-            means.append(float(img.mean()))
-            heights.append(img.shape[0])
-            widths.append(img.shape[1])
-        return pd.DataFrame(
-            {
-                "media_id": batch["media_id"],
-                "decoded_mean": np.round(np.array(means), 6),
-                "decoded_bytes": n_bytes.astype(np.int64),
-                "thumb_width": np.minimum(widths, 64).astype(np.int32),
-                "thumb_height": np.minimum(heights, 64).astype(np.int32),
-            }
         )
+    return pd.DataFrame(
+        rows,
+        columns=["media_id", "duration_s", "rms", "peak", "n_channels", "sample_rate"],
+    )
 
 
-class DecodeAudio:
-    """Actor-pool stage: WAV/PCM payload -> audio feature columns (REAL
-    stdlib decode — duration, RMS, peak, channel count, sample rate)."""
-
-    def __init__(self, fake: bool = False):
-        self.fake = fake
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for mid, p in zip(batch["media_id"], batch["payload"]):
-            if self.fake:
-                b = np.frombuffer(p, dtype=np.uint8)
-                rows.append((mid, len(b) / 16_000.0, float(b.std()), float(b.max()), 1, 16_000))
-                continue
-            x, sr = decode_wav(bytes(p))
+def sample_frames(batch: pa.Table, n_frames: int = 4) -> pd.DataFrame:
+    """y4m video rows -> one row of luma stats per sampled frame:
+    ``min(n_frames, total)`` evenly spaced distinct frames per video (the
+    flat_map shape for frame-level pipelines)."""
+    rows = []
+    for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
+        if not p.startswith(b"YUV4MPEG2"):
+            raise NotImplementedError(
+                f"no codec for video payload with magic {p[:4]!r}: only "
+                "YUV4MPEG2 (y4m) decodes"
+            )
+        frames, w, h = decode_y4m(p)
+        total = frames.shape[0]
+        k = min(n_frames, total)
+        for fi in np.unique((np.arange(k) * total) // k):
+            y = frames[fi].astype(np.float64)
             rows.append(
-                (
-                    mid,
-                    round(x.shape[0] / sr, 6),
-                    round(float(np.sqrt((x**2).mean())), 6),
-                    round(float(np.abs(x).max()), 6),
-                    x.shape[1],
-                    sr,
-                )
+                (mid, int(fi), total, w, h, round(float(y.mean()), 6), round(float(y.std()), 6))
             )
-        return pd.DataFrame(
-            rows,
-            columns=["media_id", "duration_s", "rms", "peak", "n_channels", "sample_rate"],
-        )
-
-
-class FrameSampler:
-    """Actor-pool stage: video payload -> ``n_frames`` evenly-sampled frame
-    rows per video (the flat_map shape for frame-level pipelines).
-
-    REAL decode paths (probed once per actor): YUV4MPEG2 streams in pure
-    numpy always; compressed containers via imageio or PyAV when one is
-    importable. A payload with no available codec raises
-    ``NotImplementedError`` naming the format. ``fake=True`` keeps the
-    deterministic offset-only pseudo-sample for format-independent plumbing
-    tests (schema: media_id, frame_idx, frame_offset)."""
-
-    def __init__(self, n_frames: int = 4, fake: bool = True):
-        self.n_frames = n_frames
-        self.fake = fake
-        self._imageio = self._av = None
-        if not fake:  # codec probe ONCE per actor, not per batch
-            try:
-                import imageio.v3 as iio  # noqa: F401
-
-                self._imageio = iio
-            except ImportError:
-                pass
-            try:
-                import av  # noqa: F401
-
-                self._av = av
-            except ImportError:
-                pass
-
-    def _decode_luma(self, payload: bytes) -> tuple[np.ndarray, int, int]:
-        """-> (luma/grayscale frames (n, h, w) uint8, width, height)."""
-        if payload.startswith(b"YUV4MPEG2"):
-            return decode_y4m(payload)
-        if self._imageio is not None:
-            frames = np.asarray(self._imageio.imread(payload, index=None))
-            if frames.ndim == 4:  # (n, h, w, 3) -> luma via Rec.601
-                frames = (frames.astype(np.float64) @ [0.299, 0.587, 0.114]).astype(np.uint8)
-            return frames, frames.shape[2], frames.shape[1]
-        if self._av is not None:
-            import io as _io
-
-            with self._av.open(_io.BytesIO(payload)) as c:
-                fs = [f.to_ndarray(format="gray") for f in c.decode(video=0)]
-            frames = np.stack(fs)
-            return frames, frames.shape[2], frames.shape[1]
-        raise NotImplementedError(
-            f"no codec for video payload with magic {payload[:4]!r}: y4m "
-            "decodes natively; imageio/PyAV are not importable in this "
-            "environment"
-        )
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self.fake:
-            reps = np.repeat(np.arange(len(batch)), self.n_frames)
-            out = batch.iloc[reps][["media_id"]].reset_index(drop=True)
-            out["frame_idx"] = np.tile(np.arange(self.n_frames), len(batch))
-            sizes = batch["payload"].map(len).to_numpy()
-            out["frame_offset"] = (
-                (sizes[reps] * out["frame_idx"].to_numpy()) // self.n_frames
-            ).astype(np.int64)
-            return out
-        rows = []
-        for mid, p in zip(batch["media_id"], batch["payload"]):
-            frames, w, h = self._decode_luma(bytes(p))
-            total = frames.shape[0]
-            # evenly-spaced sample of min(n_frames, total) distinct indices
-            k = min(self.n_frames, total)
-            idx = np.unique((np.arange(k) * total) // k)
-            for fi in idx:
-                y = frames[fi].astype(np.float64)
-                rows.append(
-                    (
-                        mid,
-                        int(fi),
-                        total,
-                        w,
-                        h,
-                        round(float(y.mean()), 6),
-                        round(float(y.std()), 6),
-                    )
-                )
-        return pd.DataFrame(
-            rows,
-            columns=[
-                "media_id", "frame_idx", "n_frames_total", "width", "height",
-                "y_mean", "y_std",
-            ],
-        )
-
-
-def decode_pipeline(media_ds, fake: bool = True, batch_size: int = 64,
-                    concurrency: int | tuple[int, int] = (1, 16)):
-    """media table -> decoded features via an actor pool (setup once/actor).
-    ``concurrency`` defaults to an AUTOSCALING (lo, hi) pool so the stage
-    follows the cluster's cores instead of a hard-coded actor count."""
-    return media_ds.map_batches(
-        DecodeImage,
-        fn_constructor_kwargs={"fake": fake},
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return pd.DataFrame(
+        rows,
+        columns=[
+            "media_id", "frame_idx", "n_frames_total", "width", "height",
+            "y_mean", "y_std",
+        ],
     )

@@ -13,7 +13,7 @@ implementation of the same pinned semantics.
 
 Heavy spectral/fractal stats (DFA, Lomb–Scargle dfc) are per-row O(n log n)+
 kernels with no closed segmented form; they are opt-in (``heavy=True``) and
-run as a per-row loop over NumPy views inside the same actor.
+run batched over the rows of equal window length (kernels/batched.py).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..kernels import EPS, fastdfa
-from ..kernels.lomb import dominant_frequency
+from ..kernels import EPS
+from ..kernels.batched import dfa_batch, lomb_batch
 from .partition import run_bounds
 
 CHEAP_STATS = (
@@ -48,7 +48,6 @@ def token_stats_arrays(
     values: np.ndarray,
     offsets: np.ndarray,
     stats: tuple[str, ...] = CHEAP_STATS,
-    ts_values: np.ndarray | None = None,
     sample_rate: float = 50.0,
 ) -> dict[str, np.ndarray]:
     """Compute the stat block for every segment of a flattened list column.
@@ -67,7 +66,7 @@ def token_stats_arrays(
         # rare path: evaluate on the non-empty subset, scatter back NaN-padded
         keep = ~empty
         sub_offsets = np.r_[0, np.cumsum(lengths[keep])]
-        sub = token_stats_arrays(v, sub_offsets, stats, ts_values, sample_rate)
+        sub = token_stats_arrays(v, sub_offsets, stats, sample_rate)
         out_full: dict[str, np.ndarray] = {}
         for k, col in sub.items():
             full = np.full(n, np.nan)
@@ -213,27 +212,15 @@ def token_stats_arrays(
         dfa_out = np.full(n, np.nan)
         dfc_out = np.full(n, np.nan)
         amp_out = np.full(n, np.nan)
-        if ts_values is None:
-            # regular grid t = arange(L)/rate -> batch rows by window length
-            from ..kernels.batched import dfa_batch, lomb_batch
-
-            for length in np.unique(lengths):
-                rows = np.flatnonzero(lengths == length)
-                gather = starts[rows][:, None] + np.arange(length)[None, :]
-                mat = v[gather]
-                if want_dfa:
-                    dfa_out[rows] = dfa_batch(mat)
-                if want_dfc:
-                    dfc_out[rows], amp_out[rows] = lomb_batch(mat, sample_rate)
-        else:
-            # irregular per-row timestamps -> scalar kernels
-            for i in range(n):
-                seg = v[starts[i] : starts[i] + lengths[i]]
-                if want_dfa:
-                    dfa_out[i] = fastdfa(seg)
-                if want_dfc:
-                    t = ts_values[starts[i] : starts[i] + lengths[i]]
-                    dfc_out[i], amp_out[i] = dominant_frequency(t, seg)
+        # regular grid t = arange(L)/rate -> batch rows by window length
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            gather = starts[rows][:, None] + np.arange(length)[None, :]
+            mat = v[gather]
+            if want_dfa:
+                dfa_out[rows] = dfa_batch(mat)
+            if want_dfc:
+                dfc_out[rows], amp_out[rows] = lomb_batch(mat, sample_rate)
         if want_dfa:
             out["dfa"] = dfa_out
         if "dfc" in heavy_req:

@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 
 from mpds_ray.oracle.scans import asof_backward
-from mpds_ray.stages.asof import asof_join_arrays, asof_join_pandas, asof_merge_sorted
+from mpds_ray.stages.asof import asof_join_arrays, asof_merge_sorted
 
 
 def make_sides(seed=11, n_entities=12):
@@ -96,15 +96,3 @@ class TestAsofArrays:
             np.array([0]), np.array([1.0]), {"label": np.array(["a"])},
         )
         assert got["label"][0] == "a" and got["label"][1] is None
-
-
-class TestAsofPandas:
-    def test_bucket_merge_matches_arrays(self):
-        left = pd.DataFrame({"id": LI, "ts": LT, "payload": np.arange(LI.size)})
-        right = pd.DataFrame({"id": RI, "ts": RT, "score": RV})
-        out = asof_join_pandas(left, right, on="ts", by="id", tolerance=50.0)
-        out = out.sort_values(["id", "ts"]).reset_index(drop=True)
-        want = asof_join_arrays(LI, LT, RI, RT, {"score": RV}, tolerance=50.0)
-        np.testing.assert_allclose(out["score"].to_numpy(), want["score"], equal_nan=True)
-        # left rows preserved exactly once
-        assert len(out) == LI.size

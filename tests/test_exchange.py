@@ -191,3 +191,19 @@ class TestReduceGridContract:
         got = ray.get(refs)
         assert got[2] is None and got[3] is None
         assert got[1]["other_rows"].tolist() == [-1]
+
+
+class TestCollectCap:
+    def test_features_collect_enforces_driver_cap(self, ray_session, monkeypatch):
+        """With out_dir=None every feature row comes back to the driver: past
+        ``DRIVER_ROOT_ROW_CAP`` that is a loud error naming the root."""
+        import mpds_ray.stages.exchange as ex
+
+        d = cached_fixture_dir("small")
+        args = (f"{d}/tokens.parquet", f"{d}/scores.parquet")
+        rows = pq.read_table(args[0], columns=["doc_id"]).num_rows
+        monkeypatch.setattr(ex, "DRIVER_ROOT_ROW_CAP", rows)
+        assert len(run_flagship_exchange(*args, num_buckets=4)) == rows
+        monkeypatch.setattr(ex, "DRIVER_ROOT_ROW_CAP", rows - 1)
+        with pytest.raises(RuntimeError, match="driver root 'run_flagship_exchange'"):
+            run_flagship_exchange(*args, num_buckets=4)

@@ -1,5 +1,4 @@
-"""Every query finishes on a 1-CPU Ray, and none but the Ray Data ones runs a
-Dataset.
+"""Every query finishes on a 1-CPU Ray, and none runs a Dataset.
 
 A query whose operator holds the only CPU while an upstream stage waits
 for it (an actor pool behind a backpressured read) hangs forever on a
@@ -8,8 +7,7 @@ test runs every ``queries()`` entry at sf0.001 in a subprocess with
 ``ray.init(num_cpus=1)``, one query at a time, and fails naming the query
 that does not finish within ``PER_QUERY_S``. The same run counts
 ``StreamingExecutor.execute`` calls per query: the query surface runs on
-plain Ray tasks, and only the queries whose operator IS Ray Data may start
-a Dataset execution."""
+plain Ray tasks, so a query that starts a Dataset execution fails."""
 
 from __future__ import annotations
 
@@ -24,8 +22,8 @@ import threading
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PER_QUERY_S = 60.0
 STARTUP_S = 120.0
-# the actor-pool media decode and the Dataset-native flagship
-DATASET_QUERIES = {"media_decode_features", "video_frame_features", "flagship_session_summary"}
+# queries allowed to start a Dataset execution: none
+DATASET_QUERIES: set[str] = set()
 
 SCRIPT = r"""
 import json, sys, time, traceback

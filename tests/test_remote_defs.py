@@ -12,11 +12,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "mpds_ray"
 
-# The flagship engine's nested tasks go away with its rewrite (ROADMAP open
-# item 3, "One flagship engine"); it is the one module still allowed them.
-ALLOWED = {"pipelines/flagship.py"}
-
-
 def _is_ray_remote(dec: ast.expr) -> bool:
     target = dec.func if isinstance(dec, ast.Call) else dec
     return (
@@ -71,6 +66,4 @@ def test_no_nested_remote_functions():
         for rel in sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py"))
         if (defs := nested_remote_defs((PACKAGE / rel).read_text()))
     }
-    for rel in ALLOWED:
-        assert found.pop(rel, None), f"{rel} has no nested remote function: drop it from ALLOWED"
     assert not found, f"remote functions defined inside functions: {found}"

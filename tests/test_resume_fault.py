@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import shutil
 
 import numpy as np
@@ -60,11 +61,7 @@ def _read_back_xor(out_dir: str) -> int:
 
 class TestKillAndResume:
     @pytest.mark.parametrize("config", list(CONFIGS))
-    def test_mid_run_failure_then_resume_is_byte_identical(
-        self, ray_session, tmp_path, monkeypatch, config
-    ):
-        import mpds_ray.pipelines.flagship as fl
-
+    def test_mid_run_failure_then_resume_is_byte_identical(self, ray_session, tmp_path, config):
         d = cached_fixture_dir("small")
         kw = CONFIGS[config]
         clean_dir = str(tmp_path / "clean")
@@ -81,29 +78,18 @@ class TestKillAndResume:
         # a hash bucket's reduce
         victim = B if config == "salted_chunked" else 3
 
-        # interrupted run: the partition sink blows up at the commit of one
-        # partition the first time through (simulates a task/node death
-        # AFTER some partitions committed). The reduce tasks build their
-        # sink from the module's ``ChunkPartitionSink`` when they are
-        # shipped, so replacing the class reaches the workers.
-        poison = str(tmp_path / "poison_armed")
-        open(poison, "w").write("armed")
-
-        class FlakySink(fl.ChunkPartitionSink):
-            def close(self):
-                if self.bucket_id == victim and os.path.exists(poison):
-                    os.remove(poison)  # fail exactly once
-                    raise RuntimeError(f"injected fault: partition {victim} died at commit")
-                return super().close()
-
-        monkeypatch.setattr(fl, "ChunkPartitionSink", FlakySink)
-        with pytest.raises(Exception, match="injected fault"):
+        # interrupted run: one partition dies at its commit the first time
+        # through (simulates a task/node death AFTER some partitions
+        # committed): a directory holds its final path, so the sink's atomic
+        # rename fails in whichever worker runs it
+        blocker = os.path.join(crash_dir, f"part-{victim}.parquet")
+        os.makedirs(blocker)
+        with pytest.raises(Exception, match=f"Is a directory.*{re.escape(blocker)}"):
             run_flagship_exchange(
                 f"{d}/tokens.parquet", f"{d}/scores.parquet",
                 out_dir=crash_dir, num_buckets=B, **kw,
             )
-        monkeypatch.undo()
-        assert not os.path.exists(poison)
+        os.rmdir(blocker)  # fail exactly once
 
         # NB: sibling reduce tasks may still be committing when ray.get
         # raises, so the exact number of completed partitions at this point

@@ -17,7 +17,7 @@ from mpds_ray.pipelines.text import (
     simhash_batch,
     N_HASHES,
 )
-from mpds_ray.stages.multimodal import DecodeImage, FrameSampler, decode_pipeline, synth_media_table
+from mpds_ray.stages.multimodal import decode_image, sample_frames, synth_media_table
 
 rng = np.random.default_rng(42)
 SEEDS = _splitmix64(np.arange(1, N_HASHES + 1, dtype=np.uint64) * np.uint64(0x9E3779B9))
@@ -315,10 +315,9 @@ class TestKnn:
 
 class TestMultimodal:
     def test_decode_raises_on_undecodable_format(self):
-        # random bytes / PNG magic: no netpbm, no PIL in this container
-        dec = DecodeImage(fake=False)
-        with pytest.raises(NotImplementedError):
-            dec(synth_media_table(4).to_pandas())
+        # random bytes: neither netpbm magic
+        with pytest.raises(NotImplementedError, match="magic"):
+            decode_image(synth_media_table(4))
 
     def test_netpbm_decode_roundtrip(self):
         from mpds_ray.stages.multimodal import decode_netpbm, synth_ppm_payload
@@ -342,17 +341,17 @@ class TestMultimodal:
         assert abs(float(np.sqrt((x**2).mean())) - 0.3536) < 0.03
 
     def test_real_decode_pipeline(self, ray_session):
-        """REAL codecs end-to-end through the actor pool: PPM images decode
-        to true (h, w) and pixel means; WAV audio decodes to true duration
-        and RMS."""
+        """REAL codecs end-to-end, one task per fixed slice: PPM images
+        decode to true (h, w) and pixel means; WAV audio decodes to true
+        duration and RMS."""
         import pyarrow.compute as pc
-        import ray.data as rd
 
-        from mpds_ray.stages.multimodal import DecodeAudio, decode_netpbm, decode_wav
+        from mpds_ray.pipelines.media import decode_rows
+        from mpds_ray.stages.multimodal import decode_audio, decode_netpbm, decode_wav
 
         t = synth_media_table(36, seed=9, real=True)
         imgs = t.filter(pc.equal(t["kind"], "image"))
-        out = decode_pipeline(rd.from_arrow(imgs), fake=False, batch_size=8).to_pandas()
+        out = decode_rows(decode_image, imgs, "test")
         assert len(out) == imgs.num_rows > 0
         ref = decode_netpbm(bytes(imgs["payload"][0].as_py()))
         got0 = out.loc[out["media_id"] == imgs["media_id"][0].as_py()].iloc[0]
@@ -360,39 +359,13 @@ class TestMultimodal:
         assert got0["thumb_height"] == min(ref.shape[0], 64)
 
         auds = t.filter(pc.equal(t["kind"], "audio"))
-        aout = (
-            rd.from_arrow(auds)
-            .map_batches(DecodeAudio, batch_format="pandas", batch_size=8, concurrency=2)
-            .to_pandas()
-        )
+        aout = decode_rows(decode_audio, auds, "test")
         assert len(aout) == auds.num_rows > 0
         x, sr = decode_wav(bytes(auds["payload"][0].as_py()))
         got0 = aout.loc[aout["media_id"] == auds["media_id"][0].as_py()].iloc[0]
         assert got0["duration_s"] == pytest.approx(x.shape[0] / sr, abs=1e-6)
         assert got0["rms"] == pytest.approx(float(np.sqrt((x**2).mean())), abs=1e-6)
         assert got0["sample_rate"] == 16_000
-
-    def test_fake_decode_pipeline(self, ray_session):
-        import ray.data as rd
-
-        media = rd.from_arrow(synth_media_table(32))
-        out = decode_pipeline(media, fake=True, batch_size=8, concurrency=2).to_pandas()
-        assert len(out) == 32
-        assert {"media_id", "decoded_mean", "thumb_width"} <= set(out.columns)
-        # deterministic across runs
-        out2 = decode_pipeline(
-            rd.from_arrow(synth_media_table(32)), fake=True, batch_size=8, concurrency=2
-        ).to_pandas()
-        pd.testing.assert_frame_equal(
-            out.sort_values("media_id").reset_index(drop=True),
-            out2.sort_values("media_id").reset_index(drop=True),
-        )
-
-    def test_frame_sampler_fanout(self):
-        b = synth_media_table(6).to_pandas()
-        out = FrameSampler(n_frames=3)(b)
-        assert len(out) == 18
-        assert out.groupby("media_id")["frame_idx"].nunique().eq(3).all()
 
     def test_y4m_roundtrip(self):
         from mpds_ray.stages.multimodal import decode_y4m, synth_y4m_payload
@@ -414,7 +387,7 @@ class TestMultimodal:
     def test_frame_sampler_real_decode(self):
         from mpds_ray.stages.multimodal import synth_y4m_payload
 
-        b = pd.DataFrame(
+        b = pa.table(
             {
                 "media_id": [1, 2],
                 "payload": [
@@ -423,7 +396,7 @@ class TestMultimodal:
                 ],
             }
         )
-        out = FrameSampler(n_frames=4, fake=False)(b)
+        out = sample_frames(b, n_frames=4)
         # 4 evenly-spaced distinct frames of 10; only 2 exist for media 2
         assert list(out[out.media_id == 1]["frame_idx"]) == [0, 2, 5, 7]
         assert list(out[out.media_id == 2]["frame_idx"]) == [0, 1]
@@ -431,14 +404,14 @@ class TestMultimodal:
         # luma stats match a direct recompute
         from mpds_ray.stages.multimodal import decode_y4m
 
-        frames, _, _ = decode_y4m(bytes(b["payload"][0]))
+        frames, _, _ = decode_y4m(b["payload"][0].as_py())
         row = out[(out.media_id == 1) & (out.frame_idx == 2)].iloc[0]
         assert row["y_mean"] == round(float(frames[2].astype(np.float64).mean()), 6)
 
     def test_frame_sampler_unknown_codec_raises(self):
-        b = pd.DataFrame({"media_id": [1], "payload": [b"\x00\x01\x02\x03" * 64]})
-        with pytest.raises(NotImplementedError):
-            FrameSampler(fake=False)(b)
+        b = pa.table({"media_id": [1], "payload": [b"\x00\x01\x02\x03" * 64]})
+        with pytest.raises(NotImplementedError, match="magic"):
+            sample_frames(b)
 
 
 class TestSegmentVectorizedParity:
