@@ -14,7 +14,7 @@ kept only as perfbench's reference engine:
 - stateful sequential scans (``mpds_ray.stages``) — sessionization, lag/lead,
   LOCF/backfill with expiration, interpolation, debounce/gap-merge, and the
   flagship sort-merge **as-of join** (range-partition by entity -> per-partition
-  timestamp sort -> vectorized two-pointer/searchsorted merge);
+  timestamp sort -> one exact composite-key searchsorted per partition);
 - relational operators (``mpds_ray.pipelines``) — grouped aggregates, joins,
   top-k, dedup, sampling — with map-side partial aggregation before any
   exchange and tie-aware partial top-k;

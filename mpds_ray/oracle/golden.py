@@ -32,6 +32,10 @@ GOLDEN_QUERIES = (
     "session_spectral_features",
 )
 
+# goldens whose query builds its input from a fixed seed, not from the SF
+# directory: they apply at every SF, the others only at sf0.01
+SF_INDEPENDENT_GOLDENS = ("media_decode_features", "video_frame_features")
+
 
 def golden_path(name: str) -> str:
     return os.path.join(REPO_ROOT, "golden", f"{name}.parquet")

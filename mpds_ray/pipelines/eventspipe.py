@@ -668,9 +668,10 @@ def hourly_user_value_grid(sf_dir: str):
     """Resample each user's irregular value stream onto the exact hourly
     grid inside their span via LOCF — the align-to-grid shape (reference
     T7 sample-and-hold driven by a GENERATED grid + as-of join). Grid
-    points are built vectorized from per-user span bounds (repeat/arange),
-    and the hold itself is one bucket-local ``pd.merge_asof`` (C kernel,
-    by=user) — no window shuffle, no per-user loop; output is
+    points are built vectorized from per-user span bounds (repeat/arange)
+    in (user, grid_ts) order, and the hold itself is one bucket-local
+    backward ``asof_join_arrays`` (no re-sort, no per-user loop; among
+    equal timestamps it takes the last row); output is
     grid-domain-bounded (hours in span × users)."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
@@ -681,26 +682,11 @@ def hourly_user_value_grid(sf_dir: str):
         g0 = np.ceil(ts[starts] / 3600.0).astype(np.int64)
         g1 = np.floor(ts[ends] / 3600.0).astype(np.int64)
         cnt = np.maximum(g1 - g0 + 1, 0)
-        total = int(cnt.sum())
-        if total == 0:
-            return pd.DataFrame({"user_id": [], "grid_ts": [], "value": []})
-        cfirst = np.r_[0, np.cumsum(cnt)[:-1]]
-        within = np.arange(total, dtype=np.int64) - np.repeat(cfirst, cnt)
-        grid = pd.DataFrame(
-            {
-                "user_id": np.repeat(u[starts], cnt),
-                "ts": (np.repeat(g0, cnt) + within) * 3600.0,
-            }
-        )
-        ev = g[["user_id", "ts", "value"]]
-        out = pd.merge_asof(
-            grid.sort_values("ts", kind="mergesort"),
-            ev.sort_values("ts", kind="mergesort"),
-            on="ts",
-            by="user_id",
-        )
-        out = out.rename(columns={"ts": "grid_ts"})
-        return out.sort_values(["user_id", "grid_ts"])
+        within = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        grid_u = np.repeat(u[starts], cnt)
+        grid_ts = (np.repeat(g0, cnt) + within) * 3600.0
+        joined = asof_join_arrays(grid_u, grid_ts, u, ts, {"value": g["value"].to_numpy()})
+        return pd.DataFrame({"user_id": grid_u, "grid_ts": grid_ts, "value": joined["value"]})
 
     parts = _per_bucket_events(sf_dir, ["value"], fn)
     return parts.sort_values(["user_id", "grid_ts"]).reset_index(drop=True)
@@ -709,8 +695,9 @@ def hourly_user_value_grid(sf_dir: str):
 GRID_SQL = """
 WITH e AS (
   -- pin the duplicate-(user, ts) tie the way the engine resolves it:
-  -- merge_asof takes the LAST row among equal timestamps, which after the
-  -- bucket's stable (user, ts, event_id) sort is the max-event_id row;
+  -- the backward as-of search takes the LAST row among equal timestamps,
+  -- which after the bucket's stable (user, ts, event_id) sort is the
+  -- max-event_id row;
   -- a bare ASOF JOIN picks an unspecified tie, so dedupe with arg_max
   SELECT user_id, epoch(ts) AS ts, arg_max(value, event_id) AS value
   FROM events GROUP BY user_id, epoch(ts)
@@ -1071,8 +1058,9 @@ def nearest_purchase_for_views(sf_dir: str):
     EITHER time direction (the pre/post variant of the flagship backward
     as-of; reference event-window lookups, dssFunctionLibrary.R:1419-1503).
     Same bucketed-exchange plan as ``asof_purchase_for_views``; the nearest
-    direction is two searchsorted passes + an elementwise argmin, still one
-    vectorized merge per entity segment. Views whose user never purchases
+    direction is the bucket's backward and forward composite-key searches
+    (stages/partition.search_runs) + an elementwise argmin, with no
+    per-entity loop. Views whose user never purchases
     drop (inner semantics). Ties are impossible at microsecond resolution
     (verified: zero duplicate purchase ts / equidistant pairs at every SF)."""
 
@@ -1872,26 +1860,26 @@ def views_before_purchase(sf_dir: str):
     """Range (interval) join: for each purchase, the count and value-sum of
     the same user's 'view' events in the trailing 7-day window
     ``[ts - 7d, ts)``. Rides the entity-complete bucket exchange; inside a
-    bucket the trailing-window lookup is ONE composite-key searchsorted pair
-    over integer microseconds (stages/asof.py:range_join_sorted) — exact
-    window edges, no per-row or per-entity Python loop."""
+    bucket the trailing-window lookup is two exact composite-key searches
+    over (user, integer microseconds) (stages/asof.py:range_join_sorted) —
+    exact window edges, no per-row or per-entity Python loop."""
     from ..stages.asof import range_join_sorted
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)  # nondecreasing: g is user-sorted
+        user = g["user_id"].to_numpy()
         ts_us = np.round(g["ts"].to_numpy() * 1e6).astype(np.int64)
         etype = g["event_type"].to_numpy()
         is_p = etype == "purchase"
         is_v = etype == "view"
         cnt, sm = range_join_sorted(
-            codes[is_p], ts_us[is_p],
-            codes[is_v], ts_us[is_v], g["value"].to_numpy()[is_v],
+            user[is_p], ts_us[is_p],
+            user[is_v], ts_us[is_v], g["value"].to_numpy()[is_v],
             RANGE_JOIN_WINDOW_S * 1_000_000,
         )
         return pd.DataFrame(
             {
                 "event_id": g["event_id"].to_numpy()[is_p],
-                "user_id": g["user_id"].to_numpy()[is_p],
+                "user_id": user[is_p],
                 "n_views_7d": cnt,
                 "sum_view_value_7d": np.round(sm, 2),
             }

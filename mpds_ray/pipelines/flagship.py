@@ -9,7 +9,7 @@
             (entity, ts) sort, integer entity codes        [establish invariant]
             sessionize (gap threshold, per-entity ordinals)
             per-entity lag/lead + prefix features
-            galloping as-of merge of scores (backward, tolerance)
+            as-of search of scores (backward, tolerance)
             LOCF-with-expiration backfill of the joined score
          with the boundary entity's scan state carried from chunk to chunk
       -> resumable partitioned sink + lineage manifest     [ChunkPartitionSink]
@@ -111,11 +111,8 @@ def _fused_bucket_fn(
     def fn(g: pa.Table):
         left = g.filter(pc.equal(g[_SIDE], 0))
         right = g.filter(pc.equal(g[_SIDE], 1))
-        bucket_id = g[_BUCKET][0].as_py()
-        out = process_bucket(
-            left, right, entity, ts, session_gap, tolerance, stat_cols, bucket_id
-        )
-        return out if sink is None else sink(out, bucket_id)
+        out = process_bucket(left, right, entity, ts, session_gap, tolerance, stat_cols)
+        return out if sink is None else sink(out, g[_BUCKET][0].as_py())
 
     return fn
 
@@ -128,22 +125,25 @@ def process_bucket(
     session_gap: float,
     tolerance: float | None,
     stat_cols: list[str],
-    bucket_id: int,
 ) -> pa.Table:
     """The per-bucket scan core, shared by the Dataset groupby path and the
     explicit hash-exchange path: establish the (entity, ts) sort, sessionize,
-    lag/lead, prefix features, as-of merge, LOCF backfill.
+    lag/lead, prefix features, as-of search, LOCF backfill.
 
     Each side is sorted once, stably; one ``dictionary_encode`` over both
-    sides' entity columns gives the integer entity codes every scan runs
-    on. Returns the sorted left rows (without the union's tag and score
-    columns) with the feature columns appended, every float NaN as a null."""
+    sides' entity columns, its dictionary ranked, gives the integer entity
+    codes every scan runs on. The codes follow the entity values' order, so
+    both sorted sides have nondecreasing codes, as the as-of search needs.
+    Returns the sorted left rows (without the union's tag and score columns)
+    with the feature columns appended, every float NaN as a null."""
     keys = [(entity, "ascending"), (ts, "ascending")]
     left = left.take(pc.sort_indices(left, sort_keys=keys))
     right = right.take(pc.sort_indices(right, sort_keys=keys))
-    codes = pa.chunked_array(
+    enc = pa.chunked_array(
         left[entity].chunks + right[entity].chunks, type=left[entity].type
-    ).combine_chunks().dictionary_encode().indices.to_numpy()
+    ).combine_chunks().dictionary_encode()
+    rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy().astype(np.int64)
+    codes = rank[enc.indices.to_numpy()]
     ids, r_ids = codes[: left.num_rows], codes[left.num_rows :]
     out = left.drop_columns([c for c in (_SIDE, _BUCKET, "score") if c in left.column_names])
     # a float NaN is written as a null, the stat columns' NaNs included
@@ -171,20 +171,17 @@ def process_bucket(
         feats["run_twmean"] = pf["twmean"]
 
     # as-of merge of scores (backward + tolerance) — zero temporal leakage
-    if right.num_rows:
-        joined = asof_join_arrays(
-            ids,
-            t,
-            r_ids,
-            right[ts].to_numpy().astype(np.float64),
-            {"score": right["score"].to_numpy()},
-            tolerance=tolerance,
-            direction="backward",
-        )
-        feats["score_asof"] = joined["score"]
-        feats["score_asof_ts"] = joined["_matched_ts"]
-    else:
-        feats["score_asof"] = feats["score_asof_ts"] = np.full(len(t), np.nan)
+    joined = asof_join_arrays(
+        ids,
+        t,
+        r_ids,
+        right[ts].to_numpy().astype(np.float64),
+        {"score": right["score"].to_numpy()},
+        tolerance=tolerance,
+        direction="backward",
+    )
+    feats["score_asof"] = joined["score"]
+    feats["score_asof_ts"] = joined["_matched_ts"]
 
     # backfill: LOCF-with-expiration of the aligned score along the row grid
     lf = locf_with_expiration(
@@ -192,7 +189,6 @@ def process_bucket(
     )
     feats["score_locf"] = lf["locf"]
     feats["secs_since_score"] = lf["time_since_last_sample"]
-    feats[_BUCKET] = np.full(len(t), bucket_id, dtype=np.int32)
     return pa.Table.from_arrays(
         out.columns + [nan_to_null(v) for v in feats.values()],
         names=out.column_names + list(feats),
@@ -312,7 +308,6 @@ def scan_chunks_with_carry(
     session_gap: float,
     tolerance: float | None,
     stat_cols: list[str],
-    bucket_id: int,
     emit,
 ) -> None:
     """The per-bucket scan of the flagship's one reduce protocol: consume
@@ -334,10 +329,7 @@ def scan_chunks_with_carry(
     for chunk in chunks:
         if not chunk.num_rows:
             continue
-        feats = process_bucket(
-            chunk, right, entity, ts, session_gap, tolerance, stat_cols,
-            bucket_id=bucket_id,
-        )
+        feats = process_bucket(chunk, right, entity, ts, session_gap, tolerance, stat_cols)
         ids = feats[entity]
         first_e, last_e = ids[0].as_py(), ids[-1].as_py()
         # carry-OUT summary must reflect LOCAL (pre-fix) scan state — session
@@ -348,9 +340,9 @@ def scan_chunks_with_carry(
         # patch the held-back table's tail lag and release it
         if pending is not None:
             if pending_last_e == first_e:
-                stn = pending["secs_to_next"].to_numpy().astype(np.float64)
-                stn[-1] = float(feats[ts][0].as_py()) - float(pending[ts][-1].as_py())
-                pending = with_columns(pending, {"secs_to_next": stn})
+                pending = flagship_apply_carry(
+                    pending, None, float(feats[ts][0].as_py()), ts, stat_cols[0], session_gap
+                )
             emit(pending)
         # apply carry-in to the prefix belonging to the boundary entity
         if carry is not None and first_e == carry_e:
@@ -391,12 +383,11 @@ class ChunkPartitionSink:
         self.checksum = 0
 
     def emit(self, tbl: pa.Table) -> None:
-        body = tbl.drop_columns([_BUCKET]) if _BUCKET in tbl.column_names else tbl
         if self.writer is None:
-            self.writer = pq.ParquetWriter(self.tmp, body.schema)
-        self.writer.write_table(body)
-        self.rows += body.num_rows
-        self.checksum ^= frame_checksum(body)
+            self.writer = pq.ParquetWriter(self.tmp, tbl.schema)
+        self.writer.write_table(tbl)
+        self.rows += tbl.num_rows
+        self.checksum ^= frame_checksum(tbl)
 
     def close(self) -> bool:
         if self.writer is None:
@@ -558,14 +549,14 @@ def reduce_bucket(plan: ScanPlan, b: int, skip: bool, right: pa.Table, *parts):
             )
         scan_chunks_with_carry(
             chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
-            plan.stat_cols, b, emit,
+            plan.stat_cols, emit,
         )
 
     return plan.commit(b, plan.contributors(parts), skip, scan)
 
 
 @ray.remote(num_returns=3)
-def scan_range(plan: ScanPlan, b: int, right: pa.Table, *parts):
+def scan_range(plan: ScanPlan, right: pa.Table, *parts):
     """Phase 1 of a salted range: scan it alone. Its compact carry summary
     rides back separately, so the driver's fold never fetches the features
     table."""
@@ -574,7 +565,7 @@ def scan_range(plan: ScanPlan, b: int, right: pa.Table, *parts):
         return None, None, []
     feats = process_bucket(
         _one_chunk(parts), right, plan.entity, plan.ts, plan.session_gap,
-        plan.tolerance, plan.stat_cols, bucket_id=b,
+        plan.tolerance, plan.stat_cols,
     )
     return feats, chunk_carry_info(feats, plan.ts, plan.stat_cols[0]), frags
 
@@ -714,7 +705,7 @@ def run_flagship_exchange(
     for e, (off, bounds) in spec.items():
         ranges = range(num_buckets + off, num_buckets + off + bounds.size + 1)
         right = ray.put(scores.filter(pc.equal(scores[entity], e)))
-        phase1 = [scan_range.remote(plan, b, right, *slices(b)) for b in ranges]
+        phase1 = [scan_range.remote(plan, right, *slices(b)) for b in ranges]
         infos = ray.get([p[1] for p in phase1])
         # driver-side sequential fold (microseconds per range) -> carry-ins;
         # all fix tasks then launch in parallel

@@ -10,7 +10,9 @@ processes (pandas' uint64 hash), so resumes and oracle comparisons agree.
 Every operator then scans its sorted bucket run by run, and ``run_bounds``
 is the one rule for where the runs are: a run of rows sorted by one or
 more keys starts at row 0 and wherever any key differs from the row
-before, and ends where the next run starts.
+before, and ends where the next run starts. ``search_runs`` is the one
+rule for where a (entity, ts) lookup lands in another side's sorted runs;
+every as-of, nearest, range and grid join is built on it.
 """
 
 from __future__ import annotations
@@ -37,3 +39,24 @@ def run_bounds(*keys) -> tuple[np.ndarray, np.ndarray]:
         new[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(new)
     return starts, np.diff(np.append(starts, n))
+
+
+def search_runs(l_id, l_key, r_id, r_key, side: str = "left") -> np.ndarray:
+    """For each left row, the position of ``(l_id, l_key)`` in the right
+    rows, which are sorted by (id, key): ``np.searchsorted`` over the pairs,
+    with its ``side``. The left rows may be in any order.
+
+    Both sides map to one int64 composite key ``code * (U + 1) + rank``:
+    ``code`` is the id's position among both sides' distinct ids, ``rank``
+    the key's among both sides' U distinct keys (NaN ranks last, as NumPy
+    sorts it). Every comparison is then on integers, so the search is exact
+    for float keys, ties and id domains of any size. Raises ``ValueError``
+    when the right rows are not sorted by (id, key)."""
+    n = len(l_id)
+    _, code = np.unique(np.concatenate([l_id, r_id]), return_inverse=True)
+    keys, rank = np.unique(np.concatenate([l_key, r_key]), return_inverse=True)
+    comp = code.astype(np.int64) * (keys.size + 1) + rank
+    r_comp = comp[n:]
+    if np.any(r_comp[1:] < r_comp[:-1]):
+        raise ValueError("right rows are not sorted by (id, key)")
+    return np.searchsorted(r_comp, comp[:n], side=side)

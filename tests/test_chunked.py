@@ -125,14 +125,14 @@ class TestScanChunksWithCarry:
         left, right = _bucket_fixture()
         flat = process_bucket(
             left, right, "doc_id", "ts", 300.0, 3_600.0,
-            ["tok_mean"], bucket_id=0,
+            ["tok_mean"],
         )
         srt = _sorted(left)
         chunks = [srt.slice(i, chunk_rows) for i in range(0, srt.num_rows, chunk_rows)]
         got: list[pa.Table] = []
         scan_chunks_with_carry(
             iter(chunks), right, "doc_id", "ts", 300.0, 3_600.0,
-            ["tok_mean"], 0, got.append,
+            ["tok_mean"], got.append,
         )
         merged = pa.concat_tables(got)
         # chunk-boundary state (session offsets, lag, cummax, twmean chain,
@@ -145,14 +145,14 @@ class TestScanChunksWithCarry:
         left, right = _bucket_fixture(n_rows=900, n_entities=3)
         flat = process_bucket(
             left, right, "doc_id", "ts", 120.0, None,
-            ["tok_mean"], bucket_id=2,
+            ["tok_mean"],
         )
         srt = _sorted(left)
         chunks = [srt.slice(i, 113) for i in range(0, 900, 113)]
         got: list[pa.Table] = []
         scan_chunks_with_carry(
             iter(chunks), right, "doc_id", "ts", 120.0, None,
-            ["tok_mean"], 2, got.append,
+            ["tok_mean"], got.append,
         )
         merged = pa.concat_tables(got)
         pd.testing.assert_frame_equal(merged.to_pandas(), flat.to_pandas(), check_exact=True)
@@ -245,13 +245,7 @@ class TestSaltedChunked:
             str(tok_dir), f"{tmp_path}/scores.parquet", num_buckets=4,
             salt=True, salt_threshold=0.2, salt_min_rows=1_000, chunk_rows=1_500,
         )
-        key = [c for c in flat.columns if c != "_bucket"]
-
         def canon(df):
-            return (
-                df[key]
-                .sort_values(key, kind="mergesort")
-                .reset_index(drop=True)
-            )
+            return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
         pd.testing.assert_frame_equal(canon(flat), canon(salted), check_exact=True)

@@ -107,6 +107,18 @@ class TestExchangeFlagship:
                                     out_dir=b, num_buckets=8)
         assert res["skipped"].all()
 
+    def test_in_memory_result_is_bucket_count_invariant(self, ray_session):
+        """With out_dir=None the returned features hold only the written
+        columns, so one bucket and eight give the same frame."""
+        d = cached_fixture_dir("small")
+        one, eight = (
+            run_flagship_exchange(f"{d}/tokens.parquet", f"{d}/scores.parquet",
+                                  num_buckets=b, salt=False)
+            .sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
+            for b in (1, 8)
+        )
+        pd.testing.assert_frame_equal(one, eight, check_exact=True)
+
 
 class TestWideOutput:
     def test_wide_output_token_byte_identity(self, ray_session, tmp_path):

@@ -36,7 +36,7 @@ def _flagship_output() -> pa.Table:
         "ts": pa.array(rng.integers(0, 40_000, k)),
         "score": rng.normal(50, 10, k),
     })
-    return process_bucket(left, right, "doc_id", "ts", 300.0, 2_000.0, ["tok_mean"], 0)
+    return process_bucket(left, right, "doc_id", "ts", 300.0, 2_000.0, ["tok_mean"])
 
 
 def test_output_covers_the_column_kinds():

@@ -1,8 +1,8 @@
 """range_join_sorted (stages/asof.py): the trailing-window non-equi join.
 
-Oracle: a quadratic per-pair loop. Covers the composite-key fast path, the
->2**53 per-entity segment fallback (same outputs), exact window edges, and
-the grouped quantile-summary merge math (stages/sketch.py keyed variant).
+Oracle: a quadratic per-pair loop. Covers the composite-key search, a huge
+sparse entity-code domain (same outputs), exact window edges, and the
+grouped quantile-summary merge math (stages/sketch.py keyed variant).
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ def test_fast_path_matches_naive():
 
 
 def test_segment_fallback_matches_fast_path():
-    """Entity codes large enough that (max_ent+1)*offset > 2**53 force the
-    per-entity segment loop; outputs must be identical to the naive oracle."""
+    """Entity codes in a huge sparse domain (up to 2**44, far past float64's
+    exact integers once combined with the ts span); outputs must be
+    identical to the naive oracle."""
     rng = np.random.default_rng(1)
     le, lt, re_, rt, rv = make_case(rng, n_ent=5)
     # remap codes to a huge sparse domain (sortedness is preserved)

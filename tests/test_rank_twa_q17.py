@@ -436,8 +436,8 @@ def test_top_users_with_ties_keeps_ties(ray_session, tmp_path):
 
 
 def test_hourly_grid_duplicate_ts_tie_pinned(ray_session, tmp_path):
-    """Two events at the IDENTICAL (user, ts): the engine's merge_asof takes
-    the max-event_id row (last among equal ts after the stable bucket sort);
+    """Two events at the IDENTICAL (user, ts): the engine's backward as-of
+    search takes the max-event_id row (last among equal ts after the stable bucket sort);
     the oracle pins the same choice via arg_max — both must return v=9."""
     import duckdb
 

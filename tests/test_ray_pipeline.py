@@ -71,9 +71,7 @@ class TestFlagship:
             .sort_values(["doc_id", "ts"])
             .reset_index(drop=True)
         )
-        pd.testing.assert_frame_equal(
-            a.drop(columns=["_bucket"]), b.drop(columns=["_bucket"])
-        )
+        pd.testing.assert_frame_equal(a, b)
 
     def test_resumable_sink(self, tiny_dir):
         out_dir = "/tmp/mpds_test_out/flagship"

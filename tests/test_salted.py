@@ -62,9 +62,7 @@ class TestDistributedSalting:
         return str(tok_dir), str(tmp_path / "scores.parquet")
 
     def _canon(self, df):
-        df = df.drop(columns=["_bucket"], errors="ignore")
-        df = df.sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
-        return df
+        return df.sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
 
     def test_salted_byte_identical_and_bounded(self, ray_session, tmp_path):
         from mpds_ray.pipelines.flagship import detect_salt_spec, run_flagship_exchange
@@ -206,7 +204,7 @@ class TestCarryChainNaNEdges:
         gap, tol = 200.0, 500.0
         left, right = self._entity_frame()
         want = process_bucket(
-            left, right, "doc_id", "ts", gap, tol, ["tok_mean"], bucket_id=0
+            left, right, "doc_id", "ts", gap, tol, ["tok_mean"]
         )
 
         bounds = [0] + cuts + [left.num_rows]
@@ -214,7 +212,7 @@ class TestCarryChainNaNEdges:
             left.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(bounds) - 1)
         ]
         feats = [
-            process_bucket(c, right, "doc_id", "ts", gap, tol, ["tok_mean"], bucket_id=0)
+            process_bucket(c, right, "doc_id", "ts", gap, tol, ["tok_mean"])
             for c in chunks
         ]
         infos = [chunk_carry_info(f, "ts", "tok_mean") for f in feats]
