@@ -21,7 +21,7 @@ from ..stages.scans import (
     time_since_to_event,
 )
 from ..stages.exchange import hash_exchange, shard_map
-from ..stages.partition import run_bounds
+from ..stages.partition import run_bounds, search_runs, seg_accumulate
 from ..stages.sessionize import sessionize_gap
 from ..stages.sketch import kmv_merge_count, kmv_partial, shard_quantiles
 from .common import round_half_away, shard_groupby_sum, shard_list
@@ -1359,29 +1359,23 @@ SLIDE_WIN = 600.0
 
 def sliding_window_mean(sf_dir: str):
     """Per event: mean/count of ``value`` over the trailing 600 s window of
-    the same user (inclusive) — two-pointer window via prefix sums +
-    searchsorted per entity segment, no per-row loop."""
+    the same user (inclusive): the window's first row is one ``search_runs``
+    call, its sum a per-user running sum minus the sum before that row."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         ids = g["user_id"].to_numpy()
         t = g["ts"].to_numpy()
         v = g["value"].to_numpy()
-        out_mean = np.empty(len(g))
-        out_n = np.empty(len(g), dtype=np.int64)
         starts, lens = run_bounds(ids)
-        for s, e in zip(starts, starts + lens):
-            seg_t = t[s:e]
-            prefix = np.r_[0.0, np.cumsum(v[s:e])]
-            lo = np.searchsorted(seg_t, seg_t - SLIDE_WIN, side="left")
-            hi = np.arange(1, e - s + 1)
-            cnt = hi - lo
-            out_mean[s:e] = (prefix[hi] - prefix[lo]) / cnt
-            out_n[s:e] = cnt
+        lo = search_runs(ids, t - SLIDE_WIN, ids, t, side="left")
+        csum = seg_accumulate(np.add, v, starts, lens)
+        before = np.where(lo > np.repeat(starts, lens), csum[lo - 1], 0.0)
+        cnt = np.arange(len(g)) + 1 - lo
         return pd.DataFrame(
             {
                 "event_id": g["event_id"],
-                "win_mean": np.round(out_mean, 6),
-                "win_n": out_n,
+                "win_mean": np.round((csum - before) / cnt, 6),
+                "win_n": cnt,
             }
         )
 

@@ -12,7 +12,9 @@ is the one rule for where the runs are: a run of rows sorted by one or
 more keys starts at row 0 and wherever any key differs from the row
 before, and ends where the next run starts. ``search_runs`` is the one
 rule for where a (entity, ts) lookup lands in another side's sorted runs;
-every as-of, nearest, range and grid join is built on it.
+every as-of, nearest, range and grid join is built on it. ``seg_accumulate``
+is the one segmented scan: a prefix scan restarted at each run, on which
+every per-entity cumulative, trapezoid and window sum is built.
 """
 
 from __future__ import annotations
@@ -60,3 +62,27 @@ def search_runs(l_id, l_key, r_id, r_key, side: str = "left") -> np.ndarray:
     if np.any(r_comp[1:] < r_comp[:-1]):
         raise ValueError("right rows are not sorted by (id, key)")
     return np.searchsorted(r_comp, comp[:n], side=side)
+
+
+def seg_accumulate(ufunc: np.ufunc, x, starts, lens) -> np.ndarray:
+    """``ufunc.accumulate`` restarted at every run: ``out[s:s+l]`` is
+    ``ufunc.accumulate(x[s:s+l])`` for each run ``(s, l)``; rows outside the
+    (disjoint) runs keep ``x``. Runs of length in ``(L/2, L]`` form one
+    ``(runs, L)`` matrix, padded at the tail and accumulated along its rows:
+    the same left-to-right operations as a per-run accumulate, so the result
+    is bit-identical to it (a sequential sum, not a compensated or pairwise
+    one). The loop is over the at most log2(longest run) + 1 classes."""
+    x = np.asarray(x)
+    out = x.copy()
+    keep = np.asarray(lens) > 0
+    starts, lens = np.asarray(starts)[keep], np.asarray(lens)[keep]
+    cls = np.frexp(lens - 1)[1]  # bit length of lens - 1: L = 2**cls >= lens
+    for c in np.unique(cls):
+        sel = cls == c
+        st, ln = starts[sel], lens[sel]
+        col = np.arange(1 << int(c))
+        idx = st[:, None] + np.minimum(col, (ln - 1)[:, None])
+        acc = ufunc.accumulate(x[idx], axis=1)
+        real = col < ln[:, None]
+        out[idx[real]] = acc[real]
+    return out

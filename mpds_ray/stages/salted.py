@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .scans import trapezoid_area
+
 
 def nan_to_null(values: np.ndarray) -> pa.Array:
     """An Arrow column of ``values`` with every float NaN as a null."""
@@ -73,7 +75,7 @@ def chunk_carry_info(
         "last_s": float(s[-1]),
         "sess_local_end": int(tbl[session_col][-1].as_py()),
         "local_max": float(np.fmax.reduce(s)),
-        "areas": np.nan_to_num(0.5 * (s[1:] + s[:-1]) * (t[1:] - t[:-1]), nan=0.0),
+        "areas": trapezoid_area(s[1:], s[:-1], t[1:], t[:-1]),
         "locf_val": float(sa[nn[-1]]) if nn.size else np.nan,
         "locf_ts": float(t[nn[-1]]) if nn.size else np.nan,
         "n": int(tbl.num_rows),
@@ -97,10 +99,7 @@ def fold_carry(carry: dict | None, info: dict | None, gap: float) -> dict | None
         offset = carry["sess_end"] + (0 if merge else 1)
         start_area = carry["cum_area_end"]
         bridge = float(
-            np.nan_to_num(
-                0.5 * (info["first_s"] + carry["last_s"]) * (info["first_ts"] - carry["last_ts"]),
-                nan=0.0,
-            )
+            trapezoid_area(info["first_s"], carry["last_s"], info["first_ts"], carry["last_ts"])
         )
         t0, s0 = carry["t0"], carry["s0"]
         prev_cummax = carry["cummax"]
@@ -151,10 +150,8 @@ def flagship_apply_carry(
         loc = _f64(tbl, "run_cummax")
         cols["run_cummax"] = np.where(np.isnan(loc), loc, np.fmax(loc, carry["cummax"]))
         # twmean: replay the exact sequential cum-area chain from the carry
-        bridge = np.nan_to_num(
-            0.5 * (s[0] + carry["last_s"]) * (t[0] - carry["last_ts"]), nan=0.0
-        )
-        a = np.nan_to_num(0.5 * (s[1:] + s[:-1]) * (t[1:] - t[:-1]), nan=0.0)
+        bridge = trapezoid_area(s[0], carry["last_s"], t[0], carry["last_ts"])
+        a = trapezoid_area(s[1:], s[:-1], t[1:], t[:-1])
         cum = np.cumsum(np.r_[carry["cum_area_end"], bridge, a])[1:]
         span = t - carry["t0"]
         cols["run_twmean"] = np.where(span > 0, cum / np.where(span > 0, span, 1.0), carry["s0"])

@@ -1,12 +1,12 @@
 """Vectorized sequential-scan operators (engine side).
 
 Same semantics as ``mpds_ray.oracle.scans`` (the loop oracle transliterated
-from mimicUsefulFunction.R) but vectorized over the entity runs of
-``partition.run_bounds``: the forward/backward scans are NumPy segment
-operations (last/next valid row within the run, then a copy and one
-subtraction), the remaining scans use pandas grouped ffill/bfill/cum* —
-no Python loop over rows. Inputs are arrays sorted by (entity, ts), where
-an entity is a run of equal ids (the flagship passes integer entity codes);
+from mimicUsefulFunction.R) but in NumPy over the entity runs of
+``partition.run_bounds``, with no loop over rows or entities: fills, shifts
+and firsts are index arithmetic on the runs (the last/next valid row within
+the run), cumulative scans are ``partition.seg_accumulate`` and per-run
+spans ``reduceat``. Inputs are arrays sorted by (entity, ts), where an
+entity is a run of equal ids (the flagship passes integer entity codes);
 outputs are aligned arrays. They run in the reduce task of a hash exchange
 on one (entity, ts)-sorted bucket, which holds every row of its entities,
 so no cross-bucket carry state is needed (see stages/partition.py; a salted
@@ -16,13 +16,8 @@ heavy entity is stitched by stages/salted.py).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from .partition import run_bounds
-
-
-def _series(x) -> pd.Series:
-    return pd.Series(np.asarray(x))
+from .partition import run_bounds, seg_accumulate
 
 
 def _last_valid(valid: np.ndarray, run_start: np.ndarray, strict: bool) -> np.ndarray:
@@ -57,6 +52,14 @@ def _run_rows(id_arr) -> tuple[np.ndarray, np.ndarray]:
     """Each row's entity-run start and end (exclusive)."""
     starts, lens = run_bounds(id_arr)
     return np.repeat(starts, lens), np.repeat(starts + lens, lens)
+
+
+def trapezoid_area(s, s_prev, t, t_prev):
+    """The trapezoid area between two samples, ``0.5 * (s + s_prev) *
+    (t - t_prev)``, 0 where it is NaN. The one expression of the prefix
+    scan's cum-area chain and of the chunk carry that replays it
+    (stages/salted.py): their byte identity rests on its float order."""
+    return np.nan_to_num(0.5 * (s + s_prev) * (t - t_prev), nan=0.0)
 
 
 def time_since_to_event(id_arr, ht, event) -> dict[str, np.ndarray]:
@@ -108,47 +111,35 @@ def linear_interpolation(id_arr, ht, vec, default) -> np.ndarray:
     """Vectorized T6 (mimicUsefulFunction.R:631-708): per-entity linear
     interpolation of NA gaps in event time; leading NAs (and all-NA entities)
     get ``default``; trailing NAs carry the last observation."""
-    ids = _series(id_arr)
     t = np.asarray(ht, dtype=np.float64)
     v = np.asarray(vec, dtype=np.float64)
-    n = v.size
-    idx = np.arange(n, dtype=np.float64)
-    obs_idx = pd.Series(np.where(~np.isnan(v), idx, np.nan))
-    prev_i = obs_idx.groupby(ids, sort=False).ffill().to_numpy()
-    next_i = obs_idx.groupby(ids, sort=False).bfill().to_numpy()
+    run_start, run_end = _run_rows(id_arr)
+    na = np.isnan(v)
+    prev_i = _last_valid(~na, run_start, strict=False)
+    next_i = _next_valid(~na, run_end, strict=False)
 
     out = v.copy()
-    na = np.isnan(v)
     # interior gap: both neighbors exist
-    both = na & ~np.isnan(prev_i) & ~np.isnan(next_i)
-    p = prev_i[both].astype(np.int64)
-    q = next_i[both].astype(np.int64)
+    both = na & (prev_i >= 0) & (next_i >= 0)
+    p = prev_i[both]
+    q = next_i[both]
     dt = t[q] - t[p]
     frac = np.where(dt != 0, (t[both] - t[p]) / np.where(dt != 0, dt, 1.0), 0.0)
     out[both] = v[p] + frac * (v[q] - v[p])
     # trailing: only prev
-    trail = na & ~np.isnan(prev_i) & np.isnan(next_i)
-    out[trail] = v[prev_i[trail].astype(np.int64)]
+    trail = na & (prev_i >= 0) & (next_i < 0)
+    out[trail] = v[prev_i[trail]]
     # leading / all-NA entity
-    out[na & np.isnan(prev_i)] = default
+    out[na & (prev_i < 0)] = default
     return out
 
 
 def sample_and_hold(id_arr, vec, default) -> np.ndarray:
     """Vectorized T7 (mimicUsefulFunction.R:711-718)."""
-    ids = _series(id_arr)
-    v = pd.Series(np.asarray(vec, dtype=np.float64))
-    return v.groupby(ids, sort=False).ffill().fillna(default).to_numpy()
-
-
-def _on_run_ids(sig: np.ndarray, ent_starts: np.ndarray) -> np.ndarray:
-    """Monotone run id per ON-run (0 for OFF rows); runs never straddle
-    entities (``ent_starts`` are the entity runs' first rows)."""
-    on = sig == 1
-    prev_on = np.r_[False, on[:-1]]
-    prev_on[ent_starts] = False
-    run = np.cumsum(on & ~prev_on)
-    return np.where(on, run, 0)
+    v = np.asarray(vec, dtype=np.float64)
+    run_start, _ = _run_rows(id_arr)
+    prev = _last_valid(~np.isnan(v), run_start, strict=False)
+    return np.where(prev >= 0, v[np.maximum(prev, 0)], default)
 
 
 def remove_short_on_intervals(id_arr, ht, vec, time_th) -> np.ndarray:
@@ -159,33 +150,35 @@ def remove_short_on_intervals(id_arr, ht, vec, time_th) -> np.ndarray:
     t = np.asarray(ht, dtype=np.float64)
     sig = np.nan_to_num(np.asarray(vec, dtype=np.float64), nan=0.0)
     ent_starts, ent_lens = run_bounds(id_arr)
-    run = _on_run_ids(sig, ent_starts)
-    on = run > 0
-    if not on.any():
-        return np.zeros(sig.size)
-    df = pd.DataFrame({"run": run[on], "t": t[on]})
-    spans = df.groupby("run")["t"].agg(["min", "max", "count"])
-    keep_runs = spans.index[(spans["max"] - spans["min"]) >= time_th]
-    keep = np.isin(run, keep_runs) & on
+    on = sig == 1
+    rise = on & ~np.r_[False, on[:-1]]
+    rise[ent_starts] = on[ent_starts]  # ON-runs never straddle entities
+    on_rows = np.flatnonzero(on)
+    starts, lens = run_bounds(np.cumsum(rise)[on_rows])
+    t_on = t[on_rows]
+    span = np.fmax.reduceat(t_on, starts) - np.fmin.reduceat(t_on, starts)
+    single = np.add.reduceat(~np.isnan(t_on), starts) == 1  # one timed row
     # reference quirk: a 1-row run at the entity's LAST row never survives
     is_last = np.zeros(sig.size, dtype=bool)
     is_last[ent_starts + ent_lens - 1] = True
-    singles = spans.index[spans["count"] == 1]
-    keep &= ~(np.isin(run, singles) & is_last)
-    return keep.astype(np.float64)
+    keep = np.repeat(span >= time_th, lens) & ~(np.repeat(single, lens) & is_last[on_rows])
+    out = np.zeros(sig.size)
+    out[on_rows[keep]] = 1.0
+    return out
 
 
 def unite_adjacent_on_intervals(id_arr, ht, vec, union_th) -> np.ndarray:
     """Vectorized T9 gap-merge (mimicUsefulFunction.R:449-494): OFF-gaps
     bounded by ON on both sides within one entity are turned ON when
     (first ON ts after gap) - (last ON ts before gap) <= union_th."""
-    ids = _series(id_arr)
     t = np.asarray(ht, dtype=np.float64).copy()
     t[t < 0] = 0  # reference compatibility clamp
     sig = np.nan_to_num(np.asarray(vec, dtype=np.float64), nan=0.0)
-    on_ts = pd.Series(np.where(sig == 1, t, np.nan))
-    prev_on = on_ts.groupby(ids, sort=False).ffill().to_numpy()
-    next_on = on_ts.groupby(ids, sort=False).bfill().to_numpy()
+    run_start, run_end = _run_rows(id_arr)
+    on_ts = np.where(sig == 1, t, np.nan)
+    timed = ~np.isnan(on_ts)
+    prev_on = _gather(on_ts, _last_valid(timed, run_start, strict=False))
+    next_on = _gather(on_ts, _next_valid(timed, run_end, strict=False))
     fill = (
         (sig == 0)
         & ~np.isnan(prev_on)
@@ -195,42 +188,49 @@ def unite_adjacent_on_intervals(id_arr, ht, vec, union_th) -> np.ndarray:
     return np.where(fill, 1.0, sig)
 
 
+def _cum_extreme(ufunc: np.ufunc, s: np.ndarray, starts, lens, run_start, run_end):
+    """pandas' grouped cummax (``np.fmax``) or cummin (``np.fmin``): NaN
+    rows stay NaN and are skipped, and of equal extremes the first seen
+    stays, so a zero extreme has the sign of its run's first zero."""
+    out = seg_accumulate(ufunc, s, starts, lens)
+    out[np.isnan(s)] = np.nan
+    zero = np.flatnonzero(out == 0)
+    out[zero] = s[_next_valid(s == 0, run_end, strict=False)[run_start[zero]]]
+    return out
+
+
 def prefix_features(id_arr, ht, score) -> dict[str, np.ndarray]:
     """Vectorized T12 (dssFunctionLibrary.R:876-917): per-entity cumulative
     max/min/sum, running mean, trapezoid time-weighted running mean, and
-    rate-of-change."""
-    ids = _series(id_arr)
+    rate-of-change. The cumulative max/min/sum skip a NaN score and are NaN
+    on its row, as pandas' grouped cum* are."""
     t = np.asarray(ht, dtype=np.float64)
-    s = pd.Series(np.asarray(score, dtype=np.float64))
-    g = s.groupby(ids, sort=False)
-    cmax = g.cummax().to_numpy()
-    cmin = g.cummin().to_numpy()
-    csum = g.cumsum().to_numpy()
-    cnt = g.cumcount().to_numpy() + 1
-    rmean = csum / cnt
+    s = np.asarray(score, dtype=np.float64)
+    starts, lens = run_bounds(id_arr)
+    run_start, run_end = np.repeat(starts, lens), np.repeat(starts + lens, lens)
+    cmax = _cum_extreme(np.fmax, s, starts, lens, run_start, run_end)
+    cmin = _cum_extreme(np.fmin, s, starts, lens, run_start, run_end)
+    # the loop oracle's sequential per-run sum; adding -0.0 changes nothing
+    nan = np.isnan(s)
+    csum = seg_accumulate(np.add, np.where(nan, -0.0, s), starts, lens)
+    csum[nan] = np.nan
+    rmean = csum / (np.arange(s.size) - run_start + 1)
 
-    ts_ser = pd.Series(t)
-    tg = ts_ser.groupby(ids, sort=False)
-    prev_t = tg.shift(1).to_numpy()
-    prev_s = g.shift(1).to_numpy()
+    prev = np.arange(s.size) - 1
+    prev[starts] = -1
+    prev_t, prev_s = _gather(t, prev), _gather(s, prev)
     dt = t - prev_t
-    area = 0.5 * (s.to_numpy() + prev_s) * dt
-    # per-entity SEQUENTIAL naive cumsum (np.add.accumulate), NOT pandas'
-    # Kahan-compensated group cumsum: the salted boundary-stitch replays this
-    # chain from a carried scalar (stages/salted.py), which is only
-    # bit-reproducible for plain left-to-right addition — and it matches the
-    # reference loop oracle's `acc += area` semantics exactly.
-    area_z = np.nan_to_num(area, nan=0.0)
-    cum_area = np.empty_like(area_z)
-    starts, lens = run_bounds(ids.to_numpy())
-    for s_, e_ in zip(starts, starts + lens):
-        cum_area[s_:e_] = np.cumsum(area_z[s_:e_])
-    t0 = tg.transform("first").to_numpy()
-    s0 = g.transform("first").to_numpy()
+    # per-entity SEQUENTIAL cumsum of the areas: the salted boundary-stitch
+    # replays this chain from a carried scalar (stages/salted.py), which is
+    # only bit-reproducible for plain left-to-right addition
+    cum_area = seg_accumulate(np.add, trapezoid_area(s, prev_s, t, prev_t), starts, lens)
+    # the first non-NaN time and score of each run
+    t0 = _gather(t, _next_valid(~np.isnan(t), run_end, strict=False)[run_start])
+    s0 = _gather(s, _next_valid(~nan, run_end, strict=False)[run_start])
     span = t - t0
     twmean = np.where(span > 0, cum_area / np.where(span > 0, span, 1.0), s0)
 
-    dv = s.to_numpy() - prev_s
+    dv = s - prev_s
     roc = np.where(np.nan_to_num(dt, nan=0.0) > 0, dv / np.where(dt > 0, dt, 1.0), np.nan)
     return {
         "cummax": cmax,

@@ -13,16 +13,17 @@ Port of the reference's response-to-treatment windows
 - ``event_window_pre_post``: the PrePost variant (:1460-1503) with backward
   AND forward windows, trendBefore/trendAfter.
 
-Vectorized: window boundaries via searchsorted per entity segment; trapezoid
-sums via prefix sums evaluated at the boundaries — O(n log n), no per-event
-Python loop.
+Vectorized over the entity runs of ``partition.run_bounds``, with no loop
+over events or entities: each window edge is one ``partition.search_runs``
+call over (entity, ht +/- wind), and the trapezoid sums are one
+``partition.seg_accumulate`` prefix per entity, evaluated at the edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partition import run_bounds
+from .partition import run_bounds, search_runs, seg_accumulate
 
 
 def time_weighted_average(val: np.ndarray, ht: np.ndarray) -> float:
@@ -35,10 +36,32 @@ def time_weighted_average(val: np.ndarray, ht: np.ndarray) -> float:
     return float(np.sum((val[:-1] + dv) * dht) / np.sum(dht))
 
 
-def _trapz_prefix(val: np.ndarray, ht: np.ndarray) -> np.ndarray:
-    """prefix[i] = integral of the piecewise-linear curve over ht[0..i]."""
-    areas = (val[:-1] + np.diff(val) / 2.0) * np.diff(ht)
-    return np.r_[0.0, np.cumsum(areas)]
+def _window_edges(ids, ht, val, is_event, wind):
+    """The event rows, their values, the prefix integral of each entity's
+    trapezoid curve, and each event's forward (last row within ``+wind``)
+    and backward (first row within ``-wind``) window edge in its entity.
+    ``prefix[i]`` is the integral over ht[run start .. i], the sequential
+    per-run sum of the rows' areas (:1350-1368's ``(v[:-1] + dv/2) * dht``)."""
+    ht = np.asarray(ht, dtype=np.float64)
+    val = np.asarray(val, dtype=np.float64)
+    ev = np.flatnonzero(np.asarray(is_event) == 1)
+    starts, lens = run_bounds(np.asarray(ids))
+    run = np.repeat(np.arange(starts.size), lens)
+    area = np.zeros(ht.size)
+    area[1:] = (val[:-1] + np.diff(val) / 2.0) * np.diff(ht)
+    area[starts] = 0.0
+    # each run's areas start at its second row, so no 0.0 is ever added
+    prefix = seg_accumulate(np.add, area, starts + 1, lens - 1)
+    fwd = search_runs(run[ev], ht[ev] + wind, run, ht, side="right") - 1
+    bck = search_runs(run[ev], ht[ev] - wind, run, ht, side="left")
+    return ht, ev, val[ev], prefix, fwd, bck
+
+
+def _window_mean(prefix, ht, a, b, fallback):
+    """Trapezoid mean over rows a..b; ``fallback`` on a zero-length span."""
+    span = ht[b] - ht[a]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(span > 0, (prefix[b] - prefix[a]) / np.where(span > 0, span, 1.0), fallback)
 
 
 def event_window_response(
@@ -50,38 +73,13 @@ def event_window_response(
 ) -> dict[str, np.ndarray]:
     """Forward variant (:1434-1453). Output arrays align with the event rows
     (in input order): num_after, avg_before, avg_after."""
-    ids = np.asarray(ids)
-    ht = np.asarray(ht, dtype=np.float64)
-    val = np.asarray(val, dtype=np.float64)
-    ev_idx = np.flatnonzero(np.asarray(is_event) == 1)
-    n_ev = ev_idx.size
-    num_after = np.full(n_ev, np.nan)
-    avg_before = np.full(n_ev, np.nan)
-    avg_after = np.full(n_ev, np.nan)
-
-    out_pos = {int(i): k for k, i in enumerate(ev_idx)}
-    starts, lens = run_bounds(ids)
-    for s, e in zip(starts, starts + lens):
-        seg_ht = ht[s:e]
-        seg_val = val[s:e]
-        prefix = _trapz_prefix(seg_val, seg_ht)
-        seg_ev = ev_idx[(ev_idx >= s) & (ev_idx < e)] - s
-        if seg_ev.size == 0:
-            continue
-        # last index with ht <= ht[event] + wind  (forward walk)
-        fwd = np.searchsorted(seg_ht, seg_ht[seg_ev] + wind, side="right") - 1
-        has_fwd = fwd > seg_ev
-        span = seg_ht[fwd] - seg_ht[seg_ev]
-        area = prefix[fwd] - prefix[seg_ev]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(span > 0, area / np.where(span > 0, span, 1.0), seg_val[seg_ev])
-        for j, local in enumerate(seg_ev):
-            k = out_pos[int(local + s)]
-            if has_fwd[j]:
-                num_after[k] = fwd[j] - local + 1
-                avg_before[k] = seg_val[local]
-                avg_after[k] = avg[j]
-    return {"num_after": num_after, "avg_before": avg_before, "avg_after": avg_after}
+    ht, ev, now, prefix, fwd, _ = _window_edges(ids, ht, val, is_event, wind)
+    ok = fwd > ev
+    return {
+        "num_after": np.where(ok, fwd - ev + 1, np.nan),
+        "avg_before": np.where(ok, now, np.nan),
+        "avg_after": np.where(ok, _window_mean(prefix, ht, ev, fwd, now), np.nan),
+    }
 
 
 def event_window_pre_post(
@@ -93,43 +91,17 @@ def event_window_pre_post(
 ) -> dict[str, np.ndarray]:
     """PrePost variant (:1460-1503): backward + forward trapezoid windows and
     trends; NaN when either side has no neighbors."""
-    ids = np.asarray(ids)
-    ht = np.asarray(ht, dtype=np.float64)
-    val = np.asarray(val, dtype=np.float64)
-    ev_idx = np.flatnonzero(np.asarray(is_event) == 1)
-    n_ev = ev_idx.size
-    out = {
-        k: np.full(n_ev, np.nan)
-        for k in ("num_before", "num_after", "avg_before", "avg_after",
-                  "avg_now", "trend_before", "trend_after")
+    ht, ev, now, prefix, fwd, bck = _window_edges(ids, ht, val, is_event, wind)
+    ok = (fwd > ev) & (bck < ev)
+    avg_b = _window_mean(prefix, ht, bck, ev, now)
+    avg_f = _window_mean(prefix, ht, ev, fwd, now)
+    cols = {
+        "num_before": ev - bck + 1,
+        "num_after": fwd - ev,
+        "avg_before": avg_b,
+        "avg_after": avg_f,
+        "avg_now": now,
+        "trend_before": now - avg_b,
+        "trend_after": avg_f - now,
     }
-    out_pos = {int(i): k for k, i in enumerate(ev_idx)}
-    starts, lens = run_bounds(ids)
-    for s, e in zip(starts, starts + lens):
-        seg_ht = ht[s:e]
-        seg_val = val[s:e]
-        prefix = _trapz_prefix(seg_val, seg_ht)
-        seg_ev = ev_idx[(ev_idx >= s) & (ev_idx < e)] - s
-        if seg_ev.size == 0:
-            continue
-        fwd = np.searchsorted(seg_ht, seg_ht[seg_ev] + wind, side="right") - 1
-        bck = np.searchsorted(seg_ht, seg_ht[seg_ev] - wind, side="left")
-        ok = (fwd > seg_ev) & (bck < seg_ev)
-        span_f = seg_ht[fwd] - seg_ht[seg_ev]
-        span_b = seg_ht[seg_ev] - seg_ht[bck]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg_f = np.where(span_f > 0, (prefix[fwd] - prefix[seg_ev]) / np.where(span_f > 0, span_f, 1.0), seg_val[seg_ev])
-            avg_b = np.where(span_b > 0, (prefix[seg_ev] - prefix[bck]) / np.where(span_b > 0, span_b, 1.0), seg_val[seg_ev])
-        for j, local in enumerate(seg_ev):
-            if not ok[j]:
-                continue
-            k = out_pos[int(local + s)]
-            now = seg_val[local]
-            out["num_before"][k] = local - bck[j] + 1
-            out["num_after"][k] = fwd[j] - local
-            out["avg_before"][k] = avg_b[j]
-            out["avg_after"][k] = avg_f[j]
-            out["avg_now"][k] = now
-            out["trend_before"][k] = now - avg_b[j]
-            out["trend_after"][k] = avg_f[j] - now
-    return out
+    return {k: np.where(ok, v, np.nan) for k, v in cols.items()}
