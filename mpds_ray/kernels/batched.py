@@ -6,63 +6,162 @@ cost ~0.5 ms/row in Python-loop form — fine for per-session extraction,
 fatal for 10^6+ rows. For fixed window length n:
 
 - DFA: every step (cumsum, per-scale closed-form line fits, RMS residuals,
-  log-log slope) is row-parallel; the interval layout depends only on n, so
-  a (m, n) matrix computes m exponents in a handful of matrix ops.
+  log-log slope) is row-parallel; the interval layout and each scale's
+  index sums depend only on n, so a (m, n) matrix computes m exponents in a
+  handful of matrix ops per scale, all in one reused buffer.
 - Lomb–Scargle on the regular grid t = arange(n)/rate: the frequency grid,
-  tau and the cos/sin design matrices are SHARED across rows, so the
-  periodogram of all m rows is two BLAS matmuls (m,n)x(n,nf).
+  tau and the cos/sin design matrices depend only on the length and the
+  grid parameters, so the periodogram of all m rows is two BLAS matmuls
+  (m,n)x(n,nf).
+
+That length-only state is cached per process (``STATE_CACHE_BYTES``), so a
+batch pays only for its data. It is built with the same expressions as on a
+cold call and read-only once cached, so a warm call gives the same bits.
 
 Both match the scalar kernels to ~1e-10 (tests/test_batched_kernels.py).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from .dfa import dfa_intervals
+
+# Bytes of length-only kernel state kept per process, least recently used
+# evicted first. Lomb's design matrices take ~26 n^2 bytes per length at the
+# default grid, so every length up to ~150 fits at once; a state larger
+# than the cap is computed and not kept.
+STATE_CACHE_BYTES = 48 << 20
+
+
+def _arrays(state) -> list[np.ndarray]:
+    if isinstance(state, np.ndarray):
+        return [state]
+    if isinstance(state, (tuple, list)):
+        return [a for item in state for a in _arrays(item)]
+    return []
+
+
+class _StateCache:
+    """Length-only kernel state by key, at most ``STATE_CACHE_BYTES`` bytes
+    (each array counted, views too); least recently used evicted first."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict = OrderedDict()  # key -> (state, nbytes)
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit[0]
+        state = build()
+        arrays = _arrays(state)
+        size = sum(a.nbytes for a in arrays)
+        if size > STATE_CACHE_BYTES:
+            return state
+        for a in arrays:
+            a.flags.writeable = False
+        with self._lock:
+            if key not in self.entries:
+                self.entries[key] = (state, size)
+                self.nbytes += size
+            while self.nbytes > STATE_CACHE_BYTES:
+                _, (_, old) = self.entries.popitem(last=False)
+                self.nbytes -= old
+        return state
+
+
+_STATE = _StateCache()
+
+
+def _dfa_state(n: int):
+    """Per-scale layout of DFA at length n: (scales, lxc, denom), each scale
+    (w, n_full, tail_start, seg_idx, sx, sxx, delta); None if degenerate."""
+    intervals = dfa_intervals(n)
+    if intervals is None:
+        return None
+    idx = np.arange(n, dtype=np.float64)
+    scales = []
+    for w in intervals.tolist():  # every width is <= n: >= 1 full interval
+        n_full = n // w
+        tail_start = n_full * w
+        seg_idx = idx[:tail_start].reshape(n_full, w)
+        start = seg_idx[:, 0]
+        end = seg_idx[:, -1]
+        sx = (end + start) * w / 2.0
+        sxx = w * (2 * end * end + 2 * start * start + 2 * start * end + end - start) / 6.0
+        delta = w * sxx - sx * sx
+        scales.append((w, n_full, tail_start, seg_idx, sx, sxx, delta))
+    lx = np.log10(intervals.astype(np.float64))
+    lxc = lx - lx.mean()
+    denom = float((lxc * lxc).sum())
+    return scales, lxc, denom
 
 
 def dfa_batch(x: np.ndarray) -> np.ndarray:
     """DFA alpha for each row of an (m, n) matrix (NaN where degenerate)."""
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
-    intervals = dfa_intervals(n)
-    if intervals is None:
+    state = _STATE.get(("dfa", n), lambda: _dfa_state(n))
+    if state is None:
         return np.full(m, np.nan)
+    scales, lxc, denom = state
     y = np.cumsum(x, axis=1)
-    flucts = np.empty((m, intervals.size))
-    idx = np.arange(n, dtype=np.float64)
-    for s, w in enumerate(intervals.tolist()):
-        n_full = n // w
-        tail_start = n_full * w
-        resid_sq = np.zeros(m)
-        if n_full:
-            seg = y[:, :tail_start].reshape(m, n_full, w)
-            seg_idx = idx[:tail_start].reshape(n_full, w)
-            sy = seg.sum(axis=2)  # (m, k)
-            sxy = (seg * seg_idx[None]).sum(axis=2)
-            start = seg_idx[:, 0]
-            end = seg_idx[:, -1]
-            sx = (end + start) * w / 2.0
-            sxx = w * (2 * end * end + 2 * start * start + 2 * start * end + end - start) / 6.0
-            delta = w * sxx - sx * sx
-            b = (sy * sxx[None] - sx[None] * sxy) / delta[None]
-            a = (w * sxy - sx[None] * sy) / delta[None]
-            trend = a[:, :, None] * seg_idx[None] + b[:, :, None]
-            d = seg - trend
-            resid_sq = (d * d).sum(axis=(1, 2))
+    flucts = np.empty((m, len(scales)))
+    buf = np.empty(m * n)
+    for s, (w, n_full, tail_start, seg_idx, sx, sxx, delta) in enumerate(scales):
+        seg = y[:, :tail_start].reshape(m, n_full, w)
+        tmp = buf[: m * tail_start].reshape(m, n_full, w)
+        sy = seg.sum(axis=2)  # (m, k)
+        sxy = np.multiply(seg, seg_idx[None], out=tmp).sum(axis=2)
+        b = (sy * sxx[None] - sx[None] * sxy) / delta[None]
+        a = (w * sxy - sx[None] * sy) / delta[None]
+        np.multiply(a[:, :, None], seg_idx[None], out=tmp)  # trend ...
+        tmp += b[:, :, None]
+        np.subtract(seg, tmp, out=tmp)  # ... residual ...
+        resid_sq = np.multiply(tmp, tmp, out=tmp).sum(axis=(1, 2))  # ... squared
         # tail interval: trend = y -> zero residual (fastdfa_core.c:111-120)
         flucts[:, s] = np.sqrt(resid_sq / n)
     with np.errstate(divide="ignore", invalid="ignore"):
         ly = np.log10(flucts)
-    lx = np.log10(intervals.astype(np.float64))
-    lxc = lx - lx.mean()
-    denom = float((lxc * lxc).sum())
     alpha = (ly @ lxc) / denom - 0.0  # slope of least-squares line (per row)
     # rows with any non-finite fluct -> NaN (matches scalar kernel pin)
     bad = ~np.isfinite(ly).all(axis=1)
     alpha[bad] = np.nan
     return alpha
+
+
+def _lomb_state(n: int, sample_rate: float, fmin: float, fmax: float, ofac: int):
+    """Design of the periodogram at length n on t = arange(n)/sample_rate:
+    (c, s, cc, ss_safe, ss_zero, keep, kept freqs); None if degenerate."""
+    if n < 2:
+        return None
+    t = np.arange(n, dtype=np.float64) / sample_rate
+    span = t[-1] - t[0]
+    if span <= 0:
+        return None
+    df = 1.0 / (ofac * span)
+    freqs = np.arange(df, fmax + 0.5 * df, df)
+    keep = freqs > fmin
+    if not keep.any():
+        return None
+    w = 2.0 * np.pi * freqs[:, None]  # (nf, 1)
+    wt = w * t[None, :]  # (nf, n)
+    tau = np.arctan2(np.sin(2 * wt).sum(axis=1), np.cos(2 * wt).sum(axis=1)) / (2.0 * w[:, 0])
+    arg = wt - (w[:, 0] * tau)[:, None]
+    c = np.cos(arg)  # (nf, n)
+    s = np.sin(arg)
+    cc = (c * c).sum(axis=1)  # (nf,)
+    ss = (s * s).sum(axis=1)
+    ss_safe = np.where(ss > 0, ss, 1.0)
+    ss_zero = np.flatnonzero(~(ss > 0))
+    return c, s, cc, ss_safe, ss_zero, keep, freqs[keep]
 
 
 def lomb_batch(
@@ -73,43 +172,30 @@ def lomb_batch(
     ofac: int = 4,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dfc, dfc_amp) for each row of an (m, n) matrix sampled on the regular
-    grid t = arange(n)/sample_rate — grid/tau/design matrices shared across
-    rows, periodogram = two matmuls."""
+    grid t = arange(n)/sample_rate — grid/tau/design matrices cached per
+    length, periodogram = two matmuls."""
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
-    if n < 2:
+    key = ("lomb", n, sample_rate, fmin, fmax, ofac)
+    state = _STATE.get(key, lambda: _lomb_state(n, sample_rate, fmin, fmax, ofac))
+    if state is None:
         return np.full(m, np.nan), np.full(m, np.nan)
-    t = np.arange(n, dtype=np.float64) / sample_rate
-    span = t[-1] - t[0]
-    if span <= 0:
-        return np.full(m, np.nan), np.full(m, np.nan)
-    df = 1.0 / (ofac * span)
-    freqs = np.arange(df, fmax + 0.5 * df, df)
-    keep = freqs > fmin
-    if not keep.any():
-        return np.full(m, np.nan), np.full(m, np.nan)
-
-    w = 2.0 * np.pi * freqs[:, None]  # (nf, 1)
-    wt = w * t[None, :]  # (nf, n)
-    tau = np.arctan2(np.sin(2 * wt).sum(axis=1), np.cos(2 * wt).sum(axis=1)) / (2.0 * w[:, 0])
-    arg = wt - (w[:, 0] * tau)[:, None]
-    c = np.cos(arg)  # (nf, n)
-    s = np.sin(arg)
-    cc = (c * c).sum(axis=1)  # (nf,)
-    ss = (s * s).sum(axis=1)
-    ss_safe = np.where(ss > 0, ss, 1.0)
+    c, s, cc, ss_safe, ss_zero, keep, fk = state
 
     xc = x - x.mean(axis=1, keepdims=True)  # (m, n)
     var = x.var(axis=1, ddof=1)  # (m,)
-    xcc = xc @ c.T  # (m, nf)  BLAS
+    # power = xcc^2/cc + (xcs^2/ss, 0 where ss == 0), in place
+    power = xc @ c.T  # (m, nf)  BLAS
     xcs = xc @ s.T
-    power = (xcc * xcc) / cc[None, :] + np.where(
-        ss[None, :] > 0, (xcs * xcs) / ss_safe[None, :], 0.0
-    )
+    np.multiply(power, power, out=power)
+    power /= cc[None, :]
+    np.multiply(xcs, xcs, out=xcs)
+    xcs /= ss_safe[None, :]
+    xcs[:, ss_zero] = 0.0
+    power += xcs
     with np.errstate(divide="ignore", invalid="ignore"):
-        power = power / (2.0 * var[:, None])
+        power /= 2.0 * var[:, None]
 
-    fk = freqs[keep]
     pk = power[:, keep]
     imax = np.argmax(pk, axis=1)
     dfc = fk[imax]

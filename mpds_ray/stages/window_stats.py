@@ -3,17 +3,22 @@
 The engine treats each row's token array as one window (SURVEY §7.0: tokens
 play the role of sensor samples) and evaluates the reference stat block over
 it. Unlike the per-session extractors (which loop windows), this stage is
-**segment-vectorized**: one ``map_batches`` call computes every stat for every
-row of an Arrow batch with NumPy ``reduceat``/``bincount``/``lexsort`` over
-the flattened list column — no Python loop over rows in the hot path.
+**segment-vectorized**: one call computes every requested stat for every row
+of an Arrow batch with NumPy ``reduceat``/``bincount``/sorts over the
+flattened list column — no Python loop over rows. Each intermediate (segment
+ids, the deviations from the mean, the flat sort) is built only when a
+requested stat reads it.
+
+Stats that need each row as a whole window — the entropy ``En`` and the
+heavy spectral/fractal stats (DFA, Lomb–Scargle dfc, opt-in with
+``heavy=True``, no closed segmented form) — run on one ``(rows, L)`` block
+per distinct row length L: ``En`` on the row-sorted block, DFA and
+Lomb–Scargle batched on the regular grid (kernels/batched.py).
 
 Conformance: ``tests/test_window_stats.py`` checks every column against the
 per-row kernel library (mpds_ray.kernels), which is an independent
-implementation of the same pinned semantics.
-
-Heavy spectral/fractal stats (DFA, Lomb–Scargle dfc) are per-row O(n log n)+
-kernels with no closed segmented form; they are opt-in (``heavy=True``) and
-run batched over the rows of equal window length (kernels/batched.py).
+implementation of the same pinned semantics, and pins the outputs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -75,19 +80,26 @@ def token_stats_arrays(
         return out_full
     # every segment has >= 1 element from here on
     safe_len = lengths.astype(np.float64)
-    seg_of = np.repeat(np.arange(n), lengths)  # segment id per flat element
-
+    want = set(stats)
     out: dict[str, np.ndarray] = {}
 
     def segsum(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, starts)
 
-    total = segsum(v)
-    mean = total / safe_len
-    mu_flat = np.repeat(np.where(np.isnan(mean), 0.0, mean), lengths)
-    d = v - mu_flat
-    m2s = segsum(d * d)
-    m2 = m2s / safe_len  # population second central moment
+    # each intermediate is built only when a requested stat reads it
+    if want & {"mean", "std", "s", "k", "zcr"}:
+        mean = segsum(v) / safe_len
+    if want & {"std", "s", "k", "zcr"}:
+        d = v - np.repeat(np.where(np.isnan(mean), 0.0, mean), lengths)
+    if want & {"std", "s", "k"}:
+        m2s = segsum(d * d)
+        m2 = m2s / safe_len  # population second central moment
+    if want & {"q1", "q3", "iqr", "median", "mode", "meanTKEO", "ar1"}:
+        seg_of = np.repeat(np.arange(n), lengths)  # segment id per flat element
+    if want & {"meanTKEO", "ar1"}:
+        # same[i]: elements i and i+1 lie in one segment
+        same = np.ones(max(v.size - 1, 0), dtype=bool)
+        same[starts[1:] - 1] = False
 
     if "mean" in stats:
         out["mean"] = mean
@@ -112,19 +124,13 @@ def token_stats_arrays(
     if "range" in stats:
         out["range"] = np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)
 
-    need_sorted = {"q1", "q3", "iqr", "median", "mode", "En"} & set(stats)
-    if need_sorted and v.size:
-        # fast path for token-like values: one flat int64 sort of
-        # (segment * V + value) replaces the 2-key lexsort + gather
-        vmax_all = v.max()
-        vmin_all = v.min()
-        is_small_int = (
-            vmin_all >= 0
-            and vmax_all < (1 << 21)
-            and np.all(v == np.floor(v))
-        )
-        if is_small_int:
-            V = np.int64(vmax_all) + 1
+    need_sorted = {"q1", "q3", "iqr", "median", "mode"} & want
+    if need_sorted:
+        # one flat sort of every segment: by (segment, value)
+        if v.size and v.min() >= 0 and v.max() < (1 << 21) and np.all(v == np.floor(v)):
+            # token-like values: one int64 sort of (segment * V + value)
+            # replaces the 2-key lexsort + gather (writes +0.0 for -0.0)
+            V = np.int64(v.max()) + 1
             comp = np.sort(seg_of.astype(np.int64) * V + v.astype(np.int64))
             vs = (comp % V).astype(np.float64)
             seg_sorted = comp // V
@@ -144,51 +150,35 @@ def token_stats_arrays(
             out["iqr"] = q3 - q1
         if "median" in stats:
             out["median"] = _segment_quantile(vs, starts, lengths, 50.0)
-        if "mode" in stats or "En" in stats:
-            # value runs within sorted segments
+        if "mode" in stats:
+            # value runs within sorted segments; per segment the FIRST
+            # (= smallest value) run with the max count, fully vectorized:
+            # max count per segment via reduceat, then the min run index
+            # among count==max runs via a masked reduceat
             run_starts, run_counts = run_bounds(vs, seg_sorted)
-            run_counts = run_counts.astype(np.float64)
             run_seg = seg_sorted[run_starts]
-            run_val = vs[run_starts]
-            # first run index and run count per segment (runs are
-            # segment-sorted)
             first_idx, seg_runs = run_bounds(run_seg)
-            if "mode" in stats:
-                # per segment: FIRST (= smallest value) run with the max count,
-                # fully vectorized: max count per segment via reduceat, then the
-                # min run index among count==max runs via a masked reduceat
-                maxc = np.maximum.reduceat(run_counts, first_idx)
-                maxc_per_run = np.repeat(maxc, seg_runs)
-                ridx = np.arange(run_seg.size, dtype=np.int64)
-                masked = np.where(run_counts == maxc_per_run, ridx, np.iinfo(np.int64).max)
-                winner = np.minimum.reduceat(masked, first_idx)
-                mode = np.full(n, np.nan)
-                mode[run_seg[first_idx]] = run_val[winner]
-                out["mode"] = mode
-            if "En" in stats:
-                p = run_counts / safe_len[run_seg]
-                contrib = -p * np.log2(p + EPS)
-                en = np.full(n, np.nan)
-                sums = np.add.reduceat(contrib, first_idx)
-                en[run_seg[first_idx]] = sums
-                out["En"] = en
-    elif need_sorted:
-        for s_ in need_sorted:
-            out[s_] = np.full(n, np.nan)
-        if "iqr" in need_sorted:
-            out["iqr"] = np.full(n, np.nan)
+            maxc = np.maximum.reduceat(run_counts, first_idx)
+            ridx = np.arange(run_seg.size, dtype=np.int64)
+            masked = np.where(run_counts == np.repeat(maxc, seg_runs), ridx, np.iinfo(np.int64).max)
+            winner = np.minimum.reduceat(masked, first_idx)
+            mode = np.full(n, np.nan)
+            mode[run_seg[first_idx]] = vs[run_starts][winner]
+            out["mode"] = mode
 
     if "zcr" in stats:
-        # ZCR(normalize(x)): sign of (x - mean) flips; zero std -> all False -> 0
+        # ZCR(normalize(x)): sign of (x - mean) flips; zero std -> all False
+        # -> 0. flip[i]: the sign changes from i to i + 1; a segment's exact
+        # count takes back the flip across its end
         pos = d > 0
-        same_seg = seg_of[1:] == seg_of[:-1]
-        flips = ((pos[1:] != pos[:-1]) & same_seg).astype(np.float64)
-        z = np.bincount(seg_of[:-1], weights=flips, minlength=n) if flips.size else np.zeros(n)
+        flip = np.zeros(v.size, dtype=bool)
+        np.not_equal(pos[1:], pos[:-1], out=flip[:-1])
+        z = np.add.reduceat(flip, starts, dtype=np.int64) - flip[offsets[1:] - 1]
         out["zcr"] = z / safe_len
     if "meanTKEO" in stats:
         tk = np.full(n, np.nan)
         if v.size >= 3:
-            interior = (seg_of[1:-1] == seg_of[:-2]) & (seg_of[1:-1] == seg_of[2:])
+            interior = same[:-1] & same[1:]
             term = (v[1:-1] ** 2 - v[2:] * v[:-2]) * interior
             sums = np.bincount(seg_of[1:-1], weights=term, minlength=n)
             cnt = np.maximum(lengths - 2, 0)
@@ -198,47 +188,75 @@ def token_stats_arrays(
     if "ar1" in stats:
         res = np.full(n, np.nan)
         if v.size >= 2:
-            same = (seg_of[1:] == seg_of[:-1]).astype(np.float64)
             num = np.bincount(seg_of[:-1], weights=v[1:] * v[:-1] * same, minlength=n)
             den = np.bincount(seg_of[:-1], weights=v[:-1] * v[:-1] * same, minlength=n)
             with np.errstate(invalid="ignore", divide="ignore"):
                 res = np.where(den > 0, num / den, np.nan)
         out["ar1"] = res
 
-    heavy_req = [s for s in stats if s in HEAVY_STATS]
-    if heavy_req:
-        want_dfa = "dfa" in heavy_req
-        want_dfc = "dfc" in heavy_req or "dfc_amp" in heavy_req
-        dfa_out = np.full(n, np.nan)
-        dfc_out = np.full(n, np.nan)
-        amp_out = np.full(n, np.nan)
-        # regular grid t = arange(L)/rate -> batch rows by window length
-        for length in np.unique(lengths):
-            rows = np.flatnonzero(lengths == length)
-            gather = starts[rows][:, None] + np.arange(length)[None, :]
-            mat = v[gather]
-            if want_dfa:
-                dfa_out[rows] = dfa_batch(mat)
-            if want_dfc:
-                dfc_out[rows], amp_out[rows] = lomb_batch(mat, sample_rate)
-        if want_dfa:
-            out["dfa"] = dfa_out
-        if "dfc" in heavy_req:
-            out["dfc"] = dfc_out
-        if "dfc_amp" in heavy_req:
-            out["dfc_amp"] = amp_out
+    if want & {"En", *HEAVY_STATS}:
+        out.update(_length_group_stats(v, starts, lengths, stats, sample_rate))
     return out
 
 
-class TokenWindowStats:
-    """Callable-class stage for ``map_batches(..., batch_format="pyarrow")``.
+def _row_entropy(block: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of an (m, L) block sorted along its
+    rows: ``-p*log2(p+EPS)`` per run of equal values, in value order (a NaN
+    is a run of one), summed by one reduceat over each row's runs."""
+    m, L = block.shape
+    new = np.ones((m, L), dtype=bool)
+    np.not_equal(block[:, 1:], block[:, :-1], out=new[:, 1:])
+    p = np.diff(np.flatnonzero(new), append=m * L) / float(L)
+    contrib = -p * np.log2(p + EPS)
+    row_runs = new.sum(axis=1)
+    return np.add.reduceat(contrib, np.cumsum(row_runs) - row_runs)
 
-    Stateless per batch, but declared as a class so pipelines can run it in an
-    actor pool and amortize nothing-heavier-than-import setup; the payoff is
-    with ``heavy=True`` where per-actor warm NumPy buffers matter.
+
+def _length_group_stats(v, starts, lengths, stats, sample_rate) -> dict[str, np.ndarray]:
+    """En and the heavy stats, on one (m, L) block per distinct row length.
+
+    One stable argsort of the lengths and ``run_bounds`` give the groups;
+    each group gathers its rows into a matrix (rows in ascending order), so
+    DFA and Lomb–Scargle run batched on the regular grid t = arange(L)/rate,
+    and En on the block sorted along its rows. The loop is over distinct
+    lengths, ~30 µs each before the kernels: a batch of many lengths and few
+    rows per length, such as ``doc_token_stats``, pays that per length (a
+    block per length keeps each group's temporaries small and cache-resident
+    on the large batches)."""
+    n = lengths.size
+    want_en = "En" in stats
+    want_dfa = "dfa" in stats
+    want_dfc = "dfc" in stats or "dfc_amp" in stats
+    en = np.full(n, np.nan)
+    dfa_out = np.full(n, np.nan)
+    dfc_out = np.full(n, np.nan)
+    amp_out = np.full(n, np.nan)
+    order = np.argsort(lengths, kind="stable")
+    group_starts, group_rows = run_bounds(lengths[order])
+    for g0, gn in zip(group_starts.tolist(), group_rows.tolist()):
+        rows = order[g0 : g0 + gn]
+        length = int(lengths[rows[0]])
+        mat = v[starts[rows][:, None] + np.arange(length)[None, :]]
+        if want_dfa:
+            dfa_out[rows] = dfa_batch(mat)
+        if want_dfc:
+            dfc_out[rows], amp_out[rows] = lomb_batch(mat, sample_rate)
+        if want_en:
+            mat.sort(axis=1)  # after the kernels, which read the rows in order
+            en[rows] = _row_entropy(mat)
+    cols = {"En": en, "dfa": dfa_out, "dfc": dfc_out, "dfc_amp": amp_out}
+    return {k: col for k, col in cols.items() if k in stats}
+
+
+class TokenWindowStats:
+    """Arrow-batch stage: ``stage(table) -> table``, called on each shard in
+    the flagship's ``exchange_map`` tasks (and by ``map_batches`` in the
+    Dataset-native reference flagship). Stateless: the heavy kernels'
+    length-only state is cached per process in kernels/batched.py.
 
     Appends ``{prefix}{stat}`` float64 columns; the ``tokens`` column passes
     through untouched (zero-copy — per-row token-array equality invariant).
+    A null row reads NaN in every stat, as an empty row does.
     """
 
     def __init__(
@@ -258,12 +276,20 @@ class TokenWindowStats:
         col = batch.column(self.column)
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         if isinstance(arr, pa.ListArray) or isinstance(arr, pa.LargeListArray):
-            flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+            # values by offsets: a null slot may span values, which
+            # ``flatten`` would drop while the offsets still count them
             offsets = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+            flat = arr.values.slice(offsets[0], offsets[-1] - offsets[0])
+            flat = flat.to_numpy(zero_copy_only=False).astype(np.float64)
             offsets = offsets - offsets[0]
         else:
             raise TypeError(f"column {self.column!r} is not a list type: {arr.type}")
         res = token_stats_arrays(flat, offsets, self.stats, sample_rate=self.sample_rate)
+        if arr.null_count:
+            # a null row reads NaN in every stat, as an empty row does
+            null = ~arr.is_valid().to_numpy(zero_copy_only=False)
+            for stat_col in res.values():
+                stat_col[null] = np.nan
         for name in self.stats:
             batch = batch.append_column(
                 f"{self.prefix}{name}", pa.array(res[name], type=pa.float64())

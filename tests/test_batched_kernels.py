@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mpds_ray.kernels import batched
 from mpds_ray.kernels.batched import dfa_batch, lomb_batch
 from mpds_ray.kernels.dfa import fastdfa
 from mpds_ray.kernels.lomb import dominant_frequency
@@ -46,6 +47,69 @@ class TestLombBatch:
         x = np.vstack([np.sin(2 * np.pi * f * t) for f in (2.0, 7.5, 14.0)])
         dfc, _ = lomb_batch(x, sample_rate=50.0)
         np.testing.assert_allclose(dfc, [2.0, 7.5, 14.0], atol=0.1)
+
+
+def _bits(*arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty length-state cache for one test; the process's cache is
+    restored afterwards."""
+    cache = batched._StateCache()
+    monkeypatch.setattr(batched, "_STATE", cache)
+    return cache
+
+
+class TestStateCache:
+    def test_cold_warm_and_evicted_calls_give_the_same_bits(self, fresh_cache, monkeypatch):
+        x = rng.integers(0, 50257, (12, 96)).astype(np.float64)
+        cold = _bits(dfa_batch(x), *lomb_batch(x))
+        assert ("dfa", 96) in fresh_cache.entries
+        assert ("lomb", 96, 50.0, 0.5, 20.0, 4) in fresh_cache.entries
+        assert _bits(dfa_batch(x), *lomb_batch(x)) == cold
+        # room for ~one length: the next lengths evict 96's state
+        monkeypatch.setattr(batched, "STATE_CACHE_BYTES", fresh_cache.nbytes)
+        for n in (97, 98):
+            dfa_batch(rng.normal(size=(2, n)))
+            lomb_batch(rng.normal(size=(2, n)))
+        assert ("dfa", 96) not in fresh_cache.entries
+        assert _bits(dfa_batch(x), *lomb_batch(x)) == cold
+
+    def test_sweep_keeps_the_cache_under_its_cap(self, fresh_cache, monkeypatch):
+        cap = 1 << 20
+        monkeypatch.setattr(batched, "STATE_CACHE_BYTES", cap)
+        for n in range(8, 140, 3):
+            x = rng.normal(size=(3, n))
+            dfa_batch(x)
+            lomb_batch(x)
+            assert fresh_cache.nbytes <= cap
+            assert fresh_cache.nbytes == sum(size for _, size in fresh_cache.entries.values())
+        assert 0 < len(fresh_cache.entries) < 2 * len(range(8, 140, 3))
+
+    def test_state_over_the_cap_is_computed_not_kept(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(batched, "STATE_CACHE_BYTES", 1 << 16)
+        lomb_batch(rng.normal(size=(4, 16)))
+        assert list(fresh_cache.entries) == [("lomb", 16, 50.0, 0.5, 20.0, 4)]
+        x = rng.normal(size=(4, 300))
+        dfc, amp = lomb_batch(x)
+        # not kept, and nothing kept was evicted for it
+        assert list(fresh_cache.entries) == [("lomb", 16, 50.0, 0.5, 20.0, 4)]
+        t = np.arange(300) / 50.0
+        want = np.array([dominant_frequency(t, r) for r in x])
+        np.testing.assert_allclose(dfc, want[:, 0], rtol=1e-9)
+        np.testing.assert_allclose(amp, want[:, 1], rtol=1e-9)
+
+    def test_cached_arrays_are_read_only(self, fresh_cache):
+        x = rng.normal(size=(2, 64))
+        dfa_batch(x)
+        lomb_batch(x)
+        arrays = batched._arrays([state for state, _ in fresh_cache.entries.values()])
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
 
 
 class TestHeavyStageIntegration:

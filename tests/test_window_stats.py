@@ -102,11 +102,27 @@ def _pin_inputs():
     ints = [r.integers(0, 50257, m).astype(np.float64) for m in lens]
     ints[3] = np.full(5, 7.0)
     floats = [r.normal(size=m) for m in lens]
+    # >= 50 rows for each of four lengths, values in 0..4: every length
+    # group is large and full of ties; rows of one length are interleaved
+    tie_lens = r.permutation(np.repeat([7, 16, 33, 64], [60, 55, 50, 52]))
+    ties = [r.integers(0, 5, m).astype(np.float64) for m in tie_lens]
+    # floats drawn from -0.0, +0.0 and a few finite values, one NaN in
+    # every fifth row, plus rows of signed zeros only
+    pool = np.array([-0.0, 0.0, 1.5, -2.25, 3.0])
+    zero_lens = np.r_[1, 2, 3, r.integers(4, 70, 27)]
+    signed = [pool[r.integers(0, pool.size, m)] for m in zero_lens]
+    for row in signed[2::5]:
+        row[r.integers(0, row.size)] = np.nan
+    signed[0] = np.array([-0.0])
+    signed[6] = np.where(r.random(zero_lens[6]) < 0.5, -0.0, 0.0)
+    signed[8] = np.full(zero_lens[8], -0.0)
     return {
         "ints": ints,
         "floats": floats,
         "with_empty": ints[:4] + [np.zeros(0)] + ints[4:],
         "zero_rows": [],
+        "ties": ties,
+        "signed_zeros": signed,
     }
 
 
@@ -181,6 +197,48 @@ PINNED = {
         "zcr": "f055766ff6656b5d",
     },
     "zero_rows": dict.fromkeys(CHEAP_STATS + HEAVY_STATS, _EMPTY_DIGEST),
+    "ties": {
+        "En": "911ec53979d36f83",
+        "ar1": "907f35d684c05900",
+        "dfa": "fed8549759779c93",
+        "dfc": "d4807864d84b6144",
+        "dfc_amp": "83416e973a0e32cc",
+        "iqr": "3a7ccc84352591fb",
+        "k": "f5415e2887f93db1",
+        "mean": "05b48b82e52cc9c0",
+        "meanTKEO": "b44b3b82d619ec77",
+        "median": "82730f11b390f3f7",
+        "mode": "c88f458c1c85a406",
+        "mse": "58e4b017be97823e",
+        "n": "2ff6263f3891366d",
+        "q1": "0fd8138978a238c2",
+        "q3": "c458f9d9d03406d2",
+        "range": "63d68e1dd2ba3c2e",
+        "s": "0ebc63cd6731e459",
+        "std": "f0c9a4a683c18041",
+        "zcr": "810a86fdb1806b0a",
+    },
+    "signed_zeros": {
+        "En": "548bd92622777edd",
+        "ar1": "46ef5982dfa9619a",
+        "dfa": "f9af4ff4b124783d",
+        "dfc": "b83a12eb52cdbbd4",
+        "dfc_amp": "8b3ad477da85d07a",
+        "iqr": "f2ed46848c6745e9",
+        "k": "72949ced465eb753",
+        "mean": "8dc9e777560757f9",
+        "meanTKEO": "8214dca87e06a728",
+        "median": "cd4b219a3870faee",
+        "mode": "a8c7be4c0d3fdbf6",
+        "mse": "5301124e5ab69e60",
+        "n": "eca609d7225a4421",
+        "q1": "f2f6129c61d1b29e",
+        "q3": "d3b91781f534e8ef",
+        "range": "2733b4821e1e5c0d",
+        "s": "dde94f76540fa15b",
+        "std": "de5fe788f1ba3708",
+        "zcr": "c2de4664aabad6e8",
+    },
 }
 
 
@@ -191,8 +249,7 @@ def test_stats_bit_identical_to_pin(case):
     import hashlib
 
     rows = _pin_inputs()[case]
-    flat = np.concatenate(rows) if rows else np.zeros(0)
-    offs = np.r_[0, np.cumsum([len(x) for x in rows])].astype(np.int64)
+    flat, offs = _pin_batch(case)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = token_stats_arrays(flat, offs, CHEAP_STATS + HEAVY_STATS)
     got = {
@@ -201,3 +258,45 @@ def test_stats_bit_identical_to_pin(case):
     }
     assert all(v.size == len(rows) for v in out.values())
     assert got == PINNED[case]
+
+
+def _pin_batch(case):
+    rows = _pin_inputs()[case]
+    flat = np.concatenate(rows) if rows else np.zeros(0)
+    offs = np.r_[0, np.cumsum([len(x) for x in rows])].astype(np.int64)
+    return flat, offs
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_each_stat_alone_equals_full_block(case):
+    """A stat asked for alone is bit-equal to the same stat in the full
+    block, whatever intermediates the smaller request skips."""
+    flat, offs = _pin_batch(case)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        full = token_stats_arrays(flat, offs, CHEAP_STATS + HEAVY_STATS)
+        for stat in CHEAP_STATS + HEAVY_STATS:
+            alone = token_stats_arrays(flat, offs, (stat,))
+            assert list(alone) == [stat]
+            assert alone[stat].tobytes() == full[stat].tobytes(), stat
+
+
+def test_null_row_gives_nan_not_a_shifted_value():
+    """A null list slot whose offsets span values: its row reads NaN in every
+    stat and the rows after it keep their own values."""
+    toks = pa.ListArray.from_arrays(
+        pa.array([0, 2, 4, 8], type=pa.int32()),
+        pa.array([1, 2, 3, 4, 5, 6, 7, 8], type=pa.int32()),
+        mask=pa.array([False, True, False]),
+    )
+    assert toks.null_count == 1 and toks.offsets.to_pylist() == [0, 2, 4, 8]
+    stats = CHEAP_STATS + HEAVY_STATS
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = TokenWindowStats(stats=stats)(pa.table({"tokens": toks}))
+        want = token_stats_arrays(
+            np.array([1.0, 2, 5, 6, 7, 8]), np.array([0, 2, 6]), stats
+        )
+    np.testing.assert_array_equal(out["tok_range"].to_numpy(), [1.0, np.nan, 3.0])
+    for stat in stats:
+        got = out[f"tok_{stat}"].to_numpy()
+        assert np.isnan(got[1]), stat
+        np.testing.assert_array_equal(got[[0, 2]], want[stat], err_msg=stat)
