@@ -4,8 +4,8 @@
       -> TokenWindowStats (pyarrow, zero-copy)             [map side]
       -> narrow projection (doc_id, ts, source, stats)     [tokens stay Arrow]
       -> ONE hash exchange by stable_bucket(entity) % B    [stages/exchange.py]
-      -> one reduce task per bucket: the bucket's rows as a chunk stream,
-         each chunk run through ``process_bucket``:
+      -> reduce tasks over contiguous groups of buckets; each bucket's
+         rows as a chunk stream, each chunk run through ``process_bucket``:
             (entity, ts) sort, integer entity codes        [establish invariant]
             sessionize (gap threshold, per-entity ordinals)
             per-entity lag/lead + prefix features
@@ -23,6 +23,9 @@
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, the driver folds their carries, and fix tasks
   apply them and commit through the same sink.
+
+Buckets and salted ranges are partitions; tasks are groups of them
+(``exchange.task_groups``), each run one partition after the other.
 
 The bucket stays Arrow from the exchange to the sink: map slices arrive as
 ``pa.Table``s, ``process_bucket`` sorts and scans them as Arrow columns and
@@ -75,6 +78,7 @@ from ..stages.exchange import (
     collect_frames,
     exchange_map,
     shard_map,
+    task_groups,
 )
 from ..stages.partition import run_bounds, stable_bucket
 from ..stages.salted import (
@@ -496,8 +500,9 @@ def detect_salt_spec(
 @dataclass(frozen=True)
 class ScanPlan:
     """The per-run values every reduce task of one ``run_flagship_exchange``
-    call shares: the scan parameters, the input fragment names (lineage) and
-    where partitions are committed (``out_dir`` None: returned as tables)."""
+    call shares: the scan parameters, the input fragment names (lineage),
+    where partitions are committed (``out_dir`` None: returned as tables)
+    and the partitions an earlier run already committed (``done``)."""
 
     entity: str
     ts: str
@@ -508,23 +513,24 @@ class ScanPlan:
     frag_names: list[str]
     out_dir: str | None
     manifest_file: str | None
+    done: frozenset
 
     def contributors(self, parts) -> list[str]:
         """Lineage: the input fragments whose map slices hold rows of a
         bucket (a slice is a table, or a list of sub-chunk refs)."""
         return [self.frag_names[s] for s, p in enumerate(parts) if len(p)]
 
-    def commit(self, b: int, frags: list[str], skip: bool, scan):
-        """Run ``scan(emit)`` for bucket ``b`` into its partition, or into
-        one table when there is no ``out_dir``. No contributing fragment:
-        no partition (None); ``skip``: already committed by an earlier run."""
+    def commit(self, b: int, frags: list[str], scan):
+        """Run ``scan(emit)`` for partition ``b`` into its file, or into one
+        table when there is no ``out_dir``. No contributing fragment: no
+        partition (None); in ``done``: already committed by an earlier run."""
         if not frags:
             return None
         if self.out_dir is None:
             tables: list = []
             scan(tables.append)
             return pa.concat_tables(tables)
-        if skip:
+        if b in self.done:
             return _summary(b, 0, skipped=True)
         return commit_partition(
             ChunkPartitionSink(self.out_dir, b), self.manifest_file, scan, frags
@@ -535,48 +541,59 @@ def _one_chunk(parts) -> pa.Table:
     return pa.concat_tables([t for p in parts for t in ray_run_iter(p)])
 
 
-@ray.remote
-def reduce_bucket(plan: ScanPlan, b: int, skip: bool, right: pa.Table, *parts):
-    """One hash bucket: its chunk stream through ``scan_chunks_with_carry``
-    into the bucket's partition."""
-
-    def scan(emit) -> None:
-        if plan.chunk_rows is None:
-            chunks = [_one_chunk(parts)]
-        else:
-            chunks = sorted_run_merge(
-                [ray_run_iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
-            )
-        scan_chunks_with_carry(
-            chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
-            plan.stat_cols, emit,
+def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
+    """One hash bucket's chunk stream through ``scan_chunks_with_carry``."""
+    if plan.chunk_rows is None:
+        chunks = [_one_chunk(parts)]
+    else:
+        chunks = sorted_run_merge(
+            [ray_run_iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
         )
+    scan_chunks_with_carry(
+        chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
+        plan.stat_cols, emit,
+    )
 
-    return plan.commit(b, plan.contributors(parts), skip, scan)
+
+@ray.remote
+def reduce_bucket(plan: ScanPlan, buckets: range, rights: list[pa.Table], *groups):
+    """One group of hash buckets (``groups[s]`` is map task s's object: its
+    slices of each bucket of the group), each scanned into its own
+    partition and committed before the next starts."""
+    return [
+        plan.commit(b, plan.contributors(parts), partial(_scan_bucket, plan, right, parts))
+        for b, right, parts in zip(buckets, rights, zip(*groups))
+    ]
 
 
 @ray.remote(num_returns=3)
-def scan_range(plan: ScanPlan, right: pa.Table, *parts):
-    """Phase 1 of a salted range: scan it alone. Its compact carry summary
-    rides back separately, so the driver's fold never fetches the features
-    table."""
-    frags = plan.contributors(parts)
-    if not frags:
-        return None, None, []
-    feats = process_bucket(
-        _one_chunk(parts), right, plan.entity, plan.ts, plan.session_gap,
-        plan.tolerance, plan.stat_cols,
-    )
-    return feats, chunk_carry_info(feats, plan.ts, plan.stat_cols[0]), frags
+def scan_range(plan: ScanPlan, right: pa.Table, *groups):
+    """Phase 1 of a group of one hot entity's salted ranges: scan each
+    range alone. The compact carry summaries ride back separately, so the
+    driver's fold never fetches the features tables."""
+    feats, infos, frags = [], [], []
+    for parts in zip(*groups):
+        frags.append(plan.contributors(parts))
+        f = process_bucket(
+            _one_chunk(parts), right, plan.entity, plan.ts, plan.session_gap,
+            plan.tolerance, plan.stat_cols,
+        ) if frags[-1] else None
+        feats.append(f)
+        infos.append(chunk_carry_info(f, plan.ts, plan.stat_cols[0]))
+    return feats, infos, frags
 
 
 @ray.remote
-def fix_range(plan: ScanPlan, feats: pa.Table, carry, next_first_ts, b: int,
-              skip: bool, frags):
-    """Phase 2 of a salted range: apply the folded carry-in and commit."""
-    return plan.commit(b, frags, skip, lambda emit: emit(flagship_apply_carry(
-        feats, carry, next_first_ts, plan.ts, plan.stat_cols[0], plan.session_gap
-    )))
+def fix_range(plan: ScanPlan, ranges: range, feats: list, carries: list,
+              next_first_ts: list, frags: list):
+    """Phase 2 of a group of salted ranges: apply each range's folded
+    carry-in and commit it."""
+    return [
+        plan.commit(b, fr, lambda emit, f=f, c=c, nxt=nxt: emit(flagship_apply_carry(
+            f, c, nxt, plan.ts, plan.stat_cols[0], plan.session_gap
+        )))
+        for b, f, c, nxt, fr in zip(ranges, feats, carries, next_first_ts, frags)
+    ]
 
 
 def run_flagship_exchange(
@@ -598,11 +615,12 @@ def run_flagship_exchange(
     chunk_rows: int | None = None,
 ) -> pd.DataFrame:
     """Flagship on the explicit two-stage hash exchange (stages.exchange):
-    map tasks fuse read + windowed stats + bucket split; one reduce task per
-    hash bucket streams the bucket's chunks through ``scan_chunks_with_carry``
-    into ``ChunkPartitionSink`` and commits the partition. The scores table
-    is split by bucket (and by hot entity) once on the driver, in
-    Arrow; each task receives only its slice.
+    map tasks fuse read + windowed stats + bucket split. Buckets are
+    partitions, tasks are groups (``task_groups``): one reduce task per
+    group streams each bucket's chunks through ``scan_chunks_with_carry``
+    into its ``ChunkPartitionSink`` and commits it. The scores table is
+    split by bucket (and by hot entity) once on the driver, in Arrow; each
+    task receives only its buckets' slices.
 
     ``chunk_rows`` bounds reduce memory: map slices arrive as sorted
     sub-chunk objects and each reduce streams a k-way merge of ~chunk_rows
@@ -613,7 +631,9 @@ def run_flagship_exchange(
     of all rows (and more than ``salt_min_rows``) into extra partitions
     ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
     ranges in parallel, the driver folds their O(1) carries in order, and
-    fix tasks apply them and commit through the same sink.
+    fix tasks apply them and commit through the same sink. Each hot
+    entity's ranges are grouped into tasks as the buckets are; no grouping
+    moves a row between partitions (tests/test_task_groups.py).
 
     A rerun into the same ``out_dir`` skips the partitions whose manifest
     record names a file holding the recorded rows
@@ -656,7 +676,7 @@ def run_flagship_exchange(
         done = Manifest(manifest_file).committed("flagship", out_dir)
     plan = ScanPlan(
         entity, ts, session_gap, tolerance, stat_cols, chunk_rows,
-        [os.path.basename(p) for p in shards], out_dir, manifest_file,
+        [os.path.basename(p) for p in shards], out_dir, manifest_file, frozenset(done),
     )
 
     spec: dict = {}
@@ -684,39 +704,44 @@ def run_flagship_exchange(
                     ).astype(bucket.dtype)
         return bucket
 
+    bucket_groups = task_groups(range(num_buckets), shards)
+    range_groups = {
+        e: task_groups(range(num_buckets + off, num_buckets + off + bounds.size + 1), shards)
+        for e, (off, bounds) in spec.items()
+    }
+    groups = bucket_groups + [g for gs in range_groups.values() for g in gs]
     refs = exchange_map(
         shards, map_fn, bucket_fn, num_buckets + n_extra,
         sort_keys=[entity, ts] if chunk_rows is not None else None,
-        chunk_rows=chunk_rows,
+        chunk_rows=chunk_rows, groups=groups,
     )
+    by_group = dict(zip(groups, zip(*refs)))  # group -> every map task's object
 
     scores = pq.read_table(scores_path)
     bucket_scores = _split_by_bucket(
         scores, stable_bucket(scores[entity].to_numpy(), num_buckets), num_buckets
     )
-
-    def slices(b: int) -> list:
-        return [refs[s][b] for s in range(len(shards))]
-
     out = [
-        reduce_bucket.remote(plan, b, b in done, bucket_scores[b], *slices(b))
-        for b in range(num_buckets)
+        reduce_bucket.remote(plan, g, bucket_scores[g.start:g.stop], *by_group[g])
+        for g in bucket_groups
     ]
-    for e, (off, bounds) in spec.items():
-        ranges = range(num_buckets + off, num_buckets + off + bounds.size + 1)
+    for e, gs in range_groups.items():
         right = ray.put(scores.filter(pc.equal(scores[entity], e)))
-        phase1 = [scan_range.remote(plan, right, *slices(b)) for b in ranges]
-        infos = ray.get([p[1] for p in phase1])
+        phase1 = [scan_range.remote(plan, right, *by_group[g]) for g in gs]
+        infos = [i for p in ray.get([p[1] for p in phase1]) for i in p]
         # driver-side sequential fold (microseconds per range) -> carry-ins;
         # all fix tasks then launch in parallel
         carry, carries = None, []
         for info in infos:
             carries.append(carry)
             carry = fold_carry(carry, info, session_gap)
-        for k, (b, (feats, _, frags)) in enumerate(zip(ranges, phase1)):
-            next_first = next((i["first_ts"] for i in infos[k + 1:] if i), None)
-            out.append(fix_range.remote(plan, feats, carries[k], next_first, b, b in done, frags))
-    results = collect_frames(ray.get(out), "run_flagship_exchange")
+        next_first = [
+            next((i["first_ts"] for i in infos[k + 1:] if i), None) for k in range(len(infos))
+        ]
+        for g, (feats, _, frags) in zip(gs, phase1):
+            k = slice(g.start - gs[0].start, g.stop - gs[0].start)
+            out.append(fix_range.remote(plan, g, feats, carries[k], next_first[k], frags))
+    results = collect_frames([r for rs in ray.get(out) for r in rs], "run_flagship_exchange")
     return results.to_pandas() if isinstance(results, pa.Table) else results
 
 

@@ -18,6 +18,13 @@ Dataset API cannot express efficiently:
         per source grid, concat bucket b's non-empty slices (``None`` when
         the grid has no rows there) -> reduce_fn(b, *tables)
 
+Buckets are partitions; tasks are groups of them. Bucket ``b`` is always
+partition ``b``; ``task_groups`` only decides how many tasks run them. With
+``groups`` a map task returns one object per group (the group's per-bucket
+slices), and the flagship runs each group in one reduce task, so a small
+input costs one reduce task whatever its bucket count. ``reduce_grid``
+still runs one task per bucket: the queries mostly have one bucket.
+
 ``reduce_grid`` is the one reducer of every exchange: a one-grid reduce
 (``hash_exchange``), a two-sided join (``hashjoin.exchange_join``) and each
 hop of a chained join. Its empty-side rule: a bucket whose FIRST grid has no
@@ -101,7 +108,10 @@ def _split_by_bucket(
     """One stable argsort + P zero-copy slices of the bucket-sorted table.
     With ``sort_keys`` the single sort is a stable lexsort by (bucket, *keys)
     so every slice is additionally a sorted RUN (the chunked-reduce merge
-    input); ties keep original within-shard order either way."""
+    input); ties keep original within-shard order either way. One bucket
+    and no keys: the table itself, not a sorted copy."""
+    if num_buckets == 1 and not sort_keys:
+        return [table]
     if sort_keys:
         keys = [table[c].to_numpy(zero_copy_only=False) for c in sort_keys]
         order = np.lexsort((*reversed(keys), bucket))
@@ -135,6 +145,17 @@ def auto_num_buckets(
     return int(min(max_buckets, max(1, math.ceil(total * expansion / target_task_bytes))))
 
 
+def task_groups(items: range, inputs: list[str] | int) -> list[range]:
+    """Which tasks run the partitions ``items`` (buckets, or one hot
+    entity's salted ranges): ``min(len(items), max(auto_num_buckets(inputs),
+    cluster CPUs))`` contiguous sub-ranges of nearly equal length. A group
+    never changes which rows land in which partition, so the output does
+    not depend on the cluster."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n = min(len(items), max(auto_num_buckets(inputs), cpus))
+    return [items[len(items) * g // n:len(items) * (g + 1) // n] for g in range(n)]
+
+
 def exchange_map(
     shard_paths: list[str],
     map_fn: Callable[[pa.Table], pa.Table],
@@ -144,6 +165,7 @@ def exchange_map(
     filters=None,
     sort_keys: list[str] | None = None,
     chunk_rows: int | None = None,
+    groups: list[range] | None = None,
 ) -> list[list["ray.ObjectRef"]]:
     """Map phase only: one task per shard, ``bucket_fn`` assigns each row a
     bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of shard s
@@ -151,6 +173,10 @@ def exchange_map(
     consumer). ``reduce_grid`` drives the reduce side; the flagship drives
     its own (it streams each bucket through a carry scan into a resumable
     sink).
+
+    ``groups`` (contiguous ranges covering [0, num_buckets), from
+    ``task_groups``) makes ``refs[s][g]`` the list of shard s's slices of
+    group g's buckets instead, for a reduce task that runs the group.
 
     ``columns`` prunes the shard read; ``filters`` (a pyarrow dataset
     expression) pushes a row predicate into the scan — row-group pruning at
@@ -162,15 +188,16 @@ def exchange_map(
     LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
     and release one at a time instead of pinning the whole run."""
     map_takes_path = accepts_n_positional(map_fn, 2)
-    task = _map_shard.options(num_returns=num_buckets)
+    n_out = num_buckets if groups is None else len(groups)
+    task = _map_shard.options(num_returns=n_out)
     refs = [
         task.remote(
             p, map_fn, map_takes_path, bucket_fn, num_buckets,
-            columns, filters, sort_keys, chunk_rows,
+            columns, filters, sort_keys, chunk_rows, groups,
         )
         for p in shard_paths
     ]
-    if num_buckets == 1:
+    if n_out == 1:
         refs = [[r] for r in refs]
     return refs
 
@@ -178,9 +205,10 @@ def exchange_map(
 @ray.remote
 def _map_shard(
     path, map_fn, map_takes_path, bucket_fn, num_buckets,
-    columns, filters, sort_keys, chunk_rows,
+    columns, filters, sort_keys, chunk_rows, groups,
 ):
-    """``exchange_map``'s task: read one shard, map it, split it by bucket."""
+    """``exchange_map``'s task: read one shard, map it, split it by bucket,
+    and return one object per bucket or, with ``groups``, per group."""
     import pyarrow.parquet as pq
 
     raw = pq.read_table(path, columns=columns, filters=filters)
@@ -191,7 +219,9 @@ def _map_shard(
         from .chunked import split_chunks
 
         parts = [[ray.put(c) for c in split_chunks(p, chunk_rows)] for p in parts]
-    return tuple(parts) if num_buckets > 1 else parts[0]
+    if groups is not None:
+        parts = [parts[g.start:g.stop] for g in groups]
+    return tuple(parts) if len(parts) > 1 else parts[0]
 
 
 def shard_map(

@@ -97,9 +97,11 @@ def token_stats_arrays(
     if want & {"q1", "q3", "iqr", "median", "mode", "meanTKEO", "ar1"}:
         seg_of = np.repeat(np.arange(n), lengths)  # segment id per flat element
     if want & {"meanTKEO", "ar1"}:
-        # same[i]: elements i and i+1 lie in one segment
-        same = np.ones(max(v.size - 1, 0), dtype=bool)
-        same[starts[1:] - 1] = False
+        # cross[i]: elements i and i + 1 lie in different segments. Products
+        # across segments are zeroed by assignment: a NaN or inf product
+        # times 0 is NaN and would reach the earlier segment's sum
+        cross = np.zeros(max(v.size - 1, 0), dtype=bool)
+        cross[starts[1:] - 1] = True
 
     if "mean" in stats:
         out["mean"] = mean
@@ -178,8 +180,8 @@ def token_stats_arrays(
     if "meanTKEO" in stats:
         tk = np.full(n, np.nan)
         if v.size >= 3:
-            interior = same[:-1] & same[1:]
-            term = (v[1:-1] ** 2 - v[2:] * v[:-2]) * interior
+            term = v[1:-1] ** 2 - v[2:] * v[:-2]
+            term[cross[:-1] | cross[1:]] = 0.0
             sums = np.bincount(seg_of[1:-1], weights=term, minlength=n)
             cnt = np.maximum(lengths - 2, 0)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -188,8 +190,12 @@ def token_stats_arrays(
     if "ar1" in stats:
         res = np.full(n, np.nan)
         if v.size >= 2:
-            num = np.bincount(seg_of[:-1], weights=v[1:] * v[:-1] * same, minlength=n)
-            den = np.bincount(seg_of[:-1], weights=v[:-1] * v[:-1] * same, minlength=n)
+            w = v[1:] * v[:-1]
+            w[cross] = 0.0
+            num = np.bincount(seg_of[:-1], weights=w, minlength=n)
+            np.multiply(v[:-1], v[:-1], out=w)
+            w[cross] = 0.0
+            den = np.bincount(seg_of[:-1], weights=w, minlength=n)
             with np.errstate(invalid="ignore", divide="ignore"):
                 res = np.where(den > 0, num / den, np.nan)
         out["ar1"] = res

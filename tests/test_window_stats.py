@@ -227,7 +227,9 @@ PINNED = {
         "iqr": "f2ed46848c6745e9",
         "k": "72949ced465eb753",
         "mean": "8dc9e777560757f9",
-        "meanTKEO": "8214dca87e06a728",
+        # row 6 (signed zeros only) reads 0.0 as the per-row kernel does;
+        # it read NaN while row 7's NaN leaked across the row boundary
+        "meanTKEO": "105226e8028ebb59",
         "median": "cd4b219a3870faee",
         "mode": "a8c7be4c0d3fdbf6",
         "mse": "5301124e5ab69e60",
@@ -300,3 +302,20 @@ def test_null_row_gives_nan_not_a_shifted_value():
         got = out[f"tok_{stat}"].to_numpy()
         assert np.isnan(got[1]), stat
         np.testing.assert_array_equal(got[[0, 2]], want[stat], err_msg=stat)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2, 3, 4], [np.nan, 1, 2, 3]],
+    [[1.0, 2, 3, 4], [1e200, 1e200, 2, 3]],
+    [[1e200, 1e200, 2, 3], [1.0, 2, 3, 4]],
+])
+def test_cross_row_nan_or_overflow_stays_in_its_row(rows):
+    """``ar1`` and ``meanTKEO`` multiply neighbours; a product across a row
+    boundary that is NaN or overflows must not reach either row's value."""
+    flat = np.concatenate([np.array(r) for r in rows])
+    offs = np.r_[0, np.cumsum([len(r) for r in rows])].astype(np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = token_stats_arrays(flat, offs, ("ar1", "meanTKEO"))
+        for stat in ("ar1", "meanTKEO"):
+            want = np.array([STAT_KERNELS[stat](np.array(r)) for r in rows])
+            np.testing.assert_array_equal(got[stat], want, err_msg=stat)
