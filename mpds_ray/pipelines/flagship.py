@@ -77,10 +77,11 @@ from ..stages.exchange import (
     auto_num_buckets,
     collect_frames,
     exchange_map,
+    key_bucket,
     shard_map,
     task_groups,
 )
-from ..stages.partition import run_bounds, stable_bucket
+from ..stages.partition import run_bounds
 from ..stages.salted import (
     chunk_carry_info,
     flagship_apply_carry,
@@ -231,7 +232,7 @@ def flagship_features(
 
     def _tag(side: int, cols: list[str]):
         def tag_fn(t: pa.Table) -> pa.Table:
-            b = stable_bucket(t[entity].to_numpy(zero_copy_only=False), num_buckets)
+            b = key_bucket(t, entity, num_buckets)
             out = {}
             for c in cols:
                 if c in t.column_names:
@@ -421,30 +422,9 @@ def commit_partition(sink: ChunkPartitionSink, manifest_file: str, scan,
     return _summary(sink.bucket_id, sink.rows, skipped=False)
 
 
-@ray.remote
-def shard_stats(path: str, entity: str, ts: str):
-    """``detect_salt_spec``'s ONE pruned pass per shard: entity counts +
-    strided ts samples for the shard's top-8 entities. Any globally-heavy
-    key (> threshold of ALL rows) is in virtually every shard's local top-8,
-    so no second pass is needed (``key_ts`` covers the pathological miss)."""
-    t = pq.read_table(path, columns=[entity, ts])
-    ent = t[entity].to_numpy(zero_copy_only=False)
-    tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
-    vc = pd.Series(ent).value_counts()
-    samples = {}
-    for k in vc.index[:8]:
-        v = tsv[ent == k]
-        samples[k] = v[:: max(1, v.size // 4096)]
-    return vc, samples
-
-
-@ray.remote
-def key_ts(path: str, entity: str, ts: str, key):
-    """The strided ts sample of one heavy ``key`` in one shard."""
-    t = pq.read_table(path, columns=[entity, ts])
-    v = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)[
-        t[entity].to_numpy(zero_copy_only=False) == key
-    ]
+def _strided(v: np.ndarray) -> np.ndarray:
+    """The salt pre-pass's ts sample of one key in one shard: every
+    ``v.size // 4096``-th value, so at most ~4096 per shard."""
     return v[:: max(1, v.size // 4096)]
 
 
@@ -457,10 +437,13 @@ def detect_salt_spec(
     max_salts: int = 32,
     min_rows: int = 1_000_000,
 ) -> tuple[dict, int]:
-    """Heavy-hitter pre-pass (SURVEY §4.2): distributed per-shard entity
-    counts (entity column only leaves storage) find keys holding more than
-    ``threshold`` of all rows; a second pruned pass collects a strided ts
-    sample per hot key to place S-1 range boundaries at ts quantiles.
+    """Heavy-hitter pre-pass (SURVEY §4.2): one pruned ``shard_map`` pass
+    (entity and ts columns only leave storage) counts each shard's entities
+    and keeps a strided ts sample of its local top-8. Keys holding more
+    than ``threshold`` of all rows are hot; each gets S-1 range boundaries
+    at its sample's ts quantiles. A globally-heavy key is in virtually
+    every shard's local top-8; when it is in none, a second pass reads its
+    rows alone (``entity == key`` pushed into the scan) for the sample.
     Returns ({entity_value: (offset, boundaries)}, total_extra_buckets).
     Deterministic: counts and strided samples depend only on the data.
 
@@ -470,7 +453,13 @@ def detect_salt_spec(
     if sum(pq.read_metadata(p).num_rows for p in shards) <= min_rows:
         return {}, 0
 
-    stats = ray.get([shard_stats.remote(p, entity, ts) for p in shards])
+    def top_keys(t: pa.Table):
+        ent = t[entity].to_numpy(zero_copy_only=False)
+        tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
+        vc = pd.Series(ent).value_counts()
+        return vc, {k: _strided(tsv[ent == k]) for k in vc.index[:8]}
+
+    stats = shard_map(shards, top_keys, columns=[entity, ts])
     tot = pd.concat([s[0] for s in stats]).groupby(level=0).sum()
     total = int(tot.sum())
     # gate on SHARE (straggler ratio) and ABSOLUTE size: under ~1M rows the
@@ -489,7 +478,11 @@ def detect_salt_spec(
         n_salts = int(max(2, min(max_salts, np.ceil(share * num_buckets))))
         parts = [s[1][k] for s in stats if k in s[1]]
         if not parts:  # pathological: heavy key outside every shard top-8
-            parts = ray.get([key_ts.remote(p, entity, ts, k) for p in shards])
+            parts = shard_map(
+                shards,
+                lambda t: _strided(t[ts].to_numpy(zero_copy_only=False).astype(np.float64)),
+                columns=[ts], filters=pc.field(entity) == k,
+            )
         sample = np.sort(np.concatenate(parts))
         bounds = np.unique(np.quantile(sample, np.linspace(0, 1, n_salts + 1)[1:-1]))
         spec[k] = (off, bounds)
@@ -609,8 +602,6 @@ def run_flagship_exchange(
     stats: tuple[str, ...] = NARROW_STATS,
     heavy: bool = False,
     wide_out_dir: str | None = None,
-    salt: bool = True,
-    salt_threshold: float = 0.2,
     salt_min_rows: int = 1_000_000,
     chunk_rows: int | None = None,
 ) -> pd.DataFrame:
@@ -627,8 +618,8 @@ def run_flagship_exchange(
     chunks, so the reduce heap holds two chunks, not the bucket. Without it
     a bucket is one chunk.
 
-    ``salt`` range-salts every entity holding more than ``salt_threshold``
-    of all rows (and more than ``salt_min_rows``) into extra partitions
+    Every entity holding more than 20% of all rows (and more than
+    ``salt_min_rows``) is range-salted into extra partitions
     ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
     ranges in parallel, the driver folds their O(1) carries in order, and
     fix tasks apply them and commit through the same sink. Each hot
@@ -679,22 +670,16 @@ def run_flagship_exchange(
         [os.path.basename(p) for p in shards], out_dir, manifest_file, frozenset(done),
     )
 
-    spec: dict = {}
-    n_extra = 0
-    if salt:
-        spec, n_extra = detect_salt_spec(
-            shards, entity, ts, num_buckets, threshold=salt_threshold,
-            min_rows=salt_min_rows,
-        )
+    spec, n_extra = detect_salt_spec(shards, entity, ts, num_buckets, min_rows=salt_min_rows)
 
     def bucket_fn(t: pa.Table) -> np.ndarray:
         """Hash bucket per row; a hot entity's rows go to its ts ranges
         ``num_buckets + offset + k`` instead. Ties in ts cannot straddle
         ranges (value-based searchsorted), so per-range stable sorts
         reproduce the unsalted order."""
-        vals = t[entity].to_numpy(zero_copy_only=False)
-        bucket = stable_bucket(vals, num_buckets)
+        bucket = key_bucket(t, entity, num_buckets)
         if spec:
+            vals = t[entity].to_numpy(zero_copy_only=False)
             tsv = t[ts].to_numpy(zero_copy_only=False).astype(np.float64)
             for e, (off, bounds) in spec.items():
                 m = vals == e
@@ -718,9 +703,7 @@ def run_flagship_exchange(
     by_group = dict(zip(groups, zip(*refs)))  # group -> every map task's object
 
     scores = pq.read_table(scores_path)
-    bucket_scores = _split_by_bucket(
-        scores, stable_bucket(scores[entity].to_numpy(), num_buckets), num_buckets
-    )
+    bucket_scores = _split_by_bucket(scores, key_bucket(scores, entity, num_buckets), num_buckets)
     out = [
         reduce_bucket.remote(plan, g, bucket_scores[g.start:g.stop], *by_group[g])
         for g in bucket_groups

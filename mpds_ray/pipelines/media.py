@@ -5,10 +5,10 @@ The driver testdata ships no media table, so the query synthesizes one
 deterministically (seeded; REAL binary PPM, WAV and y4m payloads) and runs
 the REAL decoders over it: netpbm images and y4m video decode in pure numpy,
 WAV/PCM audio through the stdlib ``wave`` module (stages/multimodal.py).
-Each decoder runs as one Ray task per fixed slice of at most ``SLICE_ROWS``
-rows (payload bytes dominate, so slices stay small). The oracle is an
-independent golden built by looping the codec functions directly, with no
-Ray (oracle/independent.py).
+Each decoder runs on ``shard_map`` with one task per fixed slice of at most
+``SLICE_ROWS`` rows (payload bytes dominate, so slices stay small). The
+oracle is an independent golden built by looping the codec functions
+directly, with no Ray (oracle/independent.py).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
-from ..stages.exchange import collect_frames
+from ..stages.exchange import shard_map
 from ..stages.multimodal import decode_audio, decode_image, sample_frames, synth_media_table
 
 MEDIA_N = 96
@@ -27,21 +26,13 @@ MEDIA_SEED = 13
 SLICE_ROWS = 16
 
 
-@ray.remote
-def _decode_slice(decode, rows: pa.Table) -> pd.DataFrame:
-    return decode(rows)
-
-
 def decode_rows(decode, t: pa.Table, what: str) -> pd.DataFrame:
     """``decode`` over ``t``, one task per slice of at most ``SLICE_ROWS``
     rows; the frames are concatenated in row order under
     ``DRIVER_ROOT_ROW_CAP`` (``what`` names the query in the over-cap
     error)."""
-    tasks = [
-        _decode_slice.remote(decode, t.slice(i, SLICE_ROWS))
-        for i in range(0, t.num_rows, SLICE_ROWS)
-    ]
-    return collect_frames(ray.get(tasks), what)
+    slices = [t.slice(i, SLICE_ROWS) for i in range(0, t.num_rows, SLICE_ROWS)]
+    return shard_map(slices, decode, collect=what)
 
 
 def media_decode_features(sf_dir: str) -> pd.DataFrame:

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import ray
 
-from ..stages.exchange import hash_exchange, shard_map
+from ..stages.exchange import hash_exchange, key_bucket, shard_map
 from ..stages.sketch import grouped_quantile_summary, shard_quantiles, weighted_quantiles
 from .common import (
     exchange_buckets,
@@ -845,9 +845,9 @@ def q5_region_nation_revenue(
 ):
     """TPC-H Q5-shaped multi-way CHAIN join — the join key changes at every
     hop, so each hop's output is re-exchanged on the next key while staying
-    in the object store as per-bucket Arrow tables (stages/hashjoin.py
-    rebucket_refs, exchange.reduce_grid); the driver holds only ObjectRefs
-    until the final nation-level partials.
+    in the object store as per-bucket Arrow tables (``exchange_map`` over
+    the hop's output refs, then ``reduce_grid``); the driver holds only
+    ObjectRefs until the final nation-level partials.
 
         hop 1 (key=custkey):  orders(1996)      ⨝ customer(region nations)
                               -> (o_orderkey, c_nationkey)
@@ -866,10 +866,7 @@ def q5_region_nation_revenue(
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import (
-        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom_refs, rebucket_refs,
-    )
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
     num_buckets = exchange_buckets(
         sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
@@ -892,8 +889,7 @@ def q5_region_nation_revenue(
     def c_map(t: pa.Table) -> pa.Table:
         return pa.table({"key": t["c_custkey"], "c_nationkey": t["c_nationkey"]})
 
-    def bucket_key(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["key"].to_numpy(zero_copy_only=False), num_buckets)
+    bucket_key = partial(key_bucket, key="key", num_buckets=num_buckets)
 
     o_grid = exchange_map(
         shard_list(sf_dir, "orders"), o_map, bucket_key, num_buckets,
@@ -915,7 +911,7 @@ def q5_region_nation_revenue(
     hop1 = reduce_grid(join1, num_buckets, o_grid, c_grid, emit="refs")
 
     # --- hop 2: hop1 x lineitem on orderkey ---------------------------------
-    bits = ray.put(build_key_bloom_refs(hop1, "o_orderkey"))
+    bits = ray.put(build_key_bloom(hop1, "o_orderkey"))
 
     def li_map(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -929,16 +925,13 @@ def q5_region_nation_revenue(
             }
         )
 
-    def bucket_okey(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["o_orderkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_okey = partial(key_bucket, key="o_orderkey", num_buckets=num_buckets)
 
     li_grid = exchange_map(
         shard_list(sf_dir, "lineitem"), li_map, bucket_okey, num_buckets,
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
-    hop1_grid = rebucket_refs(hop1, "o_orderkey", num_buckets)
+    hop1_grid = exchange_map(hop1, None, bucket_okey, num_buckets)
 
     def join2(b: int, h1: pa.Table, li: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(h1.to_pandas(), on="o_orderkey")
@@ -953,17 +946,14 @@ def q5_region_nation_revenue(
     def s_map(t: pa.Table) -> pa.Table:
         return pa.table({"l_suppkey": t["s_suppkey"], "s_nationkey": t["s_nationkey"]})
 
-    def bucket_skey(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["l_suppkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_skey = partial(key_bucket, key="l_suppkey", num_buckets=num_buckets)
 
     s_grid = exchange_map(
         shard_list(sf_dir, "supplier"), s_map, bucket_skey, num_buckets,
         columns=["s_suppkey", "s_nationkey"],
         filters=pds.field("s_nationkey").isin(nation_keys),
     )
-    hop2_grid = rebucket_refs(hop2, "l_suppkey", num_buckets)
+    hop2_grid = exchange_map(hop2, None, bucket_skey, num_buckets)
 
     def join3(b: int, h2: pa.Table, s: pa.Table) -> pd.DataFrame:
         j = h2.to_pandas().merge(s.to_pandas(), on="l_suppkey")
@@ -1000,10 +990,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import (
-        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom_refs, rebucket_refs,
-    )
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
     num_buckets = exchange_buckets(
         sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
@@ -1024,8 +1011,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     def c_map(t: pa.Table) -> pa.Table:
         return pa.table({"key": t["c_custkey"], "c_nationkey": t["c_nationkey"]})
 
-    def bucket_key(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["key"].to_numpy(zero_copy_only=False), num_buckets)
+    bucket_key = partial(key_bucket, key="key", num_buckets=num_buckets)
 
     o_grid = exchange_map(
         shard_list(sf_dir, "orders"), o_map, bucket_key, num_buckets,
@@ -1046,7 +1032,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     hop1 = reduce_grid(join1, num_buckets, o_grid, c_grid, emit="refs")
 
     # --- hop 2: hop1 x lineitem(ship window) on orderkey ---------------------
-    bits = ray.put(build_key_bloom_refs(hop1, "o_orderkey"))
+    bits = ray.put(build_key_bloom(hop1, "o_orderkey"))
 
     def li_map(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -1070,10 +1056,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def bucket_okey(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["o_orderkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_okey = partial(key_bucket, key="o_orderkey", num_buckets=num_buckets)
 
     li_grid = exchange_map(
         shard_list(sf_dir, "lineitem"), li_map, bucket_okey, num_buckets,
@@ -1082,7 +1065,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
         ],
         filters=(pds.field("l_shipdate") >= lo) & (pds.field("l_shipdate") < hi),
     )
-    hop1_grid = rebucket_refs(hop1, "o_orderkey", num_buckets)
+    hop1_grid = exchange_map(hop1, None, bucket_okey, num_buckets)
 
     def join2(b: int, h1: pa.Table, li: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(h1.to_pandas(), on="o_orderkey")
@@ -1099,17 +1082,14 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
             {"l_suppkey": t["s_suppkey"], "s_nationkey": t["s_nationkey"]}
         )
 
-    def bucket_skey(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["l_suppkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_skey = partial(key_bucket, key="l_suppkey", num_buckets=num_buckets)
 
     s_grid = exchange_map(
         shard_list(sf_dir, "supplier"), s_map, bucket_skey, num_buckets,
         columns=["s_suppkey", "s_nationkey"],
         filters=pds.field("s_nationkey").isin(nation_keys),
     )
-    hop2_grid = rebucket_refs(hop2, "l_suppkey", num_buckets)
+    hop2_grid = exchange_map(hop2, None, bucket_skey, num_buckets)
 
     def join3(b: int, h2: pa.Table, s: pa.Table) -> pd.DataFrame:
         j = h2.to_pandas().merge(s.to_pandas(), on="l_suppkey")
@@ -2006,10 +1986,7 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pds
 
     from ..stages.exchange import exchange_map, reduce_grid
-    from ..stages.hashjoin import (
-        BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom, rebucket_refs,
-    )
-    from ..stages.partition import stable_bucket
+    from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
     num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"), num_buckets)
 
@@ -2042,10 +2019,7 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
             {"o_orderkey": t["o_orderkey"], "o_custkey": t["o_custkey"]}
         )
 
-    def bucket_okey(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["o_orderkey"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_okey = partial(key_bucket, key="o_orderkey", num_buckets=num_buckets)
 
     li_grid = exchange_map(
         shard_list(sf_dir, "lineitem"), li_map, bucket_okey, num_buckets,
@@ -2064,7 +2038,9 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
         return pa.Table.from_pandas(g, preserve_index=False)
 
     hop1 = reduce_grid(join1, num_buckets, li_grid, o_grid, emit="refs")
-    grid2 = rebucket_refs(hop1, "o_custkey", num_buckets)
+    grid2 = exchange_map(
+        hop1, None, partial(key_bucket, key="o_custkey", num_buckets=num_buckets), num_buckets
+    )
 
     def topk_bucket(b: int, t: pa.Table) -> pd.DataFrame:
         g = t.to_pandas().groupby("o_custkey", as_index=False)["rev_i"].sum()

@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..stages.exchange import shard_map
+from ..stages.exchange import key_bucket, shard_map
 from ..stages.partition import run_bounds
 from ..stages.window_stats import token_stats_arrays
 from ..tokenize import TOKENS_SQL_EXPR, VOCAB, tokenize_batch
@@ -988,19 +988,17 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     # r3 root collected the banding output as a driver DataFrame and built
     # the doc->verify-bucket map as a driver dict; on a dup-heavy corpus
     # candidates are O(dups), unbounded). Now: pairs stay in plasma per
-    # band-bucket, a second ref-to-ref hop (``rebucket_refs``) routes them by
-    # hash(doc_a) to verify buckets, each verify bucket dedupes ITS pairs
-    # (cross-band copies of a pair share doc_a, so they always co-locate) and
-    # emits its own (doc_id, vb) need table map-side. The driver only ever
-    # holds object refs plus one int per bucket (the pair count for the
-    # empty-result early exit).
+    # band-bucket, a second ref-to-ref hop (``exchange_map`` over the pair
+    # refs) routes them by hash(doc_a) to verify buckets, each verify bucket
+    # dedupes ITS pairs (cross-band copies of a pair share doc_a, so they
+    # always co-locate) and emits its own (doc_id, vb) need table map-side.
+    # The driver only ever holds object refs plus one int per bucket (the
+    # pair count for the empty-result early exit).
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
-    from ..stages.partition import stable_bucket
 
     n_bb = auto_num_buckets(shards)  # band-hash buckets
 
-    def sig_bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["band_hash"].to_numpy(zero_copy_only=False), n_bb)
+    sig_bucket_fn = partial(key_bucket, key="band_hash", num_buckets=n_bb)
 
     sig_refs = exchange_map(
         shards, sig_map, sig_bucket_fn, n_bb, columns=["doc_id", "text", "source"],
@@ -1031,14 +1029,15 @@ def _verify_pairs_exact(
     column is named after the metric and rounded half-away (the family's
     DuckDB-round convention) before the ``>= threshold`` filter."""
     from ..stages.exchange import auto_num_buckets, exchange_map, gather_slices, reduce_grid
-    from ..stages.hashjoin import rebucket_refs
 
     if n_vb is None:
         # per-bucket state (pairs + their shingle sets) tracks corpus size,
         # so a FIXED verify fan-out would grow task memory with the input
         n_vb = auto_num_buckets(shards)
     n_pb = len(pair_refs)
-    vb_grid = rebucket_refs(pair_refs, "doc_a", n_vb)
+    vb_grid = exchange_map(
+        pair_refs, None, partial(key_bucket, key="doc_a", num_buckets=n_vb), n_vb
+    )
 
     vb_pair_refs, need_refs, count_refs = [], [], []
     for b in range(n_vb):
@@ -1348,7 +1347,6 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     order vs rare-first); document frequency is the bounded hashed count of
     ``_shingle_df_ref`` and the order is ``_rarest_first``'s."""
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
-    from ..stages.partition import stable_bucket
 
     shards = shard_list(sf_dir, "documents")
     # prefix-shingle buckets from input bytes: a fixed fan-out would make
@@ -1376,8 +1374,7 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
             }
         )
 
-    def tb_bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["shingle"].to_numpy(zero_copy_only=False), n_tb)
+    tb_bucket_fn = partial(key_bucket, key="shingle", num_buckets=n_tb)
 
     tok_refs = exchange_map(
         shards, prefix_map, tb_bucket_fn, n_tb, columns=["doc_id", "text", "source"],
@@ -1445,7 +1442,6 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
     Verification runs through the shared exchange-routed exact tail with
     ``metric='containment'``."""
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
-    from ..stages.partition import stable_bucket
 
     shards = shard_list(sf_dir, "documents")
     n_cb = auto_num_buckets(shards)
@@ -1464,8 +1460,7 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
             }
         )
 
-    def cb_bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t["shingle"].to_numpy(zero_copy_only=False), n_cb)
+    cb_bucket_fn = partial(key_bucket, key="shingle", num_buckets=n_cb)
 
     post_refs = exchange_map(
         shards, posting_map, cb_bucket_fn, n_cb, columns=["doc_id", "text", "source"],

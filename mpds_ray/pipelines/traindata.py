@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import ray
 
-from ..stages.exchange import shard_map
+from ..stages.exchange import key_bucket, shard_map
 from ..stages.partition import run_bounds
 from ..stages.sketch import shard_quantiles
 from ..tokenize import TOKENS_SQL_EXPR, tokenize_batch
@@ -744,17 +744,16 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     counts and kept word totals.
 
     Shape: the dedup keep-set never lands on the driver — the text-hash
-    exchange's per-bucket winners re-exchange BY doc_id (rebucket_refs) and
-    join the per-doc flag rows (one pruned scan computing quality/decon/
-    sample flags map-side, exchanged on the same doc_id buckets); each
+    exchange's per-bucket winners re-exchange BY doc_id (``exchange_map``
+    over their refs) and join the per-doc flag rows (one pruned scan
+    computing quality/decon/sample flags map-side, exchanged on the same
+    doc_id buckets); each
     bucket emits per-source partial sums, so the driver folds
     |sources| × buckets rows. Blocklist shingles broadcast once (bounded
     by BLOCKLIST_DOCS)."""
     import pyarrow.dataset as pds
 
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
-    from ..stages.hashjoin import rebucket_refs
-    from ..stages.partition import stable_bucket
     from .common import tpath
 
     shards = shard_list(sf_dir, "documents")
@@ -779,10 +778,7 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
             {"text_hash": pa.array(h.astype("int64")), "doc_id": t["doc_id"]}
         )
 
-    def bucket_hash(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["text_hash"].to_numpy(zero_copy_only=False), num_buckets
-        )
+    bucket_hash = partial(key_bucket, key="text_hash", num_buckets=num_buckets)
 
     h_grid = exchange_map(
         shards, hash_map, bucket_hash, num_buckets, columns=["doc_id", "text"]
@@ -793,7 +789,8 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
         return pa.table({"doc_id": pa.array(g.to_numpy(), pa.int64())})
 
     keep_refs = reduce_grid(keep_bucket, num_buckets, h_grid, emit="refs")
-    keep_grid = rebucket_refs(keep_refs, "doc_id", num_buckets)
+    bucket_doc = partial(key_bucket, key="doc_id", num_buckets=num_buckets)
+    keep_grid = exchange_map(keep_refs, None, bucket_doc, num_buckets)
 
     # --- exchange 2: per-doc flag rows on doc_id ----------------------------
     def flags_map(t: pa.Table) -> pa.Table:
@@ -829,11 +826,6 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
                 "n_words": pa.array(n_words),
                 "ok": pa.array(ok),
             }
-        )
-
-    def bucket_doc(t: pa.Table) -> np.ndarray:
-        return stable_bucket(
-            t["doc_id"].to_numpy(zero_copy_only=False), num_buckets
         )
 
     f_grid = exchange_map(

@@ -8,8 +8,8 @@ integer in [0, P), so the engine provides the classic MR-style alternative,
 built from raw Ray tasks exactly as SURVEY §2 licenses for operators the
 Dataset API cannot express efficiently:
 
-    map task (``exchange_map``, one per input shard, fully parallel):
-        read shard -> map_fn -> bucket = bucket_fn(rows) in [0, P)
+    map task (``exchange_map``, one per source, fully parallel):
+        source -> map_fn -> bucket = bucket_fn(rows) in [0, P)
         -> ONE stable argsort by bucket -> P zero-copy table slices
         (``num_returns=P``: each slice is its own object, fetched only by
         its reduce task — the all-to-all moves through the object store
@@ -17,6 +17,14 @@ Dataset API cannot express efficiently:
     reduce task (``reduce_grid``, one per bucket, fully parallel):
         per source grid, concat bucket b's non-empty slices (``None`` when
         the grid has no rows there) -> reduce_fn(b, *tables)
+
+A source is a shard path, read from storage with the pruned columns and the
+pushed-down filter, or an upstream output: an Arrow table or the ObjectRef
+of one (a reduce output of an earlier hop, a slice of an in-memory table).
+A ``None`` or 0-row upstream output holds no rows. Every keyed hop is the
+same map task whatever its source, so a chained join re-keys a hop's
+outputs with ``exchange_map`` over their refs. ``key_bucket`` is the one
+bucket rule of a keyed exchange: ``stable_bucket`` of one key column.
 
 Buckets are partitions; tasks are groups of them. Bucket ``b`` is always
 partition ``b``; ``task_groups`` only decides how many tasks run them. With
@@ -33,18 +41,19 @@ empty, while ``how='left'`` calls ``reduce_fn`` with ``None`` for the empty
 side. ``emit='pandas'`` concatenates the reduce outputs on the driver under
 ``DRIVER_ROOT_ROW_CAP``; ``emit='refs'`` leaves them in the object store.
 
-A pass that needs no exchange (a row-level map, or a per-shard partial
-folded on the driver) runs on ``shard_map``: one task per shard, or per row
-group, that reads the pruned columns with the filter pushed into the scan
-and returns ``fn(table)``. Every query and the flagship run on these plain
-tasks; no query runs Ray Data (the Dataset-native flagship is kept only as
-perfbench's reference engine).
+A pass that needs no exchange (a row-level map, a per-shard partial folded
+on the driver, a decoder over fixed slices) runs on ``shard_map``: one task
+per source, or per row group of a shard, that reads the pruned columns with
+the filter pushed into the scan and returns ``fn(table)``. Every query and
+the flagship run on these plain tasks; no query runs Ray Data (the
+Dataset-native flagship is kept only as perfbench's reference engine).
 
-The three task kinds (``_map_shard``, ``_reduce_bucket``, ``_read_map``)
-are module-level remote functions, exported once per process. The per-call
-callables and parameters travel as task arguments (``reduce_fn`` and
-``fn`` are ``ray.put`` once per call), so a call costs no function export
-and no worker re-import of a fresh function.
+The engine's generic tasks are three module-level remote functions:
+``_map_shard`` (a map task), ``_reduce_bucket`` (a reduce task) and
+``_read_map`` (a ``shard_map`` task), exported once per process. The
+per-call callables and parameters travel as task arguments (``reduce_fn``
+and ``fn`` are ``ray.put`` once per call), so a call costs no function
+export and no worker re-import of a fresh function.
 
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
@@ -61,6 +70,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -97,6 +107,17 @@ def accepts_n_positional(fn, n: int) -> bool:
         elif p.kind == p.VAR_POSITIONAL:
             return True
     return n_pos >= n
+
+
+def key_bucket(t: pa.Table, key: str, num_buckets: int) -> np.ndarray:
+    """The bucket of every row of ``t`` on column ``key``: the bucket rule
+    of every keyed exchange, so two sides keyed alike are co-partitioned."""
+    return stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
+
+
+def _no_rows(src) -> bool:
+    """True for an upstream output that holds no rows (``None`` or 0 rows)."""
+    return src is None or src.num_rows == 0
 
 
 def _split_by_bucket(
@@ -157,8 +178,8 @@ def task_groups(items: range, inputs: list[str] | int) -> list[range]:
 
 
 def exchange_map(
-    shard_paths: list[str],
-    map_fn: Callable[[pa.Table], pa.Table],
+    sources: list,
+    map_fn: Callable[[pa.Table], pa.Table] | None,
     bucket_fn: Callable[[pa.Table], np.ndarray],
     num_buckets: int,
     columns: list[str] | None = None,
@@ -167,35 +188,42 @@ def exchange_map(
     chunk_rows: int | None = None,
     groups: list[range] | None = None,
 ) -> list[list["ray.ObjectRef"]]:
-    """Map phase only: one task per shard, ``bucket_fn`` assigns each row a
-    bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of shard s
-    destined for bucket b (each its own object — fetched only by its
-    consumer). ``reduce_grid`` drives the reduce side; the flagship drives
-    its own (it streams each bucket through a carry scan into a resumable
-    sink).
+    """Map phase only: one task per source, ``bucket_fn`` assigns each row
+    a bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of
+    source s destined for bucket b (each its own object — fetched only by
+    its consumer). ``reduce_grid`` drives the reduce side; the flagship
+    drives its own (it streams each bucket through a carry scan into a
+    resumable sink).
+
+    A source is a shard path or an upstream output (an Arrow table or its
+    ObjectRef). A ``None`` or 0-row upstream output gives empty slices
+    without calling ``map_fn``; ``map_fn=None`` keeps the rows as they are.
+    A ``map_fn`` taking two positional arguments also receives the source
+    (the shard path, so a map can write per-fragment side outputs).
 
     ``groups`` (contiguous ranges covering [0, num_buckets), from
-    ``task_groups``) makes ``refs[s][g]`` the list of shard s's slices of
+    ``task_groups``) makes ``refs[s][g]`` the list of source s's slices of
     group g's buckets instead, for a reduce task that runs the group.
 
     ``columns`` prunes the shard read; ``filters`` (a pyarrow dataset
     expression) pushes a row predicate into the scan — row-group pruning at
-    the read, so filtered rows never leave storage.
+    the read, so filtered rows never leave storage. Both apply to shard
+    reads only: an upstream output is mapped whole.
 
     ``sort_keys`` + ``chunk_rows`` enable the BOUNDED-MEMORY reduce protocol
     (stages/chunked.py): each bucket slice is sorted by the keys and cut into
     <= chunk_rows sub-objects (``ray.put`` each), so ``refs[s][b]`` becomes a
     LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
     and release one at a time instead of pinning the whole run."""
-    map_takes_path = accepts_n_positional(map_fn, 2)
+    map_takes_path = map_fn is not None and accepts_n_positional(map_fn, 2)
     n_out = num_buckets if groups is None else len(groups)
     task = _map_shard.options(num_returns=n_out)
     refs = [
         task.remote(
-            p, map_fn, map_takes_path, bucket_fn, num_buckets,
+            src, map_fn, map_takes_path, bucket_fn, num_buckets,
             columns, filters, sort_keys, chunk_rows, groups,
         )
-        for p in shard_paths
+        for src in sources
     ]
     if n_out == 1:
         refs = [[r] for r in refs]
@@ -204,17 +232,22 @@ def exchange_map(
 
 @ray.remote
 def _map_shard(
-    path, map_fn, map_takes_path, bucket_fn, num_buckets,
+    src, map_fn, map_takes_path, bucket_fn, num_buckets,
     columns, filters, sort_keys, chunk_rows, groups,
 ):
-    """``exchange_map``'s task: read one shard, map it, split it by bucket,
-    and return one object per bucket or, with ``groups``, per group."""
+    """``exchange_map``'s task: read or take one source, map it, split it
+    by bucket, and return one object per bucket or, with ``groups``, per
+    group."""
     import pyarrow.parquet as pq
 
-    raw = pq.read_table(path, columns=columns, filters=filters)
-    t = map_fn(raw, path) if map_takes_path else map_fn(raw)
-    bucket = bucket_fn(t)
-    parts = _split_by_bucket(t, bucket, num_buckets, sort_keys=sort_keys)
+    path = src if isinstance(src, str) else None
+    if path is None and _no_rows(src):
+        parts = [pa.table({})] * num_buckets
+    else:
+        t = src if path is None else pq.read_table(path, columns=columns, filters=filters)
+        if map_fn is not None:
+            t = map_fn(t, path) if map_takes_path else map_fn(t)
+        parts = _split_by_bucket(t, bucket_fn(t), num_buckets, sort_keys=sort_keys)
     if chunk_rows is not None:
         from .chunked import split_chunks
 
@@ -225,34 +258,39 @@ def _map_shard(
 
 
 def shard_map(
-    shard_paths: list[str],
+    sources: list,
     fn: Callable[[pa.Table], object],
     columns: list[str] | None = None,
     filters=None,
     collect: str | None = None,
     fold: Callable[[object, object], object] | None = None,
 ):
-    """The per-shard pass: one task per shard, or one per row group when a
-    shard has several. Each task reads only ``columns``, with ``filters`` (a
+    """The per-source pass: one task per source, or one per row group of a
+    shard that has several, returning ``fn(table)``; the results come back
+    in source and row-group order.
+
+    A source is a shard path or an upstream output (an Arrow table or its
+    ObjectRef). A shard task reads only ``columns``, with ``filters`` (a
     pyarrow dataset expression, or ``pq.read_table``'s list form) pushed
-    into the scan, and returns ``fn(table)``; the results come back in shard
-    and row-group order.
+    into the scan; an upstream output is passed to ``fn`` whole. A ``None``
+    or 0-row upstream output gives no partial: its task returns ``None``
+    without calling ``fn``, and ``collect`` and ``fold`` skip it.
 
     With ``collect`` the results are frames, concatenated on the driver by
     ``collect_frames`` under ``DRIVER_ROOT_ROW_CAP``; ``collect`` names the
     query in the over-cap error. With ``fold`` (commutative and associative,
     e.g. ``np.add`` on integer arrays) the results are folded in
     arrival order as the tasks finish, so the driver holds one accumulator
-    instead of every fixed-size partial; the first result seeds it and no
-    shard at all gives ``None``."""
+    instead of every fixed-size partial; the first partial seeds it and no
+    partial at all gives ``None``."""
     import pyarrow.parquet as pq
 
     fn_ref = ray.put(fn)
     tasks = []
-    for p in shard_paths:
-        n_rg = pq.read_metadata(p).num_row_groups
+    for src in sources:
+        n_rg = pq.read_metadata(src).num_row_groups if isinstance(src, str) else 1
         for rg in [None] if n_rg <= 1 else range(n_rg):
-            tasks.append(_read_map.remote(fn_ref, p, rg, columns, filters))
+            tasks.append(_read_map.remote(fn_ref, src, rg, columns, filters))
     if fold is None:
         out = ray.get(tasks)
         return out if collect is None else collect_frames(out, collect)
@@ -260,20 +298,23 @@ def shard_map(
     while tasks:
         done, tasks = ray.wait(tasks, num_returns=1)
         part = ray.get(done[0])
-        acc = part if acc is None else fold(acc, part)
+        if part is not None:
+            acc = part if acc is None else fold(acc, part)
     return acc
 
 
 @ray.remote
-def _read_map(fn, path, row_group, columns, filters):
-    """``shard_map``'s task: read one shard, or one of its row groups, and
-    apply ``fn``."""
+def _read_map(fn, src, row_group, columns, filters):
+    """``shard_map``'s task: read one shard, or one of its row groups, or
+    take one upstream output, and apply ``fn``."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
+    if not isinstance(src, str):
+        return None if _no_rows(src) else fn(src)
     if filters is not None:
         filters = pq.filters_to_expression(filters)
-    frag = next(iter(pads.dataset(path, format="parquet").get_fragments()))
+    frag = next(iter(pads.dataset(src, format="parquet").get_fragments()))
     if row_group is not None:
         frag = frag.subset(row_group_ids=[row_group])
     return fn(frag.to_table(columns=columns, filter=filters))
@@ -317,9 +358,10 @@ def reduce_grid(
     emit: str = "pandas",
 ):
     """One reduce task per bucket over ``refs[s][b]`` grids (from
-    ``exchange_map`` or ``hashjoin.rebucket_refs``): bucket ``b`` calls
-    ``reduce_fn(b, *tables)`` with one table per grid, the concatenation of
-    that grid's non-empty slices, or ``None`` when it has none.
+    ``exchange_map``, over shards or an upstream hop's outputs): bucket
+    ``b`` calls ``reduce_fn(b, *tables)`` with one table per grid, the
+    concatenation of that grid's non-empty slices, or ``None`` when it has
+    none.
 
     The bucket is skipped when the first grid has no rows there; with
     ``how='inner'`` also when any other grid has none, while ``how='left'``
@@ -375,9 +417,6 @@ def hash_exchange(
     ``exchange_map`` itself."""
     if num_buckets is None:
         num_buckets = auto_num_buckets(shard_paths)
-
-    def bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t[entity_col].to_numpy(zero_copy_only=False), num_buckets)
-
+    bucket_fn = partial(key_bucket, key=entity_col, num_buckets=num_buckets)
     refs = exchange_map(shard_paths, map_fn, bucket_fn, num_buckets, columns=columns)
     return reduce_grid(reduce_fn, num_buckets, refs)

@@ -12,20 +12,20 @@ filters push into the parquet scans so filtered rows never leave storage.
 Returns the concatenated per-bucket reduce outputs (callers make the reduce
 output SMALL — aggregated partials or top-k — or write it out per bucket;
 the concat is a driver root and is bound-checked). A chained join keeps its
-hops in the object store instead: ``rebucket_refs`` re-keys a hop's outputs
-and ``reduce_grid(..., emit='refs')`` joins the next hop."""
+hops in the object store instead: ``exchange_map`` over a hop's output refs
+re-keys them and ``reduce_grid(..., emit='refs')`` joins the next hop."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 
-from .exchange import _split_by_bucket, auto_num_buckets, exchange_map, reduce_grid, shard_map
-from .partition import stable_bucket
+from .exchange import auto_num_buckets, exchange_map, key_bucket, reduce_grid, shard_map
 
 # --- bloom-filter join prefilter -------------------------------------------
 #
@@ -80,24 +80,29 @@ def bloom_probe(
 
 
 def build_key_bloom(
-    shard_paths: list[str],
+    sources: list,
     key: str,
     map_fn: Callable[[pa.Table], pa.Table] | None = None,
     columns: list[str] | None = None,
     filters=None,
 ) -> np.ndarray:
-    """Distributed bloom build: one ``shard_map`` task per shard or row
-    group reads only ``key`` (plus whatever ``map_fn`` needs), inserts its
-    post-map keys, and the driver ORs the packed arrays as they arrive."""
+    """Distributed bloom build: one ``shard_map`` task per source inserts
+    its post-map keys, and the driver ORs the packed arrays as they arrive.
+    A shard source reads only ``key`` (plus whatever ``map_fn`` needs). An
+    upstream hop's output refs as sources let a later hop prefilter its BIG
+    storage side by the keys that survived the earlier joins; an empty
+    upstream output inserts nothing. One filter per task crosses the
+    driver, whatever the row count."""
 
     def shard_bits(t: pa.Table) -> np.ndarray:
         if map_fn is not None:
             t = map_fn(t)
         return bloom_insert(t[key].to_numpy(zero_copy_only=False), BLOOM_BITS, BLOOM_HASHES)
 
-    return shard_map(
-        shard_paths, shard_bits, columns=columns or [key], filters=filters, fold=np.bitwise_or
+    bits = shard_map(
+        sources, shard_bits, columns=columns or [key], filters=filters, fold=np.bitwise_or
     )
+    return np.zeros(BLOOM_BITS // 8, dtype=np.uint8) if bits is None else bits
 
 
 def exchange_join(
@@ -135,9 +140,7 @@ def exchange_join(
     ``bloom_from='left'`` (filtering the nullable side) remains valid."""
     if num_buckets is None:
         num_buckets = auto_num_buckets(left_shards + right_shards)
-
-    def bucket_fn(t: pa.Table) -> np.ndarray:
-        return stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
+    bucket_fn = partial(key_bucket, key=key, num_buckets=num_buckets)
 
     if how == "left" and bloom_from == "right":
         raise ValueError(
@@ -195,64 +198,17 @@ def exchange_join(
 # intermediates stay in the object store as per-bucket Arrow tables — the
 # driver only ever holds ObjectRefs, never rows — so a three-hop join over a
 # 10^12-row fact table moves each surviving row through plasma twice and
-# through the driver zero times. Compose:
+# through the driver zero times. A hop's output refs are exchange sources
+# like shards (one map task per upstream output; a None or 0-row output
+# gives empty slices), so every hop runs on the same map and reduce tasks:
 #
-#   grid_l = exchange_map(paths, ..., bucket_fn(key1), B1)    # from storage
+#   by_k = lambda k, B: partial(key_bucket, key=k, num_buckets=B)
+#   grid_l = exchange_map(paths, map_fn, by_k(key1, B1), B1)   # from storage
 #   refs1  = reduce_grid(reduce1, B1, grid_l, grid_r, emit="refs")
-#   grid2  = rebucket_refs(refs1, key2, B2)                   # re-key hop
+#   bits   = build_key_bloom(refs1, key2)          # hop-1 survivors' keys
+#   grid2  = exchange_map(refs1, None, by_k(key2, B2), B2)     # re-key hop
 #   refs2  = reduce_grid(reduce2, B2, grid2, grid_fact2, emit="refs")
-#   final  = reduce_grid(reduce3, B3, ...)                    # small root
+#   final  = reduce_grid(reduce3, B3, ...)                     # small root
 #
 # reduce_fn for emit="refs" must return a pyarrow Table (pre-aggregate /
 # project so hops shrink); for emit="pandas" a small pandas DataFrame.
-
-
-def rebucket_refs(
-    table_refs: list["ray.ObjectRef"],
-    key: str,
-    num_buckets: int,
-    map_fn: Callable[[pa.Table], pa.Table] | None = None,
-) -> list[list["ray.ObjectRef"]]:
-    """Second-hop exchange: one split task per upstream reduce output,
-    bucketing its rows on ``hash(key) % num_buckets``. Returns the same
-    ``refs[i][b]`` grid shape ``exchange_map`` produces, so the two exchange
-    sources compose interchangeably. Empty/None upstream outputs yield
-    zero-row slices that the bucket join skips."""
-    task = _split.options(num_returns=num_buckets)
-    out = [task.remote(r, key, num_buckets, map_fn) for r in table_refs]
-    if num_buckets == 1:
-        out = [[r] for r in out]
-    return out
-
-
-@ray.remote
-def _split(t, key, num_buckets, map_fn):
-    """``rebucket_refs``' task: split one upstream output by bucket."""
-    if t is None or t.num_rows == 0:
-        empty = pa.table({})
-        return tuple([empty] * num_buckets) if num_buckets > 1 else empty
-    if map_fn is not None:
-        t = map_fn(t)
-    bucket = stable_bucket(t[key].to_numpy(zero_copy_only=False), num_buckets)
-    parts = _split_by_bucket(t, bucket, num_buckets)
-    return tuple(parts) if num_buckets > 1 else parts[0]
-
-
-def build_key_bloom_refs(table_refs: list["ray.ObjectRef"], key: str) -> np.ndarray:
-    """Bloom bits over the keys of in-flight per-bucket tables (an upstream
-    hop's outputs) — lets a later hop prefilter its BIG storage side by the
-    keys that actually survived the earlier joins. One filter per upstream
-    bucket crosses the driver, independent of row count."""
-    parts = ray.get([_part_bloom.remote(r, key) for r in table_refs])
-    out = np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
-    for p in parts:
-        out |= p
-    return out
-
-
-@ray.remote
-def _part_bloom(t, key) -> np.ndarray:
-    """``build_key_bloom_refs``' task: one upstream output's bloom bits."""
-    if t is None or t.num_rows == 0:
-        return np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
-    return bloom_insert(t[key].to_numpy(zero_copy_only=False), BLOOM_BITS, BLOOM_HASHES)

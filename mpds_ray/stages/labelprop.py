@@ -31,11 +31,7 @@ import pandas as pd
 import ray
 
 from .exchange import auto_num_buckets
-
-
-def _bucket(x: np.ndarray, num_buckets: int) -> np.ndarray:
-    # splitmix-free stable bucket: same contract as stages.partition for ints
-    return (x.astype(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
+from .partition import stable_bucket
 
 
 @ray.remote
@@ -45,7 +41,7 @@ def _propose(edges: pd.DataFrame, labels: pd.DataFrame, num_buckets: int):
     lbl = edges.merge(labels, left_on="u", right_on="node", how="left")
     cand = pd.DataFrame({"node": lbl["v"].to_numpy(), "label": lbl["label"].to_numpy()})
     cand = cand.groupby("node", as_index=False)["label"].min()
-    b = _bucket(cand["node"].to_numpy(), num_buckets)
+    b = stable_bucket(cand["node"].to_numpy(), num_buckets)
     return tuple(cand[b == i] for i in range(num_buckets)) if num_buckets > 1 else cand
 
 
@@ -67,7 +63,7 @@ def _fold(labels: pd.DataFrame, *cands: pd.DataFrame):
 def _shortcut_request(labels: pd.DataFrame, num_buckets: int):
     """Pointer-doubling hop 1: each (node, label) row asks the bucket OWNING
     ``label`` (labels are node ids, so owner = hash(label)) for label(label)."""
-    b = _bucket(labels["label"].to_numpy(), num_buckets)
+    b = stable_bucket(labels["label"].to_numpy(), num_buckets)
     return tuple(labels[b == i] for i in range(num_buckets)) if num_buckets > 1 else labels
 
 
@@ -86,7 +82,7 @@ def _shortcut_answer(labels: pd.DataFrame, num_buckets: int, *reqs: pd.DataFrame
     cand = pd.DataFrame({"node": m["node"].to_numpy(),
                          "label": m["label_owner"].to_numpy()})
     cand = cand.groupby("node", as_index=False)["label"].min()
-    b = _bucket(cand["node"].to_numpy(), num_buckets)
+    b = stable_bucket(cand["node"].to_numpy(), num_buckets)
     return tuple(cand[b == i] for i in range(num_buckets)) if num_buckets > 1 else cand
 
 
@@ -106,13 +102,13 @@ def connected_components_labelprop(
     # undirected: propagate both ways
     u = np.concatenate([a, b])
     v = np.concatenate([b, a])
-    eb = _bucket(u, num_buckets)
+    eb = stable_bucket(u, num_buckets)
     edge_refs = [
         ray.put(pd.DataFrame({"u": u[eb == i], "v": v[eb == i]}))
         for i in range(num_buckets)
     ]
     nodes = np.unique(u)
-    nb = _bucket(nodes, num_buckets)
+    nb = stable_bucket(nodes, num_buckets)
     label_refs = [
         ray.put(pd.DataFrame({"node": nodes[nb == i], "label": nodes[nb == i]}))
         for i in range(num_buckets)

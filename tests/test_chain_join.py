@@ -1,10 +1,11 @@
-"""Chained (multi-way) exchange joins: rebucket_refs + reduce_grid.
+"""Chained (multi-way) exchange joins: exchange_map over a hop's output
+refs + reduce_grid.
 
 - a two-hop chain (fact ⨝ dimA on k1, result ⨝ dimB on k2) matches a single
   driver-side pandas merge exactly, across bucket counts (including hops
   whose bucket counts differ)
 - empty buckets / upstream None outputs flow through without error
-- build_key_bloom_refs over hop-1 outputs admits every surviving key
+- build_key_bloom over hop-1 output refs admits every surviving key
 - the q5 pipeline runs end-to-end on sf0.001 and matches DuckDB
 """
 
@@ -16,15 +17,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from mpds_ray.stages.exchange import exchange_map, reduce_grid
-from mpds_ray.stages.hashjoin import (
-    BLOOM_BITS,
-    BLOOM_HASHES,
-    bloom_probe,
-    build_key_bloom_refs,
-    rebucket_refs,
-)
-from mpds_ray.stages.partition import stable_bucket
+from mpds_ray.stages.exchange import exchange_map, key_bucket, reduce_grid
+from mpds_ray.stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
 
 @pytest.fixture()
@@ -68,10 +62,10 @@ def _expected(fact, dim_a, dim_b):
 def _chain(fact_paths, a_paths, b_paths, b1, b2):
     # factory-scoped fns so cloudpickle ships them by value
     def bucket_k1(t):
-        return stable_bucket(t["k1"].to_numpy(zero_copy_only=False), b1)
+        return key_bucket(t, "k1", b1)
 
     def bucket_k2(t):
-        return stable_bucket(t["k2"].to_numpy(zero_copy_only=False), b2)
+        return key_bucket(t, "k2", b2)
 
     ident = lambda t: t  # noqa: E731
     f_grid = exchange_map(fact_paths, ident, bucket_k1, b1)
@@ -82,7 +76,7 @@ def _chain(fact_paths, a_paths, b_paths, b1, b2):
         return pa.Table.from_pandas(j[["k2", "a", "v"]], preserve_index=False)
 
     hop1 = reduce_grid(join1, b1, f_grid, a_grid, emit="refs")
-    h1_grid = rebucket_refs(hop1, "k2", b2)
+    h1_grid = exchange_map(hop1, None, bucket_k2, b2)
     b_grid = exchange_map(b_paths, ident, bucket_k2, b2)
 
     def join2(b, h1, dimb):
@@ -109,7 +103,7 @@ def test_bloom_refs_admits_all_hop_keys(ray_session, chain_dirs):
     fact_paths, a_paths, _, (fact, dim_a, _) = chain_dirs
 
     def bucket_k1(t):
-        return stable_bucket(t["k1"].to_numpy(zero_copy_only=False), 4)
+        return key_bucket(t, "k1", 4)
 
     ident = lambda t: t  # noqa: E731
     f_grid = exchange_map(fact_paths, ident, bucket_k1, 4)
@@ -120,7 +114,7 @@ def test_bloom_refs_admits_all_hop_keys(ray_session, chain_dirs):
         return pa.Table.from_pandas(j[["k2", "v"]], preserve_index=False)
 
     hop1 = reduce_grid(join1, 4, f_grid, a_grid, emit="refs")
-    bits = build_key_bloom_refs(hop1, "k2")
+    bits = build_key_bloom(hop1, "k2")
     surviving = fact.merge(dim_a, on="k1")["k2"].unique()
     assert bloom_probe(surviving, bits, BLOOM_BITS, BLOOM_HASHES).all()
     ray.get(hop1)  # refs remain fetchable after the bloom pass
@@ -171,3 +165,22 @@ def test_q7_nation_pair_matches_duckdb(ray_session, num_buckets):
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), exp.reset_index(drop=True)
     )
+
+
+def test_empty_upstream_outputs_give_no_rows(ray_session):
+    """A None or 0-row upstream output is a source with no rows: the map
+    task returns empty slices, ``shard_map`` gives no partial, and neither
+    calls its function."""
+    import ray
+
+    from mpds_ray.stages.exchange import shard_map
+
+    def boom(t):
+        raise AssertionError("called on an upstream output with no rows")
+
+    sources = [ray.put(None), pa.table({"k2": pa.array([], pa.int64())})]
+    grid = exchange_map(sources, boom, lambda t: key_bucket(t, "k2", 3), 3)
+    assert [[ray.get(r).num_rows for r in row] for row in grid] == [[0, 0, 0]] * 2
+    assert shard_map(sources, boom) == [None, None]
+    assert shard_map(sources, boom, fold=np.bitwise_or) is None
+    assert not build_key_bloom(sources, "k2").any()

@@ -178,12 +178,11 @@ class TestChunkedFlagshipE2E:
         a, b = str(root / "flat"), str(root / "chunked")
         run_flagship_exchange(
             str(tok_dir), f"{root}/scores.parquet", out_dir=a, num_buckets=4,
-            salt=False,
         )
         # bucket ~10k rows, chunk budget 1k: chunking must engage ~10x/bucket
         run_flagship_exchange(
             str(tok_dir), f"{root}/scores.parquet", out_dir=b, num_buckets=4,
-            salt=False, chunk_rows=1_000,
+            chunk_rows=1_000,
         )
         return str(root), a, b
 
@@ -215,7 +214,7 @@ class TestChunkedFlagshipE2E:
         root, _, b = dirs
         res = run_flagship_exchange(
             f"{root}/tokens.parquet", f"{root}/scores.parquet", out_dir=b,
-            num_buckets=4, salt=False, chunk_rows=1_000,
+            num_buckets=4, chunk_rows=1_000,
         )
         assert res["skipped"].all()
 
@@ -239,11 +238,11 @@ class TestSaltedChunked:
         pq.write_table(synth_scores_table(40, seed=22), f"{tmp_path}/scores.parquet")
 
         flat = run_flagship_exchange(
-            str(tok_dir), f"{tmp_path}/scores.parquet", num_buckets=4, salt=False,
+            str(tok_dir), f"{tmp_path}/scores.parquet", num_buckets=4,
         )
         salted = run_flagship_exchange(
             str(tok_dir), f"{tmp_path}/scores.parquet", num_buckets=4,
-            salt=True, salt_threshold=0.2, salt_min_rows=1_000, chunk_rows=1_500,
+            salt_min_rows=1_000, chunk_rows=1_500,
         )
         def canon(df):
             return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)

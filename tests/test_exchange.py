@@ -113,7 +113,7 @@ class TestExchangeFlagship:
         d = cached_fixture_dir("small")
         one, eight = (
             run_flagship_exchange(f"{d}/tokens.parquet", f"{d}/scores.parquet",
-                                  num_buckets=b, salt=False)
+                                  num_buckets=b)
             .sort_values(["doc_id", "ts"], kind="mergesort").reset_index(drop=True)
             for b in (1, 8)
         )

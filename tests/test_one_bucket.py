@@ -1,8 +1,9 @@
 """Bucket counts derived from input bytes: at sf0.001 every exchange below
-derives ONE bucket (the ``num_buckets == 1`` paths of ``exchange_map``,
-``rebucket_refs``, ``reduce_grid`` and ``labelprop._propose``), and its
-output must equal the same query's output at 16 buckets. At 16 buckets the
-LEFT joins (``customers_without_orders``, ``rich_customers_without_orders``,
+derives ONE bucket (the ``num_buckets == 1`` paths of ``exchange_map``
+over shards and over a hop's output refs, ``reduce_grid`` and
+``labelprop._propose``), and its output must equal the same query's
+output at 16 buckets. At 16 buckets the LEFT joins
+(``customers_without_orders``, ``rich_customers_without_orders``,
 ``customer_order_distribution``) see customer buckets with no orders."""
 
 from __future__ import annotations

@@ -31,10 +31,9 @@ def _load_parts(out_dir: str) -> pd.DataFrame:
 # bounded chunk stream, and a chunk stream plus salted ranges of the hot
 # entity (d00000 holds 26% of the small fixture's rows)
 CONFIGS = {
-    "flat": dict(salt=False),
-    "chunked": dict(salt=False, chunk_rows=1_000),
-    "salted_chunked": dict(salt=True, salt_threshold=0.2, salt_min_rows=1_000,
-                           chunk_rows=1_000),
+    "flat": dict(),
+    "chunked": dict(chunk_rows=1_000),
+    "salted_chunked": dict(salt_min_rows=1_000, chunk_rows=1_000),
 }
 B = 6
 
@@ -241,10 +240,9 @@ class TestManifestLineage:
         ]
 
         configs = {
-            "flat": dict(salt=False),
-            "chunked": dict(salt=False, chunk_rows=1_000),
-            "salted": dict(salt=True, salt_threshold=0.2, salt_min_rows=1_000,
-                           chunk_rows=1_500),
+            "flat": dict(),
+            "chunked": dict(chunk_rows=1_000),
+            "salted": dict(salt_min_rows=1_000, chunk_rows=1_500),
         }
         content, folds = {}, {}
         for B in (1, 4):

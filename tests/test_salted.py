@@ -69,12 +69,12 @@ class TestDistributedSalting:
 
         tok_dir, scores = self._fixture(tmp_path)
         base = run_flagship_exchange(
-            tok_dir, scores, out_dir=None, num_buckets=8, salt=False,
+            tok_dir, scores, out_dir=None, num_buckets=8,
             session_gap=5_000.0, tolerance=100_000.0,
         )
         salted = run_flagship_exchange(
-            tok_dir, scores, out_dir=None, num_buckets=8, salt=True,
-            salt_threshold=0.2, salt_min_rows=0, session_gap=5_000.0, tolerance=100_000.0,
+            tok_dir, scores, out_dir=None, num_buckets=8,
+            salt_min_rows=0, session_gap=5_000.0, tolerance=100_000.0,
         )
         a, b = self._canon(base), self._canon(salted)
         pd.testing.assert_frame_equal(a, b, check_exact=True)
@@ -82,8 +82,8 @@ class TestDistributedSalting:
         # (b) chunk bound: run with a sink to get per-partition row counts
         out_dir = str(tmp_path / "out")
         res = run_flagship_exchange(
-            tok_dir, scores, out_dir=out_dir, num_buckets=8, salt=True,
-            salt_threshold=0.2, salt_min_rows=0, session_gap=5_000.0, tolerance=100_000.0,
+            tok_dir, scores, out_dir=out_dir, num_buckets=8,
+            salt_min_rows=0, session_gap=5_000.0, tolerance=100_000.0,
         )
         salted_parts = res[res["partition_id"] >= 8]
         assert len(salted_parts) >= 2, "salting did not engage"
@@ -158,6 +158,57 @@ class TestSaltFooterSkip:
         assert set(spec) == {"hot"} and n_extra == spec["hot"][1].size + 1
         spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=600)
         assert spec == {} and n_extra == 0
+
+
+class TestSaltTop8Miss:
+    """A key can be heavy over all shards while in no shard's local top-8:
+    the pre-pass then reads that key's rows alone for its ts sample, and
+    the boundaries equal those of a sample taken by a full scan."""
+
+    SHARDS, LOCAL, LOCAL_ROWS, SPREAD_ROWS = 4, 9, 100, 90
+
+    def _shards(self, tmp_path, kind):
+        rng = np.random.default_rng(17)
+        key = (lambda i: f"k{i}") if kind == "str" else (lambda i: i)
+        spread = key(10_000)
+        paths = []
+        for s in range(self.SHARDS):
+            # nine shard-local keys, each above the spread key's count here
+            ents = [key(s * 100 + j) for j in range(self.LOCAL) for _ in range(self.LOCAL_ROWS)]
+            ents += [spread] * self.SPREAD_ROWS
+            ents = [ents[i] for i in rng.permutation(len(ents))]
+            p = str(tmp_path / f"part-{s}.parquet")
+            pq.write_table(
+                pa.table({"doc_id": pa.array(ents),
+                          "ts": pa.array(rng.integers(0, 1_000_000, len(ents)))}),
+                p,
+            )
+            paths.append(p)
+        return paths, spread
+
+    @pytest.mark.parametrize("kind", ["str", "int"])
+    def test_heavy_key_outside_every_top8(self, ray_session, tmp_path, kind):
+        from mpds_ray.pipelines.flagship import detect_salt_spec
+
+        shards, spread = self._shards(tmp_path, kind)
+        full = pa.concat_tables([pq.read_table(p) for p in shards]).to_pandas()
+        for p in shards:
+            top8 = pq.read_table(p).to_pandas()["doc_id"].value_counts().index[:8]
+            assert spread not in set(top8)
+        share = (full["doc_id"] == spread).mean()
+        assert share == pytest.approx(90 / 990)
+
+        num_buckets = 64
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", num_buckets,
+                                         threshold=0.05, min_rows=0)
+        assert set(spec) == {spread}
+        # the full-scan sample: every ts of the key (no shard holds 4096)
+        sample = np.sort(full.loc[full["doc_id"] == spread, "ts"].to_numpy(np.float64))
+        n_salts = int(np.ceil(share * num_buckets))
+        expect = np.unique(np.quantile(sample, np.linspace(0, 1, n_salts + 1)[1:-1]))
+        off, bounds = spec[spread]
+        assert off == 0 and n_extra == bounds.size + 1 == n_salts
+        np.testing.assert_array_equal(bounds, expect)
 
 
 class TestCarryChainNaNEdges:

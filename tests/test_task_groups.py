@@ -26,8 +26,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 B = 6
 CHEAP = ("mean", "std", "n")
 # chunked reduce plus the salted ranges of a hot entity (60% of the rows)
-SALTED = dict(num_buckets=B, stats=CHEAP, salt_threshold=0.2, salt_min_rows=1_000,
-              chunk_rows=500)
+SALTED = dict(num_buckets=B, stats=CHEAP, salt_min_rows=1_000, chunk_rows=500)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,7 @@ class TestTaskGroups:
 
 
 class TestGroupInvariance:
-    @pytest.mark.parametrize("config", [dict(num_buckets=B, stats=CHEAP, salt=False), SALTED],
+    @pytest.mark.parametrize("config", [dict(num_buckets=B, stats=CHEAP), SALTED],
                              ids=["flat", "salted_chunked"])
     def test_output_identical_for_every_grouping(self, ray_session, inputs, tmp_path,
                                                  monkeypatch, config):
@@ -133,7 +132,7 @@ class TestFailureInsideAGroup:
         fails, so buckets 1.. never run. The rerun skips bucket 0 and
         recomputes the rest; the output equals an uninterrupted run."""
         monkeypatch.setattr(flagship, "task_groups", _fixed_groups(lambda n: 1))
-        config = dict(num_buckets=B, stats=CHEAP, salt=False)
+        config = dict(num_buckets=B, stats=CHEAP)
         clean = str(tmp_path / "clean")
         run_flagship_exchange(*inputs, out_dir=clean, **config)
 
@@ -194,8 +193,8 @@ def test_flagship_skew_task_count_on_one_cpu(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
     got = json.loads([ln for ln in proc.stdout.splitlines() if ln.startswith("{")][-1])
-    detect = [n for n in got["tasks"] if n in ("shard_stats", "key_ts")]
-    after = [n for n in got["tasks"] if n not in ("shard_stats", "key_ts")]
+    detect = [n for n in got["tasks"] if n == "_read_map"]
+    after = [n for n in got["tasks"] if n != "_read_map"]
     assert max(got["partitions"]) >= got["num_buckets"], "salting did not engage"
     assert len(after) <= got["shards"] + 1 + 2, after
     assert sorted(set(after)) == ["_map_shard", "fix_range", "reduce_bucket", "scan_range"]

@@ -39,8 +39,8 @@ CHEAP = ("mean", "std", "n")
 CONFIGS = {
     "flat16": dict(inputs="base", num_buckets=16, stats=CHEAP),
     "chunked512": dict(inputs="base", num_buckets=16, stats=CHEAP, chunk_rows=512),
-    "salted": dict(inputs="hot", num_buckets=16, stats=CHEAP, salt_threshold=0.2,
-                   salt_min_rows=1_000, chunk_rows=512),
+    "salted": dict(inputs="hot", num_buckets=16, stats=CHEAP, salt_min_rows=1_000,
+                   chunk_rows=512),
     "heavy": dict(inputs="base", num_buckets=16, heavy=True),
 }
 INPUTS = {"base": 0.0, "hot": 0.6}  # hot_share of each input
