@@ -21,8 +21,9 @@
 - with ``chunk_rows`` it is a k-way merge of sorted sub-chunk runs
   (stages/chunked.py), so reduce memory is bounded by chunks, not buckets;
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
-  its ts ranges in parallel, the driver folds their carries, and fix tasks
-  apply them and commit through the same sink.
+  its ts ranges in parallel, each as a bucket is scanned, the driver folds
+  their carries with the same kernels, and fix tasks apply them and commit
+  through the same sink.
 
 Buckets and salted ranges are partitions; tasks are groups of them
 (``exchange.task_groups``), each run one partition after the other.
@@ -315,60 +316,28 @@ def scan_chunks_with_carry(
     stat_cols: list[str],
     emit,
 ) -> None:
-    """The per-bucket scan of the flagship's one reduce protocol: consume
-    (entity, ts)-ordered Arrow chunks (the whole bucket as one chunk, or
-    stages/chunked.sorted_run_merge) SEQUENTIALLY, running ``process_bucket``
-    per chunk and threading the O(1) boundary state with the carry kernels
-    of stages/salted.py: only the entity straddling a boundary needs fixing,
-    and it is by construction the chunk's first (prefix) / last (suffix)
-    entity.
-    Peak memory is TWO chunks (current + the pending one held back so its
-    last row's ``secs_to_next`` can see the next chunk), never the bucket.
-    Output is byte-identical to one ``process_bucket`` over the whole bucket
-    (tests/test_chunked.py). ``emit(table)`` receives finished tables in
-    order.
-    """
-    carry_e, carry = None, None  # boundary entity + its folded scan state
-    pending: pa.Table | None = None
-    pending_last_e = None
+    """The flagship's one stitch: consume (entity, ts)-ordered Arrow chunks
+    (a bucket or salted range as one chunk, or stages/chunked.sorted_run_merge)
+    in order, scan each with ``process_bucket``, and thread the scan state of
+    the entity straddling each cut with the carry kernels of
+    stages/salted.py. Each chunk is held back until the next one's summary
+    is known, so its last row's ``secs_to_next`` can see the next chunk:
+    peak memory is two chunks, never the bucket. Output is byte-identical
+    to one ``process_bucket`` over all the chunks (tests/test_chunked.py).
+    ``emit(table)`` receives the finished tables in order."""
+    stat = stat_cols[0]
+    carry = held = held_carry = None
     for chunk in chunks:
         if not chunk.num_rows:
             continue
         feats = process_bucket(chunk, right, entity, ts, session_gap, tolerance, stat_cols)
-        ids = feats[entity]
-        first_e, last_e = ids[0].as_py(), ids[-1].as_py()
-        # carry-OUT summary must reflect LOCAL (pre-fix) scan state — session
-        # ids are local ordinals until the carry offset is applied (the salted
-        # phase-1 computes its info pre-fix for the same reason)
-        n_suf = pc.sum(pc.equal(ids, last_e)).as_py()
-        info = chunk_carry_info(feats.slice(feats.num_rows - n_suf), ts, stat_cols[0])
-        # patch the held-back table's tail lag and release it
-        if pending is not None:
-            if pending_last_e == first_e:
-                pending = flagship_apply_carry(
-                    pending, None, float(feats[ts][0].as_py()), ts, stat_cols[0], session_gap
-                )
-            emit(pending)
-        # apply carry-in to the prefix belonging to the boundary entity
-        if carry is not None and first_e == carry_e:
-            n_pre = pc.sum(pc.equal(ids, first_e)).as_py()
-            fixed = flagship_apply_carry(
-                feats.slice(0, n_pre), carry, None, ts, stat_cols[0], session_gap
-            )
-            feats = (
-                pa.concat_tables([fixed, feats.slice(n_pre)])
-                if n_pre < feats.num_rows
-                else fixed
-            )
-        # fold carry-out: chain only when the WHOLE chunk continues carry_e
-        if carry is not None and first_e == last_e and first_e == carry_e:
-            carry = fold_carry(carry, info, session_gap)
-        else:
-            carry = fold_carry(None, info, session_gap)
-        carry_e = last_e
-        pending, pending_last_e = feats, last_e
-    if pending is not None:
-        emit(pending)
+        info = chunk_carry_info(feats, entity, ts, stat)
+        if held is not None:
+            emit(flagship_apply_carry(held, held_carry, info, entity, ts, stat, session_gap))
+        held, held_carry = feats, carry
+        carry = fold_carry(carry, info, session_gap)
+    if held is not None:
+        emit(flagship_apply_carry(held, held_carry, None, entity, ts, stat, session_gap))
 
 
 class ChunkPartitionSink:
@@ -520,9 +489,7 @@ class ScanPlan:
         if not frags:
             return None
         if self.out_dir is None:
-            tables: list = []
-            scan(tables.append)
-            return pa.concat_tables(tables)
+            return _collect(scan)
         if b in self.done:
             return _summary(b, 0, skipped=True)
         return commit_partition(
@@ -530,14 +497,18 @@ class ScanPlan:
         )
 
 
-def _one_chunk(parts) -> pa.Table:
-    return pa.concat_tables([t for p in parts for t in ray_run_iter(p)])
+def _collect(scan) -> pa.Table:
+    """The tables ``scan(emit)`` emits, as one table."""
+    tables: list = []
+    scan(tables.append)
+    return pa.concat_tables(tables)
 
 
 def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
-    """One hash bucket's chunk stream through ``scan_chunks_with_carry``."""
+    """One partition's (a hash bucket's or a salted range's) chunk stream
+    through ``scan_chunks_with_carry``."""
     if plan.chunk_rows is None:
-        chunks = [_one_chunk(parts)]
+        chunks = [pa.concat_tables([t for p in parts for t in ray_run_iter(p)])]
     else:
         chunks = sorted_run_merge(
             [ray_run_iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
@@ -562,30 +533,27 @@ def reduce_bucket(plan: ScanPlan, buckets: range, rights: list[pa.Table], *group
 @ray.remote(num_returns=3)
 def scan_range(plan: ScanPlan, right: pa.Table, *groups):
     """Phase 1 of a group of one hot entity's salted ranges: scan each
-    range alone. The compact carry summaries ride back separately, so the
-    driver's fold never fetches the features tables."""
-    feats, infos, frags = [], [], []
+    range alone, as a bucket is scanned (``_scan_bucket``, so ``chunk_rows``
+    bounds its scan too). The compact carry summaries ride back separately,
+    so the driver's fold never fetches the features tables."""
+    feats, frags = [], []
     for parts in zip(*groups):
         frags.append(plan.contributors(parts))
-        f = process_bucket(
-            _one_chunk(parts), right, plan.entity, plan.ts, plan.session_gap,
-            plan.tolerance, plan.stat_cols,
-        ) if frags[-1] else None
-        feats.append(f)
-        infos.append(chunk_carry_info(f, plan.ts, plan.stat_cols[0]))
+        feats.append(_collect(partial(_scan_bucket, plan, right, parts)) if frags[-1] else None)
+    infos = [chunk_carry_info(f, plan.entity, plan.ts, plan.stat_cols[0]) for f in feats]
     return feats, infos, frags
 
 
 @ray.remote
-def fix_range(plan: ScanPlan, ranges: range, feats: list, carries: list,
-              next_first_ts: list, frags: list):
+def fix_range(plan: ScanPlan, ranges: range, feats: list, carries: list, nexts: list,
+              frags: list):
     """Phase 2 of a group of salted ranges: apply each range's folded
-    carry-in and commit it."""
+    carry-in and its next non-empty range's summary, and commit it."""
     return [
         plan.commit(b, fr, lambda emit, f=f, c=c, nxt=nxt: emit(flagship_apply_carry(
-            f, c, nxt, plan.ts, plan.stat_cols[0], plan.session_gap
+            f, c, nxt, plan.entity, plan.ts, plan.stat_cols[0], plan.session_gap
         )))
-        for b, f, c, nxt, fr in zip(ranges, feats, carries, next_first_ts, frags)
+        for b, f, c, nxt, fr in zip(ranges, feats, carries, nexts, frags)
     ]
 
 
@@ -613,18 +581,19 @@ def run_flagship_exchange(
     split by bucket (and by hot entity) once on the driver, in Arrow; each
     task receives only its buckets' slices.
 
-    ``chunk_rows`` bounds reduce memory: map slices arrive as sorted
-    sub-chunk objects and each reduce streams a k-way merge of ~chunk_rows
-    chunks, so the reduce heap holds two chunks, not the bucket. Without it
-    a bucket is one chunk.
+    ``chunk_rows`` bounds the scan's memory: map slices arrive as sorted
+    sub-chunk objects and each bucket or salted range is scanned as a k-way
+    merge of ~chunk_rows chunks, so a scan holds two chunks, not the
+    partition. Without it a partition is one chunk.
 
     Every entity holding more than 20% of all rows (and more than
     ``salt_min_rows``) is range-salted into extra partitions
     ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
-    ranges in parallel, the driver folds their O(1) carries in order, and
-    fix tasks apply them and commit through the same sink. Each hot
-    entity's ranges are grouped into tasks as the buckets are; no grouping
-    moves a row between partitions (tests/test_task_groups.py).
+    ranges in parallel, the driver folds their O(1) carries in order with
+    the kernels ``scan_chunks_with_carry`` uses, and fix tasks apply them
+    and commit through the same sink. Each hot entity's ranges are grouped
+    into tasks as the buckets are; no grouping moves a row between
+    partitions (tests/test_task_groups.py).
 
     A rerun into the same ``out_dir`` skips the partitions whose manifest
     record names a file holding the recorded rows
@@ -712,18 +681,18 @@ def run_flagship_exchange(
         right = ray.put(scores.filter(pc.equal(scores[entity], e)))
         phase1 = [scan_range.remote(plan, right, *by_group[g]) for g in gs]
         infos = [i for p in ray.get([p[1] for p in phase1]) for i in p]
-        # driver-side sequential fold (microseconds per range) -> carry-ins;
-        # all fix tasks then launch in parallel
-        carry, carries = None, []
-        for info in infos:
-            carries.append(carry)
-            carry = fold_carry(carry, info, session_gap)
-        next_first = [
-            next((i["first_ts"] for i in infos[k + 1:] if i), None) for k in range(len(infos))
-        ]
+        # the stitch of scan_chunks_with_carry across the ranges: a
+        # sequential fold on the driver (microseconds per range), then every
+        # fix task in parallel
+        carries = [None]
+        for info in infos[:-1]:
+            carries.append(fold_carry(carries[-1], info, session_gap))
+        # a fix reads only the next summary's head, not its areas
+        heads = [i and {"first_e": i["first_e"], "first_ts": i["first_ts"]} for i in infos]
+        nexts = [next(filter(None, heads[k + 1:]), None) for k in range(len(heads))]
         for g, (feats, _, frags) in zip(gs, phase1):
             k = slice(g.start - gs[0].start, g.stop - gs[0].start)
-            out.append(fix_range.remote(plan, g, feats, carries[k], next_first[k], frags))
+            out.append(fix_range.remote(plan, g, feats, carries[k], nexts[k], frags))
     results = collect_frames([r for rs in ray.get(out) for r in rs], "run_flagship_exchange")
     return results.to_pandas() if isinstance(results, pa.Table) else results
 

@@ -1,10 +1,11 @@
 """Chunk streams for the flagship exchange's one reduce protocol.
 
-Every flagship reduce task scans its bucket as a stream of (entity, ts)
-chunks, carrying boundary state from chunk to chunk
+Every flagship task scans each of its partitions (a bucket, or a hot
+entity's salted range) as a stream of (entity, ts) chunks, carrying
+boundary state from chunk to chunk
 (``pipelines.flagship.scan_chunks_with_carry``). Without ``chunk_rows`` the
-stream is the concatenated bucket as one chunk. With it, the stream is
-bounded, for buckets far beyond one task's RAM:
+stream is the concatenated partition as one chunk. With it, the stream is
+bounded, for partitions far beyond one task's RAM:
 
 - map side (stages/exchange.py ``sort_keys``/``chunk_rows``): each per-bucket
   slice is SORTED by the scan key and cut into chunk-sized sub-objects

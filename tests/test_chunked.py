@@ -22,6 +22,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity
 from mpds_ray.pipelines.flagship import process_bucket, scan_chunks_with_carry
 from mpds_ray.stages.chunked import sorted_run_merge, split_chunks
 
@@ -134,12 +135,10 @@ class TestScanChunksWithCarry:
             iter(chunks), right, "doc_id", "ts", 300.0, 3_600.0,
             ["tok_mean"], got.append,
         )
-        merged = pa.concat_tables(got)
         # chunk-boundary state (session offsets, lag, cummax, twmean chain,
         # LOCF) must be BIT-identical to the whole-bucket scan, null masks
         # included
-        pd.testing.assert_frame_equal(merged.to_pandas(), flat.to_pandas(), check_exact=True)
-        assert merged.equals(flat)
+        assert_bit_identical(pa.concat_tables(got), flat)
 
     def test_no_tolerance_and_single_entity_chunks(self):
         left, right = _bucket_fixture(n_rows=900, n_entities=3)
@@ -154,9 +153,36 @@ class TestScanChunksWithCarry:
             iter(chunks), right, "doc_id", "ts", 120.0, None,
             ["tok_mean"], got.append,
         )
-        merged = pa.concat_tables(got)
-        pd.testing.assert_frame_equal(merged.to_pandas(), flat.to_pandas(), check_exact=True)
-        assert merged.equals(flat)
+        assert_bit_identical(pa.concat_tables(got), flat)
+
+
+class TestCarryEdgeStats:
+    """The carry reads the boundary entity's state from the scan itself, so
+    a cut reproduces the one-chunk scan bit for bit on stats the synthetic
+    fixtures never hold: signed zeros and a NaN first stat."""
+
+    @staticmethod
+    def _scan_cut(left, right, cuts):
+        bounds = [0, *cuts, left.num_rows]
+        got: list[pa.Table] = []
+        scan_chunks_with_carry(
+            (left.slice(a, b - a) for a, b in zip(bounds, bounds[1:])), right,
+            "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"], got.append,
+        )
+        return pa.concat_tables(got)
+
+    @pytest.mark.parametrize("cuts", [[1], [2], [3], [4], [5], [1, 2, 3, 4, 5]])
+    def test_signed_zero_cummax(self, cuts):
+        left, right = one_entity(SIGNED_ZERO, np.arange(6) * 10.0)
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert np.signbit(want["run_cummax"].to_numpy()).all()
+        assert_bit_identical(self._scan_cut(left, right, cuts), want)
+
+    def test_nan_first_stat_twmean(self):
+        left, right = one_entity(NAN_FIRST, NAN_FIRST_TS)
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert want["run_twmean"].to_pylist()[:3] == [5.0, 5.0, 5.0]
+        assert_bit_identical(self._scan_cut(left, right, [2]), want)
 
 
 class TestChunkedFlagshipE2E:
@@ -192,9 +218,7 @@ class TestChunkedFlagshipE2E:
         fb = sorted(glob.glob(f"{b}/part-*.parquet"))
         assert [f.split("/")[-1] for f in fa] == [f.split("/")[-1] for f in fb]
         for pa_, pb_ in zip(fa, fb):
-            da = pq.read_table(pa_).to_pandas()
-            db = pq.read_table(pb_).to_pandas()
-            pd.testing.assert_frame_equal(da, db, check_exact=True)
+            assert_bit_identical(pq.read_table(pb_), pq.read_table(pa_))
 
     def test_manifest_checksums_match(self, dirs):
         import json
@@ -247,4 +271,4 @@ class TestSaltedChunked:
         def canon(df):
             return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
-        pd.testing.assert_frame_equal(canon(flat), canon(salted), check_exact=True)
+        assert_bit_identical(canon(salted), canon(flat))

@@ -5,10 +5,10 @@ chunking of a heavy key."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity
 
 
 class TestDistributedSalting:
@@ -76,8 +76,7 @@ class TestDistributedSalting:
             tok_dir, scores, out_dir=None, num_buckets=8,
             salt_min_rows=0, session_gap=5_000.0, tolerance=100_000.0,
         )
-        a, b = self._canon(base), self._canon(salted)
-        pd.testing.assert_frame_equal(a, b, check_exact=True)
+        assert_bit_identical(self._canon(salted), self._canon(base))
 
         # (b) chunk bound: run with a sink to get per-partition row counts
         out_dir = str(tmp_path / "out")
@@ -212,11 +211,14 @@ class TestSaltTop8Miss:
 
 
 class TestCarryChainNaNEdges:
-    """Kernel-level salted-chunk replay with NaN stat values: splitting one
-    entity's process_bucket output at arbitrary points and replaying via
-    chunk_carry_info/fold_carry/flagship_apply_carry must reproduce the
-    unsplit output byte-for-byte (pandas cummax NaN rows, nan_to_num'd
-    trapezoid areas, LOCF prefix fills)."""
+    """Kernel-level replay of the salted stitch: cutting process_bucket's
+    input at arbitrary points, scanning each piece alone and replaying the
+    driver's chunk_carry_info / fold_carry / flagship_apply_carry chain
+    must reproduce the uncut output bit for bit (pandas cummax NaN rows,
+    nan_to_num'd trapezoid areas, LOCF prefix fills, signed zeros, and cuts
+    between entities as well as inside one)."""
+
+    GAP, TOL = 200.0, 500.0
 
     def _entity_frame(self, n=400, nan_frac=0.15, seed=3):
         rng = np.random.default_rng(seed)
@@ -243,36 +245,58 @@ class TestCarryChainNaNEdges:
         )
         return left, right
 
+    def _replay(self, left, right, cuts):
+        """The salted driver over the pieces ``left`` is cut into at
+        ``cuts``: the carry into each piece folds every earlier summary, and
+        each piece sees its next non-empty piece's summary."""
+        from mpds_ray.pipelines.flagship import process_bucket
+        from mpds_ray.stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
+
+        bounds = [0, *cuts, left.num_rows]
+        feats = [
+            process_bucket(left.slice(a, b - a), right, "doc_id", "ts", self.GAP, self.TOL,
+                           ["tok_mean"])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        infos = [chunk_carry_info(f, "doc_id", "ts", "tok_mean") for f in feats]
+        carry, fixed = None, []
+        for k, (f, info) in enumerate(zip(feats, infos)):
+            nxt = next(filter(None, infos[k + 1:]), None)
+            fixed.append(flagship_apply_carry(f, carry, nxt, "doc_id", "ts", "tok_mean",
+                                              self.GAP))
+            carry = fold_carry(carry, info, self.GAP)
+        return pa.concat_tables(fixed)
+
+    def _want(self, left, right):
+        from mpds_ray.pipelines.flagship import process_bucket
+
+        return process_bucket(left, right, "doc_id", "ts", self.GAP, self.TOL, ["tok_mean"])
+
     @pytest.mark.parametrize("cuts", [[100, 250], [1], [399], [50, 100, 150, 200, 399]])
     def test_split_replay_byte_identical(self, cuts):
-        from mpds_ray.pipelines.flagship import process_bucket
-        from mpds_ray.stages.salted import (
-            chunk_carry_info,
-            flagship_apply_carry,
-            fold_carry,
-        )
-
-        gap, tol = 200.0, 500.0
         left, right = self._entity_frame()
-        want = process_bucket(
-            left, right, "doc_id", "ts", gap, tol, ["tok_mean"]
-        )
+        assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
 
-        bounds = [0] + cuts + [left.num_rows]
-        chunks = [
-            left.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(bounds) - 1)
-        ]
-        feats = [
-            process_bucket(c, right, "doc_id", "ts", gap, tol, ["tok_mean"])
-            for c in chunks
-        ]
-        infos = [chunk_carry_info(f, "ts", "tok_mean") for f in feats]
-        carry = None
-        fixed = []
-        for k, (f, info) in enumerate(zip(feats, infos)):
-            nxt = next((infos[j]["first_ts"] for j in range(k + 1, len(infos)) if infos[j]), None)
-            fixed.append(flagship_apply_carry(f, carry, nxt, "ts", "tok_mean", gap))
-            carry = fold_carry(carry, info, gap)
-        got = pa.concat_tables([f for f in fixed if f is not None and f.num_rows])
-        pd.testing.assert_frame_equal(got.to_pandas(), want.to_pandas(), check_exact=True)
-        assert got.equals(want)
+    @pytest.mark.parametrize("cuts", [[1], [2], [3], [4], [5], [1, 2, 3, 4, 5]])
+    def test_signed_zero_cummax(self, cuts):
+        left, right = one_entity(SIGNED_ZERO, np.arange(6) * 10.0)
+        assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
+
+    def test_nan_first_stat_twmean(self):
+        left, right = one_entity(NAN_FIRST, NAN_FIRST_TS)
+        assert_bit_identical(self._replay(left, right, [2]), self._want(left, right))
+
+    @pytest.mark.parametrize("cuts", [[120, 285], [60, 285]])
+    def test_cut_between_entities_and_inside_one(self, cuts):
+        """Three entities of 120 rows. Cut where e0 ends and e1 begins and
+        again inside e2: the carry out of e0 must not touch e1, and e2's
+        carry must stitch its two pieces. Cut inside e0 instead: the middle
+        piece continues e0 but ends in e2, so its carry out starts afresh."""
+        one, right0 = self._entity_frame(n=120, seed=4)
+        frames, rights = [], []
+        for k in range(3):
+            ent = pa.array([f"e{k}"] * one.num_rows)
+            frames.append(one.set_column(0, "doc_id", ent))
+            rights.append(right0.set_column(0, "doc_id", pa.array([f"e{k}"] * right0.num_rows)))
+        left, right = pa.concat_tables(frames), pa.concat_tables(rights)
+        assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))

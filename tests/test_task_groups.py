@@ -19,6 +19,7 @@ import pyarrow.parquet as pq
 import pytest
 
 import mpds_ray.pipelines.flagship as flagship
+from conftest import assert_bit_identical
 from mpds_ray.pipelines.flagship import run_flagship_exchange
 from mpds_ray.synth import synth_scores_table, synth_tokens_table
 
@@ -122,7 +123,7 @@ class TestGroupInvariance:
             monkeypatch.setattr(flagship, "task_groups", _fixed_groups(count))
             outs.append(run_flagship_exchange(*inputs, **SALTED))
         for other in outs[1:]:
-            assert other.equals(outs[0])
+            assert_bit_identical(other, outs[0])
 
 
 class TestFailureInsideAGroup:
