@@ -18,8 +18,8 @@
 (``scan_chunks_with_carry`` into ``ChunkPartitionSink``):
 
 - a bucket is one chunk (its concatenated map slices) by default;
-- with ``chunk_rows`` it is a k-way merge of sorted sub-chunk runs
-  (stages/chunked.py), so reduce memory is bounded by chunks, not buckets;
+- with ``chunk_rows`` its sorted sub-chunk runs merge into chunks of ~that
+  many rows (stages/chunked.py), so reduce memory is bounded by chunks;
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, each as a bucket is scanned, the driver folds
   their carries with the same kernels, and fix tasks apply them and commit
@@ -72,7 +72,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..stages.asof import asof_join_arrays
-from ..stages.chunked import ray_run_iter, sorted_run_merge
+from ..stages.chunked import sorted_run_merge
 from ..stages.exchange import (
     _split_by_bucket,
     auto_num_buckets,
@@ -320,24 +320,26 @@ def scan_chunks_with_carry(
     (a bucket or salted range as one chunk, or stages/chunked.sorted_run_merge)
     in order, scan each with ``process_bucket``, and thread the scan state of
     the entity straddling each cut with the carry kernels of
-    stages/salted.py. Each chunk is held back until the next one's summary
-    is known, so its last row's ``secs_to_next`` can see the next chunk:
-    peak memory is two chunks, never the bucket. Output is byte-identical
-    to one ``process_bucket`` over all the chunks (tests/test_chunked.py).
+    stages/salted.py. Each chunk is held back until the next one arrives
+    (peak memory is two chunks, never the bucket); only at such a cut is it
+    summarized and its last row pointed at the next chunk's head, so a
+    one-chunk partition takes no summary. Output is byte-identical to one
+    ``process_bucket`` over all the chunks (tests/test_chunked.py).
     ``emit(table)`` receives the finished tables in order."""
     stat = stat_cols[0]
-    carry = held = held_carry = None
+    carry = held = None
     for chunk in chunks:
         if not chunk.num_rows:
             continue
         feats = process_bucket(chunk, right, entity, ts, session_gap, tolerance, stat_cols)
-        info = chunk_carry_info(feats, entity, ts, stat)
         if held is not None:
-            emit(flagship_apply_carry(held, held_carry, info, entity, ts, stat, session_gap))
-        held, held_carry = feats, carry
-        carry = fold_carry(carry, info, session_gap)
+            nxt = {"first_e": feats[entity][0].as_py(),
+                   "first_ts": float(feats[ts][0].as_py())}  # the next chunk's head
+            emit(flagship_apply_carry(held, carry, nxt, entity, ts, stat, session_gap))
+            carry = fold_carry(carry, chunk_carry_info(held, entity, ts, stat), session_gap)
+        held = feats
     if held is not None:
-        emit(flagship_apply_carry(held, held_carry, None, entity, ts, stat, session_gap))
+        emit(flagship_apply_carry(held, carry, None, entity, ts, stat, session_gap))
 
 
 class ChunkPartitionSink:
@@ -508,10 +510,10 @@ def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
     """One partition's (a hash bucket's or a salted range's) chunk stream
     through ``scan_chunks_with_carry``."""
     if plan.chunk_rows is None:
-        chunks = [pa.concat_tables([t for p in parts for t in ray_run_iter(p)])]
+        chunks = [pa.concat_tables([p for p in parts if p.num_rows])]
     else:
         chunks = sorted_run_merge(
-            [ray_run_iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
+            [iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
         )
     scan_chunks_with_carry(
         chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
@@ -534,8 +536,8 @@ def reduce_bucket(plan: ScanPlan, buckets: range, rights: list[pa.Table], *group
 def scan_range(plan: ScanPlan, right: pa.Table, *groups):
     """Phase 1 of a group of one hot entity's salted ranges: scan each
     range alone, as a bucket is scanned (``_scan_bucket``, so ``chunk_rows``
-    bounds its scan too). The compact carry summaries ride back separately,
-    so the driver's fold never fetches the features tables."""
+    bounds its scan too), then summarize it once. The summaries ride back
+    separately, so the driver's fold never fetches the features tables."""
     feats, frags = [], []
     for parts in zip(*groups):
         frags.append(plan.contributors(parts))
@@ -600,9 +602,10 @@ def run_flagship_exchange(
     (``Manifest.committed``) and recomputes the others.
 
     Returns per-partition summary rows, or with out_dir=None the features
-    as a DataFrame, collected under ``DRIVER_ROOT_ROW_CAP``.
-    Output is byte-identical across bucket counts, chunking and salting, and
-    equals ``run_flagship``'s (tested).
+    as a DataFrame, collected under ``DRIVER_ROOT_ROW_CAP``. Output is
+    byte-identical across bucket counts, chunking and salting, and equals
+    ``run_flagship``'s (tested). A null entity, or a null or NaN ts, raises
+    ``ValueError`` naming the shard, the column and the row.
     """
     shards = sorted(glob.glob(f"{tokens_dir}/*.parquet")) or [tokens_dir]
     if num_buckets is None:
@@ -617,6 +620,9 @@ def run_flagship_exchange(
         os.makedirs(wide_out_dir, exist_ok=True)
 
     def map_fn(t: pa.Table, shard_path: str) -> pa.Table:
+        for col in (entity, ts):  # the input domain: no null or NaN key
+            if (row := pc.index(pc.is_null(t[col], nan_is_null=True), True).as_py()) >= 0:
+                raise ValueError(f"{shard_path}: column {col!r} is {t[col][row]} at row {row}")
         enriched = tw(t)
         if wide_out_dir is not None:
             # the enriched WIDE table (token arrays byte-identical + stat

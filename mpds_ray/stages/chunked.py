@@ -11,133 +11,127 @@ bounded, for partitions far beyond one task's RAM:
   slice is SORTED by the scan key and cut into chunk-sized sub-objects
   (``ray.put`` per sub-chunk), so a reduce task can fetch runs incrementally
   instead of pinning the whole bucket;
-- reduce side (``sorted_run_merge``): a k-way merge of the sorted runs that
-  yields bounded, fully-sorted Arrow chunks. Only ~``target_rows`` rows (plus
-  the per-run lookahead) are ever materialized on the task heap; consumed
-  chunk objects are released as the iterators advance.
+- reduce side (``sorted_run_merge``): the runs of a partition that fits in
+  ``target_rows`` rows (each run one sub-chunk, told by its length hint)
+  are one chunk, concatenated and sorted once. A larger partition is a
+  k-way merge cut by row counts: each round takes every run's rows up to a
+  cut key ~``budget / runs`` rows ahead, and rounds add up until a chunk
+  holds about ``target_rows`` rows, so runs near their end yield no
+  slivers. Runs are fetched one sub-chunk at a time as the merge advances.
 
 Merge guarantee (byte-identity with the one-chunk stream): that stream
 concats parts in SHARD order and ``process_bucket`` runs ONE stable
 (entity, ts) sort, so ties keep (shard, within-shard) order. Here each
-run is pre-sorted stably per shard, slices are taken in shard order, every
-tie group <= the cut key K is consumed in full (across a run's own chunk
-boundary if needed), and each merged chunk gets one stable sort —
-reproducing the exact one-chunk row order, chunk by chunk (property-tested
-in tests/test_chunked.py).
+run is pre-sorted stably per shard, a round takes its slices in shard
+order, every tie group <= the cut key is taken in full (across a run's own
+chunk boundary if needed), rounds take disjoint key ranges, and each chunk
+gets one stable sort — the exact one-chunk row order, chunk by chunk
+(property-tested in tests/test_chunked.py).
 
 Scale note: this bounds reduce-task HEAP and object-store pinning by chunk
-size. The number of in-flight sub-chunk objects is bucket_bytes/chunk_bytes;
-at extreme run counts a real deployment adds a merge level (merge R runs in
-groups), which composes with this same primitive.
+size. In-flight sub-chunk objects number bucket_bytes/chunk_bytes; at
+extreme run counts a merge level (R runs in groups) composes with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import length_hint
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 
-class _Run:
-    """Cursor over one sorted run: a sequence of contiguous pa.Table chunks."""
+def _next_chunk(run: Iterator) -> pa.Table | None:
+    """A run's next non-empty chunk, ``ray.get`` first if it is an ObjectRef
+    (so a run of refs is fetched one sub-chunk at a time), or None."""
+    import ray
 
-    def __init__(self, chunk_iter: Iterator[pa.Table], entity: str, ts: str):
-        self.it = iter(chunk_iter)
-        self.entity = entity
-        self.ts = ts
-        self.cur: pa.Table | None = None
-        self.ent: np.ndarray | None = None
-        self.tsv: np.ndarray | None = None
-        self.pos = 0
-        self.n = 0
-        self._advance()
+    tables = (t if isinstance(t, pa.Table) else ray.get(t) for t in run)
+    return next((t for t in tables if t.num_rows), None)
+
+
+class _Run:
+    """Cursor over one sorted run: its current chunk, then the rest of
+    ``it``. Cut keys are compared in Arrow, never as object arrays."""
+
+    def __init__(self, first: pa.Table, it: Iterator, entity: str, ts: str):
+        self.it, self.entity, self.ts = it, entity, ts
+        self.cur, self.pos = first, 0
 
     def _advance(self) -> None:
-        self.cur, self.pos, self.n = None, 0, 0
-        for t in self.it:
-            if t.num_rows:
-                self.cur = t
-                self.ent = t[self.entity].to_numpy(zero_copy_only=False)
-                self.tsv = t[self.ts].to_numpy(zero_copy_only=False).astype(np.float64)
-                self.n = t.num_rows
-                return
-
-    @property
-    def active(self) -> bool:
-        return self.cur is not None
+        self.cur, self.pos = _next_chunk(self.it), 0
 
     def cap_key(self, lookahead: int):
         """Key ``lookahead`` rows ahead of the cursor (clamped to chunk end)."""
-        j = min(self.pos + lookahead, self.n) - 1
-        return (self.ent[j], self.tsv[j])
+        j = min(self.pos + lookahead, self.cur.num_rows) - 1
+        return self.cur[self.entity][j].as_py(), self.cur[self.ts][j].as_py()
 
     def take_upto(self, key) -> list[pa.Table]:
         """Zero-copy slices of ALL remaining rows with sort key <= ``key``,
         crossing this run's own chunk boundaries so a tie group at ``key`` is
         never split (required for byte-identity with the flat sort)."""
         out = []
-        while self.active:
-            ke, kt = key
-            lo = np.searchsorted(self.ent, ke, side="left")
-            hi = np.searchsorted(self.ent, ke, side="right")
-            upper = lo + int(np.searchsorted(self.tsv[lo:hi], kt, side="right"))
-            upper = max(upper, self.pos)
-            if upper > self.pos:
-                out.append(self.cur.slice(self.pos, upper - self.pos))
-                self.pos = upper
-            if self.pos < self.n:
+        while self.cur is not None:
+            rest = self.cur.slice(self.pos)
+            (e, t), (ke, kt) = (rest[self.entity], rest[self.ts]), key
+            le = pc.or_(pc.less(e, ke), pc.and_(pc.equal(e, ke), pc.less_equal(t, kt)))
+            k = pc.sum(le).as_py()  # the rows <= key: a prefix of rest, which is sorted
+            if k:
+                out.append(rest.slice(0, k))
+                self.pos += k
+            if self.pos < self.cur.num_rows:
                 break  # next row exceeds key — tie group fully consumed
             self._advance()  # chunk exhausted: peek into the next chunk
         return out
 
 
 def sorted_run_merge(
-    runs: list[Iterator[pa.Table]],
+    runs: list[Iterator],
     entity: str,
     ts: str,
     target_rows: int,
     stats: dict | None = None,
 ) -> Iterator[pa.Table]:
     """Merge sorted runs into a stream of bounded, (entity, ts)-sorted Arrow
-    chunks. ``runs`` must be in SHARD order (tie order contract above). Each
-    yielded chunk holds ~``target_rows`` rows (+ per-run tie spill). Pass a
-    ``stats`` dict to record ``max_chunk_rows`` (test instrumentation)."""
-    cursors = [_Run(r, entity, ts) for r in runs]
-    while True:
-        active = [c for c in cursors if c.active]
-        if not active:
-            return
-        lookahead = max(1, target_rows // len(active))
-        cut = min(c.cap_key(lookahead) for c in active)
-        slices = []
-        for c in cursors:  # shard order, not `active` order — tie contract
-            if c.active:
-                slices.extend(c.take_upto(cut))
-        merged = pa.concat_tables(slices) if len(slices) != 1 else slices[0]
-        # stable: ties keep concat (= shard, within-shard) order
-        merged = merged.take(
-            pc.sort_indices(merged, sort_keys=[(entity, "ascending"), (ts, "ascending")])
-        )
-        if stats is not None:
-            stats["max_chunk_rows"] = max(stats.get("max_chunk_rows", 0), merged.num_rows)
-            stats["n_chunks"] = stats.get("n_chunks", 0) + 1
-        yield merged
+    chunks. ``runs`` must be in SHARD order (tie order contract above); each
+    iterates tables or their ObjectRefs. When every run's length hint says
+    its first chunk is its last and those hold at most ``target_rows`` rows
+    in all, they are one chunk, with no cursor and no cut. Otherwise each
+    chunk but the last holds from 3/4 of ``target_rows`` to about
+    ``target_rows`` rows (+ per-run tie spill). Pass a ``stats`` dict to
+    record ``max_chunk_rows`` and ``n_chunks`` (test instrumentation)."""
+    its = [iter(r) for r in runs]
+    firsts = [_next_chunk(it) for it in its]
+    held = [t for t in firsts if t is not None]
+    rows, cursors = sum(t.num_rows for t in held), []
+    if rows > target_rows or any(length_hint(it, 1) for it in its):  # not one chunk
+        cursors = [_Run(t, it, entity, ts) for t, it in zip(firsts, its) if t is not None]
+        held, rows = [], 0
+    while cursors := [c for c in cursors if c.cur is not None]:
+        lookahead = max(1, (target_rows - rows) // len(cursors))
+        cut = min(c.cap_key(lookahead) for c in cursors)
+        for c in cursors:  # shard order — tie contract
+            held += c.take_upto(cut)
+        rows = sum(t.num_rows for t in held)
+        if 4 * rows >= 3 * target_rows:
+            yield _sorted(held, entity, ts, stats)
+            held, rows = [], 0
+    if held:
+        yield _sorted(held, entity, ts, stats)
 
 
-def ray_run_iter(part) -> Iterator[pa.Table]:
-    """Adapt one map task's per-bucket output to a chunk iterator: a list of
-    sub-chunk ObjectRefs is fetched LAZILY (one ``ray.get`` per chunk as the
-    merge advances — never the whole run at once); a plain table yields
-    itself."""
-    import ray
-
-    if isinstance(part, list):
-        for r in part:
-            yield ray.get(r)
-    elif part.num_rows:
-        yield part
+def _sorted(slices: list[pa.Table], entity: str, ts: str, stats: dict | None) -> pa.Table:
+    """One chunk: ``slices`` concatenated in order and given one stable
+    (entity, ts) sort, so ties keep concat (= shard, within-shard) order."""
+    merged = pa.concat_tables(slices) if len(slices) != 1 else slices[0]
+    merged = merged.take(
+        pc.sort_indices(merged, sort_keys=[(entity, "ascending"), (ts, "ascending")])
+    )
+    if stats is not None:
+        stats["max_chunk_rows"] = max(stats.get("max_chunk_rows", 0), merged.num_rows)
+        stats["n_chunks"] = stats.get("n_chunks", 0) + 1
+    return merged
 
 
 def split_chunks(table: pa.Table, chunk_rows: int) -> list[pa.Table]:

@@ -87,6 +87,26 @@ class TestSortedRunMerge:
         # bound: target + one tie group per run; ties here are narrow
         assert stats["max_chunk_rows"] <= 3 * target, stats
 
+    def test_partition_that_fits_is_one_chunk(self):
+        """Runs holding at most ``target_rows`` rows in all come out as one
+        chunk: their concatenation given one stable sort."""
+        runs, flat = _make_runs(4, 600, 4096, tie_frac=0.3)
+        stats: dict = {}
+        out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", 4096, stats))
+        assert stats["n_chunks"] == 1
+        pd.testing.assert_frame_equal(out[0].to_pandas(), flat)
+
+    @pytest.mark.parametrize("sub_chunk", [4096, 512])
+    def test_tail_is_not_cut_into_slivers(self, sub_chunk):
+        """A partition larger than ``target_rows`` is cut into chunks of
+        about ``target_rows``: runs near their end do not pin each cut to
+        their last key, so 16k rows at a 4096-row target give <= 5 chunks."""
+        runs, flat = _make_runs(8, 2000, sub_chunk, tie_frac=0.3)
+        stats: dict = {}
+        out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", 4096, stats))
+        pd.testing.assert_frame_equal(pa.concat_tables(out).to_pandas(), flat)
+        assert stats["n_chunks"] <= 5, [len(c) for c in out]
+
     def test_single_run_passthrough(self):
         runs, flat = _make_runs(1, 500, 64, tie_frac=0.2)
         out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", 100))
@@ -154,6 +174,61 @@ class TestScanChunksWithCarry:
             ["tok_mean"], got.append,
         )
         assert_bit_identical(pa.concat_tables(got), flat)
+
+
+class TestCarrySummaryAtCutsOnly:
+    """A chunk's carry summary is taken only when a further chunk follows
+    it, and a salted range's summary once, on its collected output."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import mpds_ray.pipelines.flagship as flagship
+
+        calls = []
+        real = flagship.chunk_carry_info
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flagship, "chunk_carry_info", counting)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_scan_takes_k_minus_one_summaries(self, monkeypatch, k):
+        left, right = _bucket_fixture(n_rows=1_000)
+        flat = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        srt = _sorted(left)
+        step = -(-srt.num_rows // k)
+        calls = self._counted(monkeypatch)
+        got: list[pa.Table] = []
+        scan_chunks_with_carry(
+            (srt.slice(i, step) for i in range(0, srt.num_rows, step)), right,
+            "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"], got.append,
+        )
+        assert len(calls) == k - 1
+        assert_bit_identical(pa.concat_tables(got), flat)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 4096])
+    def test_scan_range_one_summary_per_range(self, ray_session, monkeypatch, chunk_rows):
+        import ray
+
+        from mpds_ray.pipelines.flagship import ScanPlan, scan_range
+
+        left, right = _bucket_fixture(n_rows=1_200)
+        srt = _sorted(left)
+        # two ranges, each split over two shards; shard s holds rows s::2
+        ranges = [srt.slice(0, 600), srt.slice(600)]
+        shards = [[r.take(np.arange(s, r.num_rows, 2)) for r in ranges] for s in range(2)]
+        if chunk_rows is not None:  # the chunked map's shape: lists of sub-chunk refs
+            shards = [[[ray.put(t)] for t in sh] for sh in shards]
+        plan = ScanPlan("doc_id", "ts", 300.0, 3_600.0, ["tok_mean"], chunk_rows,
+                        ["s0", "s1"], None, None, frozenset())
+        calls = self._counted(monkeypatch)
+        feats, infos, _ = scan_range._function(plan, right, *shards)
+        assert len(calls) == len(ranges) == len(infos)
+        for f, r in zip(feats, ranges):
+            assert f.num_rows == r.num_rows
 
 
 class TestCarryEdgeStats:

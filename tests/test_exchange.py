@@ -219,3 +219,28 @@ class TestCollectCap:
         monkeypatch.setattr(ex, "DRIVER_ROOT_ROW_CAP", rows - 1)
         with pytest.raises(RuntimeError, match="driver root 'run_flagship_exchange'"):
             run_flagship_exchange(*args, num_buckets=4)
+
+
+class TestFlagshipInputDomain:
+    """A null entity, or a null or NaN ts, is outside the flagship's input
+    domain: the map raises and names the shard, the column and the row."""
+
+    @pytest.mark.parametrize("col,bad", [("doc_id", None), ("ts", None), ("ts", float("nan"))])
+    def test_bad_key_names_shard_column_and_row(self, ray_session, tmp_path, col, bad):
+        from mpds_ray.synth import synth_scores_table, synth_tokens_table
+
+        table = synth_tokens_table(20, 400, seed=3, max_tok=16)
+        table = table.set_column(table.schema.get_field_index("ts"), "ts",
+                                 table["ts"].cast(pa.float64()))
+        tok = tmp_path / "tokens"
+        tok.mkdir()
+        pq.write_table(table.slice(0, 200), tok / "part-0.parquet")
+        values = table[col].slice(200).to_pylist()
+        values[7] = bad
+        second = table.slice(200)
+        second = second.set_column(second.schema.get_field_index(col), col,
+                                   pa.array(values, type=table[col].type, from_pandas=False))
+        pq.write_table(second, tok / "part-1.parquet")
+        pq.write_table(synth_scores_table(20, seed=4), tmp_path / "scores.parquet")
+        with pytest.raises(ValueError, match=rf"part-1\.parquet.*'{col}'.*row 7\b"):
+            run_flagship_exchange(str(tok), str(tmp_path / "scores.parquet"), num_buckets=2)
