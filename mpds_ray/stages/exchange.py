@@ -18,6 +18,13 @@ Dataset API cannot express efficiently:
         per source grid, concat bucket b's non-empty slices (``None`` when
         the grid has no rows there) -> reduce_fn(b, *tables)
 
+One bucket has nothing to split, so a one-bucket exchange (no ``groups``,
+``chunk_rows`` or ``sort_keys``) is one task: ``exchange_map`` starts none
+and calls no ``bucket_fn``. A grid cell is then an upstream output itself
+(``map_fn=None``) or a ``DeferredMap`` (the read and map) that the task
+consuming it runs. A deferred cell has exactly one consumer; a caller that
+feeds one to several tasks stores it as an object first (``knn._block``).
+
 A source is a shard path, read from storage with the pruned columns and the
 pushed-down filter, or an upstream output: an Arrow table or the ObjectRef
 of one (a reduce output of an earlier hop, a slice of an in-memory table).
@@ -31,7 +38,8 @@ partition ``b``; ``task_groups`` only decides how many tasks run them. With
 ``groups`` a map task returns one object per group (the group's per-bucket
 slices), and the flagship runs each group in one reduce task, so a small
 input costs one reduce task whatever its bucket count. ``reduce_grid``
-still runs one task per bucket: the queries mostly have one bucket.
+runs one task per bucket; at one bucket (most queries) that task also
+runs every deferred map of its grids.
 
 ``reduce_grid`` is the one reducer of every exchange: a one-grid reduce
 (``hash_exchange``), a two-sided join (``hashjoin.exchange_join``) and each
@@ -52,7 +60,8 @@ The engine's generic tasks are three module-level remote functions:
 ``_map_shard`` (a map task), ``_reduce_bucket`` (a reduce task) and
 ``_read_map`` (a ``shard_map`` task), exported once per process. The
 per-call callables and parameters travel as task arguments (``reduce_fn``
-and ``fn`` are ``ray.put`` once per call), so a call costs no function
+and ``fn`` are ``ray.put`` once per call when several tasks share them,
+and passed inline to a call's one task), so a call costs no function
 export and no worker re-import of a fresh function.
 
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
@@ -72,6 +81,7 @@ import os
 from collections.abc import Callable
 from functools import partial
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -195,6 +205,10 @@ def exchange_map(
     drives its own (it streams each bucket through a carry scan into a
     resumable sink).
 
+    One bucket (no ``groups``, ``chunk_rows`` or ``sort_keys``) starts no
+    task and calls no ``bucket_fn``: ``refs[s][0]`` is source s itself (an
+    upstream output, ``map_fn=None``) or its ``DeferredMap``.
+
     A source is a shard path or an upstream output (an Arrow table or its
     ObjectRef). A ``None`` or 0-row upstream output gives empty slices
     without calling ``map_fn``; ``map_fn=None`` keeps the rows as they are.
@@ -216,6 +230,9 @@ def exchange_map(
     LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
     and release one at a time instead of pinning the whole run."""
     map_takes_path = map_fn is not None and accepts_n_positional(map_fn, 2)
+    if num_buckets == 1 and groups is None and chunk_rows is None and not sort_keys:
+        return [[s if map_fn is None and not isinstance(s, str)
+                 else DeferredMap(s, map_fn, map_takes_path, columns, filters)] for s in sources]
     n_out = num_buckets if groups is None else len(groups)
     task = _map_shard.options(num_returns=n_out)
     refs = [
@@ -230,6 +247,36 @@ def exchange_map(
     return refs
 
 
+class DeferredMap(NamedTuple):
+    """A one-bucket grid cell: one source's read and map, run by the one
+    task that consumes the cell (``resolve_cell``) instead of a map task."""
+
+    src: object
+    map_fn: Callable | None
+    takes_path: bool
+    columns: list[str] | None
+    filters: object
+
+    def run(self) -> pa.Table | None:
+        """The mapped source; ``None`` (``map_fn`` not called) for no rows."""
+        import pyarrow.parquet as pq
+
+        src = ray.get(self.src) if isinstance(self.src, ray.ObjectRef) else self.src
+        path = src if isinstance(src, str) else None
+        if path is None and _no_rows(src):
+            return None
+        t = src if path is None else pq.read_table(path, columns=self.columns, filters=self.filters)
+        if self.map_fn is not None:
+            t = self.map_fn(t, path) if self.takes_path else self.map_fn(t)
+        return t
+
+
+def resolve_cell(cell):
+    """A grid cell's table: a ``DeferredMap`` runs here, in its consumer;
+    a slice (an ObjectRef resolved as a task argument) is itself."""
+    return cell.run() if isinstance(cell, DeferredMap) else cell
+
+
 @ray.remote
 def _map_shard(
     src, map_fn, map_takes_path, bucket_fn, num_buckets,
@@ -238,15 +285,10 @@ def _map_shard(
     """``exchange_map``'s task: read or take one source, map it, split it
     by bucket, and return one object per bucket or, with ``groups``, per
     group."""
-    import pyarrow.parquet as pq
-
-    path = src if isinstance(src, str) else None
-    if path is None and _no_rows(src):
+    t = DeferredMap(src, map_fn, map_takes_path, columns, filters).run()
+    if t is None:
         parts = [pa.table({})] * num_buckets
     else:
-        t = src if path is None else pq.read_table(path, columns=columns, filters=filters)
-        if map_fn is not None:
-            t = map_fn(t, path) if map_takes_path else map_fn(t)
         parts = _split_by_bucket(t, bucket_fn(t), num_buckets, sort_keys=sort_keys)
     if chunk_rows is not None:
         from .chunked import split_chunks
@@ -285,12 +327,12 @@ def shard_map(
     partial at all gives ``None``."""
     import pyarrow.parquet as pq
 
-    fn_ref = ray.put(fn)
-    tasks = []
+    units = []
     for src in sources:
         n_rg = pq.read_metadata(src).num_row_groups if isinstance(src, str) else 1
-        for rg in [None] if n_rg <= 1 else range(n_rg):
-            tasks.append(_read_map.remote(fn_ref, src, rg, columns, filters))
+        units += [(src, rg) for rg in ([None] if n_rg <= 1 else range(n_rg))]
+    fn_arg = fn if len(units) == 1 else ray.put(fn)
+    tasks = [_read_map.remote(fn_arg, src, rg, columns, filters) for src, rg in units]
     if fold is None:
         out = ray.get(tasks)
         return out if collect is None else collect_frames(out, collect)
@@ -344,9 +386,10 @@ def collect_frames(frames, what: str):
 
 
 def gather_slices(parts) -> pa.Table | None:
-    """One bucket's slices from one grid, concatenated: empty and ``None``
-    slices dropped, ``None`` when no slice holds rows."""
-    nonempty = [p for p in parts if p is not None and p.num_rows]
+    """One bucket's cells from one grid, resolved (``resolve_cell``) and
+    concatenated: empty and ``None`` tables dropped, ``None`` when no cell
+    holds rows."""
+    nonempty = [t for t in map(resolve_cell, parts) if t is not None and t.num_rows]
     return pa.concat_tables(nonempty) if nonempty else None
 
 
@@ -376,9 +419,9 @@ def reduce_grid(
     ends = list(accumulate(len(g) for g in grids))
     spans = list(zip([0] + ends[:-1], ends))  # each grid's run of task args
 
-    fn_ref = ray.put(reduce_fn)
+    fn_arg = reduce_fn if num_buckets == 1 else ray.put(reduce_fn)
     out = [
-        _reduce_bucket.remote(fn_ref, spans, how, b, *[row[b] for g in grids for row in g])
+        _reduce_bucket.remote(fn_arg, spans, how, b, *[row[b] for g in grids for row in g])
         for b in range(num_buckets)
     ]
     if emit == "refs":
