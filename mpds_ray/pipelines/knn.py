@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import ray
 
-from ..stages.exchange import DeferredMap, exchange_map, hash_exchange, resolve_cell, shard_map
+from ..stages.exchange import exchange_map, hash_exchange, resolve_cell, shard_map
 from ..stages.partition import run_bounds
 from .common import read_small, shard_list, table_num_rows
 from .text import _group_pairs, _splitmix64
@@ -208,11 +208,13 @@ def _pairs_from_sims(ids_a, ids_b, sims: np.ndarray, threshold: float, same: boo
 
 def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     """EXACT embedding-cosine pair mining (the verification baseline the LSH
-    sketch is measured against): ``exchange_map`` normalizes each shard's
-    vectors into blocks of at most ``PAIR_BLOCK_ROWS`` rows (task returns,
-    so the driver owns them and lineage can rebuild them), then one Ray
-    task per block pair (i <= j) does a single float64 matmul and emits
-    thresholded pairs (no driver collect of the table); one block is one task.
+    sketch is measured against): one ``exchange_map`` task per shard
+    normalizes its vectors and returns them as blocks of at most
+    ``PAIR_BLOCK_ROWS`` rows (task returns, so the driver owns them and
+    lineage can rebuild them), then one Ray task per block pair (i <= j)
+    does a single float64 matmul and emits thresholded pairs (no driver
+    collect of the table). A one-shard, one-block corpus is one task: its
+    pair task runs the map.
 
     O(n^2/2) compute split over B(B+1)/2 independent tasks; per-task memory
     is two blocks. This is BASELINE-ONLY by construction: block-pair count
@@ -251,8 +253,6 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
         shards, norm, block_of, max(max(blocks), 1), columns=["vec_id", "embedding"]
     )
     refs = [r for rs, b in zip(grid, blocks) for r in rs[:b]]
-    if len(refs) > 1:  # a block feeds several pair tasks: map it once, into an object
-        refs = [_block.remote(r) if isinstance(r, DeferredMap) else r for r in refs]
     out = [
         _pair_task.remote(refs[i], refs[j], i == j, threshold)
         for i in range(len(refs))
@@ -272,16 +272,10 @@ PAIR_BLOCK_ROWS = 4096  # vectors per block of embedding_near_dups' pair tasks
 
 
 @ray.remote
-def _block(cell) -> pa.Table:
-    """A one-block shard's normalized block, shared by several pair tasks."""
-    return resolve_cell(cell)
-
-
-@ray.remote
 def _pair_task(block_a, block_b, same: bool, threshold: float) -> pd.DataFrame:
     """``embedding_near_dups``' task: the pairs of one block pair (each a
     ``(vec_id, nvec)`` table of normalized vectors) whose cosine similarity
-    clears ``threshold``; a lone block may still be a ``DeferredMap``."""
+    clears ``threshold``; a lone block may be a ``DeferredMap``."""
     block_a = resolve_cell(block_a)
     ia, ma = block_a["vec_id"].to_numpy(), _emb_matrix(block_a["nvec"])
     ib, mb = (ia, ma) if same else (block_b["vec_id"].to_numpy(), _emb_matrix(block_b["nvec"]))

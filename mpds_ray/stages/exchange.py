@@ -18,12 +18,11 @@ Dataset API cannot express efficiently:
         per source grid, concat bucket b's non-empty slices (``None`` when
         the grid has no rows there) -> reduce_fn(b, *tables)
 
-One bucket has nothing to split, so a one-bucket exchange (no ``groups``,
-``chunk_rows`` or ``sort_keys``) is one task: ``exchange_map`` starts none
-and calls no ``bucket_fn``. A grid cell is then an upstream output itself
-(``map_fn=None``) or a ``DeferredMap`` (the read and map) that the task
-consuming it runs. A deferred cell has exactly one consumer; a caller that
-feeds one to several tasks stores it as an object first (``knn._block``).
+A one-source, one-bucket grid (no ``groups``, ``chunk_rows`` or
+``sort_keys``) has nothing to split, so it starts no map task: its one cell
+is the upstream output itself (``map_fn=None``) or a ``DeferredMap`` (the
+read and map) run by the task that consumes it. A deferred cell has exactly
+one consumer. Several sources keep their parallel map tasks.
 
 A source is a shard path, read from storage with the pruned columns and the
 pushed-down filter, or an upstream output: an Arrow table or the ObjectRef
@@ -38,8 +37,7 @@ partition ``b``; ``task_groups`` only decides how many tasks run them. With
 ``groups`` a map task returns one object per group (the group's per-bucket
 slices), and the flagship runs each group in one reduce task, so a small
 input costs one reduce task whatever its bucket count. ``reduce_grid``
-runs one task per bucket; at one bucket (most queries) that task also
-runs every deferred map of its grids.
+runs one task per bucket, which runs its grids' deferred maps.
 
 ``reduce_grid`` is the one reducer of every exchange: a one-grid reduce
 (``hash_exchange``), a two-sided join (``hashjoin.exchange_join``) and each
@@ -60,9 +58,8 @@ The engine's generic tasks are three module-level remote functions:
 ``_map_shard`` (a map task), ``_reduce_bucket`` (a reduce task) and
 ``_read_map`` (a ``shard_map`` task), exported once per process. The
 per-call callables and parameters travel as task arguments (``reduce_fn``
-and ``fn`` are ``ray.put`` once per call when several tasks share them,
-and passed inline to a call's one task), so a call costs no function
-export and no worker re-import of a fresh function.
+and ``fn`` are ``ray.put`` once when several tasks share them, else
+inline), so a call costs no function export and no worker re-import of a fresh function.
 
 Ordering inside a bucket is irrelevant by construction: every reduce_fn in
 this engine re-sorts by (entity, ts) — the partition invariant is established
@@ -205,9 +202,9 @@ def exchange_map(
     drives its own (it streams each bucket through a carry scan into a
     resumable sink).
 
-    One bucket (no ``groups``, ``chunk_rows`` or ``sort_keys``) starts no
-    task and calls no ``bucket_fn``: ``refs[s][0]`` is source s itself (an
-    upstream output, ``map_fn=None``) or its ``DeferredMap``.
+    One source at one bucket (no ``groups``, ``chunk_rows`` or ``sort_keys``)
+    starts no task: ``refs[0][0]`` is the upstream output itself
+    (``map_fn=None``) or a ``DeferredMap`` of a path or an Arrow table.
 
     A source is a shard path or an upstream output (an Arrow table or its
     ObjectRef). A ``None`` or 0-row upstream output gives empty slices
@@ -230,9 +227,11 @@ def exchange_map(
     LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
     and release one at a time instead of pinning the whole run."""
     map_takes_path = map_fn is not None and accepts_n_positional(map_fn, 2)
-    if num_buckets == 1 and groups is None and chunk_rows is None and not sort_keys:
+    if (num_buckets == 1 and len(sources) == 1 and groups is None and chunk_rows is None
+            and not sort_keys and (map_fn is None or not isinstance(sources[0], ray.ObjectRef))):
+        s = sources[0]
         return [[s if map_fn is None and not isinstance(s, str)
-                 else DeferredMap(s, map_fn, map_takes_path, columns, filters)] for s in sources]
+                 else DeferredMap(s, map_fn, map_takes_path, columns, filters)]]
     n_out = num_buckets if groups is None else len(groups)
     task = _map_shard.options(num_returns=n_out)
     refs = [
@@ -248,8 +247,8 @@ def exchange_map(
 
 
 class DeferredMap(NamedTuple):
-    """A one-bucket grid cell: one source's read and map, run by the one
-    task that consumes the cell (``resolve_cell``) instead of a map task."""
+    """A one-bucket cell's read and map, run by its one consumer; ``src`` is
+    never an ObjectRef (the consumer would block on it; it gets a map task)."""
 
     src: object
     map_fn: Callable | None
@@ -261,19 +260,17 @@ class DeferredMap(NamedTuple):
         """The mapped source; ``None`` (``map_fn`` not called) for no rows."""
         import pyarrow.parquet as pq
 
-        src = ray.get(self.src) if isinstance(self.src, ray.ObjectRef) else self.src
-        path = src if isinstance(src, str) else None
-        if path is None and _no_rows(src):
+        path = self.src if isinstance(self.src, str) else None
+        if path is None and _no_rows(self.src):
             return None
-        t = src if path is None else pq.read_table(path, columns=self.columns, filters=self.filters)
+        t = self.src if path is None else pq.read_table(path, columns=self.columns, filters=self.filters)
         if self.map_fn is not None:
             t = self.map_fn(t, path) if self.takes_path else self.map_fn(t)
         return t
 
 
 def resolve_cell(cell):
-    """A grid cell's table: a ``DeferredMap`` runs here, in its consumer;
-    a slice (an ObjectRef resolved as a task argument) is itself."""
+    """A grid cell's table: a ``DeferredMap`` runs here; a slice is itself."""
     return cell.run() if isinstance(cell, DeferredMap) else cell
 
 
@@ -386,9 +383,8 @@ def collect_frames(frames, what: str):
 
 
 def gather_slices(parts) -> pa.Table | None:
-    """One bucket's cells from one grid, resolved (``resolve_cell``) and
-    concatenated: empty and ``None`` tables dropped, ``None`` when no cell
-    holds rows."""
+    """One bucket's cells from one grid, resolved and concatenated: empty
+    and ``None`` tables dropped, ``None`` when no cell holds rows."""
     nonempty = [t for t in map(resolve_cell, parts) if t is not None and t.num_rows]
     return pa.concat_tables(nonempty) if nonempty else None
 

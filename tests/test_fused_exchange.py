@@ -1,12 +1,13 @@
-"""A one-bucket exchange is one task: ``exchange_map`` with one bucket (and
-no ``groups``, ``chunk_rows`` or ``sort_keys``) starts no map task and calls
-no ``bucket_fn``; each grid cell is an upstream ref or a ``DeferredMap``
-that the consuming task runs once. The outputs equal the same exchange at
-four buckets bit for bit."""
+"""A one-source, one-bucket grid is no task: ``exchange_map`` with one source
+and one bucket (and no ``groups``, ``chunk_rows`` or ``sort_keys``) starts no
+map task and calls no ``bucket_fn``; the grid's cell is an upstream ref or a
+``DeferredMap`` that the consuming task runs once. Several sources keep their
+map tasks. The outputs equal the same exchange at four buckets bit for bit."""
 
 from __future__ import annotations
 
 import collections
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -102,14 +103,29 @@ def kv_shards(tmp_path_factory):
 
 
 class TestOneTask:
-    def test_hash_exchange(self, ray_session, kv_shards, tasks, bucket_log):
-        paths, _ = kv_shards
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_hash_exchange(self, ray_session, kv_shards, tasks, bucket_log, n_shards):
+        """One shard is one task; two shards keep a map task each, so their
+        reads and maps run in parallel."""
+        paths = kv_shards[0][:n_shards]
         sum_by_k, scale = exchange_fns()
         one = hash_exchange(paths, scale, "k", 1, sum_by_k, columns=["k", "v"])
-        assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (0, 1)
-        assert lines(bucket_log) == 0
+        maps = 0 if n_shards == 1 else n_shards
+        assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (maps, 1)
+        assert lines(bucket_log) == maps
         four = hash_exchange(paths, scale, "k", 4, sum_by_k, columns=["k", "v"])
         assert_bit_identical(canonical(one), canonical(four))
+
+    def test_mapped_upstream_ref_keeps_its_map_task(self, ray_session, kv_shards, tasks):
+        """A deferred cell never holds an ObjectRef: its consumer would block
+        on it. A mapped upstream ref goes to a map task, which Ray hands the
+        resolved table."""
+        sum_by_k, scale = exchange_fns()
+        ref = ray.put(pq.read_table(kv_shards[0][0], columns=["k", "v"]))
+        grid = exchange_map([ref], scale, partial(key_bucket, key="k", num_buckets=1), 1)
+        assert tasks["_map_shard"] == 1
+        want = hash_exchange(kv_shards[0][:1], scale, "k", 1, sum_by_k, columns=["k", "v"])
+        assert_bit_identical(canonical(reduce_grid(sum_by_k, 1, grid)), canonical(want))
 
     @pytest.mark.parametrize("how,filters_right", [
         ("inner", None),
@@ -126,7 +142,7 @@ class TestOneTask:
 
         def run(nb):
             return hashjoin.exchange_join(
-                paths, dim, "k", join, nb, columns_left=["k", "v"],
+                paths[:1], dim, "k", join, nb, columns_left=["k", "v"],
                 filters_right=filters_right, how=how,
             )
 
@@ -146,21 +162,22 @@ class TestOneTask:
 
 
 class TestDeferredMapRunsOnce:
-    def test_reduce_grid(self, ray_session, kv_shards, tmp_path):
+    def test_reduce_grid(self, ray_session, kv_shards, tmp_path, tasks):
         paths, _ = kv_shards
         sum_by_k, scale = exchange_fns()
         log = tmp_path / "map.log"
-        grid = exchange_map(paths, logged(scale, log), None, 1, columns=["k", "v"])
+        grid = exchange_map(paths[:1], logged(scale, log), None, 1, columns=["k", "v"])
         out = reduce_grid(sum_by_k, 1, grid)
-        assert lines(log) == 2  # one per shard, each in the one reduce task
-        want = pd.concat([pq.read_table(p).to_pandas() for p in paths])
+        assert lines(log) == 1  # in the one reduce task
+        assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (0, 1)
+        want = pq.read_table(paths[0]).to_pandas()
         assert np.isclose(out["v"].sum(), 2 * want["v"].sum())
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_embedding_near_dups(self, ray_session, tmp_path, monkeypatch, tasks, n_shards):
         """One shard is one block: its map runs in the one ``same`` pair
-        task. With two shards each block feeds three pair tasks, so each is
-        mapped once into an object first."""
+        task. Two shards keep a map task each, whose blocks feed three pair
+        tasks."""
         rng = np.random.default_rng(5)
         m = rng.normal(size=(40, 16)).astype(np.float32)
         m[39] = m[2] + 0.001
@@ -179,9 +196,8 @@ class TestDeferredMapRunsOnce:
         out = knn.embedding_near_dups(str(tmp_path), threshold=0.99)
         assert list(zip(out["vec_a"], out["vec_b"])) == [(2, 39)]
         assert lines(log) == n_shards
-        assert tasks["_map_shard"] == 0
+        assert tasks["_map_shard"] == (0 if n_shards == 1 else n_shards)
         assert tasks["_pair_task"] == n_shards * (n_shards + 1) // 2
-        assert tasks["_block"] == (0 if n_shards == 1 else n_shards)
 
 
 def test_two_positional_map_receives_shard_path(ray_session, kv_shards):
@@ -190,9 +206,9 @@ def test_two_positional_map_receives_shard_path(ray_session, kv_shards):
     def tag(t, path):
         return pa.table({"path": pa.array([path] * t.num_rows)})
 
-    grid = exchange_map(paths, tag, None, 1, columns=["k"])
+    grid = exchange_map(paths[:1], tag, None, 1, columns=["k"])
     out = reduce_grid(lambda b, t: t.to_pandas().groupby("path", as_index=False).size(), 1, grid)
-    assert dict(zip(out["path"], out["size"])) == {p: 400 for p in paths}
+    assert dict(zip(out["path"], out["size"])) == {paths[0]: 400}
 
 
 def test_map_error_reaches_the_driver(ray_session, kv_shards):
@@ -201,7 +217,7 @@ def test_map_error_reaches_the_driver(ray_session, kv_shards):
     def bad(t):
         raise ValueError("column 'k' is None at row 7")
 
-    grid = exchange_map(paths, bad, None, 1)
+    grid = exchange_map(paths[:1], bad, None, 1)
     with pytest.raises(ValueError, match="column 'k' is None at row 7"):
         reduce_grid(exchange_fns()[0], 1, grid)
 
@@ -214,7 +230,7 @@ def test_one_task_takes_its_callable_inline(ray_session, kv_shards, monkeypatch)
     put = ray.put
     monkeypatch.setattr(ray, "put", lambda v, **kw: puts.append(v) or put(v, **kw))
     sum_by_k, _ = exchange_fns()
-    reduce_grid(sum_by_k, 1, exchange_map(paths, None, None, 1, columns=["k", "v"]))
+    reduce_grid(sum_by_k, 1, exchange_map(paths[:1], None, None, 1, columns=["k", "v"]))
     assert shard_map(paths[:1], len) == [400]
     assert puts == []
     assert shard_map(paths, len) == [400, 400]
