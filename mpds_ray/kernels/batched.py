@@ -2,8 +2,8 @@
 equal-length windows at once.
 
 The scalar kernels (kernels.dfa.fastdfa, kernels.lomb.dominant_frequency)
-cost ~0.5 ms/row in Python-loop form — fine for per-session extraction,
-fatal for 10^6+ rows. For fixed window length n:
+cost ~0.5 ms/row, too much in a loop over even a few hundred sessions (the
+spectral query), let alone 10^6+ windows. For fixed window length n:
 
 - DFA: every step (cumsum, per-scale closed-form line fits, RMS residuals,
   log-log slope) is row-parallel; the interval layout and each scale's
@@ -13,12 +13,15 @@ fatal for 10^6+ rows. For fixed window length n:
   tau and the cos/sin design matrices depend only on the length and the
   grid parameters, so the periodogram of all m rows is two BLAS matmuls
   (m,n)x(n,nf).
+- Lomb–Scargle at irregular times of one span (``lomb_batch(x, t=t)``):
+  one complex exponential per sample gives every harmonic of the grid.
 
-That length-only state is cached per process (``STATE_CACHE_BYTES``), so a
-batch pays only for its data. It is built with the same expressions as on a
-cold call and read-only once cached, so a warm call gives the same bits.
+The length-only state of DFA and of the regular grid is cached per process
+(``STATE_CACHE_BYTES``), so a batch pays only for its data. It is built with
+the same expressions as on a cold call and read-only once cached, so a warm
+call gives the same bits.
 
-Both match the scalar kernels to ~1e-10 (tests/test_batched_kernels.py).
+All three match the scalar kernels to ~1e-10 (tests/test_batched_kernels.py).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .dfa import dfa_intervals
+from .lomb import CHUNK_ELEMENTS, dominant_frequency
 
 # Bytes of length-only kernel state kept per process, least recently used
 # evicted first. Lomb's design matrices take ~26 n^2 bytes per length at the
@@ -170,12 +174,16 @@ def lomb_batch(
     fmin: float = 0.5,
     fmax: float = 20.0,
     ofac: int = 4,
+    t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dfc, dfc_amp) for each row of an (m, n) matrix sampled on the regular
     grid t = arange(n)/sample_rate — grid/tau/design matrices cached per
-    length, periodogram = two matmuls."""
+    length, periodogram = two matmuls. With ``t``, each row's (m, n) sorted
+    times, all of one span: the irregular form (``_lomb_irregular``)."""
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
+    if t is not None:
+        return _lomb_irregular(np.asarray(t, dtype=np.float64), x, fmin, fmax, ofac)
     key = ("lomb", n, sample_rate, fmin, fmax, ofac)
     state = _STATE.get(key, lambda: _lomb_state(n, sample_rate, fmin, fmax, ofac))
     if state is None:
@@ -195,13 +203,79 @@ def lomb_batch(
     power += xcs
     with np.errstate(divide="ignore", invalid="ignore"):
         power /= 2.0 * var[:, None]
+    return _peak(power[:, keep], var, fk)
 
-    pk = power[:, keep]
+
+def _peak(pk: np.ndarray, var: np.ndarray, fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest power over the kept frequencies and where it is."""
     imax = np.argmax(pk, axis=1)
     dfc = fk[imax]
-    amp = pk[np.arange(m), imax]
+    amp = pk[np.arange(pk.shape[0]), imax]
     zero_var = var <= 0
     # constant rows: scalar kernel returns zero power -> argmax = first kept freq
     dfc = np.where(zero_var, fk[0], dfc)
     amp = np.where(zero_var, 0.0, amp)
     return dfc, amp
+
+
+def _lomb_irregular(t, x, fmin, fmax, ofac) -> tuple[np.ndarray, np.ndarray]:
+    """``dominant_frequency`` of each row of x at its times t, both (m, n).
+
+    One span gives one grid f_k = k df, so e^{i w_k t} = (e^{i w_1 t})^k
+    (Press & Rybicki, ApJ 338:277, 1989); Z1 = sum xc e^{i w t} and Z2 =
+    sum e^{2 i w t} give tau (2 w tau = arg Z2), sum cos^2, sin^2 = (n +-
+    |Z2|)/2 and both projections. Rows go in chunks of ``CHUNK_ELEMENTS``
+    (rows x frequencies x n). ``dominant_frequency`` redoes a row whose
+    phases 2 w t nearly align (two samples, a few evenly spaced), where
+    n - |Z2| has lost its digits, or whose top peaks tie (three samples)."""
+    m, n = x.shape
+    span = t[:, -1] - t[:, 0] if x.size else np.zeros(m)
+    bad = np.flatnonzero(span != span[:1])
+    if bad.size:
+        raise ValueError(f"lomb_batch: row {bad[0]} spans {span[bad[0]]!r}, row 0 "
+                         f"{span[0]!r}; the rows of one call must share one grid")
+    df = 1.0 / (ofac * span[0]) if m and span[0] > 0 else None
+    freqs = np.empty(0) if df is None else np.arange(df, fmax + 0.5 * df, df)
+    keep = freqs > fmin
+    if not keep.any():
+        return np.full(m, np.nan), np.full(m, np.nan)
+    step = max(1, CHUNK_ELEMENTS // (freqs.size * n))
+    dfc, amp = np.empty(m), np.empty(m)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        power, var, ss = _lomb_harmonics(t[rows], x[rows], df, freqs.size)
+        pk = power[:, keep]
+        dfc[rows], amp[rows] = _peak(pk, var, freqs[keep])
+        tie = (pk >= amp[rows, None] * (1 - 1e-9)).sum(axis=1) > 1
+        for r in lo + np.flatnonzero((ss < 1e-4 * n).any(axis=1) | tie):
+            dfc[r], amp[r] = dominant_frequency(t[r], x[r], fmin, fmax, ofac)
+    return dfc, amp
+
+
+def _lomb_harmonics(t, x, df, nf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized periodogram (rows x nf) at f_k = k df, each row's sample
+    variance, and n - |Z2| = 2 sum sin^2 (rows x nf)."""
+    m, n = x.shape
+    xc = x - x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, ddof=1)
+    # e[k] = e^{i (k+1) w_1 t}, doubling the known powers each pass. Products
+    # go to new arrays: into e's own rows, NumPy's loop (and bits) vary with m
+    e = np.empty((nf, m * n), dtype=np.complex128)
+    e[0] = np.exp(1j * (2.0 * np.pi * df) * t.ravel())
+    k = 1
+    while k < nf:
+        j = min(k, nf - k)
+        e[k : k + j] = e[:j] * e[k - 1]
+        k += j
+    e = e.reshape(nf, m, n)
+    z1 = (e.transpose(1, 0, 2) @ xc[:, :, None])[:, :, 0]  # (m, nf)
+    z2 = np.square(e, out=e).sum(axis=2).T
+    r2 = np.abs(z2)
+    a1 = z1.real * z1.real + z1.imag * z1.imag  # |Z1|^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Re(Z1^2 e^{-2 i w tau}) = cos projection^2 - sin projection^2
+        d = np.where(r2 > 0, (z1 * z1 * z2.conj()).real / r2, (z1 * z1).real)
+        ss = n - r2
+        power = (a1 + d) / (n + r2) + (a1 - d) / ss
+        power /= 2.0 * var[:, None]
+    return power, var, ss

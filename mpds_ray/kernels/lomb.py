@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Elements per temporary; kernels.batched.lomb_batch(t=) shares the budget.
+CHUNK_ELEMENTS = 4_000_000
+
 
 def lomb_scargle(t, x, fmax: float = 20.0, ofac: int = 4):
     """Return (freqs, power) on the pinned grid. NaN-free for n >= 2."""
@@ -42,7 +45,7 @@ def lomb_scargle(t, x, fmax: float = 20.0, ofac: int = 4):
         return freqs, np.zeros_like(freqs)
     power = np.empty(freqs.size, dtype=np.float64)
     # chunk over frequencies to bound the (nf_chunk x n) temporaries
-    chunk = max(1, int(4_000_000 / max(n, 1)))
+    chunk = max(1, int(CHUNK_ELEMENTS / max(n, 1)))
     for lo in range(0, freqs.size, chunk):
         w = 2.0 * np.pi * freqs[lo : lo + chunk][:, None]  # (c,1)
         wt = w * t[None, :]  # (c,n)

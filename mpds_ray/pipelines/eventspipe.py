@@ -21,7 +21,7 @@ from ..stages.scans import (
     time_since_to_event,
 )
 from ..stages.exchange import hash_exchange, shard_map
-from ..stages.partition import run_bounds, search_runs, seg_accumulate
+from ..stages.partition import length_groups, run_bounds, search_runs, seg_accumulate
 from ..stages.sessionize import sessionize_gap
 from ..stages.sketch import kmv_merge_count, kmv_partial, shard_quantiles
 from .common import round_half_away, shard_groupby_sum, shard_list
@@ -1174,37 +1174,27 @@ def session_spectral_features(sf_dir: str):
     the feature a constant) with fs=1, nfft=256 (a sequence shorter than
     nfft is one zero-padded segment); all floats rounded half-even at 6 dp.
 
-    Scale shape: one bucketed hash exchange on user_id; each reduce task
-    loops its users calling the scalar kernels (~ms per entity — the
-    irreducible per-session work; the equal-length batched variants in
-    kernels/batched.py serve the fixed-window flagship instead). Per-entity
-    sequence length is bounded by construction (events per user does not
-    grow with corpus size), so reduce-task memory is bucket-bounded."""
-    from ..kernels.dfa import fastdfa
-    from ..kernels.lomb import dominant_frequency
-    from ..kernels.welch import get_pitch
+    Scale shape: one bucketed hash exchange on user_id; each reduce task runs
+    ``dfa_batch``, ``lomb_batch`` (irregular times) and ``pitch_batch`` once
+    per distinct sequence length L, on a (users, L) block. Events per user
+    do not grow with corpus size, so reduce-task memory is bucket-bounded."""
+    from ..kernels.batched import dfa_batch, lomb_batch
+    from ..kernels.welch import pitch_batch
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy(dtype=np.float64)
         val = g["value"].to_numpy(dtype=np.float64)
         starts, counts = run_bounds(uid)
-        alphas = np.empty(starts.size)
-        dfcs = np.empty(starts.size)
-        amps = np.empty(starts.size)
-        pitches = np.empty(starts.size)
-        for i, (s, c) in enumerate(zip(starts.tolist(), counts.tolist())):
-            v = val[s : s + c]
-            t = ts[s : s + c]
-            alphas[i] = fastdfa(v)
-            span = t[-1] - t[0]
-            if span > 0:
-                dfcs[i], amps[i] = dominant_frequency((t - t[0]) / span, v)
-            else:
-                dfcs[i] = amps[i] = np.nan
-            pitches[i] = (
-                get_pitch(np.diff(v), fs=1.0, nfft=256) if c >= 2 else np.nan
-            )
+        alphas, dfcs, amps, pitches = np.full((4, starts.size), np.nan)
+        for rows, idx in length_groups(starts, counts):
+            v, t = val[idx], ts[idx]
+            span = t[:, -1] - t[:, 0]
+            ok = span > 0  # a user without a time span has no dfc
+            tn = (t[ok] - t[ok, :1]) / span[ok, None]
+            alphas[rows] = dfa_batch(v)
+            dfcs[rows[ok]], amps[rows[ok]] = lomb_batch(v[ok], t=tn)
+            pitches[rows] = pitch_batch(np.diff(v, axis=1), fs=1.0, nfft=256)
         return pd.DataFrame(
             {
                 "user_id": uid[starts],

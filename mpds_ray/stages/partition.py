@@ -43,6 +43,16 @@ def run_bounds(*keys) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, n))
 
 
+def length_groups(starts, lens):
+    """For each distinct run length, shortest first: the runs' positions
+    (ascending) and the (runs, length) index matrix of their rows."""
+    order = np.argsort(lens, kind="stable")
+    group_starts, group_rows = run_bounds(lens[order])
+    for g0, gn in zip(group_starts.tolist(), group_rows.tolist()):
+        rows = order[g0 : g0 + gn]
+        yield rows, starts[rows][:, None] + np.arange(lens[rows[0]])
+
+
 def search_runs(l_id, l_key, r_id, r_key, side: str = "left") -> np.ndarray:
     """For each left row, the position of ``(l_id, l_key)`` in the right
     rows, which are sorted by (id, key): ``np.searchsorted`` over the pairs,

@@ -28,7 +28,7 @@ import pyarrow as pa
 
 from ..kernels import EPS
 from ..kernels.batched import dfa_batch, lomb_batch
-from .partition import run_bounds
+from .partition import length_groups, run_bounds
 
 CHEAP_STATS = (
     "mean", "std", "q1", "q3", "iqr", "median", "mode", "range",
@@ -221,14 +221,14 @@ def _row_entropy(block: np.ndarray) -> np.ndarray:
 def _length_group_stats(v, starts, lengths, stats, sample_rate) -> dict[str, np.ndarray]:
     """En and the heavy stats, on one (m, L) block per distinct row length.
 
-    One stable argsort of the lengths and ``run_bounds`` give the groups;
-    each group gathers its rows into a matrix (rows in ascending order), so
-    DFA and Lomb–Scargle run batched on the regular grid t = arange(L)/rate,
-    and En on the block sorted along its rows. The loop is over distinct
-    lengths, ~30 µs each before the kernels: a batch of many lengths and few
-    rows per length, such as ``doc_token_stats``, pays that per length (a
-    block per length keeps each group's temporaries small and cache-resident
-    on the large batches)."""
+    ``partition.length_groups`` gives the groups; each group gathers its
+    rows into a matrix (rows in ascending order), so DFA and Lomb–Scargle
+    run batched on the regular grid t = arange(L)/rate, and En on the block
+    sorted along its rows. The loop is over distinct lengths, ~30 µs each
+    before the kernels: a batch of many lengths and few rows per length,
+    such as ``doc_token_stats``, pays that per length (a block per length
+    keeps each group's temporaries small and cache-resident on the large
+    batches)."""
     n = lengths.size
     want_en = "En" in stats
     want_dfa = "dfa" in stats
@@ -237,12 +237,8 @@ def _length_group_stats(v, starts, lengths, stats, sample_rate) -> dict[str, np.
     dfa_out = np.full(n, np.nan)
     dfc_out = np.full(n, np.nan)
     amp_out = np.full(n, np.nan)
-    order = np.argsort(lengths, kind="stable")
-    group_starts, group_rows = run_bounds(lengths[order])
-    for g0, gn in zip(group_starts.tolist(), group_rows.tolist()):
-        rows = order[g0 : g0 + gn]
-        length = int(lengths[rows[0]])
-        mat = v[starts[rows][:, None] + np.arange(length)[None, :]]
+    for rows, idx in length_groups(starts, lengths):
+        mat = v[idx]
         if want_dfa:
             dfa_out[rows] = dfa_batch(mat)
         if want_dfc:
