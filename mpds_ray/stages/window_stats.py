@@ -17,8 +17,10 @@ Lomb–Scargle batched on the regular grid (kernels/batched.py).
 
 Conformance: ``tests/test_window_stats.py`` checks every column against the
 per-row kernel library (mpds_ray.kernels), which is an independent
-implementation of the same pinned semantics, and pins the outputs bit for
-bit.
+implementation of the same pinned semantics (the heavy stats at
+``rtol=1e-10``), and pins the outputs bit for bit: the cheap stats on any
+machine, the heavy stats, which go through BLAS matmuls, under the OpenBLAS
+kernel their pins were recorded with.
 """
 
 from __future__ import annotations

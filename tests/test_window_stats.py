@@ -3,10 +3,19 @@ implementations of the same pinned semantics)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
+import mpds_ray
 from mpds_ray.kernels import STAT_KERNELS, fastdfa
 from mpds_ray.kernels.lomb import dominant_frequency
 from mpds_ray.stages.window_stats import (
@@ -128,9 +137,19 @@ def _pin_inputs():
 
 # sha256 (first 16 hex digits) of each output's float64 bytes, recorded
 # from the implementation that still carried the empty-segment guards in
-# its main path; any change to a single bit of any stat fails the pin. The
-# heavy stats run through NumPy's matmul, so their pins hold for one NumPy
-# and BLAS build.
+# its main path; any change to a single bit of any stat fails the pin.
+# The heavy stats (HEAVY_STATS) run through BLAS matmuls (``dfa_batch``'s
+# ``ly @ lxc``, ``lomb_batch``'s ``xc @ c.T`` and ``xc @ s.T``), so their
+# pins hold for the build and kernel they were recorded with: NumPy 1.26.4,
+# OpenBLAS 0.3.23.dev, OpenBLAS's SkylakeX kernel. A ``DYNAMIC_ARCH``
+# OpenBLAS picks its kernel from the CPU when it loads, so one build can
+# give other last bits on another CPU; the test therefore computes the heavy
+# digests in a child process that forces the recorded kernel
+# (``OPENBLAS_CORETYPE``). A deliberate change to the heavy stats
+# re-records their digests under that same kernel.
+PIN_NUMPY = "1.26.4"
+PIN_BLAS = ("openblas64", "0.3.23.dev")
+PIN_CORETYPE = "SkylakeX"
 _EMPTY_DIGEST = "e3b0c44298fc1c14"  # sha256 of no bytes
 PINNED = {
     "ints": {
@@ -244,22 +263,76 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED))
-def test_stats_bit_identical_to_pin(case):
-    """Fixed inputs over every cheap and heavy stat, including a batch with
-    an empty segment and a zero-row batch: outputs are pinned bit for bit."""
-    import hashlib
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()[:16]
 
+
+# Run in the child: NumPy's build, then the heavy digests of every case.
+_HEAVY_CHILD = """
+import json
+import numpy as np
+from mpds_ray.stages.window_stats import HEAVY_STATS, token_stats_arrays
+from test_window_stats import PINNED, _digest, _pin_batch
+try:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = [blas["name"], blas["version"]]
+except (TypeError, KeyError):
+    blas = None
+digests = {}
+with np.errstate(invalid="ignore", divide="ignore"):
+    for case in PINNED:
+        out = token_stats_arrays(*_pin_batch(case), HEAVY_STATS)
+        digests[case] = {k: _digest(v) for k, v in out.items()}
+print(json.dumps({"numpy": np.__version__, "blas": blas, "digests": digests}))
+"""
+
+
+@pytest.fixture(scope="module")
+def heavy_digests_under_pin_kernel():
+    """The HEAVY_STATS digests of every case, computed in one child Python
+    process with OpenBLAS forced to the kernel the pins were recorded with.
+    Skips where that kernel or the recorded NumPy/BLAS build is not there."""
+    path = [str(Path(mpds_ray.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(path),
+        OPENBLAS_CORETYPE=PIN_CORETYPE,
+        OPENBLAS_VERBOSE="2",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAVY_CHILD],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    if proc.returncode == -signal.SIGILL:
+        pytest.skip(f"OpenBLAS's {PIN_CORETYPE} kernel hit an illegal instruction on this CPU")
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    build = (child["numpy"], tuple(child["blas"] or ()))
+    if build != (PIN_NUMPY, PIN_BLAS):
+        pytest.skip(f"NumPy and BLAS {build} are not the recorded build {(PIN_NUMPY, PIN_BLAS)}")
+    if f"Core: {PIN_CORETYPE}" not in proc.stderr:
+        pytest.skip(f"OpenBLAS did not report loading its {PIN_CORETYPE} kernel: {proc.stderr.strip()!r}")
+    return child["digests"]
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_stats_bit_identical_to_pin(case, request):
+    """Fixed inputs over every cheap and heavy stat, including a batch with
+    an empty segment and a zero-row batch: outputs are pinned bit for bit.
+    The cheap stats are checked in process; the heavy ones under the
+    OpenBLAS kernel they were recorded with (see PINNED)."""
     rows = _pin_inputs()[case]
     flat, offs = _pin_batch(case)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = token_stats_arrays(flat, offs, CHEAP_STATS + HEAVY_STATS)
-    got = {
-        k: hashlib.sha256(np.ascontiguousarray(v, dtype=np.float64).tobytes()).hexdigest()[:16]
-        for k, v in out.items()
-    }
     assert all(v.size == len(rows) for v in out.values())
-    assert got == PINNED[case]
+    cheap = {k: _digest(v) for k, v in out.items() if k not in HEAVY_STATS}
+    assert cheap == {k: v for k, v in PINNED[case].items() if k not in HEAVY_STATS}
+
+    heavy = request.getfixturevalue("heavy_digests_under_pin_kernel")[case]
+    assert heavy == {k: PINNED[case][k] for k in HEAVY_STATS}
 
 
 def _pin_batch(case):
