@@ -134,9 +134,11 @@ def dfa_batch(x: np.ndarray) -> np.ndarray:
         flucts[:, s] = np.sqrt(resid_sq / n)
     with np.errstate(divide="ignore", invalid="ignore"):
         ly = np.log10(flucts)
-    alpha = (ly @ lxc) / denom - 0.0  # slope of least-squares line (per row)
-    # rows with any non-finite fluct -> NaN (matches scalar kernel pin)
+    # rows with any non-finite fluct -> NaN (matches scalar kernel pin); their
+    # log10(0) = -inf stays out of the matmul, which sums each row alone
     bad = ~np.isfinite(ly).all(axis=1)
+    ly[bad] = 0.0
+    alpha = (ly @ lxc) / denom - 0.0  # slope of least-squares line (per row)
     alpha[bad] = np.nan
     return alpha
 

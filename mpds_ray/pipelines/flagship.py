@@ -22,8 +22,8 @@
   many rows (stages/chunked.py), so reduce memory is bounded by chunks;
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, each as a bucket is scanned, the driver folds
-  their carries with the same kernels, and fix tasks apply them and commit
-  through the same sink.
+  their carries with the same kernels, and fix tasks rescan each range's
+  state-dependent features from its carry and commit through the same sink.
 
 Buckets and salted ranges are partitions; tasks are groups of them
 (``exchange.task_groups``), each run one partition after the other.
@@ -82,16 +82,17 @@ from ..stages.exchange import (
     shard_map,
     task_groups,
 )
-from ..stages.partition import run_bounds
 from ..stages.salted import (
+    at_cut,
     chunk_carry_info,
     flagship_apply_carry,
     fold_carry,
     nan_to_null,
+    piece_head,
+    range_carries,
+    state_scans,
     with_columns,
 )
-from ..stages.scans import locf_with_expiration, prefix_features, time_since_to_event
-from ..stages.sessionize import sessionize_gap
 from ..stages.window_stats import TokenWindowStats
 from ..state.manifest import Manifest, frame_checksum, partition_path
 from ..tokenize import tokenize_batch
@@ -101,6 +102,12 @@ _BUCKET = "_bucket"
 _SIDE = "_side"
 
 NARROW_STATS = ("mean", "std", "En", "zcr", "ar1", "meanTKEO", "n")
+# the feature columns process_bucket appends, in order
+FEATURES = ("session_seq", "secs_since_prev", "secs_to_next", "run_cummax", "run_twmean",
+            "score_asof", "score_asof_ts", "score_locf", "secs_since_score")
+# detect_salt_spec salts a key above this share of all rows into <= SALT_MAX ranges
+SALT_SHARE = 0.2
+SALT_MAX = 32
 
 
 def _fused_bucket_fn(
@@ -123,18 +130,14 @@ def _fused_bucket_fn(
     return fn
 
 
-def process_bucket(
-    left: pa.Table,
-    right: pa.Table,
-    entity: str,
-    ts: str,
-    session_gap: float,
-    tolerance: float | None,
-    stat_cols: list[str],
-) -> pa.Table:
+def process_bucket(left: pa.Table, right: pa.Table, entity: str, ts: str, session_gap: float,
+                   tolerance: float | None, stat_cols: list[str], carry: dict | None = None,
+                   head: dict | None = None) -> pa.Table:
     """The per-bucket scan core, shared by the Dataset groupby path and the
-    explicit hash-exchange path: establish the (entity, ts) sort, sessionize,
-    lag/lead, prefix features, as-of search, LOCF backfill.
+    explicit hash-exchange path: establish the (entity, ts) sort, as-of
+    search, then sessionize, lag/lead, prefix features and LOCF backfill
+    (``stages.salted.state_scans``), from ``carry`` and with ``head`` where
+    the piece continues a cut (``fold_carry``, ``piece_head``).
 
     Each side is sorted once, stably; one ``dictionary_encode`` over both
     sides' entity columns, its dictionary ranked, gives the integer entity
@@ -158,23 +161,6 @@ def process_bucket(
         if pa.types.is_floating(f.type) and pc.any(pc.is_nan(out[f.name])).as_py()
     })
     t = out[ts].to_numpy().astype(np.float64)
-    feats: dict[str, np.ndarray] = {}
-
-    # sessionize: per-entity session ordinal (batch-size invariant)
-    sid = sessionize_gap(ids, t, gap=session_gap)
-    starts, lens = run_bounds(ids)
-    feats["session_seq"] = sid - np.repeat(sid[starts], lens)
-
-    # lag/lead over rows (every row is an "event" -> inter-arrival features)
-    lags = time_since_to_event(ids, t, np.ones(len(t), dtype=np.int64))
-    feats["secs_since_prev"] = lags["time_since_last_event"]
-    feats["secs_to_next"] = lags["time_to_next_event"]
-
-    # per-entity prefix features over the first stat column
-    if stat_cols:
-        pf = prefix_features(ids, t, out[stat_cols[0]].to_numpy())
-        feats["run_cummax"] = pf["cummax"]
-        feats["run_twmean"] = pf["twmean"]
 
     # as-of merge of scores (backward + tolerance) — zero temporal leakage
     joined = asof_join_arrays(
@@ -186,18 +172,15 @@ def process_bucket(
         tolerance=tolerance,
         direction="backward",
     )
-    feats["score_asof"] = joined["score"]
-    feats["score_asof_ts"] = joined["_matched_ts"]
-
-    # backfill: LOCF-with-expiration of the aligned score along the row grid
-    lf = locf_with_expiration(
-        ids, t, feats["score_asof"], valid_time=np.inf if tolerance is None else tolerance
+    feats = state_scans(
+        ids, t, out[stat_cols[0]].to_numpy() if stat_cols else None, joined["score"],
+        session_gap, *at_cut(out[entity], carry, head),
     )
-    feats["score_locf"] = lf["locf"]
-    feats["secs_since_score"] = lf["time_since_last_sample"]
+    feats.update(score_asof=joined["score"], score_asof_ts=joined["_matched_ts"])
+    names = [k for k in FEATURES if k in feats]
     return pa.Table.from_arrays(
-        out.columns + [nan_to_null(v) for v in feats.values()],
-        names=out.column_names + list(feats),
+        out.columns + [nan_to_null(feats[k]) for k in names],
+        names=out.column_names + names,
     )
 
 
@@ -306,40 +289,31 @@ def run_flagship(
     )
 
 
-def scan_chunks_with_carry(
-    chunks,
-    right: pa.Table,
-    entity: str,
-    ts: str,
-    session_gap: float,
-    tolerance: float | None,
-    stat_cols: list[str],
-    emit,
-) -> None:
+def scan_chunks_with_carry(chunks, right: pa.Table, entity: str, ts: str, session_gap: float,
+                           tolerance: float | None, stat_cols: list[str], emit) -> None:
     """The flagship's one stitch: consume (entity, ts)-ordered Arrow chunks
     (a bucket or salted range as one chunk, or stages/chunked.sorted_run_merge)
-    in order, scan each with ``process_bucket``, and thread the scan state of
-    the entity straddling each cut with the carry kernels of
-    stages/salted.py. Each chunk is held back until the next one arrives
-    (peak memory is two chunks, never the bucket); only at such a cut is it
-    summarized and its last row pointed at the next chunk's head, so a
-    one-chunk partition takes no summary. Output is byte-identical to one
-    ``process_bucket`` over all the chunks (tests/test_chunked.py).
-    ``emit(table)`` receives the finished tables in order."""
+    in order and scan each with ``process_bucket`` from the carry of the
+    chunks before it (stages/salted.py). Each chunk is held back until the
+    next one arrives (peak memory is two chunks, never the bucket); it is
+    then scanned with the next chunk's head (``piece_head``), emitted as it
+    is and summarized into the next chunk's carry, so a one-chunk partition
+    takes no summary. Output is byte-identical to one ``process_bucket``
+    over all the chunks (tests/test_chunked.py). ``emit(table)`` receives
+    the finished tables in order."""
     stat = stat_cols[0]
     carry = held = None
     for chunk in chunks:
         if not chunk.num_rows:
             continue
-        feats = process_bucket(chunk, right, entity, ts, session_gap, tolerance, stat_cols)
         if held is not None:
-            nxt = {"first_e": feats[entity][0].as_py(),
-                   "first_ts": float(feats[ts][0].as_py())}  # the next chunk's head
-            emit(flagship_apply_carry(held, carry, nxt, entity, ts, stat, session_gap))
-            carry = fold_carry(carry, chunk_carry_info(held, entity, ts, stat), session_gap)
-        held = feats
+            feats = process_bucket(held, right, entity, ts, session_gap, tolerance, stat_cols,
+                                   carry, piece_head(chunk, entity, ts, stat))
+            emit(feats)
+            carry = fold_carry(carry, chunk_carry_info(feats, entity, ts, stat), session_gap)
+        held = chunk
     if held is not None:
-        emit(flagship_apply_carry(held, carry, None, entity, ts, stat, session_gap))
+        emit(process_bucket(held, right, entity, ts, session_gap, tolerance, stat_cols, carry))
 
 
 class ChunkPartitionSink:
@@ -404,15 +378,14 @@ def detect_salt_spec(
     entity: str,
     ts: str,
     num_buckets: int,
-    threshold: float = 0.2,
-    max_salts: int = 32,
     min_rows: int = 1_000_000,
 ) -> tuple[dict, int]:
     """Heavy-hitter pre-pass (SURVEY §4.2): one pruned ``shard_map`` pass
     (entity and ts columns only leave storage) counts each shard's entities
     and keeps a strided ts sample of its local top-8. Keys holding more
-    than ``threshold`` of all rows are hot; each gets S-1 range boundaries
-    at its sample's ts quantiles. A globally-heavy key is in virtually
+    than ``SALT_SHARE`` of all rows are hot; each gets S-1 range boundaries
+    at its sample's ts quantiles, S = ceil(share * num_buckets) clipped to
+    [2, ``SALT_MAX``]. A globally-heavy key is in virtually
     every shard's local top-8; when it is in none, a second pass reads its
     rows alone (``entity == key`` pushed into the scan) for the sample.
     Returns ({entity_value: (offset, boundaries)}, total_extra_buckets).
@@ -438,7 +411,7 @@ def detect_salt_spec(
     # throughput, measured: 1.2M-row chunk suite = 3.6 s incl. sort/asof)
     # — below the salting machinery's ~1 s fixed cost (pre-pass + extra
     # phase hop). At cluster scale any over-threshold key clears min_rows.
-    heavy = tot[(tot / max(total, 1) > threshold) & (tot > min_rows)]
+    heavy = tot[(tot / max(total, 1) > SALT_SHARE) & (tot > min_rows)]
     if heavy.empty:
         return {}, 0
 
@@ -446,7 +419,7 @@ def detect_salt_spec(
     off = 0
     for k in heavy.index:
         share = float(tot[k]) / max(total, 1)
-        n_salts = int(max(2, min(max_salts, np.ceil(share * num_buckets))))
+        n_salts = int(max(2, min(SALT_MAX, np.ceil(share * num_buckets))))
         parts = [s[1][k] for s in stats if k in s[1]]
         if not parts:  # pathological: heavy key outside every shard top-8
             parts = shard_map(
@@ -547,15 +520,15 @@ def scan_range(plan: ScanPlan, right: pa.Table, *groups):
 
 
 @ray.remote
-def fix_range(plan: ScanPlan, ranges: range, feats: list, carries: list, nexts: list,
+def fix_range(plan: ScanPlan, ranges: range, feats: list, carries: list, heads: list,
               frags: list):
-    """Phase 2 of a group of salted ranges: apply each range's folded
-    carry-in and its next non-empty range's summary, and commit it."""
+    """Phase 2 of a group of salted ranges: rescan each range's phase-1
+    output from its folded carry-in and with its head, and commit it."""
     return [
-        plan.commit(b, fr, lambda emit, f=f, c=c, nxt=nxt: emit(flagship_apply_carry(
-            f, c, nxt, plan.entity, plan.ts, plan.stat_cols[0], plan.session_gap
+        plan.commit(b, fr, lambda emit, f=f, c=c, h=h: emit(flagship_apply_carry(
+            f, c, h, plan.entity, plan.ts, plan.stat_cols[0], plan.session_gap
         )))
-        for b, f, c, nxt, fr in zip(ranges, feats, carries, nexts, frags)
+        for b, f, c, h, fr in zip(ranges, feats, carries, heads, frags)
     ]
 
 
@@ -588,12 +561,13 @@ def run_flagship_exchange(
     merge of ~chunk_rows chunks, so a scan holds two chunks, not the
     partition. Without it a partition is one chunk.
 
-    Every entity holding more than 20% of all rows (and more than
+    Every entity holding more than ``SALT_SHARE`` of all rows (and more than
     ``salt_min_rows``) is range-salted into extra partitions
     ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
     ranges in parallel, the driver folds their O(1) carries in order with
-    the kernels ``scan_chunks_with_carry`` uses, and fix tasks apply them
-    and commit through the same sink. Each hot entity's ranges are grouped
+    the kernels ``scan_chunks_with_carry`` uses, and fix tasks rescan each
+    range's state-dependent features from its carry and commit through the
+    same sink. Each hot entity's ranges are grouped
     into tasks as the buckets are; no grouping moves a row between
     partitions (tests/test_task_groups.py).
 
@@ -687,18 +661,12 @@ def run_flagship_exchange(
         right = ray.put(scores.filter(pc.equal(scores[entity], e)))
         phase1 = [scan_range.remote(plan, right, *by_group[g]) for g in gs]
         infos = [i for p in ray.get([p[1] for p in phase1]) for i in p]
-        # the stitch of scan_chunks_with_carry across the ranges: a
-        # sequential fold on the driver (microseconds per range), then every
-        # fix task in parallel
-        carries = [None]
-        for info in infos[:-1]:
-            carries.append(fold_carry(carries[-1], info, session_gap))
-        # a fix reads only the next summary's head, not its areas
-        heads = [i and {"first_e": i["first_e"], "first_ts": i["first_ts"]} for i in infos]
-        nexts = [next(filter(None, heads[k + 1:]), None) for k in range(len(heads))]
+        # the stitch across the ranges: a sequential fold on the driver
+        # (microseconds per range), then every fix task in parallel
+        carries, heads = range_carries(infos, session_gap)
         for g, (feats, _, frags) in zip(gs, phase1):
             k = slice(g.start - gs[0].start, g.stop - gs[0].start)
-            out.append(fix_range.remote(plan, g, feats, carries[k], nexts[k], frags))
+            out.append(fix_range.remote(plan, g, feats, carries[k], heads[k], frags))
     results = collect_frames([r for rs in ray.get(out) for r in rs], "run_flagship_exchange")
     return results.to_pandas() if isinstance(results, pa.Table) else results
 

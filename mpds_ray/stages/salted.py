@@ -1,32 +1,25 @@
-"""Carry kernels of the flagship's one stitch (SURVEY §4.2, north-star skew
-handling).
-
-The reference's scans assume one (id, ht)-sorted frame per process
-(mimicUsefulFunction.R:293), so its worst entity is its wall clock. The
-flagship exchange (pipelines/flagship.py) cuts the sorted rows into pieces:
+"""The flagship's carried scan state (SURVEY §2.4, §4.2). The flagship
+exchange (pipelines/flagship.py) cuts an entity's sorted rows into pieces:
 a bounded-memory reduce streams a bucket (or a salted range) as chunks
 through one task, and a hot entity's rows are range-salted into S
-contiguous ts ranges scanned in parallel. Each piece runs
-``process_bucket`` on its own, and only the O(1)-wide scan state of the
-entity straddling a cut needs fixing. Both cuts are stitched by the same
-loop over three kernels (``pipelines.flagship.scan_chunks_with_carry``
-within a task, the salted driver across ranges):
+contiguous ts ranges scanned in parallel. The scans whose state crosses a
+cut (session ordinal, lag/lead, cummax and twmean, LOCF) compose through
+their O(1)-wide state as prefix scans do (Blelloch, *Prefix Sums and Their
+Applications*, 1990):
 
-- ``chunk_carry_info`` summarizes a piece: its first and last entity, and
-  the scan state its own scan left for its last entity;
-- ``fold_carry`` threads the summaries across consecutive pieces (session
-  offsets, lag, cummax, LOCF and the exact sequential cum-area of
-  ``twmean``);
-- ``flagship_apply_carry`` applies a carry-in to the rows of a piece's
-  first entity, and the next piece's first ts to its last row.
+- up-sweep: ``chunk_carry_info`` summarizes a piece: its head
+  (``piece_head``), its last entity and that entity's scan state;
+- exclusive scan: ``fold_carry`` threads the summaries into each piece's
+  carry-in (``range_carries`` on the salted driver);
+- down-sweep: ``state_scans`` runs those scans over a piece from its
+  carry-in and with the next piece's head. ``process_bucket`` runs it for
+  every piece, so a chunk is scanned from its carry; ``flagship_apply_carry``
+  reruns it over a salted range's phase-1 output, with no sort and no as-of
+  search.
 
-They read the Arrow feature tables ``process_bucket`` returns as NumPy
-columns and replace the rows they fix, writing a float NaN as a null as
-``process_bucket`` does.
-
-Every fix replicates the one-chunk scan's floating-point expression order
-and tie rules, so chunked and salted output is byte-identical to it, float
-bits included (tests/test_chunked.py, tests/test_salted.py).
+Each feature's arithmetic lives in its scan (stages/scans.py,
+stages/sessionize.py), so chunked and salted output is byte-identical to
+one scan, float bits included (tests/test_chunked.py, tests/test_salted.py).
 """
 
 from __future__ import annotations
@@ -35,7 +28,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .scans import trapezoid_area
+from .partition import run_bounds
+from .scans import locf_with_expiration, prefix_features, time_since_to_event, trapezoid_area
+from .sessionize import sessionize_gap
 
 
 def nan_to_null(values: np.ndarray) -> pa.Array:
@@ -67,13 +62,72 @@ def _first_valid(x: np.ndarray) -> float:
     return float(x[nn[0]]) if nn.size else np.nan
 
 
+def piece_head(tbl: pa.Table, entity: str, ts: str, stat: str) -> dict:
+    """The head of an (entity, ts)-sorted piece, for the scan of the piece
+    before it: its first entity and ts, and that entity's first non-NaN
+    stat in the piece (NaN if none)."""
+    ids = tbl[entity]
+    e = ids[0].as_py()
+    return {"e": e, "ts": float(tbl[ts][0].as_py()),
+            "s0": _first_valid(_f64(tbl[stat].slice(0, _run_len(ids, e))))}
+
+
+def at_cut(ent, carry: dict | None, head: dict | None) -> tuple:
+    """``carry`` and ``head``, each kept only when it continues the piece's
+    first or last entity (``ent`` is its sorted entity column)."""
+    return (carry if carry is not None and ent[0].as_py() == carry["e"] else None,
+            head if head is not None and ent[-1].as_py() == head["e"] else None)
+
+
+def state_scans(ids, t, stat, score, gap: float, carry: dict | None = None,
+                head: dict | None = None) -> dict[str, np.ndarray]:
+    """The flagship features whose scan state crosses a cut, over one
+    piece's (entity, ts)-sorted rows (integer entity codes ``ids``, ``t``,
+    the first stat or None, the as-of ``score``). ``carry`` (``fold_carry``)
+    is the state of the first entity before the piece and ``head``
+    (``piece_head``) the next piece's first row, each given only when it
+    continues the piece's first or last entity (``at_cut``). Every scan sees
+    the carried last row in front of the piece and the head behind it, so
+    it runs on as one scan over both pieces does; with neither it is the
+    piece's own scan."""
+    pre = [] if carry is None else [carry]
+    post = [] if head is None else [head]
+
+    def framed(x, front, back="ts"):  # the carry's value, x, the head's (None: NaN)
+        return np.concatenate([[c[front] for c in pre], x,
+                               [np.nan if back is None else h[back] for h in post]])
+
+    fid = np.concatenate([ids[:len(pre)], ids, ids[len(ids) - len(post):]])
+    ft = framed(t, "last_ts")
+    own = slice(len(pre), len(pre) + len(t))
+    sid = sessionize_gap(fid, ft, gap)
+    starts, lens = run_bounds(fid)
+    first = sid[starts]
+    for c in pre:  # the carried row holds its entity's last session ordinal
+        first[0] -= c["sess_end"]
+    # lag/lead over rows (every row is an "event" -> inter-arrival features)
+    lags = time_since_to_event(fid, ft, np.ones(ft.size, dtype=np.int64))
+    lf = locf_with_expiration(fid, framed(t, "locf_ts"), framed(score, "locf_val", None), np.inf)
+    feats = {
+        "session_seq": (sid - np.repeat(first, lens))[own],
+        "secs_since_prev": lags["time_since_last_event"][own],
+        "secs_to_next": lags["time_to_next_event"][own],
+        "score_locf": lf["locf"][own],
+        "secs_since_score": lf["time_since_last_sample"][own],
+    }
+    if stat is not None:
+        pf = prefix_features(fid, ft, framed(stat, "last_s", "s0"), carry)
+        feats.update(run_cummax=pf["cummax"][own], run_twmean=pf["twmean"][own])
+    return feats
+
+
 def chunk_carry_info(feats: pa.Table | None, entity: str, ts: str, stat: str) -> dict | None:
-    """A piece's boundary summary for ``fold_carry``: its first and last
-    entity, its first row's ts, and the scan state of its last entity's run
-    as the piece's own (pre-fix) scan left it — session ordinal, cummax (the
-    run's last non-NaN one), first non-NaN ts and stat, LOCF — plus that
-    run's trapezoid areas, since the exact sequential cum-area chain cannot
-    be summed ahead (float addition is not associative)."""
+    """A piece's boundary summary for ``fold_carry``: its head, its last
+    entity, and the state of that entity's run in the piece's own rows —
+    session count, cummax (the run's last non-NaN one; a carried one is
+    already folded), first non-NaN ts and stat, LOCF — plus that run's
+    trapezoid areas, since the exact sequential cum-area chain cannot be
+    summed ahead (float addition is not associative)."""
     if feats is None or not feats.num_rows:
         return None
     ids = feats[entity]
@@ -81,15 +135,15 @@ def chunk_carry_info(feats: pa.Table | None, entity: str, ts: str, stat: str) ->
     run = feats.slice(feats.num_rows - _run_len(ids, last_e))
     t, s = _f64(run[ts]), _f64(run[stat])
     cummax, sa = _f64(run["run_cummax"]), _f64(run["score_asof"])
+    seq = run["session_seq"]
     nn = np.flatnonzero(~np.isnan(sa))
     return {
-        "first_e": ids[0].as_py(),
+        "head": piece_head(feats, entity, ts, stat),
         "last_e": last_e,
-        "first_ts": float(feats[ts][0].as_py()),
         "first_s": float(s[0]),
         "last_ts": float(t[-1]),
         "last_s": float(s[-1]),
-        "sess_end": int(run["session_seq"][-1].as_py()),
+        "sess_end": seq[-1].as_py() - seq[0].as_py(),
         "cummax": _first_valid(cummax[::-1]),
         "t0": _first_valid(t),
         "s0": _first_valid(s),
@@ -97,13 +151,6 @@ def chunk_carry_info(feats: pa.Table | None, entity: str, ts: str, stat: str) ->
         "locf_val": float(sa[nn[-1]]) if nn.size else np.nan,
         "locf_ts": float(t[nn[-1]]) if nn.size else np.nan,
     }
-
-
-def _cummax_after(carried, later):
-    """The scan's running max past ``carried``: ``later`` wins only when
-    greater, so of equal maxima (-0.0 and 0.0) the earlier stays; a NaN
-    ``carried`` (no stat yet) yields ``later``."""
-    return np.where((later > carried) | np.isnan(carried), later, carried)
 
 
 def fold_carry(carry: dict | None, info: dict | None, gap: float) -> dict | None:
@@ -117,84 +164,55 @@ def fold_carry(carry: dict | None, info: dict | None, gap: float) -> dict | None
     out = {k: info[k] for k in ("last_ts", "last_s", "sess_end", "cummax", "t0", "s0",
                                 "locf_val", "locf_ts")}
     out["e"] = info["last_e"]
+    first_e, first_ts = info["head"]["e"], info["head"]["ts"]
     start = bridge = 0.0
-    if carry is not None and carry["e"] == info["first_e"] == info["last_e"]:
-        merge = (info["first_ts"] - carry["last_ts"]) <= gap
+    if carry is not None and carry["e"] == first_e == info["last_e"]:
+        merge = (first_ts - carry["last_ts"]) <= gap
         out["sess_end"] += carry["sess_end"] + (0 if merge else 1)
-        out["cummax"] = float(_cummax_after(carry["cummax"], info["cummax"]))
-        out["t0"], out["s0"] = carry["t0"], carry["s0"]
+        # a later max wins only when greater (of -0.0 and 0.0 the earlier stays)
+        c, m = carry["cummax"], info["cummax"]
+        out["cummax"] = m if m > c or np.isnan(c) else c
+        for k in ("t0", "s0"):  # the entity's first non-NaN ts and stat
+            if not np.isnan(carry[k]):
+                out[k] = carry[k]
         if np.isnan(info["locf_val"]):
             out["locf_val"], out["locf_ts"] = carry["locf_val"], carry["locf_ts"]
         start = carry["cum_area_end"]
-        bridge = trapezoid_area(info["first_s"], carry["last_s"], info["first_ts"],
-                                carry["last_ts"])
+        bridge = trapezoid_area(info["first_s"], carry["last_s"], first_ts, carry["last_ts"])
     out["cum_area_end"] = float(np.cumsum(np.r_[start, bridge, info["areas"]])[-1])
     return out
 
 
-def _patched(col, lo: int, values: np.ndarray) -> pa.ChunkedArray:
-    """``col`` with its rows from ``lo`` on replaced by ``values``, a float
-    NaN written as a null; the other rows stay zero-copy."""
-    return pa.chunked_array(
-        col.slice(0, lo).chunks + [nan_to_null(values)] + col.slice(lo + len(values)).chunks,
-        type=col.type,
-    )
+def range_carries(infos: list, gap: float) -> tuple[list, list]:
+    """The salted driver's stitch of consecutive pieces from their
+    summaries (None for an empty piece): each piece's carry-in, folded over
+    the pieces before it, and its head, the next non-empty piece's, whose
+    first stat reaches on past one-entity pieces of that entity without one."""
+    carries = [None]
+    for info in infos[:-1]:
+        carries.append(fold_carry(carries[-1], info, gap))
+    heads, nxt = [], None
+    for info in reversed(infos):
+        heads.append(nxt)
+        if info is not None:
+            h = info["head"]
+            if nxt is not None and np.isnan(h["s0"]) and info["last_e"] == h["e"] == nxt["e"]:
+                h = {**h, "s0": nxt["s0"]}
+            nxt = h
+    return carries, heads[::-1]
 
 
-def flagship_apply_carry(
-    tbl: pa.Table | None,
-    carry: dict | None,
-    next_info: dict | None,
-    entity: str,
-    ts: str,
-    stat: str,
-    gap: float,
-) -> pa.Table | None:
-    """A piece's scan output (``pipelines.flagship.process_bucket``) with the
-    carry in applied to the rows of its first entity, when that is the
-    carried one, and its last row's ``secs_to_next`` pointed at the next
-    piece, when ``next_info`` continues its last entity. Only those rows of
-    the columns whose scan state crosses the cut are rewritten; with neither
-    it returns ``tbl`` itself."""
+def flagship_apply_carry(tbl: pa.Table | None, carry: dict | None, head: dict | None,
+                         entity: str, ts: str, stat: str, gap: float) -> pa.Table | None:
+    """A piece's scan output (``pipelines.flagship.process_bucket``, scanned
+    alone) rescanned from its carry-in and with the next piece's head:
+    ``state_scans`` reruns over its ts, first stat and ``score_asof``
+    columns, and its columns replace the piece's own. No sort and no as-of
+    search run again."""
     if tbl is None or not tbl.num_rows:
         return tbl
-    ids = tbl[entity]
-    cols: dict[str, pa.ChunkedArray] = {}
-    if carry is not None and ids[0].as_py() == carry["e"]:
-        n = _run_len(ids, carry["e"])
-
-        def head(name: str) -> np.ndarray:
-            return _f64(tbl[name].slice(0, n))
-
-        t, s = head(ts), head(stat)
-        merge = (t[0] - carry["last_ts"]) <= gap
-        sess = tbl["session_seq"].slice(0, n).to_numpy() + carry["sess_end"] + (0 if merge else 1)
-        ssp = head("secs_since_prev")
-        ssp[0] = t[0] - carry["last_ts"]
-        # cummax: NaN rows stay NaN (pandas cummax semantics)
-        loc = head("run_cummax")
-        cummax = np.where(np.isnan(loc), loc, _cummax_after(carry["cummax"], loc))
-        # twmean: replay the exact sequential cum-area chain from the carry
-        bridge = trapezoid_area(s[0], carry["last_s"], t[0], carry["last_ts"])
-        a = trapezoid_area(s[1:], s[:-1], t[1:], t[:-1])
-        cum = np.cumsum(np.r_[carry["cum_area_end"], bridge, a])[1:]
-        span = t - carry["t0"]
-        twmean = np.where(span > 0, cum / np.where(span > 0, span, 1.0), carry["s0"])
-        fixed = {"session_seq": sess, "secs_since_prev": ssp, "run_cummax": cummax,
-                 "run_twmean": twmean}
-        # LOCF of the as-of score: fill the leading no-sample rows
-        nn = np.flatnonzero(~np.isnan(head("score_asof")))
-        upto = int(nn[0]) if nn.size else n
-        if upto and not np.isnan(carry["locf_val"]):
-            locf, tsl = head("score_locf"), head("secs_since_score")
-            locf[:upto] = carry["locf_val"]
-            tsl[:upto] = t[:upto] - carry["locf_ts"]
-            fixed.update(score_locf=locf, secs_since_score=tsl)
-        cols = {name: _patched(tbl[name], 0, v) for name, v in fixed.items()}
-    if next_info is not None and next_info["first_e"] == ids[-1].as_py():
-        gap_to_next = next_info["first_ts"] - float(tbl[ts][-1].as_py())
-        cols["secs_to_next"] = _patched(tbl["secs_to_next"], tbl.num_rows - 1,
-                                        np.array([gap_to_next], dtype=np.float64))
-    for name, col in cols.items():
-        tbl = tbl.set_column(tbl.schema.get_field_index(name), name, col)
-    return tbl
+    ids = tbl[entity].combine_chunks().dictionary_encode().indices.to_numpy()
+    return with_columns(tbl, state_scans(
+        ids, _f64(tbl[ts]), _f64(tbl[stat]), _f64(tbl["score_asof"]), gap,
+        *at_cut(tbl[entity], carry, head),
+    ))

@@ -8,9 +8,10 @@ the run), cumulative scans are ``partition.seg_accumulate`` and per-run
 spans ``reduceat``. Inputs are arrays sorted by (entity, ts), where an
 entity is a run of equal ids (the flagship passes integer entity codes);
 outputs are aligned arrays. They run in the reduce task of a hash exchange
-on one (entity, ts)-sorted bucket, which holds every row of its entities,
-so no cross-bucket carry state is needed (see stages/partition.py; a salted
-heavy entity is stitched by stages/salted.py).
+on one (entity, ts)-sorted bucket, which holds every row of its entities
+(see stages/partition.py). A piece of an entity (the flagship's chunks
+and salted ranges) is scanned from the state of the pieces before it: the
+carried last row in front, with its accumulators (stages/salted.py).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _run_rows(id_arr) -> tuple[np.ndarray, np.ndarray]:
 def trapezoid_area(s, s_prev, t, t_prev):
     """The trapezoid area between two samples, ``0.5 * (s + s_prev) *
     (t - t_prev)``, 0 where it is NaN. The one expression of the prefix
-    scan's cum-area chain and of the chunk carry that replays it
+    scan's cum-area chain and of the carry fold that sums a piece's areas
     (stages/salted.py): their byte identity rests on its float order."""
     return np.nan_to_num(0.5 * (s + s_prev) * (t - t_prev), nan=0.0)
 
@@ -199,16 +200,24 @@ def _cum_extreme(ufunc: np.ufunc, s: np.ndarray, starts, lens, run_start, run_en
     return out
 
 
-def prefix_features(id_arr, ht, score) -> dict[str, np.ndarray]:
+def prefix_features(id_arr, ht, score, carry: dict | None = None) -> dict[str, np.ndarray]:
     """Vectorized T12 (dssFunctionLibrary.R:876-917): per-entity cumulative
     max/min/sum, running mean, trapezoid time-weighted running mean, and
     rate-of-change. The cumulative max/min/sum skip a NaN score and are NaN
-    on its row, as pandas' grouped cum* are."""
+    on its row, as pandas' grouped cum* are. With ``carry``, row 0 is the
+    last row of an earlier piece of its entity, and cummax, twmean and roc
+    continue from that row's accumulators: ``cummax``, ``cum_area_end`` and
+    the entity's first non-NaN ts and score ``t0``, ``s0`` (a NaN one yields
+    to the run's own) (stages/salted.state_scans)."""
     t = np.asarray(ht, dtype=np.float64)
     s = np.asarray(score, dtype=np.float64)
     starts, lens = run_bounds(id_arr)
     run_start, run_end = np.repeat(starts, lens), np.repeat(starts + lens, lens)
-    cmax = _cum_extreme(np.fmax, s, starts, lens, run_start, run_end)
+
+    def carried(x, key):  # x with row 0's accumulator ``key`` from the carry
+        return x if carry is None else np.r_[carry[key], x[1:]]
+
+    cmax = _cum_extreme(np.fmax, carried(s, "cummax"), starts, lens, run_start, run_end)
     cmin = _cum_extreme(np.fmin, s, starts, lens, run_start, run_end)
     # the loop oracle's sequential per-run sum; adding -0.0 changes nothing
     nan = np.isnan(s)
@@ -220,13 +229,15 @@ def prefix_features(id_arr, ht, score) -> dict[str, np.ndarray]:
     prev[starts] = -1
     prev_t, prev_s = _gather(t, prev), _gather(s, prev)
     dt = t - prev_t
-    # per-entity SEQUENTIAL cumsum of the areas: the salted boundary-stitch
-    # replays this chain from a carried scalar (stages/salted.py), which is
-    # only bit-reproducible for plain left-to-right addition
-    cum_area = seg_accumulate(np.add, trapezoid_area(s, prev_s, t, prev_t), starts, lens)
+    # per-entity SEQUENTIAL cumsum of the areas: a carried piece continues
+    # it from row 0's cum-area, which the carry fold sums up (stages/salted.py)
+    # and is only bit-reproducible for plain left-to-right addition
+    area = carried(trapezoid_area(s, prev_s, t, prev_t), "cum_area_end")
+    cum_area = seg_accumulate(np.add, area, starts, lens)
     # the first non-NaN time and score of each run
-    t0 = _gather(t, _next_valid(~np.isnan(t), run_end, strict=False)[run_start])
-    s0 = _gather(s, _next_valid(~nan, run_end, strict=False)[run_start])
+    t_in, s_in = carried(t, "t0"), carried(s, "s0")
+    t0 = _gather(t_in, _next_valid(~np.isnan(t_in), run_end, strict=False)[run_start])
+    s0 = _gather(s_in, _next_valid(~np.isnan(s_in), run_end, strict=False)[run_start])
     span = t - t0
     twmean = np.where(span > 0, cum_area / np.where(span > 0, span, 1.0), s0)
 

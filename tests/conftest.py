@@ -51,6 +51,9 @@ def one_entity(stat, ts):
 SIGNED_ZERO = [-0.0, 0.0, -1.0, -2.0, 0.0, -3.0]
 # the first stat is NaN: twmean at span 0 reads the first non-NaN stat
 NAN_FIRST, NAN_FIRST_TS = [np.nan, 5.0, 7.0, 1.0], [0.0, 0.0, 0.0, 10.0]
+# the same ts, no NaN: a cut inside the first-ts ties must carry the first
+# stat (5), not the stat of the row before the cut
+FIRST_TIES = [5.0, 6.0, 7.0, 1.0]
 
 
 @pytest.fixture(scope="session")

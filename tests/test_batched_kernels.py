@@ -24,6 +24,7 @@ class TestDfaBatch:
         want = np.array([fastdfa(r) for r in x])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, equal_nan=True)
 
+    @pytest.mark.filterwarnings("error")
     def test_constant_rows_nan(self):
         x = np.vstack([np.ones(64), rng.normal(size=64)])
         got = dfa_batch(x)

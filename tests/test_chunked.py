@@ -22,7 +22,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from conftest import NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity
+from conftest import (
+    FIRST_TIES, NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity,
+)
 from mpds_ray.pipelines.flagship import process_bucket, scan_chunks_with_carry
 from mpds_ray.stages.chunked import sorted_run_merge, split_chunks
 
@@ -253,11 +255,19 @@ class TestCarryEdgeStats:
         assert np.signbit(want["run_cummax"].to_numpy()).all()
         assert_bit_identical(self._scan_cut(left, right, cuts), want)
 
-    def test_nan_first_stat_twmean(self):
+    @pytest.mark.parametrize("cuts", [[1], [2], [1, 2]])
+    def test_nan_first_stat_twmean(self, cuts):
         left, right = one_entity(NAN_FIRST, NAN_FIRST_TS)
         want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
         assert want["run_twmean"].to_pylist()[:3] == [5.0, 5.0, 5.0]
-        assert_bit_identical(self._scan_cut(left, right, [2]), want)
+        assert_bit_identical(self._scan_cut(left, right, cuts), want)
+
+    @pytest.mark.parametrize("cuts", [[1], [2]])
+    def test_first_ts_ties_twmean(self, cuts):
+        left, right = one_entity(FIRST_TIES, NAN_FIRST_TS)
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert want["run_twmean"].to_pylist()[:3] == [5.0, 5.0, 5.0]
+        assert_bit_identical(self._scan_cut(left, right, cuts), want)
 
 
 class TestChunkedFlagshipE2E:

@@ -8,7 +8,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-from conftest import NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity
+from conftest import (
+    FIRST_TIES, NAN_FIRST, NAN_FIRST_TS, SIGNED_ZERO, assert_bit_identical, one_entity,
+)
 
 
 class TestDistributedSalting:
@@ -90,19 +92,21 @@ class TestDistributedSalting:
         assert salted_parts["rows"].sum() == self.HOT_ROWS
         assert salted_parts["rows"].max() <= 2 * self.HOT_ROWS / s_chunks
 
-    def test_salt_spec_detection(self, ray_session, tmp_path):
+    def test_salt_spec_detection(self, ray_session, tmp_path, monkeypatch):
+        import mpds_ray.pipelines.flagship as flagship
         from mpds_ray.pipelines.flagship import detect_salt_spec
 
         tok_dir, _ = self._fixture(tmp_path)
         import glob
 
         shards = sorted(glob.glob(f"{tok_dir}/*.parquet"))
-        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=0)
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=0)
         assert set(spec) == {"hotent"}
         off, bounds = spec["hotent"]
         assert off == 0 and n_extra == bounds.size + 1 and bounds.size >= 1
         # no heavy key at a higher threshold
-        spec2, n2 = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.9, min_rows=0)
+        monkeypatch.setattr(flagship, "SALT_SHARE", 0.9)
+        spec2, n2 = detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=0)
         assert spec2 == {} and n2 == 0
 
 
@@ -153,9 +157,9 @@ class TestSaltFooterSkip:
         from mpds_ray.pipelines.flagship import detect_salt_spec
 
         shards, _ = self._shards(tmp_path, hot_rows=600)
-        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=599)
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=599)
         assert set(spec) == {"hot"} and n_extra == spec["hot"][1].size + 1
-        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, threshold=0.2, min_rows=600)
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", 8, min_rows=600)
         assert spec == {} and n_extra == 0
 
 
@@ -186,7 +190,8 @@ class TestSaltTop8Miss:
         return paths, spread
 
     @pytest.mark.parametrize("kind", ["str", "int"])
-    def test_heavy_key_outside_every_top8(self, ray_session, tmp_path, kind):
+    def test_heavy_key_outside_every_top8(self, ray_session, tmp_path, monkeypatch, kind):
+        import mpds_ray.pipelines.flagship as flagship
         from mpds_ray.pipelines.flagship import detect_salt_spec
 
         shards, spread = self._shards(tmp_path, kind)
@@ -198,8 +203,8 @@ class TestSaltTop8Miss:
         assert share == pytest.approx(90 / 990)
 
         num_buckets = 64
-        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", num_buckets,
-                                         threshold=0.05, min_rows=0)
+        monkeypatch.setattr(flagship, "SALT_SHARE", 0.05)
+        spec, n_extra = detect_salt_spec(shards, "doc_id", "ts", num_buckets, min_rows=0)
         assert set(spec) == {spread}
         # the full-scan sample: every ts of the key (no shard holds 4096)
         sample = np.sort(full.loc[full["doc_id"] == spread, "ts"].to_numpy(np.float64))
@@ -213,10 +218,10 @@ class TestSaltTop8Miss:
 class TestCarryChainNaNEdges:
     """Kernel-level replay of the salted stitch: cutting process_bucket's
     input at arbitrary points, scanning each piece alone and replaying the
-    driver's chunk_carry_info / fold_carry / flagship_apply_carry chain
+    driver's chunk_carry_info / range_carries / flagship_apply_carry chain
     must reproduce the uncut output bit for bit (pandas cummax NaN rows,
-    nan_to_num'd trapezoid areas, LOCF prefix fills, signed zeros, and cuts
-    between entities as well as inside one)."""
+    nan_to_num'd trapezoid areas, LOCF prefix fills, signed zeros, a NaN
+    first stat, and cuts between entities as well as inside one)."""
 
     GAP, TOL = 200.0, 500.0
 
@@ -247,10 +252,11 @@ class TestCarryChainNaNEdges:
 
     def _replay(self, left, right, cuts):
         """The salted driver over the pieces ``left`` is cut into at
-        ``cuts``: the carry into each piece folds every earlier summary, and
-        each piece sees its next non-empty piece's summary."""
+        ``cuts``: each piece is scanned alone and summarized, and then
+        rescanned from the carry folded over every earlier summary and with
+        its next non-empty piece's head."""
         from mpds_ray.pipelines.flagship import process_bucket
-        from mpds_ray.stages.salted import chunk_carry_info, flagship_apply_carry, fold_carry
+        from mpds_ray.stages.salted import chunk_carry_info, flagship_apply_carry, range_carries
 
         bounds = [0, *cuts, left.num_rows]
         feats = [
@@ -259,13 +265,11 @@ class TestCarryChainNaNEdges:
             for a, b in zip(bounds, bounds[1:])
         ]
         infos = [chunk_carry_info(f, "doc_id", "ts", "tok_mean") for f in feats]
-        carry, fixed = None, []
-        for k, (f, info) in enumerate(zip(feats, infos)):
-            nxt = next(filter(None, infos[k + 1:]), None)
-            fixed.append(flagship_apply_carry(f, carry, nxt, "doc_id", "ts", "tok_mean",
-                                              self.GAP))
-            carry = fold_carry(carry, info, self.GAP)
-        return pa.concat_tables(fixed)
+        carries, heads = range_carries(infos, self.GAP)
+        return pa.concat_tables([
+            flagship_apply_carry(f, c, h, "doc_id", "ts", "tok_mean", self.GAP)
+            for f, c, h in zip(feats, carries, heads)
+        ])
 
     def _want(self, left, right):
         from mpds_ray.pipelines.flagship import process_bucket
@@ -282,9 +286,52 @@ class TestCarryChainNaNEdges:
         left, right = one_entity(SIGNED_ZERO, np.arange(6) * 10.0)
         assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
 
-    def test_nan_first_stat_twmean(self):
+    @pytest.mark.parametrize("cuts", [[1], [2], [1, 2]])
+    def test_nan_first_stat_twmean(self, cuts):
         left, right = one_entity(NAN_FIRST, NAN_FIRST_TS)
-        assert_bit_identical(self._replay(left, right, [2]), self._want(left, right))
+        assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
+
+    @pytest.mark.parametrize("cuts", [[1], [2]])
+    def test_first_ts_ties_twmean(self, cuts):
+        left, right = one_entity(FIRST_TIES, NAN_FIRST_TS)
+        assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
+
+    @pytest.mark.parametrize("cuts", [[1], [2], [1, 2], [1, 2, 3]])
+    def test_nan_first_stat_reaches_past_ranges(self, cuts):
+        """Two leading NaN stats: with cuts [1, 2] the first range's head is
+        the second range, which holds no stat either, so the driver reaches
+        on to the third for the entity's first stat."""
+        left, right = one_entity([np.nan, np.nan, 5.0, 7.0, 1.0], [0.0, 0.0, 0.0, 0.0, 10.0])
+        want = self._want(left, right)
+        assert want["run_twmean"].to_pylist()[:4] == [5.0] * 4
+        assert_bit_identical(self._replay(left, right, cuts), want)
+
+    def test_fix_runs_no_sort_and_no_asof(self, monkeypatch):
+        """A salted range's fix rescans only the state-dependent features of
+        its phase-1 output: it neither sorts nor searches the scores."""
+        import pyarrow.compute as pc
+
+        import mpds_ray.pipelines.flagship as flagship
+        import mpds_ray.stages.asof as asof
+        from mpds_ray.stages.salted import chunk_carry_info, flagship_apply_carry, range_carries
+
+        left, right = self._entity_frame()
+        feats = [flagship.process_bucket(left.slice(a, n), right, "doc_id", "ts", self.GAP,
+                                         self.TOL, ["tok_mean"])
+                 for a, n in ((0, 100), (100, 150), (250, 150))]
+        carries, heads = range_carries(
+            [chunk_carry_info(f, "doc_id", "ts", "tok_mean") for f in feats], self.GAP)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a fix sorted or searched the scores")
+
+        for owner, name in ((flagship, "asof_join_arrays"), (asof, "asof_join_arrays"),
+                            (pc, "sort_indices")):
+            monkeypatch.setattr(owner, name, banned)
+        fixed = [flagship_apply_carry(f, c, h, "doc_id", "ts", "tok_mean", self.GAP)
+                 for f, c, h in zip(feats, carries, heads)]
+        monkeypatch.undo()
+        assert_bit_identical(pa.concat_tables(fixed), self._want(left, right))
 
     @pytest.mark.parametrize("cuts", [[120, 285], [60, 285]])
     def test_cut_between_entities_and_inside_one(self, cuts):
