@@ -6,7 +6,7 @@
       -> ONE hash exchange by stable_bucket(entity) % B    [stages/exchange.py]
       -> reduce tasks over contiguous groups of buckets; each bucket's
          rows as a chunk stream, each chunk run through ``process_bucket``:
-            (entity, ts) sort, integer entity codes        [establish invariant]
+            (entity, ts) order, integer entity codes       [establish invariant]
             sessionize (gap threshold, per-entity ordinals)
             per-entity lag/lead + prefix features
             as-of search of scores (backward, tolerance)
@@ -18,8 +18,9 @@
 (``scan_chunks_with_carry`` into ``ChunkPartitionSink``):
 
 - a bucket is one chunk (its concatenated map slices) by default;
-- with ``chunk_rows`` its sorted sub-chunk runs merge into chunks of ~that
-  many rows (stages/chunked.py), so reduce memory is bounded by chunks;
+- with ``chunk_rows`` its sorted runs (inline up to ``chunk_rows`` rows,
+  else sub-chunk objects) merge into chunks of ~that many rows
+  (stages/chunked.py), so reduce memory is bounded by chunks;
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, each as a bucket is scanned, the driver folds
   their carries with the same kernels, and fix tasks rescan each range's
@@ -29,10 +30,11 @@ Buckets and salted ranges are partitions; tasks are groups of them
 (``exchange.task_groups``), each run one partition after the other.
 
 The bucket stays Arrow from the exchange to the sink: map slices arrive as
-``pa.Table``s, ``process_bucket`` sorts and scans them as Arrow columns and
-NumPy entity runs (``partition.run_bounds`` over integer entity codes) and
-returns a ``pa.Table``, and the sink writes and checksums that table. No
-bucket is converted to pandas on the way.
+``pa.Table``s, ``process_bucket`` sorts only a side out of (entity, ts)
+order (not a merged chunk, nor the scores, sorted once on the driver), scans
+them as Arrow columns and NumPy entity runs (``partition.run_bounds`` over
+integer entity codes) and returns a ``pa.Table``, and the sink writes and
+checksums that table. No bucket is converted to pandas on the way.
 
 Output is byte-identical across bucket counts, chunking and salting.
 
@@ -49,8 +51,6 @@ Design notes for 10^12-row scale:
   map-side over zero-copy Arrow and only the narrow feature row moves
   (SURVEY §7.5.7). The enriched wide table is written map-side, partitioned
   by input fragment, preserving the token arrays byte-identical.
-- Exactly ONE all-to-all exchange: hash-bucketed by entity; B =
-  ``num_buckets`` and ``chunk_rows`` bound per-task memory.
 - Every partition is a pure function of its bucket, so a retry re-executes
   it; the manifest record is the commit point of a resumable rerun.
 """
@@ -134,26 +134,25 @@ def process_bucket(left: pa.Table, right: pa.Table, entity: str, ts: str, sessio
                    tolerance: float | None, stat_cols: list[str], carry: dict | None = None,
                    head: dict | None = None) -> pa.Table:
     """The per-bucket scan core, shared by the Dataset groupby path and the
-    explicit hash-exchange path: establish the (entity, ts) sort, as-of
+    explicit hash-exchange path: establish the (entity, ts) order, as-of
     search, then sessionize, lag/lead, prefix features and LOCF backfill
     (``stages.salted.state_scans``), from ``carry`` and with ``head`` where
     the piece continues a cut (``fold_carry``, ``piece_head``).
 
-    Each side is sorted once, stably; one ``dictionary_encode`` over both
-    sides' entity columns, its dictionary ranked, gives the integer entity
-    codes every scan runs on. The codes follow the entity values' order, so
-    both sorted sides have nondecreasing codes, as the as-of search needs.
-    Returns the sorted left rows (without the union's tag and score columns)
-    with the feature columns appended, every float NaN as a null."""
-    keys = [(entity, "ascending"), (ts, "ascending")]
-    left = left.take(pc.sort_indices(left, sort_keys=keys))
-    right = right.take(pc.sort_indices(right, sort_keys=keys))
-    enc = pa.chunked_array(
-        left[entity].chunks + right[entity].chunks, type=left[entity].type
-    ).combine_chunks().dictionary_encode()
+    One ``dictionary_encode`` over both sides' entity columns, its
+    dictionary ranked, gives the integer entity codes every scan runs on.
+    The codes follow the entity values' order, so ``_in_order`` sorts only
+    a side out of (entity, ts) order, once and stably: a chunk of
+    ``sorted_run_merge`` and the driver's score slices are taken as they
+    are. Returns the left rows in that order (without the union's tag and
+    score columns) with the feature columns appended, every float NaN as a
+    null."""
+    enc = pa.chunked_array(left[entity].chunks + right[entity].chunks,
+                           type=left[entity].type).combine_chunks().dictionary_encode()
     rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy().astype(np.int64)
     codes = rank[enc.indices.to_numpy()]
-    ids, r_ids = codes[: left.num_rows], codes[left.num_rows :]
+    left, ids = _in_order(left, codes[: left.num_rows], entity, ts)
+    right, r_ids = _in_order(right, codes[left.num_rows :], entity, ts)
     out = left.drop_columns([c for c in (_SIDE, _BUCKET, "score") if c in left.column_names])
     # a float NaN is written as a null, the stat columns' NaNs included
     out = with_columns(out, {
@@ -163,25 +162,28 @@ def process_bucket(left: pa.Table, right: pa.Table, entity: str, ts: str, sessio
     t = out[ts].to_numpy().astype(np.float64)
 
     # as-of merge of scores (backward + tolerance) — zero temporal leakage
-    joined = asof_join_arrays(
-        ids,
-        t,
-        r_ids,
-        right[ts].to_numpy().astype(np.float64),
-        {"score": right["score"].to_numpy()},
-        tolerance=tolerance,
-        direction="backward",
-    )
+    joined = asof_join_arrays(ids, t, r_ids, right[ts].to_numpy().astype(np.float64),
+                              {"score": right["score"].to_numpy()}, tolerance=tolerance,
+                              direction="backward")
     feats = state_scans(
         ids, t, out[stat_cols[0]].to_numpy() if stat_cols else None, joined["score"],
         session_gap, *at_cut(out[entity], carry, head),
     )
     feats.update(score_asof=joined["score"], score_asof_ts=joined["_matched_ts"])
     names = [k for k in FEATURES if k in feats]
-    return pa.Table.from_arrays(
-        out.columns + [nan_to_null(feats[k]) for k in names],
-        names=out.column_names + names,
-    )
+    return pa.Table.from_arrays(out.columns + [nan_to_null(feats[k]) for k in names],
+                                names=out.column_names + names)
+
+
+def _in_order(side: pa.Table, codes: np.ndarray, entity: str, ts: str) -> tuple:
+    """``side`` and its entity ``codes`` in (entity, ts) order: as given
+    when the codes and ts are nondecreasing, else after one stable sort (a
+    NaN or null ts compares out of order)."""
+    t, dc = side[ts].to_numpy(), np.diff(codes)
+    if np.all((dc > 0) | ((dc == 0) & (t[1:] >= t[:-1]))):
+        return side, codes
+    idx = pc.sort_indices(side, sort_keys=[(entity, "ascending"), (ts, "ascending")])
+    return side.take(idx), codes[idx.to_numpy()]
 
 
 def flagship_features(
@@ -218,17 +220,9 @@ def flagship_features(
         def tag_fn(t: pa.Table) -> pa.Table:
             b = key_bucket(t, entity, num_buckets)
             out = {}
-            for c in cols:
-                if c in t.column_names:
-                    out[c] = t[c]
-                elif c == "score":
-                    out[c] = pa.nulls(t.num_rows, type=pa.float64())
-                elif c == "source":
-                    out[c] = pa.nulls(t.num_rows, type=pa.string())
-                elif c == "n_tok":
-                    out[c] = pa.nulls(t.num_rows, type=pa.int32())
-                else:
-                    out[c] = pa.nulls(t.num_rows, type=pa.float64())
+            for c in cols:  # a column the side lacks is nulls; score and stats are float64
+                typ = {"source": pa.string(), "n_tok": pa.int32()}.get(c, pa.float64())
+                out[c] = t[c] if c in t.column_names else pa.nulls(t.num_rows, type=typ)
             out[_BUCKET] = pa.array(b, type=pa.int32())
             out[_SIDE] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
             return pa.table(out)
@@ -263,8 +257,6 @@ def run_flagship(
     # serialize the parquet decode and cap the whole pipeline. Pin one block
     # per shard: letting Ray sub-split files multiplies the block count and
     # the driver's per-block scheduling overhead becomes the bottleneck.
-    import glob
-
     if os.path.isdir(tokens_path):
         n_files = len(glob.glob(f"{tokens_path}/*.parquet"))
         tokens = rd.read_parquet(tokens_path, override_num_blocks=max(n_files, 1))
@@ -454,7 +446,7 @@ class ScanPlan:
 
     def contributors(self, parts) -> list[str]:
         """Lineage: the input fragments whose map slices hold rows of a
-        bucket (a slice is a table, or a list of sub-chunk refs)."""
+        bucket (a slice is a table, or a list of its sub-chunks)."""
         return [self.frag_names[s] for s, p in enumerate(parts) if len(p)]
 
     def commit(self, b: int, frags: list[str], scan):
@@ -485,13 +477,9 @@ def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
     if plan.chunk_rows is None:
         chunks = [pa.concat_tables([p for p in parts if p.num_rows])]
     else:
-        chunks = sorted_run_merge(
-            [iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows
-        )
-    scan_chunks_with_carry(
-        chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
-        plan.stat_cols, emit,
-    )
+        chunks = sorted_run_merge([iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows)
+    scan_chunks_with_carry(chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
+                           plan.stat_cols, emit)
 
 
 @ray.remote
@@ -553,23 +541,20 @@ def run_flagship_exchange(
     partitions, tasks are groups (``task_groups``): one reduce task per
     group streams each bucket's chunks through ``scan_chunks_with_carry``
     into its ``ChunkPartitionSink`` and commits it. The scores table is
-    split by bucket (and by hot entity) once on the driver, in Arrow; each
-    task receives only its buckets' slices.
+    sorted by (entity, ts) and split by bucket (and by hot entity) once on
+    the driver, in Arrow; each task receives only its buckets' slices, which
+    ``process_bucket`` takes without a sort.
 
-    ``chunk_rows`` bounds the scan's memory: map slices arrive as sorted
-    sub-chunk objects and each bucket or salted range is scanned as a k-way
-    merge of ~chunk_rows chunks, so a scan holds two chunks, not the
-    partition. Without it a partition is one chunk.
+    ``chunk_rows`` bounds the scan's memory to two chunks of ~that many
+    rows, merged from sorted map runs (stages/chunked.py). Without it a
+    partition is one chunk.
 
     Every entity holding more than ``SALT_SHARE`` of all rows (and more than
     ``salt_min_rows``) is range-salted into extra partitions
-    ``num_buckets + k`` (``detect_salt_spec``): phase-1 tasks scan its ts
-    ranges in parallel, the driver folds their O(1) carries in order with
-    the kernels ``scan_chunks_with_carry`` uses, and fix tasks rescan each
-    range's state-dependent features from its carry and commit through the
-    same sink. Each hot entity's ranges are grouped
-    into tasks as the buckets are; no grouping moves a row between
-    partitions (tests/test_task_groups.py).
+    ``num_buckets + k`` (``detect_salt_spec``), scanned and stitched as the
+    module docstring says. Each hot entity's ranges are grouped into tasks
+    as the buckets are; no grouping moves a row between partitions
+    (tests/test_task_groups.py).
 
     A rerun into the same ``out_dir`` skips the partitions whose manifest
     record names a file holding the recorded rows
@@ -614,10 +599,8 @@ def run_flagship_exchange(
     if out_dir is not None:
         manifest_file = manifest_path or f"{out_dir}/manifest.jsonl"
         done = Manifest(manifest_file).committed("flagship", out_dir)
-    plan = ScanPlan(
-        entity, ts, session_gap, tolerance, stat_cols, chunk_rows,
-        [os.path.basename(p) for p in shards], out_dir, manifest_file, frozenset(done),
-    )
+    plan = ScanPlan(entity, ts, session_gap, tolerance, stat_cols, chunk_rows,
+                    [os.path.basename(p) for p in shards], out_dir, manifest_file, frozenset(done))
 
     spec, n_extra = detect_salt_spec(shards, entity, ts, num_buckets, min_rows=salt_min_rows)
 
@@ -644,15 +627,15 @@ def run_flagship_exchange(
         for e, (off, bounds) in spec.items()
     }
     groups = bucket_groups + [g for gs in range_groups.values() for g in gs]
-    refs = exchange_map(
-        shards, map_fn, bucket_fn, num_buckets + n_extra,
-        sort_keys=[entity, ts] if chunk_rows is not None else None,
-        chunk_rows=chunk_rows, groups=groups,
-    )
+    refs = exchange_map(shards, map_fn, bucket_fn, num_buckets + n_extra,
+                        sort_keys=[entity, ts] if chunk_rows is not None else None,
+                        chunk_rows=chunk_rows, groups=groups)
     by_group = dict(zip(groups, zip(*refs)))  # group -> every map task's object
 
     scores = pq.read_table(scores_path)
-    bucket_scores = _split_by_bucket(scores, key_bucket(scores, entity, num_buckets), num_buckets)
+    bucket_scores = _split_by_bucket(scores, key_bucket(scores, entity, num_buckets), num_buckets,
+                                     sort_keys=[entity, ts])
+    scores = pa.concat_tables(bucket_scores)  # the same slices: (bucket, entity, ts) order
     out = [
         reduce_bucket.remote(plan, g, bucket_scores[g.start:g.stop], *by_group[g])
         for g in bucket_groups

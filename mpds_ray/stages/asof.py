@@ -11,9 +11,9 @@ for the pre/post variants.
 Physical plan (SURVEY §4.3): the join runs in the reduce task of the
 engine's one hash exchange on entity (stages/exchange.py). Left rows reach
 bucket ``stable_bucket(entity) % B`` through the exchange; the right side is
-bucketed by the same function (the flagship splits its small scores table
-on the driver, the events queries join two filters of one bucket). The
-reduce task sorts the right side by (entity, ts), and every lookup of the
+bucketed by the same function (the flagship sorts and splits its small
+scores table once on the driver, the events queries join two filters of one
+bucket). The right side is in (entity, ts) order, and every lookup of the
 bucket is ONE exact composite-key search (``partition.search_runs``): each
 left row's position among the right rows, whatever the left order. A match
 is the row at that position when it has the left row's entity; no Python

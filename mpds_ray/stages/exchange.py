@@ -61,9 +61,9 @@ per-call callables and parameters travel as task arguments (``reduce_fn``
 and ``fn`` are ``ray.put`` once when several tasks share them, else
 inline), so a call costs no function export and no worker re-import of a fresh function.
 
-Ordering inside a bucket is irrelevant by construction: every reduce_fn in
-this engine re-sorts by (entity, ts) — the partition invariant is established
-per bucket, never assumed from the exchange.
+No reduce_fn assumes an order inside a bucket from the exchange: each
+establishes its own. The flagship's ``process_bucket`` checks (entity, ts)
+order and sorts only a side out of it.
 
 Skew note: bucket granularity bounds reduce-task size. A heavy entity cannot
 be split by hashing (scans need whole entities); the flagship range-salts it
@@ -222,10 +222,10 @@ def exchange_map(
     reads only: an upstream output is mapped whole.
 
     ``sort_keys`` + ``chunk_rows`` enable the BOUNDED-MEMORY reduce protocol
-    (stages/chunked.py): each bucket slice is sorted by the keys and cut into
-    <= chunk_rows sub-objects (``ray.put`` each), so ``refs[s][b]`` becomes a
-    LIST of sub-chunk refs (empty when the slice is) a reduce task can fetch
-    and release one at a time instead of pinning the whole run."""
+    (stages/chunked.py): each bucket slice is sorted by the keys and
+    ``refs[s][b]`` is the LIST of its sub-chunks (empty for no rows): the
+    slice itself up to ``chunk_rows`` rows, else <= chunk_rows ``ray.put``
+    sub-objects a reduce task fetches and releases one at a time."""
     map_takes_path = map_fn is not None and accepts_n_positional(map_fn, 2)
     if (num_buckets == 1 and len(sources) == 1 and groups is None and chunk_rows is None
             and not sort_keys and (map_fn is None or not isinstance(sources[0], ray.ObjectRef))):
@@ -290,7 +290,8 @@ def _map_shard(
     if chunk_rows is not None:
         from .chunked import split_chunks
 
-        parts = [[ray.put(c) for c in split_chunks(p, chunk_rows)] for p in parts]
+        cuts = [split_chunks(p, chunk_rows) for p in parts]
+        parts = [cs if len(cs) == 1 else [ray.put(c) for c in cs] for cs in cuts]
     if groups is not None:
         parts = [parts[g.start:g.stop] for g in groups]
     return tuple(parts) if len(parts) > 1 else parts[0]

@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .partition import run_bounds
-from .scans import locf_with_expiration, prefix_features, time_since_to_event, trapezoid_area
+from .scans import locf_with_expiration, run_cummax, run_twmean, time_since_to_event, trapezoid_area
 from .sessionize import sessionize_gap
 
 
@@ -116,8 +116,8 @@ def state_scans(ids, t, stat, score, gap: float, carry: dict | None = None,
         "secs_since_score": lf["time_since_last_sample"][own],
     }
     if stat is not None:
-        pf = prefix_features(fid, ft, framed(stat, "last_s", "s0"), carry)
-        feats.update(run_cummax=pf["cummax"][own], run_twmean=pf["twmean"][own])
+        feats.update(run_cummax=run_cummax(fid, framed(stat, "cummax", "s0"))[own],
+                     run_twmean=run_twmean(fid, ft, framed(stat, "last_s", "s0"), carry)[own])
     return feats
 
 

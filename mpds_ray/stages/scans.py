@@ -189,10 +189,12 @@ def unite_adjacent_on_intervals(id_arr, ht, vec, union_th) -> np.ndarray:
     return np.where(fill, 1.0, sig)
 
 
-def _cum_extreme(ufunc: np.ufunc, s: np.ndarray, starts, lens, run_start, run_end):
+def _cum_extreme(ufunc: np.ufunc, id_arr, s: np.ndarray) -> np.ndarray:
     """pandas' grouped cummax (``np.fmax``) or cummin (``np.fmin``): NaN
     rows stay NaN and are skipped, and of equal extremes the first seen
     stays, so a zero extreme has the sign of its run's first zero."""
+    starts, lens = run_bounds(id_arr)
+    run_start, run_end = np.repeat(starts, lens), np.repeat(starts + lens, lens)
     out = seg_accumulate(ufunc, s, starts, lens)
     out[np.isnan(s)] = np.nan
     zero = np.flatnonzero(out == 0)
@@ -200,54 +202,63 @@ def _cum_extreme(ufunc: np.ufunc, s: np.ndarray, starts, lens, run_start, run_en
     return out
 
 
-def prefix_features(id_arr, ht, score, carry: dict | None = None) -> dict[str, np.ndarray]:
-    """Vectorized T12 (dssFunctionLibrary.R:876-917): per-entity cumulative
-    max/min/sum, running mean, trapezoid time-weighted running mean, and
-    rate-of-change. The cumulative max/min/sum skip a NaN score and are NaN
-    on its row, as pandas' grouped cum* are. With ``carry``, row 0 is the
-    last row of an earlier piece of its entity, and cummax, twmean and roc
-    continue from that row's accumulators: ``cummax``, ``cum_area_end`` and
+def _prev(x: np.ndarray, starts) -> np.ndarray:
+    """``x`` at each row's previous row in its run (``starts``); NaN at a start."""
+    prev = np.arange(x.size) - 1
+    prev[starts] = -1
+    return _gather(x, prev)
+
+
+def run_cummax(id_arr, score) -> np.ndarray:
+    """Per-entity cumulative max of ``score`` (``_cum_extreme``). A carried
+    row in front holds the cummax of the pieces before it."""
+    return _cum_extreme(np.fmax, id_arr, np.asarray(score, dtype=np.float64))
+
+
+def run_twmean(id_arr, ht, score, carry: dict | None = None) -> np.ndarray:
+    """Per-entity trapezoid time-weighted running mean of ``score`` (its
+    first non-NaN one at span 0). With ``carry``, row 0 is an earlier
+    piece's last row, and the scan continues from its ``cum_area_end`` and
     the entity's first non-NaN ts and score ``t0``, ``s0`` (a NaN one yields
-    to the run's own) (stages/salted.state_scans)."""
-    t = np.asarray(ht, dtype=np.float64)
-    s = np.asarray(score, dtype=np.float64)
+    to the run's own)."""
+    t, s = np.asarray(ht, dtype=np.float64), np.asarray(score, dtype=np.float64)
     starts, lens = run_bounds(id_arr)
     run_start, run_end = np.repeat(starts, lens), np.repeat(starts + lens, lens)
 
     def carried(x, key):  # x with row 0's accumulator ``key`` from the carry
         return x if carry is None else np.r_[carry[key], x[1:]]
 
-    cmax = _cum_extreme(np.fmax, carried(s, "cummax"), starts, lens, run_start, run_end)
-    cmin = _cum_extreme(np.fmin, s, starts, lens, run_start, run_end)
-    # the loop oracle's sequential per-run sum; adding -0.0 changes nothing
-    nan = np.isnan(s)
-    csum = seg_accumulate(np.add, np.where(nan, -0.0, s), starts, lens)
-    csum[nan] = np.nan
-    rmean = csum / (np.arange(s.size) - run_start + 1)
-
-    prev = np.arange(s.size) - 1
-    prev[starts] = -1
-    prev_t, prev_s = _gather(t, prev), _gather(s, prev)
-    dt = t - prev_t
     # per-entity SEQUENTIAL cumsum of the areas: a carried piece continues
     # it from row 0's cum-area, which the carry fold sums up (stages/salted.py)
     # and is only bit-reproducible for plain left-to-right addition
-    area = carried(trapezoid_area(s, prev_s, t, prev_t), "cum_area_end")
+    area = carried(trapezoid_area(s, _prev(s, starts), t, _prev(t, starts)), "cum_area_end")
     cum_area = seg_accumulate(np.add, area, starts, lens)
     # the first non-NaN time and score of each run
     t_in, s_in = carried(t, "t0"), carried(s, "s0")
     t0 = _gather(t_in, _next_valid(~np.isnan(t_in), run_end, strict=False)[run_start])
     s0 = _gather(s_in, _next_valid(~np.isnan(s_in), run_end, strict=False)[run_start])
     span = t - t0
-    twmean = np.where(span > 0, cum_area / np.where(span > 0, span, 1.0), s0)
+    return np.where(span > 0, cum_area / np.where(span > 0, span, 1.0), s0)
 
-    dv = s - prev_s
-    roc = np.where(np.nan_to_num(dt, nan=0.0) > 0, dv / np.where(dt > 0, dt, 1.0), np.nan)
+
+def prefix_features(id_arr, ht, score) -> dict[str, np.ndarray]:
+    """Vectorized T12 (dssFunctionLibrary.R:876-917): per-entity cumulative
+    max/min/sum, running mean, trapezoid time-weighted running mean
+    (``run_cummax``, ``run_twmean``) and rate-of-change. The cumulative
+    max/min/sum skip a NaN score and are NaN on its row, as pandas' grouped
+    cum* are."""
+    t, s = np.asarray(ht, dtype=np.float64), np.asarray(score, dtype=np.float64)
+    starts, lens = run_bounds(id_arr)
+    # the loop oracle's sequential per-run sum; adding -0.0 changes nothing
+    nan = np.isnan(s)
+    csum = seg_accumulate(np.add, np.where(nan, -0.0, s), starts, lens)
+    csum[nan] = np.nan
+    dt, dv = t - _prev(t, starts), s - _prev(s, starts)
     return {
-        "cummax": cmax,
-        "cummin": cmin,
+        "cummax": run_cummax(id_arr, s),
+        "cummin": _cum_extreme(np.fmin, id_arr, s),
         "cumsum": csum,
-        "runmean": rmean,
-        "twmean": twmean,
-        "roc": roc,
+        "runmean": csum / (np.arange(s.size) - np.repeat(starts, lens) + 1),
+        "twmean": run_twmean(id_arr, t, s),
+        "roc": np.where(np.nan_to_num(dt, nan=0.0) > 0, dv / np.where(dt > 0, dt, 1.0), np.nan),
     }

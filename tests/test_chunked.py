@@ -178,6 +178,115 @@ class TestScanChunksWithCarry:
         assert_bit_identical(pa.concat_tables(got), flat)
 
 
+class TestInlineRuns:
+    """The chunked map keeps a slice of at most ``chunk_rows`` rows inline,
+    as one table inside its object; only a longer slice becomes ``ray.put``
+    sub-chunks. The merge fetches only those."""
+
+    @staticmethod
+    def _map(t: pa.Table, chunk_rows: int):
+        """``_map_shard``'s run of ``t`` at one bucket, sorted by (doc_id, ts)."""
+        from mpds_ray.stages.exchange import _map_shard
+
+        def one_bucket(x):
+            return np.zeros(x.num_rows, dtype=np.int32)
+
+        return _map_shard._function(t, None, False, one_bucket, 1, None, None,
+                                    ["doc_id", "ts"], chunk_rows, None)
+
+    def test_map_inlines_a_slice_of_chunk_rows(self, ray_session):
+        import ray
+
+        left, _ = _bucket_fixture(n_rows=65)
+        (inline,) = self._map(left.slice(0, 64), 64)
+        assert isinstance(inline, pa.Table) and inline.num_rows == 64
+        refs = self._map(left, 64)
+        assert len(refs) == 2 and all(isinstance(r, ray.ObjectRef) for r in refs)
+        assert_bit_identical(pa.concat_tables(ray.get(refs)), _sorted(left))
+        assert self._map(left.slice(0, 0), 64) == []
+
+    @pytest.mark.parametrize("target", [4096, 300])
+    def test_inline_runs_take_no_get(self, monkeypatch, target):
+        """All runs inline: no ``ray.get``, whether the partition is one
+        chunk or cut into several."""
+        import ray
+
+        runs, flat = _make_runs(4, 600, 4096, tie_frac=0.3)
+        assert all(len(r) == 1 for r in runs)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("an inline run was fetched")
+
+        monkeypatch.setattr(ray, "get", banned)
+        out = list(sorted_run_merge([iter(r) for r in runs], "doc_id", "ts", target))
+        assert (len(out) == 1) == (target == 4096)
+        pd.testing.assert_frame_equal(pa.concat_tables(out).to_pandas(), flat)
+
+    def test_inline_and_ref_runs_scan_as_one_bucket(self, ray_session):
+        """Three shards of 400, 1100 and 1500 rows at ``chunk_rows=500``:
+        the first run is inline, the others are sub-chunk refs. The chunked
+        scan equals one ``process_bucket`` over the shards' rows."""
+        import ray
+
+        from mpds_ray.pipelines.flagship import ScanPlan, _scan_bucket
+
+        left, right = _bucket_fixture(n_rows=3_000)
+        shards = [left.slice(0, 400), left.slice(400, 1_100), left.slice(1_500)]
+        parts = [self._map(sh, 500) for sh in shards]
+        assert [type(r[0]) for r in parts] == [pa.Table, ray.ObjectRef, ray.ObjectRef]
+        plan = ScanPlan("doc_id", "ts", 300.0, 3_600.0, ["tok_mean"], 500,
+                        ["s0", "s1", "s2"], None, None, frozenset())
+        got: list[pa.Table] = []
+        _scan_bucket(plan, right, parts, got.append)
+        assert len(got) > 1
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert_bit_identical(pa.concat_tables(got), want)
+
+
+class TestSortOnce:
+    """``process_bucket`` sorts only a side that is not in (entity, ts)
+    order, and the order it finds is the order a stable sort makes."""
+
+    @staticmethod
+    def _edge_inputs():
+        """A bucket with tied ts, signed zeros and NaN in the stat and the
+        scores, its rows shuffled."""
+        left, right = _bucket_fixture(n_rows=2_000)
+        stat = left["tok_mean"].to_numpy().copy()
+        stat[::7], stat[1::7], stat[2::11] = -0.0, 0.0, np.nan
+        score = right["score"].to_numpy().copy()
+        score[::5], score[1::5], score[2::9] = -0.0, 0.0, np.nan
+        left = left.set_column(4, "tok_mean", pa.array(stat))
+        right = right.set_column(2, "score", pa.array(score))
+        rng_ = np.random.default_rng(5)
+        return (left.take(rng_.permutation(left.num_rows)),
+                right.take(rng_.permutation(right.num_rows)))
+
+    def test_sides_in_order_take_no_sort(self, monkeypatch):
+        left, right = self._edge_inputs()
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        left, right = _sorted(left), _sorted(right)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a side in (entity, ts) order was sorted")
+
+        monkeypatch.setattr(pc, "sort_indices", banned)
+        got = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        monkeypatch.undo()
+        assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_unsorted_equals_stably_sorted(self, side):
+        left, right = self._edge_inputs()
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        if side != "right":
+            left = _sorted(left)
+        if side != "left":
+            right = _sorted(right)
+        got = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert_bit_identical(got, want)
+
+
 class TestCarrySummaryAtCutsOnly:
     """A chunk's carry summary is taken only when a further chunk follows
     it, and a salted range's summary once, on its collected output."""

@@ -347,3 +347,55 @@ class TestCarryChainNaNEdges:
             rights.append(right0.set_column(0, "doc_id", pa.array([f"e{k}"] * right0.num_rows)))
         left, right = pa.concat_tables(frames), pa.concat_tables(rights)
         assert_bit_identical(self._replay(left, right, cuts), self._want(left, right))
+
+
+class TestStateScansPrefix:
+    """``state_scans`` runs only the cummax and twmean scans. Its
+    ``run_cummax`` and ``run_twmean`` equal ``prefix_features``' ``cummax``
+    and ``twmean`` over the uncut rows bit for bit, for the whole rows and
+    for each piece of a cut: the piece before it scanned with the next
+    piece's head, the piece after it from the carry folded out of the first."""
+
+    GAP = 50.0
+
+    @staticmethod
+    def _rows(seed: int, n: int = 300):
+        """Sorted (ids, ts, stat, score) with ts ties, NaN and signed zeros."""
+        rng = np.random.default_rng(seed)
+        ids, t = rng.integers(0, 4, n), np.round(rng.uniform(0, 1_000, n))
+        order = np.lexsort((t, ids))
+        stat = rng.normal(size=n)
+        stat[::6], stat[1::9], stat[2::9] = np.nan, -0.0, 0.0
+        stat[np.flatnonzero(np.diff(ids[order]))[:1] + 1] = np.nan  # a NaN first stat
+        return ids[order], t[order], stat, rng.normal(size=n)
+
+    def _pieces(self, ids, t, stat, score, k):
+        """``state_scans`` of rows [0, k) with the head of [k, n), and of
+        [k, n) from the carry folded out of [0, k)."""
+        from mpds_ray.stages.salted import (
+            at_cut, chunk_carry_info, fold_carry, piece_head, state_scans,
+        )
+
+        tbl = pa.table({"e": ids, "ts": t, "s": stat, "score_asof": score})
+        first, rest = tbl.slice(0, k), tbl.slice(k)
+        _, head = at_cut(first["e"], None, piece_head(rest, "e", "ts", "s"))
+        a = state_scans(ids[:k], t[:k], stat[:k], score[:k], self.GAP, None, head)
+        feats = first.append_column("run_cummax", pa.array(a["run_cummax"])).append_column(
+            "session_seq", pa.array(a["session_seq"]))
+        carry, _ = at_cut(rest["e"], fold_carry(None, chunk_carry_info(feats, "e", "ts", "s"),
+                                                self.GAP), None)
+        b = state_scans(ids[k:], t[k:], stat[k:], score[k:], self.GAP, carry, None)
+        return {c: np.r_[a[c], b[c]] for c in ("run_cummax", "run_twmean")}
+
+    @pytest.mark.parametrize("seed", [9, 10])
+    @pytest.mark.parametrize("cut", [None, 1, 37, 150, 299])
+    def test_equal_prefix_features(self, seed, cut):
+        from mpds_ray.stages.salted import state_scans
+        from mpds_ray.stages.scans import prefix_features
+
+        ids, t, stat, score = self._rows(seed)
+        got = (state_scans(ids, t, stat, score, self.GAP) if cut is None
+               else self._pieces(ids, t, stat, score, cut))
+        want = prefix_features(ids, t, stat)
+        for k in ("cummax", "twmean"):
+            assert got[f"run_{k}"].tobytes() == want[k].tobytes(), k
