@@ -17,9 +17,10 @@
 ``run_flagship_exchange`` is the engine, with one reduce protocol
 (``scan_chunks_with_carry`` into ``ChunkPartitionSink``):
 
-- a bucket is one chunk (its concatenated map slices) by default;
-- with ``chunk_rows`` its sorted runs (inline up to ``chunk_rows`` rows,
-  else sub-chunk objects) merge into chunks of ~that many rows
+- a bucket is one chunk (its concatenated map runs) by default;
+- with ``chunk_rows`` its sorted runs (in the map object's table up to
+  ``chunk_rows`` rows, else sub-chunk objects) merge into chunks of ~that
+  many rows
   (stages/chunked.py), so reduce memory is bounded by chunks;
 - a hot entity is range-salted into extra partitions: phase-1 tasks scan
   its ts ranges in parallel, each as a bucket is scanned, the driver folds
@@ -27,10 +28,13 @@
   state-dependent features from its carry and commit through the same sink.
 
 Buckets and salted ranges are partitions; tasks are groups of them
-(``exchange.task_groups``), each run one partition after the other.
+(``exchange.task_groups``), each run one partition after the other. Map
+tasks are groups of shards by the same rule, and each returns one Arrow
+table per reduce group (``exchange.GroupSlices``), from which the reduce
+carves its per-shard runs zero-copy (``exchange.group_runs``).
 
-The bucket stays Arrow from the exchange to the sink: map slices arrive as
-``pa.Table``s, ``process_bucket`` sorts only a side out of (entity, ts)
+The bucket stays Arrow from the exchange to the sink: map runs arrive as
+``pa.Table`` slices, ``process_bucket`` sorts only a side out of (entity, ts)
 order (not a merged chunk, nor the scores, sorted once on the driver), scans
 them as Arrow columns and NumPy entity runs (``partition.run_bounds`` over
 integer entity codes) and returns a ``pa.Table``, and the sink writes and
@@ -74,10 +78,12 @@ import ray
 from ..stages.asof import asof_join_arrays
 from ..stages.chunked import sorted_run_merge
 from ..stages.exchange import (
+    GroupSlices,
     _split_by_bucket,
     auto_num_buckets,
     collect_frames,
     exchange_map,
+    group_runs,
     key_bucket,
     shard_map,
     task_groups,
@@ -445,9 +451,9 @@ class ScanPlan:
     done: frozenset
 
     def contributors(self, parts) -> list[str]:
-        """Lineage: the input fragments whose map slices hold rows of a
-        bucket (a slice is a table, or a list of its sub-chunks)."""
-        return [self.frag_names[s] for s, p in enumerate(parts) if len(p)]
+        """Lineage: the input fragments whose runs hold rows of a partition
+        (``parts[s]`` is the list of shard s's chunks, from ``group_runs``)."""
+        return [self.frag_names[s] for s, p in enumerate(parts) if p]
 
     def commit(self, b: int, frags: list[str], scan):
         """Run ``scan(emit)`` for partition ``b`` into its file, or into one
@@ -475,7 +481,7 @@ def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
     """One partition's (a hash bucket's or a salted range's) chunk stream
     through ``scan_chunks_with_carry``."""
     if plan.chunk_rows is None:
-        chunks = [pa.concat_tables([p for p in parts if p.num_rows])]
+        chunks = [pa.concat_tables([t for p in parts for t in p])]
     else:
         chunks = sorted_run_merge([iter(p) for p in parts], plan.entity, plan.ts, plan.chunk_rows)
     scan_chunks_with_carry(chunks, right, plan.entity, plan.ts, plan.session_gap, plan.tolerance,
@@ -483,24 +489,25 @@ def _scan_bucket(plan: ScanPlan, right: pa.Table, parts, emit) -> None:
 
 
 @ray.remote
-def reduce_bucket(plan: ScanPlan, buckets: range, rights: list[pa.Table], *groups):
-    """One group of hash buckets (``groups[s]`` is map task s's object: its
-    slices of each bucket of the group), each scanned into its own
-    partition and committed before the next starts."""
+def reduce_bucket(plan: ScanPlan, buckets: range, scores: GroupSlices, *objs):
+    """One group of hash buckets (``objs`` are every map task's
+    ``GroupSlices`` of the group, ``scores`` the group's score rows), each
+    scanned into its own partition and committed before the next starts."""
+    rights = [r for (r,) in scores.slices()]
     return [
         plan.commit(b, plan.contributors(parts), partial(_scan_bucket, plan, right, parts))
-        for b, right, parts in zip(buckets, rights, zip(*groups))
+        for b, right, parts in zip(buckets, rights, group_runs(objs))
     ]
 
 
 @ray.remote(num_returns=3)
-def scan_range(plan: ScanPlan, right: pa.Table, *groups):
+def scan_range(plan: ScanPlan, right: pa.Table, *objs):
     """Phase 1 of a group of one hot entity's salted ranges: scan each
     range alone, as a bucket is scanned (``_scan_bucket``, so ``chunk_rows``
     bounds its scan too), then summarize it once. The summaries ride back
     separately, so the driver's fold never fetches the features tables."""
     feats, frags = [], []
-    for parts in zip(*groups):
+    for parts in group_runs(objs):
         frags.append(plan.contributors(parts))
         feats.append(_collect(partial(_scan_bucket, plan, right, parts)) if frags[-1] else None)
     infos = [chunk_carry_info(f, plan.entity, plan.ts, plan.stat_cols[0]) for f in feats]
@@ -537,13 +544,15 @@ def run_flagship_exchange(
     chunk_rows: int | None = None,
 ) -> pd.DataFrame:
     """Flagship on the explicit two-stage hash exchange (stages.exchange):
-    map tasks fuse read + windowed stats + bucket split. Buckets are
-    partitions, tasks are groups (``task_groups``): one reduce task per
-    group streams each bucket's chunks through ``scan_chunks_with_carry``
-    into its ``ChunkPartitionSink`` and commits it. The scores table is
-    sorted by (entity, ts) and split by bucket (and by hot entity) once on
-    the driver, in Arrow; each task receives only its buckets' slices, which
-    ``process_bucket`` takes without a sort.
+    map tasks (groups of shards) fuse read + windowed stats + bucket split
+    and return one table per reduce group. Buckets are partitions, tasks
+    are groups (``task_groups``): one reduce task per group streams each
+    bucket's chunks through ``scan_chunks_with_carry`` into its
+    ``ChunkPartitionSink`` and commits it. The scores table is sorted by
+    (bucket, entity, ts) once on the driver, in Arrow, and filtered by hot
+    entity; each reduce task receives its group's contiguous range of it as
+    one table with per-bucket counts, whose slices ``process_bucket`` takes
+    without a sort.
 
     ``chunk_rows`` bounds the scan's memory to two chunks of ~that many
     rows, merged from sorted map runs (stages/chunked.py). Without it a
@@ -637,7 +646,7 @@ def run_flagship_exchange(
                                      sort_keys=[entity, ts])
     scores = pa.concat_tables(bucket_scores)  # the same slices: (bucket, entity, ts) order
     out = [
-        reduce_bucket.remote(plan, g, bucket_scores[g.start:g.stop], *by_group[g])
+        reduce_bucket.remote(plan, g, GroupSlices.build([bucket_scores], g), *by_group[g])
         for g in bucket_groups
     ]
     for e, gs in range_groups.items():

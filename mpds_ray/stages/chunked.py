@@ -7,13 +7,15 @@ boundary state from chunk to chunk
 stream is the concatenated partition as one chunk. With it, the stream is
 bounded, for partitions far beyond one task's RAM:
 
-- map side (stages/exchange.py ``sort_keys``/``chunk_rows``): each per-bucket
-  slice is SORTED by the scan key. A slice of at most ``chunk_rows`` rows
-  rides inline in its map object; a longer one is cut into chunk-sized
-  ``ray.put`` sub-objects that a reduce task fetches one at a time. Inlining
-  adds no rows to a one-bucket task's peak (the merge holds each run's first
-  sub-chunk from its start anyway); an object holds several buckets' slices
-  only when ``task_groups``' byte rule groups them;
+- map side (stages/exchange.py ``sort_keys``/``chunk_rows``): each
+  (shard, bucket) run is SORTED by the scan key. A run of at most
+  ``chunk_rows`` rows rides in its map object's one table
+  (``exchange.GroupSlices``); a longer one is left out of the table and cut
+  into chunk-sized ``ray.put`` sub-objects that a reduce task fetches one
+  at a time. Keeping short runs in the table adds no rows to a one-bucket
+  task's peak (the merge holds each run's first sub-chunk from its start
+  anyway); an object holds several buckets' runs only when
+  ``task_groups``' byte rule groups them;
 - reduce side (``sorted_run_merge``): the runs of a partition that fits in
   ``target_rows`` rows (each run one sub-chunk, told by its length hint)
   are one chunk, concatenated and sorted once. A larger partition is a

@@ -11,9 +11,9 @@ Dataset API cannot express efficiently:
     map task (``exchange_map``, one per source, fully parallel):
         source -> map_fn -> bucket = bucket_fn(rows) in [0, P)
         -> ONE stable argsort by bucket -> P zero-copy table slices
-        (``num_returns=P``: each slice is its own object, fetched only by
-        its reduce task — the all-to-all moves through the object store
-        with no driver barrier)
+        (``num_returns=P``: each bucket's slice is its own object, fetched
+        only by its reduce task — the all-to-all moves through the object
+        store with no driver barrier)
     reduce task (``reduce_grid``, one per bucket, fully parallel):
         per source grid, concat bucket b's non-empty slices (``None`` when
         the grid has no rows there) -> reduce_fn(b, *tables)
@@ -34,9 +34,15 @@ bucket rule of a keyed exchange: ``stable_bucket`` of one key column.
 
 Buckets are partitions; tasks are groups of them. Bucket ``b`` is always
 partition ``b``; ``task_groups`` only decides how many tasks run them. With
-``groups`` a map task returns one object per group (the group's per-bucket
-slices), and the flagship runs each group in one reduce task, so a small
-input costs one reduce task whatever its bucket count. ``reduce_grid``
+``groups`` (the flagship's exchange) the sources are grouped into map tasks
+by the same rule, and each map task returns one ``GroupSlices`` per group:
+its sources' rows of the group's buckets as ONE Arrow table, with the row
+count of every (source, bucket) run. The flagship runs each group in one
+reduce task, which carves the runs back out of the table zero-copy
+(``group_runs``). So a small input costs one map and one reduce task
+whatever its shard and bucket counts, and Ray's Arrow serializer, whose
+cost grows with the number of tables and chunks it walks, sees one table
+per object instead of one per (source, bucket) slice. ``reduce_grid``
 runs one task per bucket, which runs its grids' deferred maps.
 
 ``reduce_grid`` is the one reducer of every exchange: a one-grid reduce
@@ -54,9 +60,10 @@ the filter pushed into the scan and returns ``fn(table)``. Every query and
 the flagship run on these plain tasks; no query runs Ray Data (the
 Dataset-native flagship is kept only as perfbench's reference engine).
 
-The engine's generic tasks are three module-level remote functions:
-``_map_shard`` (a map task), ``_reduce_bucket`` (a reduce task) and
-``_read_map`` (a ``shard_map`` task), exported once per process. The
+The engine's generic tasks are four module-level remote functions:
+``_map_shard`` and ``_map_group`` (a map task without and with ``groups``),
+``_reduce_bucket`` (a reduce task) and ``_read_map`` (a ``shard_map``
+task), exported once per process. The
 per-call callables and parameters travel as task arguments (``reduce_fn``
 and ``fn`` are ``ray.put`` once when several tasks share them, else
 inline), so a call costs no function export and no worker re-import of a fresh function.
@@ -83,6 +90,7 @@ from typing import NamedTuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from .partition import stable_bucket
@@ -133,24 +141,83 @@ def _split_by_bucket(
     num_buckets: int,
     sort_keys: list[str] | None = None,
 ) -> list[pa.Table]:
-    """One stable argsort + P zero-copy slices of the bucket-sorted table.
-    With ``sort_keys`` the single sort is a stable lexsort by (bucket, *keys)
-    so every slice is additionally a sorted RUN (the chunked-reduce merge
-    input); ties keep original within-shard order either way. One bucket
-    and no keys: the table itself, not a sorted copy."""
+    """One stable sort by bucket + P zero-copy slices of the bucket-sorted
+    table. With ``sort_keys`` the single sort is one stable
+    ``pc.sort_indices`` by (bucket, *keys), so every slice is additionally
+    a sorted RUN (the chunked-reduce merge input); ties keep original
+    within-shard order either way. One bucket and no keys: the table
+    itself, not a sorted copy."""
     if num_buckets == 1 and not sort_keys:
         return [table]
     if sort_keys:
-        keys = [table[c].to_numpy(zero_copy_only=False) for c in sort_keys]
-        order = np.lexsort((*reversed(keys), bucket))
+        keys = pa.Table.from_arrays([pa.array(bucket), *(table[c] for c in sort_keys)],
+                                    names=[str(i) for i in range(len(sort_keys) + 1)])
+        order = pc.sort_indices(keys, sort_keys=[(c, "ascending") for c in keys.column_names])
     else:
-        order = np.argsort(bucket, kind="stable")
-    sorted_tbl = table.take(pa.array(order))
+        order = pa.array(np.argsort(bucket, kind="stable"))
+    sorted_tbl = table.take(order)
     counts = np.bincount(bucket, minlength=num_buckets)
     offsets = np.r_[0, np.cumsum(counts)]
     return [
         sorted_tbl.slice(int(offsets[b]), int(counts[b])) for b in range(num_buckets)
     ]
+
+
+class GroupSlices(NamedTuple):
+    """A grouped map task's object for one group of buckets: its sources'
+    rows of those buckets as ONE table with one chunk per column, bucket
+    after bucket and in source order within a bucket. ``rows[s, j]`` is the
+    table's row count of source s's run of the group's j-th bucket. A run
+    longer than ``chunk_rows`` is not in the table: ``chunks[(s, j)]`` holds
+    its ``ray.put`` sub-chunks."""
+
+    table: pa.Table
+    rows: np.ndarray
+    chunks: dict
+
+    @classmethod
+    def build(cls, split: list, group: range, chunk_rows: int | None = None) -> "GroupSlices":
+        """From ``split[s]``, source s's per-bucket slices (``None`` for a
+        source with no rows), the object of the buckets in ``group``."""
+        from .chunked import split_chunks
+
+        rows = np.zeros((len(split), len(group)), dtype=np.int64)
+        pieces, chunks = [], {}
+        for j, b in enumerate(group):
+            for s, parts in enumerate(split):
+                if parts is None:
+                    continue
+                p = parts[b]
+                if chunk_rows is not None and p.num_rows > chunk_rows:
+                    chunks[(s, j)] = [ray.put(c) for c in split_chunks(p, chunk_rows)]
+                    p = p.slice(0, 0)
+                pieces.append(p)
+                rows[s, j] = p.num_rows
+        table = pa.concat_tables(pieces).combine_chunks() if pieces else pa.table({})
+        return cls(table, rows, chunks)
+
+    def slices(self) -> list[list[pa.Table]]:
+        """``slices[j][s]``: the zero-copy slice of the table that holds
+        source s's rows of the group's j-th bucket (no rows for a run kept
+        in ``chunks``)."""
+        n_src, n_b = self.rows.shape
+        offsets = np.r_[0, np.cumsum(self.rows.T.ravel())].tolist()
+        return [[self.table.slice(offsets[j * n_src + s], int(self.rows[s, j]))
+                 for s in range(n_src)] for j in range(n_b)]
+
+    def runs(self) -> list[list[list]]:
+        """``runs[j][s]``: the chunks of source s's run of the group's j-th
+        bucket, its slice of the table (none for no rows) or its sub-chunk
+        refs."""
+        return [[self.chunks.get((s, j), [t] if t.num_rows else []) for s, t in enumerate(row)]
+                for j, row in enumerate(self.slices())]
+
+
+def group_runs(objs) -> list[list[list]]:
+    """``runs[j][s]`` over every map task's ``GroupSlices`` of one group, in
+    map task order: the group's j-th bucket's runs in source order."""
+    per_task = [o.runs() for o in objs]
+    return [[run for runs in per_task for run in runs[j]] for j in range(len(per_task[0]))]
 
 
 def auto_num_buckets(
@@ -195,16 +262,16 @@ def exchange_map(
     chunk_rows: int | None = None,
     groups: list[range] | None = None,
 ) -> list[list["ray.ObjectRef"]]:
-    """Map phase only: one task per source, ``bucket_fn`` assigns each row
-    a bucket in [0, num_buckets); returns ``refs[s][b]`` = the slice of
-    source s destined for bucket b (each its own object — fetched only by
-    its consumer). ``reduce_grid`` drives the reduce side; the flagship
+    """Map phase only: ``bucket_fn`` assigns each row a bucket in
+    [0, num_buckets). Without ``groups``, one task per source returns
+    ``refs[s][b]`` = the slice of source s destined for bucket b (each its
+    own object — fetched only by its consumer). ``reduce_grid`` drives the reduce side; the flagship
     drives its own (it streams each bucket through a carry scan into a
     resumable sink).
 
-    One source at one bucket (no ``groups``, ``chunk_rows`` or ``sort_keys``)
-    starts no task: ``refs[0][0]`` is the upstream output itself
-    (``map_fn=None``) or a ``DeferredMap`` of a path or an Arrow table.
+    One source at one bucket (and no ``groups``) starts no task:
+    ``refs[0][0]`` is the upstream output itself (``map_fn=None``) or a
+    ``DeferredMap`` of a path or an Arrow table.
 
     A source is a shard path or an upstream output (an Arrow table or its
     ObjectRef). A ``None`` or 0-row upstream output gives empty slices
@@ -212,36 +279,47 @@ def exchange_map(
     A ``map_fn`` taking two positional arguments also receives the source
     (the shard path, so a map can write per-fragment side outputs).
 
-    ``groups`` (contiguous ranges covering [0, num_buckets), from
-    ``task_groups``) makes ``refs[s][g]`` the list of source s's slices of
-    group g's buckets instead, for a reduce task that runs the group.
-
     ``columns`` prunes the shard read; ``filters`` (a pyarrow dataset
     expression) pushes a row predicate into the scan — row-group pruning at
     the read, so filtered rows never leave storage. Both apply to shard
     reads only: an upstream output is mapped whole.
 
-    ``sort_keys`` + ``chunk_rows`` enable the BOUNDED-MEMORY reduce protocol
-    (stages/chunked.py): each bucket slice is sorted by the keys and
-    ``refs[s][b]`` is the LIST of its sub-chunks (empty for no rows): the
-    slice itself up to ``chunk_rows`` rows, else <= chunk_rows ``ray.put``
-    sub-objects a reduce task fetches and releases one at a time."""
+    ``groups`` (contiguous ranges covering [0, num_buckets), from
+    ``task_groups``) groups the shard paths ``sources`` into map tasks by
+    ``task_groups`` too, and makes ``refs[m][g]`` map task m's
+    ``GroupSlices`` of group g, for a reduce task that runs the group
+    (``group_runs`` gives its runs in source order). Each source is still
+    mapped and split by bucket on its own.
+
+    With ``groups``, ``sort_keys`` + ``chunk_rows`` enable the
+    BOUNDED-MEMORY reduce protocol (stages/chunked.py): each run is sorted
+    by the keys, and one longer than ``chunk_rows`` rows is left out of the
+    table as <= chunk_rows ``ray.put`` sub-chunks, which a reduce task
+    fetches and releases one at a time."""
     map_takes_path = map_fn is not None and accepts_n_positional(map_fn, 2)
-    if (num_buckets == 1 and len(sources) == 1 and groups is None and chunk_rows is None
-            and not sort_keys and (map_fn is None or not isinstance(sources[0], ray.ObjectRef))):
+    if groups is not None:
+        task = _map_group.options(num_returns=len(groups))
+        refs = [
+            task.remote(
+                [sources[i] for i in m], map_fn, map_takes_path, bucket_fn, num_buckets,
+                columns, filters, sort_keys, chunk_rows, groups,
+            )
+            for m in task_groups(range(len(sources)), sources)
+        ]
+        return [[r] for r in refs] if len(groups) == 1 else refs
+    if sort_keys or chunk_rows is not None:
+        raise ValueError("sort_keys and chunk_rows need groups")
+    if (num_buckets == 1 and len(sources) == 1
+            and (map_fn is None or not isinstance(sources[0], ray.ObjectRef))):
         s = sources[0]
         return [[s if map_fn is None and not isinstance(s, str)
                  else DeferredMap(s, map_fn, map_takes_path, columns, filters)]]
-    n_out = num_buckets if groups is None else len(groups)
-    task = _map_shard.options(num_returns=n_out)
+    task = _map_shard.options(num_returns=num_buckets)
     refs = [
-        task.remote(
-            src, map_fn, map_takes_path, bucket_fn, num_buckets,
-            columns, filters, sort_keys, chunk_rows, groups,
-        )
+        task.remote(src, map_fn, map_takes_path, bucket_fn, num_buckets, columns, filters)
         for src in sources
     ]
-    if n_out == 1:
+    if num_buckets == 1:
         refs = [[r] for r in refs]
     return refs
 
@@ -275,26 +353,32 @@ def resolve_cell(cell):
 
 
 @ray.remote
-def _map_shard(
-    src, map_fn, map_takes_path, bucket_fn, num_buckets,
-    columns, filters, sort_keys, chunk_rows, groups,
-):
+def _map_shard(src, map_fn, map_takes_path, bucket_fn, num_buckets, columns, filters):
     """``exchange_map``'s task: read or take one source, map it, split it
-    by bucket, and return one object per bucket or, with ``groups``, per
-    group."""
+    by bucket, and return one object per bucket."""
     t = DeferredMap(src, map_fn, map_takes_path, columns, filters).run()
     if t is None:
         parts = [pa.table({})] * num_buckets
     else:
-        parts = _split_by_bucket(t, bucket_fn(t), num_buckets, sort_keys=sort_keys)
-    if chunk_rows is not None:
-        from .chunked import split_chunks
-
-        cuts = [split_chunks(p, chunk_rows) for p in parts]
-        parts = [cs if len(cs) == 1 else [ray.put(c) for c in cs] for cs in cuts]
-    if groups is not None:
-        parts = [parts[g.start:g.stop] for g in groups]
+        parts = _split_by_bucket(t, bucket_fn(t), num_buckets)
     return tuple(parts) if len(parts) > 1 else parts[0]
+
+
+@ray.remote
+def _map_group(
+    srcs, map_fn, map_takes_path, bucket_fn, num_buckets,
+    columns, filters, sort_keys, chunk_rows, groups,
+):
+    """``exchange_map``'s task with ``groups``: read or take each source,
+    map it and split it by bucket, then return one ``GroupSlices`` per
+    group."""
+    split = []
+    for src in srcs:
+        t = DeferredMap(src, map_fn, map_takes_path, columns, filters).run()
+        split.append(None if t is None
+                     else _split_by_bucket(t, bucket_fn(t), num_buckets, sort_keys=sort_keys))
+    objs = [GroupSlices.build(split, g, chunk_rows) for g in groups]
+    return tuple(objs) if len(objs) > 1 else objs[0]
 
 
 def shard_map(

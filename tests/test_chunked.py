@@ -179,20 +179,22 @@ class TestScanChunksWithCarry:
 
 
 class TestInlineRuns:
-    """The chunked map keeps a slice of at most ``chunk_rows`` rows inline,
-    as one table inside its object; only a longer slice becomes ``ray.put``
+    """The chunked map keeps a run of at most ``chunk_rows`` rows inline,
+    in the one table of its object; only a longer run becomes ``ray.put``
     sub-chunks. The merge fetches only those."""
 
     @staticmethod
     def _map(t: pa.Table, chunk_rows: int):
-        """``_map_shard``'s run of ``t`` at one bucket, sorted by (doc_id, ts)."""
-        from mpds_ray.stages.exchange import _map_shard
+        """The grouped map's run of ``t`` at one bucket, sorted by (doc_id, ts)."""
+        from mpds_ray.stages.exchange import _map_group
 
         def one_bucket(x):
             return np.zeros(x.num_rows, dtype=np.int32)
 
-        return _map_shard._function(t, None, False, one_bucket, 1, None, None,
-                                    ["doc_id", "ts"], chunk_rows, None)
+        obj = _map_group._function([t], None, False, one_bucket, 1, None, None,
+                                   ["doc_id", "ts"], chunk_rows, [range(1)])
+        ((run,),) = obj.runs()
+        return run
 
     def test_map_inlines_a_slice_of_chunk_rows(self, ray_session):
         import ray
@@ -322,21 +324,20 @@ class TestCarrySummaryAtCutsOnly:
 
     @pytest.mark.parametrize("chunk_rows", [None, 4096])
     def test_scan_range_one_summary_per_range(self, ray_session, monkeypatch, chunk_rows):
-        import ray
-
         from mpds_ray.pipelines.flagship import ScanPlan, scan_range
+        from mpds_ray.stages.exchange import GroupSlices
 
         left, right = _bucket_fixture(n_rows=1_200)
         srt = _sorted(left)
-        # two ranges, each split over two shards; shard s holds rows s::2
+        # two ranges, each split over two shards; shard s holds rows s::2,
+        # and each shard is its own map task's object
         ranges = [srt.slice(0, 600), srt.slice(600)]
-        shards = [[r.take(np.arange(s, r.num_rows, 2)) for r in ranges] for s in range(2)]
-        if chunk_rows is not None:  # the chunked map's shape: lists of sub-chunk refs
-            shards = [[[ray.put(t)] for t in sh] for sh in shards]
+        objs = [GroupSlices.build([[r.take(np.arange(s, r.num_rows, 2)) for r in ranges]],
+                                  range(2), chunk_rows) for s in range(2)]
         plan = ScanPlan("doc_id", "ts", 300.0, 3_600.0, ["tok_mean"], chunk_rows,
                         ["s0", "s1"], None, None, frozenset())
         calls = self._counted(monkeypatch)
-        feats, infos, _ = scan_range._function(plan, right, *shards)
+        feats, infos, _ = scan_range._function(plan, right, *objs)
         assert len(calls) == len(ranges) == len(infos)
         for f, r in zip(feats, ranges):
             assert f.num_rows == r.num_rows

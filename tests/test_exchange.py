@@ -48,6 +48,22 @@ class TestSplit:
         # stable: the (a, 2.0) tie keeps original order (uid 1 before 4)
         assert run["uid"].to_pylist() == [2, 1, 4, 3, 0]
 
+    def test_sort_keys_order_equals_lexsort(self):
+        """The one (bucket, *keys) ``sort_indices`` gives the order of a stable
+        NumPy lexsort over the key columns: string keys, tied ts, -0.0 tied
+        with 0.0 and NaN last."""
+        rng = np.random.default_rng(5)
+        n = 400
+        ts = rng.choice([0.0, -0.0, 1.0, 2.5, np.nan, -3.0], n)
+        t = pa.table({"e": [f"e{v}" for v in rng.integers(0, 7, n)], "ts": ts,
+                      "uid": np.arange(n)})
+        bucket = rng.integers(0, 3, n)
+        keys = [t[c].to_numpy(zero_copy_only=False) for c in ("e", "ts")]
+        want = np.lexsort((*reversed(keys), bucket))
+        parts = _split_by_bucket(t, bucket, 3, sort_keys=["e", "ts"])
+        assert [p.num_rows for p in parts] == np.bincount(bucket, minlength=3).tolist()
+        assert pa.concat_tables(parts)["uid"].to_numpy().tolist() == want.tolist()
+
 
 class TestAutoNumBuckets:
     def test_scales_with_bytes_and_clamps(self, tmp_path):

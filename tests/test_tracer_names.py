@@ -78,8 +78,8 @@ def test_scan_bucket_enters_traced_functions(monkeypatch, chunk_rows, expected):
 
     left, right = _bucket()
     shards = [left.slice(0, 300), left.slice(300)]
-    if chunk_rows is None:
-        parts = shards
+    if chunk_rows is None:  # a run is the list of its chunks, one here
+        parts = [[sh] for sh in shards]
     else:  # the chunked map's runs: sorted, cut into sub-chunks
         keys = [("doc_id", "ascending"), ("ts", "ascending")]
         parts = [split_chunks(s.sort_by(keys), chunk_rows) for s in shards]
@@ -99,3 +99,40 @@ def test_apply_carry_enters_traced_scans(monkeypatch):
     entered = _spy(monkeypatch, CHUNKED)
     flagship_apply_carry(feats, None, None, "doc_id", "ts", "tok_mean", 300.0)
     assert entered == SCANS
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 64], ids=["flat", "chunked"])
+def test_grouped_map_enters_split_and_bucket(ray_session, monkeypatch, chunk_rows):
+    """The flagship's grouped map task still splits each source on its own:
+    it enters ``stable_bucket`` and ``_split_by_bucket``, and each split is
+    a list of per-bucket tables, which perfbench's ``exchange.split``
+    attributes (``_split_slices``) read."""
+    from functools import partial
+
+    from mpds_ray.stages.exchange import _map_group, key_bucket
+    from perfbench.tracing import _split_slices
+
+    left, _ = _bucket()
+    splits = []
+    entered = _spy(monkeypatch, {"stable_bucket"})
+    module = importlib.import_module("mpds_ray.stages.exchange")
+    orig = module._split_by_bucket
+
+    def split(*args, **kwargs):
+        splits.append((args, orig(*args, **kwargs)))
+        return splits[-1][1]
+
+    monkeypatch.setattr(module, "_split_by_bucket", split)
+    sources = [left.slice(0, 300), left.slice(300)]
+    groups = [range(0, 2), range(2, 4)]
+    objs = _map_group._function(
+        sources, None, False, partial(key_bucket, key="doc_id", num_buckets=4), 4, None, None,
+        ["doc_id", "ts"] if chunk_rows else None, chunk_rows, groups,
+    )
+    assert entered == {"stable_bucket"}
+    assert len(splits) == len(sources)
+    for args, result in splits:
+        assert isinstance(result, list) and len(result) == 4
+        assert all(isinstance(t, pa.Table) for t in result)
+        assert sum(_split_slices(args, result)["rows"]) == args[0].num_rows
+    assert len(objs) == len(groups)

@@ -13,10 +13,11 @@ Runs ``run_flagship_exchange`` on fixed synthetic inputs
 - ``heavy``: ``NARROW_STATS`` plus the DFA and Lomb-Scargle columns.
 
 ``--dump`` copies every partition file and writes the manifest's
-``(rows, checksum)`` per partition under ``DIR/<config>/``. ``--same-as``
-compares a fresh run with such a dump: the same partitions, each table
-equal in schema (its metadata ignored), row order, values and null masks,
-every float column equal bit for bit, and the same manifest records.
+``(rows, checksum, input_fragments)`` per partition under ``DIR/<config>/``.
+``--same-as`` compares a fresh run with such a dump: the same partitions,
+each table equal in schema (its metadata ignored), row order, values and
+null masks, every float column equal bit for bit, and the same manifest
+records, lineage included.
 perfbench compares flagship output only at float32; this is the exact check.
 
 The tool imports the engine from its own checkout, and its Ray workers do
@@ -66,7 +67,8 @@ def manifest_records(out_dir: str) -> dict:
     from mpds_ray.state.manifest import Manifest
 
     recs = Manifest(os.path.join(out_dir, "manifest.jsonl")).records()
-    return {str(r["partition_id"]): [r["row_count"], r["checksum"]] for r in recs}
+    return {str(r["partition_id"]): [r["row_count"], r["checksum"], r["input_fragments"]]
+            for r in recs}
 
 
 def table_problems(got, want) -> list[str]:
@@ -135,7 +137,7 @@ def main() -> int:
                 )]
             with open(os.path.join(dest, "manifest.json")) as f:
                 if records != json.load(f):
-                    problems.append("manifest (rows, checksum) records differ")
+                    problems.append("manifest (rows, checksum, input_fragments) records differ")
             failed += bool(problems)
             print(f"FAIL {config}: " + "; ".join(problems) if problems
                   else f"SAME {config}: {len(parts)} partitions")
