@@ -42,12 +42,10 @@ def shard_list(sf_dir: str, name: str) -> list[str]:
     return [path]
 
 
-def exchange_buckets(sf_dir: str, tables: tuple[str, ...], num_buckets: int | None) -> int:
-    """``num_buckets`` when given, else ``auto_num_buckets`` over the shards
-    of every table the query exchanges — so every hop of a multi-hop join is
-    sized from the same inputs."""
-    if num_buckets is not None:
-        return num_buckets
+def exchange_buckets(sf_dir: str, tables: tuple[str, ...]) -> int:
+    """``auto_num_buckets`` over the shards of every table the query
+    exchanges — so every hop of a multi-hop join is sized from the same
+    inputs."""
     from ..stages.exchange import auto_num_buckets
 
     return auto_num_buckets([p for t in tables for p in shard_list(sf_dir, t)])

@@ -31,18 +31,18 @@ FEATURES = ["value", "secs_since_prev", "cum_value", "hour_of_day"]
 TRAIN_ROW_CAP = 500_000
 
 
-def build_design_matrix(sf_dir: str, row_cap: int = TRAIN_ROW_CAP) -> pd.DataFrame:
+def build_design_matrix(sf_dir: str) -> pd.DataFrame:
     """Distributed feature build (the scans run per bucket), collected as the
     TRAINING design matrix — mirrors the notebook's dataset.csv load (cells
     2-16). SURVEY L1 licenses training on a collected SAMPLE: when the events
-    table exceeds ``row_cap`` rows (parquet metadata, no scan), a
+    table exceeds ``TRAIN_ROW_CAP`` rows (parquet metadata, no scan), a
     deterministic user-hash slice is taken so the collect stays bounded and
     seed-stable; scoring remains fully distributed (the tested Scorer actor).
     At driver/test scale every row survives, so outputs are reproducible."""
     from .common import table_num_rows
 
     n_rows = table_num_rows(sf_dir, "events")
-    mod = max(1, int(np.ceil(n_rows / row_cap)))
+    mod = max(1, int(np.ceil(n_rows / TRAIN_ROW_CAP)))
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         if mod > 1:
@@ -83,7 +83,11 @@ def build_design_matrix(sf_dir: str, row_cap: int = TRAIN_ROW_CAP) -> pd.DataFra
     return df.sort_values(["user_id", "ts"]).reset_index(drop=True)
 
 
-def make_order_pairs_events(df: pd.DataFrame, cap: int = 5000, seed: int = 42) -> np.ndarray:
+ORDER_PAIR_CAP = 5000
+ORDER_PAIR_SEED = 42
+
+
+def make_order_pairs_events(df: pd.DataFrame) -> np.ndarray:
     """(purchase, view) index pairs within each user — the 'higher stage'
     row first (dssGenerateClinicalComparisons shape, dssFunctionLibrary.R:119-171)."""
     pairs = []
@@ -95,7 +99,7 @@ def make_order_pairs_events(df: pd.DataFrame, cap: int = 5000, seed: int = 42) -
             pp, vv = np.meshgrid(p_idx[:20], v_idx[:20], indexing="ij")
             pairs.append(np.column_stack([pp.ravel(), vv.ravel()]))
     allp = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    return subsample_pairs(allp, cap, seed)
+    return subsample_pairs(allp, ORDER_PAIR_CAP, ORDER_PAIR_SEED)
 
 
 def zscale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,7 +109,12 @@ def zscale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x - mu) / sd, mu, sd
 
 
-def train_and_score(sf_dir: str, creg1: float = 10.0, creg2: float = 1.0) -> dict:
+# DSSL regularization weights of the order and smoothness terms
+CREG1 = 10.0
+CREG2 = 1.0
+
+
+def train_and_score(sf_dir: str) -> dict:
     df = build_design_matrix(sf_dir)
     x, mu, sd = zscale(df[FEATURES].to_numpy(dtype=np.float64))
 
@@ -116,7 +125,7 @@ def train_and_score(sf_dir: str, creg1: float = 10.0, creg2: float = 1.0) -> dic
     ts_arr = df["ts"].to_numpy()
     dt_s = np.maximum(np.abs(ts_arr[smooth_pairs[:, 0]] - ts_arr[smooth_pairs[:, 1]]), 1.0)
 
-    w = train_dssl_linear(diff_o, diff_s, dt_s, mu_o=1.0, h=0.5, creg1=creg1, creg2=creg2)
+    w = train_dssl_linear(diff_o, diff_s, dt_s, mu_o=1.0, h=0.5, creg1=CREG1, creg2=CREG2)
 
     scores = x @ w  # M11 linear scoring (distributed form: broadcast w,
     # per-shard mat-vec — exercised in tests; collected here for eval)

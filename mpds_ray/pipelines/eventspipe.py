@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..stages import sketch
 from ..stages.asof import asof_join_arrays
 from ..stages.scans import (
     locf_with_expiration,
@@ -29,9 +30,7 @@ from .common import round_half_away, shard_groupby_sum, shard_list
 SESSION_GAP = 1800.0  # 30 min
 
 
-def _per_bucket_events(
-    sf_dir: str, columns: list[str], fn, num_buckets: int | None = None
-):
+def _per_bucket_events(sf_dir: str, columns: list[str], fn):
     """The events-table bucket scan over the explicit hash exchange: map
     tasks read pruned shard columns and convert ts to epoch seconds; reduce
     tasks sort their bucket (user_id, ts, event_id) and run ``fn`` on it.
@@ -54,13 +53,13 @@ def _per_bucket_events(
         )
         return fn(g)
 
-    return hash_exchange(shards, map_fn, "user_id", num_buckets, reduce_fn, columns=cols)
+    return hash_exchange(shards, map_fn, "user_id", reduce_fn, columns=cols)
 
 
 # --- T2/T9: gap sessionize + per-session aggregate (A2) ---
 
 
-def sessionize_user_events(sf_dir: str, num_buckets: int | None = None):
+def sessionize_user_events(sf_dir: str):
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         sid = sessionize_gap(g["user_id"].to_numpy(), g["ts"].to_numpy(), SESSION_GAP)
         g["_sid"] = sid
@@ -77,7 +76,7 @@ def sessionize_user_events(sf_dir: str, num_buckets: int | None = None):
         out["t_end"] = out["t_end"].round(6)
         return out[["user_id", "session_seq", "n_events", "t_start", "t_end", "duration", "sum_value"]]
 
-    return _per_bucket_events(sf_dir, ["value"], fn, num_buckets)
+    return _per_bucket_events(sf_dir, ["value"], fn)
 
 
 SESSIONIZE_SQL = f"""
@@ -260,7 +259,7 @@ def user_mode_event_type(sf_dir: str):
         )
 
     out = hash_exchange(
-        shards, map_fn, "user_id", None, reduce_fn, columns=["user_id", "event_type"]
+        shards, map_fn, "user_id", reduce_fn, columns=["user_id", "event_type"]
     )
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -357,7 +356,7 @@ FROM w GROUP BY user_id HAVING max(ts) > min(ts) ORDER BY user_id
 """
 
 
-def user_value_ewma(sf_dir: str, alpha: float = 0.3):
+def user_value_ewma(sf_dir: str):
     """Final exponentially-weighted moving average of ``value`` per user
     (s_0 = x_0, s_i = α·x_i + (1-α)·s_{i-1} over (ts, event_id) order).
     The recursion unrolls to a weighted sum — w_i = (α if i>0 else 1) ·
@@ -365,6 +364,7 @@ def user_value_ewma(sf_dir: str, alpha: float = 0.3):
     plus one segment reduceat: no sequential state, no window shuffle.
     Rounded to 6 dp on both sides (the unrolled sum's ADDITION ORDER is the
     only Ray/SQL difference; ~1e-15 relative)."""
+    alpha = EWMA_ALPHA
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -383,6 +383,7 @@ def user_value_ewma(sf_dir: str, alpha: float = 0.3):
     return _per_bucket_events(sf_dir, ["value"], fn)
 
 
+EWMA_ALPHA = 0.3
 EWMA_SQL = """
 WITH o AS (
   SELECT user_id, value,
@@ -401,7 +402,7 @@ def event_type_user_reach(sf_dir: str):
     """Exact grouped COUNT(DISTINCT): distinct users per event_type. The
     user-hash exchange makes each user's rows bucket-complete, so per-bucket
     distinct (event_type, user_id) pairs are globally disjoint and the
-    driver fold is a plain sum — bounded by |event_type| × num_buckets rows,
+    driver fold is a plain sum — bounded by |event_type| × buckets rows,
     never the user domain."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
@@ -1257,14 +1258,15 @@ SELECT CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS hour_epoch, event_type,
 FROM events GROUP BY 1, 2
 """
 
-def hopping_window_stats(sf_dir: str, size_s: int = 1800, hop_s: int = 900):
+def hopping_window_stats(sf_dir: str):
     """HOPPING (overlapping) event-time windows — the streaming aggregate
     shape tumbling windows can't express: size 1800 s sliding by 900 s, so
     every event belongs to size/hop = 2 windows. The expansion is a
     vectorized repeat inside each shard task (each event emits its size/hop
     window_starts), then the same grouped-sum fold as the tumbling query —
     window-domain-bounded, no shuffle of raw rows."""
-    k = size_s // hop_s
+    hop_s = HOP_S
+    k = HOP_SIZE_S // hop_s
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         epoch = (b["ts"].astype("int64") // 1_000_000).to_numpy()
@@ -1288,6 +1290,8 @@ def hopping_window_stats(sf_dir: str, size_s: int = 1800, hop_s: int = 900):
     return agg
 
 
+HOP_SIZE_S = 1800
+HOP_S = 900
 HOPPING_SQL = """
 WITH e AS (
   SELECT CAST(floor(epoch(ts) / 900) AS BIGINT) AS base, event_type, value
@@ -1439,7 +1443,7 @@ def latest_event_per_user_type(sf_dir: str):
             }
         )
 
-    out = hash_exchange(shards, map_fn, "user_id", None, reduce_fn, columns=cols)
+    out = hash_exchange(shards, map_fn, "user_id", reduce_fn, columns=cols)
     return out.sort_values(["user_id", "event_type"]).reset_index(drop=True)
 
 
@@ -1505,7 +1509,7 @@ def user_set_ops(sf_dir: str):
         )
 
     parts = hash_exchange(
-        shard_list(sf_dir, "events"), map_fn, "user_id", None, count_bucket,
+        shard_list(sf_dir, "events"), map_fn, "user_id", count_bucket,
         columns=["user_id", "event_type"],
     )
     return parts.sum().astype(np.int64).to_frame().T
@@ -1583,13 +1587,14 @@ def approx_distinct_users(sf_dir: str):
     count is strictly < KMV_K — the sf0.01/sf0.1 oracle gate — with a
     ~1/sqrt(KMV_K) relative-error estimate beyond, so driver memory is k x
     tasks no matter how many distinct users the corpus has."""
+    k = sketch.KMV_K
     # bound: KMV_K hashes x tasks by construction
     parts = shard_map(
         shard_list(sf_dir, "events"),
-        lambda t: kmv_partial(t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)),
+        lambda t: kmv_partial(t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64), k),
         columns=["user_id"],
     )
-    n = kmv_merge_count(parts)
+    n = kmv_merge_count(parts, k)
     return pd.DataFrame({"n_distinct_users": np.array([n], dtype=np.int64)})
 
 
@@ -1609,12 +1614,14 @@ def approx_distinct_users_by_type(sf_dir: str):
     truncated; ADVICE r4 #2). The oracle gate holds at every test SF with
     wide margin (<= 1500 distinct users vs K = 8192); ~1/sqrt(K) relative
     error beyond."""
+    k = sketch.KMV_K
+
     def partial(t) -> pd.DataFrame:
         b = t.to_pandas()
         frames = [pd.DataFrame({"event_type": pd.Series([], dtype=object),
                                 "h": pd.Series([], dtype=np.int64)})]
         for et, g in b.groupby("event_type", sort=False):
-            h = kmv_partial(g["user_id"].to_numpy().astype(np.uint64))
+            h = kmv_partial(g["user_id"].to_numpy().astype(np.uint64), k)
             frames.append(pd.DataFrame({"event_type": et, "h": h.astype(np.int64)}))
         return pd.concat(frames, ignore_index=True)  # zero-row shard safe
 
@@ -1625,7 +1632,7 @@ def approx_distinct_users_by_type(sf_dir: str):
     )
     out = (
         parts.groupby("event_type", sort=True)["h"]
-        .apply(lambda s: kmv_merge_count([s.to_numpy().astype(np.uint64)]))
+        .apply(lambda s: kmv_merge_count([s.to_numpy().astype(np.uint64)], k))
         .rename("n_distinct_users")
         .reset_index()
     )
@@ -1892,7 +1899,7 @@ GROUP BY p.event_id, p.user_id
 """
 
 
-def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None):
+def top_users_with_ties(sf_dir: str):
     """Grouped top-k WITH TIES (RANK() <= k semantics — every user tied at
     the k-th event count is kept, unlike the row-limited variant). Counts
     per (type, user) ride the user-hash exchange (bucket-complete), and the
@@ -1902,6 +1909,7 @@ def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None)
     re-ranks k-plus-ties × types × buckets rows, never the user domain."""
     import pyarrow as pa
 
+    k = TOP_TIES_K
     shards = shard_list(sf_dir, "events")
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -1923,8 +1931,7 @@ def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None)
         rank = g.groupby("event_type")["n"].rank(method="min", ascending=False)
         return g[rank <= k]
 
-    out = hash_exchange(shards, map_fn, "user_id", num_buckets, reduce_fn,
-                        columns=["event_type", "user_id"])
+    out = hash_exchange(shards, map_fn, "user_id", reduce_fn, columns=["event_type", "user_id"])
     rank = out.groupby("event_type")["n"].rank(method="min", ascending=False)
     out = out[rank <= k].copy()
     out["n"] = out["n"].astype(np.int64)
@@ -1938,6 +1945,7 @@ def top_users_with_ties(sf_dir: str, k: int = 3, num_buckets: int | None = None)
     ).reset_index(drop=True)
 
 
+TOP_TIES_K = 3
 TOP_TIES_SQL = """
 WITH c AS (
   SELECT event_type, user_id, count(*) AS n
@@ -1953,7 +1961,7 @@ ORDER BY event_type, n DESC, user_id
 """
 
 
-def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = None):
+def top_users_per_event_type(sf_dir: str):
     """Grouped top-k: per event type, the k users with the largest total
     value. Two-level distributed shape: map tasks pre-aggregate
     (event_type, user_id) partial sums per shard (the user domain is
@@ -1963,6 +1971,7 @@ def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = 
     folds k x types x buckets rows regardless of user count."""
     import pyarrow as pa
 
+    k = TOP_USERS_K
     shards = shard_list(sf_dir, "events")
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -1991,8 +2000,7 @@ def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = 
         )
 
     out = hash_exchange(
-        shards, map_fn, "user_id", num_buckets, reduce_fn,
-        columns=["event_type", "user_id", "value"],
+        shards, map_fn, "user_id", reduce_fn, columns=["event_type", "user_id", "value"],
     )
     return (
         out.sort_values(["total_value", "user_id"], ascending=[False, True],
@@ -2005,6 +2013,7 @@ def top_users_per_event_type(sf_dir: str, k: int = 3, num_buckets: int | None = 
     )
 
 
+TOP_USERS_K = 3
 TOP_USERS_PER_TYPE_SQL = """
 SELECT event_type, user_id, total_value FROM (
   SELECT event_type, user_id, round(sum(value), 6) AS total_value,
@@ -2109,7 +2118,7 @@ def user_event_pivot(sf_dir: str):
         return g
 
     out = hash_exchange(
-        shards, map_fn, "user_id", None, reduce_fn,
+        shards, map_fn, "user_id", reduce_fn,
         columns=["user_id", "event_type", "value"],
     )
     return out.sort_values("user_id").reset_index(drop=True)

@@ -531,7 +531,6 @@ def run_flagship_exchange(
     tokens_dir: str,
     scores_path: str,
     out_dir: str | None = None,
-    manifest_path: str | None = None,
     entity: str = "doc_id",
     ts: str = "ts",
     session_gap: float = 300.0,
@@ -606,7 +605,7 @@ def run_flagship_exchange(
     done: set = set()
     manifest_file = None
     if out_dir is not None:
-        manifest_file = manifest_path or f"{out_dir}/manifest.jsonl"
+        manifest_file = f"{out_dir}/manifest.jsonl"
         done = Manifest(manifest_file).committed("flagship", out_dir)
     plan = ScanPlan(entity, ts, session_gap, tolerance, stat_cols, chunk_rows,
                     [os.path.basename(p) for p in shards], out_dir, manifest_file, frozenset(done))

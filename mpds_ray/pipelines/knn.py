@@ -79,20 +79,23 @@ LIMIT {K}
 """
 
 
-def _embedding_sample(sf_dir: str, target: int = 2048) -> np.ndarray:
+EMBED_SAMPLE_ROWS = 2048
+
+
+def _embedding_sample(sf_dir: str) -> np.ndarray:
     """Deterministic bounded sample of embeddings for sketch/centroid
     training: keep vec_ids whose stable hash falls in a 1/mod slice, where
-    mod is sized from parquet metadata so ~``target`` rows survive. The full
+    mod is sized from parquet metadata so ~``EMBED_SAMPLE_ROWS`` rows survive. The full
     table is never collected (the r1 driver-side collect was a scale-killer,
     VERDICT 'What's wrong' #3)."""
     n = table_num_rows(sf_dir, "embeddings")
-    mod = max(1, n // target)
+    mod = max(1, n // EMBED_SAMPLE_ROWS)
 
     def pick(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         return t.filter(pa.array(_splitmix64(ids) % np.uint64(mod) == 0))
 
-    # bound: ~target rows by the hash-slice construction
+    # bound: ~EMBED_SAMPLE_ROWS rows by the hash-slice construction
     sample = shard_map(
         shard_list(sf_dir, "embeddings"), pick, columns=["vec_id", "embedding"],
         collect="embedding_sample",
@@ -100,11 +103,16 @@ def _embedding_sample(sf_dir: str, target: int = 2048) -> np.ndarray:
     return _emb_matrix(sample.sort_by("vec_id")["embedding"])
 
 
-def knn_ivf_top10(sf_dir: str, n_cells: int = 8, n_probe: int = 2):
+IVF_CELLS = 8
+IVF_PROBE = 2
+
+
+def knn_ivf_top10(sf_dir: str):
     """IVF-style ANN: coarse k-means-lite centroids (deterministic seeded
     init, 5 Lloyd iterations on a bounded hash-sampled subset), assign
-    vectors to cells map-side, probe only the ``n_probe`` cells nearest the
+    vectors to cells map-side, probe only the ``IVF_PROBE`` cells nearest the
     query. Golden-parquet oracle; the pytest asserts recall vs brute force."""
+    n_cells = IVF_CELLS
     m = _embedding_sample(sf_dir)
     m_n = m / np.linalg.norm(m, axis=1, keepdims=True)
     rng = np.random.default_rng(42)
@@ -118,7 +126,7 @@ def knn_ivf_top10(sf_dir: str, n_cells: int = 8, n_probe: int = 2):
                 cent[c] = v / np.linalg.norm(v)
     q = _query_vector(sf_dir)
     qn = q / np.linalg.norm(q)
-    probe = np.argsort(-(cent @ qn))[:n_probe]
+    probe = np.argsort(-(cent @ qn))[:IVF_PROBE]
 
     def score(b) -> pd.DataFrame:
         mm = _emb_matrix(b["embedding"])
@@ -206,7 +214,7 @@ def _pairs_from_sims(ids_a, ids_b, sims: np.ndarray, threshold: float, same: boo
     return pd.DataFrame({"vec_a": a, "vec_b": b, "cos_sim": np.round(s, 6)})
 
 
-def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
+def embedding_near_dups(sf_dir: str):
     """EXACT embedding-cosine pair mining (the verification baseline the LSH
     sketch is measured against): one ``exchange_map`` task per shard
     normalizes its vectors and returns them as blocks of at most
@@ -223,9 +231,6 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     (VERDICT r4 'What's wrong' #4) — the scale path for big n is
     ``embedding_near_dups_lsh`` (id-only shuffle, recall pinned at 1.0 vs
     this baseline on planted dups).
-
-    The default threshold is tuned to the synthetic testdata (max off-diagonal
-    cosine ~0.6) so the DuckDB brute-force oracle is non-vacuous.
     """
     import pyarrow.parquet as pq
 
@@ -254,7 +259,7 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.45):
     )
     refs = [r for rs, b in zip(grid, blocks) for r in rs[:b]]
     out = [
-        _pair_task.remote(refs[i], refs[j], i == j, threshold)
+        _pair_task.remote(refs[i], refs[j], i == j, NEAR_DUP_THRESHOLD)
         for i in range(len(refs))
         for j in range(i, len(refs))
     ]
@@ -282,6 +287,9 @@ def _pair_task(block_a, block_b, same: bool, threshold: float) -> pd.DataFrame:
     return _pairs_from_sims(ia, ib, ma @ mb.T, threshold, same)
 
 
+# cosine of a near-dup pair, tuned to the synthetic testdata (max
+# off-diagonal cosine ~0.6) so the brute-force oracle is non-vacuous
+NEAR_DUP_THRESHOLD = 0.45
 NEAR_DUP_SQL = """
 SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
        round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
@@ -293,26 +301,26 @@ ORDER BY vec_a, vec_b
 """
 
 
-def embedding_near_dups_lsh(
-    sf_dir: str,
-    threshold: float = 0.45,
-    n_tables: int = 16,
-    n_bits: int = 8,
-    max_bucket: int = 512,
-):
+LSH_TABLES = 16
+LSH_BITS = 8
+LSH_MAX_BUCKET = 512
+
+
+def embedding_near_dups_lsh(sf_dir: str):
     """Embedding near-dup pairs via random-hyperplane LSH — the 100-TB scale
     path. The shuffle carries (table, code, vec_id) ONLY (24 bytes/row x
-    n_tables), never the vectors (r1 shipped the normalized vector as a
+    ``LSH_TABLES``), never the vectors (r1 shipped the normalized vector as a
     Python-object column through the groupby — VERDICT 'What's wrong' #7).
-    Buckets wider than ``max_bucket`` are skipped (logged odds of a real pair
+    Buckets wider than ``LSH_MAX_BUCKET`` are skipped (logged odds of a real pair
     surviving every other table are high; a skew cap is mandatory at scale).
     Candidate pairs are verified exactly against vectors fetched by a
     broadcast-id semi-join — memory bounded by the candidate set, not the
-    corpus. Recall vs the exact baseline is property-tested; defaults
-    (threshold matching the exact baseline's data-tuned 0.45, 16 tables) are
+    corpus. Recall vs the exact baseline is property-tested; the constants
+    (the exact baseline's ``NEAR_DUP_THRESHOLD``, 16 tables) are
     chosen so the sf0.01 golden is NON-empty (VERDICT r3 'What's wrong' #3 —
     the 0.95 golden was a vacuous 0-row hash match) and the golden replays
     the same deterministic planes independently."""
+    n_tables, n_bits, max_bucket = LSH_TABLES, LSH_BITS, LSH_MAX_BUCKET
     shards = shard_list(sf_dir, "embeddings")
     dim = len(_query_vector(sf_dir))
     rng = np.random.default_rng(42)
@@ -340,7 +348,7 @@ def embedding_near_dups_lsh(
 
     # bound: output-scale (max_bucket caps blowup)
     cand = hash_exchange(
-        shards, codes, "lsh_key", None, bucket_pairs, columns=["vec_id", "embedding"]
+        shards, codes, "lsh_key", bucket_pairs, columns=["vec_id", "embedding"]
     ).drop_duplicates()
     if len(cand) == 0:
         return _empty_pairs()
@@ -362,7 +370,7 @@ def embedding_near_dups_lsh(
     ia = np.array([lut[int(v)] for v in cand["vec_a"]])
     ib = np.array([lut[int(v)] for v in cand["vec_b"]])
     sims = np.einsum("ij,ij->i", m[ia], m[ib])
-    keep = sims >= threshold
+    keep = sims >= NEAR_DUP_THRESHOLD
     out = pd.DataFrame(
         {"vec_a": cand["vec_a"].to_numpy()[keep], "vec_b": cand["vec_b"].to_numpy()[keep],
          "cos_sim": np.round(sims[keep], 6)}

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import ray
 
+from ..stages import sketch
 from ..stages.exchange import hash_exchange, key_bucket, shard_map
 from ..stages.sketch import grouped_quantile_summary, shard_quantiles, weighted_quantiles
 from .common import (
@@ -103,7 +104,7 @@ GROUP BY l_returnflag, l_linestatus
 # --- Q3-style: broadcast semi-join + hash join + top-k (J2 + O3) ---
 
 
-def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
+def q3_top_orders(sf_dir: str):
     """Distributed hash-partition join (J2 + O3), no fact-scale broadcast:
     the only broadcast side is the BUILDING customer key set (a DIMENSION,
     bounded by segment selectivity). Both fact sides are hash-exchanged on
@@ -116,8 +117,6 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
     every lineitem task — ~30M resident entries per worker at 100x SF
     (VERDICT 'What's wrong' #2)."""
     from ..stages.hashjoin import exchange_join
-
-    num_buckets = exchange_buckets(sf_dir, ("orders", "lineitem"), num_buckets)
 
     # bound: customer DIMENSION x segment selectivity (broadcast side)
     building = set(
@@ -169,7 +168,7 @@ def q3_top_orders(sf_dir: str, num_buckets: int | None = None):
 
     parts = exchange_join(
         shard_list(sf_dir, "orders"), shard_list(sf_dir, "lineitem"), "o_orderkey",
-        join_bucket, num_buckets, left_map=orders_map, right_map=li_map,
+        join_bucket, left_map=orders_map, right_map=li_map,
         columns_left=["o_orderkey", "o_custkey", "o_orderdate"],
         columns_right=["l_orderkey", "l_extendedprice", "l_discount"],
         filters_left=(pads.field("o_orderdate") < pd.Timestamp("1998-03-15")),
@@ -255,7 +254,7 @@ def top_customers_by_max_order(sf_dir: str):
         return g.sort_values(by, ascending=[False, True], kind="mergesort").head(10)
 
     parts = hash_exchange(
-        shard_list(sf_dir, "orders"), map_fn, "o_custkey", None, top_bucket,
+        shard_list(sf_dir, "orders"), map_fn, "o_custkey", top_bucket,
         columns=["o_custkey", "o_totalprice"],
     )
     top = parts.sort_values(by, ascending=[False, True], kind="mergesort").head(10)
@@ -326,12 +325,12 @@ FROM events
 # --- grouped quantiles (A5 keyed): per-group mergeable summary ---
 
 
-def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
+def value_median_exact(sf_dir: str):
     """EXACT global median by distributed selection — the alternative to the
     mergeable sketch when the answer must be exact at ANY scale: iterate
     [pass: per-shard 65536-bin histogram over the current range → locate the
     bin(s) holding the two middle ranks] until the candidate range holds
-    <= driver_cap rows, then ONE bounded collect of that range finishes the
+    <= ``MEDIAN_DRIVER_CAP`` rows, then ONE bounded collect of that range finishes the
     selection exactly. Each round narrows the range ~65536x, so 10^12 rows
     need two histogram passes; every exchange is a (65537,) int64 vector per
     shard. Median for even n is (a+b)/2 — the same arithmetic DuckDB's
@@ -355,7 +354,7 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     # the loop only needs containment, not exact offsets.
     in_range = n
     for _ in range(8):  # 65536x narrowing per round; 8 is unreachable depth
-        if in_range <= driver_cap or hi <= lo:
+        if in_range <= MEDIAN_DRIVER_CAP or hi <= lo:
             break
         total = shard_map(
             shards, partial(_median_hist, lo=lo, hi=hi, nbins=nbins), columns=["value"],
@@ -387,10 +386,10 @@ def value_median_exact(sf_dir: str, driver_cap: int = 1_000_000):
     parts = shard_map(shards, partial(_median_collect, lo=lo, hi=hi), columns=["value"])
     rank_below = sum(p[0] for p in parts)
     allu = np.concatenate([p[1] for p in parts])
-    if allu.size > driver_cap:
+    if allu.size > MEDIAN_DRIVER_CAP:
         raise RuntimeError(
             f"value_median_exact: {allu.size:,} distinct in-window values exceed "
-            f"driver_cap {driver_cap:,} after range narrowing — raise the cap or "
+            f"MEDIAN_DRIVER_CAP {MEDIAN_DRIVER_CAP:,} after range narrowing — raise the cap or "
             "add narrowing rounds; refusing an unbounded driver collect"
         )
     allc = np.concatenate([p[2] for p in parts])
@@ -439,6 +438,7 @@ def _median_collect(t: pa.Table, lo: float, hi: float):
     return int((v < lo).sum()), u, c.astype(np.int64)
 
 
+MEDIAN_DRIVER_CAP = 1_000_000
 MEDIAN_EXACT_SQL = "SELECT median(value) AS median_value FROM events"
 
 
@@ -448,10 +448,11 @@ def grouped_value_quantiles(sf_dir: str):
     statistics, the driver folds summaries bounded by types x tasks x K —
     the column itself never rides to the driver. Exact (== DuckDB
     quantile_cont) while per-shard group slices fit RAW_LIMIT."""
+    raw_limit, k = sketch.RAW_LIMIT, sketch.K
     # bound: event_type domain x tasks x K summary points
     parts = shard_map(
         shard_list(sf_dir, "events"),
-        lambda t: grouped_quantile_summary(t.to_pandas(), "event_type", "value"),
+        lambda t: grouped_quantile_summary(t.to_pandas(), "event_type", "value", raw_limit, k),
         columns=["event_type", "value"], collect="grouped_value_quantiles",
     )
     rows = []
@@ -478,7 +479,7 @@ FROM events GROUP BY event_type ORDER BY event_type
 ANTI_JOIN_CUTOFF = "2000-01-01"
 
 
-def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
+def customers_without_orders(sf_dir: str):
     """Anti-join at fact scale: customers with NO order since a cutoff date,
     counted per nation. Both sides are hash-exchanged on custkey (no
     broadcast of either key set): customer map tasks emit
@@ -492,8 +493,6 @@ def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
     import pyarrow.dataset as pads
 
     from ..stages.hashjoin import exchange_join
-
-    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     def orders_map(t: pa.Table) -> pa.Table:
         keys = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False))
@@ -515,7 +514,7 @@ def customers_without_orders(sf_dir: str, num_buckets: int | None = None):
 
     out = exchange_join(
         shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
-        anti_bucket, num_buckets, right_map=orders_map,
+        anti_bucket, right_map=orders_map,
         columns_left=["c_custkey", "c_nationkey"], columns_right=["o_custkey"],
         filters_right=(pads.field("o_orderdate") >= pd.Timestamp(ANTI_JOIN_CUTOFF)),
         how="left",
@@ -596,7 +595,9 @@ FROM orders, s
 # --- deterministic entity K-fold (O7) ---
 
 
-def kfold_counts(sf_dir: str, k: int = 10):
+def kfold_counts(sf_dir: str):
+    k = KFOLD_K
+
     def fold(b: pd.DataFrame) -> pd.DataFrame:
         h = (b["c_custkey"].to_numpy().astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
             1 << 32
@@ -609,6 +610,7 @@ def kfold_counts(sf_dir: str, k: int = 10):
     return out.sort_values("fold").reset_index(drop=True)
 
 
+KFOLD_K = 10
 KFOLD_SQL = """
 SELECT CAST((c_custkey * 2654435761) % 4294967296 % 10 AS BIGINT) AS fold, count(*) AS n
 FROM customer GROUP BY 1 ORDER BY fold
@@ -618,7 +620,7 @@ FROM customer GROUP BY 1 ORDER BY fold
 # --- general two-sided exchange join (stages/hashjoin.py) as a query ---
 
 
-def monthly_order_revenue(sf_dir: str, num_buckets: int | None = None):
+def monthly_order_revenue(sf_dir: str):
     """lineitem JOIN orders on orderkey -> revenue per order month. Both
     sides pre-aggregate map-side (lineitem to per-orderkey revenue partials,
     orders to (orderkey, yyyymm)), exchange on the SAME key buckets, and each
@@ -661,7 +663,6 @@ def monthly_order_revenue(sf_dir: str, num_buckets: int | None = None):
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -683,7 +684,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def monthly_revenue_cumshare(sf_dir: str, num_buckets: int | None = None):
+def monthly_revenue_cumshare(sf_dir: str):
     """Window-over-aggregate shape: monthly revenue plus each month's
     CUMULATIVE share of total revenue (the running-mix report). The join +
     per-month fold is the monthly_order_revenue exchange with exact integer
@@ -722,7 +723,6 @@ def monthly_revenue_cumshare(sf_dir: str, num_buckets: int | None = None):
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -762,7 +762,7 @@ FROM m ORDER BY month
 """
 
 
-def urgent_order_month_revenue(sf_dir: str, num_buckets: int | None = None):
+def urgent_order_month_revenue(sf_dir: str):
     """monthly_order_revenue restricted to 1-URGENT orders (~20% of the
     dimension side) — the selective-join shape where the bloom prefilter
     pays: the priority predicate pushes into the orders scan, a bloom over
@@ -812,7 +812,6 @@ def urgent_order_month_revenue(sf_dir: str, num_buckets: int | None = None):
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -838,11 +837,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def q5_region_nation_revenue(
-    sf_dir: str,
-    region: str = "ASIA",
-    num_buckets: int | None = None,
-):
+def q5_region_nation_revenue(sf_dir: str):
     """TPC-H Q5-shaped multi-way CHAIN join — the join key changes at every
     hop, so each hop's output is re-exchanged on the next key while staying
     in the object store as per-bucket Arrow tables (``exchange_map`` over
@@ -868,13 +863,11 @@ def q5_region_nation_revenue(
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
-    num_buckets = exchange_buckets(
-        sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
-    )
+    num_buckets = exchange_buckets(sf_dir, ("orders", "customer", "lineitem", "supplier"))
 
     nat = read_small(sf_dir, "nation")
     reg = read_small(sf_dir, "region")
-    rkey = reg.loc[reg.r_name == region, "r_regionkey"].iloc[0]
+    rkey = reg.loc[reg.r_name == Q5_REGION, "r_regionkey"].iloc[0]
     nsel = nat[nat.n_regionkey == rkey]
     nation_keys = nsel.n_nationkey.to_numpy()
     name_of = dict(zip(nsel.n_nationkey, nsel.n_name))
@@ -975,7 +968,7 @@ def q5_region_nation_revenue(
     )
 
 
-def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | None = None):
+def nation_pair_trade(sf_dir: str):
     """TPC-H Q7-shaped nation-pair trade flow: revenue shipped 1996-1997
     between DISTINCT nations drawn from a small nation set, grouped by
     (supplier nation, customer nation, ship year). Same three-hop chain as
@@ -992,12 +985,10 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
-    num_buckets = exchange_buckets(
-        sf_dir, ("orders", "customer", "lineitem", "supplier"), num_buckets
-    )
+    num_buckets = exchange_buckets(sf_dir, ("orders", "customer", "lineitem", "supplier"))
 
     nat = read_small(sf_dir, "nation")
-    nsel = nat[nat.n_nationkey < max_nationkey]
+    nsel = nat[nat.n_nationkey < NATION_PAIR_MAX_KEY]
     nation_keys = nsel.n_nationkey.to_numpy()
     name_of = dict(zip(nsel.n_nationkey, nsel.n_name))
 
@@ -1124,6 +1115,7 @@ def nation_pair_trade(sf_dir: str, max_nationkey: int = 4, num_buckets: int | No
     )
 
 
+NATION_PAIR_MAX_KEY = 4
 Q7_SQL = """
 SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
        CAST(year(l_shipdate) AS BIGINT) AS l_year,
@@ -1142,7 +1134,7 @@ GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
 """
 
 
-def part_type_revenue_share(sf_dir: str, num_buckets: int | None = None):
+def part_type_revenue_share(sf_dir: str):
     """TPC-H Q14-shaped big×big join: one ship-month of lineitem ⨝ part on
     partkey, revenue share per p_type. The month filter pushes into the
     lineitem scan AND seeds a bloom over the qualifying partkeys, so part
@@ -1180,7 +1172,6 @@ def part_type_revenue_share(sf_dir: str, num_buckets: int | None = None):
         shard_list(sf_dir, "part"),
         "p_partkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=p_map,
         columns_left=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -1215,8 +1206,7 @@ FROM m ORDER BY p_type
 """
 
 
-def small_quantity_revenue(sf_dir: str, num_buckets: int | None = None,
-                           brand: str = "Brand#4"):
+def small_quantity_revenue(sf_dir: str):
     """TPC-H Q17 shape: revenue of below-avg-quantity lineitems for one
     brand's parts — an aggregate-self-join. The brand predicate pushes into
     the part scan and seeds a bloom over its partkeys, so fact rows for
@@ -1260,17 +1250,17 @@ def small_quantity_revenue(sf_dir: str, num_buckets: int | None = None,
         shard_list(sf_dir, "part"),
         "p_partkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=p_map,
         columns_left=["l_partkey", "l_quantity", "l_extendedprice"],
         columns_right=["p_partkey"],
-        filters_right=pds.field("p_brand") == brand,
+        filters_right=pds.field("p_brand") == SMALL_QTY_BRAND,
         bloom_from="right",
     )
     return pd.DataFrame({"avg_yearly": [out["rev_i"].sum() / 700.0]})
 
 
+SMALL_QTY_BRAND = "Brand#4"
 Q17_SQL = """
 SELECT sum(CAST(round(l_extendedprice * 100) AS BIGINT)) / 700.0 AS avg_yearly
 FROM lineitem JOIN part ON p_partkey = l_partkey
@@ -1282,20 +1272,20 @@ WHERE p_brand = 'Brand#4'
 """
 
 
-def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int | None = None):
+def priority_ship_lag_counts(sf_dir: str):
     """TPC-H Q12-shaped conditional aggregation over a join: per order
-    priority, how many lineitems shipped more than ``late_days`` after the
+    priority, how many lineitems shipped more than ``SHIP_LAG_LATE_DAYS`` after the
     order date, the total, and the late share. The lateness predicate needs
     BOTH sides' dates per line, so this is the join shape where line grain
     legitimately crosses the exchange — but only two int64 columns of it
     (key + epoch-µs shipdate), pruned at the scan; the CASE aggregation
     collapses each bucket to |priority| rows, so the driver fold is
-    |priority| × num_buckets. The day comparison is exact integer epoch-µs
+    |priority| × buckets. The day comparison is exact integer epoch-µs
     arithmetic on both sides (no calendar semantics to diverge on), and the
     share is the same int/int double division in Ray and SQL."""
     from ..stages.hashjoin import exchange_join
 
-    late_us = late_days * 86_400 * 1_000_000
+    late_us = SHIP_LAG_LATE_DAYS * 86_400 * 1_000_000
 
     def li_map(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1327,7 +1317,6 @@ def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int 
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_shipdate"],
@@ -1339,6 +1328,7 @@ def priority_ship_lag_counts(sf_dir: str, late_days: int = 60, num_buckets: int 
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
+SHIP_LAG_LATE_DAYS = 60
 Q12_SQL = """
 SELECT o_orderpriority,
        CAST(sum(CASE WHEN epoch(l_shipdate) - epoch(o_orderdate) > 5184000
@@ -1351,9 +1341,9 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: int | None = None):
+def late_order_priority_counts(sf_dir: str):
     """TPC-H Q4-shaped EXISTS semi-join aggregate: per order priority, how
-    many ORDERS have at least one lineitem shipped more than ``late_days``
+    many ORDERS have at least one lineitem shipped more than ``LATE_ORDER_DAYS``
     after the order date (vs Q12, which counts LINES). The existence test
     collapses map-side: lineitem pre-reduces to one (orderkey, max ship_us)
     row per key — EXISTS(any late line) ≡ max(shipdate) late — so the
@@ -1362,7 +1352,7 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: in
     epoch-µs arithmetic on both sides."""
     from ..stages.hashjoin import exchange_join
 
-    late_us = late_days * 86_400 * 1_000_000
+    late_us = LATE_ORDER_DAYS * 86_400 * 1_000_000
 
     def li_map(t: pa.Table) -> pa.Table:
         g = (
@@ -1401,7 +1391,6 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: in
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_shipdate"],
@@ -1413,6 +1402,7 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60, num_buckets: in
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
+LATE_ORDER_DAYS = 60
 Q4_SQL = """
 SELECT o_orderpriority, count(*) AS n_orders
 FROM orders
@@ -1425,7 +1415,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def segment_urgent_coverage(sf_dir: str, num_buckets: int | None = None):
+def segment_urgent_coverage(sf_dir: str):
     """Distributed LEFT OUTER join over the co-partitioned exchange
     (``exchange_join(how='left')``): customers joined to their URGENT-order
     spend, per market segment — customers with NO urgent orders survive the
@@ -1433,7 +1423,7 @@ def segment_urgent_coverage(sf_dir: str, num_buckets: int | None = None):
     (which skips one-sided buckets) silently drops. The priority predicate
     pushes into the orders parquet scan; orders pre-reduce to per-custkey
     (count, cents) partials map-side so only partials shuffle; money rides
-    exact int64 cents. Driver fold is |segments| x num_buckets tiny rows."""
+    exact int64 cents. Driver fold is |segments| x buckets tiny rows."""
     from ..stages.hashjoin import exchange_join
 
     def c_map(t: pa.Table) -> pa.Table:
@@ -1484,7 +1474,6 @@ def segment_urgent_coverage(sf_dir: str, num_buckets: int | None = None):
         shard_list(sf_dir, "orders"),
         "c_custkey",
         reduce_fn,
-        num_buckets,
         left_map=c_map,
         right_map=o_map,
         columns_left=["c_custkey", "c_mktsegment"],
@@ -1521,7 +1510,7 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
+def rich_customers_without_orders(sf_dir: str):
     """TPC-H Q22-shaped composite: LAPSED rich customers — balance above the
     GLOBAL average positive balance and no orders since 1999 — counted per
     market segment with their average balance. Three reusable pieces
@@ -1534,7 +1523,6 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
 
     from ..stages.hashjoin import exchange_join
 
-    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     # pass 1: global mean positive balance — distributed (sum, count) fold
     parts = shard_map(shard_list(sf_dir, "customer"), _bal_partial, columns=["c_acctbal"])
@@ -1573,7 +1561,7 @@ def rich_customers_without_orders(sf_dir: str, num_buckets: int | None = None):
 
     out = exchange_join(
         shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
-        anti_agg, num_buckets, left_map=c_map, right_map=o_map,
+        anti_agg, left_map=c_map, right_map=o_map,
         columns_left=["c_custkey", "c_mktsegment", "c_acctbal"],
         columns_right=["o_custkey"],
         filters_left=pds.field("c_acctbal") > 0,
@@ -1625,17 +1613,16 @@ GROUP BY 1 ORDER BY 1
 """
 
 
-def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
+def customer_order_distribution(sf_dir: str):
     """TPC-H Q13-shaped LEFT-join count distribution: how many customers
     placed exactly k orders, INCLUDING k = 0 (the LEFT semantics that a
     plain orders-side groupby would silently drop). Orders pre-reduce to
     per-custkey count partials map-side; both sides exchange on c_custkey so
     each bucket holds every customer with ALL its order partials and can
     emit its own (k -> n_customers) histogram — the driver folds
-    |distinct k| × num_buckets tiny rows."""
+    |distinct k| × buckets tiny rows."""
     from ..stages.hashjoin import exchange_join
 
-    num_buckets = exchange_buckets(sf_dir, ("customer", "orders"), num_buckets)
 
     def c_map(t: pa.Table) -> pa.Table:
         return pa.table({"c_custkey": t["c_custkey"]})
@@ -1664,7 +1651,7 @@ def customer_order_distribution(sf_dir: str, num_buckets: int | None = None):
 
     out = exchange_join(
         shard_list(sf_dir, "customer"), shard_list(sf_dir, "orders"), "c_custkey",
-        hist_bucket, num_buckets, left_map=c_map, right_map=o_map,
+        hist_bucket, left_map=c_map, right_map=o_map,
         columns_left=["c_custkey"], columns_right=["o_custkey"], how="left",
     )
     if not len(out):
@@ -1860,6 +1847,7 @@ ORDER BY 1, 2
 """
 
 
+Q5_REGION = "ASIA"
 Q5_SQL = """
 SELECT n_name,
        sum(CAST(round(l_extendedprice * 100) AS BIGINT)
@@ -1874,21 +1862,21 @@ GROUP BY n_name ORDER BY revenue DESC, n_name
 """
 
 
-def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int | None = None):
+def large_order_customers(sf_dir: str):
     """TPC-H Q18-shaped aggregate-HAVING-join: orders whose total lineitem
-    quantity exceeds ``min_qty``, joined back to the order header and its
+    quantity exceeds ``LARGE_ORDER_MIN_QTY``, joined back to the order header and its
     customer, top-100 by (o_totalprice DESC, o_orderkey). ONE exchange on
     o_orderkey carries both the per-orderkey quantity partials (map-side
     combiner) and the order header, so the HAVING filter and the join run
     in the key-complete bucket; each bucket emits a TIE-AWARE partial
     top-100 (full sort key incl. the unique o_orderkey), so the driver root
-    is <= 100 x num_buckets rows at any scale. Quantities ride exact
+    is <= 100 x buckets rows at any scale. Quantities ride exact
     integer hundredths (int64) so distributed partial sums are
     order-independent and the HAVING threshold can never flip on a float
     ulp; c_name attaches to the FINAL 100 rows only (dimension lookup)."""
     from ..stages.hashjoin import exchange_join
 
-    qty_i_min = int(round(min_qty * 100))
+    qty_i_min = int(round(LARGE_ORDER_MIN_QTY * 100))
 
     def li_map(t: pa.Table) -> pa.Table:
         qty_i = np.rint(
@@ -1928,7 +1916,6 @@ def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int 
         shard_list(sf_dir, "orders"),
         "o_orderkey",
         reduce_fn,
-        num_buckets,
         left_map=li_map,
         right_map=o_map,
         columns_left=["l_orderkey", "l_quantity"],
@@ -1957,6 +1944,7 @@ def large_order_customers(sf_dir: str, min_qty: float = 250.0, num_buckets: int 
     )
 
 
+LARGE_ORDER_MIN_QTY = 250.0
 Q18_SQL = """
 WITH q AS (
   SELECT l_orderkey, sum(CAST(round(l_quantity * 100) AS BIGINT)) AS qty_i
@@ -1970,7 +1958,7 @@ ORDER BY o_totalprice DESC, o_orderkey LIMIT 100
 """
 
 
-def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
+def returned_item_revenue(sf_dir: str):
     """TPC-H Q10-shaped: revenue from RETURNED (l_returnflag='R') items per
     customer inside a 6-month order window, top-20 customers. Hop 1
     exchanges on o_orderkey — the returnflag predicate pushes into the
@@ -1979,7 +1967,7 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     pruned scan of orders) drops non-window fact partials BEFORE the
     shuffle; hop 2 rebuckets the per-(custkey) partials on o_custkey so
     every bucket holds each customer COMPLETELY and can emit a tie-aware
-    partial top-20 — the driver root is <= 20 x num_buckets rows, never the
+    partial top-20 — the driver root is <= 20 x buckets rows, never the
     customer domain. Names/nations attach to the final 20 rows only.
     Revenue rides exact integer ten-thousandths (int64, see
     urgent_order_month_revenue) so partial sums are order-independent."""
@@ -1988,7 +1976,7 @@ def returned_item_revenue(sf_dir: str, num_buckets: int | None = None):
     from ..stages.exchange import exchange_map, reduce_grid
     from ..stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
 
-    num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"), num_buckets)
+    num_buckets = exchange_buckets(sf_dir, ("lineitem", "orders"))
 
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1996-07-01")

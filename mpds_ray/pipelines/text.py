@@ -29,7 +29,7 @@ STOPWORDS = ("the", "a", "of", "and", "to")
 # --- exact dedup (D1): first doc per identical text ---
 
 
-def dedup_exact(sf_dir: str, num_buckets: int | None = None):
+def dedup_exact(sf_dir: str):
     """Exact dedup over the engine's explicit hash exchange: map tasks hash
     the text per shard (only the 64-bit content hash is shuffled, never the
     payload), reduce tasks take per-hash (min doc_id, count). The r1 Dataset
@@ -53,9 +53,7 @@ def dedup_exact(sf_dir: str, num_buckets: int | None = None):
         )
         return g.reset_index(drop=True)
 
-    out = hash_exchange(
-        shards, map_fn, "text_hash", num_buckets, reduce_fn, columns=["doc_id", "text"]
-    )
+    out = hash_exchange(shards, map_fn, "text_hash", reduce_fn, columns=["doc_id", "text"])
     return out.sort_values("keep_doc_id").reset_index(drop=True)
 
 
@@ -69,7 +67,7 @@ FROM documents GROUP BY text ORDER BY keep_doc_id
 REPEAT_K = 8
 
 
-def repeated_ngram_stats(sf_dir: str, k: int = REPEAT_K, num_buckets: int | None = None):
+def repeated_ngram_stats(sf_dir: str):
     """Exact-substring dedup statistics (the repeated-k-gram formulation of
     Lee et al. 2022, "Deduplicating Training Data Makes Language Models
     Better", re-expressed as one hash exchange): every token k-gram is keyed
@@ -87,7 +85,7 @@ def repeated_ngram_stats(sf_dir: str, k: int = REPEAT_K, num_buckets: int | None
     from ..stages.exchange import hash_exchange
 
     shards = shard_list(sf_dir, "documents")
-    kk = int(k)
+    kk = REPEAT_K
 
     def map_fn(t: pa.Table) -> pa.Table:
         tok = tokenize_batch(t)
@@ -158,7 +156,7 @@ def repeated_ngram_stats(sf_dir: str, k: int = REPEAT_K, num_buckets: int | None
         )
 
     out = hash_exchange(
-        shards, map_fn, "gram_hash", num_buckets, reduce_fn,
+        shards, map_fn, "gram_hash", reduce_fn,
         columns=["doc_id", "text", "source"],
     )
     g = (
@@ -431,7 +429,7 @@ def _mg_summary(terms: np.ndarray, counts: np.ndarray, capacity: int):
     return terms[keep], counts[keep] - t
 
 
-def heavy_hitter_terms(sf_dir: str, k: int = 20, capacity: int = 4096):
+def heavy_hitter_terms(sf_dir: str):
     """Exact top-k terms via the two-pass heavy-hitter protocol — the
     bounded-memory alternative to a full vocab exchange when the term
     domain is unbounded: pass 1 builds a mergeable Misra–Gries summary per
@@ -445,6 +443,7 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20, capacity: int = 4096):
     k-th exact candidate count fails to clear the N/(capacity+1) undercount
     bound the function emits a RuntimeWarning naming the violated condition
     — callers learn when the result is only approximate."""
+    k, capacity = HEAVY_HITTER_K, HEAVY_HITTER_CAPACITY
     shards = shard_list(sf_dir, "documents")
     merged: dict[str, int] = {}
     n_total = 0
@@ -510,6 +509,8 @@ def _term_exact(t: pa.Table, cand: np.ndarray):
     return terms, counts.astype(np.int64)
 
 
+HEAVY_HITTER_K = 20
+HEAVY_HITTER_CAPACITY = 4096
 HEAVY_HITTER_SQL = """
 SELECT term, count(*) AS n FROM (
   SELECT unnest(string_split(text, ' ')) AS term FROM documents
@@ -803,7 +804,8 @@ def minhash_signature(shingles: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return h.min(axis=1)
 
 
-def _shingles(tokens: np.ndarray, k: int = 3) -> np.ndarray:
+def _shingles(tokens: np.ndarray) -> np.ndarray:
+    k = 3
     t = np.asarray(tokens, dtype=np.uint64)
     if t.size < k:
         return _splitmix64(t)
@@ -943,7 +945,10 @@ def _band_pairs(tbl: pa.Table) -> pa.Table:
     return _group_pairs((band, band_hash), did)
 
 
-def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
+MINHASH_THRESHOLD = 0.5
+
+
+def minhash_dup_candidates(sf_dir: str):
     """Banded-LSH candidate pairs + exact shingle-Jaccard verification —
     fully scale-safe end to end: signatures are segment-vectorized per batch,
     candidate pairs come from an id-only (band, band_hash) exchange and STAY
@@ -1005,14 +1010,13 @@ def minhash_dup_candidates(sf_dir: str, threshold: float = 0.5):
     )
 
     pair_refs = reduce_grid(lambda b, t: _band_pairs(t), n_bb, sig_refs, emit="refs")
-    return _verify_pairs_exact(shards, pair_refs, threshold)
+    return _verify_pairs_exact(shards, pair_refs, MINHASH_THRESHOLD)
 
 
 def _verify_pairs_exact(
     shards: list[str],
     pair_refs: list,
     threshold: float,
-    n_vb: int | None = None,
     metric: str = "jaccard",
 ) -> pd.DataFrame:
     """Exchange-routed EXACT shingle-Jaccard verification of candidate doc
@@ -1030,10 +1034,9 @@ def _verify_pairs_exact(
     DuckDB-round convention) before the ``>= threshold`` filter."""
     from ..stages.exchange import auto_num_buckets, exchange_map, gather_slices, reduce_grid
 
-    if n_vb is None:
-        # per-bucket state (pairs + their shingle sets) tracks corpus size,
-        # so a FIXED verify fan-out would grow task memory with the input
-        n_vb = auto_num_buckets(shards)
+    # per-bucket state (pairs + their shingle sets) tracks corpus size, so a
+    # FIXED verify fan-out would grow task memory with the input
+    n_vb = auto_num_buckets(shards)
     n_pb = len(pair_refs)
     vb_grid = exchange_map(
         pair_refs, None, partial(key_bucket, key="doc_a", num_buckets=n_vb), n_vb
@@ -1324,7 +1327,7 @@ def _prefix_candidates(tbl: pa.Table, tq_prune: int) -> pa.Table:
 SSJOIN_THRESHOLD = 0.5
 
 
-def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
+def similar_pairs_exact(sf_dir: str):
     """EXACT all-pairs shingle-Jaccard >= t via PREFIX FILTERING — the
     lossless complement to the MinHash path (same output schema, no LSH
     recall caveat). The committed contract is on the 6-dp-ROUNDED Jaccard
@@ -1348,6 +1351,7 @@ def similar_pairs_exact(sf_dir: str, threshold: float = SSJOIN_THRESHOLD):
     ``_shingle_df_ref`` and the order is ``_rarest_first``'s."""
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
 
+    threshold = SSJOIN_THRESHOLD
     shards = shard_list(sf_dir, "documents")
     # prefix-shingle buckets from input bytes: a fixed fan-out would make
     # each reduce task's share of ALL prefix entries grow with the corpus
@@ -1414,7 +1418,7 @@ ORDER BY doc_a, doc_b
 CONTAIN_THRESHOLD = 0.5
 
 
-def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
+def contained_pairs_exact(sf_dir: str):
     """EXACT all-pairs shingle CONTAINMENT join: ORDERED pairs (a, b) with
     round(|Sa ∩ Sb| / |Sa|, 6) >= t, a != b — the asymmetric-overlap dedup
     a pretraining pipeline uses where Jaccard misses near-SUBSETS (a short
@@ -1443,6 +1447,7 @@ def contained_pairs_exact(sf_dir: str, threshold: float = CONTAIN_THRESHOLD):
     ``metric='containment'``."""
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
 
+    threshold = CONTAIN_THRESHOLD
     shards = shard_list(sf_dir, "documents")
     n_cb = auto_num_buckets(shards)
     tq_prune = max(int(threshold * 1_000_000) - 1, 0)
@@ -1619,13 +1624,12 @@ def _vocab_exchange(sf_dir: str, term_fn, k: int) -> pd.DataFrame:
         return _term_topk(g, k)
 
     out = hash_exchange(
-        shard_list(sf_dir, "documents"), map_fn, "term", None, reduce_fn,
-        columns=["text"],
+        shard_list(sf_dir, "documents"), map_fn, "term", reduce_fn, columns=["text"],
     )
     return _term_topk(out, k)
 
 
-def vocab_top_terms(sf_dir: str, k: int = 100):
+def vocab_top_terms(sf_dir: str):
     """Corpus vocabulary build: global term frequencies, top-k by (count
     DESC, term ASC) — the tokenizer-training / vocab-pruning primitive."""
 
@@ -1633,9 +1637,10 @@ def vocab_top_terms(sf_dir: str, k: int = 100):
         flat, _ = _split_flat_offsets(text)
         return flat
 
-    return _vocab_exchange(sf_dir, unigrams, k)
+    return _vocab_exchange(sf_dir, unigrams, VOCAB_K)
 
 
+VOCAB_K = 100
 VOCAB_SQL = """
 SELECT term, count(*) AS n FROM (
   SELECT unnest(string_split(text, ' ')) AS term FROM documents
@@ -1643,7 +1648,7 @@ SELECT term, count(*) AS n FROM (
 """
 
 
-def bigram_top_terms(sf_dir: str, k: int = 100):
+def bigram_top_terms(sf_dir: str):
     """Corpus bigram frequencies (top-k): bigrams are built on the FLAT word
     array — one element-wise join of ``flat[:-1]`` with ``flat[1:]`` plus a
     boundary mask that drops pairs straddling two documents — so no per-row
@@ -1662,9 +1667,10 @@ def bigram_top_terms(sf_dir: str, k: int = 100):
         valid[ends[ends >= 0]] = False
         return joined.filter(pa.array(valid))
 
-    return _vocab_exchange(sf_dir, bigrams, k)
+    return _vocab_exchange(sf_dir, bigrams, BIGRAM_K)
 
 
+BIGRAM_K = 100
 BIGRAM_SQL = """
 SELECT term, count(*) AS n FROM (
   SELECT z[1] || ' ' || z[2] AS term
@@ -1674,12 +1680,12 @@ SELECT term, count(*) AS n FROM (
 """
 
 
-def tfidf_top_term(sf_dir: str, vocab_k: int = 10_000):
+def tfidf_top_term(sf_dir: str):
     """Per-document most distinctive term by TF-IDF (tf * ln(N/df), rank on
     the rounded score, ties broken by term ASC). The broadcast-of-aggregate
     shape: document frequencies ride the same term exchange as the vocab
     build (per-doc-unique terms -> per-shard value_counts partials), CAPPED
-    at the ``vocab_k`` highest-df terms so the broadcast idf dict is bounded
+    at the ``TFIDF_VOCAB_K`` highest-df terms so the broadcast idf dict is bounded
     by the vocabulary, never the term domain; the scoring pass is then
     map-only. At the test scale the cap exceeds the term domain, so the
     DuckDB oracle (uncapped) matches exactly; at corpus scale out-of-vocab
@@ -1695,7 +1701,7 @@ def tfidf_top_term(sf_dir: str, vocab_k: int = 10_000):
         return pa.array(u["term"].to_numpy(), type=pa.string())
 
     n_docs = table_num_rows(sf_dir, "documents")
-    dfreq = _vocab_exchange(sf_dir, doc_unique_terms, vocab_k)  # term, n (= df)
+    dfreq = _vocab_exchange(sf_dir, doc_unique_terms, TFIDF_VOCAB_K)  # term, n (= df)
     idf = {t: math.log(n_docs / n) for t, n in zip(dfreq["term"], dfreq["n"])}
 
     def fn(b: pa.Table) -> pa.Table:
@@ -1729,6 +1735,7 @@ def tfidf_top_term(sf_dir: str, vocab_k: int = 10_000):
     )
 
 
+TFIDF_VOCAB_K = 10_000
 TFIDF_SQL = """
 WITH words AS (SELECT doc_id, unnest(string_split(text, ' ')) AS term FROM documents),
 tf AS (SELECT doc_id, term, count(*) AS tf FROM words GROUP BY doc_id, term),

@@ -166,7 +166,7 @@ WHERE (CAST(doc_id AS HUGEINT) * 2654435761) % 18446744073709551616 % 100 <
 GROUP_SAMPLE_K = 10
 
 
-def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
+def group_uniform_sample(sf_dir: str):
     """Deterministic uniform sample of exactly k docs per source: keep the k
     docs with the SMALLEST multiplicative hash ((doc_id * 2654435761) mod
     2^64) within each source — a hash-rank reservoir with no RNG state and
@@ -174,7 +174,7 @@ def group_uniform_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     (mergeable partial top-k), so the driver folds <= k x sources x shards
     tiny rows; the multiplier is odd, hence a bijection mod 2^64 — no hash
     ties, identical selection at any parallelism."""
-    kk = int(k)
+    kk = GROUP_SAMPLE_K
     merged = shard_map(
         shard_list(sf_dir, "documents"), partial(_uniform_partial, kk=kk),
         columns=["doc_id", "source"], collect="group_uniform_sample",
@@ -216,7 +216,7 @@ ORDER BY source, doc_id
 """
 
 
-def group_weighted_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
+def group_weighted_sample(sf_dir: str):
     """Deterministic WEIGHTED (probability-proportional-to-size) sample of k
     docs per source — sequential Poisson sampling (Ohlsson 1998): rank by
     the order variable xi = u / w where u is the doc's uniform hash (the
@@ -230,7 +230,7 @@ def group_weighted_sample(sf_dir: str, k: int = GROUP_SAMPLE_K):
     top-k). xi is ONE IEEE division of the nearest-rounded uint64 hash by
     an exact small int on both engine and oracle, so the doubles (and the
     ranking) agree bit-for-bit; ties broken by doc_id on both sides."""
-    kk = int(k)
+    kk = GROUP_SAMPLE_K
     merged = shard_map(
         shard_list(sf_dir, "documents"), partial(_weighted_partial, kk=kk),
         columns=["doc_id", "source", "n_chars"], collect="group_weighted_sample",
@@ -324,12 +324,12 @@ WHERE n_chars >= lo AND n_chars <= hi
 PACK_CTX = 512
 
 
-def pack_sequences(sf_dir: str, ctx: int = PACK_CTX, num_buckets: int | None = None):
+def pack_sequences(sf_dir: str):
     from ..stages.exchange import auto_num_buckets, exchange_map, reduce_grid
 
+    ctx = PACK_CTX
     shards = shard_list(sf_dir, "documents")
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(shards)
+    num_buckets = auto_num_buckets(shards)
     n_rows = table_num_rows(sf_dir, "documents")
 
     def bucket_of(ids: np.ndarray) -> np.ndarray:
@@ -392,14 +392,12 @@ FROM documents
 #
 # Dedup's final step: cluster the verified near-dup pairs and pick one
 # canonical doc per cluster. Blocking key = source (the realistic blocking
-# column: domain/crawl shard); within a block the verification baseline is
-# EXACT all-pairs trigram Jaccard (the same vectorized kernel the MinHash
-# verify tail uses) — at scale the pair generation swaps to MinHash-LSH
-# candidates (pipelines/text.py:minhash_dup_candidates) with identical
-# downstream clustering. Components are folded with a driver union-find over
-# the VERIFIED PAIRS only (bounded by true near-dup pairs, not the corpus;
-# the documented scale path is iterative min-label propagation over the same
-# exchange when pairs outgrow one node).
+# column: domain/crawl shard); within a block the verification is EXACT
+# all-pairs trigram Jaccard (the same vectorized kernel the MinHash verify
+# tail uses). Components are folded with a driver union-find over the
+# VERIFIED PAIRS only (bounded by true near-dup pairs, not the corpus), or
+# by iterative min-label propagation over the same exchange when pairs
+# outgrow one node.
 
 DUP_CLUSTER_THRESHOLD = 0.5
 
@@ -410,9 +408,11 @@ DUP_CLUSTER_THRESHOLD = 0.5
 CC_DRIVER_PAIR_CAP = 2_000_000
 
 
+BLOCK_DENSE_CAP = 50_000_000  # ``_block_jaccard_pairs``' ``dense_cap``
+
+
 def _block_jaccard_pairs(
-    flat: np.ndarray, offs: np.ndarray, idx: np.ndarray, threshold: float,
-    dense_cap: int = 50_000_000,
+    flat: np.ndarray, offs: np.ndarray, idx: np.ndarray, threshold: float, dense_cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs exact Jaccard >= threshold inside one block, via a single
     docs × block-vocab 0/1 incidence matmul: intersection counts come out
@@ -445,32 +445,20 @@ def _block_jaccard_pairs(
     return ii[keep], jj[keep]
 
 
-def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
-                 cc: str = "auto", pairs: str = "blocked"):
+def dup_clusters(sf_dir: str):
     """(doc_id, cluster_id) for every doc in a near-dup component of size
     >= 2, cluster_id = min doc_id of the component.
 
-    ``pairs``: how the verified near-dup edges are generated —
-      - "blocked" (default, the SQL-oracle semantics): exact all-pairs
-        trigram Jaccard within each ``source`` block. Quadratic per block;
-        valid while the blocking key bounds block size.
-      - "minhash": the corpus-scale path — MinHash-LSH candidates verified by
-        exchange-routed exact Jaccard (pipelines/text.py), no blocking key
-        needed. Probabilistic recall (band curve), so it is NOT compared to
-        the exact SQL oracle; equality with "blocked" holds when every true
-        pair clears the LSH band curve (tests/test_labelprop.py).
-
-    ``cc``: "driver" (union-find over collected pairs — bounded by verified
-    near-dup pairs), "labelprop" (distributed min-label propagation, the
-    100-TB path), or "auto" (labelprop once pairs exceed
-    CC_DRIVER_PAIR_CAP). Both byte-identical (tests/test_labelprop.py)."""
-    if pairs == "minhash":
-        from .text import minhash_dup_candidates
-
-        cand = minhash_dup_candidates(sf_dir, threshold=threshold)
-        return _cluster_pairs(cand[["doc_a", "doc_b"]], cc)
+    The verified near-dup edges are the exact all-pairs trigram Jaccard
+    >= ``DUP_CLUSTER_THRESHOLD`` within each ``source`` block (the SQL-oracle
+    semantics): quadratic per block, valid while the blocking key bounds
+    block size. Components come from a driver union-find over the edges
+    (bounded by verified near-dup pairs) up to ``CC_DRIVER_PAIR_CAP`` edges
+    and from the distributed min-label propagation (the 100-TB path) beyond;
+    both give the same bytes (tests/test_labelprop.py)."""
     from ..stages.exchange import hash_exchange
 
+    threshold, dense_cap = DUP_CLUSTER_THRESHOLD, BLOCK_DENSE_CAP
     shards = shard_list(sf_dir, "documents")
 
     def map_fn(t: pa.Table) -> pa.Table:
@@ -506,7 +494,7 @@ def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
             idx = order[g0:g1]
             if idx.size < 2:
                 continue
-            ii, jj = _block_jaccard_pairs(flat, offs, idx, threshold)
+            ii, jj = _block_jaccard_pairs(flat, offs, idx, threshold, dense_cap)
             if ii.size:
                 a, bids = doc_ids[idx[ii]], doc_ids[idx[jj]]
                 lo, hi_ = np.minimum(a, bids), np.maximum(a, bids)
@@ -517,17 +505,16 @@ def dup_clusters(sf_dir: str, threshold: float = DUP_CLUSTER_THRESHOLD,
         return pd.concat(frames, ignore_index=True)
 
     edge_df = hash_exchange(
-        shards, map_fn, "source", None, reduce_fn,
-        columns=["doc_id", "text", "source"],
+        shards, map_fn, "source", reduce_fn, columns=["doc_id", "text", "source"]
     )
-    return _cluster_pairs(edge_df, cc)
+    return _cluster_pairs(edge_df)
 
 
-def _cluster_pairs(pairs: pd.DataFrame, cc: str) -> pd.DataFrame:
+def _cluster_pairs(pairs: pd.DataFrame) -> pd.DataFrame:
     if len(pairs) == 0:
         return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                              "cluster_id": pd.Series([], dtype="int64")})
-    if cc == "labelprop" or (cc == "auto" and len(pairs) > CC_DRIVER_PAIR_CAP):
+    if len(pairs) > CC_DRIVER_PAIR_CAP:
         from ..stages.labelprop import connected_components_labelprop
 
         return connected_components_labelprop(pairs)
@@ -589,13 +576,15 @@ SELECT doc_id, min(lbl) AS cluster_id FROM cc GROUP BY doc_id
 CHUNK_WORDS = 64
 
 
-def doc_chunks(sf_dir: str, chunk_words: int = CHUNK_WORDS):
+def doc_chunks(sf_dir: str):
     """Split every doc into fixed-size word chunks — one input row expands to
     ceil(n_words/chunk) output rows. The expansion is a VECTORIZED flat_map:
     a shard map fn emitting np.repeat-expanded arrays (a per-row flat_map
     would be a Python loop; a batch transform that returns more rows than it
     takes is the same operator at Arrow speed)."""
     import pyarrow.compute as pc
+
+    chunk_words = CHUNK_WORDS
 
     def fn(batch: pa.Table) -> pa.Table:
         n = (
@@ -635,9 +624,7 @@ FROM n
 """
 
 
-def dedup_passages(
-    sf_dir: str, chunk_words: int = CHUNK_WORDS, num_buckets: int | None = None
-):
+def dedup_passages(sf_dir: str):
     """Passage-grain exact dedup across the WHOLE corpus (the sub-document
     dedup pass a pretraining pipeline runs after doc-level dedup): every doc
     splits into the ``doc_chunks`` fixed-size token windows, and a chunk is
@@ -650,7 +637,7 @@ def dedup_passages(
     from ..stages.exchange import hash_exchange
     from .text import _segment_reduceat
 
-    W = chunk_words
+    W = CHUNK_WORDS
 
     def map_fn(t: pa.Table) -> pa.Table:
         flat, offs = _flat_tokens(tokenize_batch(t))
@@ -698,8 +685,8 @@ def dedup_passages(
         )
 
     parts = hash_exchange(
-        shard_list(sf_dir, "documents"), map_fn, "chash", num_buckets,
-        reduce_fn, columns=["doc_id", "text", "source"],
+        shard_list(sf_dir, "documents"), map_fn, "chash", reduce_fn,
+        columns=["doc_id", "text", "source"],
     )
     out = parts.groupby("doc_id", as_index=False)[["n_chunks", "n_dup_chunks"]].sum()
     out["n_chunks"] = out["n_chunks"].astype(np.int64)
@@ -734,7 +721,7 @@ FROM rk GROUP BY doc_id
 CURATE_MIN_WORDS = 20
 
 
-def curate_corpus(sf_dir: str, num_buckets: int | None = None):
+def curate_corpus(sf_dir: str):
     """The canonical end-to-end corpus-curation pipeline as ONE scale-safe
     composition — keep a doc iff it survives ALL of: exact dedup (first
     doc_id per identical text), length quality (>= CURATE_MIN_WORDS words),
@@ -757,8 +744,7 @@ def curate_corpus(sf_dir: str, num_buckets: int | None = None):
     from .common import tpath
 
     shards = shard_list(sf_dir, "documents")
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(shards)
+    num_buckets = auto_num_buckets(shards)
 
     # --- blocklist shingle union (bounded driver read, broadcast once;
     # pyarrow.dataset handles the single-file AND sharded-dir layouts) -----

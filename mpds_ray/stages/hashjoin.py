@@ -110,7 +110,6 @@ def exchange_join(
     right_shards: list[str],
     key: str,
     reduce_fn: Callable[[int, pa.Table, pa.Table], pd.DataFrame],
-    num_buckets: int | None,
     left_map: Callable[[pa.Table], pa.Table] | None = None,
     right_map: Callable[[pa.Table], pa.Table] | None = None,
     columns_left: list[str] | None = None,
@@ -120,11 +119,11 @@ def exchange_join(
     bloom_from: str | None = None,
     how: str = "inner",
 ) -> pd.DataFrame:
-    """Co-partition both sides on ``hash(key) % num_buckets`` and run
-    ``reduce_fn(bucket, left_tbl, right_tbl)`` per bucket. ``left_map`` /
-    ``right_map`` default to identity — pass combiners to pre-aggregate
-    map-side so the exchange moves partials, not rows. ``num_buckets=None``
-    takes ``auto_num_buckets`` of both sides' shards.
+    """Co-partition both sides on ``hash(key)`` over ``auto_num_buckets`` of
+    both sides' shards and run ``reduce_fn(bucket, left_tbl, right_tbl)``
+    per bucket. ``left_map`` / ``right_map`` default to identity — pass
+    combiners to pre-aggregate map-side so the exchange moves partials, not
+    rows.
 
     ``bloom_from='right'`` (or ``'left'``) builds a bloom filter over that
     side's post-map keys and prefilters the OTHER side's rows map-side,
@@ -138,8 +137,7 @@ def exchange_join(
     ``reduce_grid``). ``bloom_from='right'`` is rejected for
     'left' — it prefilters the preserved side, dropping its unmatched rows;
     ``bloom_from='left'`` (filtering the nullable side) remains valid."""
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(left_shards + right_shards)
+    num_buckets = auto_num_buckets(left_shards + right_shards)
     bucket_fn = partial(key_bucket, key=key, num_buckets=num_buckets)
 
     if how == "left" and bloom_from == "right":

@@ -17,7 +17,7 @@ iteration is one edge-propagation round PLUS one pointer-doubling round
 convergence is O(log diameter) iterations, not O(diameter) — a 10^6-node
 template chain converges in ~20 rounds instead of overflowing any fixed
 iteration budget (ADVICE r3). If labels are still changing after
-``max_iters`` the function RAISES instead of silently returning a
+``MAX_ITERS`` iterations the function RAISES instead of silently returning a
 partially-propagated clustering.
 
 Node ids are int64; labels start as the node id, so the fixpoint label is
@@ -32,6 +32,10 @@ import ray
 
 from .exchange import auto_num_buckets
 from .partition import stable_bucket
+
+# each iteration halves the remaining label-tree depth, so 64 covers any
+# real graph
+MAX_ITERS = 64
 
 
 @ray.remote
@@ -86,17 +90,14 @@ def _shortcut_answer(labels: pd.DataFrame, num_buckets: int, *reqs: pd.DataFrame
     return tuple(cand[b == i] for i in range(num_buckets)) if num_buckets > 1 else cand
 
 
-def connected_components_labelprop(
-    pairs: pd.DataFrame, num_buckets: int | None = None, max_iters: int = 64
-) -> pd.DataFrame:
+def connected_components_labelprop(pairs: pd.DataFrame) -> pd.DataFrame:
     """(doc_a, doc_b) edge list -> (doc_id, cluster_id=min node id of its
     component), for nodes appearing in at least one edge. Semantics identical
-    to the driver union-find; structure is bucketed exchanges only. Raises
-    ``RuntimeError`` if not converged within ``max_iters`` (each iteration
-    halves the remaining label-tree depth, so 64 covers any real graph).
-    ``num_buckets=None`` sizes the exchanges from the pairs frame's bytes."""
-    if num_buckets is None:
-        num_buckets = auto_num_buckets(int(pairs.memory_usage(deep=True).sum()))
+    to the driver union-find; structure is bucketed exchanges only, sized
+    from the pairs frame's bytes. Raises ``RuntimeError`` if not converged
+    within ``MAX_ITERS`` iterations."""
+    max_iters = MAX_ITERS
+    num_buckets = auto_num_buckets(int(pairs.memory_usage(deep=True).sum()))
     a = pairs["doc_a"].to_numpy(dtype=np.int64)
     b = pairs["doc_b"].to_numpy(dtype=np.int64)
     # undirected: propagate both ways

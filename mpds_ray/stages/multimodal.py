@@ -256,9 +256,12 @@ def decode_audio(batch: pa.Table) -> pd.DataFrame:
     )
 
 
-def sample_frames(batch: pa.Table, n_frames: int = 4) -> pd.DataFrame:
+SAMPLE_FRAMES = 4
+
+
+def sample_frames(batch: pa.Table) -> pd.DataFrame:
     """y4m video rows -> one row of luma stats per sampled frame:
-    ``min(n_frames, total)`` evenly spaced distinct frames per video (the
+    ``min(SAMPLE_FRAMES, total)`` evenly spaced distinct frames per video (the
     flat_map shape for frame-level pipelines)."""
     rows = []
     for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
@@ -269,7 +272,7 @@ def sample_frames(batch: pa.Table, n_frames: int = 4) -> pd.DataFrame:
             )
         frames, w, h = decode_y4m(p)
         total = frames.shape[0]
-        k = min(n_frames, total)
+        k = min(SAMPLE_FRAMES, total)
         for fi in np.unique((np.arange(k) * total) // k):
             y = frames[fi].astype(np.float64)
             rows.append(

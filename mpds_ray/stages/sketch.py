@@ -65,10 +65,10 @@ def weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> np.ndarra
     return np.interp(targets, pos, v)
 
 
-def quantile_summary(
-    b: pd.DataFrame, cols: list[str], raw_limit: int = RAW_LIMIT, k: int = K
-) -> pd.DataFrame:
-    """One batch's summary rows ``(col, value, weight)`` for ``cols``."""
+def quantile_summary(b: pd.DataFrame, cols: list[str], raw_limit: int, k: int) -> pd.DataFrame:
+    """One batch's summary rows ``(col, value, weight)`` for ``cols``. Its
+    caller reads ``raw_limit`` and ``k`` (``RAW_LIMIT``, ``K``) on the
+    driver and passes them to the tasks."""
     frames = []
     for c in cols:
         val, wt = batch_quantile_summary(
@@ -91,7 +91,7 @@ def fold_quantiles(parts: pd.DataFrame, cols: list[str], qs) -> dict[str, np.nda
     return out
 
 
-def quantile_summary_stage(ds, cols: list[str], raw_limit: int = RAW_LIMIT, k: int = K):
+def quantile_summary_stage(ds, cols: list[str], raw_limit: int, k: int):
     """Dataset -> per-batch summary rows ``(col, value, weight)``."""
     # batch_size must EXCEED raw_limit or the compression branch is dead code
     # and the driver silently collects the whole column as unit-weight rows
@@ -104,13 +104,11 @@ def quantile_summary_stage(ds, cols: list[str], raw_limit: int = RAW_LIMIT, k: i
     )
 
 
-def column_quantiles(
-    ds, cols: list[str], qs, raw_limit: int = RAW_LIMIT, k: int = K
-) -> dict[str, np.ndarray]:
+def column_quantiles(ds, cols: list[str], qs) -> dict[str, np.ndarray]:
     """Global per-column quantiles of a Dataset via the mergeable summary
     (exact under RAW_LIMIT-sized inputs, sketch with 1/(2K) rank error
-    beyond)."""
-    return fold_quantiles(quantile_summary_stage(ds, cols, raw_limit, k).to_pandas(), cols, qs)
+    beyond). ``RAW_LIMIT`` and ``K`` are read when it is called."""
+    return fold_quantiles(quantile_summary_stage(ds, cols, RAW_LIMIT, K).to_pandas(), cols, qs)
 
 
 def shard_quantiles(shard_paths: list[str], cols: list[str], qs) -> dict[str, np.ndarray]:
@@ -130,7 +128,7 @@ def shard_quantiles(shard_paths: list[str], cols: list[str], qs) -> dict[str, np
 
 
 def grouped_quantile_summary(
-    b: pd.DataFrame, key: str, col: str, raw_limit: int = RAW_LIMIT, k: int = K
+    b: pd.DataFrame, key: str, col: str, raw_limit: int, k: int
 ) -> pd.DataFrame:
     """One batch's per-GROUP summary rows ``(key, value, weight)``.
 
@@ -209,15 +207,16 @@ def _splitmix64_u64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def kmv_partial(keys: np.ndarray, k: int = KMV_K) -> np.ndarray:
-    """One batch's KMV summary: the k smallest distinct hashes of ``keys``."""
+def kmv_partial(keys: np.ndarray, k: int) -> np.ndarray:
+    """One batch's KMV summary: the k smallest distinct hashes of ``keys``
+    (``k`` is ``KMV_K``, read on the driver and passed to the tasks)."""
     h = np.unique(_splitmix64_u64(np.asarray(keys)))
     if h.size > k:
         h = h[np.argpartition(h, k)[:k]]
     return h
 
 
-def kmv_merge_count(partials: list[np.ndarray], k: int = KMV_K) -> int:
+def kmv_merge_count(partials: list[np.ndarray], k: int) -> int:
     """Fold per-batch KMV summaries into a distinct-count estimate (EXACT
     when the global distinct count is <= k)."""
     if not partials:

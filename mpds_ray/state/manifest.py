@@ -184,5 +184,5 @@ def write_partitioned_resumable(
         return pd.DataFrame(rows, columns=["partition_id", "rows", "skipped"])
 
     return hash_exchange(
-        shard_paths, lambda t: t, partition_col, None, write_bucket, columns=columns
+        shard_paths, lambda t: t, partition_col, write_bucket, columns=columns
     )

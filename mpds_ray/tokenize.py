@@ -39,10 +39,10 @@ def tokenize_words(words: pa.Array) -> np.ndarray:
     return ((first * 256 + length) % VOCAB).astype(np.int32)
 
 
-def tokenize_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def tokenize_batch(batch: pa.Table) -> pa.Table:
     """documents batch -> tokens batch (doc_id, tokens, n_tok, source).
     Vectorized: split via pyarrow, hash via NumPy over the flat word buffer."""
-    text = batch.column(text_col)
+    text = batch.column("text")
     text = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
     words = pc.split_pattern(text, " ")
     words = words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words

@@ -1,9 +1,10 @@
 """Session-scoped Ray fixture — Ray is initialised ONCE per pytest session —
-plus what the byte-identity tests share: the bit-level table comparison and
-the carry edge-case fixtures."""
+plus what the byte-identity tests share: the bit-level table comparison, the
+carry edge-case fixtures, the task counter and the bucket-count override."""
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import os
 
@@ -78,3 +79,28 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir() -> str:
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def tasks(monkeypatch):
+    """Counts the tasks submitted from the driver, by function name."""
+    from ray.remote_function import RemoteFunction
+
+    seen = collections.Counter()
+    submit = RemoteFunction._remote
+
+    def counted(self, *args, **kwargs):
+        seen[self._function_name.rsplit(".", 1)[1]] += 1
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    return seen
+
+
+def force_buckets(monkeypatch, n: int) -> None:
+    """Every bucket count derived from a parquet input becomes ``n``: the
+    exchange constants ``TARGET_TASK_BYTES = 1`` and ``MAX_BUCKETS = n``."""
+    from mpds_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "TARGET_TASK_BYTES", 1)
+    monkeypatch.setattr(exchange, "MAX_BUCKETS", n)

@@ -15,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
 from mpds_ray.stages.hashjoin import (
     BLOOM_BITS,
@@ -83,18 +84,20 @@ def _make_reduce():
 
 
 def _run(left, right, **kw) -> pd.DataFrame:
-    out = exchange_join(left, right, "k", _make_reduce(), num_buckets=8, **kw)
+    out = exchange_join(left, right, "k", _make_reduce(), **kw)
     out = out.groupby("tag", as_index=False)["v"].sum()
     out["v"] = out["v"].round(9)
     return out.sort_values("tag").reset_index(drop=True)
 
 
-def test_bloom_join_identical_and_prunes(ray_session, join_dirs):
+def test_bloom_join_identical_and_prunes(ray_session, join_dirs, tasks, monkeypatch):
     left, right = join_dirs
+    force_buckets(monkeypatch, 8)
     base = _run(left, right)
     for side in ("right", "left"):
         got = _run(left, right, bloom_from=side)
         pd.testing.assert_frame_equal(got, base)
+    assert tasks["_reduce_bucket"] == 3 * 8
 
     # the prefilter itself: ~12% of left keys survive a right-side bloom
     bits = build_key_bloom(right, "k")
@@ -105,7 +108,7 @@ def test_bloom_join_identical_and_prunes(ray_session, join_dirs):
     assert keep.mean() >= true_frac  # never drops a real match
 
 
-def test_bloom_join_empty_side(ray_session, tmp_path):
+def test_bloom_join_empty_side(ray_session, tmp_path, tasks, monkeypatch):
     ldir, rdir = tmp_path / "l", tmp_path / "r"
     ldir.mkdir(), rdir.mkdir()
     pq.write_table(pa.table({"k": [1, 2, 3], "v": [1.0, 2.0, 3.0]}), ldir / "a.parquet")
@@ -113,8 +116,10 @@ def test_bloom_join_empty_side(ray_session, tmp_path):
         pa.table({"k": pa.array([], type=pa.int64()), "tag": pa.array([], type=pa.int64())}),
         rdir / "a.parquet",
     )
+    force_buckets(monkeypatch, 4)
     out = exchange_join(
         [str(ldir / "a.parquet")], [str(rdir / "a.parquet")], "k", _make_reduce(),
-        num_buckets=4, bloom_from="right",
+        bloom_from="right",
     )
     assert len(out) == 0
+    assert tasks["_reduce_bucket"] == 4

@@ -16,6 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
 from mpds_ray.stages.exchange import exchange_map, key_bucket, reduce_grid
 from mpds_ray.stages.hashjoin import BLOOM_BITS, BLOOM_HASHES, bloom_probe, build_key_bloom
@@ -134,13 +135,15 @@ def test_chain_join_empty_hop(ray_session, chain_dirs, tmp_path):
     assert len(got) == 0
 
 
-def test_q5_matches_duckdb(ray_session):
+def test_q5_matches_duckdb(ray_session, tasks, monkeypatch):
     import duckdb
 
     from mpds_ray.pipelines.relational import Q5_SQL, q5_region_nation_revenue
 
     sf = "/root/testdata/sf0.001"
-    got = q5_region_nation_revenue(sf, num_buckets=4)
+    force_buckets(monkeypatch, 4)
+    got = q5_region_nation_revenue(sf)
+    assert tasks["_reduce_bucket"] == 3 * 4  # three hops
     con = duckdb.connect()
     for t in ["customer", "orders", "lineitem", "supplier", "nation", "region"]:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
@@ -151,13 +154,15 @@ def test_q5_matches_duckdb(ray_session):
 
 
 @pytest.mark.parametrize("num_buckets", [1, 4])
-def test_q7_nation_pair_matches_duckdb(ray_session, num_buckets):
+def test_q7_nation_pair_matches_duckdb(ray_session, tasks, monkeypatch, num_buckets):
     import duckdb
 
     from mpds_ray.pipelines.relational import Q7_SQL, nation_pair_trade
 
     sf = "/root/testdata/sf0.001"
-    got = nation_pair_trade(sf, num_buckets=num_buckets)
+    force_buckets(monkeypatch, num_buckets)
+    got = nation_pair_trade(sf)
+    assert tasks["_reduce_bucket"] == 3 * num_buckets  # three hops
     con = duckdb.connect()
     for t in ["customer", "orders", "lineitem", "supplier", "nation"]:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")

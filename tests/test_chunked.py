@@ -372,6 +372,15 @@ class TestCarryEdgeStats:
         assert want["run_twmean"].to_pylist()[:3] == [5.0, 5.0, 5.0]
         assert_bit_identical(self._scan_cut(left, right, cuts), want)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 12: a chunk whose entity has only NaN stats so far takes the "
+        "first stat from the next chunk's head only, so row 0 reads None"))
+    def test_nan_first_stat_two_chunks_ahead(self):
+        left, right = one_entity([np.nan, np.nan, 5.0, 7.0, 1.0], [0.0, 0.0, 0.0, 0.0, 10.0])
+        want = process_bucket(left, right, "doc_id", "ts", 300.0, 3_600.0, ["tok_mean"])
+        assert want["run_twmean"].to_pylist() == [5.0, 5.0, 5.0, 5.0, 4.0]
+        assert_bit_identical(self._scan_cut(left, right, [1, 2]), want)
+
     @pytest.mark.parametrize("cuts", [[1], [2]])
     def test_first_ts_ties_twmean(self, cuts):
         left, right = one_entity(FIRST_TIES, NAN_FIRST_TS)

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-def test_lsh_finds_planted_near_dups(ray_session, tmp_path):
+def test_lsh_finds_planted_near_dups(ray_session, tmp_path, monkeypatch):
     rng = np.random.default_rng(42)
     base = rng.normal(size=(60, 64)).astype(np.float32)
     # plant: vec 60 ~ vec 0 (tiny perturbation), vec 61 ~ vec 5
@@ -24,24 +24,29 @@ def test_lsh_finds_planted_near_dups(ray_session, tmp_path):
     )
     pq.write_table(tbl, tmp_path / "embeddings.parquet")
 
-    from mpds_ray.pipelines.knn import embedding_near_dups
+    from mpds_ray.pipelines import knn
 
-    out = embedding_near_dups(str(tmp_path), threshold=0.95)
+    monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 0.95)
+    out = knn.embedding_near_dups(str(tmp_path))
     pairs = set(zip(out["vec_a"], out["vec_b"]))
     assert (0, 60) in pairs and (5, 61) in pairs
     # no false positives among random gaussians at 0.95
     assert len(pairs) == 2
+    # the constant reaches the pair tasks: no cosine reaches 1.01
+    monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 1.01)
+    assert len(knn.embedding_near_dups(str(tmp_path))) == 0
 
 
-def test_no_dups_in_random_corpus(ray_session, sf_dir):
-    from mpds_ray.pipelines.knn import embedding_near_dups
+def test_no_dups_in_random_corpus(ray_session, sf_dir, monkeypatch):
+    from mpds_ray.pipelines import knn
 
-    out = embedding_near_dups(sf_dir, threshold=0.99)
+    monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 0.99)
+    out = knn.embedding_near_dups(sf_dir)
     assert isinstance(out, pd.DataFrame)
     assert len(out) == 0  # random embeddings share no 0.99-cosine pairs
 
 
-def test_lsh_recall_vs_exact(ray_session, tmp_path):
+def test_lsh_recall_vs_exact(ray_session, tmp_path, monkeypatch):
     """The LSH scale path finds every planted high-cosine pair the exact
     block-pair baseline finds (recall 1.0 at 0.95 with 8x8-bit tables), and
     reports identical cos_sim values for them."""
@@ -58,14 +63,19 @@ def test_lsh_recall_vs_exact(ray_session, tmp_path):
     )
     pq.write_table(tbl, tmp_path / "embeddings.parquet")
 
-    from mpds_ray.pipelines.knn import embedding_near_dups, embedding_near_dups_lsh
+    from mpds_ray.pipelines import knn
 
-    exact = embedding_near_dups(str(tmp_path), threshold=0.95)
-    lsh = embedding_near_dups_lsh(str(tmp_path), threshold=0.95)
+    monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 0.95)
+    exact = knn.embedding_near_dups(str(tmp_path))
+    lsh = knn.embedding_near_dups_lsh(str(tmp_path))
     exact_pairs = dict(zip(zip(exact["vec_a"], exact["vec_b"]), exact["cos_sim"]))
     lsh_pairs = dict(zip(zip(lsh["vec_a"], lsh["vec_b"]), lsh["cos_sim"]))
     assert len(exact_pairs) == 4
     assert lsh_pairs == exact_pairs  # full recall AND identical verified sims
+    # the constant reaches both paths: no cosine reaches 1.01
+    monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 1.01)
+    assert len(knn.embedding_near_dups(str(tmp_path))) == 0
+    assert len(knn.embedding_near_dups_lsh(str(tmp_path))) == 0
 
 
 

@@ -66,32 +66,40 @@ class TestSplit:
 
 
 class TestAutoNumBuckets:
-    def test_scales_with_bytes_and_clamps(self, tmp_path):
-        from mpds_ray.stages.exchange import auto_num_buckets
+    """The rule reads ``TARGET_TASK_BYTES``, ``MAX_BUCKETS`` and
+    ``EXPANSION`` from its module when it is called."""
 
+    @staticmethod
+    def rule(monkeypatch, target, max_buckets=4096, expansion=4.0):
+        from mpds_ray.stages import exchange
+
+        monkeypatch.setattr(exchange, "TARGET_TASK_BYTES", target)
+        monkeypatch.setattr(exchange, "MAX_BUCKETS", max_buckets)
+        monkeypatch.setattr(exchange, "EXPANSION", expansion)
+        return exchange.auto_num_buckets
+
+    def test_scales_with_bytes_and_clamps(self, tmp_path, monkeypatch):
         p = tmp_path / "x.parquet"
         pq.write_table(pa.table({"a": list(range(1000))}), p)
-        small = auto_num_buckets([str(p)], target_task_bytes=1 << 30)
+        small = self.rule(monkeypatch, 1 << 30)([str(p)])
         assert small == 1  # tiny input -> one reduce task, no floor
-        big = auto_num_buckets([str(p)] * 50, target_task_bytes=1024, max_buckets=64)
+        big = self.rule(monkeypatch, 1024, max_buckets=64)([str(p)] * 50)
         assert big == 64  # would exceed -> ceiling
-        mid = auto_num_buckets(
-            [str(p)] * 10, target_task_bytes=20_000, max_buckets=10_000, expansion=1.0,
-        )
+        mid = self.rule(monkeypatch, 20_000, max_buckets=10_000, expansion=1.0)([str(p)] * 10)
         import os
 
         want = -(-os.path.getsize(p) * 10 // 20_000)
         assert want > 1
         assert mid == want
 
-    def test_byte_count_input(self):
+    def test_byte_count_input(self, monkeypatch):
         from mpds_ray.stages.exchange import auto_num_buckets
 
         assert auto_num_buckets(0) == 1
-        assert auto_num_buckets(1000, target_task_bytes=1 << 20) == 1
+        assert self.rule(monkeypatch, 1 << 20)(1000) == 1
         # ceil(10_001 * 4 / 1_000) = 41: the same rule as for paths
-        assert auto_num_buckets(10_001, target_task_bytes=1_000) == 41
-        assert auto_num_buckets(10**12, target_task_bytes=1_000, max_buckets=100) == 100
+        assert self.rule(monkeypatch, 1_000)(10_001) == 41
+        assert self.rule(monkeypatch, 1_000, max_buckets=100)(10**12) == 100
 
 
 class TestExchangeFlagship:

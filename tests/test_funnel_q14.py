@@ -6,18 +6,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+from conftest import force_buckets
 
 
-def test_part_type_revenue_share_sums_to_one(ray_session, sf_dir):
+def test_part_type_revenue_share_sums_to_one(ray_session, sf_dir, tasks, monkeypatch):
     from mpds_ray.pipelines.relational import part_type_revenue_share
 
-    out = part_type_revenue_share(sf_dir, num_buckets=4)
+    force_buckets(monkeypatch, 4)
+    out = part_type_revenue_share(sf_dir)
+    assert tasks["_reduce_bucket"] == 4
     assert len(out) >= 1
     assert abs(out.share.sum() - 1.0) < 1e-12
     assert (out.share > 0).all() and (out.revenue > 0).all()
 
 
-def test_part_share_matches_duckdb(ray_session, sf_dir):
+def test_part_share_matches_duckdb(ray_session, sf_dir, tasks, monkeypatch):
     import duckdb
 
     from mpds_ray.pipelines.relational import (
@@ -25,7 +28,9 @@ def test_part_share_matches_duckdb(ray_session, sf_dir):
         part_type_revenue_share,
     )
 
-    got = part_type_revenue_share(sf_dir, num_buckets=4)
+    force_buckets(monkeypatch, 4)
+    got = part_type_revenue_share(sf_dir)
+    assert tasks["_reduce_bucket"] == 4
     con = duckdb.connect()
     for t in ("lineitem", "part"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")

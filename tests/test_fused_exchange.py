@@ -6,7 +6,6 @@ map tasks. The outputs equal the same exchange at four buckets bit for bit."""
 
 from __future__ import annotations
 
-import collections
 from functools import partial
 
 import numpy as np
@@ -17,8 +16,7 @@ import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 import pytest
 import ray
-from conftest import assert_bit_identical
-from ray.remote_function import RemoteFunction
+from conftest import assert_bit_identical, force_buckets
 
 from mpds_ray.pipelines import knn, relational
 from mpds_ray.stages import exchange, hashjoin
@@ -62,20 +60,6 @@ def canonical(df: pd.DataFrame) -> pd.DataFrame:
 
 
 @pytest.fixture
-def tasks(monkeypatch):
-    """Counts the tasks submitted from the driver, by function name."""
-    seen = collections.Counter()
-    submit = RemoteFunction._remote
-
-    def counted(self, *args, **kwargs):
-        seen[self._function_name.rsplit(".", 1)[1]] += 1
-        return submit(self, *args, **kwargs)
-
-    monkeypatch.setattr(RemoteFunction, "_remote", counted)
-    return seen
-
-
-@pytest.fixture
 def bucket_log(tmp_path, monkeypatch):
     """Every keyed exchange's bucket rule, logged: the file counts the
     ``bucket_fn`` calls made in any worker."""
@@ -104,19 +88,24 @@ def kv_shards(tmp_path_factory):
 
 class TestOneTask:
     @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_hash_exchange(self, ray_session, kv_shards, tasks, bucket_log, n_shards):
+    def test_hash_exchange(self, ray_session, kv_shards, tasks, bucket_log, monkeypatch,
+                           n_shards):
         """One shard is one task; two shards keep a map task each, so their
         reads and maps run in parallel."""
         paths = kv_shards[0][:n_shards]
         sum_by_k, scale = exchange_fns()
-        one = hash_exchange(paths, scale, "k", 1, sum_by_k, columns=["k", "v"])
+        force_buckets(monkeypatch, 1)
+        one = hash_exchange(paths, scale, "k", sum_by_k, columns=["k", "v"])
         maps = 0 if n_shards == 1 else n_shards
         assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (maps, 1)
         assert lines(bucket_log) == maps
-        four = hash_exchange(paths, scale, "k", 4, sum_by_k, columns=["k", "v"])
+        force_buckets(monkeypatch, 4)
+        four = hash_exchange(paths, scale, "k", sum_by_k, columns=["k", "v"])
+        assert tasks["_reduce_bucket"] == 1 + 4
         assert_bit_identical(canonical(one), canonical(four))
 
-    def test_mapped_upstream_ref_keeps_its_map_task(self, ray_session, kv_shards, tasks):
+    def test_mapped_upstream_ref_keeps_its_map_task(self, ray_session, kv_shards, tasks,
+                                                    monkeypatch):
         """A deferred cell never holds an ObjectRef: its consumer would block
         on it. A mapped upstream ref goes to a map task, which Ray hands the
         resolved table."""
@@ -124,14 +113,16 @@ class TestOneTask:
         ref = ray.put(pq.read_table(kv_shards[0][0], columns=["k", "v"]))
         grid = exchange_map([ref], scale, partial(key_bucket, key="k", num_buckets=1), 1)
         assert tasks["_map_shard"] == 1
-        want = hash_exchange(kv_shards[0][:1], scale, "k", 1, sum_by_k, columns=["k", "v"])
+        force_buckets(monkeypatch, 1)
+        want = hash_exchange(kv_shards[0][:1], scale, "k", sum_by_k, columns=["k", "v"])
         assert_bit_identical(canonical(reduce_grid(sum_by_k, 1, grid)), canonical(want))
 
     @pytest.mark.parametrize("how,filters_right", [
         ("inner", None),
         ("left", pds.field("k") < 0),  # the right side reads no rows
     ])
-    def test_exchange_join(self, ray_session, kv_shards, tasks, bucket_log, how, filters_right):
+    def test_exchange_join(self, ray_session, kv_shards, tasks, bucket_log, monkeypatch, how,
+                           filters_right):
         paths, dim = kv_shards
 
         def join(b, left, right):
@@ -141,8 +132,9 @@ class TestOneTask:
             return left.merge(right.to_pandas(), on="k", how=how)
 
         def run(nb):
+            force_buckets(monkeypatch, nb)
             return hashjoin.exchange_join(
-                paths[:1], dim, "k", join, nb, columns_left=["k", "v"],
+                paths[:1], dim, "k", join, columns_left=["k", "v"],
                 filters_right=filters_right, how=how,
             )
 
@@ -150,14 +142,19 @@ class TestOneTask:
         assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (0, 1)
         assert lines(bucket_log) == 0
         assert len(one) and (how == "inner" or one["w"].isna().all())
-        assert_bit_identical(canonical(one), canonical(run(4)))
+        four = run(4)
+        assert tasks["_reduce_bucket"] == 1 + 4
+        assert_bit_identical(canonical(one), canonical(four))
 
-    def test_q5_chain(self, ray_session, sf_dir, tasks, bucket_log):
-        one = relational.q5_region_nation_revenue(sf_dir, num_buckets=1)
+    def test_q5_chain(self, ray_session, sf_dir, tasks, bucket_log, monkeypatch):
+        force_buckets(monkeypatch, 1)
+        one = relational.q5_region_nation_revenue(sf_dir)
         assert (tasks["_map_shard"], tasks["_reduce_bucket"]) == (0, 3)  # one per hop
         assert lines(bucket_log) == 0
         assert len(one)
-        four = relational.q5_region_nation_revenue(sf_dir, num_buckets=4)
+        force_buckets(monkeypatch, 4)
+        four = relational.q5_region_nation_revenue(sf_dir)
+        assert tasks["_reduce_bucket"] == 3 + 3 * 4
         assert_bit_identical(canonical(one), canonical(four))
 
 
@@ -193,7 +190,8 @@ class TestDeferredMapRunsOnce:
         monkeypatch.setattr(
             knn, "exchange_map", lambda src, fn, *a, **kw: orig(src, logged(fn, log), *a, **kw)
         )
-        out = knn.embedding_near_dups(str(tmp_path), threshold=0.99)
+        monkeypatch.setattr(knn, "NEAR_DUP_THRESHOLD", 0.99)
+        out = knn.embedding_near_dups(str(tmp_path))
         assert list(zip(out["vec_a"], out["vec_b"])) == [(2, 39)]
         assert lines(log) == n_shards
         assert tasks["_map_shard"] == (0 if n_shards == 1 else n_shards)

@@ -9,6 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
 from mpds_ray.stages.hashjoin import exchange_join
 
@@ -25,7 +26,8 @@ def _write_shards(tmp_path, name: str, df: pd.DataFrame, n_shards: int) -> list[
 
 
 class TestExchangeJoin:
-    def test_inner_join_matches_pandas_any_bucket_count(self, ray_session, tmp_path):
+    def test_inner_join_matches_pandas_any_bucket_count(self, ray_session, tmp_path, tasks,
+                                                         monkeypatch):
         left = pd.DataFrame(
             {"k": rng.integers(0, 40, 300).astype(np.int64),
              "x": rng.normal(size=300)}
@@ -46,14 +48,16 @@ class TestExchangeJoin:
             .reset_index(drop=True)
         )
         for nb in (1, 2, 8):
+            force_buckets(monkeypatch, nb)
             got = (
-                exchange_join(lp, rp, "k", reduce_fn, nb)
+                exchange_join(lp, rp, "k", reduce_fn)
                 .sort_values(["k", "x", "y"])
                 .reset_index(drop=True)
             )
             pd.testing.assert_frame_equal(got[["k", "x", "y"]], want)
+        assert tasks["_reduce_bucket"] == 1 + 2 + 8
 
-    def test_left_join_matches_pandas(self, ray_session, tmp_path):
+    def test_left_join_matches_pandas(self, ray_session, tmp_path, tasks, monkeypatch):
         # right keys cover only [0, 8): many buckets are left-only and must
         # still surface their left rows (the how='left' contract)
         left = pd.DataFrame(
@@ -80,14 +84,16 @@ class TestExchangeJoin:
             .reset_index(drop=True)
         )
         for nb in (1, 4, 16):
+            force_buckets(monkeypatch, nb)
             got = (
-                exchange_join(lp, rp, "k", reduce_fn, nb, how="left")
+                exchange_join(lp, rp, "k", reduce_fn, how="left")
                 .sort_values(["k", "y"])
                 .reset_index(drop=True)
             )
             pd.testing.assert_frame_equal(got[["k", "x", "y"]], want)
         # every left row survives even where no bucket had right rows
         assert len(got) == len(want) and got["k"].nunique() == 64
+        assert tasks["_reduce_bucket"] == 1 + 4 + 16
 
     def test_left_join_rejects_right_bloom(self, ray_session, tmp_path):
         df = pd.DataFrame({"k": np.arange(4, dtype=np.int64), "x": np.arange(4.0)})
@@ -95,8 +101,7 @@ class TestExchangeJoin:
         rp = _write_shards(tmp_path, "rb", df.rename(columns={"x": "y"}), 1)
         with pytest.raises(ValueError, match="bloom_from='right'"):
             exchange_join(
-                lp, rp, "k", lambda b, l, r: pd.DataFrame(), 2,
-                how="left", bloom_from="right",
+                lp, rp, "k", lambda b, l, r: pd.DataFrame(), how="left", bloom_from="right",
             )
 
     def test_driver_root_bound_enforced(self, ray_session, tmp_path, monkeypatch):
@@ -112,4 +117,4 @@ class TestExchangeJoin:
             return l.to_pandas().merge(r.to_pandas(), on="k")  # 200x200 rows
 
         with pytest.raises(RuntimeError, match="driver root"):
-            exchange_join(lp, rp, "k", reduce_fn, 2)
+            exchange_join(lp, rp, "k", reduce_fn)

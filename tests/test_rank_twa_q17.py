@@ -7,6 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
 
 def _write_events(d, rows):
@@ -79,12 +80,14 @@ def test_time_weighted_value_hand_values(ray_session, tmp_path):
     assert np.isclose(out.twa_value.iloc[0], 12.5)
 
 
-def test_small_quantity_revenue_matches_duckdb(ray_session, sf_dir):
+def test_small_quantity_revenue_matches_duckdb(ray_session, sf_dir, tasks, monkeypatch):
     import duckdb
 
     from mpds_ray.pipelines.relational import Q17_SQL, small_quantity_revenue
 
-    got = small_quantity_revenue(sf_dir, num_buckets=4)
+    force_buckets(monkeypatch, 4)
+    got = small_quantity_revenue(sf_dir)
+    assert tasks["_reduce_bucket"] == 4
     con = duckdb.connect()
     for t in ("lineitem", "part"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
@@ -93,7 +96,7 @@ def test_small_quantity_revenue_matches_duckdb(ray_session, sf_dir):
     assert got.avg_yearly.iloc[0] > 0
 
 
-def test_small_quantity_revenue_bloom_parity(ray_session, sf_dir):
+def test_small_quantity_revenue_bloom_parity(ray_session, sf_dir, tasks, monkeypatch):
     """The bloom prefilter must not change the result (exact per-bucket
     join discards false positives)."""
     from unittest import mock
@@ -101,7 +104,8 @@ def test_small_quantity_revenue_bloom_parity(ray_session, sf_dir):
     from mpds_ray.pipelines import relational
     from mpds_ray.stages import hashjoin
 
-    with_bloom = relational.small_quantity_revenue(sf_dir, num_buckets=4)
+    force_buckets(monkeypatch, 4)
+    with_bloom = relational.small_quantity_revenue(sf_dir)
 
     orig = hashjoin.exchange_join
 
@@ -112,7 +116,8 @@ def test_small_quantity_revenue_bloom_parity(ray_session, sf_dir):
     with mock.patch.object(hashjoin, "exchange_join", side_effect=no_bloom):
         # relational imports exchange_join inside the function body, so the
         # module-level patch is what it resolves
-        without = relational.small_quantity_revenue(sf_dir, num_buckets=4)
+        without = relational.small_quantity_revenue(sf_dir)
+    assert tasks["_reduce_bucket"] == 2 * 4
     pd.testing.assert_frame_equal(with_bloom, without)
 
 
@@ -417,7 +422,7 @@ def test_event_transition_matrix_hand_values(ray_session, tmp_path):
 
 
 def test_top_users_with_ties_keeps_ties(ray_session, tmp_path):
-    from mpds_ray.pipelines.eventspipe import top_users_with_ties
+    from mpds_ray.pipelines.eventspipe import TOP_TIES_K, top_users_with_ties
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -429,7 +434,8 @@ def test_top_users_with_ties_keeps_ties(ray_session, tmp_path):
             rows.append((eid, u, "view", eid, 1.0))
             eid += 1
     _write_events(d, rows)
-    out = top_users_with_ties(str(d), k=3)
+    assert TOP_TIES_K == 3
+    out = top_users_with_ties(str(d))
     assert set(out.user_id) == {1, 2, 3, 4}
     got = dict(zip(out.user_id, out.n_rank))
     assert got == {1: 1, 2: 2, 3: 2, 4: 2}

@@ -49,7 +49,7 @@ class TestDistributedQuantiles:
         got = column_quantiles(ds, ["x"], [0.5, 0.9])["x"]
         np.testing.assert_array_equal(got, np.percentile(v, [50, 90]))
 
-    def test_sketch_path_error_bound(self, ray_session):
+    def test_sketch_path_error_bound(self, ray_session, monkeypatch):
         """Force the sketch path (tiny raw_limit) on a 1M-row skewed column:
         the merged estimate must be within ~1/(2K) rank error of exact, AND
         the driver-side summary must actually be compressed (the r2 stage's
@@ -57,6 +57,7 @@ class TestDistributedQuantiles:
         collected the raw column — ADVICE r2)."""
         import ray.data as rd
 
+        from mpds_ray.stages import sketch
         from mpds_ray.stages.sketch import quantile_summary_stage
 
         rng = np.random.default_rng(3)
@@ -65,7 +66,13 @@ class TestDistributedQuantiles:
         parts = quantile_summary_stage(ds, ["x"], raw_limit=10_000, k=2048).to_pandas()
         assert len(parts) < 200_000, "summary not compressed: driver got raw column"
         assert (parts["weight"] > 1).any(), "no batch took the compression branch"
-        got = column_quantiles(ds, ["x"], [0.5, 0.9, 0.99], raw_limit=10_000, k=2048)["x"]
+        monkeypatch.setattr(sketch, "RAW_LIMIT", 10_000)
+        monkeypatch.setattr(sketch, "K", 2048)
+        budgets = []
+        monkeypatch.setattr(sketch, "quantile_summary_stage", lambda ds, cols, raw_limit, k: (
+            budgets.append((raw_limit, k)) or quantile_summary_stage(ds, cols, raw_limit, k)))
+        got = column_quantiles(ds, ["x"], [0.5, 0.9, 0.99])["x"]
+        assert budgets == [(10_000, 2048)]
         sv = np.sort(v)
         for q, est in zip((0.5, 0.9, 0.99), got):
             rank = np.searchsorted(sv, est) / v.size

@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -47,7 +48,7 @@ def inputs(tmp_path_factory):
 
 
 def _files(out_dir: str) -> dict[str, bytes]:
-    return {os.path.basename(p): open(p, "rb").read()
+    return {os.path.basename(p): Path(p).read_bytes()
             for p in sorted(glob.glob(f"{out_dir}/part-*.parquet"))}
 
 

@@ -9,7 +9,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
+from mpds_ray.pipelines import text
 from mpds_ray.pipelines.text import (
     _shingles,
     minhash_signature,
@@ -54,9 +56,10 @@ class TestMinHash:
         )
         d = tmp_path / "documents.parquet"
         pq.write_table(pa.Table.from_pandas(df), d)
-        from mpds_ray.pipelines.text import minhash_dup_candidates
+        from mpds_ray.pipelines.text import MINHASH_THRESHOLD, minhash_dup_candidates
 
-        out = minhash_dup_candidates(str(tmp_path), threshold=0.5)
+        assert MINHASH_THRESHOLD == 0.5
+        out = minhash_dup_candidates(str(tmp_path))
         pairs = set(zip(out["doc_a"], out["doc_b"]))
         assert (0, 40) in pairs
         got = out.loc[(out["doc_a"] == 0) & (out["doc_b"] == 40), "jaccard"].iloc[0]
@@ -396,8 +399,8 @@ class TestMultimodal:
                 ],
             }
         )
-        out = sample_frames(b, n_frames=4)
-        # 4 evenly-spaced distinct frames of 10; only 2 exist for media 2
+        out = sample_frames(b)
+        # SAMPLE_FRAMES = 4 evenly-spaced distinct frames of 10; only 2 exist for media 2
         assert list(out[out.media_id == 1]["frame_idx"]) == [0, 2, 5, 7]
         assert list(out[out.media_id == 2]["frame_idx"]) == [0, 1]
         assert (out[out.media_id == 1]["n_frames_total"] == 10).all()
@@ -487,7 +490,7 @@ class TestSegmentVectorizedParity:
             assert np.array_equal(sig[:, i], want), i
 
 
-def test_similar_pairs_exact_complete_vs_brute(ray_session, tmp_path):
+def test_similar_pairs_exact_complete_vs_brute(ray_session, tmp_path, monkeypatch):
     """The prefix-filter join must find EVERY pair with shingle-Jaccard >=
     t (lossless, unlike LSH): compare to a scalar brute-force all-pairs
     reference on a corpus salted with near-dup chains."""
@@ -526,13 +529,14 @@ def test_similar_pairs_exact_complete_vs_brute(ray_session, tmp_path):
                     want.add((i, j))
         assert want, "fixture must plant qualifying pairs"
 
-        out = similar_pairs_exact(str(tmp_path), threshold=t)
+        monkeypatch.setattr(text, "SSJOIN_THRESHOLD", t)
+        out = similar_pairs_exact(str(tmp_path))
         got = set(zip(out["doc_a"], out["doc_b"]))
         assert got == want
         assert (out["jaccard"] >= t).all()
 
 
-def test_repeated_ngram_stats_planted(ray_session, tmp_path):
+def test_repeated_ngram_stats_planted(ray_session, tmp_path, tasks, monkeypatch):
     from mpds_ray.pipelines.text import repeated_ngram_stats
 
     # tokenizer hashes (first char, word len): every word below differs in
@@ -548,7 +552,9 @@ def test_repeated_ngram_stats_planted(ray_session, tmp_path):
         {"doc_id": np.arange(4, dtype=np.int64), "text": texts, "source": "s"}
     )
     pq.write_table(pa.Table.from_pandas(df), tmp_path / "documents.parquet")
-    out = repeated_ngram_stats(str(tmp_path), num_buckets=4).set_index("doc_id")
+    force_buckets(monkeypatch, 4)
+    out = repeated_ngram_stats(str(tmp_path)).set_index("doc_id")
+    assert tasks["_reduce_bucket"] == 4
     assert list(out.index) == [0, 1, 2]
     assert out.loc[0, "n_grams"] == 3 and out.loc[0, "n_repeated"] == 1
     assert out.loc[1, "n_grams"] == 3 and out.loc[1, "n_repeated"] == 1
@@ -604,7 +610,7 @@ def test_unigram_logprob_reference(ray_session, tmp_path):
     assert out.mean_logprob.iloc[0] > out.mean_logprob.iloc[1]
 
 
-def test_contained_pairs_exact_complete_vs_brute(ray_session, tmp_path):
+def test_contained_pairs_exact_complete_vs_brute(ray_session, tmp_path, monkeypatch):
     """The containment join must find EVERY ordered pair with
     round(|Sa∩Sb|/|Sa|, 6) >= t — including near-SUBSET pairs whose
     Jaccard is far below t (the asymmetric case the symmetric join
@@ -631,6 +637,10 @@ def test_contained_pairs_exact_complete_vs_brute(ray_session, tmp_path):
     for t in texts:
         toks = np.array([tokenize_words_py(w) for w in t.split(" ")], dtype=np.int64)
         sets.append(set(_shingles(toks).tolist()))
+    verified_at = []
+    verify = text._verify_pairs_exact
+    monkeypatch.setattr(text, "_verify_pairs_exact", lambda shards, refs, t, metric: (
+        verified_at.append(t) or verify(shards, refs, t, metric=metric)))
     for thr in (0.5, 0.8):
         want = set()
         for i in range(len(sets)):
@@ -645,7 +655,8 @@ def test_contained_pairs_exact_complete_vs_brute(ray_session, tmp_path):
         if thr == 0.8:
             assert any(a > b for (a, b) in want), "subset (short->long) pair missing"
 
-        out = contained_pairs_exact(str(tmp_path), threshold=thr)
+        monkeypatch.setattr(text, "CONTAIN_THRESHOLD", thr)
+        out = contained_pairs_exact(str(tmp_path))
         got = set(zip(out["doc_a"], out["doc_b"]))
         assert got == want
         # ordered semantics: containment is NOT symmetric on the planted
@@ -653,3 +664,4 @@ def test_contained_pairs_exact_complete_vs_brute(ray_session, tmp_path):
         if thr == 0.8:
             asym = [(a, b) for (a, b) in want if (b, a) not in want]
             assert asym
+    assert verified_at == [0.5, 0.8]

@@ -9,7 +9,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import force_buckets
 
+from mpds_ray.pipelines import traindata
 from mpds_ray.pipelines.traindata import (
     BLOCKLIST_DOCS,
     decontaminate,
@@ -72,28 +74,34 @@ class TestStratifiedSample:
 
 
 class TestPackSequences:
-    def test_offsets_match_serial_cumsum_any_bucket_count(self, ray_session, tmp_path):
+    def test_offsets_match_serial_cumsum_any_bucket_count(self, ray_session, tmp_path, tasks,
+                                                          monkeypatch):
         texts = [" ".join(rng.choice(WORDS, int(k))) for k in rng.integers(1, 50, 120)]
         sf = _write_docs(tmp_path, texts)
         n_tok = np.array([len(t.split(" ")) for t in texts], dtype=np.int64)
         want_start = np.r_[0, np.cumsum(n_tok)[:-1]]
+        monkeypatch.setattr(traindata, "PACK_CTX", 16)
         for nb in (1, 3, 8):
-            out = pack_sequences(sf, ctx=16, num_buckets=nb)
+            force_buckets(monkeypatch, nb)
+            out = pack_sequences(sf)
             assert np.array_equal(out["doc_id"].to_numpy(), np.arange(120))
             assert np.array_equal(out["tok_start"].to_numpy(), want_start)
             assert np.array_equal(out["chunk_id"].to_numpy(), want_start // 16)
+        assert tasks["_reduce_bucket"] == 1 + 3 + 8
 
-    def test_chunks_cover_stream_without_gaps(self, ray_session, tmp_path):
+    def test_chunks_cover_stream_without_gaps(self, ray_session, tmp_path, monkeypatch):
         texts = [" ".join(rng.choice(WORDS, 10)) for _ in range(64)]
         sf = _write_docs(tmp_path, texts)
-        out = pack_sequences(sf, ctx=32)
+        monkeypatch.setattr(traindata, "PACK_CTX", 32)
+        out = pack_sequences(sf)
         # chunk ids are non-decreasing in doc order and start at chunk 0
         c = out["chunk_id"].to_numpy()
         assert c[0] == 0 and (np.diff(c) >= 0).all()
+        assert c[-1] == 63 * 10 // 32  # the last doc starts at token 630
 
 
 class TestDupClusters:
-    def test_transitive_chain_single_cluster(self, ray_session, tmp_path):
+    def test_transitive_chain_single_cluster(self, ray_session, tmp_path, monkeypatch):
         """a~b and b~c overlap pairwise >= 0.5 but a~c may not — the
         component must still merge all three (transitivity via union-find)."""
         base = list(rng.choice(WORDS, 60))
@@ -105,9 +113,13 @@ class TestDupClusters:
             " ".join(rng.choice(WORDS, 60)) for _ in range(20)
         ]
         sf = _write_docs(tmp_path, texts)
-        out = dup_clusters(sf, threshold=0.3)
+        monkeypatch.setattr(traindata, "DUP_CLUSTER_THRESHOLD", 0.3)
+        out = dup_clusters(sf)
         got = out.set_index("doc_id")["cluster_id"]
         assert got.loc[0] == got.loc[1] == got.loc[2] == 0
+        # the constant reaches the reduce: no Jaccard reaches 1.01
+        monkeypatch.setattr(traindata, "DUP_CLUSTER_THRESHOLD", 1.01)
+        assert len(dup_clusters(sf)) == 0
 
     def test_blocking_by_source_respected(self, ray_session, tmp_path):
         """Identical texts in DIFFERENT sources must not pair (source is the
@@ -133,7 +145,7 @@ class TestMidQuality:
 
 
 class TestDedupPassages:
-    def test_planted_chunk_dup_counts(self, ray_session, tmp_path):
+    def test_planted_chunk_dup_counts(self, ray_session, tmp_path, tasks, monkeypatch):
         """Doc 1 repeats doc 0's full 64-word chunk (dup attributes to the
         LATER (doc, chunk)); doc 2 shares no chunk. Short docs (< chunk)
         still form one chunk each and exact-match across docs."""
@@ -151,23 +163,28 @@ class TestDedupPassages:
                 "unique tail words here",  # doc 3: dup of doc 2's chunk
             ],
         )
-        out = dedup_passages(sf, num_buckets=4).set_index("doc_id")
+        force_buckets(monkeypatch, 4)
+        out = dedup_passages(sf).set_index("doc_id")
+        assert tasks["_reduce_bucket"] == 4
         assert out.loc[0, "n_chunks"] == 1 and out.loc[0, "n_dup_chunks"] == 0
         assert out.loc[1, "n_chunks"] == 2 and out.loc[1, "n_dup_chunks"] == 1
         assert out.loc[2, "n_dup_chunks"] == 0
         assert out.loc[3, "n_chunks"] == 1 and out.loc[3, "n_dup_chunks"] == 1
 
-    def test_bucket_count_invariance(self, ray_session):
+    def test_bucket_count_invariance(self, ray_session, tasks, monkeypatch):
         from mpds_ray.pipelines.traindata import dedup_passages
 
         sf = "/root/testdata/sf0.001"
-        a = dedup_passages(sf, num_buckets=1)
-        b = dedup_passages(sf, num_buckets=16)
+        force_buckets(monkeypatch, 1)
+        a = dedup_passages(sf)
+        force_buckets(monkeypatch, 16)
+        b = dedup_passages(sf)
+        assert tasks["_reduce_bucket"] == 1 + 16
         pd.testing.assert_frame_equal(a, b)
 
 
 class TestCurateCorpus:
-    def test_each_filter_bites(self, ray_session, tmp_path):
+    def test_each_filter_bites(self, ray_session, tmp_path, tasks, monkeypatch):
         """A corpus planted so every filter drops at least one doc: a dup
         pair (later id dropped), a short doc, a contaminated doc (shares a
         blocklist trigram), and the sampling rule; survivors' per-source
@@ -208,7 +225,9 @@ class TestCurateCorpus:
                 texts.append(long(chars[21 + i]))
             sources.append("src0" if i % 2 == 0 else "src9")
         sf = _write_docs(tmp_path, texts, sources)
-        out = curate_corpus(sf, num_buckets=4)
+        force_buckets(monkeypatch, 4)
+        out = curate_corpus(sf)
+        assert tasks["_reduce_bucket"] == 2 * 4  # the dedup and the join
 
         # pandas replay of the four rules
         df = pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts,

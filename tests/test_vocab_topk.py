@@ -31,23 +31,25 @@ class TestVocab:
         _write_docs(tmp_path, texts)
         from collections import Counter
 
-        from mpds_ray.pipelines.text import vocab_top_terms
+        from mpds_ray.pipelines.text import VOCAB_K, vocab_top_terms
 
         want = Counter(w for t in texts for w in t.split(" "))
-        got = vocab_top_terms(str(tmp_path), k=100)
+        assert VOCAB_K == 100
+        got = vocab_top_terms(str(tmp_path))
         assert dict(zip(got["term"], got["n"])) == dict(want)
         # ordering: (n DESC, term ASC)
         key = list(zip(-got["n"].to_numpy(), got["term"]))
         assert key == sorted(key)
 
-    def test_topk_tie_straddles_buckets(self, ray_session, tmp_path):
+    def test_topk_tie_straddles_buckets(self, ray_session, tmp_path, monkeypatch):
         # 6 terms with IDENTICAL counts; k=3 must keep the lexicographically
         # smallest 3 even though per-bucket partials see disjoint subsets
         texts = ["t1 t2 t3", "t4 t5 t6", "t1 t2 t3", "t4 t5 t6"]
         _write_docs(tmp_path, texts)
-        from mpds_ray.pipelines.text import vocab_top_terms
+        from mpds_ray.pipelines import text
 
-        got = vocab_top_terms(str(tmp_path), k=3)
+        monkeypatch.setattr(text, "VOCAB_K", 3)
+        got = text.vocab_top_terms(str(tmp_path))
         assert list(got["term"]) == ["t1", "t2", "t3"]
         assert list(got["n"]) == [2, 2, 2]
 
@@ -55,9 +57,10 @@ class TestVocab:
         # doc0 ends "x"; doc1 starts "y": bigram "x y" must NOT appear
         texts = ["a b x", "y c d", "a b x", "y c d"]
         _write_docs(tmp_path, texts)
-        from mpds_ray.pipelines.text import bigram_top_terms
+        from mpds_ray.pipelines.text import BIGRAM_K, bigram_top_terms
 
-        got = bigram_top_terms(str(tmp_path), k=100)
+        assert BIGRAM_K == 100
+        got = bigram_top_terms(str(tmp_path))
         terms = set(got["term"])
         assert "x y" not in terms
         assert dict(zip(got["term"], got["n"])) == {
@@ -95,9 +98,10 @@ class TestGroupedTopK:
             }
         )
         self._write_events(tmp_path, df)
-        from mpds_ray.pipelines.eventspipe import top_users_per_event_type
+        from mpds_ray.pipelines.eventspipe import TOP_USERS_K, top_users_per_event_type
 
-        got = top_users_per_event_type(str(tmp_path), k=3)
+        assert TOP_USERS_K == 3
+        got = top_users_per_event_type(str(tmp_path))
         agg = df.groupby(["event_type", "user_id"], as_index=False)["value"].sum()
         agg["total_value"] = agg["value"].round(6)
         want = (
@@ -112,7 +116,7 @@ class TestGroupedTopK:
 
 
 class TestTfIdf:
-    def test_matches_loop_oracle_and_vocab_cap(self, ray_session, tmp_path):
+    def test_matches_loop_oracle_and_vocab_cap(self, ray_session, tmp_path, monkeypatch):
         import math
         from collections import Counter
 
@@ -120,6 +124,7 @@ class TestTfIdf:
         words = np.array(["w%02d" % i for i in range(12)])
         texts = [" ".join(rng.choice(words, rng.integers(3, 25))) for _ in range(30)]
         _write_docs(tmp_path, texts)
+        from mpds_ray.pipelines import text
         from mpds_ray.pipelines.text import tfidf_top_term
 
         got = tfidf_top_term(str(tmp_path)).to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -137,7 +142,8 @@ class TestTfIdf:
         pd.testing.assert_frame_equal(got, want)
 
         # vocab cap: with k=1 only the highest-df term is scoreable
-        capped = tfidf_top_term(str(tmp_path), vocab_k=1).to_pandas()
+        monkeypatch.setattr(text, "TFIDF_VOCAB_K", 1)
+        capped = tfidf_top_term(str(tmp_path)).to_pandas()
         assert capped["term"].nunique() == 1
         top_df_term = min((-c, w) for w, c in df_count.items())[1]
         assert set(capped["term"]) == {top_df_term}
@@ -198,7 +204,7 @@ class TestMisraGries:
             if c > bound:
                 assert t in set(st)
 
-    def test_two_pass_exact_over_capacity(self, ray_session, tmp_path):
+    def test_two_pass_exact_over_capacity(self, ray_session, tmp_path, monkeypatch):
         """capacity < distinct terms: the two-pass protocol still returns
         the EXACT top-k because pass 2 recounts candidates exactly."""
         import numpy as np
@@ -206,7 +212,7 @@ class TestMisraGries:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from mpds_ray.pipelines.text import heavy_hitter_terms
+        from mpds_ray.pipelines import text
 
         rng = np.random.default_rng(1)
         docs = []
@@ -221,15 +227,22 @@ class TestMisraGries:
              "lang": "en", "source": "s", "n_chars": [len(t) for t in docs]}
         )
         pq.write_table(pa.Table.from_pandas(df), tmp_path / "documents.parquet")
-        got = heavy_hitter_terms(str(tmp_path), k=3, capacity=32)
+        monkeypatch.setattr(text, "HEAVY_HITTER_K", 3)
+        monkeypatch.setattr(text, "HEAVY_HITTER_CAPACITY", 32)
+        capacities = []
+        mg_summary = text._mg_summary
+        monkeypatch.setattr(text, "_mg_summary", lambda terms, counts, capacity: (
+            capacities.append(capacity) or mg_summary(terms, counts, capacity)))
+        got = text.heavy_hitter_terms(str(tmp_path))
         all_words = np.concatenate([d.split(" ") for d in docs])
         t, c = np.unique(all_words, return_counts=True)
+        assert capacities == [32] and len(t) > 32  # the driver merge ran over capacity
         exp = pd.DataFrame({"term": t, "n": c.astype(np.int64)}).sort_values(
             ["n", "term"], ascending=[False, True], kind="mergesort"
         ).head(3).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, exp)
 
-    def test_mg_violation_warns_not_silent(self, ray_session, tmp_path):
+    def test_mg_violation_warns_not_silent(self, ray_session, tmp_path, monkeypatch):
         """ADVICE r3: when the k-th exact candidate count does NOT clear the
         N/(capacity+1) undercount bound, the caller gets a RuntimeWarning
         instead of a silently-maybe-approximate top-k."""
@@ -240,7 +253,7 @@ class TestMisraGries:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from mpds_ray.pipelines.text import heavy_hitter_terms
+        from mpds_ray.pipelines import text
 
         rng = np.random.default_rng(3)
         # near-uniform stream: every count is far below N/(capacity+1)
@@ -253,5 +266,7 @@ class TestMisraGries:
         pq.write_table(pa.Table.from_pandas(df), tmp_path / "documents.parquet")
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            heavy_hitter_terms(str(tmp_path), k=3, capacity=4)
+            monkeypatch.setattr(text, "HEAVY_HITTER_K", 3)
+            monkeypatch.setattr(text, "HEAVY_HITTER_CAPACITY", 4)
+            text.heavy_hitter_terms(str(tmp_path))
         assert any("Misra-Gries bound" in str(x.message) for x in w)

@@ -5,10 +5,14 @@ value content. Usage:
     python tools/check_correctness.py [--dump DIR | --same-as DIR] [sf_dir] [names...]
 
 ``--dump DIR`` runs the queries and writes each one's canonical output
-(``canon``) to ``DIR/<name>.parquet``; nothing is compared. ``--same-as DIR``
-compares each query's canonical output with that dump instead of the oracle,
-exactly (``assert_frame_equal(check_exact=True)``): dump at a known-good
-commit, then check that a refactor left every output bit-identical.
+(``canon``) to ``DIR/<name>.parquet`` and every oracle text to
+``DIR/oracles.json``; nothing is compared. ``--same-as DIR`` compares each
+query's canonical output with that dump instead of the oracle, exactly
+(``assert_frame_equal(check_exact=True)``), and its oracle text with the
+dumped one: dump at a known-good commit, then check that a refactor left
+every output bit-identical and no oracle changed. The checkout's own path
+in an oracle text (the goldens' ``read_parquet``) is written as
+``{repo}``, so two checkouts compare equal.
 
 Float columns are compared BIT-EXACT AFTER a canonical round(6) by default
 (VERDICT r4 'Next round' #3: "bit compare after the committed round(6)") —
@@ -23,6 +27,7 @@ the driver gate will be green.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import traceback
@@ -94,16 +99,28 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
     return problems
 
 
-def same_as(name: str, got: pd.DataFrame, dump_dir: str) -> list[str]:
-    """Problems of ``got`` against the ``--dump`` output of ``name``."""
+def same_as(name: str, got: pd.DataFrame, oracle: str | None, dump_dir: str,
+            dumped_oracles: dict[str, str]) -> list[str]:
+    """Problems of ``got`` and ``oracle`` (the query's oracle text, or
+    ``None``) against the ``--dump`` output of ``name``."""
+    problems = []
+    if oracle != dumped_oracles.get(name):
+        problems.append("oracle text differs from the dump")
     path = os.path.join(dump_dir, f"{name}.parquet")
     if not os.path.exists(path):
-        return [f"no dump at {path}"]
+        return problems + [f"no dump at {path}"]
     try:
         pd.testing.assert_frame_equal(canon(got), pd.read_parquet(path), check_exact=True)
     except AssertionError as e:
-        return [" ".join(str(e).split())]
-    return []
+        problems.append(" ".join(str(e).split()))
+    return problems
+
+
+def oracle_texts(oracles: dict[str, str]) -> dict[str, str]:
+    """The oracle texts with this checkout's path written as ``{repo}``."""
+    from mpds_ray.oracle.golden import REPO_ROOT
+
+    return {n: sql.replace(REPO_ROOT, "{repo}") for n, sql in oracles.items()}
 
 
 def _pop_opt(argv: list[str], flag: str) -> str | None:
@@ -140,6 +157,14 @@ def main():
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
+    texts = oracle_texts(oracles)
+    if dump_dir:
+        with open(os.path.join(dump_dir, "oracles.json"), "w") as f:
+            json.dump(texts, f, indent=1, sort_keys=True)
+    dumped_oracles = {}
+    if ref_dir:
+        with open(os.path.join(ref_dir, "oracles.json")) as f:
+            dumped_oracles = json.load(f)
 
     con = duckdb.connect()
     for t in ("region", "nation", "customer", "supplier", "part", "orders",
@@ -163,7 +188,7 @@ def main():
             n_pass += 1
             continue
         if ref_dir:
-            problems = same_as(name, got, ref_dir)
+            problems = same_as(name, got, texts.get(name), ref_dir, dumped_oracles)
             print(f"FAIL {name}: " + "; ".join(problems) if problems
                   else f"SAME {name} ({len(got)} rows)")
             n_fail += bool(problems)
